@@ -28,7 +28,7 @@ from .errors import ConfigError
 from .lyapunov import lyapunov_spectrum, regularity_check
 from .phase_space import SubsystemSpec
 from .reporting import RunReport
-from .scenarios import SCENARIO_NAMES, default_scenario, run_scenario
+from .scenarios import SCENARIO_NAMES, bound_matrices, default_scenario, run_scenario
 from .ssa import gss_rhs_minimize, stationarity_residual, SubsystemFamily
 from .subsystem import subsystem_exponent_algebraic, subsystem_exponent_volumetric
 
@@ -109,8 +109,7 @@ def _cmd_bounds_check(args) -> int:
     series = propagate(ham, max(times), cfg.run.dt, store_every=max(1, cfg.run.store_every))
     report = RunReport(scenario_id=cfg.scenario or "custom", config_hash=config_hash(cfg))
     entries = []
-    for t in times:
-        m = series.matrix_at(t)
+    for t, m in zip(times, bound_matrices(series, times)):
         rep = gss_rhs_minimize(m, cfg.modes)
         fam = SubsystemFamily.transported_pair(cfg.modes, m)
         entries.append({
@@ -120,7 +119,7 @@ def _cmd_bounds_check(args) -> int:
             "iterations": rep.iterations, "converged": rep.converged,
             "diverged": rep.diverged})
         if not rep.converged:
-            report.warn(f"minimizer at t={t:g} did not converge within budget")
+            report.warn(f"minimizer at t={t:g} {rep.stop_summary}")
     report.add("bounds", entries)
     return _emit(report, args)
 

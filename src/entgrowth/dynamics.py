@@ -95,9 +95,6 @@ class PropagationResult:
     def index_at(self, t: float) -> int:
         return int(np.argmin(np.abs(self.times - t)))
 
-    def matrix_at(self, t: float) -> np.ndarray:
-        return self.matrices[self.index_at(t)]
-
 
 def _check_periodicity(ham, samples=(0.13, 0.41, 0.77)):
     tau = ham.period

@@ -494,10 +494,25 @@ def _run_gaussian(cfg, report):
             report.fail("S2(A) - ln t exceeded 0.5 nats on [10, t_final]")
 
 
+def bound_matrices(series, times):
+    """The stored flow matrix at each bound time.
+
+    A bound time that is not a stored sample (to 1e-9 (1 + t)) is a config
+    error rather than a silent move to the nearest sample.
+    """
+    mats = []
+    for t in times:
+        idx = series.index_at(t)
+        if abs(series.times[idx] - t) > 1e-9 * (1.0 + abs(t)):
+            raise ConfigError(f"bound time {t:g} is not a stored sample time "
+                              f"(nearest {series.times[idx]:.17g})", "run.bound_times")
+        mats.append(series.matrices[idx])
+    return mats
+
+
 def _bounds_section(report, series, split, cfg):
     entries = []
-    for t in cfg.run.bound_times:
-        m = series.matrix_at(t)
+    for t, m in zip(cfg.run.bound_times, bound_matrices(series, cfg.run.bound_times)):
         rep = gss_rhs_minimize(m, split)
         entries.append({"t": float(t), "value": rep.value, "residual": rep.residual,
                         "iterations": rep.iterations, "converged": rep.converged,
@@ -506,7 +521,7 @@ def _bounds_section(report, series, split, cfg):
             report.warn(f"bound minimizer at t={t:g} diverged toward the cone boundary "
                         f"(infimum approached, not attained)")
         if not rep.converged:
-            report.warn(f"bound minimizer at t={t:g} exhausted its budget")
+            report.warn(f"bound minimizer at t={t:g} {rep.stop_summary}")
     report.add("bounds", entries)
 
 

@@ -6,15 +6,19 @@ The central object is the minimization over positive definite matrices G of
 
 whose value lower-bounds the sum of mutual informations of any state and
 its image under the symplectic transformation M.  The minimizer is a
-quasi-Newton descent on Cholesky factors (log-parametrized diagonal) with
-central finite-difference gradients and informed restarts.  When M is
+quasi-Newton descent on Cholesky factors G = C C^T (log-parametrized
+diagonal) with informed restarts.  Value and exact gradient are evaluated
+in factor space: each log-determinant is read off a triangular factor of
+rows of C or M C, so neither G nor M G M^T is ever formed.  When M is
 positive definite the stationary point is known in closed form
 (G = M^{-1}, value 2 I_as(M)) and is used both as a restart and as a test
 oracle.
 
 The infimum may sit at the boundary of the cone (covariance entries
-running to infinity); the minimizer reports a divergence flag instead of
-failing in that case.
+running to infinity).  The log-diagonal of C is confined to
++-ln(DIVERGENCE_NORM), which keeps C C^T numerically positive definite,
+and the minimizer reports a divergence flag instead of failing when the
+best point has entries beyond DIVERGENCE_NORM.
 """
 
 from dataclasses import dataclass
@@ -128,6 +132,15 @@ class BoundReport:
     iterations: int
     converged: bool
     diverged: bool
+    stop_reason: str       # the optimizer's message for the returned start
+    budget: int
+
+    @property
+    def stop_summary(self) -> str:
+        """Why the returned start stopped, worded for a warning."""
+        if self.iterations >= self.budget:
+            return f"exhausted its budget of {self.budget} iterations"
+        return f"stopped before converging: {self.stop_reason}"
 
 
 def _mutual_info_as(g, k):
@@ -140,12 +153,55 @@ def _rhs_objective(m, k):
     return objective
 
 
+def _cholesky_layout(dim):
+    """Row-major lower-triangle indices and the positions of the diagonal among them."""
+    return np.tril_indices(dim), np.array([i * (i + 1) // 2 + i for i in range(dim)])
+
+
 def _unpack_cholesky(x, dim, tril_idx, diag_pos):
     c = np.zeros((dim, dim))
     c[tril_idx] = x
     d = np.arange(dim)
     c[d, d] = np.exp(x[diag_pos])
     return c
+
+
+def _half_logdet_rows(r):
+    """(1/2) ln det(R R^T) and its gradient (R^+)^T = (R R^T)^{-1} R, via a thin QR of R^T."""
+    q, u = np.linalg.qr(r.T)
+    return float(np.sum(np.log(np.abs(np.diag(u))))), np.linalg.solve(u, q.T)
+
+
+def _rhs_factor_objective(m, k):
+    """The right-hand-side objective and its gradient in Cholesky coordinates.
+
+    For G = C C^T the objective of ``_rhs_objective`` reads
+
+        sum_{i<k} x_ii - 2 sum_i x_ii - ln|det M| + h(C_B) + h((M C)_A) + h((M C)_B)
+
+    with x_ii = ln C_ii and h(R) = (1/2) ln det(R R^T), since det G and
+    det G_A are products of diagonal entries of C.  Returns
+    ``fun(x) -> (value, gradient)`` on the packed lower triangle x.
+    """
+    dim = m.shape[0]
+    tril_idx, diag_pos = _cholesky_layout(dim)
+    ln_det_m = np.linalg.slogdet(m)[1]
+    weights = np.full(dim, -2.0)
+    weights[:k] += 1.0
+
+    def fun(x):
+        c = _unpack_cholesky(x, dim, tril_idx, diag_pos)
+        mc = m @ c
+        h_b, d_b = _half_logdet_rows(c[k:])
+        h_ma, d_ma = _half_logdet_rows(mc[:k])
+        h_mb, d_mb = _half_logdet_rows(mc[k:])
+        d_c = m.T @ np.vstack((d_ma, d_mb))
+        d_c[k:] += d_b
+        grad = d_c[tril_idx]
+        grad[diag_pos] = grad[diag_pos] * np.diag(c) + weights
+        return float(weights @ x[diag_pos]) + h_b + h_ma + h_mb - ln_det_m, grad
+
+    return fun
 
 
 def _is_pd_symmetric(m):
@@ -164,30 +220,25 @@ def gss_rhs_minimize(m, split: ModeCount, budget: int = 2000,
     """Minimize I_as(A;B)(G) + I_as(A;B)(M G M^T) over positive definite G.
 
     G is parametrized as C C^T with lower-triangular C and log-parametrized
-    diagonal so iterates stay inside the cone; descent is L-BFGS with
-    central finite-difference gradients, restarted from the identity and
-    (with ``informed_starts``) from M^{-1} when M is positive definite (the
-    known stationary point) and from (M M^T)^{-1/2}.  ``budget`` caps total
-    iterations across restarts; exhaustion returns the best point flagged
-    non-converged.
+    diagonal so iterates stay inside the cone; descent is L-BFGS-B on the
+    exact factor-space gradient (``_rhs_factor_objective``), with the
+    log-diagonal bounded by +-ln(DIVERGENCE_NORM), restarted from the
+    identity and (with ``informed_starts``) from M^{-1} when M is positive
+    definite (the known stationary point) and from (M M^T)^{-1/2}.
+    ``budget`` caps total iterations across restarts; a best point that did
+    not converge is returned flagged non-converged, with the optimizer's
+    stop reason.
     """
     m = np.asarray(m, dtype=float)
     dim = 2 * split.n_total
     if m.shape != (dim, dim):
         raise DimensionMismatch(f"transformation shape {m.shape} vs split {split}")
-    k = 2 * split.n_a
-    objective = _rhs_objective(m, k)
-
-    tril_idx = np.tril_indices(dim)
-    diag_pos = np.array([i * (i + 1) // 2 + i for i in range(dim)])
-
-    def fun(x):
-        c = _unpack_cholesky(x, dim, tril_idx, diag_pos)
-        g = c @ c.T
-        try:
-            return objective(g)
-        except NotPositiveDefinite:
-            return 1e12
+    fun = _rhs_factor_objective(m, 2 * split.n_a)
+    tril_idx, diag_pos = _cholesky_layout(dim)
+    log_cap = np.log(DIVERGENCE_NORM)
+    bounds = [(None, None)] * len(tril_idx[0])
+    for pos in diag_pos:
+        bounds[pos] = (-log_cap, log_cap)
 
     starts = [np.eye(dim)]
     if informed_starts:
@@ -210,7 +261,7 @@ def gss_rhs_minimize(m, split: ModeCount, budget: int = 2000,
             continue
         x0 = c0[tril_idx].copy()
         x0[diag_pos] = np.log(np.diag(c0))
-        res = minimize(fun, x0, method="L-BFGS-B", jac="3-point",
+        res = minimize(fun, x0, method="L-BFGS-B", jac=True, bounds=bounds,
                        options=dict(maxiter=min(per_start, budget - iterations),
                                     ftol=ftol, gtol=gtol))
         iterations += int(res.nit)
@@ -227,7 +278,8 @@ def gss_rhs_minimize(m, split: ModeCount, budget: int = 2000,
     residual = stationarity_residual(g_best, fam)
     diverged = _maxabs(g_best) > DIVERGENCE_NORM
     return BoundReport(value=float(best.fun), argmin_g=g_best, residual=float(residual),
-                       iterations=iterations, converged=converged, diverged=diverged)
+                       iterations=iterations, converged=converged, diverged=diverged,
+                       stop_reason=str(best.message), budget=budget)
 
 
 def _require_pd_symplectic(t_mat):

@@ -16,7 +16,8 @@ from entgrowth.config import (
 )
 from entgrowth.errors import ConfigError
 from entgrowth.reporting import CSV_COLUMNS
-from entgrowth.scenarios import default_scenario, run_scenario
+from entgrowth.dynamics import QuadraticHamiltonian, propagate
+from entgrowth.scenarios import bound_matrices, default_scenario, metastable_form, run_scenario
 
 MINIMAL = """
 {
@@ -220,6 +221,25 @@ def test_cli_bounds_check_command(tmp_path):
     res = _cli("bounds-check", str(cfg_path))
     assert res.returncode == 0, res.stderr
     assert "stationarity_residual" in res.stdout
+
+
+def test_off_grid_bound_time_is_config_error(tmp_path):
+    series = propagate(QuadraticHamiltonian.constant(metastable_form()), 10.0, 0.25,
+                       store_every=4)
+    assert np.array_equal(bound_matrices(series, [3.0 + 1e-12])[0], series.matrices[3])
+    with pytest.raises(ConfigError, match="run.bound_times"):
+        bound_matrices(series, [3.0, 2.5])
+    cfg = default_scenario("metastable")
+    cfg.run.t_final = 10.0
+    cfg.run.window = (2.0, 10.0)
+    cfg.run.bound_times = (1.0, 2.5, 3.0)
+    rep = run_scenario(cfg, write_outputs=False)
+    assert any("ConfigError: run.bound_times" in f for f in rep.failures), rep.failures
+    assert "bounds" not in rep.sections
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(serialize_config(cfg))
+    res = _cli("bounds-check", str(cfg_path))
+    assert res.returncode == 2 and "run.bound_times" in res.stderr
 
 
 def test_cli_oracle_command(tmp_path):

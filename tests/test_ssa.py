@@ -1,9 +1,13 @@
 """Subadditivity objective, stationarity condition, minimizer, entropy bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 from entgrowth.entropy import LN_E_OVER_2, mutual_information_asymptotic
@@ -13,6 +17,10 @@ from entgrowth.sampling import random_covariance, random_pd_symplectic, random_s
 from entgrowth.scenarios import metastable_form, two_mode_squeezing_form
 from entgrowth.ssa import (
     SubsystemFamily,
+    _cholesky_layout,
+    _rhs_factor_objective,
+    _rhs_objective,
+    _unpack_cholesky,
     gss_objective,
     gss_rhs_minimize,
     op_norm,
@@ -127,6 +135,77 @@ def test_minimize_metastable_below_constant():
         rep = gss_rhs_minimize(m, SPLIT)
         assert rep.value <= 2 * LN_E_OVER_2 + 1e-6
         assert rep.diverged   # infimum sits at the cone boundary
+
+
+# line searches on a finite-difference gradient overflow at 849 onward and
+# return a bound above the ceiling; 630 and 671 break a gradient taken
+# through inverses of blocks of the formed M G M^T
+FORMER_FAILURE_TIMES = (630, 671, 849, 856, 857, 898, 926, 972, 1004, 1010, 1015, 1018,
+                        1023, 1035, 1079, 1080)
+
+
+def test_minimize_metastable_former_failure_times():
+    k = standard_omega(2) @ metastable_form()
+    for t in FORMER_FAILURE_TIMES:
+        rep = gss_rhs_minimize(np.eye(4) + t * k, SPLIT)
+        assert math.isfinite(rep.value) and rep.value <= 2 * LN_E_OVER_2 + 1e-6, (t, rep)
+        assert math.isfinite(rep.residual), (t, rep)
+
+
+def test_minimize_stop_summary_names_the_reason():
+    m = random_pd_symplectic(2, np.random.default_rng(19))
+    rep = gss_rhs_minimize(m, SPLIT, budget=3)
+    assert not rep.converged and rep.iterations == 3
+    assert rep.stop_summary == "exhausted its budget of 3 iterations"
+    rep = gss_rhs_minimize(m, SPLIT)
+    assert rep.converged and rep.iterations < rep.budget
+    stopped = dataclasses.replace(rep, converged=False)
+    assert stopped.stop_summary == f"stopped before converging: {rep.stop_reason}"
+
+
+@st.composite
+def factor_points(draw, limit=1.5):
+    """(M, split, x): random symplectic M and a packed Cholesky factor x in [-limit, limit]."""
+    n_total = draw(st.integers(2, 3))
+    split = ModeCount(n_total, draw(st.integers(1, n_total - 1)))
+    m = random_symplectic(n_total, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    dim = 2 * n_total
+    x = draw(hnp.arrays(np.float64, dim * (dim + 1) // 2, elements=st.floats(-limit, limit)))
+    return m, split, x
+
+
+@settings(max_examples=40, deadline=None)
+@given(factor_points())
+def test_factor_gradient_matches_central_differences(point):
+    m, split, x = point
+    fun = _rhs_factor_objective(m, 2 * split.n_a)
+    _, grad = fun(x)
+    h = 1e-6
+    fd = np.array([(fun(x + h * e)[0] - fun(x - h * e)[0]) / (2 * h) for e in np.eye(len(x))])
+    assert np.max(np.abs(fd - grad)) <= 1e-6 * (1.0 + np.max(np.abs(grad)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_points(limit=0.5))
+def test_factor_value_matches_formed_objective(point):
+    # the formed reference loses about eps * cond(C C^T), which reaches 1e11
+    # at x = -1.5 everywhere (off by up to 6e-7 there, while the factor value
+    # agrees with 50-digit arithmetic to 1e-15); |x| <= 0.5 keeps cond < 1e4
+    m, split, x = point
+    value, _ = _rhs_factor_objective(m, 2 * split.n_a)(x)
+    dim = m.shape[0]
+    c = _unpack_cholesky(x, dim, *_cholesky_layout(dim))
+    formed = _rhs_objective(m, 2 * split.n_a)(c @ c.T)
+    assert abs(value - formed) <= 1e-10 * (1.0 + abs(value))
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_points())
+def test_factor_value_nonnegative(point):
+    # Fischer's inequality: ln det G <= ln det G_A + ln det G_B
+    m, split, x = point
+    value, _ = _rhs_factor_objective(m, 2 * split.n_a)(x)
+    assert value >= -1e-12
 
 
 def test_minimize_cold_start_success_rate():
