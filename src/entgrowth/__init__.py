@@ -56,7 +56,6 @@ from .lyapunov import (
 )
 from .phase_space import (
     CovarianceCheck,
-    GaussianState,
     ModeCount,
     SubsystemSpec,
     complex_structure,

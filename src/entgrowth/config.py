@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import QuadraticHamiltonian
+from .dynamics import QuadraticHamiltonian, sample_times
 from .errors import ConfigError
 from .phase_space import ModeCount
 
@@ -175,6 +175,9 @@ def _parse_hamiltonian(obj, modes: ModeCount) -> HamiltonianSpec:
         pieces = []
         for i, piece in enumerate(_need(obj, "pieces", "hamiltonian.pieces", list)):
             dur = float(_need(piece, "duration", f"hamiltonian.pieces[{i}].duration"))
+            if not dur > 0:
+                raise ConfigError("piece duration must be positive",
+                                  f"hamiltonian.pieces[{i}].duration")
             mat = matrix_from_json(_need(piece, "h", f"hamiltonian.pieces[{i}].h"),
                                    f"hamiltonian.pieces[{i}].h")
             if mat.shape != (dim, dim):
@@ -234,10 +237,29 @@ def _parse_run(obj) -> RunParams:
         if len(window) != 2 or window[0] >= window[1]:
             raise ConfigError("window must be [lo, hi] with lo < hi", "run.window")
         run.window = (float(window[0]), float(window[1]))
+    if run.window is not None and run.window[0] >= run.t_final:
+        raise ConfigError(f"window starts at {run.window[0]:g}, not before t_final "
+                          f"{run.t_final:g}", "run.window")
     run.window_fraction = float(obj.get("window_fraction", 0.75))
     run.bound_times = tuple(float(t) for t in obj.get("bound_times", ()))
+    _check_bound_times(run)
     run.seed = int(obj.get("seed", 0))
     return run
+
+
+def _check_bound_times(run: RunParams):
+    # the same rule as scenarios.bound_matrices, applied before any propagation
+    if not run.bound_times:
+        return
+    stored = sample_times(run.t_final, run.dt, run.store_every)
+    for t in run.bound_times:
+        if not 0.0 < t <= run.t_final:
+            raise ConfigError(f"bound time {t:g} is outside (0, t_final={run.t_final:g}]",
+                              "run.bound_times")
+        nearest = stored[np.argmin(np.abs(stored - t))]
+        if abs(nearest - t) > 1e-9 * (1.0 + abs(t)):
+            raise ConfigError(f"bound time {t:g} is not a stored sample time "
+                              f"(nearest {nearest:.17g})", "run.bound_times")
 
 
 def config_to_json_dict(cfg: ScenarioConfig) -> dict:
@@ -312,27 +334,14 @@ def config_hash(cfg: ScenarioConfig) -> str:
 
 
 def build_hamiltonian_from_spec(spec: HamiltonianSpec, modes: ModeCount) -> QuadraticHamiltonian:
-    """Turn a declarative Hamiltonian spec into callables."""
+    """Turn a declarative Hamiltonian spec into a QuadraticHamiltonian."""
     if spec.type == "constant":
         return QuadraticHamiltonian.constant(spec.h, spec.f)
     if spec.type == "builtin":
         from .scenarios import builtin_hamiltonian
         return builtin_hamiltonian(spec.name, modes, **spec.params)
     if spec.type == "piecewise":
-        durations = np.array([d for d, _ in spec.pieces])
-        edges = np.concatenate([[0.0], np.cumsum(durations)])
-        mats = [mat for _, mat in spec.pieces]
-        period = spec.period
-
-        def h_of_t(t, _edges=edges, _mats=mats, _tau=period):
-            phase = math.fmod(t, _tau)
-            if phase < 0:
-                phase += _tau
-            idx = min(int(np.searchsorted(_edges, phase, side="right")) - 1, len(_mats) - 1)
-            return _mats[idx]
-
-        n = modes.n_total
-        return QuadraticHamiltonian(h=h_of_t, n_modes=n, period=period, time_dependent=True)
+        return QuadraticHamiltonian.piecewise(spec.pieces, spec.period)
     if spec.type == "fourier":
         base = spec.base
         terms = spec.terms or []
@@ -347,6 +356,5 @@ def build_hamiltonian_from_spec(spec: HamiltonianSpec, modes: ModeCount) -> Quad
                     total = total + math.sin(w * t) * term["sin"]
             return total
 
-        return QuadraticHamiltonian(h=h_of_t, n_modes=modes.n_total,
-                                    period=spec.period, time_dependent=True)
+        return QuadraticHamiltonian(h=h_of_t, n_modes=modes.n_total, period=spec.period)
     raise ConfigError(f"unknown hamiltonian type {spec.type!r}", "hamiltonian.type")

@@ -1,17 +1,30 @@
 """Symplectic dynamics generated by time-dependent quadratic Hamiltonians.
 
 The classical flow of H(t) = (1/2) h_ab(t) xi^a xi^b + f_a(t) xi^a is the
-time-ordered exponential of K(t) = Omega h(t).  Propagation composes
-per-step matrix exponentials sampled at the step midpoint (second-order
-Magnus); each step is symplectic up to the accuracy of the exponential,
-and the defect |M Omega M^T - Omega| is monitored rather than silently
-projected away.
+time-ordered exponential of K(t) = Omega h(t).  A Hamiltonian is either
+data or a callable:
+
+* piecewise-constant data (``QuadraticHamiltonian.constant`` and
+  ``QuadraticHamiltonian.piecewise``) knows its pieces and breakpoints.
+  Its flow is exact up to roundoff: a step inside one piece is that
+  piece's exponential, computed once per (piece, step length) in a call,
+  and a step that straddles a breakpoint is the product of the exact
+  exponentials of the parts on either side;
+* any other ``h(t)`` callable is stepped by per-step exponentials sampled
+  at the step midpoint (second-order Magnus).
+
+``step_loop`` is the one step loop; ``propagate``, the QR Lyapunov
+estimator and the Fock oracle all run on it.  Each step is symplectic up
+to the accuracy of the exponential, and the defect |M Omega M^T - Omega|
+is monitored rather than silently projected away.
 
 The linear term f(t) only drives the displacement (dz/dt = K z + Omega f)
 and never enters covariances or entropies; it is propagated alongside when
 present.
 """
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -28,47 +41,120 @@ from .errors import (
 from .phase_space import _maxabs, is_symmetric, standard_omega
 
 DEFECT_FACTOR = 1e-8
+# a breakpoint this close to a grid point, in units of the step, lies on it
+BREAKPOINT_SNAP = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
     """Quadratic form h(t) plus optional linear term f(t).
 
     ``h`` maps a time to the symmetric 2N x 2N coefficient matrix; ``f``
-    (optional) maps a time to a length-2N vector.  ``time_dependent=False``
-    marks h as constant, enabling the single-exponential fast path in
-    propagation (numerically identical to the general path).
+    (optional) maps a time to a length-2N vector.  Piecewise-constant forms
+    are data instead: build them with :meth:`constant` or :meth:`piecewise`,
+    which fill ``pieces`` with ``(duration, form)`` pairs (repeated with
+    ``period``; a constant is one piece without a period) and derive ``h``
+    from them.  A linear term on piece data must be constant in time, as
+    :meth:`constant` makes it: step exponentials are reused across steps.
     """
 
-    h: Callable[[float], np.ndarray]
+    h: Optional[Callable[[float], np.ndarray]]
     n_modes: int
     f: Optional[Callable[[float], np.ndarray]] = None
     period: Optional[float] = None
-    time_dependent: bool = True
+    pieces: tuple = ()
+    _starts: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.period is not None and self.period <= 0:
             raise ValueError("period must be positive")
+        if not self.pieces:
+            return
+        if self.h is not None:
+            raise ValueError("a piecewise-constant form derives h from its pieces")
+        if self.period is None and len(self.pieces) != 1:
+            raise ValueError("several pieces need a period")
+        if self.period is not None and self.f is not None:
+            raise ValueError("a linear term needs a constant form or a callable h")
+        dim = 2 * self.n_modes
+        pieces = []
+        for i, (duration, form) in enumerate(self.pieces):
+            form = np.array(form, dtype=float)
+            if form.shape != (dim, dim):
+                raise DimensionMismatch(f"piece {i} form is {form.shape}, need {(dim, dim)}")
+            if not is_symmetric(form):
+                raise NonSymmetricH(f"piece {i} quadratic form is not symmetric")
+            if not duration > 0:
+                raise ValueError(f"piece {i} duration must be positive")
+            form.setflags(write=False)
+            pieces.append((float(duration), form))
+        durations = [d for d, _ in pieces]
+        if self.period is not None and abs(sum(durations) - self.period) > 1e-9 * max(1.0, self.period):
+            raise ValueError(f"piece durations sum to {sum(durations)}, period is {self.period}")
+        object.__setattr__(self, "pieces", tuple(pieces))
+        object.__setattr__(self, "_starts", tuple(np.cumsum([0.0] + durations[:-1])))
+        object.__setattr__(self, "h", self._piece_form)
 
     @classmethod
     def constant(cls, h0, f0=None) -> "QuadraticHamiltonian":
         h0 = np.asarray(h0, dtype=float)
-        if not is_symmetric(h0):
-            raise NonSymmetricH("constant quadratic form is not symmetric")
         f_fun = None
         if f0 is not None:
             f0 = np.asarray(f0, dtype=float)
             if f0.shape != (h0.shape[0],):
                 raise DimensionMismatch(f"linear term shape {f0.shape} vs form {h0.shape}")
             f_fun = lambda t, _f=f0: _f
-        return cls(h=lambda t, _h=h0: _h, n_modes=h0.shape[0] // 2,
-                   f=f_fun, time_dependent=False)
+        return cls(h=None, n_modes=h0.shape[0] // 2, f=f_fun, pieces=((math.inf, h0),))
+
+    @classmethod
+    def piecewise(cls, pieces, period: float) -> "QuadraticHamiltonian":
+        """Forms ``h_i`` held for ``duration_i`` in turn, repeating with ``period``.
+
+        ``pieces`` is a sequence of ``(duration, h)``; the durations must
+        sum to the period.  Piece i covers the phases [start_i, start_i +
+        duration_i); a breakpoint belongs to the piece it starts.
+        """
+        pieces = tuple(pieces)
+        if not pieces:
+            raise ValueError("need at least one piece")
+        n_modes = np.shape(pieces[0][1])[0] // 2
+        return cls(h=None, n_modes=n_modes, period=float(period), pieces=pieces)
+
+    @property
+    def is_constant(self) -> bool:
+        return len(self.pieces) == 1 and self.period is None
+
+    def piece_at(self, t: float) -> Optional[int]:
+        """Index of the piece in force at time t; None for a callable ``h``."""
+        if not self.pieces:
+            return None
+        if self.period is None:
+            return 0
+        phase = math.fmod(t, self.period)
+        if phase < 0:
+            phase += self.period
+        return bisect_right(self._starts, phase) - 1
+
+    def _piece_form(self, t: float) -> np.ndarray:
+        return self.pieces[self.piece_at(t)][1]
+
+    def breakpoints(self, t_final: float) -> list:
+        """Times in (0, t_final) where one piece hands over to the next, ascending."""
+        if self.period is None or len(self.pieces) < 2:
+            return []
+        times = []
+        for n in range(int(t_final // self.period) + 1):
+            for start in self._starts:
+                b = n * self.period + start
+                if 0.0 < b < t_final:
+                    times.append(b)
+        return times
 
 
 def generator(ham: QuadraticHamiltonian, t: float) -> np.ndarray:
     """Symplectic generator K(t) = Omega h(t); trace-free for symmetric h."""
     h = np.asarray(ham.h(t), dtype=float)
-    if not is_symmetric(h):
+    if not ham.pieces and not is_symmetric(h):
         raise NonSymmetricH(f"h({t}) is not symmetric")
     return standard_omega(ham.n_modes) @ h
 
@@ -96,6 +182,20 @@ class PropagationResult:
         return int(np.argmin(np.abs(self.times - t)))
 
 
+def step_count(t_final: float, dt: float) -> int:
+    """Number of equal steps of about ``dt`` that land exactly on ``t_final``."""
+    return max(1, int(round(t_final / dt)))
+
+
+def sample_times(t_final: float, dt: float, store_every: int = 1) -> np.ndarray:
+    """The times ``propagate`` stores: t=0, every ``store_every``-th step and the last."""
+    n_steps = step_count(t_final, dt)
+    steps = np.arange(0, n_steps + 1, store_every)
+    if steps[-1] != n_steps:
+        steps = np.append(steps, n_steps)
+    return steps * (t_final / n_steps)
+
+
 def _check_periodicity(ham, samples=(0.13, 0.41, 0.77)):
     tau = ham.period
     for frac in samples:
@@ -106,17 +206,61 @@ def _check_periodicity(ham, samples=(0.13, 0.41, 0.77)):
             raise ValueError(f"declared period {tau} but h({t + tau}) != h({t})")
 
 
-def _resymplectify(m, omega):
-    # one Newton step toward M^T Omega M = Omega; documented as modifying
-    # the trajectory, off by default
-    e = -omega @ (m.T @ omega @ m)   # Omega^{-1} (M^T Omega M)
-    return m @ (np.eye(m.shape[0]) - 0.5 * (e - np.eye(m.shape[0])))
+def _straddled_steps(ham, t_final, n_steps):
+    """Step index k -> the breakpoints strictly inside (t_{k-1}, t_k)."""
+    dt = t_final / n_steps
+    inside = {}
+    for b in ham.breakpoints(t_final):
+        r = b / dt
+        if abs(r - round(r)) > BREAKPOINT_SNAP:
+            inside.setdefault(math.floor(r) + 1, []).append(b)
+    return inside
+
+
+def step_loop(ham: QuadraticHamiltonian, t_final: float, n_steps: int, make=None):
+    """Yield ``(k, t_k, factors)`` for the steps t_k = k t_final / n_steps.
+
+    Applying ``factors`` in order (first factor first) takes the flow from
+    t_{k-1} to t_k.  ``make(length, t_mid)`` builds the factor of a time
+    segment from its length and midpoint; the default is the flow
+    exponential expm(length K(t_mid)).
+
+    A callable ``h`` gets one fresh midpoint factor per step.  For
+    piecewise-constant data, a step inside one piece reuses that piece's
+    factor, made once per (piece index, step length) in the call; a step
+    with breakpoints inside it gets one exact factor per part, made fresh
+    because those lengths differ from step to step.  A breakpoint within
+    ``BREAKPOINT_SNAP`` steps of a grid point counts as on it, so an
+    aligned grid never splits a step.
+    """
+    if make is None:
+        def make(length, t_mid):
+            return expm(length * generator(ham, t_mid))
+    dt = t_final / n_steps
+    straddled = _straddled_steps(ham, t_final, n_steps)
+    piece_at = ham.piece_at
+    cache = {}    # (piece index, step length) -> factors
+    t = 0.0
+    for k in range(1, n_steps + 1):
+        t_mid = t + 0.5 * dt
+        if k in straddled:
+            edges = (t, *straddled[k], k * dt)
+            factors = tuple(make(b - a, 0.5 * (a + b)) for a, b in zip(edges, edges[1:]))
+        else:
+            key = (piece_at(t_mid), dt)
+            factors = cache.get(key)
+            if factors is None:
+                factors = (make(dt, t_mid),)
+                if key[0] is not None:
+                    cache[key] = factors
+        t = k * dt
+        yield k, t, factors
 
 
 def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
               store_every: int = 1, defect_factor: float = DEFECT_FACTOR,
-              resymplectify: bool = False, z0=None) -> PropagationResult:
-    """Time-ordered exponential by midpoint-sampled per-step exponentials.
+              z0=None) -> PropagationResult:
+    """Time-ordered exponential over the steps of :func:`step_loop`.
 
     Parameters
     ----------
@@ -126,20 +270,26 @@ def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
     store_every : keep every k-th step (plus t=0 and the final step).
     defect_factor : ceiling on the symplectic defect is
         ``defect_factor * (1 + max|M|^2)``; exceeding it raises StepTooLarge.
-    resymplectify : apply a first-order symplectic correction each step.
     z0 : optional initial displacement, propagated when ``ham.f`` is set.
     """
     if dt <= 0 or t_final <= 0:
         raise ValueError("need dt > 0 and t_final > 0")
-    if ham.period is not None:
+    if ham.period is not None and not ham.pieces:
         _check_periodicity(ham)
-    n_steps = max(1, int(round(t_final / dt)))
+    n_steps = step_count(t_final, dt)
     dt_eff = t_final / n_steps
     dim = 2 * ham.n_modes
     omega = standard_omega(ham.n_modes)
 
     track_z = ham.f is not None or z0 is not None
     z = np.zeros(dim) if z0 is None else np.asarray(z0, dtype=float).copy()
+    make = None
+    if track_z:
+        def make(length, t_mid):
+            k_mat = generator(ham, t_mid)
+            fvec = ham.f(t_mid) if ham.f is not None else np.zeros(dim)
+            return (expm(length * k_mat),
+                    _augmented_step(k_mat, omega @ np.asarray(fvec, float), length))
 
     m = np.eye(dim)
     times = [0.0]
@@ -147,31 +297,12 @@ def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
     defects = [0.0]
     zs = [z.copy()] if track_z else None
 
-    step_const = None
-    if not ham.time_dependent:
-        step_const = expm(dt_eff * generator(ham, 0.5 * dt_eff))
-    step_aug_const = None
-
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        t_mid = t + 0.5 * dt_eff
-        if step_const is not None:
-            step = step_const
-        else:
-            step = expm(dt_eff * generator(ham, t_mid))
-        m = step @ m
-        if resymplectify:
-            m = _resymplectify(m, omega)
-        if track_z:
-            fvec = ham.f(t_mid) if ham.f is not None else np.zeros(dim)
-            if not ham.time_dependent and ham.f is not None:
-                if step_aug_const is None:
-                    step_aug_const = _augmented_step(generator(ham, t_mid), omega @ fvec, dt_eff)
-                aug = step_aug_const
-            else:
-                aug = _augmented_step(generator(ham, t_mid), omega @ np.asarray(fvec, float), dt_eff)
-            z = aug[:dim, :dim] @ z + aug[:dim, dim]
-        t = k * dt_eff
+    for k, t, factors in step_loop(ham, t_final, n_steps, make):
+        for step in factors:
+            if track_z:
+                step, aug = step
+                z = aug[:dim, :dim] @ z + aug[:dim, dim]
+            m = step @ m
 
         defect = _maxabs(m @ omega @ m.T - omega)
         ceiling = defect_factor * (1.0 + _maxabs(m) ** 2)

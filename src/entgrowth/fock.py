@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import QuadraticHamiltonian
+from .dynamics import QuadraticHamiltonian, step_count, step_loop
 from .errors import (
     DimensionMismatch,
     NonHermitian,
@@ -235,14 +235,16 @@ class FockTrajectory:
 
 def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
                 cfg: FockConfig, store_every: int = 1) -> FockTrajectory:
-    """Propagate by per-step unitaries exp(-i dt H(t_mid)).
+    """Propagate by step unitaries exp(-i dt H) over the shared step loop.
 
-    Each step's exponential comes from an eigendecomposition of the
-    Hermitian step operator, so unitarity holds to roundoff.  For a
-    time-independent Hamiltonian the step propagator is diagonalized once.
-    Once the top-level population exceeds the ceiling, all later samples
-    are flagged untrusted; an initial state already over the ceiling is
-    rejected outright.
+    Each unitary comes from an eigendecomposition of the Hermitian step
+    operator, so unitarity holds to roundoff.  The steps are those of
+    :func:`~entgrowth.dynamics.step_loop`: a callable Hamiltonian is
+    sampled at each step midpoint, while piecewise-constant data is
+    diagonalized once per (piece, step length) and split exactly at
+    breakpoints.  Once the top-level population exceeds the ceiling, all
+    later samples are flagged untrusted; an initial state already over the
+    ceiling is rejected outright.
     """
     if psi0.n_modes != cfg.n_modes or psi0.cutoff != cfg.cutoff:
         raise DimensionMismatch("state shape does not match config")
@@ -251,16 +253,13 @@ def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
     if top_level_population(psi0) > cfg.leak_ceiling:
         raise TruncationLeak("initial state already exceeds the leak ceiling; raise the cutoff")
 
-    n_steps = max(1, int(round(t_final / cfg.dt)))
-    dt = t_final / n_steps
+    n_steps = step_count(t_final, cfg.dt)
     shape = psi0.amplitudes.shape
 
-    def step_unitary(t_mid):
+    def step_unitary(length, t_mid):
         op = build_hamiltonian(ham, t_mid, cfg)
         evals, evecs = np.linalg.eigh(op)
-        return (evecs * np.exp(-1j * dt * evals)) @ evecs.conj().T
-
-    u_const = None if ham.time_dependent else step_unitary(0.5 * dt)
+        return (evecs * np.exp(-1j * length * evals)) @ evecs.conj().T
 
     psi = psi0.amplitudes.ravel().copy()
     state0 = FockState(psi.reshape(shape))
@@ -270,11 +269,9 @@ def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
     trusted_flags = [True]
     leaked = False
 
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        u = u_const if u_const is not None else step_unitary(t + 0.5 * dt)
-        psi = u @ psi
-        t = k * dt
+    for k, t, factors in step_loop(ham, t_final, n_steps, step_unitary):
+        for u in factors:
+            psi = u @ psi
         drift = abs(np.linalg.norm(psi) - 1.0)
         if drift > 1e-8 * max(t, 1.0):
             raise RuntimeError(f"norm drift {drift:.3g} at t={t:.6g}; step unitary is broken")

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
-from .dynamics import PropagationResult, QuadraticHamiltonian, generator, polar_decompose, propagate
+from .dynamics import PropagationResult, QuadraticHamiltonian, polar_decompose, propagate, step_loop
 from .errors import NotConverged, SingularM
 from .phase_space import _maxabs
 
@@ -46,9 +45,6 @@ class LyapunovData:
     residual: float
     raw_exponents: np.ndarray
     method: str = "svd"
-
-    def default_tol(self) -> float:
-        return 1e-3 * (1.0 + max(float(self.exponents[0]), 0.0))
 
 
 def default_residual_tol(top_exponent: float) -> float:
@@ -110,21 +106,17 @@ def qr_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
                 refine: bool = True) -> LyapunovData:
     """Long-horizon spectrum by re-orthonormalized push-forward.
 
-    Propagates an orthonormal frame with the same midpoint-sampled
-    per-step exponentials as :func:`~entgrowth.dynamics.propagate`,
-    QR-factorizing every ``reorth_every`` steps and accumulating the log
-    diagonal of R.  Never forms M(t), so there is no overflow and no
-    precision floor on contracting directions.
+    Propagates an orthonormal frame over the same steps as
+    :func:`~entgrowth.dynamics.propagate` (the shared
+    :func:`~entgrowth.dynamics.step_loop`), QR-factorizing every
+    ``reorth_every`` steps and accumulating the log diagonal of R.  Never
+    forms M(t), so there is no overflow and no precision floor on
+    contracting directions.
     """
     if dt <= 0 or t_star <= 0:
         raise ValueError("need dt > 0 and t_star > 0")
     n_steps = max(2, int(round(t_star / dt)))
-    dt_eff = t_star / n_steps
     dim = 2 * ham.n_modes
-
-    step_const = None
-    if not ham.time_dependent:
-        step_const = expm(dt_eff * generator(ham, 0.5 * dt_eff))
 
     q = np.eye(dim)
     logs = np.zeros(dim)
@@ -133,13 +125,10 @@ def qr_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
     half_step = n_steps // 2
     acc = np.eye(dim)
     pending = 0
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        t_mid = t + 0.5 * dt_eff
-        step = step_const if step_const is not None else expm(dt_eff * generator(ham, t_mid))
-        acc = step @ acc
+    for k, t, factors in step_loop(ham, t_star, n_steps):
+        for step in factors:
+            acc = step @ acc
         pending += 1
-        t = k * dt_eff
         if pending == reorth_every or k == n_steps or k == half_step:
             q, r = np.linalg.qr(acc @ q)
             diag = np.diag(r)

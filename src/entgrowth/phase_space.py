@@ -30,7 +30,8 @@ FORM_TOL = 1e-12
 
 
 def _maxabs(a):
-    return float(np.max(np.abs(a))) if np.asarray(a).size else 0.0
+    a = np.asarray(a)
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def standard_omega(n_modes: int) -> np.ndarray:
@@ -240,26 +241,3 @@ def split_blocks(g, split: ModeCount):
         raise DimensionMismatch(f"covariance is {g.shape}, split expects {2 * split.n_total}")
     k = 2 * split.n_a
     return g[:k, :k], g[k:, k:]
-
-
-@dataclass(frozen=True)
-class GaussianState:
-    """Covariance matrix plus displacement vector."""
-
-    cov: np.ndarray
-    disp: np.ndarray
-
-    def __post_init__(self):
-        cov = np.asarray(self.cov, dtype=float)
-        disp = np.asarray(self.disp, dtype=float)
-        if disp.shape != (cov.shape[0],):
-            raise DimensionMismatch(f"displacement shape {disp.shape} vs covariance {cov.shape}")
-        if not np.all(np.isfinite(disp)):
-            raise ValueError("displacement has non-finite entries")
-        require_valid_covariance(cov)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "disp", disp)
-
-    @classmethod
-    def vacuum(cls, n_modes: int) -> "GaussianState":
-        return cls(np.eye(2 * n_modes), np.zeros(2 * n_modes))

@@ -56,10 +56,6 @@ def write_csv(path, rows) -> None:
             fh.write(row.render() + "\n")
 
 
-def render_csv(rows) -> str:
-    return "\n".join([",".join(CSV_COLUMNS)] + [row.render() for row in rows]) + "\n"
-
-
 @dataclass
 class RunReport:
     """Everything one scenario run produced, with structured warnings.

@@ -26,6 +26,7 @@ from .config import (
 from .dynamics import (
     QuadraticHamiltonian,
     evolve_covariance,
+    generator,
     polar_decompose,
     propagate,
     stroboscopic_generator,
@@ -116,14 +117,7 @@ def parametric_drive_hamiltonian(omega_on=1.0, kappa=1.0, t_on=0.6, period=2.2,
         raise ValueError("need 0 < t_on < period")
     h_on = _chain_form([omega_on ** 2, 1.0], coupling)
     h_off = _chain_form([-kappa ** 2, 1.0], coupling)
-
-    def h_of_t(t):
-        phase = math.fmod(t, period)
-        if phase < 0:
-            phase += period
-        return h_on if phase < t_on else h_off
-
-    return QuadraticHamiltonian(h=h_of_t, n_modes=2, period=period, time_dependent=True)
+    return QuadraticHamiltonian.piecewise([(t_on, h_on), (period - t_on, h_off)], period)
 
 
 def builtin_hamiltonian(name: str, modes: ModeCount, **params) -> QuadraticHamiltonian:
@@ -324,8 +318,7 @@ def _lyapunov_section(report, ham, cfg):
     section = {"exponents": lyap.exponents, "raw_exponents": lyap.raw_exponents,
                "residual": lyap.residual, "horizon": lyap.horizon, "method": lyap.method,
                "regular": reg.is_regular, "pairing_violation": reg.max_violation}
-    if not ham.time_dependent:
-        from .dynamics import generator
+    if ham.is_constant:
         eigs = np.linalg.eigvals(generator(ham, 0.0))
         section["eig_k_real_parts"] = np.sort(eigs.real)[::-1]
     report.add("lyapunov", section)

@@ -1,12 +1,15 @@
 """Config parsing round-trips, CSV determinism, CLI surface."""
 
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from entgrowth import cli
 from entgrowth.config import (
     config_hash,
     matrix_from_json,
@@ -216,6 +219,7 @@ def test_cli_bounds_check_command(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg = default_scenario("metastable")
     cfg.run.t_final = 10.0
+    cfg.run.window = (2.0, 10.0)
     cfg.run.bound_times = (1.0, 10.0)
     cfg_path.write_text(serialize_config(cfg))
     res = _cli("bounds-check", str(cfg_path))
@@ -240,6 +244,40 @@ def test_off_grid_bound_time_is_config_error(tmp_path):
     cfg_path.write_text(serialize_config(cfg))
     res = _cli("bounds-check", str(cfg_path))
     assert res.returncode == 2 and "run.bound_times" in res.stderr
+
+
+def test_bad_bound_times_and_window_rejected_at_parse(tmp_path):
+    def doc(**run):
+        return {"modes": {"total": 2, "subsystem": 1},
+                "hamiltonian": {"type": "builtin", "name": "metastable"},
+                "initial_state": {"type": "gaussian"},
+                "run": {"t_final": 10.0, "dt": 0.25, "store_every": 4, **run}}
+
+    # stored samples are t = 0, 1, ..., 10
+    cfg = parse_config(json.dumps(doc(bound_times=[1.0, 3.0 + 1e-12, 10.0], window=[2.0, 10.0])))
+    assert cfg.run.bound_times == (1.0, 3.0 + 1e-12, 10.0)
+    for bad, field in (({"bound_times": [2.5]}, "run.bound_times"),
+                       ({"bound_times": [3.0 + 1e-6]}, "run.bound_times"),
+                       ({"bound_times": [0.0]}, "run.bound_times"),
+                       ({"bound_times": [11.0]}, "run.bound_times"),
+                       ({"bound_times": [-1.0]}, "run.bound_times"),
+                       ({"window": [10.0, 20.0]}, "run.window"),
+                       ({"window": [12.0, 20.0]}, "run.window")):
+        with pytest.raises(ConfigError, match=field):
+            parse_config(json.dumps(doc(**bad)))
+    # simulate stops before any propagation, with the config-error exit code
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc(bound_times=[2.5])))
+    assert cli.main(["simulate", str(cfg_path)]) == 2
+    assert cli.main(["scenario", "run", "metastable", "--override", "run.t_final=100.0"]) == 2
+
+
+def test_readme_override_example_passes(capsys):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line.split("#")[0].strip() for line in readme.read_text().splitlines()
+             if line.startswith("entgrowth scenario run") and "--override" in line]
+    assert lines == ["entgrowth scenario run inverted_pair --override run.t_final=12.0"]
+    assert cli.main(shlex.split(lines[0])[1:]) == 0, capsys.readouterr().out
 
 
 def test_cli_oracle_command(tmp_path):

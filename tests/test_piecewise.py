@@ -1,0 +1,155 @@
+"""Piecewise-constant Hamiltonians as data: pieces, breakpoints, cached steps."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
+
+import entgrowth.dynamics as dynamics
+from entgrowth.config import build_hamiltonian_from_spec, parse_config
+from entgrowth.dynamics import QuadraticHamiltonian, generator, propagate, step_loop
+from entgrowth.errors import DimensionMismatch, NonSymmetricH
+from entgrowth.fock import FockConfig, FockState, evolve_fock
+from entgrowth.lyapunov import qr_spectrum
+from entgrowth.phase_space import standard_omega
+from entgrowth.scenarios import _chain_form, parametric_drive_hamiltonian
+
+PERIOD, T_ON = 2.2, 0.6
+H_ON = _chain_form([1.0, 1.0], 0.15)
+H_OFF = _chain_form([-1.0, 1.0], 0.15)
+
+
+def _piecewise_config_ham():
+    doc = {
+        "modes": {"total": 2, "subsystem": 1},
+        "hamiltonian": {"type": "piecewise", "period": PERIOD, "pieces": [
+            {"duration": T_ON, "h": {"rows": 4, "cols": 4, "data": H_ON.ravel().tolist()}},
+            {"duration": PERIOD - T_ON,
+             "h": {"rows": 4, "cols": 4, "data": H_OFF.ravel().tolist()}}]},
+        "initial_state": {"type": "gaussian", "covariance": "vacuum"},
+        "run": {"t_final": 4 * PERIOD, "dt": 0.01},
+    }
+    cfg = parse_config(json.dumps(doc))
+    return build_hamiltonian_from_spec(cfg.hamiltonian, cfg.modes)
+
+
+def _callable_wrapper(ham):
+    return QuadraticHamiltonian(h=lambda t: ham.h(t), n_modes=ham.n_modes, period=ham.period)
+
+
+def test_pieces_are_checked_at_construction():
+    asym = np.zeros((2, 2))
+    asym[0, 1] = 1.0
+    with pytest.raises(NonSymmetricH):
+        QuadraticHamiltonian.piecewise([(1.0, np.eye(2)), (1.0, asym)], 2.0)
+    with pytest.raises(DimensionMismatch):
+        QuadraticHamiltonian.piecewise([(1.0, np.eye(2)), (1.0, np.eye(4))], 2.0)
+    with pytest.raises(ValueError, match="sum"):
+        QuadraticHamiltonian.piecewise([(1.0, np.eye(2)), (1.5, np.eye(2))], 2.0)
+    with pytest.raises(ValueError, match="positive"):
+        QuadraticHamiltonian.piecewise([(2.5, np.eye(2)), (-0.5, np.eye(2))], 2.0)
+    with pytest.raises(NonSymmetricH):
+        QuadraticHamiltonian.constant(asym)
+    with pytest.raises(ValueError, match="linear term"):
+        QuadraticHamiltonian(None, 1, f=lambda t: np.array([t, 0.0]), period=2.0,
+                             pieces=((1.0, np.eye(2)), (1.0, np.eye(2))))
+
+
+def test_h_of_t_is_derived_from_the_pieces():
+    ham = parametric_drive_hamiltonian(omega_on=1.0, kappa=1.0, coupling=0.15)
+    assert ham.h(0.0) is ham.pieces[0][1]
+    assert ham.h(T_ON) is ham.pieces[1][1]          # a breakpoint starts its piece
+    assert ham.h(T_ON - 1e-9) is ham.pieces[0][1]
+    assert ham.h(3 * PERIOD + 0.1) is ham.pieces[0][1]
+    assert ham.h(-0.1) is ham.pieces[1][1]
+    assert np.array_equal(ham.h(1.0), H_OFF)
+    assert [round(b, 12) for b in ham.breakpoints(5.0)] == [0.6, 2.2, 2.8, 4.4]
+    const = QuadraticHamiltonian.constant(np.eye(2))
+    assert const.is_constant and not ham.is_constant
+    assert const.breakpoints(100.0) == [] and const.piece_at(1e6) == 0
+    with pytest.raises(ValueError):
+        ham.pieces[0][1][0, 0] = 5.0                 # forms are read-only
+
+
+def test_misaligned_grid_matches_aligned_grid():
+    # steps straddling a jump are split there into exact piece exponentials,
+    # so a grid that misses the breakpoints loses nothing
+    ham = parametric_drive_hamiltonian()
+    ref = propagate(ham, 17.6, 0.01, store_every=10 ** 6).final_matrix
+    scale = np.max(np.abs(ref))
+    for dt in (0.0137, 0.0137 / 4):
+        got = propagate(ham, 17.6, dt, store_every=10 ** 6).final_matrix
+        assert np.max(np.abs(got - ref)) <= 1e-9 * scale, dt
+
+
+def test_breakpoint_near_grid_point_does_not_split():
+    ham = parametric_drive_hamiltonian()
+    n_steps = 1760                                  # dt = 0.01: every breakpoint on the grid
+    assert all(len(factors) == 1 for _, _, factors in step_loop(ham, 17.6, n_steps))
+    split = [k for k, _, factors in step_loop(ham, 17.6, 1285) if len(factors) > 1]
+    assert len(split) == len(ham.breakpoints(17.6))
+
+
+def test_piecewise_config_builtin_and_callable_agree_bitwise():
+    built = parametric_drive_hamiltonian(omega_on=1.0, kappa=1.0, coupling=0.15)
+    from_config = _piecewise_config_ham()
+    wrapped = _callable_wrapper(built)
+    runs = [propagate(ham, 4 * PERIOD, 0.01, store_every=55).matrices
+            for ham in (built, from_config, wrapped)]
+    assert np.array_equal(runs[0], runs[1])
+    assert np.array_equal(runs[0], runs[2])
+
+    cfg = FockConfig(n_modes=2, cutoff=8, dt=0.01, leak_ceiling=1.0)
+    psi0 = FockState.fock((0, 0), 8)
+    states = [evolve_fock(psi0, ham, 1.2, cfg, store_every=30).states
+              for ham in (built, from_config, wrapped)]
+    for other in states[1:]:
+        assert all(np.array_equal(a.amplitudes, b.amplitudes) for a, b in zip(states[0], other))
+
+
+def test_step_exponentials_are_computed_once_per_piece(monkeypatch):
+    calls = []
+
+    def counting_expm(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(dynamics, "expm", counting_expm)
+    ham = parametric_drive_hamiltonian()
+    propagate(ham, 17.6, 0.01, store_every=220)
+    assert len(calls) <= 4
+    calls.clear()
+    qr_spectrum(ham, 60 * PERIOD, PERIOD / 220.0, residual_tol=0.5)
+    assert len(calls) <= 4
+    # a callable keeps one fresh exponential per step
+    calls.clear()
+    propagate(_callable_wrapper(ham), PERIOD, 0.01)
+    assert len(calls) == 220
+
+
+_forms = st.lists(st.floats(-0.8, 0.8), min_size=3, max_size=3).map(
+    lambda v: np.array([[v[0], v[1]], [v[1], v[2]]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pieces=st.lists(st.tuples(st.floats(0.05, 1.0), _forms), min_size=2, max_size=3),
+       dt=st.floats(0.003, 0.4))
+def test_one_period_is_the_ordered_product_of_piece_exponentials(pieces, dt):
+    period = sum(d for d, _ in pieces)
+    ham = QuadraticHamiltonian.piecewise(pieces, period)
+    got = propagate(ham, period, dt, store_every=10 ** 6).final_matrix
+    want = np.eye(2)
+    for duration, form in pieces:
+        want = expm(duration * (standard_omega(1) @ form)) @ want
+    assert np.max(np.abs(got - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
+
+
+def test_generator_of_a_piece_is_its_form():
+    ham = parametric_drive_hamiltonian()
+    k = generator(ham, 0.3)
+    assert np.array_equal(k, standard_omega(2) @ ham.pieces[0][1])
+    assert math.isinf(QuadraticHamiltonian.constant(np.eye(2)).pieces[0][0])
