@@ -42,7 +42,6 @@ from .fock import (
     covariance_of,
     evolve_fock,
     reduced_entropy,
-    verify_linear_growth,
 )
 from .lyapunov import (
     LyapunovData,

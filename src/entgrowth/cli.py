@@ -3,34 +3,27 @@
 Commands::
 
     entgrowth simulate <config.json>          full pipeline per the config
-    entgrowth lyapunov <config.json>          spectrum, basis, residual only
-    entgrowth exponent <config.json>          algebraic + volumetric exponent
-    entgrowth bounds-check <config.json>      RHS minimization + stationarity
-    entgrowth oracle <config.json>            truncated-Fock run (fock configs)
+    entgrowth lyapunov <config.json>          its Lyapunov stage only
+    entgrowth exponent <config.json>          its propagation, Lyapunov and exponent stages
+    entgrowth bounds-check <config.json>      its propagation and bound stages
+    entgrowth oracle <config.json>            simulate, for fock configs only
     entgrowth scenario list
     entgrowth scenario run <name> [--override key=val ...] [--csv ...] [--report ...]
 
-Exit code is 0 only when every asserted invariant in the run passed.
+``lyapunov``, ``exponent`` and ``bounds-check`` run stages of ``simulate``
+with its defaults and tolerances, so their sections equal the sections of
+the same name in the ``simulate`` report.  Exit code is 0 only when every
+asserted invariant in the run passed.
 """
 
 import argparse
 import json
 import sys
 
-from .config import (
-    ScenarioConfig,
-    build_hamiltonian_from_spec,
-    config_hash,
-    parse_config,
-    serialize_config,
-)
+from .config import ScenarioConfig, parse_config, serialize_config
 from .errors import ConfigError
-from .lyapunov import lyapunov_spectrum, regularity_check
-from .phase_space import SubsystemSpec
 from .reporting import RunReport
-from .scenarios import SCENARIO_NAMES, bound_matrices, default_scenario, run_scenario
-from .ssa import gss_rhs_minimize, stationarity_residual, SubsystemFamily
-from .subsystem import subsystem_exponent_algebraic, subsystem_exponent_volumetric
+from .scenarios import SCENARIO_NAMES, default_scenario, run_scenario, run_view
 
 
 def _load_config(path) -> ScenarioConfig:
@@ -61,67 +54,8 @@ def _cmd_simulate(args) -> int:
     return _emit(report, args)
 
 
-def _cmd_lyapunov(args) -> int:
-    cfg = _load_config(args.config)
-    ham = build_hamiltonian_from_spec(cfg.hamiltonian, cfg.modes)
-    t_star = cfg.run.lyapunov_t_star or cfg.run.t_final
-    dt = cfg.run.lyapunov_dt or cfg.run.dt
-    residual_tol = cfg.tolerances.residual_tol or 0.5
-    data = lyapunov_spectrum(ham, t_star, dt, residual_tol=residual_tol)
-    reg = regularity_check(data)
-    report = RunReport(scenario_id=cfg.scenario or "custom", config_hash=config_hash(cfg))
-    report.add("lyapunov", {
-        "exponents": data.exponents, "raw_exponents": data.raw_exponents,
-        "basis": data.basis, "residual": data.residual, "horizon": data.horizon,
-        "method": data.method, "regular": reg.is_regular,
-        "pairing_violation": reg.max_violation})
-    return _emit(report, args)
-
-
-def _cmd_exponent(args) -> int:
-    cfg = _load_config(args.config)
-    ham = build_hamiltonian_from_spec(cfg.hamiltonian, cfg.modes)
-    t_star = cfg.run.lyapunov_t_star or cfg.run.t_final
-    dt = cfg.run.lyapunov_dt or cfg.run.dt
-    residual_tol = cfg.tolerances.residual_tol or 0.5
-    data = lyapunov_spectrum(ham, t_star, dt, residual_tol=residual_tol)
-    sub = SubsystemSpec.first_modes(cfg.modes.n_a, cfg.modes.n_total)
-    alg = subsystem_exponent_algebraic(sub, data)
-    g0 = cfg.initial_state.covariance
-    vol = subsystem_exponent_volumetric(sub, ham, cfg.run.t_final, cfg.run.dt, g0=g0)
-    report = RunReport(scenario_id=cfg.scenario or "custom", config_hash=config_hash(cfg))
-    rel = abs(alg.lambda_a - vol.lambda_a) / max(abs(alg.lambda_a), 1e-12)
-    report.add("exponent", {
-        "lambda_alg": alg.lambda_a, "indices": list(alg.indices),
-        "generic_lambda": alg.generic_lambda, "generic_agrees": alg.generic_agrees,
-        "lambda_vol": vol.lambda_a, "vol_stderr": vol.stderr,
-        "vol_window": list(vol.window), "rel_disagreement": rel})
-    if abs(alg.lambda_a - vol.lambda_a) > max(0.02 * abs(alg.lambda_a), 2.0 * (vol.stderr or 0.0), 1e-3):
-        report.fail(f"algebraic {alg.lambda_a:.6g} vs volumetric {vol.lambda_a:.6g} disagree")
-    return _emit(report, args)
-
-
-def _cmd_bounds_check(args) -> int:
-    cfg = _load_config(args.config)
-    ham = build_hamiltonian_from_spec(cfg.hamiltonian, cfg.modes)
-    from .dynamics import propagate
-    times = cfg.run.bound_times or (cfg.run.t_final,)
-    series = propagate(ham, max(times), cfg.run.dt, store_every=max(1, cfg.run.store_every))
-    report = RunReport(scenario_id=cfg.scenario or "custom", config_hash=config_hash(cfg))
-    entries = []
-    for t, m in zip(times, bound_matrices(series, times)):
-        rep = gss_rhs_minimize(m, cfg.modes)
-        fam = SubsystemFamily.transported_pair(cfg.modes, m)
-        entries.append({
-            "t": float(t), "value": rep.value,
-            "stationarity_residual": rep.residual,
-            "residual_at_argmin": stationarity_residual(rep.argmin_g, fam),
-            "iterations": rep.iterations, "converged": rep.converged,
-            "diverged": rep.diverged})
-        if not rep.converged:
-            report.warn(f"minimizer at t={t:g} {rep.stop_summary}")
-    report.add("bounds", entries)
-    return _emit(report, args)
+def _cmd_view(args) -> int:
+    return _emit(run_view(_load_config(args.config), args.view), args)
 
 
 def _cmd_oracle(args) -> int:
@@ -153,14 +87,13 @@ def _cmd_scenario(args) -> int:
         return 0
     cfg = default_scenario(args.name)
     if args.override:
-        import json as _json
-        doc = _json.loads(serialize_config(cfg))
+        doc = json.loads(serialize_config(cfg))
         for item in args.override:
             key, _, value = item.partition("=")
             if not _ or not key:
                 raise ConfigError(f"override must look like key=val, got {item!r}")
             _apply_override(doc, key, value)
-        cfg = parse_config(_json.dumps(doc))
+        cfg = parse_config(json.dumps(doc))
         cfg.scenario = args.name
     _apply_output_flags(cfg, args)
     if args.print_config:
@@ -181,13 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--report", help="write the text report here")
         p.add_argument("--report-json", dest="report_json", help="write the JSON report here")
 
-    for name, fn in (("simulate", _cmd_simulate), ("lyapunov", _cmd_lyapunov),
-                     ("exponent", _cmd_exponent), ("bounds-check", _cmd_bounds_check),
-                     ("oracle", _cmd_oracle)):
+    for name, fn, view in (("simulate", _cmd_simulate, None), ("lyapunov", _cmd_view, "lyapunov"),
+                           ("exponent", _cmd_view, "exponent"), ("bounds-check", _cmd_view, "bounds"),
+                           ("oracle", _cmd_oracle, None)):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a JSON scenario config")
         add_common(p)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, view=view)
 
     p_scen = sub.add_parser("scenario")
     p_scen.add_argument("action", choices=("list", "run"))

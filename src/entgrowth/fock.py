@@ -17,13 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import QuadraticHamiltonian, step_count, step_loop
-from .errors import (
-    DimensionMismatch,
-    NonHermitian,
-    TruncationLeak,
-    WindowTooShort,
-)
-from .fitting import SlopeFit, fit_slope, windowed
+from .errors import DimensionMismatch, NonHermitian, TruncationLeak
 from .phase_space import require_valid_covariance
 
 
@@ -337,53 +331,3 @@ def covariance_of(state: FockState, leak_ceiling: Optional[float] = None):
             g[a, b] = g[b, a] = 2.0 * np.real(np.vdot(applied[a], applied[b])) - 2.0 * z[a] * z[b]
     require_valid_covariance(g, uncertainty_slack=max(1e-9, 100.0 * leak))
     return g, z
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """Slope of the oracle entanglement entropy over its trusted window."""
-
-    fit: SlopeFit
-    trusted_until: float
-    window: tuple
-    lambda_ref: Optional[float] = None
-    times: np.ndarray = None
-    entropies: np.ndarray = None
-
-    @property
-    def slope(self) -> float:
-        return self.fit.slope
-
-    @property
-    def stderr(self) -> float:
-        return self.fit.stderr
-
-
-def verify_linear_growth(psi0: FockState, ham: QuadraticHamiltonian, modes_a, cfg: FockConfig,
-                         t_final: float, window: Optional[tuple] = None,
-                         window_fraction: float = 0.75, store_every: int = 1,
-                         lambda_ref: Optional[float] = None,
-                         min_points: int = 6) -> GrowthReport:
-    """Fit the entropy growth rate over the trusted window.
-
-    If no explicit window is given, the fit runs over the last
-    ``1 - window_fraction`` of the trusted horizon; the early part is
-    discarded as transient.  Window choice is heuristic and always
-    reported in the result, never assumed downstream.
-    """
-    traj = evolve_fock(psi0, ham, t_final, cfg, store_every=store_every)
-    entropies = np.array([reduced_entropy(s, modes_a) for s in traj.states])
-    t_trust = traj.trusted_until
-    if window is None:
-        window = (window_fraction * t_trust, t_trust)
-    lo, hi = window
-    hi = min(hi, t_trust)
-    mask = traj.trusted
-    t_w, s_w = windowed(traj.times[mask], entropies[mask], lo, hi)
-    if len(t_w) < min_points:
-        raise WindowTooShort(
-            f"only {len(t_w)} trusted samples in [{lo:.3g}, {hi:.3g}] "
-            f"(trusted until {t_trust:.3g}); raise the cutoff or shorten the transient")
-    fit = fit_slope(t_w, s_w)
-    return GrowthReport(fit=fit, trusted_until=t_trust, window=(float(lo), float(hi)),
-                        lambda_ref=lambda_ref, times=traj.times, entropies=entropies)

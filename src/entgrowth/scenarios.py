@@ -6,10 +6,13 @@ nearest-neighbor chain with tunable instability, the nilpotent metastable
 model (logarithmic growth, constant subadditivity bound), a periodically
 driven mode (stroboscopic generator, Floquet rates), and the classical
 log-growth counterexample in closed form.
+
+``run_scenario`` runs the whole pipeline; ``run_view`` runs only the stages
+one result needs (the CLI's ``lyapunov``, ``exponent`` and ``bounds-check``),
+through the same stage functions and the same error handling.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +35,6 @@ from .dynamics import (
     stroboscopic_generator,
 )
 from .entropy import (
-    LN_E_OVER_2,
     asymptotic_entropy,
     mode_entropy,
     renyi2_entropy,
@@ -46,7 +48,6 @@ from .phase_space import (
     SubsystemSpec,
     is_pure,
     restrict,
-    standard_omega,
     williamson_spectrum,
 )
 from .reporting import CsvRow, RunReport, write_csv
@@ -159,60 +160,6 @@ def classical_counterexample_mi(t: float, eps: float) -> float:
     return 0.5 * math.log(1.0 + (t * eps) ** 2)
 
 
-@dataclass
-class MetastableDemo:
-    """Closed-form checks of the nilpotent two-mode model."""
-
-    flow_exact: bool               # propagated M(t) equals 1 + t K
-    grid_times: np.ndarray
-    s2_a: np.ndarray               # Renyi-2 entropy of mode 1 over grid_times
-    s2_minus_ln_t: np.ndarray      # deviation from ln t for grid times >= 10
-    log_slope: float               # slope of S2(A) against ln t
-    bound_times: np.ndarray
-    bound_values: list             # minimized RHS value at each bound time
-    bound_ceiling: float           # 2 ln(e/2)
-    bounds_ok: bool
-
-
-def metastable_demo(t_list=(1.0, 10.0, 100.0, 1000.0), budget=2000) -> MetastableDemo:
-    """Logarithmic entropy growth against a constant subadditivity bound.
-
-    The flow matrix is affine in time (nilpotent generator), the mode-1
-    volume element grows like t, so the Renyi-2 entropy grows like ln t,
-    while the minimized right-hand side of the subadditivity inequality
-    stays below 2 ln(e/2) at every fixed time.
-    """
-    ham = QuadraticHamiltonian.constant(metastable_form())
-    k_mat = standard_omega(2) @ metastable_form()
-    assert np.max(np.abs(k_mat @ k_mat)) == 0.0
-
-    t_max = float(max(t_list))
-    series = propagate(ham, t_max, dt=0.25, store_every=4)
-    dev = max(np.max(np.abs(series.matrices[i] - (np.eye(4) + t * k_mat)))
-              for i, t in enumerate(series.times))
-    flow_exact = dev <= 1e-12 * (1.0 + t_max)
-
-    split = ModeCount(2, 1)
-    sub = SubsystemSpec.first_modes(1, 2)
-    grid = np.geomspace(1.0, t_max, 60)
-    s2 = np.array([renyi2_entropy(restrict(evolve_covariance(np.eye(4), np.eye(4) + t * k_mat), sub))
-                   for t in grid])
-    mask = grid >= 10.0
-    fit = fit_slope(np.log(grid[mask]), s2[mask])
-
-    values = []
-    for t in t_list:
-        rep = gss_rhs_minimize(np.eye(4) + t * k_mat, split, budget=budget)
-        values.append(rep.value)
-    ceiling = 2.0 * LN_E_OVER_2
-    return MetastableDemo(flow_exact=flow_exact, grid_times=grid, s2_a=s2,
-                          s2_minus_ln_t=s2[mask] - np.log(grid[mask]),
-                          log_slope=fit.slope,
-                          bound_times=np.asarray(t_list, dtype=float),
-                          bound_values=values, bound_ceiling=ceiling,
-                          bounds_ok=all(v <= ceiling + 1e-6 for v in values))
-
-
 # ---------------------------------------------------------------------------
 # scenario registry
 
@@ -316,6 +263,7 @@ def _lyapunov_section(report, ham, cfg):
                              residual_tol=residual_tol * 10.0)
     reg = regularity_check(lyap, tol=max(0.05, 4.0 * lyap.residual))
     section = {"exponents": lyap.exponents, "raw_exponents": lyap.raw_exponents,
+               "basis": lyap.basis,
                "residual": lyap.residual, "horizon": lyap.horizon, "method": lyap.method,
                "regular": reg.is_regular, "pairing_violation": reg.max_violation}
     if ham.is_constant:
@@ -343,6 +291,17 @@ def _floquet_section(report, ham, cfg):
     return rates
 
 
+def _guarded(cfg, body) -> RunReport:
+    report = RunReport(scenario_id=cfg.scenario or "custom", config_hash=config_hash(cfg))
+    try:
+        body(cfg, report)
+    except EntgrowthError as exc:
+        # partial results stay on the report; the failure is structural,
+        # never a silent gap
+        report.fail(f"{type(exc).__name__}: {exc}")
+    return report
+
+
 def run_scenario(cfg: ScenarioConfig, write_outputs: bool = True) -> RunReport:
     """Execute the pipeline a config describes and emit CSV plus reports.
 
@@ -350,21 +309,52 @@ def run_scenario(cfg: ScenarioConfig, write_outputs: bool = True) -> RunReport:
     errors surface as structured warnings or failures with partial results
     preserved; the CLI maps ``failures`` to a nonzero exit code.
     """
-    report = RunReport(scenario_id=cfg.scenario or "custom", config_hash=config_hash(cfg))
-    try:
-        if cfg.scenario == "classical_counterexample":
-            _run_classical(cfg, report)
-        elif cfg.initial_state.type == "gaussian":
-            _run_gaussian(cfg, report)
-        else:
-            _run_fock(cfg, report)
-    except EntgrowthError as exc:
-        # partial results stay on the report; the failure is structural,
-        # never a silent gap
-        report.fail(f"{type(exc).__name__}: {exc}")
+    if cfg.scenario == "classical_counterexample":
+        body = _run_classical
+    elif cfg.initial_state.type == "gaussian":
+        body = _run_gaussian
+    else:
+        body = _run_fock
+    report = _guarded(cfg, body)
     if write_outputs:
         _write_outputs(cfg, report)
     return report
+
+
+def _lyapunov_view(cfg, report):
+    _lyapunov_section(report, build_hamiltonian_from_spec(cfg.hamiltonian, cfg.modes), cfg)
+
+
+def _exponent_view(cfg, report):
+    ham = build_hamiltonian_from_spec(cfg.hamiltonian, cfg.modes)
+    series = _propagation_section(report, ham, cfg)
+    lyap = _lyapunov_section(report, ham, cfg)
+    sub_a = SubsystemSpec.first_modes(cfg.modes.n_a, cfg.modes.n_total)
+    _exponent_section(report, sub_a, lyap, series, _initial_covariance(cfg))
+
+
+def _bounds_view(cfg, report):
+    ham = build_hamiltonian_from_spec(cfg.hamiltonian, cfg.modes)
+    series = _propagation_section(report, ham, cfg)
+    _bounds_section(report, series, cfg.modes, cfg.run.bound_times or (cfg.run.t_final,))
+
+
+_VIEWS = {"lyapunov": _lyapunov_view, "exponent": _exponent_view, "bounds": _bounds_view}
+
+
+def run_view(cfg: ScenarioConfig, view: str) -> RunReport:
+    """Run only the pipeline stages one result needs; no CSV, no output files.
+
+    ``lyapunov`` runs the Lyapunov stage; ``exponent`` runs propagation,
+    Lyapunov and exponent; ``bounds`` runs propagation and the bound
+    minimizations at ``run.bound_times``, or at ``t_final`` when there are
+    none.  Each section equals the section of the same name in
+    :func:`run_scenario`'s report on the same config, and a stage error
+    becomes a report failure in the same way.
+    """
+    if cfg.scenario == "classical_counterexample":
+        raise ConfigError(f"the classical counterexample has no {view} stage", "scenario")
+    return _guarded(cfg, _VIEWS[view])
 
 
 def _write_outputs(cfg, report):
@@ -401,28 +391,44 @@ def _gaussian_global_entropy(g0):
     return float(sum(mode_entropy(nu) for nu in williamson_spectrum(g0)))
 
 
-def _run_gaussian(cfg, report):
-    ham = build_hamiltonian_from_spec(cfg.hamiltonian, cfg.modes)
-    split = cfg.modes
-    sub_a = SubsystemSpec.first_modes(split.n_a, split.n_total)
-    sub_b = SubsystemSpec.modes(range(split.n_a, split.n_total), split.n_total)
+def _initial_covariance(cfg):
+    # a config without a Gaussian covariance (vacuum, or a Fock state) uses
+    # the vacuum; the volumetric slope does not depend on this metric
     g0 = cfg.initial_state.covariance
-    if g0 is None:
-        g0 = np.eye(2 * split.n_total)
+    return np.eye(2 * cfg.modes.n_total) if g0 is None else g0
 
+
+def _propagation_section(report, ham, cfg):
     series = propagate(ham, cfg.run.t_final, cfg.run.dt, store_every=cfg.run.store_every,
                        defect_factor=cfg.tolerances.defect_factor)
     report.add("propagation", {"t_final": series.t_final, "dt": series.dt,
                                "max_defect": float(np.max(series.defects)),
                                "samples": len(series.times)})
+    return series
 
-    lyap = _lyapunov_section(report, ham, cfg)
+
+def _exponent_section(report, sub_a, lyap, series, g0):
     alg = subsystem_exponent_algebraic(sub_a, lyap)
     vol = volumetric_slope_fit(sub_a, series, g0)
     report.add("exponent", {
         "lambda_alg": alg.lambda_a, "indices": list(alg.indices),
         "generic_lambda": alg.generic_lambda, "generic_agrees": alg.generic_agrees,
         "lambda_vol": vol.slope, "vol_stderr": vol.stderr, "vol_window": list(vol.window)})
+    if abs(alg.lambda_a - vol.slope) > max(0.02 * abs(alg.lambda_a), 2.0 * vol.stderr, 1e-3):
+        report.fail(f"algebraic {alg.lambda_a:.6g} vs volumetric {vol.slope:.6g} disagree")
+    return alg, vol
+
+
+def _run_gaussian(cfg, report):
+    ham = build_hamiltonian_from_spec(cfg.hamiltonian, cfg.modes)
+    split = cfg.modes
+    sub_a = SubsystemSpec.first_modes(split.n_a, split.n_total)
+    sub_b = SubsystemSpec.modes(range(split.n_a, split.n_total), split.n_total)
+    g0 = _initial_covariance(cfg)
+
+    series = _propagation_section(report, ham, cfg)
+    lyap = _lyapunov_section(report, ham, cfg)
+    alg, vol = _exponent_section(report, sub_a, lyap, series, g0)
 
     rates = None
     if ham.period is not None:
@@ -472,7 +478,7 @@ def _run_gaussian(cfg, report):
         report.sections["floquet"]["lambda_from_multipliers"] = lam_floquet
 
     if cfg.run.bound_times:
-        _bounds_section(report, series, split, cfg)
+        _bounds_section(report, series, split, cfg.run.bound_times)
 
     if cfg.scenario == "metastable":
         grid_mask = series.times >= 10.0
@@ -503,9 +509,9 @@ def bound_matrices(series, times):
     return mats
 
 
-def _bounds_section(report, series, split, cfg):
+def _bounds_section(report, series, split, times):
     entries = []
-    for t, m in zip(cfg.run.bound_times, bound_matrices(series, cfg.run.bound_times)):
+    for t, m in zip(times, bound_matrices(series, times)):
         rep = gss_rhs_minimize(m, split)
         entries.append({"t": float(t), "value": rep.value, "residual": rep.residual,
                         "iterations": rep.iterations, "converged": rep.converged,

@@ -152,13 +152,10 @@ def subsystem_exponent_volumetric(sub: SubsystemSpec, ham: Optional[QuadraticHam
         series = propagate(ham, t_star, dt, store_every=stride)
     if g0 is None:
         g0 = np.eye(series.matrices.shape[1])
-    t_end = series.t_final
-    lo, hi = window if window is not None else (0.5 * t_end, t_end)
-    values = np.array([restricted_log_volume(sub, m, g0) for m in series.matrices])
-    t_w, v_w = windowed(series.times, values, lo, hi)
-    if len(t_w) < min_points:
-        raise NotConverged(f"only {len(t_w)} samples in fit window [{lo:.3g}, {hi:.3g}]")
-    fit = fit_slope(t_w, v_w)
+    fit = volumetric_slope_fit(sub, series, g0, window=window)
+    if fit.n_points < min_points:
+        raise NotConverged(f"only {fit.n_points} samples in fit window "
+                           f"[{fit.window[0]:.3g}, {fit.window[1]:.3g}]")
     return ExponentReport(lambda_a=fit.slope, method="volumetric",
                           stderr=fit.stderr, window=fit.window)
 

@@ -5,17 +5,19 @@ assertions carry the same tolerances, so a plain ``pytest`` run enforces
 them all.
 """
 
+import json
 import time
 
 import numpy as np
 import pytest
 
+from entgrowth.config import parse_config
 from entgrowth.dynamics import QuadraticHamiltonian, polar_decompose, propagate
 from entgrowth.entropy import LN_E_OVER_2, corridor_check, mutual_information_asymptotic, renyi2_entropy
 from entgrowth.fitting import fit_slope
-from entgrowth.fock import FockConfig, FockState, verify_linear_growth
+from entgrowth.fock import FockConfig, FockState
 from entgrowth.lyapunov import lyapunov_spectrum, polar_factor_exponents
-from entgrowth.phase_space import ModeCount, SubsystemSpec
+from entgrowth.phase_space import ModeCount, SubsystemSpec, standard_omega
 from entgrowth.sampling import (
     random_covariance,
     random_pd_symplectic,
@@ -25,7 +27,7 @@ from entgrowth.sampling import (
 from entgrowth.scenarios import (
     classical_counterexample_mi,
     default_scenario,
-    metastable_demo,
+    metastable_form,
     run_scenario,
     two_mode_squeezing_form,
 )
@@ -53,27 +55,32 @@ def test_criterion_01_gaussian_linear_growth():
                    f"{elapsed:.1f}s")
 
 
+def _oracle_config(state):
+    return parse_config(json.dumps({
+        "modes": {"total": 2, "subsystem": 1},
+        "hamiltonian": {"type": "builtin", "name": "two_mode_squeezing"},
+        "initial_state": {"type": "fock", "state": state, "cutoff": 20},
+        "run": {"t_final": 1.5, "dt": 0.005, "store_every": 1, "window_fraction": 0.75},
+        "tolerances": {"leak_ceiling": 3e-3, "slope_rel_tol": 0.10}}))
+
+
 def test_criterion_02_non_gaussian_linear_growth():
     t0 = time.monotonic()
-    cutoff = 20
-    cfg = FockConfig(n_modes=2, cutoff=cutoff, dt=0.005, leak_ceiling=3e-3)
     lyap = lyapunov_spectrum(TMS, t_star=12.0, dt=0.01, residual_tol=np.inf)
     lam = subsystem_exponent_algebraic(SubsystemSpec.first_modes(1, 2), lyap).lambda_a
     states = {
-        "|0,0>": FockState.fock((0, 0), cutoff),
-        "|1,0>": FockState.fock((1, 0), cutoff),
-        "(|0,0>+|2,0>)/sqrt2": FockState.superposition([(1.0, (0, 0)), (1.0, (2, 0))],
-                                                       cutoff, 2),
+        "|0,0>": "fock:0,0",
+        "|1,0>": "fock:1,0",
+        "(|0,0>+|2,0>)/sqrt2": "superfock:0,0;2,0",
     }
-    slopes = {}
-    for name, psi0 in states.items():
-        rep = verify_linear_growth(psi0, TMS, (0,), cfg, t_final=1.5,
-                                   window_fraction=0.75, lambda_ref=lam)
-        slopes[name] = rep.slope
+    reports = {name: run_scenario(_oracle_config(state), write_outputs=False)
+               for name, state in states.items()}
+    slopes = {name: rep.sections["oracle"]["slope"] for name, rep in reports.items()}
     elapsed = time.monotonic() - t0
     devs = {name: abs(s - lam) / lam for name, s in slopes.items()}
     pair_gap = max(abs(a - b) for a in slopes.values() for b in slopes.values())
-    ok = all(d <= 0.10 for d in devs.values()) and pair_gap <= 0.10 * lam and elapsed < 300.0
+    ok = (all(rep.ok for rep in reports.values()) and all(d <= 0.10 for d in devs.values())
+          and pair_gap <= 0.10 * lam and elapsed < 300.0)
     detail = ", ".join(f"{n}: {s:.4f} ({100 * (s - lam) / lam:+.1f}%)" for n, s in slopes.items())
     _report(2, ok, f"Lambda_A {lam:.4f}; {detail}; max pairwise gap "
                    f"{pair_gap:.4f} <= {0.10 * lam:.3f}; {elapsed:.1f}s")
@@ -144,7 +151,6 @@ def test_criterion_06_polar_factor_spectra():
     for _ in range(20):
         h = random_unstable_hamiltonian_form(2, rng, min_rate=0.25)
         ham = QuadraticHamiltonian.constant(h)
-        from entgrowth.phase_space import standard_omega
         top = float(np.max(np.linalg.eigvals(standard_omega(2) @ h).real))
         t_star = min(14.0 / top, 40.0)
         series = propagate(ham, t_star, 0.01, store_every=25)
@@ -173,9 +179,22 @@ def test_criterion_07_stationarity_and_minimizer():
 
 
 def test_criterion_08_metastable_and_classical():
-    demo = metastable_demo(t_list=(1.0, 10.0, 100.0, 1000.0))
-    meta_ok = (demo.flow_exact and demo.bounds_ok
-               and float(np.max(np.abs(demo.s2_minus_ln_t))) < 0.5)
+    # nilpotent generator: the flow is exactly affine in time, M(t) = 1 + t K
+    ham = QuadraticHamiltonian.constant(metastable_form())
+    k_mat = standard_omega(2) @ metastable_form()
+    assert np.max(np.abs(k_mat @ k_mat)) == 0.0
+    series = propagate(ham, 1000.0, dt=0.25, store_every=4)
+    flow_dev = max(np.max(np.abs(m - (np.eye(4) + t * k_mat)))
+                   for t, m in zip(series.times, series.matrices))
+    flow_exact = flow_dev <= 1e-12 * (1.0 + 1000.0)
+
+    rep = run_scenario(default_scenario("metastable"), write_outputs=False)
+    bounds = rep.sections["bounds"]
+    bound_values = [entry["value"] for entry in bounds]
+    bounds_ok = ([entry["t"] for entry in bounds] == [1.0, 10.0, 100.0, 1000.0]
+                 and all(v <= 2.0 * LN_E_OVER_2 + 1e-6 for v in bound_values))
+    max_dev = rep.sections["metastable"]["max_abs_s2_minus_ln_t"]
+    meta_ok = rep.ok and flow_exact and bounds_ok and max_dev < 0.5
 
     slopes = []
     for eps in (0.05, 0.3):
@@ -184,8 +203,8 @@ def test_criterion_08_metastable_and_classical():
         slopes.append(fit_slope(np.log(ts), mi).slope)
     classical_ok = all(abs(s - 1.0) <= 0.02 for s in slopes)
     ok = meta_ok and classical_ok
-    _report(8, ok, f"metastable: S2-ln t bounded (max {np.max(np.abs(demo.s2_minus_ln_t)):.3f} "
-                   f"< 0.5), RHS max {max(demo.bound_values):.2e} <= 2ln(e/2)+1e-6; "
+    _report(8, ok, f"metastable: flow exact (dev {flow_dev:.1e}), S2-ln t bounded (max "
+                   f"{max_dev:.3f} < 0.5), RHS max {max(bound_values):.2e} <= 2ln(e/2)+1e-6; "
                    f"classical MI log-slopes {[f'{s:.4f}' for s in slopes]} within 1 +- 0.02")
 
 

@@ -222,9 +222,74 @@ def test_cli_bounds_check_command(tmp_path):
     cfg.run.window = (2.0, 10.0)
     cfg.run.bound_times = (1.0, 10.0)
     cfg_path.write_text(serialize_config(cfg))
-    res = _cli("bounds-check", str(cfg_path))
+    res = _cli("bounds-check", str(cfg_path), "--json")
     assert res.returncode == 0, res.stderr
-    assert "stationarity_residual" in res.stdout
+    entries = _report_json(res.stdout)["sections"]["bounds"]
+    assert [entry["t"] for entry in entries] == [1.0, 10.0]
+    assert all(np.isfinite(entry["residual"]) for entry in entries)
+
+
+# the stage commands and the sections of the simulate report they reproduce
+STAGE_SECTIONS = {"lyapunov": {"lyapunov"},
+                  "exponent": {"propagation", "lyapunov", "exponent"},
+                  "bounds-check": {"propagation", "bounds"}}
+
+
+def _report_json(stdout):
+    # --json prints the text report, then the JSON report
+    return json.loads(stdout[stdout.index("\n{") + 1:])
+
+
+def _run_cli(capsys, *argv):
+    code = cli.main([*argv, "--json"])
+    out = capsys.readouterr().out
+    return code, out, _report_json(out)
+
+
+@pytest.mark.parametrize("name", ["inverted_pair", "coupled_chain", "metastable",
+                                  "parametric_drive"])
+def test_stage_command_sections_equal_simulate(tmp_path, capsys, name):
+    cfg = default_scenario(name)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(serialize_config(cfg))
+    code, _, sim = _run_cli(capsys, "simulate", str(cfg_path))
+    assert code == 0 and sim["ok"], sim["failures"]
+    views = {}
+    for command, names in STAGE_SECTIONS.items():
+        code, _, doc = _run_cli(capsys, command, str(cfg_path))
+        assert code == 0 and doc["ok"], (command, doc["failures"])
+        assert set(doc["sections"]) == names
+        for section in names & set(sim["sections"]):
+            assert doc["sections"][section] == sim["sections"][section], (command, section)
+        views[command] = doc
+    # bounds-check bounds t_final when the config names no bound times
+    times = [entry["t"] for entry in views["bounds-check"]["sections"]["bounds"]]
+    assert times == list(cfg.run.bound_times or (cfg.run.t_final,))
+    assert ("bounds" in sim["sections"]) == bool(cfg.run.bound_times)
+
+
+@pytest.mark.parametrize("residual_tol, ok", [(0.01, True), (1e-6, False)])
+def test_stage_commands_reach_the_simulate_verdict(tmp_path, capsys, residual_tol, ok):
+    # every command takes 10 x residual_tol as the Lyapunov residual ceiling;
+    # inverted_pair's residual lies between 0.01 and 0.1
+    cfg = default_scenario("inverted_pair")
+    cfg.tolerances.residual_tol = residual_tol
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(serialize_config(cfg))
+    for command in ("simulate", "lyapunov", "exponent"):
+        code, out, doc = _run_cli(capsys, command, str(cfg_path))
+        assert (code, doc["ok"]) == ((0, True) if ok else (1, False)), (command, doc["failures"])
+        if not ok:
+            assert "[failures]" in out
+            assert len(doc["failures"]) == 1 and "NotConverged" in doc["failures"][0]
+
+
+def test_stage_commands_refuse_the_classical_counterexample(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(serialize_config(default_scenario("classical_counterexample")))
+    for command in STAGE_SECTIONS:
+        assert cli.main([command, str(cfg_path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_off_grid_bound_time_is_config_error(tmp_path):

@@ -1,10 +1,12 @@
 """Truncated-number-basis oracle: operators, evolution, entropies, moments."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from entgrowth.config import parse_config
 from entgrowth.dynamics import QuadraticHamiltonian, evolve_covariance, propagate
 from entgrowth.entropy import renyi2_entropy, von_neumann_entropy
 from entgrowth.errors import TruncationLeak
@@ -18,10 +20,9 @@ from entgrowth.fock import (
     evolve_fock,
     reduced_entropy,
     top_level_population,
-    verify_linear_growth,
 )
 from entgrowth.phase_space import SubsystemSpec, restrict
-from entgrowth.scenarios import metastable_form, two_mode_squeezing_form
+from entgrowth.scenarios import metastable_form, run_scenario, two_mode_squeezing_form
 
 TMS = QuadraticHamiltonian.constant(two_mode_squeezing_form())
 
@@ -221,13 +222,25 @@ def test_initial_leak_rejected():
         evolve_fock(psi0, QuadraticHamiltonian.constant(np.eye(2)), 1.0, cfg)
 
 
-def test_verify_linear_growth_smoke():
-    cfg = FockConfig(n_modes=2, cutoff=18, dt=0.005, leak_ceiling=3e-3)
-    psi0 = FockState.fock((0, 0), 18)
-    rep = verify_linear_growth(psi0, TMS, (0,), cfg, t_final=1.4, lambda_ref=2.0)
-    assert abs(rep.slope - 2.0) / 2.0 < 0.1
-    assert rep.stderr < 0.05
-    assert rep.window[1] <= rep.trusted_until + 1e-9
+def _oracle_report(state, cutoff, t_final):
+    # the fock pipeline's oracle section fits the entropy over the last
+    # quarter of the trusted horizon
+    cfg = parse_config(json.dumps({
+        "modes": {"total": 2, "subsystem": 1},
+        "hamiltonian": {"type": "builtin", "name": "two_mode_squeezing"},
+        "initial_state": {"type": "fock", "state": state, "cutoff": cutoff},
+        "run": {"t_final": t_final, "dt": 0.005, "store_every": 1, "window_fraction": 0.75},
+        "tolerances": {"leak_ceiling": 3e-3, "slope_rel_tol": 0.10}}))
+    rep = run_scenario(cfg, write_outputs=False)
+    assert rep.ok, rep.failures
+    return rep.sections["oracle"]
+
+
+def test_oracle_linear_growth_smoke():
+    oracle = _oracle_report("fock:0,0", 18, 1.4)
+    assert abs(oracle["slope"] - 2.0) / 2.0 < 0.1
+    assert oracle["stderr"] < 0.05
+    assert oracle["window"][1] <= oracle["trusted_until"] + 1e-9
 
 
 def test_slope_state_independence():
@@ -235,19 +248,13 @@ def test_slope_state_independence():
     # cutoff window; the OLS slope error underestimates the systematic
     # transient remnant, so the pairwise gate carries a floor of 10% of
     # the mean slope on top of the combined 2 sigma
-    cfg = FockConfig(n_modes=2, cutoff=20, dt=0.005, leak_ceiling=3e-3)
-    states = [
-        FockState.fock((1, 0), 20),
-        FockState.superposition([(1.0, (0, 0)), (1.0, (2, 0))], 20, 2),
-        FockState.cat(0.8, 20, n_modes=2, mode=0),
-    ]
-    fits = [verify_linear_growth(p, TMS, (0,), cfg, t_final=1.5, window_fraction=0.75)
-            for p in states]
-    slopes = [f.slope for f in fits]
+    fits = [_oracle_report(state, 20, 1.5)
+            for state in ("fock:1,0", "superfock:0,0;2,0", "cat:0.8,0")]
+    slopes = [f["slope"] for f in fits]
     mean = sum(slopes) / len(slopes)
     for i in range(len(fits)):
         for j in range(i + 1, len(fits)):
-            tol = max(2.0 * (fits[i].stderr + fits[j].stderr), 0.10 * mean)
+            tol = max(2.0 * (fits[i]["stderr"] + fits[j]["stderr"]), 0.10 * mean)
             assert abs(slopes[i] - slopes[j]) <= tol
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from entgrowth.entropy import LN_E_OVER_2
 from entgrowth.errors import ConfigError
 from entgrowth.phase_space import ModeCount
 from entgrowth.scenarios import (
@@ -13,8 +14,8 @@ from entgrowth.scenarios import (
     classical_counterexample_mi,
     default_scenario,
     inverted_pair_exponents,
-    metastable_demo,
     run_scenario,
+    run_view,
 )
 
 
@@ -32,13 +33,25 @@ def test_classical_counterexample_closed_form():
         classical_counterexample_mi(1.0, 0.0)
 
 
-def test_metastable_demo_report():
-    demo = metastable_demo(t_list=(1.0, 100.0))
-    assert demo.flow_exact
-    assert abs(demo.log_slope - 1.0) < 0.01
-    assert abs(demo.bound_ceiling - 0.6137056388801094) < 1e-12
-    assert demo.bounds_ok
-    assert float(np.max(np.abs(demo.s2_minus_ln_t))) < 0.01
+def test_metastable_scenario_report():
+    rep = run_scenario(default_scenario("metastable"), write_outputs=False)
+    assert rep.ok, rep.failures
+    meta = rep.sections["metastable"]
+    assert abs(meta["log_slope"] - 1.0) < 0.01
+    assert abs(2.0 * LN_E_OVER_2 - 0.6137056388801094) < 1e-12
+    bounds = {entry["t"]: entry["value"] for entry in rep.sections["bounds"]}
+    assert 1.0 in bounds and 100.0 in bounds
+    assert all(v <= 2.0 * LN_E_OVER_2 + 1e-6 for v in bounds.values())
+    assert meta["max_abs_s2_minus_ln_t"] < 0.01
+
+
+def test_exponent_stage_fails_when_the_two_routes_disagree():
+    # at t_final = 2 the volumetric fit window still sits in the transient
+    cfg = default_scenario("inverted_pair")
+    cfg.run.t_final = 2.0
+    cfg.run.store_every = 10
+    for rep in (run_view(cfg, "exponent"), run_scenario(cfg, write_outputs=False)):
+        assert any("vs volumetric" in f and "disagree" in f for f in rep.failures), rep.failures
 
 
 def test_inverted_pair_exponents_closed_form():
