@@ -12,8 +12,10 @@ Commands::
 
 ``lyapunov``, ``exponent`` and ``bounds-check`` run stages of ``simulate``
 with its defaults and tolerances, so their sections equal the sections of
-the same name in the ``simulate`` report.  Exit code is 0 only when every
-asserted invariant in the run passed.
+the same name in the ``simulate`` report.  They write no files: their only
+output flag is ``--json``.  Exit code is 0 only when every asserted
+invariant in the run passed, 1 when one failed, and 2 for a usage or
+config error.
 """
 
 import argparse
@@ -33,17 +35,17 @@ def _load_config(path) -> ScenarioConfig:
 
 def _emit(report: RunReport, args) -> int:
     sys.stdout.write(report.to_text())
-    if getattr(args, "json", False):
+    if args.json:
         sys.stdout.write(report.to_json())
     return 0 if report.ok else 1
 
 
 def _apply_output_flags(cfg, args):
-    if getattr(args, "csv", None):
+    if args.csv:
         cfg.output.csv = args.csv
-    if getattr(args, "report", None):
+    if args.report:
         cfg.output.report = args.report
-    if getattr(args, "report_json", None):
+    if args.report_json:
         cfg.output.report_json = args.report_json
 
 
@@ -108,18 +110,20 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="entanglement growth under quadratic Hamiltonians")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_output(p, files=True):
         p.add_argument("--json", action="store_true", help="also print the JSON report")
-        p.add_argument("--csv", help="write the time-series CSV here")
-        p.add_argument("--report", help="write the text report here")
-        p.add_argument("--report-json", dest="report_json", help="write the JSON report here")
+        if files:
+            p.add_argument("--csv", help="write the time-series CSV here")
+            p.add_argument("--report", help="write the text report here")
+            p.add_argument("--report-json", dest="report_json", help="write the JSON report here")
 
+    # the stage commands write no files, so they take no file flags
     for name, fn, view in (("simulate", _cmd_simulate, None), ("lyapunov", _cmd_view, "lyapunov"),
                            ("exponent", _cmd_view, "exponent"), ("bounds-check", _cmd_view, "bounds"),
                            ("oracle", _cmd_oracle, None)):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a JSON scenario config")
-        add_common(p)
+        add_output(p, files=view is None)
         p.set_defaults(func=fn, view=view)
 
     p_scen = sub.add_parser("scenario")
@@ -129,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="key=val", help="dotted-path config override")
     p_scen.add_argument("--print-config", action="store_true",
                         help="print the resolved config instead of running")
-    add_common(p_scen)
+    add_output(p_scen)
     p_scen.set_defaults(func=_cmd_scenario)
     return parser
 

@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import fock as fock_mod
 from .dynamics import QuadraticHamiltonian, sample_times
 from .errors import ConfigError
 from .phase_space import ModeCount
@@ -215,9 +216,51 @@ def _parse_state(obj, modes: ModeCount) -> StateSpec:
             cov = None
         return StateSpec(type="gaussian", covariance=cov)
     if kind == "fock":
-        return StateSpec(type="fock", state=_need(obj, "state", "initial_state.state", str),
-                         cutoff=int(_need(obj, "cutoff", "initial_state.cutoff")))
+        spec = StateSpec(type="fock", state=_need(obj, "state", "initial_state.state", str),
+                         cutoff=_need(obj, "cutoff", "initial_state.cutoff", int))
+        _parse_fock_state(spec, modes.n_total)
+        return spec
     raise ConfigError(f"unknown state type {kind!r}", "initial_state.type")
+
+
+def _occupations(text, n_modes, cutoff):
+    occ = tuple(int(x) for x in text.split(","))
+    if len(occ) != n_modes or not all(0 <= n < cutoff for n in occ):
+        raise ValueError(f"{text!r} is not {n_modes} occupations in [0, cutoff={cutoff})")
+    return occ
+
+
+def _parse_fock_state(spec: StateSpec, n_modes: int) -> "fock_mod.FockState":
+    """The oracle's initial state; a ConfigError naming the field when there is none."""
+    if not 1 <= n_modes <= 3:
+        raise ConfigError("the Fock oracle supports 1 to 3 modes", "modes.total")
+    cutoff = spec.cutoff
+    try:
+        # the oracle's own truncation rules: lowest cutoff, largest dimension
+        fock_mod.FockConfig(n_modes=n_modes, cutoff=cutoff, dt=1.0)
+    except ValueError as exc:
+        raise ConfigError(str(exc), "initial_state.cutoff") from exc
+    kind, _, arg = spec.state.partition(":")
+    try:
+        if kind == "fock":
+            return fock_mod.FockState.fock(_occupations(arg, n_modes, cutoff), cutoff)
+        if kind == "superfock":
+            terms = [(1.0, _occupations(part, n_modes, cutoff)) for part in arg.split(";")]
+            return fock_mod.FockState.superposition(terms, cutoff, n_modes)
+        if kind == "coherent":
+            alphas = [complex(x) for x in arg.split(",")]
+            if len(alphas) != n_modes:
+                raise ValueError("one amplitude per mode required")
+            return fock_mod.FockState.coherent(alphas, cutoff)
+        if kind == "cat":
+            alpha, _, mode = arg.partition(",")
+            mode = int(mode or 0)
+            if not 0 <= mode < n_modes:
+                raise ValueError(f"cat mode {mode} outside [0, {n_modes})")
+            return fock_mod.FockState.cat(complex(alpha), cutoff, n_modes=n_modes, mode=mode)
+    except ValueError as exc:
+        raise ConfigError(f"{spec.state!r}: {exc}", "initial_state.state") from exc
+    raise ConfigError(f"unknown state kind {kind!r}", "initial_state.state")
 
 
 def _parse_run(obj) -> RunParams:

@@ -223,9 +223,6 @@ class FockTrajectory:
         idx = np.nonzero(self.trusted)[0]
         return float(self.times[idx[-1]]) if len(idx) else 0.0
 
-    def state_at(self, t: float) -> FockState:
-        return self.states[int(np.argmin(np.abs(self.times - t)))]
-
 
 def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
                 cfg: FockConfig, store_every: int = 1) -> FockTrajectory:

@@ -1,12 +1,13 @@
 """Finite-horizon Lyapunov spectra, bases, and regularity diagnostics.
 
-The limiting matrix ln(M M^T) / (2t) is estimated two ways:
-
-* ``svd``: one SVD of M(t*).  Simple and accurate, but contracting
-  directions are lost to roundoff once lambda_1 * t exceeds about 30
-  (smallest resolvable singular value is ~ eps * sigma_max).
-* ``qr``: re-orthonormalized push-forward accumulating ln diag(R), the
-  standard long-horizon method; resolves the full spectrum at any horizon.
+The limiting matrix ln(M M^T) / (2t) is estimated by the re-orthonormalized
+push-forward of :func:`qr_spectrum`, which accumulates ln diag(R) and
+resolves the full spectrum at any horizon; :func:`lyapunov_spectrum` is
+this estimator.  :func:`spectrum_from_propagation` takes one SVD of a
+stored M(t*) instead: it is the reference the polar-factor comparison and
+the tests check against, and it loses contracting directions to roundoff
+once lambda_1 * t exceeds about 30 (smallest resolvable singular value is
+~ eps * sigma_max).
 
 Both report a convergence residual from halving the horizon.  Since the
 leading finite-horizon error decays like 1/t, the two-horizon data also
@@ -19,14 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import PropagationResult, QuadraticHamiltonian, polar_decompose, propagate, step_loop
+from .dynamics import PropagationResult, QuadraticHamiltonian, polar_decompose, step_loop
 from .errors import NotConverged, SingularM
 from .phase_space import _maxabs
-
-# SVD of M(t) resolves the full spectrum only while the spread
-# (lambda_1 - lambda_min) t stays below -ln(eps) ~ 36; regular spectra have
-# lambda_min = -lambda_1, so the dispatch threshold is on 2 lambda_1 t
-_SVD_RANGE = 15.0
 
 
 @dataclass(frozen=True)
@@ -156,26 +152,14 @@ def qr_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
 
 
 def lyapunov_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
-                      method: str = "auto", residual_tol: Optional[float] = None,
-                      refine: bool = True, store_every: int = 10) -> LyapunovData:
+                      residual_tol: Optional[float] = None, refine: bool = True) -> LyapunovData:
     """Estimate the Lyapunov spectrum of the flow of ``ham`` at horizon ``t_star``.
 
-    ``method="auto"`` probes the top exponent on a short run and uses the
-    SVD estimator while lambda_1 * t_star stays within its resolvable
-    range, switching to QR accumulation beyond it.
+    The pipeline's Lyapunov stage: the QR push-forward of
+    :func:`qr_spectrum` over steps of about ``dt``, with its residual from
+    halving the horizon checked against ``residual_tol``.
     """
-    if method not in ("auto", "svd", "qr"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        probe_t = min(t_star, max(10.0 * dt, _SVD_RANGE / 8.0))
-        probe = propagate(ham, probe_t, dt, store_every=max(1, int(round(probe_t / dt / 4))))
-        sv = np.linalg.svd(probe.final_matrix, compute_uv=False)
-        top = np.log(sv[0]) / probe.t_final
-        method = "svd" if top * t_star <= _SVD_RANGE else "qr"
-    if method == "qr":
-        return qr_spectrum(ham, t_star, dt, residual_tol=residual_tol, refine=refine)
-    series = propagate(ham, t_star, dt, store_every=store_every)
-    return spectrum_from_propagation(series, residual_tol=residual_tol, refine=refine)
+    return qr_spectrum(ham, t_star, dt, residual_tol=residual_tol, refine=refine)
 
 
 def vector_exponent(series: PropagationResult, ell, residual_tol: Optional[float] = None):

@@ -23,6 +23,7 @@ from .config import (
     ScenarioConfig,
     StateSpec,
     Tolerances,
+    _parse_fock_state,
     build_hamiltonian_from_spec,
     config_hash,
 )
@@ -222,36 +223,6 @@ SCENARIO_NAMES = ("inverted_pair", "coupled_chain", "metastable",
 # ---------------------------------------------------------------------------
 # pipeline
 
-def _parse_fock_state(spec: StateSpec, n_modes: int) -> fock_mod.FockState:
-    text = spec.state
-    cutoff = spec.cutoff
-    kind, _, arg = text.partition(":")
-    if kind == "fock":
-        occ = tuple(int(x) for x in arg.split(","))
-        if len(occ) != n_modes:
-            raise ConfigError(f"state has {len(occ)} modes, config {n_modes}", "initial_state.state")
-        return fock_mod.FockState.fock(occ, cutoff)
-    if kind == "superfock":
-        terms = []
-        for part in arg.split(";"):
-            occ = tuple(int(x) for x in part.split(","))
-            if len(occ) != n_modes:
-                raise ConfigError(f"term {part!r} has wrong mode count", "initial_state.state")
-            terms.append((1.0, occ))
-        return fock_mod.FockState.superposition(terms, cutoff, n_modes)
-    if kind == "coherent":
-        alphas = [complex(x) for x in arg.split(",")]
-        if len(alphas) != n_modes:
-            raise ConfigError("one amplitude per mode required", "initial_state.state")
-        return fock_mod.FockState.coherent(alphas, cutoff)
-    if kind == "cat":
-        parts = arg.split(",")
-        alpha = complex(parts[0])
-        mode = int(parts[1]) if len(parts) > 1 else 0
-        return fock_mod.FockState.cat(alpha, cutoff, n_modes=n_modes, mode=mode)
-    raise ConfigError(f"unknown state kind {kind!r}", "initial_state.state")
-
-
 def _lyapunov_section(report, ham, cfg):
     run = cfg.run
     t_star = run.lyapunov_t_star or max(run.t_final, 60.0)
@@ -259,8 +230,7 @@ def _lyapunov_section(report, ham, cfg):
     residual_tol = cfg.tolerances.residual_tol
     if residual_tol is None:
         residual_tol = 0.05
-    lyap = lyapunov_spectrum(ham, t_star, dt, method="auto",
-                             residual_tol=residual_tol * 10.0)
+    lyap = lyapunov_spectrum(ham, t_star, dt, residual_tol=residual_tol * 10.0)
     reg = regularity_check(lyap, tol=max(0.05, 4.0 * lyap.residual))
     section = {"exponents": lyap.exponents, "raw_exponents": lyap.raw_exponents,
                "basis": lyap.basis,
@@ -309,12 +279,7 @@ def run_scenario(cfg: ScenarioConfig, write_outputs: bool = True) -> RunReport:
     errors surface as structured warnings or failures with partial results
     preserved; the CLI maps ``failures`` to a nonzero exit code.
     """
-    if cfg.scenario == "classical_counterexample":
-        body = _run_classical
-    elif cfg.initial_state.type == "gaussian":
-        body = _run_gaussian
-    else:
-        body = _run_fock
+    body = _run_classical if cfg.scenario == "classical_counterexample" else _run_flow
     report = _guarded(cfg, body)
     if write_outputs:
         _write_outputs(cfg, report)
@@ -419,15 +384,37 @@ def _exponent_section(report, sub_a, lyap, series, g0):
     return alg, vol
 
 
-def _run_gaussian(cfg, report):
+def _run_flow(cfg, report):
+    """The pipeline for a Gaussian or a Fock initial state.
+
+    The stages that read only the flow M(t) (propagation, Lyapunov, bounds)
+    are the same for both state types; the entropy rows and the slope gate
+    are each state type's own.
+    """
     ham = build_hamiltonian_from_spec(cfg.hamiltonian, cfg.modes)
+    series = _propagation_section(report, ham, cfg)
+    lyap = _lyapunov_section(report, ham, cfg)
+    gaussian = cfg.initial_state.type == "gaussian"
+    (_gaussian_stages if gaussian else _fock_stages)(report, ham, cfg, series, lyap)
+    if cfg.run.bound_times:
+        _bounds_section(report, series, cfg.modes, cfg.run.bound_times)
+    if gaussian and cfg.scenario == "metastable":
+        _metastable_section(report, series.times)
+
+
+def _flow_sample(g0, m, sub_a, split):
+    """G(t) = M g0 M^T, its A block, S_as(A) and the squashed bounds at one stored M(t)."""
+    g_t = evolve_covariance(g0, m)
+    g_a = restrict(g_t, sub_a)
+    lower, upper = squashed_bounds(polar_decompose(m).t_part, g0, split)
+    return g_t, g_a, asymptotic_entropy(g_a), lower, upper
+
+
+def _gaussian_stages(report, ham, cfg, series, lyap):
     split = cfg.modes
     sub_a = SubsystemSpec.first_modes(split.n_a, split.n_total)
     sub_b = SubsystemSpec.modes(range(split.n_a, split.n_total), split.n_total)
     g0 = _initial_covariance(cfg)
-
-    series = _propagation_section(report, ham, cfg)
-    lyap = _lyapunov_section(report, ham, cfg)
     alg, vol = _exponent_section(report, sub_a, lyap, series, g0)
 
     rates = None
@@ -436,33 +423,24 @@ def _run_gaussian(cfg, report):
 
     s_global = _gaussian_global_entropy(g0)
     g0_pure = is_pure(g0)
-    s_vn_series = []
     rows = []
-    for idx, t in enumerate(series.times):
-        m = series.matrices[idx]
-        g_t = evolve_covariance(g0, m)
-        g_a = restrict(g_t, sub_a)
+    for t, m in zip(series.times, series.matrices):
+        g_t, g_a, s_as_a, lower, upper = _flow_sample(g0, m, sub_a, split)
         s_vn_a = von_neumann_entropy(g_a)
-        s2_a = renyi2_entropy(g_a)
-        s_as_a = asymptotic_entropy(g_a)
         if g0_pure:
             # pure global state: S(B) = S(A) exactly, and S(AB) = 0; avoids
             # the ill-conditioned unit eigenvalues of the big B-block
             i_ab = 2.0 * s_vn_a
         else:
             i_ab = s_vn_a + von_neumann_entropy(restrict(g_t, sub_b)) - s_global
-        t_part = polar_decompose(m).t_part
-        lower, upper = squashed_bounds(t_part, g0, split)
-        s_vn_series.append(s_vn_a)
-        rows.append(CsvRow(t=float(t), s_vn_a=s_vn_a, s2_a=s2_a, s_as_a=s_as_a,
+        rows.append(CsvRow(t=float(t), s_vn_a=s_vn_a, s2_a=renyi2_entropy(g_a), s_as_a=s_as_a,
                            i_ab=i_ab, lambda_a_alg=alg.lambda_a, lambda_a_vol=vol.slope,
                            bound_lower=lower, bound_upper=upper,
                            source="gaussian", trusted=True))
     report.rows = rows
-    s_vn_series = np.array(s_vn_series)
 
     window = cfg.run.window or (0.5 * series.t_final, series.t_final)
-    t_w, s_w = windowed(series.times, s_vn_series, *window)
+    t_w, s_w = windowed(series.times, np.array([row.s_vn_a for row in rows]), *window)
     fit = fit_slope(t_w, s_w)
     lambda_ref = alg.lambda_a
     rel_dev = abs(fit.slope - lambda_ref) / max(abs(lambda_ref), 1e-12)
@@ -477,20 +455,17 @@ def _run_gaussian(cfg, report):
         lam_floquet = float(np.sum(rates[:2 * split.n_a]))
         report.sections["floquet"]["lambda_from_multipliers"] = lam_floquet
 
-    if cfg.run.bound_times:
-        _bounds_section(report, series, split, cfg.run.bound_times)
 
-    if cfg.scenario == "metastable":
-        grid_mask = series.times >= 10.0
-        s2_vals = np.array([renyi2_entropy(restrict(evolve_covariance(g0, series.matrices[i]),
-                                                    sub_a))
-                            for i in np.nonzero(grid_mask)[0]])
-        dev = s2_vals - np.log(series.times[grid_mask])
-        log_fit = fit_slope(np.log(series.times[grid_mask]), s2_vals)
-        report.add("metastable", {"log_slope": log_fit.slope,
-                                  "max_abs_s2_minus_ln_t": float(np.max(np.abs(dev)))})
-        if np.max(np.abs(dev)) >= 0.5:
-            report.fail("S2(A) - ln t exceeded 0.5 nats on [10, t_final]")
+def _metastable_section(report, times):
+    # S2(A) against ln t on [10, t_final], from the rows already built
+    grid_mask = times >= 10.0
+    s2_vals = np.array([row.s2_a for row in report.rows])[grid_mask]
+    dev = s2_vals - np.log(times[grid_mask])
+    log_fit = fit_slope(np.log(times[grid_mask]), s2_vals)
+    report.add("metastable", {"log_slope": log_fit.slope,
+                              "max_abs_s2_minus_ln_t": float(np.max(np.abs(dev)))})
+    if np.max(np.abs(dev)) >= 0.5:
+        report.fail("S2(A) - ln t exceeded 0.5 nats on [10, t_final]")
 
 
 def bound_matrices(series, times):
@@ -524,10 +499,11 @@ def _bounds_section(report, series, split, times):
     report.add("bounds", entries)
 
 
-def _run_fock(cfg, report):
-    ham = build_hamiltonian_from_spec(cfg.hamiltonian, cfg.modes)
+def _fock_stages(report, ham, cfg, series, lyap):
     split = cfg.modes
     modes_a = tuple(range(split.n_a))
+    modes_b = tuple(range(split.n_a, split.n_total))
+    sub_a = SubsystemSpec.first_modes(split.n_a, split.n_total)
     fcfg = fock_mod.FockConfig(n_modes=split.n_total, cutoff=cfg.initial_state.cutoff,
                                dt=cfg.run.dt, leak_ceiling=cfg.tolerances.leak_ceiling)
     psi0 = _parse_fock_state(cfg.initial_state, split.n_total)
@@ -535,31 +511,23 @@ def _run_fock(cfg, report):
 
     traj = fock_mod.evolve_fock(psi0, ham, cfg.run.t_final, fcfg,
                                 store_every=cfg.run.store_every)
-    gauss = propagate(ham, cfg.run.t_final, cfg.run.dt, store_every=cfg.run.store_every)
     if traj.trusted_until < cfg.run.t_final:
         report.warn(f"truncation leak at t={traj.trusted_until:g}; later samples untrusted")
-
-    lyap = _lyapunov_section(report, ham, cfg)
-    sub_a = SubsystemSpec.first_modes(split.n_a, split.n_total)
     alg = subsystem_exponent_algebraic(sub_a, lyap)
 
-    modes_b = tuple(range(split.n_a, split.n_total))
     rows = []
     containment_ok = True
-    for idx, t in enumerate(traj.times):
-        state = traj.states[idx]
+    # both trajectories store the same step grid, so sample i pairs with M(t_i)
+    for t, state, trusted, m in zip(traj.times, traj.states, traj.trusted, series.matrices,
+                                    strict=True):
         s_vn_a = fock_mod.reduced_entropy(state, modes_a)
-        s2_a = fock_mod.reduced_renyi2(state, modes_a)
         i_ab = s_vn_a + fock_mod.reduced_entropy(state, modes_b)  # global state pure
-        m = gauss.matrices[gauss.index_at(t)]
-        g_t = evolve_covariance(g0, m)
-        s_as_a = asymptotic_entropy(restrict(g_t, sub_a))
-        t_part = polar_decompose(m).t_part
-        lower, upper = squashed_bounds(t_part, g0, split)
-        trusted = bool(traj.trusted[idx])
+        _, _, s_as_a, lower, upper = _flow_sample(g0, m, sub_a, split)
+        trusted = bool(trusted)
         if trusted and not (lower - 1e-9 <= s_vn_a <= upper + 1e-9):
             containment_ok = False
-        rows.append(CsvRow(t=float(t), s_vn_a=s_vn_a, s2_a=s2_a, s_as_a=s_as_a,
+        rows.append(CsvRow(t=float(t), s_vn_a=s_vn_a,
+                           s2_a=fock_mod.reduced_renyi2(state, modes_a), s_as_a=s_as_a,
                            i_ab=i_ab, lambda_a_alg=alg.lambda_a, lambda_a_vol=None,
                            bound_lower=lower, bound_upper=upper,
                            source="fock", trusted=trusted))

@@ -394,3 +394,75 @@ def test_fock_config_through_pipeline(tmp_path):
     sources = {row.source for row in report.rows}
     assert sources == {"fock"}
     assert any(not row.trusted for row in report.rows)   # leaks before 1.2
+
+
+def _tms_doc(state, **extra):
+    # two-mode squeezing from a Fock state, or its Gaussian twin from the vacuum
+    initial = ({"type": "gaussian", "covariance": "vacuum"} if state is None
+               else {"type": "fock", "state": state, "cutoff": 12})
+    return {"modes": {"total": 2, "subsystem": 1},
+            "hamiltonian": {"type": "builtin", "name": "two_mode_squeezing"},
+            "initial_state": initial,
+            "run": {"t_final": 0.9, "dt": 0.005, "store_every": 5,
+                    "lyapunov_t_star": 40.0, "lyapunov_dt": 0.01, **extra.get("run", {})},
+            "tolerances": {"leak_ceiling": 3e-3, "slope_rel_tol": 0.15,
+                           **extra.get("tolerances", {})}}
+
+
+def _twin_reports(**extra):
+    return [run_scenario(parse_config(json.dumps(_tms_doc(state, **extra))), write_outputs=False)
+            for state in ("fock:1,0", None)]
+
+
+def test_fock_run_shares_the_flow_stages_with_its_gaussian_twin():
+    # propagation, Lyapunov and bounds read only M(t), so the state type
+    # cannot change them
+    fock, gauss = _twin_reports(run={"bound_times": [0.5, 0.9]})
+    fock_doc, gauss_doc = fock.to_json_dict()["sections"], gauss.to_json_dict()["sections"]
+    assert "oracle" in fock_doc and "slopes" in gauss_doc
+    for name in ("propagation", "lyapunov", "bounds"):
+        assert fock_doc[name] == gauss_doc[name], name
+    assert [entry["t"] for entry in fock_doc["bounds"]] == [0.5, 0.9]
+
+
+def test_fock_run_honours_defect_factor():
+    reports = _twin_reports(tolerances={"defect_factor": 1e-30})
+    for rep in reports:
+        assert len(rep.failures) == 1 and rep.failures[0].startswith("StepTooLarge"), rep.failures
+
+
+@pytest.mark.parametrize("state, cutoff, field", [
+    ("wat:1", 12, "initial_state.state"),
+    ("fock:0", 12, "initial_state.state"),
+    ("fock:0,12", 12, "initial_state.state"),
+    ("fock:a,0", 12, "initial_state.state"),
+    ("superfock:0,0;1", 12, "initial_state.state"),
+    ("superfock:0,0;-1,0", 12, "initial_state.state"),
+    ("coherent:5.0,0", 12, "initial_state.state"),
+    ("cat:1.0,2", 12, "initial_state.state"),
+    ("fock:0,0", 3, "initial_state.cutoff"),
+    ("fock:0,0", 100, "initial_state.cutoff"),
+    ("fock:0,0", "many", "initial_state.cutoff"),
+])
+def test_bad_fock_state_rejected_at_parse(tmp_path, capsys, state, cutoff, field):
+    doc = _tms_doc(state)
+    doc["initial_state"]["cutoff"] = cutoff
+    with pytest.raises(ConfigError, match=field):
+        parse_config(json.dumps(doc))
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", str(cfg_path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(STAGE_SECTIONS))
+@pytest.mark.parametrize("flag", ["--csv", "--report", "--report-json"])
+def test_stage_commands_reject_file_flags(tmp_path, capsys, command, flag):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(MINIMAL)
+    out_path = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, str(cfg_path), flag, str(out_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out_path.exists()

@@ -138,7 +138,7 @@ def test_regularity_inverted_and_random():
 def test_regularity_free_particle():
     # h = p^2/2: nilpotent generator, all exponents zero
     ham = QuadraticHamiltonian.constant(np.diag([0.0, 1.0]))
-    data = lyapunov_spectrum(ham, 500.0, 0.5, method="qr", residual_tol=np.inf)
+    data = lyapunov_spectrum(ham, 500.0, 0.5, residual_tol=np.inf)
     assert np.max(np.abs(data.raw_exponents)) < 0.02
     assert regularity_check(data, tol=0.05).is_regular
 
