@@ -12,6 +12,9 @@ Configs are single JSON documents with four sections::
       "output":      {"csv": ..., "report": ...}   # optional paths
     }
 
+A key a section does not define is a ConfigError naming its path (e.g.
+``run.store_evry``), as are builtin parameters the builtin rejects.
+
 Matrices are written row-major with explicit dimensions:
 ``{"rows": 4, "cols": 4, "data": [...16 numbers...]}``.  Serialization is
 canonical (sorted keys, fixed float format), so serialize(parse(text)) is
@@ -21,7 +24,7 @@ idempotent and configs hash stably.
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -41,6 +44,7 @@ def matrix_to_json(a) -> dict:
 def matrix_from_json(obj, fieldname) -> np.ndarray:
     if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= set(obj):
         raise ConfigError("matrix block needs rows/cols/data", fieldname)
+    _known_keys(obj, ("rows", "cols", "data"), fieldname)
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     if len(data) != rows * cols:
         raise ConfigError(f"expected {rows * cols} entries, got {len(data)}", fieldname)
@@ -49,13 +53,12 @@ def matrix_from_json(obj, fieldname) -> np.ndarray:
 
 @dataclass
 class HamiltonianSpec:
-    """Declarative description of h(t) (and optional f)."""
+    """Declarative description of h(t)."""
 
     type: str                      # constant | builtin | piecewise | fourier
     name: Optional[str] = None     # builtin name
     params: dict = field(default_factory=dict)
     h: Optional[np.ndarray] = None
-    f: Optional[list] = None
     period: Optional[float] = None
     pieces: Optional[list] = None  # [(duration, matrix), ...]
     base: Optional[np.ndarray] = None
@@ -118,6 +121,24 @@ def _need(obj, key, fieldname, types=None):
     return val
 
 
+def _known_keys(obj, keys, fieldname=None):
+    """Reject the first key of ``obj`` outside ``keys``, naming it by its path."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r}", f"{fieldname}.{key}" if fieldname else key)
+
+
+_TOP_KEYS = ("scenario", "modes", "hamiltonian", "initial_state", "run", "tolerances", "output")
+_HAMILTONIAN_KEYS = {"constant": ("type", "h"), "builtin": ("type", "name", "params"),
+                     "piecewise": ("type", "period", "pieces"),
+                     "fourier": ("type", "base", "terms", "period")}
+_STATE_KEYS = {"gaussian": ("type", "covariance"), "fock": ("type", "state", "cutoff")}
+
+
+def _field_names(cls):
+    return {f.name for f in fields(cls)}
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a JSON scenario document."""
     try:
@@ -126,8 +147,10 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("top level must be an object")
+    _known_keys(doc, _TOP_KEYS)
 
     modes_obj = _need(doc, "modes", "modes", dict)
+    _known_keys(modes_obj, ("total", "subsystem"), "modes")
     try:
         modes = ModeCount(n_total=int(_need(modes_obj, "total", "modes.total")),
                           n_a=int(_need(modes_obj, "subsystem", "modes.subsystem")))
@@ -143,38 +166,43 @@ def parse_config(text: str) -> ScenarioConfig:
     run_obj = _need(doc, "run", "run", dict)
     run = _parse_run(run_obj)
 
-    tol = Tolerances()
-    for key, val in doc.get("tolerances", {}).items():
-        if not hasattr(tol, key):
-            raise ConfigError(f"unknown tolerance {key!r}", "tolerances")
-        setattr(tol, key, val)
-
+    tol_obj = doc.get("tolerances", {})
+    _known_keys(tol_obj, _field_names(Tolerances), "tolerances")
     out_obj = doc.get("output", {})
-    output = OutputSpec(csv=out_obj.get("csv"), report=out_obj.get("report"),
-                        report_json=out_obj.get("report_json"))
+    _known_keys(out_obj, _field_names(OutputSpec), "output")
 
     return ScenarioConfig(modes=modes, hamiltonian=ham, initial_state=state, run=run,
-                          tolerances=tol, output=output, scenario=doc.get("scenario"))
+                          tolerances=Tolerances(**tol_obj), output=OutputSpec(**out_obj),
+                          scenario=doc.get("scenario"))
 
 
 def _parse_hamiltonian(obj, modes: ModeCount) -> HamiltonianSpec:
     kind = _need(obj, "type", "hamiltonian.type", str)
+    if kind not in _HAMILTONIAN_KEYS:
+        raise ConfigError(f"unknown hamiltonian type {kind!r}", "hamiltonian.type")
+    _known_keys(obj, _HAMILTONIAN_KEYS[kind], "hamiltonian")
     dim = 2 * modes.n_total
     if kind == "constant":
         h = matrix_from_json(_need(obj, "h", "hamiltonian.h"), "hamiltonian.h")
         if h.shape != (dim, dim):
             raise ConfigError(f"form is {h.shape}, modes require {(dim, dim)}", "hamiltonian.h")
-        f = obj.get("f")
-        if f is not None and len(f) != dim:
-            raise ConfigError(f"linear term has {len(f)} entries, need {dim}", "hamiltonian.f")
-        return HamiltonianSpec(type="constant", h=h, f=f)
+        return HamiltonianSpec(type="constant", h=h)
     if kind == "builtin":
-        return HamiltonianSpec(type="builtin", name=_need(obj, "name", "hamiltonian.name", str),
-                               params=dict(obj.get("params", {})))
+        spec = HamiltonianSpec(type="builtin", name=_need(obj, "name", "hamiltonian.name", str),
+                               params=obj.get("params", {}))
+        try:
+            # the builtin's own signature and checks decide which parameters are valid
+            build_hamiltonian_from_spec(spec, modes)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{spec.name}: {exc}", "hamiltonian.params") from exc
+        return spec
     if kind == "piecewise":
         period = float(_need(obj, "period", "hamiltonian.period"))
         pieces = []
         for i, piece in enumerate(_need(obj, "pieces", "hamiltonian.pieces", list)):
+            _known_keys(piece, ("duration", "h"), f"hamiltonian.pieces[{i}]")
             dur = float(_need(piece, "duration", f"hamiltonian.pieces[{i}].duration"))
             if not dur > 0:
                 raise ConfigError("piece duration must be positive",
@@ -193,6 +221,7 @@ def _parse_hamiltonian(obj, modes: ModeCount) -> HamiltonianSpec:
         base = matrix_from_json(_need(obj, "base", "hamiltonian.base"), "hamiltonian.base")
         terms = []
         for i, term in enumerate(obj.get("terms", [])):
+            _known_keys(term, ("omega", "cos", "sin"), f"hamiltonian.terms[{i}]")
             entry = {"omega": float(_need(term, "omega", f"hamiltonian.terms[{i}].omega"))}
             for part in ("cos", "sin"):
                 entry[part] = (matrix_from_json(term[part], f"hamiltonian.terms[{i}].{part}")
@@ -201,11 +230,13 @@ def _parse_hamiltonian(obj, modes: ModeCount) -> HamiltonianSpec:
         period = obj.get("period")
         return HamiltonianSpec(type="fourier", base=base, terms=terms,
                                period=float(period) if period else None)
-    raise ConfigError(f"unknown hamiltonian type {kind!r}", "hamiltonian.type")
 
 
 def _parse_state(obj, modes: ModeCount) -> StateSpec:
     kind = _need(obj, "type", "initial_state.type", str)
+    if kind not in _STATE_KEYS:
+        raise ConfigError(f"unknown state type {kind!r}", "initial_state.type")
+    _known_keys(obj, _STATE_KEYS[kind], "initial_state")
     if kind == "gaussian":
         cov = obj.get("covariance")
         if cov is not None and cov != "vacuum":
@@ -215,12 +246,10 @@ def _parse_state(obj, modes: ModeCount) -> StateSpec:
         else:
             cov = None
         return StateSpec(type="gaussian", covariance=cov)
-    if kind == "fock":
-        spec = StateSpec(type="fock", state=_need(obj, "state", "initial_state.state", str),
-                         cutoff=_need(obj, "cutoff", "initial_state.cutoff", int))
-        _parse_fock_state(spec, modes.n_total)
-        return spec
-    raise ConfigError(f"unknown state type {kind!r}", "initial_state.type")
+    spec = StateSpec(type="fock", state=_need(obj, "state", "initial_state.state", str),
+                     cutoff=_need(obj, "cutoff", "initial_state.cutoff", int))
+    _parse_fock_state(spec, modes.n_total)
+    return spec
 
 
 def _occupations(text, n_modes, cutoff):
@@ -264,6 +293,7 @@ def _parse_fock_state(spec: StateSpec, n_modes: int) -> "fock_mod.FockState":
 
 
 def _parse_run(obj) -> RunParams:
+    _known_keys(obj, _field_names(RunParams), "run")
     run = RunParams(t_final=float(_need(obj, "t_final", "run.t_final")),
                     dt=float(_need(obj, "dt", "run.dt")))
     if run.t_final <= 0 or run.dt <= 0:
@@ -310,8 +340,6 @@ def config_to_json_dict(cfg: ScenarioConfig) -> dict:
     ham_obj = {"type": ham.type}
     if ham.type == "constant":
         ham_obj["h"] = matrix_to_json(ham.h)
-        if ham.f is not None:
-            ham_obj["f"] = [float(x) for x in ham.f]
     elif ham.type == "builtin":
         ham_obj["name"] = ham.name
         if ham.params:
@@ -379,7 +407,7 @@ def config_hash(cfg: ScenarioConfig) -> str:
 def build_hamiltonian_from_spec(spec: HamiltonianSpec, modes: ModeCount) -> QuadraticHamiltonian:
     """Turn a declarative Hamiltonian spec into a QuadraticHamiltonian."""
     if spec.type == "constant":
-        return QuadraticHamiltonian.constant(spec.h, spec.f)
+        return QuadraticHamiltonian.constant(spec.h)
     if spec.type == "builtin":
         from .scenarios import builtin_hamiltonian
         return builtin_hamiltonian(spec.name, modes, **spec.params)

@@ -1,6 +1,6 @@
 """Symplectic dynamics generated by time-dependent quadratic Hamiltonians.
 
-The classical flow of H(t) = (1/2) h_ab(t) xi^a xi^b + f_a(t) xi^a is the
+The classical flow of H(t) = (1/2) h_ab(t) xi^a xi^b is the
 time-ordered exponential of K(t) = Omega h(t).  A Hamiltonian is either
 data or a callable:
 
@@ -17,10 +17,6 @@ data or a callable:
 estimator and the Fock oracle all run on it.  Each step is symplectic up
 to the accuracy of the exponential, and the defect |M Omega M^T - Omega|
 is monitored rather than silently projected away.
-
-The linear term f(t) only drives the displacement (dz/dt = K z + Omega f)
-and never enters covariances or entropies; it is propagated alongside when
-present.
 """
 
 import math
@@ -47,20 +43,17 @@ BREAKPOINT_SNAP = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
-    """Quadratic form h(t) plus optional linear term f(t).
+    """Quadratic form h(t).
 
-    ``h`` maps a time to the symmetric 2N x 2N coefficient matrix; ``f``
-    (optional) maps a time to a length-2N vector.  Piecewise-constant forms
-    are data instead: build them with :meth:`constant` or :meth:`piecewise`,
-    which fill ``pieces`` with ``(duration, form)`` pairs (repeated with
-    ``period``; a constant is one piece without a period) and derive ``h``
-    from them.  A linear term on piece data must be constant in time, as
-    :meth:`constant` makes it: step exponentials are reused across steps.
+    ``h`` maps a time to the symmetric 2N x 2N coefficient matrix.
+    Piecewise-constant forms are data instead: build them with
+    :meth:`constant` or :meth:`piecewise`, which fill ``pieces`` with
+    ``(duration, form)`` pairs (repeated with ``period``; a constant is one
+    piece without a period) and derive ``h`` from them.
     """
 
     h: Optional[Callable[[float], np.ndarray]]
     n_modes: int
-    f: Optional[Callable[[float], np.ndarray]] = None
     period: Optional[float] = None
     pieces: tuple = ()
     _starts: tuple = field(default=(), init=False, repr=False, compare=False)
@@ -74,8 +67,6 @@ class QuadraticHamiltonian:
             raise ValueError("a piecewise-constant form derives h from its pieces")
         if self.period is None and len(self.pieces) != 1:
             raise ValueError("several pieces need a period")
-        if self.period is not None and self.f is not None:
-            raise ValueError("a linear term needs a constant form or a callable h")
         dim = 2 * self.n_modes
         pieces = []
         for i, (duration, form) in enumerate(self.pieces):
@@ -96,15 +87,9 @@ class QuadraticHamiltonian:
         object.__setattr__(self, "h", self._piece_form)
 
     @classmethod
-    def constant(cls, h0, f0=None) -> "QuadraticHamiltonian":
+    def constant(cls, h0) -> "QuadraticHamiltonian":
         h0 = np.asarray(h0, dtype=float)
-        f_fun = None
-        if f0 is not None:
-            f0 = np.asarray(f0, dtype=float)
-            if f0.shape != (h0.shape[0],):
-                raise DimensionMismatch(f"linear term shape {f0.shape} vs form {h0.shape}")
-            f_fun = lambda t, _f=f0: _f
-        return cls(h=None, n_modes=h0.shape[0] // 2, f=f_fun, pieces=((math.inf, h0),))
+        return cls(h=None, n_modes=h0.shape[0] // 2, pieces=((math.inf, h0),))
 
     @classmethod
     def piecewise(cls, pieces, period: float) -> "QuadraticHamiltonian":
@@ -166,7 +151,6 @@ class PropagationResult:
     times: np.ndarray
     matrices: np.ndarray          # shape (n_samples, 2N, 2N)
     defects: np.ndarray
-    displacements: Optional[np.ndarray] = None
     dt: float = 0.0
     ham: Optional[QuadraticHamiltonian] = field(default=None, repr=False)
 
@@ -258,8 +242,7 @@ def step_loop(ham: QuadraticHamiltonian, t_final: float, n_steps: int, make=None
 
 
 def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
-              store_every: int = 1, defect_factor: float = DEFECT_FACTOR,
-              z0=None) -> PropagationResult:
+              store_every: int = 1, defect_factor: float = DEFECT_FACTOR) -> PropagationResult:
     """Time-ordered exponential over the steps of :func:`step_loop`.
 
     Parameters
@@ -270,7 +253,6 @@ def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
     store_every : keep every k-th step (plus t=0 and the final step).
     defect_factor : ceiling on the symplectic defect is
         ``defect_factor * (1 + max|M|^2)``; exceeding it raises StepTooLarge.
-    z0 : optional initial displacement, propagated when ``ham.f`` is set.
     """
     if dt <= 0 or t_final <= 0:
         raise ValueError("need dt > 0 and t_final > 0")
@@ -281,27 +263,13 @@ def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
     dim = 2 * ham.n_modes
     omega = standard_omega(ham.n_modes)
 
-    track_z = ham.f is not None or z0 is not None
-    z = np.zeros(dim) if z0 is None else np.asarray(z0, dtype=float).copy()
-    make = None
-    if track_z:
-        def make(length, t_mid):
-            k_mat = generator(ham, t_mid)
-            fvec = ham.f(t_mid) if ham.f is not None else np.zeros(dim)
-            return (expm(length * k_mat),
-                    _augmented_step(k_mat, omega @ np.asarray(fvec, float), length))
-
     m = np.eye(dim)
     times = [0.0]
     mats = [m.copy()]
     defects = [0.0]
-    zs = [z.copy()] if track_z else None
 
-    for k, t, factors in step_loop(ham, t_final, n_steps, make):
+    for k, t, factors in step_loop(ham, t_final, n_steps):
         for step in factors:
-            if track_z:
-                step, aug = step
-                z = aug[:dim, :dim] @ z + aug[:dim, dim]
             m = step @ m
 
         defect = _maxabs(m @ omega @ m.T - omega)
@@ -314,20 +282,10 @@ def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
             times.append(t)
             mats.append(m.copy())
             defects.append(defect)
-            if track_z:
-                zs.append(z.copy())
 
     return PropagationResult(
         times=np.array(times), matrices=np.array(mats), defects=np.array(defects),
-        displacements=np.array(zs) if track_z else None, dt=dt_eff, ham=ham)
-
-
-def _augmented_step(k_mat, drive, dt):
-    dim = k_mat.shape[0]
-    aug = np.zeros((dim + 1, dim + 1))
-    aug[:dim, :dim] = k_mat
-    aug[:dim, dim] = drive
-    return expm(dt * aug)
+        dt=dt_eff, ham=ham)
 
 
 def evolve_covariance(g0, m) -> np.ndarray:

@@ -11,7 +11,7 @@ than silently kept; unstable dynamics leaves any fixed cutoff eventually,
 so honest windows beat adaptive cutoff growth.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -82,7 +82,7 @@ def build_quadratures(cfg: FockConfig):
 
 
 def build_hamiltonian(ham: QuadraticHamiltonian, t: float, cfg: FockConfig) -> np.ndarray:
-    """Dense Hermitian operator (1/4) h_ab (xi^a xi^b + xi^b xi^a) + f_a xi^a.
+    """Dense Hermitian operator (1/4) h_ab (xi^a xi^b + xi^b xi^a).
 
     For symmetric h this equals (1/2) h_ab xi^a xi^b as an operator (the
     commutator term cancels against the antisymmetric form), but the
@@ -105,11 +105,6 @@ def build_hamiltonian(ham: QuadraticHamiltonian, t: float, cfg: FockConfig) -> n
                 acc += row[b] * xi[b]
         op += 0.5 * (xi[a] @ acc)
     op = 0.5 * (op + op.conj().T)
-    if ham.f is not None:
-        fvec = np.asarray(ham.f(t), dtype=float)
-        for a in range(2 * cfg.n_modes):
-            if fvec[a] != 0.0:
-                op += fvec[a] * xi[a]
     defect = np.max(np.abs(op - op.conj().T))
     if defect > 1e-12 * (1.0 + np.max(np.abs(op))):
         raise NonHermitian(f"operator failed hermiticity check (defect {defect:.3g})")
@@ -216,7 +211,6 @@ class FockTrajectory:
     states: list
     leaks: np.ndarray
     trusted: np.ndarray
-    config: FockConfig = field(repr=False, default=None)
 
     @property
     def trusted_until(self) -> float:
@@ -275,7 +269,7 @@ def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
             leaks.append(lk)
             trusted_flags.append(not leaked)
     return FockTrajectory(times=np.array(times), states=states, leaks=np.array(leaks),
-                          trusted=np.array(trusted_flags, dtype=bool), config=cfg)
+                          trusted=np.array(trusted_flags, dtype=bool))
 
 
 def _schmidt_values(state: FockState, modes_a):

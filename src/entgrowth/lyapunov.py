@@ -12,7 +12,8 @@ once lambda_1 * t exceeds about 30 (smallest resolvable singular value is
 Both report a convergence residual from halving the horizon.  Since the
 leading finite-horizon error decays like 1/t, the two-horizon data also
 yields a Richardson-refined estimate 2 L(t*) - L(t*/2), which is what the
-``exponents`` field carries by default (raw values are kept alongside).
+``exponents`` field of the pipeline's spectrum carries (raw values are kept
+alongside).
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,9 @@ from .dynamics import PropagationResult, QuadraticHamiltonian, polar_decompose, 
 from .errors import NotConverged, SingularM
 from .phase_space import _maxabs
 
+# steps between re-orthonormalizations of the QR frame
+REORTH_EVERY = 5
+
 
 @dataclass(frozen=True)
 class LyapunovData:
@@ -31,8 +35,8 @@ class LyapunovData:
 
     ``basis[i]`` is the dual-space direction associated with
     ``exponents[i]``; exponents are sorted descending.  ``exponents`` are
-    Richardson-refined when refinement was requested, ``raw_exponents``
-    always hold the plain horizon-t* estimate.
+    Richardson-refined unless ``spectrum_from_propagation`` was asked for
+    raw values; ``raw_exponents`` always hold the plain horizon-t* estimate.
     """
 
     exponents: np.ndarray
@@ -98,16 +102,15 @@ def spectrum_from_propagation(series: PropagationResult, residual_tol: Optional[
 
 
 def qr_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
-                reorth_every: int = 5, residual_tol: Optional[float] = None,
-                refine: bool = True) -> LyapunovData:
+                residual_tol: Optional[float] = None) -> LyapunovData:
     """Long-horizon spectrum by re-orthonormalized push-forward.
 
     Propagates an orthonormal frame over the same steps as
     :func:`~entgrowth.dynamics.propagate` (the shared
     :func:`~entgrowth.dynamics.step_loop`), QR-factorizing every
-    ``reorth_every`` steps and accumulating the log diagonal of R.  Never
+    ``REORTH_EVERY`` steps and accumulating the log diagonal of R.  Never
     forms M(t), so there is no overflow and no precision floor on
-    contracting directions.
+    contracting directions.  The exponents are Richardson-refined.
     """
     if dt <= 0 or t_star <= 0:
         raise ValueError("need dt > 0 and t_star > 0")
@@ -125,7 +128,7 @@ def qr_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
         for step in factors:
             acc = step @ acc
         pending += 1
-        if pending == reorth_every or k == n_steps or k == half_step:
+        if pending == REORTH_EVERY or k == n_steps or k == half_step:
             q, r = np.linalg.qr(acc @ q)
             diag = np.diag(r)
             q = q * np.sign(diag)
@@ -145,21 +148,21 @@ def qr_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
     lam_half = np.sort(lam_half)[::-1]
     basis = q[:, order].T
     residual = float(np.max(np.abs(raw - lam_half)))
-    exps = 2.0 * raw - lam_half if refine else raw
+    exps = 2.0 * raw - lam_half
     _check_residual(residual, exps, residual_tol)
     return LyapunovData(exponents=exps, basis=basis, horizon=t_star,
                         residual=residual, raw_exponents=raw, method="qr")
 
 
 def lyapunov_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
-                      residual_tol: Optional[float] = None, refine: bool = True) -> LyapunovData:
+                      residual_tol: Optional[float] = None) -> LyapunovData:
     """Estimate the Lyapunov spectrum of the flow of ``ham`` at horizon ``t_star``.
 
     The pipeline's Lyapunov stage: the QR push-forward of
     :func:`qr_spectrum` over steps of about ``dt``, with its residual from
     halving the horizon checked against ``residual_tol``.
     """
-    return qr_spectrum(ham, t_star, dt, residual_tol=residual_tol, refine=refine)
+    return qr_spectrum(ham, t_star, dt, residual_tol=residual_tol)
 
 
 def vector_exponent(series: PropagationResult, ell, residual_tol: Optional[float] = None):
@@ -246,19 +249,3 @@ def polar_factor_exponents(series: PropagationResult, residual_tol: Optional[flo
     return PolarExponentComparison(
         exponents_m=lam_m, exponents_t=lam_t, exponents_sqrt_t=lam_sqrt,
         max_dev_t=dev_t, max_dev_sqrt=dev_sqrt, residual=data.residual, tol=tol)
-
-
-def degenerate_clusters(exponents, gap: float = 1e-6):
-    """Group indices of (sorted) exponents into clusters separated by < gap.
-
-    Eigenvector directions inside a cluster are numerically arbitrary;
-    only cluster spans are meaningful to downstream column selection.
-    """
-    exponents = np.asarray(exponents, dtype=float)
-    clusters = [[0]]
-    for i in range(1, len(exponents)):
-        if exponents[i - 1] - exponents[i] < gap:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters

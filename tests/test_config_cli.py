@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -345,6 +346,13 @@ def test_readme_override_example_passes(capsys):
     assert cli.main(shlex.split(lines[0])[1:]) == 0, capsys.readouterr().out
 
 
+def test_readme_config_example_parses():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```json\n(.*?)```", readme.read_text(), re.S).group(1)
+    cfg = parse_config(block)
+    assert cfg.hamiltonian.name == "inverted_pair" and cfg.run.bound_times == (1.2, 12.0)
+
+
 def test_cli_oracle_command(tmp_path):
     doc = {
         "modes": {"total": 2, "subsystem": 1},
@@ -448,6 +456,45 @@ def test_bad_fock_state_rejected_at_parse(tmp_path, capsys, state, cutoff, field
     doc = _tms_doc(state)
     doc["initial_state"]["cutoff"] = cutoff
     with pytest.raises(ConfigError, match=field):
+        parse_config(json.dumps(doc))
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", str(cfg_path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+_EYE4 = matrix_to_json(np.eye(4))
+_PIECE = {"duration": 1.0, "h": _EYE4}
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("hamiltonian", {"type": "constant", "h": _EYE4, "f": [0.1, 0.0, 0.0, 0.0]}, "hamiltonian.f"),
+    ("hamiltonian", {"type": "builtin", "name": "inverted_pair", "nmae": "x"}, "hamiltonian.nmae"),
+    ("hamiltonian", {"type": "piecewise", "period": 2.0, "pieces": [_PIECE, {**_PIECE, "dur": 1.0}]},
+     "hamiltonian.pieces[1].dur"),
+    ("hamiltonian", {"type": "fourier", "base": _EYE4, "terms": [{"omega": 1.0, "cso": _EYE4}]},
+     "hamiltonian.terms[0].cso"),
+    ("hamiltonian", {"type": "builtin", "name": "inverted_pair", "params": {"kapa1": 1.0}},
+     "hamiltonian.params"),
+    ("hamiltonian", {"type": "builtin", "name": "parametric_drive", "params": {"t_on": 2.5}},
+     "hamiltonian.params"),
+    ("hamiltonian", {"type": "builtin", "name": "coupled_chain", "params": {"omega_sq": 5}},
+     "hamiltonian.params"),
+    ("modes", {"total": 2, "subsystem": 1, "sub": 1}, "modes.sub"),
+    ("initial_state", {"type": "gaussian", "covarience": "vacuum"}, "initial_state.covarience"),
+    ("initial_state", {"type": "gaussian", "covariance": {**_EYE4, "note": "x"}},
+     "initial_state.covariance.note"),
+    ("initial_state", {"type": "fock", "state": "fock:0,0", "cutoff": 12, "covariance": "vacuum"},
+     "initial_state.covariance"),
+    ("run", {"t_final": 2.0, "dt": 0.01, "store_evry": 5}, "run.store_evry"),
+    ("tolerances", {"leak_celing": 1e-3}, "tolerances.leak_celing"),
+    ("output", {"cvs": "out.csv"}, "output.cvs"),
+    ("bogus", 1, "bogus"),
+])
+def test_unknown_keys_and_bad_builtin_params_rejected_at_parse(tmp_path, capsys, key, value, field):
+    doc = json.loads(MINIMAL)
+    doc[key] = value
+    with pytest.raises(ConfigError, match=re.escape(field)):
         parse_config(json.dumps(doc))
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(doc))

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 from entgrowth.dynamics import (
+    DEFECT_FACTOR,
     PolarPair,
     QuadraticHamiltonian,
     evolve_covariance,
@@ -15,9 +19,10 @@ from entgrowth.dynamics import (
     stroboscopic_generator,
 )
 from entgrowth.errors import NoRealLogarithm, NonSymmetricH
-from entgrowth.phase_space import is_pure, standard_omega, williamson_spectrum
+from entgrowth.phase_space import ModeCount, is_pure, standard_omega, williamson_spectrum
 from entgrowth.sampling import random_symplectic
 from entgrowth.scenarios import metastable_form
+from entgrowth.ssa import squashed_bounds
 
 
 def test_generator_harmonic():
@@ -82,6 +87,30 @@ def test_propagate_symplectic_defect_monitored():
     for m in series.matrices:
         if np.linalg.cond(m) < 1e7:
             assert abs(np.linalg.det(m) - 1.0) < 1e-8
+
+
+@st.composite
+def constant_flows(draw):
+    """(h, t, dt, n_a): a symmetric form on 1-3 modes with |entries| <= 0.5 and t <= 3."""
+    n = draw(st.integers(1, 3))
+    a = draw(hnp.arrays(np.float64, (2 * n, 2 * n), elements=st.floats(-0.5, 0.5)))
+    n_a = draw(st.integers(1, n - 1)) if n > 1 else None
+    return 0.5 * (a + a.T), draw(st.floats(0.01, 3.0)), draw(st.floats(0.005, 0.5)), n_a
+
+
+@settings(max_examples=60, deadline=None)
+@given(constant_flows())
+def test_propagate_is_the_exponential_and_stays_symplectic(flow):
+    h, t, dt, n_a = flow
+    n = h.shape[0] // 2
+    series = propagate(QuadraticHamiltonian.constant(h), t, dt)
+    m = series.final_matrix
+    assert np.max(np.abs(m - expm(t * standard_omega(n) @ h))) <= 1e-10 * (1.0 + np.max(np.abs(m)))
+    norms = np.array([np.max(np.abs(mat)) for mat in series.matrices])
+    assert np.all(series.defects <= DEFECT_FACTOR * (1.0 + norms ** 2))
+    if n_a is not None:
+        lower, upper = squashed_bounds(polar_decompose(m).t_part, np.eye(2 * n), ModeCount(n, n_a))
+        assert lower <= upper
 
 
 def test_propagate_second_order_convergence():
@@ -177,21 +206,3 @@ def test_stroboscopic_generator_is_quadratic_form():
     k = stroboscopic_generator(m, 0.7)
     omega_k = standard_omega(2) @ k
     assert np.max(np.abs(omega_k - omega_k.T)) < 1e-8 * (1 + np.max(np.abs(omega_k)))
-
-
-def test_linear_term_shifts_displacement_not_covariance():
-    h = np.eye(2)
-    ham_f = QuadraticHamiltonian.constant(h, f0=[0.5, 0.0])
-    ham_0 = QuadraticHamiltonian.constant(h)
-    with_f = propagate(ham_f, 3.0, 1e-3, store_every=500)
-    without = propagate(ham_0, 3.0, 1e-3, store_every=500)
-    assert np.allclose(with_f.matrices, without.matrices, atol=1e-12)
-    assert with_f.displacements is not None
-    assert np.max(np.abs(with_f.displacements[-1])) > 0.1
-    # z(t) for the driven oscillator: compare against the augmented exponential
-    k = standard_omega(1) @ h
-    aug = np.zeros((3, 3))
-    aug[:2, :2] = k
-    aug[:2, 2] = standard_omega(1) @ np.array([0.5, 0.0])
-    z_exact = expm(3.0 * aug)[:2, 2]
-    assert np.allclose(with_f.displacements[-1], z_exact, atol=1e-8)

@@ -191,20 +191,6 @@ def test_cat_state_covariance_is_valid():
     assert g[0, 0] > 1.0                     # enlarged position variance
 
 
-def test_linear_term_does_not_change_entanglement():
-    cfg = FockConfig(n_modes=2, cutoff=14, dt=0.005, leak_ceiling=1e-4)
-    psi0 = FockState.fock((0, 0), 14)
-    plain = evolve_fock(psi0, TMS, 0.5, cfg, store_every=50)
-    driven_ham = QuadraticHamiltonian.constant(two_mode_squeezing_form(),
-                                               f0=[0.3, 0.0, 0.0, 0.0])
-    driven = evolve_fock(psi0, driven_ham, 0.5, cfg, store_every=50)
-    for s_plain, s_driven in zip(plain.states, driven.states):
-        assert abs(reduced_entropy(s_plain, (0,)) - reduced_entropy(s_driven, (0,))) < 1e-6
-    # while the displacement itself moves
-    _, z = covariance_of(driven.states[-1])
-    assert np.max(np.abs(z)) > 0.05
-
-
 def test_leak_flags_untrusted_tail():
     cfg = FockConfig(n_modes=2, cutoff=8, dt=0.01, leak_ceiling=1e-6)
     psi0 = FockState.fock((0, 0), 8)

@@ -6,7 +6,6 @@ import pytest
 from entgrowth.dynamics import QuadraticHamiltonian, propagate
 from entgrowth.errors import NotConverged
 from entgrowth.lyapunov import (
-    degenerate_clusters,
     limiting_matrix_estimate,
     lyapunov_spectrum,
     polar_factor_exponents,
@@ -172,8 +171,3 @@ def test_polar_factor_exponents_random_unstable():
     comp = polar_factor_exponents(series, residual_tol=np.inf)
     assert comp.max_dev_t <= comp.tol
     assert comp.max_dev_sqrt <= comp.tol
-
-
-def test_degenerate_clusters():
-    assert degenerate_clusters([1.0, 1.0 - 1e-9, 0.0, -1.0]) == [[0, 1], [2], [3]]
-    assert degenerate_clusters([2.0, 1.0, 0.5]) == [[0], [1], [2]]

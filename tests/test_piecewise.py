@@ -54,9 +54,6 @@ def test_pieces_are_checked_at_construction():
         QuadraticHamiltonian.piecewise([(2.5, np.eye(2)), (-0.5, np.eye(2))], 2.0)
     with pytest.raises(NonSymmetricH):
         QuadraticHamiltonian.constant(asym)
-    with pytest.raises(ValueError, match="linear term"):
-        QuadraticHamiltonian(None, 1, f=lambda t: np.array([t, 0.0]), period=2.0,
-                             pieces=((1.0, np.eye(2)), (1.0, np.eye(2))))
 
 
 def test_h_of_t_is_derived_from_the_pieces():
