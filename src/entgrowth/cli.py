@@ -25,7 +25,7 @@ import sys
 from .config import ScenarioConfig, parse_config, serialize_config
 from .errors import ConfigError
 from .reporting import RunReport
-from .scenarios import SCENARIO_NAMES, default_scenario, run_scenario, run_view
+from .scenarios import SCENARIO_NAMES, run_scenario, run_view, scenario_document
 
 
 def _load_config(path) -> ScenarioConfig:
@@ -87,16 +87,13 @@ def _cmd_scenario(args) -> int:
         for name in SCENARIO_NAMES:
             sys.stdout.write(name + "\n")
         return 0
-    cfg = default_scenario(args.name)
-    if args.override:
-        doc = json.loads(serialize_config(cfg))
-        for item in args.override:
-            key, _, value = item.partition("=")
-            if not _ or not key:
-                raise ConfigError(f"override must look like key=val, got {item!r}")
-            _apply_override(doc, key, value)
-        cfg = parse_config(json.dumps(doc))
-        cfg.scenario = args.name
+    doc = scenario_document(args.name)
+    for item in args.override:
+        key, sep, value = item.partition("=")
+        if not sep or not key:
+            raise ConfigError(f"override must look like key=val, got {item!r}")
+        _apply_override(doc, key, value)
+    cfg = parse_config(json.dumps(doc))
     _apply_output_flags(cfg, args)
     if args.print_config:
         sys.stdout.write(serialize_config(cfg))

@@ -12,8 +12,10 @@ Configs are single JSON documents with four sections::
       "output":      {"csv": ..., "report": ...}   # optional paths
     }
 
-A key a section does not define is a ConfigError naming its path (e.g.
-``run.store_evry``), as are builtin parameters the builtin rejects.
+Each value passes a reader that checks and converts it; the fields of
+``RunParams``, ``Tolerances`` and ``OutputSpec`` carry theirs.  An unknown
+key, a value its reader rejects and a Hamiltonian its constructor rejects
+are ConfigErrors naming the path (``run.store_evry``, ``hamiltonian.params``).
 
 Matrices are written row-major with explicit dimensions:
 ``{"rows": 4, "cols": 4, "data": [...16 numbers...]}``.  Serialization is
@@ -24,7 +26,8 @@ idempotent and configs hash stably.
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -32,7 +35,82 @@ import numpy as np
 from . import fock as fock_mod
 from .dynamics import QuadraticHamiltonian, sample_times
 from .errors import ConfigError
-from .phase_space import ModeCount
+from .phase_space import ModeCount, is_symmetric
+
+# readers: each checks one JSON value, returns it converted, and raises a
+# ConfigError naming the value's path when it does not fit
+
+
+def _number(value, path) -> float:
+    """A finite JSON number, as a float."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"expected a finite number, got {value!r}", path)
+    return float(value)
+
+
+def _positive(value, path) -> float:
+    number = _number(value, path)
+    if not number > 0:
+        raise ConfigError(f"must be positive, got {number:g}", path)
+    return number
+
+
+def _fraction(value, path) -> float:
+    """A number in (0, 1]."""
+    number = _positive(value, path)
+    if number > 1:
+        raise ConfigError(f"must be at most 1, got {number:g}", path)
+    return number
+
+
+def _integer(value, path) -> int:
+    """A JSON integer of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"expected an integer >= 1, got {value!r}", path)
+    return value
+
+
+def _string(value, path) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"expected a non-empty string, got {value!r}", path)
+    return value
+
+
+def _list(read):
+    """Reader of a JSON list whose items ``read`` reads; returns a tuple."""
+    def read_list(value, path):
+        if not isinstance(value, list):
+            raise ConfigError(f"expected a list, got {value!r}", path)
+        return tuple(read(item, f"{path}[{i}]") for i, item in enumerate(value))
+    return read_list
+
+
+def _window(value, path) -> tuple:
+    window = _list(_number)(value, path)
+    if len(window) != 2 or not window[0] < window[1]:
+        raise ConfigError("window must be [lo, hi] with lo < hi", path)
+    return window
+
+
+def _object(value, path, keys=None) -> dict:
+    """A JSON object; with ``keys``, a key outside them is an error naming its path."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"expected an object, got {value!r}", path)
+    for key in value if keys is not None else ():
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r}", f"{path}.{key}" if path else key)
+    return value
+
+
+def _get(obj, key, path, read, default=MISSING):
+    """``read`` applied to ``obj[key]``; ``default`` when the key is absent."""
+    sub = f"{path}.{key}" if path else key
+    if key in obj:
+        return read(obj[key], sub)
+    if default is MISSING:
+        raise ConfigError(f"missing key {key!r}", sub)
+    return default
 
 
 def matrix_to_json(a) -> dict:
@@ -42,13 +120,29 @@ def matrix_to_json(a) -> dict:
 
 
 def matrix_from_json(obj, fieldname) -> np.ndarray:
-    if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= set(obj):
-        raise ConfigError("matrix block needs rows/cols/data", fieldname)
-    _known_keys(obj, ("rows", "cols", "data"), fieldname)
-    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    _object(obj, fieldname, ("rows", "cols", "data"))
+    rows, cols = _get(obj, "rows", fieldname, _integer), _get(obj, "cols", fieldname, _integer)
+    data = _get(obj, "data", fieldname, _list(_number))
     if len(data) != rows * cols:
         raise ConfigError(f"expected {rows * cols} entries, got {len(data)}", fieldname)
     return np.array(data, dtype=float).reshape(rows, cols)
+
+
+def _form(dim):
+    """Reader of a symmetric dim x dim matrix block."""
+    def read_form(value, path):
+        mat = matrix_from_json(value, path)
+        if mat.shape != (dim, dim):
+            raise ConfigError(f"form is {mat.shape}, modes require {(dim, dim)}", path)
+        if not is_symmetric(mat):
+            raise ConfigError("matrix is not symmetric", path)
+        return mat
+    return read_form
+
+
+def _field(read, **default):
+    """A section field whose JSON value ``read`` checks and converts."""
+    return field(metadata={"read": read}, **default)
 
 
 @dataclass
@@ -75,30 +169,29 @@ class StateSpec:
 
 @dataclass
 class RunParams:
-    t_final: float
-    dt: float
-    store_every: int = 1
-    lyapunov_t_star: Optional[float] = None
-    lyapunov_dt: Optional[float] = None
-    window: Optional[tuple] = None
-    window_fraction: float = 0.75
-    bound_times: tuple = ()
-    seed: int = 0
+    t_final: float = _field(_positive)
+    dt: float = _field(_positive)
+    store_every: int = _field(_integer, default=1)
+    lyapunov_t_star: Optional[float] = _field(_positive, default=None)
+    lyapunov_dt: Optional[float] = _field(_positive, default=None)
+    window: Optional[tuple] = _field(_window, default=None)
+    window_fraction: float = _field(_fraction, default=0.75)
+    bound_times: tuple = _field(_list(_positive), default=())
 
 
 @dataclass
 class Tolerances:
-    residual_tol: Optional[float] = None
-    leak_ceiling: float = 1e-6
-    defect_factor: float = 1e-8
-    slope_rel_tol: float = 0.05
+    residual_tol: Optional[float] = _field(_positive, default=None)
+    leak_ceiling: float = _field(_positive, default=1e-6)
+    defect_factor: float = _field(_positive, default=1e-8)
+    slope_rel_tol: float = _field(_positive, default=0.05)
 
 
 @dataclass
 class OutputSpec:
-    csv: Optional[str] = None
-    report: Optional[str] = None
-    report_json: Optional[str] = None
+    csv: Optional[str] = _field(_string, default=None)
+    report: Optional[str] = _field(_string, default=None)
+    report_json: Optional[str] = _field(_string, default=None)
 
 
 @dataclass
@@ -112,31 +205,26 @@ class ScenarioConfig:
     scenario: Optional[str] = None
 
 
-def _need(obj, key, fieldname, types=None):
-    if key not in obj:
-        raise ConfigError(f"missing key {key!r}", fieldname)
-    val = obj[key]
-    if types is not None and not isinstance(val, types):
-        raise ConfigError(f"key {key!r} has wrong type {type(val).__name__}", fieldname)
-    return val
+def _parse_section(cls, value, path):
+    """A ``cls`` instance from its JSON object, each key read by its field's reader."""
+    obj = _object(value, path, [f.name for f in fields(cls)])
+    return cls(**{f.name: _get(obj, f.name, path, f.metadata["read"]) for f in fields(cls)
+                  if f.name in obj or f.default is MISSING})
 
 
-def _known_keys(obj, keys, fieldname=None):
-    """Reject the first key of ``obj`` outside ``keys``, naming it by its path."""
-    for key in obj:
-        if key not in keys:
-            raise ConfigError(f"unknown key {key!r}", f"{fieldname}.{key}" if fieldname else key)
+def _section_json(section) -> dict:
+    """The JSON object of a parsed section; unset (None or empty) fields are left out."""
+    values = ((f.name, getattr(section, f.name)) for f in fields(section))
+    return {name: list(value) if isinstance(value, tuple) else value
+            for name, value in values if value is not None and value != ()}
 
 
 _TOP_KEYS = ("scenario", "modes", "hamiltonian", "initial_state", "run", "tolerances", "output")
-_HAMILTONIAN_KEYS = {"constant": ("type", "h"), "builtin": ("type", "name", "params"),
-                     "piecewise": ("type", "period", "pieces"),
-                     "fourier": ("type", "base", "terms", "period")}
+# hamiltonian type -> its keys, the first being the data its constructor checks
+_HAMILTONIAN_KEYS = {"constant": ("h", "type"), "builtin": ("params", "type", "name"),
+                     "piecewise": ("pieces", "type", "period"),
+                     "fourier": ("terms", "type", "base", "period")}
 _STATE_KEYS = {"gaussian": ("type", "covariance"), "fock": ("type", "state", "cutoff")}
-
-
-def _field_names(cls):
-    return {f.name for f in fields(cls)}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -147,107 +235,79 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("top level must be an object")
-    _known_keys(doc, _TOP_KEYS)
+    _object(doc, None, _TOP_KEYS)
 
-    modes_obj = _need(doc, "modes", "modes", dict)
-    _known_keys(modes_obj, ("total", "subsystem"), "modes")
+    modes_obj = _object(_get(doc, "modes", None, _object), "modes", ("total", "subsystem"))
+    n_total = _get(modes_obj, "total", "modes", _integer)
+    n_a = _get(modes_obj, "subsystem", "modes", _integer)
     try:
-        modes = ModeCount(n_total=int(_need(modes_obj, "total", "modes.total")),
-                          n_a=int(_need(modes_obj, "subsystem", "modes.subsystem")))
+        modes = ModeCount(n_total=n_total, n_a=n_a)
     except ValueError as exc:
         raise ConfigError(str(exc), "modes") from exc
 
-    ham_obj = _need(doc, "hamiltonian", "hamiltonian", dict)
-    ham = _parse_hamiltonian(ham_obj, modes)
-
-    state_obj = _need(doc, "initial_state", "initial_state", dict)
-    state = _parse_state(state_obj, modes)
-
-    run_obj = _need(doc, "run", "run", dict)
-    run = _parse_run(run_obj)
-
-    tol_obj = doc.get("tolerances", {})
-    _known_keys(tol_obj, _field_names(Tolerances), "tolerances")
-    out_obj = doc.get("output", {})
-    _known_keys(out_obj, _field_names(OutputSpec), "output")
-
-    return ScenarioConfig(modes=modes, hamiltonian=ham, initial_state=state, run=run,
-                          tolerances=Tolerances(**tol_obj), output=OutputSpec(**out_obj),
-                          scenario=doc.get("scenario"))
+    return ScenarioConfig(
+        modes=modes,
+        hamiltonian=_parse_hamiltonian(_get(doc, "hamiltonian", None, _object), modes),
+        initial_state=_parse_state(_get(doc, "initial_state", None, _object), modes),
+        run=_check_run(_parse_section(RunParams, _get(doc, "run", None, _object), "run")),
+        tolerances=_parse_section(Tolerances, doc.get("tolerances", {}), "tolerances"),
+        output=_parse_section(OutputSpec, doc.get("output", {}), "output"),
+        scenario=_get(doc, "scenario", None, _string, None))
 
 
 def _parse_hamiltonian(obj, modes: ModeCount) -> HamiltonianSpec:
-    kind = _need(obj, "type", "hamiltonian.type", str)
+    path = "hamiltonian"
+    kind = _get(obj, "type", path, _string)
     if kind not in _HAMILTONIAN_KEYS:
         raise ConfigError(f"unknown hamiltonian type {kind!r}", "hamiltonian.type")
-    _known_keys(obj, _HAMILTONIAN_KEYS[kind], "hamiltonian")
-    dim = 2 * modes.n_total
+    _object(obj, path, _HAMILTONIAN_KEYS[kind])
+    form = _form(2 * modes.n_total)
     if kind == "constant":
-        h = matrix_from_json(_need(obj, "h", "hamiltonian.h"), "hamiltonian.h")
-        if h.shape != (dim, dim):
-            raise ConfigError(f"form is {h.shape}, modes require {(dim, dim)}", "hamiltonian.h")
-        return HamiltonianSpec(type="constant", h=h)
-    if kind == "builtin":
-        spec = HamiltonianSpec(type="builtin", name=_need(obj, "name", "hamiltonian.name", str),
-                               params=obj.get("params", {}))
-        try:
-            # the builtin's own signature and checks decide which parameters are valid
-            build_hamiltonian_from_spec(spec, modes)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{spec.name}: {exc}", "hamiltonian.params") from exc
-        return spec
-    if kind == "piecewise":
-        period = float(_need(obj, "period", "hamiltonian.period"))
-        pieces = []
-        for i, piece in enumerate(_need(obj, "pieces", "hamiltonian.pieces", list)):
-            _known_keys(piece, ("duration", "h"), f"hamiltonian.pieces[{i}]")
-            dur = float(_need(piece, "duration", f"hamiltonian.pieces[{i}].duration"))
-            if not dur > 0:
-                raise ConfigError("piece duration must be positive",
-                                  f"hamiltonian.pieces[{i}].duration")
-            mat = matrix_from_json(_need(piece, "h", f"hamiltonian.pieces[{i}].h"),
-                                   f"hamiltonian.pieces[{i}].h")
-            if mat.shape != (dim, dim):
-                raise ConfigError(f"piece form is {mat.shape}", f"hamiltonian.pieces[{i}].h")
-            pieces.append((dur, mat))
-        total = sum(d for d, _ in pieces)
-        if abs(total - period) > 1e-9 * max(1.0, period):
-            raise ConfigError(f"piece durations sum to {total}, period is {period}",
-                              "hamiltonian.pieces")
-        return HamiltonianSpec(type="piecewise", period=period, pieces=pieces)
-    if kind == "fourier":
-        base = matrix_from_json(_need(obj, "base", "hamiltonian.base"), "hamiltonian.base")
-        terms = []
-        for i, term in enumerate(obj.get("terms", [])):
-            _known_keys(term, ("omega", "cos", "sin"), f"hamiltonian.terms[{i}]")
-            entry = {"omega": float(_need(term, "omega", f"hamiltonian.terms[{i}].omega"))}
-            for part in ("cos", "sin"):
-                entry[part] = (matrix_from_json(term[part], f"hamiltonian.terms[{i}].{part}")
-                               if part in term else None)
-            terms.append(entry)
-        period = obj.get("period")
-        return HamiltonianSpec(type="fourier", base=base, terms=terms,
-                               period=float(period) if period else None)
+        spec = HamiltonianSpec(type=kind, h=_get(obj, "h", path, form))
+    elif kind == "builtin":
+        spec = HamiltonianSpec(type=kind, name=_get(obj, "name", path, _string),
+                               params=_get(obj, "params", path, _object, {}))
+    elif kind == "piecewise":
+        def piece(value, p):
+            _object(value, p, ("duration", "h"))
+            return _get(value, "duration", p, _positive), _get(value, "h", p, form)
+
+        spec = HamiltonianSpec(type=kind, period=_get(obj, "period", path, _positive),
+                               pieces=list(_get(obj, "pieces", path, _list(piece))))
+    else:
+        def term(value, p):
+            _object(value, p, ("omega", "cos", "sin"))
+            return {"omega": _get(value, "omega", p, _number),
+                    "cos": _get(value, "cos", p, form, None),
+                    "sin": _get(value, "sin", p, form, None)}
+
+        spec = HamiltonianSpec(type=kind, base=_get(obj, "base", path, form),
+                               terms=list(_get(obj, "terms", path, _list(term), ())),
+                               period=_get(obj, "period", path, _positive, None))
+    try:
+        # the constructors' own checks decide what else is valid: durations
+        # summing to the period, the builtin's parameters and mode count
+        build_hamiltonian_from_spec(spec, modes)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{spec.name or kind}: {exc}",
+                          f"{path}.{_HAMILTONIAN_KEYS[kind][0]}") from exc
+    return spec
 
 
 def _parse_state(obj, modes: ModeCount) -> StateSpec:
-    kind = _need(obj, "type", "initial_state.type", str)
+    path = "initial_state"
+    kind = _get(obj, "type", path, _string)
     if kind not in _STATE_KEYS:
         raise ConfigError(f"unknown state type {kind!r}", "initial_state.type")
-    _known_keys(obj, _STATE_KEYS[kind], "initial_state")
+    _object(obj, path, _STATE_KEYS[kind])
     if kind == "gaussian":
-        cov = obj.get("covariance")
-        if cov is not None and cov != "vacuum":
-            cov = matrix_from_json(cov, "initial_state.covariance")
-            if cov.shape != (2 * modes.n_total,) * 2:
-                raise ConfigError(f"covariance is {cov.shape}", "initial_state.covariance")
-        else:
-            cov = None
-        return StateSpec(type="gaussian", covariance=cov)
-    spec = StateSpec(type="fock", state=_need(obj, "state", "initial_state.state", str),
-                     cutoff=_need(obj, "cutoff", "initial_state.cutoff", int))
+        cov = obj.get("covariance", "vacuum")
+        return StateSpec(type=kind, covariance=None if cov == "vacuum" else
+                         _get(obj, "covariance", path, _form(2 * modes.n_total)))
+    spec = StateSpec(type=kind, state=_get(obj, "state", path, _string),
+                     cutoff=_get(obj, "cutoff", path, _integer))
     _parse_fock_state(spec, modes.n_total)
     return spec
 
@@ -292,47 +352,20 @@ def _parse_fock_state(spec: StateSpec, n_modes: int) -> "fock_mod.FockState":
     raise ConfigError(f"unknown state kind {kind!r}", "initial_state.state")
 
 
-def _parse_run(obj) -> RunParams:
-    _known_keys(obj, _field_names(RunParams), "run")
-    run = RunParams(t_final=float(_need(obj, "t_final", "run.t_final")),
-                    dt=float(_need(obj, "dt", "run.dt")))
-    if run.t_final <= 0 or run.dt <= 0:
-        raise ConfigError("t_final and dt must be positive", "run")
-    run.store_every = int(obj.get("store_every", 1))
-    if run.store_every < 1:
-        raise ConfigError("store_every must be >= 1", "run.store_every")
-    if "lyapunov_t_star" in obj:
-        run.lyapunov_t_star = float(obj["lyapunov_t_star"])
-    if "lyapunov_dt" in obj:
-        run.lyapunov_dt = float(obj["lyapunov_dt"])
-    if obj.get("window") is not None:
-        window = obj["window"]
-        if len(window) != 2 or window[0] >= window[1]:
-            raise ConfigError("window must be [lo, hi] with lo < hi", "run.window")
-        run.window = (float(window[0]), float(window[1]))
+def _check_run(run: RunParams) -> RunParams:
+    """The rules that tie run fields to each other, applied before any propagation."""
     if run.window is not None and run.window[0] >= run.t_final:
         raise ConfigError(f"window starts at {run.window[0]:g}, not before t_final "
                           f"{run.t_final:g}", "run.window")
-    run.window_fraction = float(obj.get("window_fraction", 0.75))
-    run.bound_times = tuple(float(t) for t in obj.get("bound_times", ()))
-    _check_bound_times(run)
-    run.seed = int(obj.get("seed", 0))
-    return run
-
-
-def _check_bound_times(run: RunParams):
-    # the same rule as scenarios.bound_matrices, applied before any propagation
-    if not run.bound_times:
-        return
-    stored = sample_times(run.t_final, run.dt, run.store_every)
+    # the same rule as scenarios.bound_matrices; it also rejects times past
+    # t_final, while the last stored time may exceed t_final by roundoff
+    stored = sample_times(run.t_final, run.dt, run.store_every) if run.bound_times else ()
     for t in run.bound_times:
-        if not 0.0 < t <= run.t_final:
-            raise ConfigError(f"bound time {t:g} is outside (0, t_final={run.t_final:g}]",
-                              "run.bound_times")
         nearest = stored[np.argmin(np.abs(stored - t))]
         if abs(nearest - t) > 1e-9 * (1.0 + abs(t)):
             raise ConfigError(f"bound time {t:g} is not a stored sample time "
                               f"(nearest {nearest:.17g})", "run.bound_times")
+    return run
 
 
 def config_to_json_dict(cfg: ScenarioConfig) -> dict:
@@ -365,31 +398,12 @@ def config_to_json_dict(cfg: ScenarioConfig) -> dict:
         state_obj["state"] = state.state
         state_obj["cutoff"] = state.cutoff
 
-    run = cfg.run
-    run_obj = {"t_final": run.t_final, "dt": run.dt, "store_every": run.store_every,
-               "window_fraction": run.window_fraction, "seed": run.seed}
-    if run.lyapunov_t_star is not None:
-        run_obj["lyapunov_t_star"] = run.lyapunov_t_star
-    if run.lyapunov_dt is not None:
-        run_obj["lyapunov_dt"] = run.lyapunov_dt
-    if run.window is not None:
-        run_obj["window"] = list(run.window)
-    if run.bound_times:
-        run_obj["bound_times"] = list(run.bound_times)
-
-    tol = cfg.tolerances
-    tol_obj = {"leak_ceiling": tol.leak_ceiling, "defect_factor": tol.defect_factor,
-               "slope_rel_tol": tol.slope_rel_tol}
-    if tol.residual_tol is not None:
-        tol_obj["residual_tol"] = tol.residual_tol
-
     doc = {"modes": {"total": cfg.modes.n_total, "subsystem": cfg.modes.n_a},
-           "hamiltonian": ham_obj, "initial_state": state_obj, "run": run_obj,
-           "tolerances": tol_obj}
+           "hamiltonian": ham_obj, "initial_state": state_obj,
+           "run": _section_json(cfg.run), "tolerances": _section_json(cfg.tolerances)}
     if cfg.scenario:
         doc["scenario"] = cfg.scenario
-    out = {k: v for k, v in (("csv", cfg.output.csv), ("report", cfg.output.report),
-                             ("report_json", cfg.output.report_json)) if v}
+    out = _section_json(cfg.output)
     if out:
         doc["output"] = out
     return doc

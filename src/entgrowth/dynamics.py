@@ -152,7 +152,6 @@ class PropagationResult:
     matrices: np.ndarray          # shape (n_samples, 2N, 2N)
     defects: np.ndarray
     dt: float = 0.0
-    ham: Optional[QuadraticHamiltonian] = field(default=None, repr=False)
 
     @property
     def t_final(self) -> float:
@@ -285,7 +284,7 @@ def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
 
     return PropagationResult(
         times=np.array(times), matrices=np.array(mats), defects=np.array(defects),
-        dt=dt_eff, ham=ham)
+        dt=dt_eff)
 
 
 def evolve_covariance(g0, m) -> np.ndarray:

@@ -12,20 +12,19 @@ one result needs (the CLI's ``lyapunov``, ``exponent`` and ``bounds-check``),
 through the same stage functions and the same error handling.
 """
 
+import copy
+import json
 import math
 
 import numpy as np
 
 from . import fock as fock_mod
 from .config import (
-    HamiltonianSpec,
-    RunParams,
     ScenarioConfig,
-    StateSpec,
-    Tolerances,
     _parse_fock_state,
     build_hamiltonian_from_spec,
     config_hash,
+    parse_config,
 )
 from .dynamics import (
     QuadraticHamiltonian,
@@ -122,31 +121,31 @@ def parametric_drive_hamiltonian(omega_on=1.0, kappa=1.0, t_on=0.6, period=2.2,
     return QuadraticHamiltonian.piecewise([(t_on, h_on), (period - t_on, h_off)], period)
 
 
+def _constant(form):
+    """Factory of the constant Hamiltonian whose form ``form(**params)`` builds."""
+    return lambda **params: QuadraticHamiltonian.constant(form(**params))
+
+
+# builtin name -> factory taking the builtin's params
+_BUILTINS = {"inverted_pair": _constant(inverted_pair_form),
+             "coupled_chain": _constant(coupled_chain_form),
+             "metastable": _constant(metastable_form),
+             "two_mode_squeezing": _constant(two_mode_squeezing_form),
+             "parametric_drive": parametric_drive_hamiltonian}
+
+
 def builtin_hamiltonian(name: str, modes: ModeCount, **params) -> QuadraticHamiltonian:
     """Resolve a builtin Hamiltonian name from a config."""
-    if name == "inverted_pair":
-        if modes.n_total != 2:
-            raise ConfigError("inverted_pair needs 2 modes", "modes.total")
-        return QuadraticHamiltonian.constant(inverted_pair_form(**params))
-    if name == "coupled_chain":
-        form = coupled_chain_form(**params)
-        if form.shape[0] != 2 * modes.n_total:
-            raise ConfigError(f"chain has {form.shape[0] // 2} modes, config says {modes.n_total}",
-                              "modes.total")
-        return QuadraticHamiltonian.constant(form)
-    if name == "metastable":
-        if modes.n_total != 2:
-            raise ConfigError("metastable model has 2 modes", "modes.total")
-        return QuadraticHamiltonian.constant(metastable_form())
-    if name == "two_mode_squeezing":
-        if modes.n_total != 2:
-            raise ConfigError("two_mode_squeezing needs 2 modes", "modes.total")
-        return QuadraticHamiltonian.constant(two_mode_squeezing_form(**params))
-    if name == "parametric_drive":
-        if modes.n_total != 2:
-            raise ConfigError("parametric_drive needs 2 modes", "modes.total")
-        return parametric_drive_hamiltonian(**params)
-    raise ConfigError(f"unknown builtin hamiltonian {name!r}", "hamiltonian.name")
+    if name not in _BUILTINS:
+        raise ConfigError(f"unknown builtin hamiltonian {name!r}", "hamiltonian.name")
+    ham = _BUILTINS[name](**params)
+    if ham.n_modes != modes.n_total:
+        raise ConfigError(f"{name} has {ham.n_modes} modes, config says {modes.n_total}",
+                          "modes.total")
+    return ham
+
+
+CLASSICAL_EPS = 0.05   # standard deviation of the sheared pair's second Gaussian
 
 
 def classical_counterexample_mi(t: float, eps: float) -> float:
@@ -164,60 +163,58 @@ def classical_counterexample_mi(t: float, eps: float) -> float:
 # ---------------------------------------------------------------------------
 # scenario registry
 
-def _gaussian_scenario(name, ham_spec, n_total, n_a, t_final, dt, store_every,
-                       lyap_t=None, lyap_dt=None, bound_times=(), residual_tol=0.05,
-                       window=None):
-    return ScenarioConfig(
-        scenario=name,
-        modes=ModeCount(n_total, n_a),
-        hamiltonian=ham_spec,
-        initial_state=StateSpec(type="gaussian"),
-        run=RunParams(t_final=t_final, dt=dt, store_every=store_every,
-                      lyapunov_t_star=lyap_t, lyapunov_dt=lyap_dt,
-                      bound_times=bound_times, window=window),
-        tolerances=Tolerances(residual_tol=residual_tol))
+# builtin scenario -> its config document, less the "scenario" tag and the
+# vacuum initial state that every builtin shares
+_SCENARIOS = {
+    "inverted_pair": {
+        "modes": {"total": 2, "subsystem": 1},
+        "hamiltonian": {"type": "builtin", "name": "inverted_pair"},
+        "run": {"t_final": 24.0, "dt": 0.002, "store_every": 60,
+                "lyapunov_t_star": 120.0, "lyapunov_dt": 0.01},
+        "tolerances": {"residual_tol": 0.05}},
+    "coupled_chain": {
+        "modes": {"total": 4, "subsystem": 1},
+        "hamiltonian": {"type": "builtin", "name": "coupled_chain"},
+        "run": {"t_final": 24.0, "dt": 0.002, "store_every": 60,
+                "lyapunov_t_star": 120.0, "lyapunov_dt": 0.01},
+        "tolerances": {"residual_tol": 0.05}},
+    "metastable": {
+        "modes": {"total": 2, "subsystem": 1},
+        "hamiltonian": {"type": "builtin", "name": "metastable"},
+        "run": {"t_final": 1000.0, "dt": 0.25, "store_every": 4,
+                "lyapunov_t_star": 1000.0, "lyapunov_dt": 0.25,
+                "bound_times": [1.0, 10.0, 100.0, 1000.0], "window": [100.0, 1000.0]},
+        "tolerances": {"residual_tol": 0.05}},
+    # period 2.2, horizon capped at 8 periods so the restricted determinants
+    # stay conditioned: the A block mixes e^{+2 lambda t} with a bounded
+    # direction of size ~ 6e-3, and the small Cholesky pivot drowns past ~9
+    # periods
+    "parametric_drive": {
+        "modes": {"total": 2, "subsystem": 1},
+        "hamiltonian": {"type": "builtin", "name": "parametric_drive"},
+        "run": {"t_final": 17.6, "dt": 0.01, "store_every": 220,
+                "lyapunov_t_star": 132.0, "lyapunov_dt": 0.01},
+        "tolerances": {"residual_tol": 0.05}},
+    # closed form: the pipeline never evolves this placeholder Hamiltonian
+    "classical_counterexample": {
+        "modes": {"total": 2, "subsystem": 1},
+        "hamiltonian": {"type": "builtin", "name": "metastable"},
+        "run": {"t_final": 1e4, "dt": 1.0}},
+}
+
+SCENARIO_NAMES = tuple(_SCENARIOS)
+
+
+def scenario_document(name: str) -> dict:
+    """A fresh copy of a builtin scenario's config document."""
+    if name not in _SCENARIOS:
+        raise ConfigError(f"unknown scenario {name!r}", "scenario")
+    return {"scenario": name, "initial_state": {"type": "gaussian", "covariance": "vacuum"},
+            **copy.deepcopy(_SCENARIOS[name])}
 
 
 def default_scenario(name: str) -> ScenarioConfig:
-    if name == "inverted_pair":
-        return _gaussian_scenario(
-            name, HamiltonianSpec(type="builtin", name="inverted_pair"),
-            n_total=2, n_a=1, t_final=24.0, dt=0.002, store_every=60,
-            lyap_t=120.0, lyap_dt=0.01)
-    if name == "coupled_chain":
-        return _gaussian_scenario(
-            name, HamiltonianSpec(type="builtin", name="coupled_chain"),
-            n_total=4, n_a=1, t_final=24.0, dt=0.002, store_every=60,
-            lyap_t=120.0, lyap_dt=0.01)
-    if name == "metastable":
-        cfg = _gaussian_scenario(
-            name, HamiltonianSpec(type="builtin", name="metastable"),
-            n_total=2, n_a=1, t_final=1000.0, dt=0.25, store_every=4,
-            lyap_t=1000.0, lyap_dt=0.25, bound_times=(1.0, 10.0, 100.0, 1000.0),
-            window=(100.0, 1000.0))
-        return cfg
-    if name == "parametric_drive":
-        # horizon capped so the restricted determinants stay conditioned:
-        # the A block mixes e^{+2 lambda t} with a bounded direction of
-        # size ~ 6e-3, and the small Cholesky pivot drowns past ~9 periods
-        period = 2.2
-        return _gaussian_scenario(
-            name, HamiltonianSpec(type="builtin", name="parametric_drive"),
-            n_total=2, n_a=1, t_final=8 * period, dt=period / 220.0,
-            store_every=220, lyap_t=60 * period, lyap_dt=period / 220.0)
-    if name == "classical_counterexample":
-        return ScenarioConfig(
-            scenario=name,
-            modes=ModeCount(2, 1),
-            hamiltonian=HamiltonianSpec(type="builtin", name="metastable"),  # unused
-            initial_state=StateSpec(type="gaussian"),
-            run=RunParams(t_final=1e4, dt=1.0, store_every=1),
-            tolerances=Tolerances())
-    raise ConfigError(f"unknown scenario {name!r}", "scenario")
-
-
-SCENARIO_NAMES = ("inverted_pair", "coupled_chain", "metastable",
-                  "parametric_drive", "classical_counterexample")
+    return parse_config(json.dumps(scenario_document(name)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +331,7 @@ def _write_outputs(cfg, report):
 
 
 def _run_classical(cfg, report):
-    eps = float(cfg.hamiltonian.params.get("eps", 0.05)) if cfg.hamiltonian.params else 0.05
+    eps = CLASSICAL_EPS
     t_grid = np.geomspace(1.0 / eps, cfg.run.t_final / eps, 120)
     mi = np.array([classical_counterexample_mi(t, eps) for t in t_grid])
     mask = t_grid * eps >= 100.0

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .entropy import LN_E_OVER_2, logdet_pd
+from .entropy import LN_E_OVER_2, asymptotic_entropy, logdet_pd, mutual_information_asymptotic
 from .errors import DimensionMismatch, NotDarboux, NotPositiveDefinite
 from .phase_space import (
     FORM_TOL,
@@ -86,22 +86,17 @@ class SubsystemFamily:
                    n_total=split.n_total)
 
 
-def _sas(g) -> float:
-    n = g.shape[0] // 2
-    return 0.5 * logdet_pd(g) + n * LN_E_OVER_2
-
-
 def gss_objective(g, fam: SubsystemFamily) -> float:
     """S_as(G) - sum_i p_i S_as(F_i G F_i^T); the quantity the supremum runs over."""
     g = np.asarray(g, dtype=float)
     if g.shape != (2 * fam.n_total, 2 * fam.n_total):
         raise DimensionMismatch(f"matrix shape {g.shape} vs family on {fam.n_total} modes")
-    total = _sas(g)
+    total = asymptotic_entropy(g)
     for f, p in fam.members:
         if p == 0.0:
             continue
         block = f @ g @ f.T
-        total -= p * _sas(0.5 * (block + block.T))
+        total -= p * asymptotic_entropy(0.5 * (block + block.T))
     return total
 
 
@@ -143,13 +138,10 @@ class BoundReport:
         return f"stopped before converging: {self.stop_reason}"
 
 
-def _mutual_info_as(g, k):
-    return 0.5 * (logdet_pd(g[:k, :k]) + logdet_pd(g[k:, k:]) - logdet_pd(g))
-
-
-def _rhs_objective(m, k):
+def _rhs_objective(m, split: ModeCount):
     def objective(g):
-        return _mutual_info_as(g, k) + _mutual_info_as(m @ g @ m.T, k)
+        return (mutual_information_asymptotic(g, split)
+                + mutual_information_asymptotic(m @ g @ m.T, split))
     return objective
 
 

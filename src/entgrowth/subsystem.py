@@ -21,10 +21,10 @@ import numpy as np
 
 from .dynamics import PropagationResult, QuadraticHamiltonian, propagate
 from .entropy import logdet_pd
-from .errors import DimensionMismatch, NotConverged, NotDarboux, RankDeficient
+from .errors import DimensionMismatch, NotConverged, RankDeficient
 from .fitting import SlopeFit, fit_slope, windowed
 from .lyapunov import LyapunovData
-from .phase_space import FORM_TOL, SubsystemSpec, _maxabs, standard_omega
+from .phase_space import SubsystemSpec
 
 
 @dataclass(frozen=True)
@@ -32,15 +32,13 @@ class ExponentReport:
     """Subsystem exponent with selection diagnostics.
 
     ``indices`` maps selection rank to Lyapunov index (0-based, strictly
-    increasing); ``margins`` holds each column's independence margin from
-    the greedy scan.  For the volumetric method ``stderr`` and ``window``
+    increasing).  For the volumetric method ``stderr`` and ``window``
     describe the slope fit instead.
     """
 
     lambda_a: float
     method: str
     indices: Optional[tuple] = None
-    margins: Optional[np.ndarray] = None
     generic_lambda: Optional[float] = None
     generic_agrees: Optional[bool] = None
     stderr: Optional[float] = None
@@ -48,14 +46,8 @@ class ExponentReport:
 
 
 def darboux_rows(sub: SubsystemSpec) -> np.ndarray:
-    """Row set spanning the subsystem dual space, checked against the form."""
-    theta = np.asarray(sub.selector, dtype=float)
-    omega_full = standard_omega(theta.shape[1] // 2)
-    omega_sub = standard_omega(theta.shape[0] // 2)
-    defect = _maxabs(theta @ omega_full @ theta.T - omega_sub)
-    if defect > FORM_TOL * (1.0 + _maxabs(theta) ** 2):
-        raise NotDarboux(f"rows do not form a Darboux set (defect {defect:.3g})")
-    return theta
+    """Row set spanning the subsystem dual space (``SubsystemSpec`` checks it is Darboux)."""
+    return sub.selector
 
 
 def expansion_matrix(theta, lyap: LyapunovData) -> np.ndarray:
@@ -112,13 +104,13 @@ def subsystem_exponent_algebraic(sub: SubsystemSpec, lyap: LyapunovData,
     """
     theta = darboux_rows(sub)
     f = expansion_matrix(theta, lyap)
-    indices, margins = select_columns(f, tol_rel=tol_rel)
+    indices, _ = select_columns(f, tol_rel=tol_rel)
     lam = lyap.exponents
     value = float(np.sum(lam[list(indices)]))
     generic = float(np.sum(lam[:len(indices)]))
     agrees = bool(abs(value - generic) <= max(1e-9, 2.0 * lyap.residual))
     return ExponentReport(lambda_a=value, method="algebraic", indices=tuple(indices),
-                          margins=margins, generic_lambda=generic, generic_agrees=agrees)
+                          generic_lambda=generic, generic_agrees=agrees)
 
 
 def restricted_log_volume(sub: SubsystemSpec, m, g0) -> float:

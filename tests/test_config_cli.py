@@ -1,5 +1,6 @@
 """Config parsing round-trips, CSV determinism, CLI surface."""
 
+import dataclasses
 import json
 import pathlib
 import re
@@ -9,9 +10,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entgrowth import cli
 from entgrowth.config import (
+    OutputSpec,
+    RunParams,
+    Tolerances,
     config_hash,
     matrix_from_json,
     matrix_to_json,
@@ -20,8 +26,14 @@ from entgrowth.config import (
 )
 from entgrowth.errors import ConfigError
 from entgrowth.reporting import CSV_COLUMNS
-from entgrowth.dynamics import QuadraticHamiltonian, propagate
-from entgrowth.scenarios import bound_matrices, default_scenario, metastable_form, run_scenario
+from entgrowth.dynamics import QuadraticHamiltonian, propagate, sample_times
+from entgrowth.scenarios import (
+    SCENARIO_NAMES,
+    bound_matrices,
+    default_scenario,
+    metastable_form,
+    run_scenario,
+)
 
 MINIMAL = """
 {
@@ -46,7 +58,7 @@ def test_serialize_parse_idempotent():
     text1 = serialize_config(cfg)
     text2 = serialize_config(parse_config(text1))
     assert text1 == text2
-    for name in ("inverted_pair", "metastable", "parametric_drive", "coupled_chain"):
+    for name in SCENARIO_NAMES:
         cfg = default_scenario(name)
         text1 = serialize_config(cfg)
         text2 = serialize_config(parse_config(text1))
@@ -490,6 +502,8 @@ _PIECE = {"duration": 1.0, "h": _EYE4}
     ("tolerances", {"leak_celing": 1e-3}, "tolerances.leak_celing"),
     ("output", {"cvs": "out.csv"}, "output.cvs"),
     ("bogus", 1, "bogus"),
+    ("hamiltonian", {"type": "builtin", "name": "metastable", "params": {"kapa": 1}},
+     "hamiltonian.params"),
 ])
 def test_unknown_keys_and_bad_builtin_params_rejected_at_parse(tmp_path, capsys, key, value, field):
     doc = json.loads(MINIMAL)
@@ -513,3 +527,108 @@ def test_stage_commands_reject_file_flags(tmp_path, capsys, command, flag):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+def _ham(kind, **keys):
+    return json.dumps({"type": kind, **keys})
+
+
+_SKEW4 = {"rows": 4, "cols": 4, "data": list((np.eye(4) + np.triu(np.ones((4, 4)), 1)).ravel())}
+
+
+# (dotted key, JSON text of its new value, path the error must name); one
+# case or more per reader
+@pytest.mark.parametrize("key, value, field", [
+    ("tolerances.slope_rel_tol", '"0.1"', "tolerances.slope_rel_tol"),
+    ("run.window", "5", "run.window"),
+    ("run.window", "[5.0, 1.0]", "run.window"),
+    ("run.store_every", "2.7", "run.store_every"),
+    ("modes.total", "2.5", "modes.total"),
+    ("modes.subsystem", "true", "modes.subsystem"),
+    ("run.lyapunov_t_star", "0", "run.lyapunov_t_star"),
+    ("run.dt", "Infinity", "run.dt"),
+    ("run.t_final", "NaN", "run.t_final"),
+    ("run.window_fraction", "2", "run.window_fraction"),
+    ("run.bound_times", "[1.0, null]", "run.bound_times[1]"),
+    ("tolerances.defect_factor", "-1", "tolerances.defect_factor"),
+    ("tolerances", "[]", "tolerances"),
+    ("scenario", "5", "scenario"),
+    ("output.csv", "1", "output.csv"),
+    ("output.report", '""', "output.report"),
+    pytest.param("hamiltonian", _ham("constant", h={**_EYE4, "data": ["a"] + _EYE4["data"][1:]}),
+                 "hamiltonian.h.data[0]", id="matrix-data-string"),
+    pytest.param("hamiltonian", _ham("constant", h={**_EYE4, "rows": 4.0}),
+                 "hamiltonian.h.rows", id="matrix-rows-float"),
+    pytest.param("hamiltonian", _ham("constant", h=_SKEW4), "hamiltonian.h",
+                 id="constant-not-symmetric"),
+    pytest.param("hamiltonian", _ham("fourier", base=matrix_to_json(np.eye(2))), "hamiltonian.base",
+                 id="fourier-base-2x2"),
+    pytest.param("hamiltonian", _ham("fourier", base=_EYE4, terms=[{"omega": "1", "cos": _EYE4}]),
+                 "hamiltonian.terms[0].omega", id="fourier-omega-string"),
+    pytest.param("hamiltonian", _ham("fourier", base=_EYE4, period=-2.0), "hamiltonian.period",
+                 id="fourier-period-negative"),
+    pytest.param("hamiltonian", _ham("piecewise", period=2.0, pieces=[{**_PIECE, "duration": 0}]),
+                 "hamiltonian.pieces[0].duration", id="piece-duration-zero"),
+    pytest.param("hamiltonian", _ham("piecewise", period=2.0, pieces=[_PIECE]), "hamiltonian.pieces",
+                 id="piece-durations-short-of-period"),
+    pytest.param("hamiltonian", _ham("builtin", name=5), "hamiltonian.name", id="builtin-name-int"),
+])
+def test_malformed_value_is_config_error_naming_its_path(tmp_path, capfd, key, value, field):
+    doc = json.loads(MINIMAL)
+    cli._apply_override(doc, key, value)
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        parse_config(json.dumps(doc))
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", str(cfg_path)]) == 2
+    out, err = capfd.readouterr()
+    assert out == "" and err.startswith("config error: ") and field in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [cfg_path]   # nothing written
+
+
+def _valid_sections(data):
+    """A MINIMAL-based document with drawn, valid run/tolerances/output sections."""
+    def maybe(strategy):
+        return data.draw(st.one_of(st.none(), strategy))
+
+    positive = st.floats(min_value=1e-6, max_value=1e6, allow_subnormal=False)
+    t_final = data.draw(st.floats(min_value=0.5, max_value=100.0))
+    dt = t_final / data.draw(st.integers(min_value=1, max_value=500))
+    store_every = data.draw(st.integers(min_value=1, max_value=20))
+    stored = sample_times(t_final, dt, store_every)[1:].tolist()
+    lo = data.draw(st.floats(min_value=-10.0, max_value=0.9 * t_final))
+    run = {"t_final": t_final, "dt": dt, "store_every": store_every,
+           "lyapunov_t_star": maybe(positive), "lyapunov_dt": maybe(positive),
+           "window": maybe(st.just([lo, lo + data.draw(positive)])),
+           "window_fraction": maybe(st.floats(min_value=1e-3, max_value=1.0)),
+           "bound_times": maybe(st.lists(st.sampled_from(stored), max_size=4))}
+    tolerances = {name: maybe(positive) for name in
+                  ("residual_tol", "leak_ceiling", "defect_factor", "slope_rel_tol")}
+    output = {name: maybe(st.text(min_size=1, max_size=8)) for name in ("csv", "report", "report_json")}
+    doc = json.loads(MINIMAL)
+    for name, section in (("run", run), ("tolerances", tolerances), ("output", output)):
+        doc[name] = {key: val for key, val in section.items() if val is not None}
+    return doc
+
+
+_SECTIONS = (("run", RunParams), ("tolerances", Tolerances), ("output", OutputSpec))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sections_round_trip_and_reject_bad_values(data):
+    doc = _valid_sections(data)
+    text = serialize_config(parse_config(json.dumps(doc)))
+    assert serialize_config(parse_config(text)) == text
+    # one value replaced by a wrong kind of value: a ConfigError naming it,
+    # except a string where an output path belongs
+    section, cls = data.draw(st.sampled_from(_SECTIONS))
+    key = data.draw(st.sampled_from([f.name for f in dataclasses.fields(cls)]))
+    bad = data.draw(st.sampled_from(["1.0", ["x"], None, True, float("nan"), -1.5]))
+    doc[section][key] = bad
+    if section == "output" and isinstance(bad, str):
+        parse_config(json.dumps(doc))
+        return
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
+        parse_config(json.dumps(doc))

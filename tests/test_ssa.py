@@ -195,7 +195,7 @@ def test_factor_value_matches_formed_objective(point):
     value, _ = _rhs_factor_objective(m, 2 * split.n_a)(x)
     dim = m.shape[0]
     c = _unpack_cholesky(x, dim, *_cholesky_layout(dim))
-    formed = _rhs_objective(m, 2 * split.n_a)(c @ c.T)
+    formed = _rhs_objective(m, split)(c @ c.T)
     assert abs(value - formed) <= 1e-10 * (1.0 + abs(value))
 
 
@@ -237,7 +237,7 @@ def test_minimize_local_minimum_certificate():
     rep = gss_rhs_minimize(m, SPLIT)
     assert rep.residual <= 1e-8
     from entgrowth.ssa import _rhs_objective
-    objective = _rhs_objective(m, 2)
+    objective = _rhs_objective(m, SPLIT)
     base = objective(rep.argmin_g)
     for _ in range(20):
         d = rng.normal(size=(4, 4))
