@@ -103,6 +103,13 @@ def _object(value, path, keys=None) -> dict:
     return value
 
 
+def _builtin_params(value, path) -> dict:
+    """A builtin's parameters: finite numbers, and a list of them for ``omega_sq``."""
+    obj = _object(value, path)
+    return {key: _get(obj, key, path, _list(_number) if key == "omega_sq" else _number)
+            for key in obj}
+
+
 def _get(obj, key, path, read, default=MISSING):
     """``read`` applied to ``obj[key]``; ``default`` when the key is absent."""
     sub = f"{path}.{key}" if path else key
@@ -266,7 +273,7 @@ def _parse_hamiltonian(obj, modes: ModeCount) -> HamiltonianSpec:
         spec = HamiltonianSpec(type=kind, h=_get(obj, "h", path, form))
     elif kind == "builtin":
         spec = HamiltonianSpec(type=kind, name=_get(obj, "name", path, _string),
-                               params=_get(obj, "params", path, _object, {}))
+                               params=_get(obj, "params", path, _builtin_params, {}))
     elif kind == "piecewise":
         def piece(value, p):
             _object(value, p, ("duration", "h"))
@@ -358,7 +365,7 @@ def _check_run(run: RunParams) -> RunParams:
         raise ConfigError(f"window starts at {run.window[0]:g}, not before t_final "
                           f"{run.t_final:g}", "run.window")
     # the same rule as scenarios.bound_matrices; it also rejects times past
-    # t_final, while the last stored time may exceed t_final by roundoff
+    # t_final, the last stored time
     stored = sample_times(run.t_final, run.dt, run.store_every) if run.bound_times else ()
     for t in run.bound_times:
         nearest = stored[np.argmin(np.abs(stored - t))]

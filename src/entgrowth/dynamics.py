@@ -34,7 +34,15 @@ from .errors import (
     SingularM,
     StepTooLarge,
 )
-from .phase_space import _maxabs, is_symmetric, standard_omega
+from .phase_space import (
+    _earliest_failure,
+    _fail_first,
+    _maxabs,
+    _maxabs_each,
+    _mT,
+    is_symmetric,
+    standard_omega,
+)
 
 DEFECT_FACTOR = 1e-8
 # a breakpoint this close to a grid point, in units of the step, lies on it
@@ -171,12 +179,17 @@ def step_count(t_final: float, dt: float) -> int:
 
 
 def sample_times(t_final: float, dt: float, store_every: int = 1) -> np.ndarray:
-    """The times ``propagate`` stores: t=0, every ``store_every``-th step and the last."""
+    """The times ``propagate`` stores: t=0, every ``store_every``-th step and the last.
+
+    The last is ``t_final`` itself, as in :func:`step_loop`.
+    """
     n_steps = step_count(t_final, dt)
     steps = np.arange(0, n_steps + 1, store_every)
     if steps[-1] != n_steps:
         steps = np.append(steps, n_steps)
-    return steps * (t_final / n_steps)
+    times = steps * (t_final / n_steps)
+    times[-1] = t_final
+    return times
 
 
 def _check_periodicity(ham, samples=(0.13, 0.41, 0.77)):
@@ -203,10 +216,12 @@ def _straddled_steps(ham, t_final, n_steps):
 def step_loop(ham: QuadraticHamiltonian, t_final: float, n_steps: int, make=None):
     """Yield ``(k, t_k, factors)`` for the steps t_k = k t_final / n_steps.
 
-    Applying ``factors`` in order (first factor first) takes the flow from
-    t_{k-1} to t_k.  ``make(length, t_mid)`` builds the factor of a time
-    segment from its length and midpoint; the default is the flow
-    exponential expm(length K(t_mid)).
+    The last step ends at ``t_final`` exactly, not at the rounded
+    ``n_steps * (t_final / n_steps)``.  Applying ``factors`` in order
+    (first factor first) takes the flow from t_{k-1} to t_k.
+    ``make(length, t_mid)`` builds the factor of a time segment from its
+    length and midpoint; the default is the flow exponential
+    expm(length K(t_mid)).
 
     A callable ``h`` gets one fresh midpoint factor per step.  For
     piecewise-constant data, a step inside one piece reuses that piece's
@@ -226,8 +241,9 @@ def step_loop(ham: QuadraticHamiltonian, t_final: float, n_steps: int, make=None
     t = 0.0
     for k in range(1, n_steps + 1):
         t_mid = t + 0.5 * dt
+        t_next = t_final if k == n_steps else k * dt
         if k in straddled:
-            edges = (t, *straddled[k], k * dt)
+            edges = (t, *straddled[k], t_next)
             factors = tuple(make(b - a, 0.5 * (a + b)) for a, b in zip(edges, edges[1:]))
         else:
             key = (piece_at(t_mid), dt)
@@ -236,7 +252,7 @@ def step_loop(ham: QuadraticHamiltonian, t_final: float, n_steps: int, make=None
                 factors = (make(dt, t_mid),)
                 if key[0] is not None:
                     cache[key] = factors
-        t = k * dt
+        t = t_next
         yield k, t, factors
 
 
@@ -288,13 +304,17 @@ def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
 
 
 def evolve_covariance(g0, m) -> np.ndarray:
-    """Covariance update G -> M G M^T (symmetrized against roundoff)."""
+    """Covariance update G -> M G M^T (symmetrized against roundoff).
+
+    ``m`` is one transformation or a stack of them; a stack gives the
+    stack of evolved covariance matrices.
+    """
     g0 = np.asarray(g0, dtype=float)
     m = np.asarray(m, dtype=float)
-    if g0.shape != m.shape:
+    if g0.shape != m.shape[-2:]:
         raise DimensionMismatch(f"covariance {g0.shape} vs transformation {m.shape}")
-    g = m @ g0 @ m.T
-    return 0.5 * (g + g.T)
+    g = m @ g0 @ _mT(m)
+    return 0.5 * (g + _mT(g))
 
 
 @dataclass(frozen=True)
@@ -302,33 +322,34 @@ class PolarPair:
     """Polar factors of a symplectic matrix: M = T u.
 
     ``t_part`` is symmetric positive definite and symplectic; ``u_part`` is
-    orthogonal and symplectic.
+    orthogonal and symplectic.  For a stack of matrices each is a stack.
     """
 
     t_part: np.ndarray
     u_part: np.ndarray
 
 
+@_earliest_failure
 def polar_decompose(m, check_tol: float = 1e-9) -> PolarPair:
     """Polar decomposition via SVD: T = U diag(s) U^T, u = U V^T.
 
     Equivalent to T = sqrt(M M^T) but computed without forming M M^T, so
-    small singular values are not lost to squaring.
+    small singular values are not lost to squaring.  ``m`` may be a stack;
+    every matrix of it gets every check.
     """
     m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise SingularM("matrix has non-finite entries")
+    _fail_first(~np.isfinite(m).all(axis=(-2, -1)), SingularM, "matrix has non-finite entries")
     u_svd, sv, vt = np.linalg.svd(m)
-    if sv[-1] <= 0 or not np.isfinite(sv[0]):
-        raise SingularM(f"singular values out of range: [{sv[-1]:.3g}, {sv[0]:.3g}]")
-    t_part = (u_svd * sv) @ u_svd.T
-    t_part = 0.5 * (t_part + t_part.T)
+    _fail_first((sv[..., -1] <= 0) | ~np.isfinite(sv[..., 0]), SingularM,
+                lambda i: f"singular values out of range: [{sv[i][-1]:.3g}, {sv[i][0]:.3g}]")
+    t_part = (u_svd * sv[..., None, :]) @ _mT(u_svd)
+    t_part = 0.5 * (t_part + _mT(t_part))
     u_part = u_svd @ vt
-    dim = m.shape[0]
-    if _maxabs(u_part.T @ u_part - np.eye(dim)) > 1e-10:
-        raise SingularM("orthogonal factor failed its check")
-    if _maxabs(t_part @ u_part - m) > check_tol * (1.0 + _maxabs(m)):
-        raise SingularM("polar factors do not reproduce the input")
+    dim = m.shape[-1]
+    _fail_first(_maxabs_each(_mT(u_part) @ u_part - np.eye(dim)) > 1e-10, SingularM,
+                "orthogonal factor failed its check")
+    _fail_first(_maxabs_each(t_part @ u_part - m) > check_tol * (1.0 + _maxabs_each(m)),
+                SingularM, "polar factors do not reproduce the input")
     return PolarPair(t_part=t_part, u_part=u_part)
 
 

@@ -16,6 +16,10 @@ import numpy as np
 from .errors import CorridorViolated, NotPositiveDefinite
 from .phase_space import (
     ModeCount,
+    _fail,
+    _first_not_pd,
+    _float_or_stack,
+    _mT,
     n_modes_of,
     require_valid_covariance,
     split_blocks,
@@ -49,29 +53,41 @@ def mode_entropy(nu: float) -> float:
     return hi * math.log(hi) - eps * math.log(eps)
 
 
-def logdet_pd(a) -> float:
-    """log det of a positive definite matrix via Cholesky (overflow safe)."""
+def logdet_pd(a):
+    """log det of a positive definite matrix via Cholesky (overflow safe).
+
+    A float for one matrix; an array with one value per matrix for a stack.
+    """
     a = np.asarray(a, dtype=float)
+    sym = 0.5 * (a + _mT(a))
     try:
-        ell = np.linalg.cholesky(0.5 * (a + a.T))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("matrix is not positive definite") from exc
-    return 2.0 * float(np.sum(np.log(np.diag(ell))))
+        ell = np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        _fail(NotPositiveDefinite, "matrix is not positive definite",
+              _first_not_pd(sym) if a.ndim > 2 else None)
+    return _float_or_stack(2.0 * np.sum(np.log(np.diagonal(ell, axis1=-2, axis2=-1)), axis=-1))
 
 
-def von_neumann_entropy(g) -> float:
-    """Von Neumann entropy of the Gaussian state with covariance ``g``."""
-    return float(sum(mode_entropy(nu) for nu in williamson_spectrum(g)))
+def von_neumann_entropy(g):
+    """Von Neumann entropy of the Gaussian state with covariance ``g``.
+
+    A float for one covariance matrix; an array for a stack, each value the
+    sum of :func:`mode_entropy` over that matrix's symplectic spectrum.
+    """
+    nus = williamson_spectrum(g)
+    if nus.ndim == 1:
+        return float(sum(mode_entropy(nu) for nu in nus))
+    return np.array([sum(mode_entropy(nu) for nu in row) for row in nus], dtype=float)
 
 
-def renyi2_entropy(g) -> float:
-    """Renyi-2 entropy: half the log-determinant of the covariance matrix."""
+def renyi2_entropy(g):
+    """Renyi-2 entropy: half the log-determinant of the covariance matrix (of each of a stack)."""
     require_valid_covariance(g)
     return 0.5 * logdet_pd(g)
 
 
-def asymptotic_entropy(g) -> float:
-    """0.5 ln det(e G / 2) for any positive definite ``g``.
+def asymptotic_entropy(g):
+    """0.5 ln det(e G / 2) for any positive definite ``g`` (of each of a stack).
 
     Defined on the full PD cone; for a valid covariance matrix it equals
     the Renyi-2 entropy plus N ln(e/2) and upper-bounds the von Neumann

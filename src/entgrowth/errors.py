@@ -9,7 +9,14 @@ horizon / cutoff".
 
 
 class EntgrowthError(Exception):
-    """Common base of every error this package raises deliberately."""
+    """Common base of every error this package raises deliberately.
+
+    An error raised for one sample of a stack of matrices carries that
+    sample's ``index`` and its message without the sample, ``detail``.
+    """
+
+    index = None
+    detail = None
 
 
 class NotSymmetric(EntgrowthError, ValueError):

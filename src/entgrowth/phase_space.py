@@ -9,9 +9,20 @@ Conventions used everywhere in this package:
 Covariance matrices are plain ``numpy`` arrays; the helpers here check
 validity (symmetry, positive definiteness, uncertainty bound) and compute
 the symplectic (Williamson) eigenvalues that all entropy formulas consume.
+
+The per-sample functions here and in ``entropy``, ``dynamics``, ``ssa``
+and ``subsystem`` take one (d, d) matrix or an (n, d, d) stack of them and
+work on the last two axes with numpy's stacked ``linalg`` and ``matmul``,
+which run the same LAPACK/BLAS kernel per matrix: sample i of a stacked
+result equals the call on sample i alone, bit for bit.  A stack fails the
+way a loop over its samples fails: at the earliest failing sample and,
+within it, at the first failing check, with an error that carries the
+sample's ``index``.
 """
 
+import functools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -34,6 +45,90 @@ def _maxabs(a):
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def _mT(a):
+    """Transpose of each matrix of a stack (of the last two axes)."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _maxabs_each(a):
+    """Largest absolute entry of each matrix of a stack (0-d for one matrix)."""
+    return np.abs(a).max(axis=(-2, -1))
+
+
+def _float_or_stack(x):
+    """A per-matrix result: a float for one matrix, an array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _fail(error, detail, index, prefix=None):
+    """Raise ``error(detail)``, naming sample ``index`` unless it is None (one matrix).
+
+    A stack's error reads "<prefix>: <detail>", the prefix defaulting to
+    "sample <index>", and carries ``index`` and ``detail``.
+    """
+    if index is None:
+        raise error(detail)
+    exc = error(f"{prefix or f'sample {index}'}: {detail}")
+    exc.index, exc.detail = index, detail
+    raise exc
+
+
+def _fail_first(bad, error, detail):
+    """Raise ``error`` at the first sample that the mask ``bad`` marks, if any.
+
+    ``detail`` is the message, or a function of the sample index (``()``
+    for one matrix, whose mask is 0-d) that words it.
+    """
+    bad = np.asarray(bad)
+    if not bad.any():
+        return
+    index = int(np.argmax(bad)) if bad.ndim else None
+    _fail(error, detail if isinstance(detail, str) else detail(() if index is None else index),
+          index)
+
+
+def _first(bad) -> int:
+    """Index of the first sample that ``bad`` marks, or the number of samples."""
+    bad = np.atleast_1d(bad)
+    return int(np.argmax(bad)) if bad.any() else len(bad)
+
+
+def _first_not_pd(a) -> int:
+    """Index of the first matrix that Cholesky rejects, or the number of matrices."""
+    stack = a.reshape(-1, *a.shape[-2:])
+    try:
+        np.linalg.cholesky(stack)
+        return len(stack)
+    except np.linalg.LinAlgError:
+        pass
+    # a stacked factorization does not say which matrix failed
+    for i, mat in enumerate(stack):
+        try:
+            np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            return i
+
+
+def _earliest_failure(fn):
+    """Make a function of a stack fail the way a loop over its samples fails.
+
+    Each check of ``fn`` raises at its own first failing sample, one check
+    after the other, so a later check may fail an earlier sample.  After a
+    failure at sample i, ``fn`` re-runs on the samples before i, and their
+    failure, if there is one, is raised instead.
+    """
+    @functools.wraps(fn)
+    def run(stack, *args, **kwargs):
+        try:
+            return fn(stack, *args, **kwargs)
+        except (ValueError, RuntimeError) as exc:
+            if not getattr(exc, "index", None):
+                raise
+            run(stack[:exc.index], *args, **kwargs)
+            raise
+    return run
+
+
 def standard_omega(n_modes: int) -> np.ndarray:
     """Symplectic form for ``n_modes`` modes in (q1, p1, ..., qN, pN) order."""
     if n_modes < 1:
@@ -46,17 +141,19 @@ def standard_omega(n_modes: int) -> np.ndarray:
 
 
 def n_modes_of(g: np.ndarray) -> int:
+    """Mode count of a square even-dimensional matrix, or of each matrix of a stack."""
     g = np.asarray(g)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2:
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2] or g.shape[-1] % 2:
         raise DimensionMismatch(f"expected square even-dimensional matrix, got shape {g.shape}")
-    return g.shape[0] // 2
+    return g.shape[-1] // 2
 
 
 def is_symmetric(a, tol=SYMMETRY_TOL):
+    """Symmetry to ``tol`` relative to the entry size; a mask for a stack."""
     a = np.asarray(a)
     # tolerance scales with the entry size so that long propagations
     # (entries ~ e^{2 lambda t}) are not rejected on roundoff
-    return _maxabs(a - a.T) <= tol * (1.0 + _maxabs(a))
+    return _maxabs_each(a - _mT(a)) <= tol * (1.0 + _maxabs_each(a))
 
 
 def complex_structure(g: np.ndarray) -> np.ndarray:
@@ -87,38 +184,21 @@ class CovarianceCheck:
     """Result of :func:`validate_covariance`.
 
     ``eigenvalues`` holds the spectrum of -J^2 (sorted ascending, real
-    parts); ``verdict`` is "valid" or the name of the first failed check.
+    parts; one row per matrix of a stack); ``verdict`` is "valid" or the
+    name of the first failed check of the earliest failing matrix, which
+    for a stack is sample ``index``.
     """
 
     eigenvalues: np.ndarray
     verdict: str
+    index: Optional[int] = None
 
     @property
     def is_valid(self) -> bool:
         return self.verdict == "valid"
 
 
-def validate_covariance(g, symmetry_tol=SYMMETRY_TOL, uncertainty_slack=UNCERTAINTY_SLACK) -> CovarianceCheck:
-    """Check symmetry, positive definiteness and the uncertainty bound.
-
-    The uncertainty bound requires every eigenvalue of -J^2 (with
-    J = G Omega^{-1}) to be at least ``1 - uncertainty_slack``.
-    """
-    g = np.asarray(g, dtype=float)
-    n_modes_of(g)
-    j = complex_structure(0.5 * (g + g.T))
-    eigs = np.sort(np.linalg.eigvals(-(j @ j)).real)
-    if not is_symmetric(g, symmetry_tol):
-        return CovarianceCheck(eigs, "not_symmetric")
-    try:
-        np.linalg.cholesky(0.5 * (g + g.T))
-    except np.linalg.LinAlgError:
-        return CovarianceCheck(eigs, "not_positive_definite")
-    if eigs[0] < 1.0 - uncertainty_slack:
-        return CovarianceCheck(eigs, "uncertainty_violated")
-    return CovarianceCheck(eigs, "valid")
-
-
+# in check order
 _VERDICT_ERRORS = {
     "not_symmetric": NotSymmetric,
     "not_positive_definite": NotPositiveDefinite,
@@ -126,15 +206,39 @@ _VERDICT_ERRORS = {
 }
 
 
+def validate_covariance(g, symmetry_tol=SYMMETRY_TOL, uncertainty_slack=UNCERTAINTY_SLACK) -> CovarianceCheck:
+    """Check symmetry, positive definiteness and the uncertainty bound.
+
+    The uncertainty bound requires every eigenvalue of -J^2 (with
+    J = G Omega^{-1}) to be at least ``1 - uncertainty_slack``.  A stack
+    is checked matrix by matrix; the verdict is that of its earliest
+    failing matrix.
+    """
+    g = np.asarray(g, dtype=float)
+    n_modes_of(g)
+    sym = 0.5 * (g + _mT(g))
+    j = complex_structure(sym)
+    eigs = np.sort(np.linalg.eigvals(-(j @ j)).real)
+    firsts = [_first(~is_symmetric(g, symmetry_tol)), _first_not_pd(sym),
+              _first(eigs[..., 0] < 1.0 - uncertainty_slack)]
+    index = min(firsts)
+    if index == (len(g) if g.ndim > 2 else 1):
+        return CovarianceCheck(eigs, "valid")
+    verdict = list(_VERDICT_ERRORS)[firsts.index(index)]
+    return CovarianceCheck(eigs, verdict, index if g.ndim > 2 else None)
+
+
 def require_valid_covariance(g, **kwargs) -> None:
     """Raise the typed error for the first failed covariance check, if any."""
     check = validate_covariance(g, **kwargs)
     if not check.is_valid:
-        err = _VERDICT_ERRORS[check.verdict]
-        raise err(f"covariance check failed: {check.verdict} "
-                  f"(min eig of -J^2 = {check.eigenvalues[0]:.6g})")
+        eigs = check.eigenvalues if check.index is None else check.eigenvalues[check.index]
+        _fail(_VERDICT_ERRORS[check.verdict],
+              f"covariance check failed: {check.verdict} (min eig of -J^2 = {eigs[0]:.6g})",
+              check.index)
 
 
+@_earliest_failure
 def williamson_spectrum(g, method: str = "chol", validate: bool = True) -> np.ndarray:
     """Symplectic eigenvalues nu_1 >= ... >= nu_N of a covariance matrix.
 
@@ -142,7 +246,8 @@ def williamson_spectrum(g, method: str = "chol", validate: bool = True) -> np.nd
     G = L L^T, which is far better conditioned at large squeezing than an
     eigensolve of Omega G (for a single mode it reduces to det L, exact);
     ``method="eig"`` takes the magnitudes of the +-i nu eigenvalue pairs of
-    Omega G, with a check that they are dominantly imaginary.
+    Omega G, with a check that they are dominantly imaginary.  A stack of
+    covariance matrices gives one row of eigenvalues per matrix.
     """
     g = np.asarray(g, dtype=float)
     if validate:
@@ -150,17 +255,17 @@ def williamson_spectrum(g, method: str = "chol", validate: bool = True) -> np.nd
     n = n_modes_of(g)
     omega = standard_omega(n)
     if method == "chol":
-        ell = np.linalg.cholesky(0.5 * (g + g.T))
-        sv = np.linalg.svd(ell.T @ omega @ ell, compute_uv=False)
-        return sv[0::2]
+        ell = np.linalg.cholesky(0.5 * (g + _mT(g)))
+        sv = np.linalg.svd(_mT(ell) @ omega @ ell, compute_uv=False)
+        return sv[..., 0::2]
     if method == "eig":
         ev = np.linalg.eigvals(omega @ g)
         # eigenvalues come in pairs +-i nu; reject if real parts are not negligible
-        scale = np.max(np.abs(ev))
-        if np.max(np.abs(ev.real)) > 1e-6 * (scale + 1.0):
-            raise UncertaintyViolated("eigenvalues of Omega G are not dominantly imaginary; "
-                                      "input is not a valid covariance matrix")
-        return np.sort(np.abs(ev.imag))[::-2]
+        scale = np.max(np.abs(ev), axis=-1)
+        _fail_first(np.max(np.abs(ev.real), axis=-1) > 1e-6 * (scale + 1.0), UncertaintyViolated,
+                    "eigenvalues of Omega G are not dominantly imaginary; "
+                    "input is not a valid covariance matrix")
+        return np.sort(np.abs(ev.imag))[..., ::-2]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -225,13 +330,13 @@ class SubsystemSpec:
 
 
 def restrict(g, sub: SubsystemSpec) -> np.ndarray:
-    """Covariance matrix of the subsystem, F G F^T (symmetrized)."""
+    """Covariance matrix of the subsystem, F G F^T (symmetrized), of a matrix or each of a stack."""
     g = np.asarray(g, dtype=float)
     f = sub.selector
-    if g.shape[0] != f.shape[1]:
+    if g.shape[-1] != f.shape[1]:
         raise DimensionMismatch(f"covariance is {g.shape}, selector expects {f.shape[1]} columns")
     out = f @ g @ f.T
-    return 0.5 * (out + out.T)
+    return 0.5 * (out + _mT(out))
 
 
 def split_blocks(g, split: ModeCount):

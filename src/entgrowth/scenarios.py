@@ -15,6 +15,7 @@ through the same stage functions and the same error handling.
 import copy
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -34,21 +35,17 @@ from .dynamics import (
     propagate,
     stroboscopic_generator,
 )
-from .entropy import (
-    asymptotic_entropy,
-    mode_entropy,
-    renyi2_entropy,
-    von_neumann_entropy,
-)
+from .entropy import asymptotic_entropy, logdet_pd, von_neumann_entropy
 from .errors import ConfigError, EntgrowthError, NoRealLogarithm
 from .fitting import fit_slope, windowed
 from .lyapunov import lyapunov_spectrum, regularity_check
 from .phase_space import (
     ModeCount,
     SubsystemSpec,
+    _earliest_failure,
+    _fail,
     is_pure,
     restrict,
-    williamson_spectrum,
 )
 from .reporting import CsvRow, RunReport, write_csv
 from .ssa import gss_rhs_minimize, squashed_bounds
@@ -348,11 +345,6 @@ def _run_classical(cfg, report):
         report.fail(f"classical MI log-slope {fit.slope:.4f} deviates from 1 beyond 0.02")
 
 
-def _gaussian_global_entropy(g0):
-    # symplectic invariance: the global spectrum never changes along the flow
-    return float(sum(mode_entropy(nu) for nu in williamson_spectrum(g0)))
-
-
 def _initial_covariance(cfg):
     # a config without a Gaussian covariance (vacuum, or a Fock state) uses
     # the vacuum; the volumetric slope does not depend on this metric
@@ -369,9 +361,22 @@ def _propagation_section(report, ham, cfg):
     return series
 
 
+@contextmanager
+def _stage(name, block, times):
+    """Name the stage, the block and the sample time in a failure of a stacked call."""
+    try:
+        yield
+    except (ValueError, RuntimeError) as exc:
+        if getattr(exc, "index", None) is None:
+            raise
+        _fail(type(exc), exc.detail, exc.index,
+              f"{name} stage, {block} at t={times[exc.index]:.6g}")
+
+
 def _exponent_section(report, sub_a, lyap, series, g0):
     alg = subsystem_exponent_algebraic(sub_a, lyap)
-    vol = volumetric_slope_fit(sub_a, series, g0)
+    with _stage("exponent", "restricted block", series.times):
+        vol = volumetric_slope_fit(sub_a, series, g0)
     report.add("exponent", {
         "lambda_alg": alg.lambda_a, "indices": list(alg.indices),
         "generic_lambda": alg.generic_lambda, "generic_agrees": alg.generic_agrees,
@@ -399,18 +404,49 @@ def _run_flow(cfg, report):
         _metastable_section(report, series.times)
 
 
-def _flow_sample(g0, m, sub_a, split):
-    """G(t) = M g0 M^T, its A block, S_as(A) and the squashed bounds at one stored M(t)."""
-    g_t = evolve_covariance(g0, m)
-    g_a = restrict(g_t, sub_a)
-    lower, upper = squashed_bounds(polar_decompose(m).t_part, g0, split)
-    return g_t, g_a, asymptotic_entropy(g_a), lower, upper
+@_earliest_failure
+def _flow_stage(mats, times, g0, split):
+    """G(t) = M g0 M^T, its A block, S_as(A) and the squashed bounds at every stored M(t).
+
+    Each step runs once on the whole stack; a failure names its stage and
+    the time of the earliest failing sample.
+    """
+    g_t = evolve_covariance(g0, mats)
+    g_a = restrict(g_t, SubsystemSpec.first_modes(split.n_a, split.n_total))
+    with _stage("squashed-bound", "flow matrix", times):
+        t_part = polar_decompose(mats).t_part
+    with _stage("squashed-bound", "polar factor", times):
+        lower, upper = squashed_bounds(t_part, g0, split)
+    with _stage("entropy", "A block", times):
+        s_as_a = asymptotic_entropy(g_a)
+    return g_t, g_a, s_as_a, lower, upper
+
+
+@_earliest_failure
+def _gaussian_samples(mats, times, g0, split, s_global):
+    """The entropy and bound columns of the Gaussian rows, one array each.
+
+    ``s_global`` is the entropy of ``g0``, or None for a pure ``g0``.
+    """
+    g_t, g_a, s_as_a, lower, upper = _flow_stage(mats, times, g0, split)
+    with _stage("entropy", "A block", times):
+        s_vn_a = von_neumann_entropy(g_a)    # the one validation of each A block
+    if s_global is None:
+        # pure global state: S(B) = S(A) exactly, and S(AB) = 0; avoids
+        # the ill-conditioned unit eigenvalues of the big B-block
+        i_ab = 2.0 * s_vn_a
+    else:
+        sub_b = SubsystemSpec.modes(range(split.n_a, split.n_total), split.n_total)
+        with _stage("entropy", "B block", times):
+            i_ab = s_vn_a + von_neumann_entropy(restrict(g_t, sub_b)) - s_global
+    # the Renyi-2 entropy of the A blocks validated above
+    s2_a = 0.5 * logdet_pd(g_a)
+    return s_vn_a, s2_a, s_as_a, i_ab, lower, upper
 
 
 def _gaussian_stages(report, ham, cfg, series, lyap):
     split = cfg.modes
     sub_a = SubsystemSpec.first_modes(split.n_a, split.n_total)
-    sub_b = SubsystemSpec.modes(range(split.n_a, split.n_total), split.n_total)
     g0 = _initial_covariance(cfg)
     alg, vol = _exponent_section(report, sub_a, lyap, series, g0)
 
@@ -418,26 +454,17 @@ def _gaussian_stages(report, ham, cfg, series, lyap):
     if ham.period is not None:
         rates = _floquet_section(report, ham, cfg)
 
-    s_global = _gaussian_global_entropy(g0)
-    g0_pure = is_pure(g0)
-    rows = []
-    for t, m in zip(series.times, series.matrices):
-        g_t, g_a, s_as_a, lower, upper = _flow_sample(g0, m, sub_a, split)
-        s_vn_a = von_neumann_entropy(g_a)
-        if g0_pure:
-            # pure global state: S(B) = S(A) exactly, and S(AB) = 0; avoids
-            # the ill-conditioned unit eigenvalues of the big B-block
-            i_ab = 2.0 * s_vn_a
-        else:
-            i_ab = s_vn_a + von_neumann_entropy(restrict(g_t, sub_b)) - s_global
-        rows.append(CsvRow(t=float(t), s_vn_a=s_vn_a, s2_a=renyi2_entropy(g_a), s_as_a=s_as_a,
-                           i_ab=i_ab, lambda_a_alg=alg.lambda_a, lambda_a_vol=vol.slope,
-                           bound_lower=lower, bound_upper=upper,
-                           source="gaussian", trusted=True))
-    report.rows = rows
+    # symplectic invariance: the global spectrum never changes along the flow
+    s_global = None if is_pure(g0) else von_neumann_entropy(g0)
+    columns = _gaussian_samples(series.matrices, series.times, g0, split, s_global)
+    report.rows = [CsvRow(t=t, s_vn_a=s_vn_a, s2_a=s2_a, s_as_a=s_as_a, i_ab=i_ab,
+                          lambda_a_alg=alg.lambda_a, lambda_a_vol=vol.slope,
+                          bound_lower=lower, bound_upper=upper, source="gaussian", trusted=True)
+                   for t, s_vn_a, s2_a, s_as_a, i_ab, lower, upper
+                   in zip(series.times.tolist(), *(col.tolist() for col in columns))]
 
     window = cfg.run.window or (0.5 * series.t_final, series.t_final)
-    t_w, s_w = windowed(series.times, np.array([row.s_vn_a for row in rows]), *window)
+    t_w, s_w = windowed(series.times, columns[0], *window)
     fit = fit_slope(t_w, s_w)
     lambda_ref = alg.lambda_a
     rel_dev = abs(fit.slope - lambda_ref) / max(abs(lambda_ref), 1e-12)
@@ -512,14 +539,15 @@ def _fock_stages(report, ham, cfg, series, lyap):
         report.warn(f"truncation leak at t={traj.trusted_until:g}; later samples untrusted")
     alg = subsystem_exponent_algebraic(sub_a, lyap)
 
+    _, _, s_as, lowers, uppers = _flow_stage(series.matrices, series.times, g0, split)
     rows = []
     containment_ok = True
     # both trajectories store the same step grid, so sample i pairs with M(t_i)
-    for t, state, trusted, m in zip(traj.times, traj.states, traj.trusted, series.matrices,
-                                    strict=True):
+    for t, state, trusted, s_as_a, lower, upper in zip(
+            traj.times, traj.states, traj.trusted, s_as.tolist(), lowers.tolist(),
+            uppers.tolist(), strict=True):
         s_vn_a = fock_mod.reduced_entropy(state, modes_a)
         i_ab = s_vn_a + fock_mod.reduced_entropy(state, modes_b)  # global state pure
-        _, _, s_as_a, lower, upper = _flow_sample(g0, m, sub_a, split)
         trusted = bool(trusted)
         if trusted and not (lower - 1e-9 <= s_vn_a <= upper + 1e-9):
             containment_ok = False

@@ -33,7 +33,12 @@ from .phase_space import (
     FORM_TOL,
     ModeCount,
     SubsystemSpec,
+    _earliest_failure,
+    _fail_first,
+    _float_or_stack,
     _maxabs,
+    _maxabs_each,
+    _mT,
     standard_omega,
 )
 
@@ -277,16 +282,19 @@ def gss_rhs_minimize(m, split: ModeCount, budget: int = 2000,
 def _require_pd_symplectic(t_mat):
     # a polar factor at long times has eigenvalues below the eps*|T| floor
     # of dense storage, so positivity is checked to roundoff scale only;
-    # the determinant blocks the bounds consume enforce their own PD-ness
+    # the determinant blocks the bounds consume enforce their own PD-ness.
+    # The checks raise at their own first failing matrix of a stack; a
+    # caller wrapped in _earliest_failure orders them across samples
     t_mat = np.asarray(t_mat, dtype=float)
-    if _maxabs(t_mat - t_mat.T) > 1e-10 * (1.0 + _maxabs(t_mat)):
-        raise NotPositiveDefinite("expected a symmetric positive definite matrix")
+    size = _maxabs_each(t_mat)
+    _fail_first(_maxabs_each(t_mat - _mT(t_mat)) > 1e-10 * (1.0 + size), NotPositiveDefinite,
+                "expected a symmetric positive definite matrix")
     w = np.linalg.eigvalsh(t_mat)
-    if w[-1] <= 0 or w[0] < -1e-12 * (1.0 + w[-1]):
-        raise NotPositiveDefinite(f"matrix has negative eigenvalue {w[0]:.3g}")
-    omega = standard_omega(t_mat.shape[0] // 2)
-    if _maxabs(t_mat @ omega @ t_mat.T - omega) > 1e-8 * (1.0 + _maxabs(t_mat) ** 2):
-        raise ValueError("matrix is not symplectic")
+    _fail_first((w[..., -1] <= 0) | (w[..., 0] < -1e-12 * (1.0 + w[..., -1])), NotPositiveDefinite,
+                lambda i: f"matrix has negative eigenvalue {w[i][0]:.3g}")
+    omega = standard_omega(t_mat.shape[-1] // 2)
+    _fail_first(_maxabs_each(t_mat @ omega @ _mT(t_mat) - omega) > 1e-8 * (1.0 + size ** 2),
+                ValueError, "matrix is not symplectic")
     return t_mat
 
 
@@ -306,9 +314,9 @@ def _sas_blocks(t_mat, split: ModeCount):
     """
     k = 2 * split.n_a
     if split.n_a <= split.n_b:
-        logdet = logdet_pd(t_mat[:k, :k])
+        logdet = logdet_pd(t_mat[..., :k, :k])
     else:
-        logdet = logdet_pd(t_mat[k:, k:])
+        logdet = logdet_pd(t_mat[..., k:, k:])
     s_a = 0.5 * logdet + split.n_a * LN_E_OVER_2
     s_b = 0.5 * logdet + split.n_b * LN_E_OVER_2
     return s_a, s_b
@@ -331,6 +339,7 @@ def pure_state_growth_lower_bound(t_mat, g0, split: ModeCount) -> float:
             - split.n_a * (LN_E_OVER_2 + np.log(norm)))
 
 
+@_earliest_failure
 def squashed_bounds(t_mat, g0, split: ModeCount):
     """Two-sided bounds on the squashed entanglement after the transformation.
 
@@ -340,16 +349,17 @@ def squashed_bounds(t_mat, g0, split: ModeCount):
         lower = S_as(A)(T) + S_as(B)(T) - 2N ln(e/2) - N ln |G0|
 
     For pure states the squashed entanglement equals the entanglement
-    entropy, so the oracle trajectory must thread between the two.
+    entropy, so the oracle trajectory must thread between the two.  For a
+    stack of polar factors both are arrays; |G0| is computed once.
     """
     t_mat = _require_pd_symplectic(t_mat)
     norm = op_norm(g0)
     n = split.n_total
     t_sq = t_mat @ t_mat
-    sa2, sb2 = _sas_blocks(0.5 * (t_sq + t_sq.T), split)
+    sa2, sb2 = _sas_blocks(0.5 * (t_sq + _mT(t_sq)), split)
     upper = 0.5 * sa2 + 0.5 * sb2 + 0.5 * n * np.log(norm)
     sa, sb = _sas_blocks(t_mat, split)
     lower = sa + sb - 2.0 * n * LN_E_OVER_2 - n * np.log(norm)
-    if lower > upper + 1e-9:
-        raise RuntimeError(f"bound ordering violated: lower={lower} > upper={upper}")
-    return float(lower), float(upper)
+    _fail_first(lower > upper + 1e-9, RuntimeError,
+                lambda i: f"bound ordering violated: lower={lower[i]} > upper={upper[i]}")
+    return _float_or_stack(lower), _float_or_stack(upper)

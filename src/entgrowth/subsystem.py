@@ -24,7 +24,7 @@ from .entropy import logdet_pd
 from .errors import DimensionMismatch, NotConverged, RankDeficient
 from .fitting import SlopeFit, fit_slope, windowed
 from .lyapunov import LyapunovData
-from .phase_space import SubsystemSpec
+from .phase_space import SubsystemSpec, _mT
 
 
 @dataclass(frozen=True)
@@ -113,15 +113,16 @@ def subsystem_exponent_algebraic(sub: SubsystemSpec, lyap: LyapunovData,
                           generic_lambda=generic, generic_agrees=agrees)
 
 
-def restricted_log_volume(sub: SubsystemSpec, m, g0) -> float:
+def restricted_log_volume(sub: SubsystemSpec, m, g0):
     """0.5 ln det of the subsystem block of M G0 M^T.
 
     Equals the log metric volume (w.r.t. G0) of the pushed-forward unit
-    parallelepiped spanning the subsystem dual space.
+    parallelepiped spanning the subsystem dual space.  A stack of
+    transformations gives one value per transformation.
     """
     f = sub.selector @ np.asarray(m, dtype=float)
-    block = f @ np.asarray(g0, dtype=float) @ f.T
-    return 0.5 * logdet_pd(0.5 * (block + block.T))
+    block = f @ np.asarray(g0, dtype=float) @ _mT(f)
+    return 0.5 * logdet_pd(0.5 * (block + _mT(block)))
 
 
 def subsystem_exponent_volumetric(sub: SubsystemSpec, ham: Optional[QuadraticHamiltonian] = None,
@@ -154,9 +155,12 @@ def subsystem_exponent_volumetric(sub: SubsystemSpec, ham: Optional[QuadraticHam
 
 def volumetric_slope_fit(sub: SubsystemSpec, series: PropagationResult, g0,
                          window: Optional[tuple] = None) -> SlopeFit:
-    """Raw slope fit of the restricted log volume (full fit record)."""
+    """Raw slope fit of the restricted log volume (full fit record).
+
+    The log volume is evaluated once on the whole stack of stored M(t).
+    """
     t_end = series.t_final
     lo, hi = window if window is not None else (0.5 * t_end, t_end)
-    values = np.array([restricted_log_volume(sub, m, g0) for m in series.matrices])
+    values = restricted_log_volume(sub, series.matrices, g0)
     t_w, v_w = windowed(series.times, values, lo, hi)
     return fit_slope(t_w, v_w)

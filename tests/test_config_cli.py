@@ -516,6 +516,38 @@ def test_unknown_keys_and_bad_builtin_params_rejected_at_parse(tmp_path, capsys,
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, params, field", [
+    ("inverted_pair", {"kappa1": True}, "hamiltonian.params.kappa1"),
+    ("inverted_pair", {"coupling": "0.2"}, "hamiltonian.params.coupling"),
+    ("two_mode_squeezing", {"rate": None}, "hamiltonian.params.rate"),
+    ("parametric_drive", {"kappa": float("nan")}, "hamiltonian.params.kappa"),
+    ("coupled_chain", {"omega_sq": [-1.0, 1.0, True, 1.0]}, "hamiltonian.params.omega_sq[2]"),
+    ("coupled_chain", {"omega_sq": [-1.0, None, -0.64, 1.0]}, "hamiltonian.params.omega_sq[1]"),
+    ("coupled_chain", {"omega_sq": "1,1,1,1"}, "hamiltonian.params.omega_sq"),
+])
+def test_builtin_params_are_read_as_numbers(tmp_path, capsys, name, params, field):
+    doc = json.loads(MINIMAL)
+    doc["hamiltonian"] = {"type": "builtin", "name": name, "params": params}
+    if name == "coupled_chain":
+        doc["modes"]["total"] = 4
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        parse_config(json.dumps(doc))
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", str(cfg_path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_builtin_params_parse_to_floats():
+    doc = json.loads(MINIMAL)
+    doc["modes"]["total"] = 4
+    doc["hamiltonian"] = {"type": "builtin", "name": "coupled_chain",
+                          "params": {"omega_sq": [-1, 1, -0.64, 1], "coupling": 0.25}}
+    params = parse_config(json.dumps(doc)).hamiltonian.params
+    assert params == {"omega_sq": (-1.0, 1.0, -0.64, 1.0), "coupling": 0.25}
+    assert all(type(w) is float for w in params["omega_sq"])
+
+
 @pytest.mark.parametrize("command", sorted(STAGE_SECTIONS))
 @pytest.mark.parametrize("flag", ["--csv", "--report", "--report-json"])
 def test_stage_commands_reject_file_flags(tmp_path, capsys, command, flag):

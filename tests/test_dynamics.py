@@ -15,10 +15,13 @@ from entgrowth.dynamics import (
     generator,
     polar_decompose,
     propagate,
+    sample_times,
     sqrt_pd,
+    step_loop,
     stroboscopic_generator,
 )
 from entgrowth.errors import NoRealLogarithm, NonSymmetricH
+from entgrowth.fock import FockConfig, FockState, evolve_fock
 from entgrowth.phase_space import ModeCount, is_pure, standard_omega, williamson_spectrum
 from entgrowth.sampling import random_symplectic
 from entgrowth.scenarios import metastable_form
@@ -127,6 +130,21 @@ def test_propagate_second_order_convergence():
     r1 = errs[0] / errs[1]
     r2 = errs[1] / errs[2]
     assert 3.0 < r1 < 5.2 and 3.0 < r2 < 5.2
+
+
+def test_last_step_ends_at_t_final():
+    # 99 / (99/81) rounds to 81 steps, and 81 * (99/81) is one ulp above 99
+    t_final, dt = 99.0, 99.0 / 81
+    assert 81 * (t_final / 81) != t_final
+    ham = QuadraticHamiltonian.constant(np.eye(2))
+    assert sample_times(t_final, dt, 14)[-1] == t_final
+    assert [t for _, t, _ in step_loop(ham, t_final, 81)][-1] == t_final
+    series = propagate(ham, t_final, dt, store_every=14)
+    assert series.t_final == t_final
+    assert np.array_equal(series.times, sample_times(t_final, dt, 14))
+    traj = evolve_fock(FockState.fock((0,), 4), ham, t_final, FockConfig(n_modes=1, cutoff=4, dt=dt),
+                       store_every=14)
+    assert np.array_equal(traj.times, series.times)
 
 
 def test_evolve_covariance_basics():

@@ -154,6 +154,38 @@ def test_overlong_horizon_fails_structurally():
     assert "propagation" in rep.sections   # partial results preserved
 
 
+def test_failure_names_stage_and_earliest_sample_time():
+    # inverted_pair past its horizon: the restricted block of the volumetric
+    # exponent loses positive definiteness first
+    import json
+    from entgrowth.config import build_hamiltonian_from_spec, parse_config
+    from entgrowth.dynamics import propagate
+    from entgrowth.errors import NotPositiveDefinite
+    from entgrowth.phase_space import SubsystemSpec
+    from entgrowth.scenarios import scenario_document
+    from entgrowth.subsystem import restricted_log_volume
+
+    doc = scenario_document("inverted_pair")
+    doc["run"]["t_final"] = 60.0
+    cfg = parse_config(json.dumps(doc))
+    rep = run_scenario(cfg, write_outputs=False)
+    prefix = "NotPositiveDefinite: exponent stage, restricted block at t="
+    assert len(rep.failures) == 1 and rep.failures[0].startswith(prefix)
+    t_text, detail = rep.failures[0][len(prefix):].split(": ")
+    assert detail == "matrix is not positive definite"
+
+    run = cfg.run
+    series = propagate(build_hamiltonian_from_spec(cfg.hamiltonian, cfg.modes), run.t_final,
+                       run.dt, store_every=run.store_every)
+    sub_a = SubsystemSpec.first_modes(1, 2)
+    for t, m in zip(series.times, series.matrices):
+        try:
+            restricted_log_volume(sub_a, m, np.eye(4))
+        except NotPositiveDefinite:
+            break
+    assert t_text == f"{t:.6g}"
+
+
 def test_coupled_chain_uses_two_unstable_rates():
     rep = run_scenario(default_scenario("coupled_chain"), write_outputs=False)
     assert rep.ok, rep.failures

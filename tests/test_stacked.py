@@ -1,0 +1,171 @@
+"""Stacked per-sample functions against the loop of their one-matrix calls.
+
+A stack of n matrices must give, bit for bit, what n single calls give,
+and fail where the loop first fails: same sample, same error type, same
+message after the sample prefix.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.linalg import expm
+
+from entgrowth.dynamics import evolve_covariance, polar_decompose
+from entgrowth.entropy import asymptotic_entropy, logdet_pd, renyi2_entropy, von_neumann_entropy
+from entgrowth.errors import NotPositiveDefinite, SingularM
+from entgrowth.phase_space import (
+    ModeCount,
+    SubsystemSpec,
+    restrict,
+    standard_omega,
+    validate_covariance,
+    williamson_spectrum,
+)
+from entgrowth.ssa import squashed_bounds
+from entgrowth.subsystem import restricted_log_volume
+
+
+@st.composite
+def symplectic_stacks(draw):
+    """(mats, g0, split): 1-6 flows exp(t Omega h) on 2 or 3 modes, |h entries| <= 0.5, t <= 3.
+
+    ``g0`` is a squeezed thermal covariance, S diag(nu) S^T with nu >= 1.
+    """
+    n = draw(st.sampled_from([2, 3]))
+    count = draw(st.integers(1, 6))
+    dim = 2 * n
+    forms = draw(hnp.arrays(np.float64, (count + 1, dim, dim), elements=st.floats(-0.5, 0.5)))
+    t = draw(st.floats(0.0, 3.0))
+    omega = standard_omega(n)
+    flows = np.array([expm(t * omega @ (0.5 * (a + a.T))) for a in forms])
+    nu = draw(hnp.arrays(np.float64, n, elements=st.floats(1.0, 3.0)))
+    s0 = flows[-1]
+    g0 = s0 @ np.diag(np.repeat(nu, 2)) @ s0.T
+    return flows[:-1], 0.5 * (g0 + g0.T), ModeCount(n, draw(st.integers(1, n - 1)))
+
+
+def _loop(fn, stack):
+    """``fn`` on each matrix in turn: (results, None), or (None, (i, error)) at the first failure."""
+    results = []
+    for i, mat in enumerate(stack):
+        try:
+            results.append(fn(mat))
+        except Exception as exc:
+            return None, (i, exc)
+    return results, None
+
+
+def _agrees_with_loop(fn, stack, parts=lambda result: (result,)):
+    """``fn(stack)`` equals the loop of ``fn`` bit for bit, or fails where the loop first fails."""
+    results, failure = _loop(fn, stack)
+    if failure is None:
+        got = parts(fn(stack))
+        for k, part in enumerate(got):
+            want = np.array([parts(r)[k] for r in results])
+            assert part.shape == want.shape
+            assert (part == want).all()
+        return True
+    index, error = failure
+    with pytest.raises(type(error)) as info:
+        fn(stack)
+    assert type(info.value) is type(error)
+    assert info.value.index == index
+    assert info.value.detail == str(error)
+    assert str(info.value) == f"sample {index}: {error}"
+    return False
+
+
+@settings(max_examples=80, deadline=None)
+@given(symplectic_stacks())
+def test_stacked_functions_equal_their_loop_bit_for_bit(case):
+    mats, g0, split = case
+    sub_a = SubsystemSpec.first_modes(split.n_a, split.n_total)
+
+    assert _agrees_with_loop(lambda m: evolve_covariance(g0, m), mats)
+    g = evolve_covariance(g0, mats)
+    assert _agrees_with_loop(lambda x: restrict(x, sub_a), g)
+    g_a = restrict(g, sub_a)
+    _agrees_with_loop(lambda m: restricted_log_volume(sub_a, m, g0), mats)
+
+    for blocks in (g, g_a):
+        check = validate_covariance(blocks)
+        singles = [validate_covariance(x) for x in blocks]
+        assert (check.eigenvalues == np.array([c.eigenvalues for c in singles])).all()
+        failed = [i for i, c in enumerate(singles) if not c.is_valid]
+        assert check.index == (failed[0] if failed else None)
+        assert check.verdict == (singles[failed[0]].verdict if failed else "valid")
+        for fn in (logdet_pd, asymptotic_entropy, renyi2_entropy, von_neumann_entropy):
+            if _agrees_with_loop(fn, blocks):
+                assert type(fn(blocks[0])) is float
+        for method in ("chol", "eig"):
+            _agrees_with_loop(lambda x: williamson_spectrum(x, method=method), blocks)
+
+    def polar_parts(pair):
+        return pair.t_part, pair.u_part
+
+    if _agrees_with_loop(polar_decompose, mats, polar_parts):
+        _agrees_with_loop(lambda t: squashed_bounds(t, g0, split),
+                          polar_decompose(mats).t_part, lambda bounds: bounds)
+
+
+def _clean_case(case):
+    mats, g0, split = case
+    sub_a = SubsystemSpec.first_modes(split.n_a, split.n_total)
+    g_a = restrict(evolve_covariance(g0, mats), sub_a)
+    t_parts = polar_decompose(mats).t_part
+    assume(_loop(von_neumann_entropy, g_a)[1] is None)
+    assume(_loop(lambda t: squashed_bounds(t, g0, split), t_parts)[1] is None)
+    return g_a, t_parts.copy(), g0, split
+
+
+@settings(max_examples=60, deadline=None)
+@given(symplectic_stacks(), st.data())
+def test_a_corrupted_sample_fails_as_its_own_call(case, data):
+    g_a, t_parts, g0, split = _clean_case(case)
+    index = data.draw(st.integers(0, len(g_a) - 1))
+    if data.draw(st.booleans()):
+        # a non-PD A block
+        blocks = g_a.copy()
+        blocks[index] = -blocks[index]
+        checks = [(fn, blocks) for fn in
+                  (logdet_pd, asymptotic_entropy, renyi2_entropy, von_neumann_entropy)]
+    else:
+        # an asymmetric polar factor
+        t_parts[index][0, -1] += 1e-6 * (1.0 + np.abs(t_parts[index]).max())
+        checks = [(lambda t: squashed_bounds(t, g0, split), t_parts)]
+    for fn, stack in checks:
+        with pytest.raises(Exception) as single:
+            fn(stack[index])
+        with pytest.raises(type(single.value)) as stacked:
+            fn(stack)
+        assert type(stacked.value) is type(single.value)
+        assert stacked.value.index == index
+        assert str(stacked.value) == f"sample {index}: {single.value}"
+
+
+def test_earliest_failing_sample_wins_over_check_order():
+    # sample 3 fails the first check, sample 1 only the second: a loop over
+    # the samples meets sample 1 first
+    t_parts = np.array([np.eye(4)] * 4)
+    t_parts[3][0, 1] = 0.5
+    t_parts[1] = -np.eye(4)
+    with pytest.raises(NotPositiveDefinite, match="negative eigenvalue") as info:
+        squashed_bounds(t_parts, np.eye(4), ModeCount(2, 1))
+    assert info.value.index == 1
+
+    mats = np.array([np.eye(4)] * 3)
+    mats[2][0, 0] = np.nan     # the first check of the polar decomposition
+    mats[0][:2] = 0.0          # singular: its second check
+    with pytest.raises(SingularM, match="singular values out of range") as info:
+        polar_decompose(mats)
+    assert info.value.index == 0
+    assert str(info.value).startswith("sample 0: ")
+
+
+def test_one_matrix_failure_has_no_sample():
+    with pytest.raises(NotPositiveDefinite) as info:
+        logdet_pd(-np.eye(2))
+    assert str(info.value) == "matrix is not positive definite"
+    assert info.value.index is None
