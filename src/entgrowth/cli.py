@@ -24,6 +24,7 @@ import sys
 
 from .config import ScenarioConfig, parse_config, serialize_config
 from .errors import ConfigError
+from .fock import FockState
 from .reporting import RunReport
 from .scenarios import SCENARIO_NAMES, run_scenario, run_view, scenario_document
 
@@ -62,7 +63,7 @@ def _cmd_view(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg = _load_config(args.config)
-    if cfg.initial_state.type != "fock":
+    if not isinstance(cfg.initial_state, FockState):
         raise ConfigError("oracle command needs a fock initial state", "initial_state.type")
     _apply_output_flags(cfg, args)
     report = run_scenario(cfg)

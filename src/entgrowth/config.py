@@ -14,8 +14,16 @@ Configs are single JSON documents with four sections::
 
 Each value passes a reader that checks and converts it; the fields of
 ``RunParams``, ``Tolerances`` and ``OutputSpec`` carry theirs.  An unknown
-key, a value its reader rejects and a Hamiltonian its constructor rejects
-are ConfigErrors naming the path (``run.store_evry``, ``hamiltonian.params``).
+key, a value its reader rejects and a Hamiltonian or state its constructor
+rejects are ConfigErrors naming the path (``run.store_evry``,
+``hamiltonian.params``).
+
+Parsing builds the Hamiltonian and the initial state once, by one reader
+per type that checks its keys and returns the built object with its
+canonical JSON.  ``cfg.hamiltonian`` is the ``QuadraticHamiltonian`` the
+pipeline runs; ``cfg.initial_state`` is the covariance matrix (the identity
+for ``"vacuum"``) or the ``FockState``; ``cfg.canonical`` keeps the
+canonical JSON of both sections for serialization and the config hash.
 
 Matrices are written row-major with explicit dimensions:
 ``{"rows": 4, "cols": 4, "data": [...16 numbers...]}``.  Serialization is
@@ -28,7 +36,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -153,28 +161,6 @@ def _field(read, **default):
 
 
 @dataclass
-class HamiltonianSpec:
-    """Declarative description of h(t)."""
-
-    type: str                      # constant | builtin | piecewise | fourier
-    name: Optional[str] = None     # builtin name
-    params: dict = field(default_factory=dict)
-    h: Optional[np.ndarray] = None
-    period: Optional[float] = None
-    pieces: Optional[list] = None  # [(duration, matrix), ...]
-    base: Optional[np.ndarray] = None
-    terms: Optional[list] = None   # [{"omega": w, "cos": mat | None, "sin": mat | None}]
-
-
-@dataclass
-class StateSpec:
-    type: str                      # gaussian | fock
-    covariance: Optional[np.ndarray] = None   # None means vacuum
-    state: Optional[str] = None    # e.g. "fock:0,0", "superfock:1,0,0;1,2,0", "coherent:1.0", "cat:1.5"
-    cutoff: Optional[int] = None
-
-
-@dataclass
 class RunParams:
     t_final: float = _field(_positive)
     dt: float = _field(_positive)
@@ -204,8 +190,9 @@ class OutputSpec:
 @dataclass
 class ScenarioConfig:
     modes: ModeCount
-    hamiltonian: HamiltonianSpec
-    initial_state: StateSpec
+    hamiltonian: QuadraticHamiltonian
+    initial_state: Union[np.ndarray, "fock_mod.FockState"]   # covariance or Fock state
+    canonical: dict    # the "hamiltonian" and "initial_state" sections' canonical JSON
     run: RunParams
     tolerances: Tolerances = field(default_factory=Tolerances)
     output: OutputSpec = field(default_factory=OutputSpec)
@@ -227,15 +214,11 @@ def _section_json(section) -> dict:
 
 
 _TOP_KEYS = ("scenario", "modes", "hamiltonian", "initial_state", "run", "tolerances", "output")
-# hamiltonian type -> its keys, the first being the data its constructor checks
-_HAMILTONIAN_KEYS = {"constant": ("h", "type"), "builtin": ("params", "type", "name"),
-                     "piecewise": ("pieces", "type", "period"),
-                     "fourier": ("terms", "type", "base", "period")}
-_STATE_KEYS = {"gaussian": ("type", "covariance"), "fock": ("type", "state", "cutoff")}
+_H, _S = "hamiltonian", "initial_state"   # the two sections read by one reader per type
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate a JSON scenario document."""
+    """Parse and validate a JSON scenario document, building its Hamiltonian and state."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -252,71 +235,136 @@ def parse_config(text: str) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(str(exc), "modes") from exc
 
+    ham_json, ham = _typed(doc, _H, "hamiltonian", _HAMILTONIANS, modes)
+    state_json, state = _typed(doc, _S, "state", _STATES, modes)
     return ScenarioConfig(
-        modes=modes,
-        hamiltonian=_parse_hamiltonian(_get(doc, "hamiltonian", None, _object), modes),
-        initial_state=_parse_state(_get(doc, "initial_state", None, _object), modes),
+        modes=modes, hamiltonian=ham, initial_state=state,
+        canonical={_H: ham_json, _S: state_json},
         run=_check_run(_parse_section(RunParams, _get(doc, "run", None, _object), "run")),
         tolerances=_parse_section(Tolerances, doc.get("tolerances", {}), "tolerances"),
         output=_parse_section(OutputSpec, doc.get("output", {}), "output"),
         scenario=_get(doc, "scenario", None, _string, None))
 
 
-def _parse_hamiltonian(obj, modes: ModeCount) -> HamiltonianSpec:
-    path = "hamiltonian"
+def _typed(doc, path, what, readers, modes):
+    """The canonical JSON and the built object of a section, by the reader of its type."""
+    obj = _get(doc, path, None, _object)
     kind = _get(obj, "type", path, _string)
-    if kind not in _HAMILTONIAN_KEYS:
-        raise ConfigError(f"unknown hamiltonian type {kind!r}", "hamiltonian.type")
-    _object(obj, path, _HAMILTONIAN_KEYS[kind])
-    form = _form(2 * modes.n_total)
-    if kind == "constant":
-        spec = HamiltonianSpec(type=kind, h=_get(obj, "h", path, form))
-    elif kind == "builtin":
-        spec = HamiltonianSpec(type=kind, name=_get(obj, "name", path, _string),
-                               params=_get(obj, "params", path, _builtin_params, {}))
-    elif kind == "piecewise":
-        def piece(value, p):
-            _object(value, p, ("duration", "h"))
-            return _get(value, "duration", p, _positive), _get(value, "h", p, form)
+    if kind not in readers:
+        raise ConfigError(f"unknown {what} type {kind!r}", f"{path}.type")
+    canonical, built = readers[kind](obj, modes)
+    return {"type": kind, **canonical}, built
 
-        spec = HamiltonianSpec(type=kind, period=_get(obj, "period", path, _positive),
-                               pieces=list(_get(obj, "pieces", path, _list(piece))))
-    else:
-        def term(value, p):
-            _object(value, p, ("omega", "cos", "sin"))
-            return {"omega": _get(value, "omega", p, _number),
-                    "cos": _get(value, "cos", p, form, None),
-                    "sin": _get(value, "sin", p, form, None)}
 
-        spec = HamiltonianSpec(type=kind, base=_get(obj, "base", path, form),
-                               terms=list(_get(obj, "terms", path, _list(term), ())),
-                               period=_get(obj, "period", path, _positive, None))
+def _build(path, what, make, *args, **kwargs):
+    """``make(*args, **kwargs)``: the constructor's own checks decide what else is
+    valid, and a TypeError or ValueError of theirs is a ConfigError on ``path``."""
     try:
-        # the constructors' own checks decide what else is valid: durations
-        # summing to the period, the builtin's parameters and mode count
-        build_hamiltonian_from_spec(spec, modes)
+        return make(*args, **kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{spec.name or kind}: {exc}",
-                          f"{path}.{_HAMILTONIAN_KEYS[kind][0]}") from exc
-    return spec
+        raise ConfigError(f"{what}: {exc}" if what else str(exc), path) from exc
 
 
-def _parse_state(obj, modes: ModeCount) -> StateSpec:
-    path = "initial_state"
-    kind = _get(obj, "type", path, _string)
-    if kind not in _STATE_KEYS:
-        raise ConfigError(f"unknown state type {kind!r}", "initial_state.type")
-    _object(obj, path, _STATE_KEYS[kind])
-    if kind == "gaussian":
-        cov = obj.get("covariance", "vacuum")
-        return StateSpec(type=kind, covariance=None if cov == "vacuum" else
-                         _get(obj, "covariance", path, _form(2 * modes.n_total)))
-    spec = StateSpec(type=kind, state=_get(obj, "state", path, _string),
-                     cutoff=_get(obj, "cutoff", path, _integer))
-    _parse_fock_state(spec, modes.n_total)
-    return spec
+# section readers: each checks its type's keys and returns the section's
+# canonical JSON (less "type") and the object it describes
+
+
+def _read_constant(obj, modes):
+    _object(obj, _H, ("type", "h"))
+    h = _get(obj, "h", _H, _form(2 * modes.n_total))
+    return {"h": matrix_to_json(h)}, _build(f"{_H}.h", "constant", QuadraticHamiltonian.constant, h)
+
+
+def _read_builtin(obj, modes):
+    from .scenarios import builtin_hamiltonian
+    _object(obj, _H, ("type", "name", "params"))
+    name = _get(obj, "name", _H, _string)
+    params = _get(obj, "params", _H, _builtin_params, {})
+    canonical = {"name": name, "params": params} if params else {"name": name}
+    return canonical, _build(f"{_H}.params", name, builtin_hamiltonian, name, modes, **params)
+
+
+def _read_piecewise(obj, modes):
+    _object(obj, _H, ("type", "pieces", "period"))
+    form = _form(2 * modes.n_total)
+
+    def read_piece(value, p):
+        _object(value, p, ("duration", "h"))
+        return _get(value, "duration", p, _positive), _get(value, "h", p, form)
+
+    period = _get(obj, "period", _H, _positive)
+    pieces = _get(obj, "pieces", _H, _list(read_piece))
+    canonical = {"period": period,
+                 "pieces": [{"duration": d, "h": matrix_to_json(h)} for d, h in pieces]}
+    return canonical, _build(f"{_H}.pieces", "piecewise", QuadraticHamiltonian.piecewise,
+                             pieces, period)
+
+
+def _read_fourier(obj, modes):
+    """h(t) = base + sum over terms of cos(omega t) cos + sin(omega t) sin."""
+    _object(obj, _H, ("type", "terms", "base", "period"))
+    form = _form(2 * modes.n_total)
+
+    def read_term(value, p):
+        _object(value, p, ("omega", "cos", "sin"))
+        return {"omega": _get(value, "omega", p, _number),
+                "cos": _get(value, "cos", p, form, None),
+                "sin": _get(value, "sin", p, form, None)}
+
+    base = _get(obj, "base", _H, form)
+    terms = _get(obj, "terms", _H, _list(read_term), ())
+    period = _get(obj, "period", _H, _positive, None)
+
+    def h_of_t(t):
+        total = base.copy()
+        for term in terms:
+            if term["cos"] is not None:
+                total = total + math.cos(term["omega"] * t) * term["cos"]
+            if term["sin"] is not None:
+                total = total + math.sin(term["omega"] * t) * term["sin"]
+        return total
+
+    canonical = {"base": matrix_to_json(base),
+                 "terms": [{k: v if k == "omega" else matrix_to_json(v)
+                            for k, v in term.items() if v is not None} for term in terms]}
+    if period is not None:
+        canonical["period"] = period
+    return canonical, _build(f"{_H}.terms", "fourier", QuadraticHamiltonian,
+                             h=h_of_t, n_modes=modes.n_total, period=period)
+
+
+_HAMILTONIANS = {"constant": _read_constant, "builtin": _read_builtin,
+                 "piecewise": _read_piecewise, "fourier": _read_fourier}
+
+
+def _read_gaussian(obj, modes):
+    _object(obj, _S, ("type", "covariance"))
+    if obj.get("covariance", "vacuum") == "vacuum":
+        canonical, cov = "vacuum", np.eye(2 * modes.n_total)
+    else:
+        cov = _get(obj, "covariance", _S, _form(2 * modes.n_total))
+        canonical = matrix_to_json(cov)
+    cov.setflags(write=False)   # every stage and every run of the config reads this one array
+    return {"covariance": canonical}, cov
+
+
+def _read_fock(obj, modes):
+    """The oracle's initial state, e.g. "fock:0,0", "superfock:1,0,0;1,2,0",
+    "coherent:1.0", "cat:1.5"."""
+    _object(obj, _S, ("type", "state", "cutoff"))
+    text, cutoff = _get(obj, "state", _S, _string), _get(obj, "cutoff", _S, _integer)
+    n_modes = modes.n_total
+    if not 1 <= n_modes <= 3:
+        raise ConfigError("the Fock oracle supports 1 to 3 modes", "modes.total")
+    # the oracle's own truncation rules: lowest cutoff, largest dimension
+    _build(f"{_S}.cutoff", None, fock_mod.FockConfig, n_modes=n_modes, cutoff=cutoff, dt=1.0)
+    return ({"state": text, "cutoff": cutoff},
+            _build(f"{_S}.state", repr(text), _fock_from_text, text, cutoff, n_modes))
+
+
+_STATES = {"gaussian": _read_gaussian, "fock": _read_fock}
 
 
 def _occupations(text, n_modes, cutoff):
@@ -326,37 +374,38 @@ def _occupations(text, n_modes, cutoff):
     return occ
 
 
-def _parse_fock_state(spec: StateSpec, n_modes: int) -> "fock_mod.FockState":
-    """The oracle's initial state; a ConfigError naming the field when there is none."""
-    if not 1 <= n_modes <= 3:
-        raise ConfigError("the Fock oracle supports 1 to 3 modes", "modes.total")
-    cutoff = spec.cutoff
-    try:
-        # the oracle's own truncation rules: lowest cutoff, largest dimension
-        fock_mod.FockConfig(n_modes=n_modes, cutoff=cutoff, dt=1.0)
-    except ValueError as exc:
-        raise ConfigError(str(exc), "initial_state.cutoff") from exc
-    kind, _, arg = spec.state.partition(":")
-    try:
-        if kind == "fock":
-            return fock_mod.FockState.fock(_occupations(arg, n_modes, cutoff), cutoff)
-        if kind == "superfock":
-            terms = [(1.0, _occupations(part, n_modes, cutoff)) for part in arg.split(";")]
-            return fock_mod.FockState.superposition(terms, cutoff, n_modes)
-        if kind == "coherent":
-            alphas = [complex(x) for x in arg.split(",")]
-            if len(alphas) != n_modes:
-                raise ValueError("one amplitude per mode required")
-            return fock_mod.FockState.coherent(alphas, cutoff)
-        if kind == "cat":
-            alpha, _, mode = arg.partition(",")
-            mode = int(mode or 0)
-            if not 0 <= mode < n_modes:
-                raise ValueError(f"cat mode {mode} outside [0, {n_modes})")
-            return fock_mod.FockState.cat(complex(alpha), cutoff, n_modes=n_modes, mode=mode)
-    except ValueError as exc:
-        raise ConfigError(f"{spec.state!r}: {exc}", "initial_state.state") from exc
-    raise ConfigError(f"unknown state kind {kind!r}", "initial_state.state")
+def _fock_from_text(text, cutoff, n_modes) -> "fock_mod.FockState":
+    kind, _, arg = text.partition(":")
+    if kind == "fock":
+        return fock_mod.FockState.fock(_occupations(arg, n_modes, cutoff), cutoff)
+    if kind == "superfock":
+        terms = [(1.0, _occupations(part, n_modes, cutoff)) for part in arg.split(";")]
+        return fock_mod.FockState.superposition(terms, cutoff, n_modes)
+    if kind == "coherent":
+        alphas = [complex(x) for x in arg.split(",")]
+        if len(alphas) != n_modes:
+            raise ValueError("one amplitude per mode required")
+        return fock_mod.FockState.coherent(alphas, cutoff)
+    if kind == "cat":
+        alpha, _, mode = arg.partition(",")
+        mode = int(mode or 0)
+        if not 0 <= mode < n_modes:
+            raise ValueError(f"cat mode {mode} outside [0, {n_modes})")
+        return fock_mod.FockState.cat(complex(alpha), cutoff, n_modes=n_modes, mode=mode)
+    raise ConfigError(f"unknown state kind {kind!r}", f"{_S}.state")
+
+
+def stored_sample_index(times, t) -> int:
+    """The index of the stored sample time ``t``.
+
+    A time farther than 1e-9 (1 + |t|) from every stored time is a
+    ConfigError on ``run.bound_times``, not a silent move to the nearest.
+    """
+    idx = int(np.argmin(np.abs(times - t)))
+    if abs(times[idx] - t) > 1e-9 * (1.0 + abs(t)):
+        raise ConfigError(f"bound time {t:g} is not a stored sample time "
+                          f"(nearest {times[idx]:.17g})", "run.bound_times")
+    return idx
 
 
 def _check_run(run: RunParams) -> RunParams:
@@ -364,49 +413,16 @@ def _check_run(run: RunParams) -> RunParams:
     if run.window is not None and run.window[0] >= run.t_final:
         raise ConfigError(f"window starts at {run.window[0]:g}, not before t_final "
                           f"{run.t_final:g}", "run.window")
-    # the same rule as scenarios.bound_matrices; it also rejects times past
-    # t_final, the last stored time
+    # also rejects times past t_final, the last stored time
     stored = sample_times(run.t_final, run.dt, run.store_every) if run.bound_times else ()
     for t in run.bound_times:
-        nearest = stored[np.argmin(np.abs(stored - t))]
-        if abs(nearest - t) > 1e-9 * (1.0 + abs(t)):
-            raise ConfigError(f"bound time {t:g} is not a stored sample time "
-                              f"(nearest {nearest:.17g})", "run.bound_times")
+        stored_sample_index(stored, t)
     return run
 
 
 def config_to_json_dict(cfg: ScenarioConfig) -> dict:
-    ham = cfg.hamiltonian
-    ham_obj = {"type": ham.type}
-    if ham.type == "constant":
-        ham_obj["h"] = matrix_to_json(ham.h)
-    elif ham.type == "builtin":
-        ham_obj["name"] = ham.name
-        if ham.params:
-            ham_obj["params"] = ham.params
-    elif ham.type == "piecewise":
-        ham_obj["period"] = ham.period
-        ham_obj["pieces"] = [{"duration": d, "h": matrix_to_json(mat)} for d, mat in ham.pieces]
-    elif ham.type == "fourier":
-        ham_obj["base"] = matrix_to_json(ham.base)
-        ham_obj["terms"] = [
-            {k: (matrix_to_json(v) if isinstance(v, np.ndarray) else v)
-             for k, v in term.items() if v is not None}
-            for term in (ham.terms or [])]
-        if ham.period:
-            ham_obj["period"] = ham.period
-
-    state = cfg.initial_state
-    state_obj = {"type": state.type}
-    if state.type == "gaussian":
-        state_obj["covariance"] = ("vacuum" if state.covariance is None
-                                   else matrix_to_json(state.covariance))
-    else:
-        state_obj["state"] = state.state
-        state_obj["cutoff"] = state.cutoff
-
     doc = {"modes": {"total": cfg.modes.n_total, "subsystem": cfg.modes.n_a},
-           "hamiltonian": ham_obj, "initial_state": state_obj,
+           **cfg.canonical,
            "run": _section_json(cfg.run), "tolerances": _section_json(cfg.tolerances)}
     if cfg.scenario:
         doc["scenario"] = cfg.scenario
@@ -423,30 +439,3 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 
 def config_hash(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:16]
-
-
-def build_hamiltonian_from_spec(spec: HamiltonianSpec, modes: ModeCount) -> QuadraticHamiltonian:
-    """Turn a declarative Hamiltonian spec into a QuadraticHamiltonian."""
-    if spec.type == "constant":
-        return QuadraticHamiltonian.constant(spec.h)
-    if spec.type == "builtin":
-        from .scenarios import builtin_hamiltonian
-        return builtin_hamiltonian(spec.name, modes, **spec.params)
-    if spec.type == "piecewise":
-        return QuadraticHamiltonian.piecewise(spec.pieces, spec.period)
-    if spec.type == "fourier":
-        base = spec.base
-        terms = spec.terms or []
-
-        def h_of_t(t, _base=base, _terms=terms):
-            total = _base.copy()
-            for term in _terms:
-                w = term["omega"]
-                if term.get("cos") is not None:
-                    total = total + math.cos(w * t) * term["cos"]
-                if term.get("sin") is not None:
-                    total = total + math.sin(w * t) * term["sin"]
-            return total
-
-        return QuadraticHamiltonian(h=h_of_t, n_modes=modes.n_total, period=spec.period)
-    raise ConfigError(f"unknown hamiltonian type {spec.type!r}", "hamiltonian.type")

@@ -123,13 +123,11 @@ def corridor_check(g, slack: float = 1e-9) -> EntropyReport:
     report = EntropyReport(s_vn=s_vn, s_r2=s_r2, s_as=s_as, n_modes=n)
     if not (s_r2 - slack <= s_vn <= s_as + slack):
         raise CorridorViolated(
-            f"entropy corridor violated: S2={s_r2:.12g}, S={s_vn:.12g}, Sas={s_as:.12g}",
-            s_vn=s_vn, s_r2=s_r2, s_as=s_as)
+            f"entropy corridor violated: S2={s_r2:.12g}, S={s_vn:.12g}, Sas={s_as:.12g}")
     nu_min = float(np.min(nus))
     if s_as - s_vn > n / nu_min ** 2 * LN_E_OVER_2 + slack:
         raise CorridorViolated(
-            f"near-saturation bound violated: gap={s_as - s_vn:.12g} at nu_min={nu_min:.6g}",
-            s_vn=s_vn, s_r2=s_r2, s_as=s_as)
+            f"near-saturation bound violated: gap={s_as - s_vn:.12g} at nu_min={nu_min:.6g}")
     return report
 
 

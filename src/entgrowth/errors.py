@@ -74,12 +74,6 @@ class RankDeficient(EntgrowthError, ValueError):
 class CorridorViolated(EntgrowthError, RuntimeError):
     """Entropy corridor inequality failed."""
 
-    def __init__(self, message, s_vn=None, s_r2=None, s_as=None):
-        super().__init__(message)
-        self.s_vn = s_vn
-        self.s_r2 = s_r2
-        self.s_as = s_as
-
 
 class TruncationLeak(EntgrowthError, RuntimeError):
     """Population at the top Fock levels exceeded the configured ceiling."""

@@ -21,6 +21,9 @@ from .errors import DimensionMismatch, NonHermitian, TruncationLeak
 from .phase_space import require_valid_covariance
 
 
+MAX_DIM = 4096   # largest truncated dimension, cutoff ** n_modes
+
+
 @dataclass(frozen=True)
 class FockConfig:
     """Truncation and stepping parameters of the oracle."""
@@ -29,7 +32,6 @@ class FockConfig:
     cutoff: int
     dt: float
     leak_ceiling: float = 1e-6
-    max_dim: int = 4096
 
     def __post_init__(self):
         if not 1 <= self.n_modes <= 3:
@@ -38,8 +40,8 @@ class FockConfig:
             raise ValueError("cutoff must be at least 4")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.dim > self.max_dim:
-            raise ValueError(f"total dimension {self.dim} exceeds bound {self.max_dim}")
+        if self.dim > MAX_DIM:
+            raise ValueError(f"total dimension {self.dim} exceeds bound {MAX_DIM}")
 
     @property
     def dim(self) -> int:

@@ -20,13 +20,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import fock as fock_mod
-from .config import (
-    ScenarioConfig,
-    _parse_fock_state,
-    build_hamiltonian_from_spec,
-    config_hash,
-    parse_config,
-)
+from .config import ScenarioConfig, config_hash, parse_config, stored_sample_index
 from .dynamics import (
     QuadraticHamiltonian,
     evolve_covariance,
@@ -217,8 +211,8 @@ def default_scenario(name: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # pipeline
 
-def _lyapunov_section(report, ham, cfg):
-    run = cfg.run
+def _lyapunov_section(report, cfg):
+    ham, run = cfg.hamiltonian, cfg.run
     t_star = run.lyapunov_t_star or max(run.t_final, 60.0)
     dt = run.lyapunov_dt or min(run.dt * 5.0, 0.05)
     residual_tol = cfg.tolerances.residual_tol
@@ -239,9 +233,9 @@ def _lyapunov_section(report, ham, cfg):
     return lyap
 
 
-def _floquet_section(report, ham, cfg):
-    period = ham.period
-    one_period = propagate(ham, period, cfg.run.dt)
+def _floquet_section(report, cfg):
+    period = cfg.hamiltonian.period
+    one_period = propagate(cfg.hamiltonian, period, cfg.run.dt)
     m_tau = one_period.final_matrix
     mults = np.linalg.eigvals(m_tau)
     rates = np.sort(np.log(np.abs(mults)))[::-1] / period
@@ -281,20 +275,18 @@ def run_scenario(cfg: ScenarioConfig, write_outputs: bool = True) -> RunReport:
 
 
 def _lyapunov_view(cfg, report):
-    _lyapunov_section(report, build_hamiltonian_from_spec(cfg.hamiltonian, cfg.modes), cfg)
+    _lyapunov_section(report, cfg)
 
 
 def _exponent_view(cfg, report):
-    ham = build_hamiltonian_from_spec(cfg.hamiltonian, cfg.modes)
-    series = _propagation_section(report, ham, cfg)
-    lyap = _lyapunov_section(report, ham, cfg)
+    series = _propagation_section(report, cfg)
+    lyap = _lyapunov_section(report, cfg)
     sub_a = SubsystemSpec.first_modes(cfg.modes.n_a, cfg.modes.n_total)
     _exponent_section(report, sub_a, lyap, series, _initial_covariance(cfg))
 
 
 def _bounds_view(cfg, report):
-    ham = build_hamiltonian_from_spec(cfg.hamiltonian, cfg.modes)
-    series = _propagation_section(report, ham, cfg)
+    series = _propagation_section(report, cfg)
     _bounds_section(report, series, cfg.modes, cfg.run.bound_times or (cfg.run.t_final,))
 
 
@@ -346,15 +338,15 @@ def _run_classical(cfg, report):
 
 
 def _initial_covariance(cfg):
-    # a config without a Gaussian covariance (vacuum, or a Fock state) uses
-    # the vacuum; the volumetric slope does not depend on this metric
-    g0 = cfg.initial_state.covariance
-    return np.eye(2 * cfg.modes.n_total) if g0 is None else g0
+    # a Fock state's exponent stage uses the vacuum; the volumetric slope
+    # does not depend on this metric
+    g0 = cfg.initial_state
+    return g0 if isinstance(g0, np.ndarray) else np.eye(2 * cfg.modes.n_total)
 
 
-def _propagation_section(report, ham, cfg):
-    series = propagate(ham, cfg.run.t_final, cfg.run.dt, store_every=cfg.run.store_every,
-                       defect_factor=cfg.tolerances.defect_factor)
+def _propagation_section(report, cfg):
+    series = propagate(cfg.hamiltonian, cfg.run.t_final, cfg.run.dt,
+                       store_every=cfg.run.store_every, defect_factor=cfg.tolerances.defect_factor)
     report.add("propagation", {"t_final": series.t_final, "dt": series.dt,
                                "max_defect": float(np.max(series.defects)),
                                "samples": len(series.times)})
@@ -393,14 +385,14 @@ def _run_flow(cfg, report):
     are the same for both state types; the entropy rows and the slope gate
     are each state type's own.
     """
-    ham = build_hamiltonian_from_spec(cfg.hamiltonian, cfg.modes)
-    series = _propagation_section(report, ham, cfg)
-    lyap = _lyapunov_section(report, ham, cfg)
-    gaussian = cfg.initial_state.type == "gaussian"
-    (_gaussian_stages if gaussian else _fock_stages)(report, ham, cfg, series, lyap)
+    series = _propagation_section(report, cfg)
+    lyap = _lyapunov_section(report, cfg)
+    gaussian = isinstance(cfg.initial_state, np.ndarray)
+    (_gaussian_stages if gaussian else _fock_stages)(report, cfg, series, lyap)
     if cfg.run.bound_times:
         _bounds_section(report, series, cfg.modes, cfg.run.bound_times)
-    if gaussian and cfg.scenario == "metastable":
+    # the log-growth gate belongs to the metastable model, whatever the tag
+    if gaussian and cfg.canonical["hamiltonian"] == {"type": "builtin", "name": "metastable"}:
         _metastable_section(report, series.times)
 
 
@@ -444,15 +436,15 @@ def _gaussian_samples(mats, times, g0, split, s_global):
     return s_vn_a, s2_a, s_as_a, i_ab, lower, upper
 
 
-def _gaussian_stages(report, ham, cfg, series, lyap):
+def _gaussian_stages(report, cfg, series, lyap):
     split = cfg.modes
     sub_a = SubsystemSpec.first_modes(split.n_a, split.n_total)
     g0 = _initial_covariance(cfg)
     alg, vol = _exponent_section(report, sub_a, lyap, series, g0)
 
     rates = None
-    if ham.period is not None:
-        rates = _floquet_section(report, ham, cfg)
+    if cfg.hamiltonian.period is not None:
+        rates = _floquet_section(report, cfg)
 
     # symplectic invariance: the global spectrum never changes along the flow
     s_global = None if is_pure(g0) else von_neumann_entropy(g0)
@@ -493,19 +485,11 @@ def _metastable_section(report, times):
 
 
 def bound_matrices(series, times):
-    """The stored flow matrix at each bound time.
+    """The stored flow matrix at each bound time; an off-grid time is a ConfigError.
 
-    A bound time that is not a stored sample (to 1e-9 (1 + t)) is a config
-    error rather than a silent move to the nearest sample.
+    ``parse_config`` applies the same rule; this guards configs changed in code.
     """
-    mats = []
-    for t in times:
-        idx = series.index_at(t)
-        if abs(series.times[idx] - t) > 1e-9 * (1.0 + abs(t)):
-            raise ConfigError(f"bound time {t:g} is not a stored sample time "
-                              f"(nearest {series.times[idx]:.17g})", "run.bound_times")
-        mats.append(series.matrices[idx])
-    return mats
+    return [series.matrices[stored_sample_index(series.times, t)] for t in times]
 
 
 def _bounds_section(report, series, split, times):
@@ -523,17 +507,17 @@ def _bounds_section(report, series, split, times):
     report.add("bounds", entries)
 
 
-def _fock_stages(report, ham, cfg, series, lyap):
+def _fock_stages(report, cfg, series, lyap):
     split = cfg.modes
     modes_a = tuple(range(split.n_a))
     modes_b = tuple(range(split.n_a, split.n_total))
     sub_a = SubsystemSpec.first_modes(split.n_a, split.n_total)
-    fcfg = fock_mod.FockConfig(n_modes=split.n_total, cutoff=cfg.initial_state.cutoff,
+    psi0 = cfg.initial_state
+    fcfg = fock_mod.FockConfig(n_modes=split.n_total, cutoff=psi0.cutoff,
                                dt=cfg.run.dt, leak_ceiling=cfg.tolerances.leak_ceiling)
-    psi0 = _parse_fock_state(cfg.initial_state, split.n_total)
     g0, _ = fock_mod.covariance_of(psi0)
 
-    traj = fock_mod.evolve_fock(psi0, ham, cfg.run.t_final, fcfg,
+    traj = fock_mod.evolve_fock(psi0, cfg.hamiltonian, cfg.run.t_final, fcfg,
                                 store_every=cfg.run.store_every)
     if traj.trusted_until < cfg.run.t_final:
         report.warn(f"truncation leak at t={traj.trusted_until:g}; later samples untrusted")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import pathlib
 import re
 import shlex
@@ -48,9 +49,31 @@ MINIMAL = """
 def test_parse_minimal_config():
     cfg = parse_config(MINIMAL)
     assert cfg.modes.n_total == 2 and cfg.modes.n_a == 1
-    assert cfg.hamiltonian.type == "builtin"
-    assert cfg.initial_state.covariance is None
+    assert cfg.canonical["hamiltonian"]["type"] == "builtin"
+    assert np.array_equal(cfg.initial_state, np.eye(4))
     assert cfg.run.t_final == 2.0
+
+
+def _typed_documents():
+    """MINIMAL with each Hamiltonian type and each initial-state kind."""
+    h = np.diag([1.0, 1.0, -0.25, 1.0])
+    h[0, 2] = h[2, 0] = 0.2
+    mod = np.zeros((4, 4))
+    mod[0, 0] = 0.5
+    h_json = {"rows": 4, "cols": 4, "data": [int(x) if x == int(x) else x for x in h.ravel()]}
+    hamiltonians = [
+        {"type": "constant", "h": h_json},
+        {"type": "piecewise", "period": 2, "pieces": [
+            {"duration": 0.5, "h": h_json}, {"duration": 1.5, "h": matrix_to_json(np.eye(4))}]},
+        {"type": "fourier", "base": h_json, "period": 2.0, "terms": [
+            {"omega": math.pi, "cos": matrix_to_json(mod), "sin": matrix_to_json(mod.T)}]},
+        {"type": "fourier", "base": h_json, "terms": [{"omega": 1.3, "cos": matrix_to_json(mod)}]},
+    ]
+    states = [{"type": "gaussian", "covariance": matrix_to_json(np.diag([2.0, 0.5, 1.0, 1.0]))}]
+    states += [{"type": "fock", "state": text, "cutoff": 8}
+               for text in ("fock:1,0", "superfock:0,0;1,1", "coherent:0.3,0.2j", "cat:0.5,1")]
+    docs = [{**json.loads(MINIMAL), "hamiltonian": ham} for ham in hamiltonians]
+    return docs + [{**json.loads(MINIMAL), "initial_state": state} for state in states]
 
 
 def test_serialize_parse_idempotent():
@@ -63,6 +86,18 @@ def test_serialize_parse_idempotent():
         text1 = serialize_config(cfg)
         text2 = serialize_config(parse_config(text1))
         assert text1 == text2
+    for doc in _typed_documents():
+        cfg = parse_config(json.dumps(doc))
+        text1 = serialize_config(cfg)
+        again = parse_config(text1)
+        assert serialize_config(again) == text1
+        # the canonical text builds the same Hamiltonian and state
+        for t in (0.0, 0.4, 1.9, 7.3):
+            assert np.array_equal(cfg.hamiltonian.h(t), again.hamiltonian.h(t))
+        assert cfg.hamiltonian.period == again.hamiltonian.period
+        state, state_again = (getattr(c.initial_state, "amplitudes", c.initial_state)
+                              for c in (cfg, again))
+        assert np.array_equal(state, state_again)
 
 
 def test_config_hash_stable_and_sensitive():
@@ -116,7 +151,7 @@ def test_constant_hamiltonian_config():
         parse_config(json.dumps(doc))   # 2x2 form for a 2-mode system
     doc["hamiltonian"]["h"] = {"rows": 4, "cols": 4, "data": list(np.eye(4).ravel())}
     cfg = parse_config(json.dumps(doc))
-    assert cfg.hamiltonian.h.shape == (4, 4)
+    assert cfg.hamiltonian.h(0.0).shape == (4, 4)
 
 
 def test_warning_free_run_has_all_sections():
@@ -362,7 +397,8 @@ def test_readme_config_example_parses():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     block = re.search(r"```json\n(.*?)```", readme.read_text(), re.S).group(1)
     cfg = parse_config(block)
-    assert cfg.hamiltonian.name == "inverted_pair" and cfg.run.bound_times == (1.2, 12.0)
+    assert (cfg.canonical["hamiltonian"]["name"] == "inverted_pair"
+            and cfg.run.bound_times == (1.2, 12.0))
 
 
 def test_cli_oracle_command(tmp_path):
@@ -543,7 +579,7 @@ def test_builtin_params_parse_to_floats():
     doc["modes"]["total"] = 4
     doc["hamiltonian"] = {"type": "builtin", "name": "coupled_chain",
                           "params": {"omega_sq": [-1, 1, -0.64, 1], "coupling": 0.25}}
-    params = parse_config(json.dumps(doc)).hamiltonian.params
+    params = parse_config(json.dumps(doc)).canonical["hamiltonian"]["params"]
     assert params == {"omega_sq": (-1.0, 1.0, -0.64, 1.0), "coupling": 0.25}
     assert all(type(w) is float for w in params["omega_sq"])
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import entgrowth.dynamics as dynamics
-from entgrowth.config import build_hamiltonian_from_spec, parse_config
+from entgrowth.config import parse_config
 from entgrowth.dynamics import QuadraticHamiltonian, generator, propagate, step_loop
 from entgrowth.errors import DimensionMismatch, NonSymmetricH
 from entgrowth.fock import FockConfig, FockState, evolve_fock
@@ -34,7 +34,7 @@ def _piecewise_config_ham():
         "run": {"t_final": 4 * PERIOD, "dt": 0.01},
     }
     cfg = parse_config(json.dumps(doc))
-    return build_hamiltonian_from_spec(cfg.hamiltonian, cfg.modes)
+    return cfg.hamiltonian
 
 
 def _callable_wrapper(ham):

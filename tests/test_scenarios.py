@@ -1,10 +1,14 @@
 """Built-in scenario demos and cross-checks between pipeline sections."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from entgrowth import fock, scenarios
+from entgrowth.config import parse_config
+from entgrowth.dynamics import QuadraticHamiltonian
 from entgrowth.entropy import LN_E_OVER_2
 from entgrowth.errors import ConfigError
 from entgrowth.phase_space import ModeCount
@@ -16,6 +20,7 @@ from entgrowth.scenarios import (
     inverted_pair_exponents,
     run_scenario,
     run_view,
+    scenario_document,
 )
 
 
@@ -158,7 +163,7 @@ def test_failure_names_stage_and_earliest_sample_time():
     # inverted_pair past its horizon: the restricted block of the volumetric
     # exponent loses positive definiteness first
     import json
-    from entgrowth.config import build_hamiltonian_from_spec, parse_config
+    from entgrowth.config import parse_config
     from entgrowth.dynamics import propagate
     from entgrowth.errors import NotPositiveDefinite
     from entgrowth.phase_space import SubsystemSpec
@@ -175,8 +180,7 @@ def test_failure_names_stage_and_earliest_sample_time():
     assert detail == "matrix is not positive definite"
 
     run = cfg.run
-    series = propagate(build_hamiltonian_from_spec(cfg.hamiltonian, cfg.modes), run.t_final,
-                       run.dt, store_every=run.store_every)
+    series = propagate(cfg.hamiltonian, run.t_final, run.dt, store_every=run.store_every)
     sub_a = SubsystemSpec.first_modes(1, 2)
     for t, m in zip(series.times, series.matrices):
         try:
@@ -194,3 +198,53 @@ def test_coupled_chain_uses_two_unstable_rates():
     assert abs(lam[2]) < 0.05              # oscillatory rest
     eig_k = np.array(rep.sections["lyapunov"]["eig_k_real_parts"])
     assert np.max(np.abs(np.sort(lam) - np.sort(eig_k))) < 0.01
+
+def _metastable_gate(doc):
+    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    return rep, rep.sections.get("metastable")
+
+
+def test_metastable_gate_follows_the_hamiltonian_not_the_tag():
+    # the inverted pair grows linearly; tagged "metastable" it is still not
+    # held to the log-growth gate
+    doc = scenario_document("inverted_pair")
+    doc["scenario"] = "metastable"
+    rep, meta = _metastable_gate(doc)
+    assert rep.ok and meta is None, rep.failures
+    # the metastable model is gated under any tag, or none
+    doc = scenario_document("metastable")
+    doc["run"].update(t_final=20.0, lyapunov_t_star=20.0, window=[10.0, 20.0], bound_times=[])
+    for tag in ("custom", None):
+        doc["scenario"] = tag
+        rep, meta = _metastable_gate({k: v for k, v in doc.items() if v is not None})
+        assert rep.ok and meta is not None, rep.failures
+        assert meta["max_abs_s2_minus_ln_t"] < 0.01
+
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"the pipeline built {what}")
+    return refuse
+
+
+@pytest.mark.parametrize("initial_state", [
+    {"type": "gaussian", "covariance": "vacuum"},
+    {"type": "fock", "state": "superfock:0,0;1,1", "cutoff": 12},
+])
+def test_stages_run_on_the_parsed_objects(monkeypatch, initial_state):
+    doc = {"modes": {"total": 2, "subsystem": 1},
+           "hamiltonian": {"type": "builtin", "name": "two_mode_squeezing"},
+           "initial_state": initial_state,
+           "run": {"t_final": 0.9, "dt": 0.005, "store_every": 5, "bound_times": [0.5],
+                   "lyapunov_t_star": 40.0, "lyapunov_dt": 0.01},
+           "tolerances": {"leak_ceiling": 3e-3, "slope_rel_tol": 0.15}}
+    cfg = parse_config(json.dumps(doc))
+    monkeypatch.setattr(QuadraticHamiltonian, "__post_init__", _refuse("a Hamiltonian"))
+    monkeypatch.setattr(scenarios, "builtin_hamiltonian", _refuse("a builtin Hamiltonian"))
+    for kind in ("fock", "superposition", "coherent", "cat"):
+        monkeypatch.setattr(fock.FockState, kind, _refuse(f"a {kind} state"))
+    # a refused build raises past the report; each run reaches its last section
+    last = "slopes" if initial_state["type"] == "gaussian" else "oracle"
+    assert last in run_scenario(cfg, write_outputs=False).sections
+    for view, section in (("lyapunov", "lyapunov"), ("exponent", "exponent"), ("bounds", "bounds")):
+        assert section in run_view(cfg, view).sections
