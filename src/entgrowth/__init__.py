@@ -75,7 +75,6 @@ from .ssa import (
 )
 from .subsystem import (
     ExponentReport,
-    darboux_rows,
     expansion_matrix,
     select_columns,
     subsystem_exponent_algebraic,

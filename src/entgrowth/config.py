@@ -3,7 +3,7 @@
 Configs are single JSON documents with four sections::
 
     {
-      "scenario":    "inverted_pair",          # optional builtin tag
+      "scenario":    "inverted_pair",          # optional tag; names the report
       "modes":       {"total": 2, "subsystem": 1},
       "hamiltonian": {"type": "constant" | "builtin" | "piecewise" | "fourier", ...},
       "initial_state": {"type": "gaussian" | "fock", ...},

@@ -43,10 +43,6 @@ class NonSymmetricH(EntgrowthError, ValueError):
     """Quadratic-form matrix h(t) is not symmetric."""
 
 
-class NonHermitian(EntgrowthError, RuntimeError):
-    """Constructed operator failed its hermiticity check."""
-
-
 class SingularM(EntgrowthError, ValueError):
     """Transformation matrix is numerically singular (or has overflowed)."""
 

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import QuadraticHamiltonian, step_count, step_loop
-from .errors import DimensionMismatch, NonHermitian, TruncationLeak
+from .errors import DimensionMismatch, TruncationLeak
 from .phase_space import require_valid_covariance
 
 
@@ -48,19 +48,15 @@ class FockConfig:
         return self.cutoff ** self.n_modes
 
 
-def _ladder(d):
-    return np.diag(np.sqrt(np.arange(1.0, d)), k=1)
+def build_quadratures(n_modes: int, cutoff: int):
+    """Full-space quadrature operators in (q1, p1, ..., qN, pN) order.
 
-
-def _local_quadratures(d):
-    a = _ladder(d)
+    On the truncated ladder [q_i, p_i] = i only away from the top level;
+    the commutator defect lives entirely in the highest occupation block.
+    """
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), k=1)
     q = (a + a.T) / np.sqrt(2.0)
     p = (a - a.T) / (1j * np.sqrt(2.0))
-    return q, p
-
-
-def _full_quadratures(n_modes, cutoff):
-    q, p = _local_quadratures(cutoff)
     eye = np.eye(cutoff)
     ops = []
     for mode in range(n_modes):
@@ -74,27 +70,19 @@ def _full_quadratures(n_modes, cutoff):
     return ops
 
 
-def build_quadratures(cfg: FockConfig):
-    """Full-space quadrature operators in (q1, p1, ..., qN, pN) order.
-
-    On the truncated ladder [q_i, p_i] = i only away from the top level;
-    the commutator defect lives entirely in the highest occupation block.
-    """
-    return _full_quadratures(cfg.n_modes, cfg.cutoff)
-
-
 def build_hamiltonian(ham: QuadraticHamiltonian, t: float, cfg: FockConfig) -> np.ndarray:
     """Dense Hermitian operator (1/4) h_ab (xi^a xi^b + xi^b xi^a).
 
     For symmetric h this equals (1/2) h_ab xi^a xi^b as an operator (the
     commutator term cancels against the antisymmetric form), but the
     symmetrized evaluation keeps the truncated matrix Hermitian by
-    construction.
+    construction, exactly: entry (i, j) of op + op^H and the conjugate of
+    entry (j, i) add the same two numbers.
     """
     h = np.asarray(ham.h(t), dtype=float)
     if h.shape != (2 * cfg.n_modes, 2 * cfg.n_modes):
         raise DimensionMismatch(f"form is {h.shape}, config has {cfg.n_modes} modes")
-    xi = build_quadratures(cfg)
+    xi = build_quadratures(cfg.n_modes, cfg.cutoff)
     dim = cfg.dim
     op = np.zeros((dim, dim), dtype=complex)
     for a in range(2 * cfg.n_modes):
@@ -106,11 +94,7 @@ def build_hamiltonian(ham: QuadraticHamiltonian, t: float, cfg: FockConfig) -> n
             if row[b] != 0.0:
                 acc += row[b] * xi[b]
         op += 0.5 * (xi[a] @ acc)
-    op = 0.5 * (op + op.conj().T)
-    defect = np.max(np.abs(op - op.conj().T))
-    if defect > 1e-12 * (1.0 + np.max(np.abs(op))):
-        raise NonHermitian(f"operator failed hermiticity check (defect {defect:.3g})")
-    return op
+    return 0.5 * (op + op.conj().T)
 
 
 @dataclass(frozen=True)
@@ -313,7 +297,7 @@ def covariance_of(state: FockState, leak_ceiling: Optional[float] = None):
     leak = top_level_population(state)
     if leak_ceiling is not None and leak > leak_ceiling:
         raise TruncationLeak("top-level population above ceiling; moments untrusted")
-    xi = _full_quadratures(state.n_modes, state.cutoff)
+    xi = build_quadratures(state.n_modes, state.cutoff)
     psi = state.amplitudes.ravel()
     applied = [op @ psi for op in xi]
     dim = 2 * state.n_modes

@@ -72,6 +72,15 @@ def _check_residual(residual, exponents, residual_tol):
             f"Lyapunov residual {residual:.3g} exceeds tolerance {tol:.3g}; raise t_star")
 
 
+def _half_horizon(series: PropagationResult):
+    """Index and time of the stored sample nearest t*/2; NotConverged if that time is 0."""
+    idx = series.index_at(0.5 * series.t_final)
+    t_half = float(series.times[idx])
+    if t_half <= 0:
+        raise NotConverged("trajectory too short to halve the horizon")
+    return idx, t_half
+
+
 def spectrum_from_propagation(series: PropagationResult, residual_tol: Optional[float] = None,
                               refine: bool = True) -> LyapunovData:
     """Exponents and basis from a stored trajectory (SVD estimator).
@@ -81,10 +90,7 @@ def spectrum_from_propagation(series: PropagationResult, residual_tol: Optional[
     """
     t_star = series.t_final
     l_full = limiting_matrix_estimate(series.final_matrix, t_star)
-    idx_half = series.index_at(0.5 * t_star)
-    t_half = float(series.times[idx_half])
-    if t_half <= 0:
-        raise NotConverged("trajectory too short to halve the horizon")
+    idx_half, t_half = _half_horizon(series)
     l_half = limiting_matrix_estimate(series.matrices[idx_half], t_half)
     residual = _maxabs(l_full - l_half)
 
@@ -178,10 +184,7 @@ def vector_exponent(series: PropagationResult, ell, residual_tol: Optional[float
         raise ValueError("direction vector must be nonzero")
     t_star = series.t_final
     val = float(np.log(np.linalg.norm(series.final_matrix.T @ ell) / norm0) / t_star)
-    idx_half = series.index_at(0.5 * t_star)
-    t_half = float(series.times[idx_half])
-    if t_half <= 0:
-        raise NotConverged("trajectory too short to halve the horizon")
+    idx_half, t_half = _half_horizon(series)
     val_half = float(np.log(np.linalg.norm(series.matrices[idx_half].T @ ell) / norm0) / t_half)
     residual = abs(val - val_half)
     tol = default_residual_tol(val) if residual_tol is None else residual_tol

@@ -121,6 +121,7 @@ def _constant(form):
 _BUILTINS = {"inverted_pair": _constant(inverted_pair_form),
              "coupled_chain": _constant(coupled_chain_form),
              "metastable": _constant(metastable_form),
+             "classical_shear": _constant(metastable_form),
              "two_mode_squeezing": _constant(two_mode_squeezing_form),
              "parametric_drive": parametric_drive_hamiltonian}
 
@@ -186,10 +187,10 @@ _SCENARIOS = {
         "run": {"t_final": 17.6, "dt": 0.01, "store_every": 220,
                 "lyapunov_t_star": 132.0, "lyapunov_dt": 0.01},
         "tolerances": {"residual_tol": 0.05}},
-    # closed form: the pipeline never evolves this placeholder Hamiltonian
+    # closed form: the pipeline never evolves the shear
     "classical_counterexample": {
         "modes": {"total": 2, "subsystem": 1},
-        "hamiltonian": {"type": "builtin", "name": "metastable"},
+        "hamiltonian": {"type": "builtin", "name": "classical_shear"},
         "run": {"t_final": 1e4, "dt": 1.0}},
 }
 
@@ -260,6 +261,11 @@ def _guarded(cfg, body) -> RunReport:
     return report
 
 
+def _is_builtin(cfg, name):
+    # a gate follows the Hamiltonian, never the free-form scenario tag
+    return cfg.canonical["hamiltonian"] == {"type": "builtin", "name": name}
+
+
 def run_scenario(cfg: ScenarioConfig, write_outputs: bool = True) -> RunReport:
     """Execute the pipeline a config describes and emit CSV plus reports.
 
@@ -267,7 +273,7 @@ def run_scenario(cfg: ScenarioConfig, write_outputs: bool = True) -> RunReport:
     errors surface as structured warnings or failures with partial results
     preserved; the CLI maps ``failures`` to a nonzero exit code.
     """
-    body = _run_classical if cfg.scenario == "classical_counterexample" else _run_flow
+    body = _run_classical if _is_builtin(cfg, "classical_shear") else _run_flow
     report = _guarded(cfg, body)
     if write_outputs:
         _write_outputs(cfg, report)
@@ -303,8 +309,8 @@ def run_view(cfg: ScenarioConfig, view: str) -> RunReport:
     :func:`run_scenario`'s report on the same config, and a stage error
     becomes a report failure in the same way.
     """
-    if cfg.scenario == "classical_counterexample":
-        raise ConfigError(f"the classical counterexample has no {view} stage", "scenario")
+    if _is_builtin(cfg, "classical_shear"):
+        raise ConfigError(f"the classical counterexample has no {view} stage", "hamiltonian")
     return _guarded(cfg, _VIEWS[view])
 
 
@@ -392,7 +398,7 @@ def _run_flow(cfg, report):
     if cfg.run.bound_times:
         _bounds_section(report, series, cfg.modes, cfg.run.bound_times)
     # the log-growth gate belongs to the metastable model, whatever the tag
-    if gaussian and cfg.canonical["hamiltonian"] == {"type": "builtin", "name": "metastable"}:
+    if gaussian and _is_builtin(cfg, "metastable"):
         _metastable_section(report, series.times)
 
 

@@ -28,9 +28,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .entropy import LN_E_OVER_2, asymptotic_entropy, logdet_pd, mutual_information_asymptotic
-from .errors import DimensionMismatch, NotDarboux, NotPositiveDefinite
+from .errors import DimensionMismatch, NotPositiveDefinite
 from .phase_space import (
-    FORM_TOL,
     ModeCount,
     SubsystemSpec,
     _earliest_failure,
@@ -58,21 +57,17 @@ class SubsystemFamily:
     n_total: int
 
     def __post_init__(self):
-        omega_full = standard_omega(self.n_total)
         scaled = 0.0
         checked = []
         for f, p in self.members:
-            f = np.asarray(f, dtype=float)
             if p < 0:
                 raise ValueError("weights must be nonnegative")
-            if f.shape[1] != 2 * self.n_total or f.shape[0] % 2:
-                raise DimensionMismatch(f"selector shape {f.shape} for {self.n_total} modes")
-            omega_sub = standard_omega(f.shape[0] // 2)
-            defect = _maxabs(f @ omega_full @ f.T - omega_sub)
-            if defect > FORM_TOL * (1.0 + _maxabs(f) ** 2):
-                raise NotDarboux(f"family member does not preserve the form (defect {defect:.3g})")
-            scaled += p * (f.shape[0] // 2)
-            checked.append((f, float(p)))
+            sub = SubsystemSpec(f)   # checks the shape and the form
+            if sub.n_total != self.n_total:
+                raise DimensionMismatch(
+                    f"selector shape {sub.selector.shape} for {self.n_total} modes")
+            scaled += p * sub.n_a
+            checked.append((sub.selector, float(p)))
         if abs(scaled - self.n_total) > 1e-12 * max(1.0, self.n_total):
             raise ValueError(f"scaling condition violated: sum p_i N_i = {scaled} != {self.n_total}")
         object.__setattr__(self, "members", tuple(checked))

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import PropagationResult, QuadraticHamiltonian, propagate
+from .dynamics import PropagationResult
 from .entropy import logdet_pd
 from .errors import DimensionMismatch, NotConverged, RankDeficient
 from .fitting import SlopeFit, fit_slope, windowed
@@ -37,17 +37,11 @@ class ExponentReport:
     """
 
     lambda_a: float
-    method: str
     indices: Optional[tuple] = None
     generic_lambda: Optional[float] = None
     generic_agrees: Optional[bool] = None
     stderr: Optional[float] = None
     window: Optional[tuple] = None
-
-
-def darboux_rows(sub: SubsystemSpec) -> np.ndarray:
-    """Row set spanning the subsystem dual space (``SubsystemSpec`` checks it is Darboux)."""
-    return sub.selector
 
 
 def expansion_matrix(theta, lyap: LyapunovData) -> np.ndarray:
@@ -102,14 +96,13 @@ def subsystem_exponent_algebraic(sub: SubsystemSpec, lyap: LyapunovData,
     Also evaluates the generic shortcut (sum of the largest 2 N_A
     exponents) and records whether the two agree.
     """
-    theta = darboux_rows(sub)
-    f = expansion_matrix(theta, lyap)
+    f = expansion_matrix(sub.selector, lyap)
     indices, _ = select_columns(f, tol_rel=tol_rel)
     lam = lyap.exponents
     value = float(np.sum(lam[list(indices)]))
     generic = float(np.sum(lam[:len(indices)]))
     agrees = bool(abs(value - generic) <= max(1e-9, 2.0 * lyap.residual))
-    return ExponentReport(lambda_a=value, method="algebraic", indices=tuple(indices),
+    return ExponentReport(lambda_a=value, indices=tuple(indices),
                           generic_lambda=generic, generic_agrees=agrees)
 
 
@@ -125,32 +118,23 @@ def restricted_log_volume(sub: SubsystemSpec, m, g0):
     return 0.5 * logdet_pd(0.5 * (block + _mT(block)))
 
 
-def subsystem_exponent_volumetric(sub: SubsystemSpec, ham: Optional[QuadraticHamiltonian] = None,
-                                  t_star: float = None, dt: float = None, g0=None,
-                                  series: Optional[PropagationResult] = None,
+def subsystem_exponent_volumetric(sub: SubsystemSpec, series: PropagationResult, g0=None,
                                   window: Optional[tuple] = None,
                                   min_points: int = 8) -> ExponentReport:
     """Exponent as the slope of the restricted log volume over [t*/2, t*].
 
-    Either pass a cached ``series`` or a Hamiltonian with ``t_star``/``dt``
-    to propagate here.  The first half of the horizon is discarded as
-    transient.  For periodically driven systems sample at multiples of the
-    drive period (choose ``store_every`` accordingly) so that bounded
-    Floquet oscillations do not bias the fit.
+    The first half of the horizon of ``series`` is discarded as transient.
+    For periodically driven systems sample at multiples of the drive
+    period (choose ``store_every`` accordingly) so that bounded Floquet
+    oscillations do not bias the fit.
     """
-    if series is None:
-        if ham is None or t_star is None or dt is None:
-            raise ValueError("need either a series or (ham, t_star, dt)")
-        stride = max(1, int(round(t_star / dt / 200)))
-        series = propagate(ham, t_star, dt, store_every=stride)
     if g0 is None:
         g0 = np.eye(series.matrices.shape[1])
     fit = volumetric_slope_fit(sub, series, g0, window=window)
     if fit.n_points < min_points:
         raise NotConverged(f"only {fit.n_points} samples in fit window "
                            f"[{fit.window[0]:.3g}, {fit.window[1]:.3g}]")
-    return ExponentReport(lambda_a=fit.slope, method="volumetric",
-                          stderr=fit.stderr, window=fit.window)
+    return ExponentReport(lambda_a=fit.slope, stderr=fit.stderr, window=fit.window)
 
 
 def volumetric_slope_fit(sub: SubsystemSpec, series: PropagationResult, g0,

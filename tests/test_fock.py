@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from entgrowth.config import parse_config
 from entgrowth.dynamics import QuadraticHamiltonian, evolve_covariance, propagate
@@ -29,13 +32,13 @@ TMS = QuadraticHamiltonian.constant(two_mode_squeezing_form())
 
 def test_quadrature_matrix_smallest_cutoff():
     cfg = FockConfig(n_modes=1, cutoff=4, dt=0.1)
-    q = build_quadratures(cfg)[0]
+    q = build_quadratures(cfg.n_modes, cfg.cutoff)[0]
     assert np.allclose(q[:2, :2].real, [[0.0, 1 / math.sqrt(2)], [1 / math.sqrt(2), 0.0]])
 
 
 def test_vacuum_quadrature_variance():
     cfg = FockConfig(n_modes=1, cutoff=8, dt=0.1)
-    q, p = build_quadratures(cfg)
+    q, p = build_quadratures(cfg.n_modes, cfg.cutoff)
     vac = np.zeros(8)
     vac[0] = 1.0
     assert abs(vac @ (q @ q) @ vac - 0.5) < 1e-12
@@ -44,7 +47,7 @@ def test_vacuum_quadrature_variance():
 
 def test_commutator_on_interior_block():
     cfg = FockConfig(n_modes=1, cutoff=10, dt=0.1)
-    q, p = build_quadratures(cfg)
+    q, p = build_quadratures(cfg.n_modes, cfg.cutoff)
     comm = q @ p - p @ q
     interior = comm[: 9, : 9]
     assert np.allclose(interior, 1j * np.eye(9), atol=1e-12)
@@ -52,7 +55,7 @@ def test_commutator_on_interior_block():
 
 def test_two_mode_commutators_cross_vanish():
     cfg = FockConfig(n_modes=2, cutoff=5, dt=0.1)
-    q1, p1, q2, p2 = build_quadratures(cfg)
+    q1, p1, q2, p2 = build_quadratures(cfg.n_modes, cfg.cutoff)
     assert np.max(np.abs(q1 @ q2 - q2 @ q1)) < 1e-14
     assert np.max(np.abs(q1 @ p2 - p2 @ q1)) < 1e-14
 
@@ -75,9 +78,29 @@ def test_metastable_hamiltonian_is_hermitian_coupling():
     op = build_hamiltonian(ham, 0.0, cfg)
     assert np.max(np.abs(op - op.conj().T)) < 1e-12
     # equals (p1 q2 + q2 p1)/2 built directly from the quadratures
-    _, p1, q2, _ = build_quadratures(cfg)
+    _, p1, q2, _ = build_quadratures(cfg.n_modes, cfg.cutoff)
     direct = 0.5 * (p1 @ q2 + q2 @ p1)
     assert np.max(np.abs(op - direct)) < 1e-12
+
+
+@st.composite
+def fock_forms(draw):
+    """(h, cutoff): a symmetric form on 1-3 modes scaled by 1e-3 to 1e3, and a cutoff of 4-6."""
+    n = draw(st.integers(1, 3))
+    a = draw(hnp.arrays(np.float64, (2 * n, 2 * n), elements=st.floats(-1.0, 1.0)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    return scale * (0.5 * (a + a.T)), draw(st.integers(4, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(fock_forms())
+def test_build_hamiltonian_is_exactly_hermitian(form):
+    # 0.5 (op + op^H) adds the same two numbers at (i, j) and, conjugated,
+    # at (j, i), so the operator needs no Hermiticity check
+    h, cutoff = form
+    cfg = FockConfig(n_modes=h.shape[0] // 2, cutoff=cutoff, dt=0.1)
+    op = build_hamiltonian(QuadraticHamiltonian.constant(h), 0.0, cfg)
+    assert np.array_equal(op, op.conj().T)
 
 
 def test_harmonic_eigenstate_survival():

@@ -221,6 +221,27 @@ def test_metastable_gate_follows_the_hamiltonian_not_the_tag():
         assert meta["max_abs_s2_minus_ln_t"] < 0.01
 
 
+def test_closed_form_follows_the_hamiltonian_not_the_tag():
+    # the inverted pair tagged as the counterexample still runs the flow
+    doc = scenario_document("inverted_pair")
+    doc["scenario"] = "classical_counterexample"
+    cfg = parse_config(json.dumps(doc))
+    rep = run_scenario(cfg, write_outputs=False)
+    assert rep.ok, rep.failures
+    assert "propagation" in rep.sections and "classical_counterexample" not in rep.sections
+    assert run_view(cfg, "lyapunov").ok
+    # the shear runs the closed form under any tag, and has no flow stages
+    doc = scenario_document("classical_counterexample")
+    doc["scenario"] = "custom"
+    cfg = parse_config(json.dumps(doc))
+    rep = run_scenario(cfg, write_outputs=False)
+    assert rep.ok, rep.failures
+    assert "classical_counterexample" in rep.sections and "propagation" not in rep.sections
+    with pytest.raises(ConfigError) as err:
+        run_view(cfg, "lyapunov")
+    assert err.value.field == "hamiltonian"
+
+
 def _refuse(what):
     def refuse(*args, **kwargs):
         raise AssertionError(f"the pipeline built {what}")

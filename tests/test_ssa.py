@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 from entgrowth.entropy import LN_E_OVER_2, mutual_information_asymptotic
-from entgrowth.errors import NotPositiveDefinite
+from entgrowth.errors import DimensionMismatch, NotDarboux, NotPositiveDefinite
 from entgrowth.phase_space import ModeCount, standard_omega
 from entgrowth.sampling import random_covariance, random_pd_symplectic, random_symplectic
 from entgrowth.scenarios import metastable_form, two_mode_squeezing_form
@@ -42,6 +42,18 @@ def test_family_scaling_condition():
     with pytest.raises(ValueError):
         bad = ((np.eye(4)[:2], 0.5),)   # 0.5 * 1 != 2
         SubsystemFamily(members=bad, n_total=2)
+
+
+def test_family_members_must_preserve_the_form():
+    f_a = np.eye(4)[:2].copy()
+    f_a[0, 0] = 2.0   # q1 -> 2 q1, so F Omega F^T = 2 Omega
+    with pytest.raises(NotDarboux):
+        SubsystemFamily(members=((f_a, 1.0), (np.eye(4)[2:], 1.0)), n_total=2)
+
+
+def test_family_members_must_span_all_modes():
+    with pytest.raises(DimensionMismatch):
+        SubsystemFamily(members=((np.eye(6)[:2], 2.0),), n_total=2)
 
 
 def test_objective_identity_transport_is_zero():

@@ -14,7 +14,6 @@ from entgrowth.scenarios import (
     inverted_pair_form,
 )
 from entgrowth.subsystem import (
-    darboux_rows,
     expansion_matrix,
     select_columns,
     subsystem_exponent_algebraic,
@@ -30,17 +29,16 @@ def pair_spectrum():
 
 
 def test_darboux_rows_first_and_second_mode():
-    theta = darboux_rows(SubsystemSpec.first_modes(1, 2))
+    theta = SubsystemSpec.first_modes(1, 2).selector
     assert np.array_equal(theta, np.eye(4)[:2])
-    theta2 = darboux_rows(SubsystemSpec.modes([1], 2))
+    theta2 = SubsystemSpec.modes([1], 2).selector
     assert np.array_equal(theta2, np.eye(4)[2:])
 
 
 def test_darboux_rows_rotated():
     rng = np.random.default_rng(3)
     s = random_symplectic(2, rng)
-    spec = SubsystemSpec(SubsystemSpec.first_modes(1, 2).selector @ s)
-    darboux_rows(spec)  # must not raise
+    SubsystemSpec(SubsystemSpec.first_modes(1, 2).selector @ s)  # must not raise
 
 
 def test_expansion_matrix_identity_and_isometry(pair_spectrum):
@@ -136,15 +134,15 @@ def test_algebraic_darboux_basis_independence(pair_spectrum):
 
 def test_volumetric_stable_flow_zero_slope():
     ham = QuadraticHamiltonian.constant(np.eye(4))
-    rep = subsystem_exponent_volumetric(SubsystemSpec.first_modes(1, 2), ham,
-                                        t_star=20.0, dt=0.01)
+    rep = subsystem_exponent_volumetric(SubsystemSpec.first_modes(1, 2),
+                                        propagate(ham, 20.0, 0.01, store_every=10))
     assert abs(rep.lambda_a) < 0.01
 
 
 def test_volumetric_matches_algebraic(pair_spectrum):
     sub = SubsystemSpec.first_modes(1, 2)
     alg = subsystem_exponent_algebraic(sub, pair_spectrum)
-    vol = subsystem_exponent_volumetric(sub, PAIR_HAM, t_star=24.0, dt=0.002)
+    vol = subsystem_exponent_volumetric(sub, propagate(PAIR_HAM, 24.0, 0.002, store_every=60))
     assert abs(vol.lambda_a - alg.lambda_a) <= 0.02 * abs(alg.lambda_a)
 
 
@@ -186,5 +184,5 @@ def test_chain_volumetric_vs_algebraic():
     lyap = qr_spectrum(ham, 120.0, 0.01, residual_tol=np.inf)
     sub = SubsystemSpec.first_modes(1, 4)
     alg = subsystem_exponent_algebraic(sub, lyap)
-    vol = subsystem_exponent_volumetric(sub, ham, t_star=24.0, dt=0.002)
+    vol = subsystem_exponent_volumetric(sub, propagate(ham, 24.0, 0.002, store_every=60))
     assert abs(vol.lambda_a - alg.lambda_a) <= 0.02 * abs(alg.lambda_a)
