@@ -6,22 +6,24 @@ data or a callable:
 
 * piecewise-constant data (``QuadraticHamiltonian.constant`` and
   ``QuadraticHamiltonian.piecewise``) knows its pieces and breakpoints.
-  Its flow is exact up to roundoff: a step inside one piece is that
-  piece's exponential, computed once per (piece, step length) in a call,
-  and a step that straddles a breakpoint is the product of the exact
-  exponentials of the parts on either side;
+  Its flow is an exact product of piece exponentials, so the step ``dt``
+  only sets the sample grid: the flow between two stored samples is one
+  exponential per piece it crosses, and the whole periods inside it are
+  one cached period map M(tau) each;
 * any other ``h(t)`` callable is stepped by per-step exponentials sampled
   at the step midpoint (second-order Magnus).
 
 ``step_loop`` is the one step loop; ``propagate``, the QR Lyapunov
-estimator and the Fock oracle all run on it.  Each step is symplectic up
-to the accuracy of the exponential, and the defect |M Omega M^T - Omega|
-is monitored rather than silently projected away.
+estimator and the Fock oracle all run on it, each asking only for the
+steps it reads.  Each factor is symplectic up to the accuracy of the
+exponential, and the defect |M Omega M^T - Omega| of every stored M(t) is
+monitored rather than silently projected away.
 """
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,8 +47,8 @@ from .phase_space import (
 )
 
 DEFECT_FACTOR = 1e-8
-# a breakpoint this close to a grid point, in units of the step, lies on it
-BREAKPOINT_SNAP = 1e-9
+# a piece boundary this close to a segment edge, in units of the step, lies on it
+EDGE_SNAP = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,16 +180,21 @@ def step_count(t_final: float, dt: float) -> int:
     return max(1, int(round(t_final / dt)))
 
 
+def stored_steps(n_steps: int, store_every: int) -> list:
+    """The steps a trajectory keeps: 0, every ``store_every``-th step and the last."""
+    steps = list(range(0, n_steps + 1, store_every))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    return steps
+
+
 def sample_times(t_final: float, dt: float, store_every: int = 1) -> np.ndarray:
-    """The times ``propagate`` stores: t=0, every ``store_every``-th step and the last.
+    """The times ``propagate`` stores, at the steps of :func:`stored_steps`.
 
     The last is ``t_final`` itself, as in :func:`step_loop`.
     """
     n_steps = step_count(t_final, dt)
-    steps = np.arange(0, n_steps + 1, store_every)
-    if steps[-1] != n_steps:
-        steps = np.append(steps, n_steps)
-    times = steps * (t_final / n_steps)
+    times = np.array(stored_steps(n_steps, store_every)) * (t_final / n_steps)
     times[-1] = t_final
     return times
 
@@ -202,71 +209,107 @@ def _check_periodicity(ham, samples=(0.13, 0.41, 0.77)):
             raise ValueError(f"declared period {tau} but h({t + tau}) != h({t})")
 
 
-def _straddled_steps(ham, t_final, n_steps):
-    """Step index k -> the breakpoints strictly inside (t_{k-1}, t_k)."""
-    dt = t_final / n_steps
-    inside = {}
-    for b in ham.breakpoints(t_final):
-        r = b / dt
-        if abs(r - round(r)) > BREAKPOINT_SNAP:
-            inside.setdefault(math.floor(r) + 1, []).append(b)
-    return inside
+def _piece_factors(ham, dt, make):
+    """``factors(t_a, length)``: the exact factors of piece data over [t_a, t_a + length].
+
+    One factor per piece the segment crosses, made once per (piece,
+    length); the whole periods inside the segment are one period map
+    M(tau) each, the ordered product of the full-piece factors.
+    """
+    cache = {}
+    tol = EDGE_SNAP * dt
+
+    def piece(i, phase, length):
+        key = (i, length)
+        if key not in cache:
+            cache[key] = make(length, phase + 0.5 * length)
+        return cache[key]
+
+    if ham.period is None:
+        return lambda t_a, length: (piece(0, t_a, length),)
+    tau, starts = ham.period, ham._starts
+    durations = [duration for duration, _ in ham.pieces]
+
+    def period():
+        if "period" not in cache:
+            full = [piece(i, s, d) for i, (s, d) in enumerate(zip(starts, durations))]
+            cache["period"] = reduce(lambda acc, f: f @ acc, full[1:], full[0])
+        return cache["period"]
+
+    def factors(t_a, length):
+        phase = math.fmod(t_a, tau)
+        i = bisect_right(starts, phase + tol) - 1
+        if abs(phase - starts[i]) <= tol:
+            phase = starts[i]
+        if tau - phase <= tol:
+            i, phase = 0, starts[0]
+        out = []
+        while length > tol:
+            if i == 0 and phase == starts[0] and length >= tau - tol:
+                count = int((length + tol) // tau)
+                out += [period()] * count
+                length -= count * tau
+                continue
+            run = durations[i] if phase == starts[i] else starts[i] + durations[i] - phase
+            if length < run - tol:
+                out.append(piece(i, phase, length))
+                break
+            out.append(piece(i, phase, run))
+            length -= run
+            i = (i + 1) % len(durations)
+            phase = starts[i]
+        return tuple(out)
+
+    return factors
 
 
-def step_loop(ham: QuadraticHamiltonian, t_final: float, n_steps: int, make=None):
-    """Yield ``(k, t_k, factors)`` for the steps t_k = k t_final / n_steps.
+def step_loop(ham: QuadraticHamiltonian, t_final: float, n_steps: int, events, make=None):
+    """Yield ``(k, t_k, factors)`` at the event steps k of the grid t_k = k t_final / n_steps.
 
-    The last step ends at ``t_final`` exactly, not at the rounded
-    ``n_steps * (t_final / n_steps)``.  Applying ``factors`` in order
-    (first factor first) takes the flow from t_{k-1} to t_k.
+    ``events`` are ascending step indices in [1, n_steps].  Applying
+    ``factors`` in order (first factor first) takes the flow from the
+    previous event, or t=0, to t_k.  The last step ends at ``t_final``
+    exactly, not at the rounded ``n_steps * (t_final / n_steps)``.
     ``make(length, t_mid)`` builds the factor of a time segment from its
     length and midpoint; the default is the flow exponential
     expm(length K(t_mid)).
 
-    A callable ``h`` gets one fresh midpoint factor per step.  For
-    piecewise-constant data, a step inside one piece reuses that piece's
-    factor, made once per (piece index, step length) in the call; a step
-    with breakpoints inside it gets one exact factor per part, made fresh
-    because those lengths differ from step to step.  A breakpoint within
-    ``BREAKPOINT_SNAP`` steps of a grid point counts as on it, so an
-    aligned grid never splits a step.
+    A callable ``h`` gets one midpoint factor per step, made as the caller
+    iterates over ``factors``.  Piecewise-constant data gets a tuple: one
+    exact factor per piece the segment crosses, so a segment is split only
+    at breakpoints, and one period map M(tau) per whole period inside it.
+    These factors are made once per (piece, segment length) in a call, so
+    segments of equal step count reuse them.  A breakpoint within
+    ``EDGE_SNAP`` steps of a segment edge lies on it.
     """
     if make is None:
         def make(length, t_mid):
             return expm(length * generator(ham, t_mid))
     dt = t_final / n_steps
-    straddled = _straddled_steps(ham, t_final, n_steps)
-    piece_at = ham.piece_at
-    cache = {}    # (piece index, step length) -> factors
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        t_mid = t + 0.5 * dt
-        t_next = t_final if k == n_steps else k * dt
-        if k in straddled:
-            edges = (t, *straddled[k], t_next)
-            factors = tuple(make(b - a, 0.5 * (a + b)) for a, b in zip(edges, edges[1:]))
+    piece_factors = _piece_factors(ham, dt, make) if ham.pieces else None
+    k_prev = 0
+    for k in events:
+        t = t_final if k == n_steps else k * dt
+        if piece_factors is not None:
+            factors = piece_factors(k_prev * dt, (k - k_prev) * dt)
         else:
-            key = (piece_at(t_mid), dt)
-            factors = cache.get(key)
-            if factors is None:
-                factors = (make(dt, t_mid),)
-                if key[0] is not None:
-                    cache[key] = factors
-        t = t_next
+            factors = (make(dt, j * dt + 0.5 * dt) for j in range(k_prev, k))
         yield k, t, factors
+        k_prev = k
 
 
 def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
               store_every: int = 1, defect_factor: float = DEFECT_FACTOR) -> PropagationResult:
-    """Time-ordered exponential over the steps of :func:`step_loop`.
+    """Time-ordered exponential at the stored steps of :func:`step_loop`.
 
     Parameters
     ----------
     ham : QuadraticHamiltonian
     t_final, dt : horizon and step; the step is rounded so that an integer
         number of steps lands exactly on ``t_final``.
-    store_every : keep every k-th step (plus t=0 and the final step).
-    defect_factor : ceiling on the symplectic defect is
+    store_every : keep every k-th step (plus t=0 and the final step); the
+        times are :func:`sample_times`.
+    defect_factor : ceiling on the symplectic defect of each stored M(t) is
         ``defect_factor * (1 + max|M|^2)``; exceeding it raises StepTooLarge.
     """
     if dt <= 0 or t_final <= 0:
@@ -275,32 +318,29 @@ def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
         _check_periodicity(ham)
     n_steps = step_count(t_final, dt)
     dt_eff = t_final / n_steps
-    dim = 2 * ham.n_modes
     omega = standard_omega(ham.n_modes)
+    # piece data is exact on any grid, so only a callable's defect shrinks with dt
+    hint = ("piece data is exact at any dt, so this is roundoff of the product" if ham.pieces
+            else f"reduce dt (currently {dt_eff:.3g})")
 
-    m = np.eye(dim)
-    times = [0.0]
-    mats = [m.copy()]
+    m = np.eye(2 * ham.n_modes)
+    mats = [m]
     defects = [0.0]
-
-    for k, t, factors in step_loop(ham, t_final, n_steps):
+    for _, t, factors in step_loop(ham, t_final, n_steps, stored_steps(n_steps, store_every)[1:]):
         for step in factors:
             m = step @ m
-
         defect = _maxabs(m @ omega @ m.T - omega)
         ceiling = defect_factor * (1.0 + _maxabs(m) ** 2)
         if defect > ceiling:
             raise StepTooLarge(
-                f"symplectic defect {defect:.3g} exceeded ceiling {ceiling:.3g} at t={t:.6g}; "
-                f"reduce dt (currently {dt_eff:.3g})")
-        if k % store_every == 0 or k == n_steps:
-            times.append(t)
-            mats.append(m.copy())
-            defects.append(defect)
+                f"propagation stage at t={t:.6g}: symplectic defect {defect:.3g} exceeded "
+                f"ceiling {ceiling:.3g}; " + hint)
+        mats.append(m)
+        defects.append(defect)
 
     return PropagationResult(
-        times=np.array(times), matrices=np.array(mats), defects=np.array(defects),
-        dt=dt_eff)
+        times=sample_times(t_final, dt, store_every), matrices=np.array(mats),
+        defects=np.array(defects), dt=dt_eff)
 
 
 def evolve_covariance(g0, m) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import QuadraticHamiltonian, step_count, step_loop
+from .dynamics import QuadraticHamiltonian, step_count, step_loop, stored_steps
 from .errors import DimensionMismatch, TruncationLeak
 from .phase_space import require_valid_covariance
 
@@ -206,30 +206,40 @@ class FockTrajectory:
 
 def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
                 cfg: FockConfig, store_every: int = 1) -> FockTrajectory:
-    """Propagate by step unitaries exp(-i dt H) over the shared step loop.
+    """Propagate by unitaries exp(-i s H) between the stored steps of the shared step loop.
 
-    Each unitary comes from an eigendecomposition of the Hermitian step
-    operator, so unitarity holds to roundoff.  The steps are those of
-    :func:`~entgrowth.dynamics.step_loop`: a callable Hamiltonian is
-    sampled at each step midpoint, while piecewise-constant data is
-    diagonalized once per (piece, step length) and split exactly at
-    breakpoints.  Once the top-level population exceeds the ceiling, all
-    later samples are flagged untrusted; an initial state already over the
-    ceiling is rejected outright.
+    The factors are those of :func:`~entgrowth.dynamics.step_loop`: a
+    callable Hamiltonian gets one unitary per step, sampled at the step
+    midpoint, while piecewise-constant data gets one exact unitary per
+    piece crossed between stored samples (and one period unitary per whole
+    period).  Each unitary comes from an eigendecomposition of the
+    Hermitian Fock operator, made once per piece for data, so unitarity
+    holds to roundoff and a constant Hamiltonian needs one ``eigh``.  The
+    norm drift is checked at every stored sample.  Once the top-level
+    population exceeds the ceiling, all later samples are flagged
+    untrusted; an initial state already over the ceiling is rejected
+    outright.
     """
     if psi0.n_modes != cfg.n_modes or psi0.cutoff != cfg.cutoff:
         raise DimensionMismatch("state shape does not match config")
     if abs(psi0.norm - 1.0) > 1e-8:
         raise ValueError(f"initial state norm {psi0.norm} not 1")
     if top_level_population(psi0) > cfg.leak_ceiling:
-        raise TruncationLeak("initial state already exceeds the leak ceiling; raise the cutoff")
+        raise TruncationLeak("fock stage at t=0: initial state already exceeds the leak "
+                             "ceiling; raise the cutoff")
 
     n_steps = step_count(t_final, cfg.dt)
     shape = psi0.amplitudes.shape
+    eigs = {}    # piece index -> eigendecomposition of its Fock operator
 
     def step_unitary(length, t_mid):
-        op = build_hamiltonian(ham, t_mid, cfg)
-        evals, evecs = np.linalg.eigh(op)
+        piece = ham.piece_at(t_mid)
+        eig = eigs.get(piece)
+        if eig is None:
+            eig = np.linalg.eigh(build_hamiltonian(ham, t_mid, cfg))
+            if piece is not None:
+                eigs[piece] = eig
+        evals, evecs = eig
         return (evecs * np.exp(-1j * length * evals)) @ evecs.conj().T
 
     psi = psi0.amplitudes.ravel().copy()
@@ -240,20 +250,21 @@ def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
     trusted_flags = [True]
     leaked = False
 
-    for k, t, factors in step_loop(ham, t_final, n_steps, step_unitary):
+    events = stored_steps(n_steps, store_every)[1:]
+    for _, t, factors in step_loop(ham, t_final, n_steps, events, step_unitary):
         for u in factors:
             psi = u @ psi
         drift = abs(np.linalg.norm(psi) - 1.0)
         if drift > 1e-8 * max(t, 1.0):
-            raise RuntimeError(f"norm drift {drift:.3g} at t={t:.6g}; step unitary is broken")
-        if k % store_every == 0 or k == n_steps:
-            state = FockState(psi.reshape(shape))
-            lk = top_level_population(state)
-            leaked = leaked or lk > cfg.leak_ceiling
-            times.append(t)
-            states.append(state)
-            leaks.append(lk)
-            trusted_flags.append(not leaked)
+            raise RuntimeError(f"fock stage at t={t:.6g}: norm drift {drift:.3g}; "
+                               f"step unitary is broken")
+        state = FockState(psi.reshape(shape))
+        lk = top_level_population(state)
+        leaked = leaked or lk > cfg.leak_ceiling
+        times.append(t)
+        states.append(state)
+        leaks.append(lk)
+        trusted_flags.append(not leaked)
     return FockTrajectory(times=np.array(times), states=states, leaks=np.array(leaks),
                           trusted=np.array(trusted_flags, dtype=bool))
 

@@ -3,7 +3,10 @@
 The limiting matrix ln(M M^T) / (2t) is estimated by the re-orthonormalized
 push-forward of :func:`qr_spectrum`, which accumulates ln diag(R) and
 resolves the full spectrum at any horizon; :func:`lyapunov_spectrum` is
-this estimator.  :func:`spectrum_from_propagation` takes one SVD of a
+this estimator.  It re-orthonormalizes once per block of the flow, with
+the block as long as the data's growth bound allows (see
+:func:`qr_block_steps`), so piecewise-constant data costs one QR per block
+whatever ``dt`` is.  :func:`spectrum_from_propagation` takes one SVD of a
 stored M(t*) instead: it is the reference the polar-factor comparison and
 the tests check against, and it loses contracting directions to roundoff
 once lambda_1 * t exceeds about 30 (smallest resolvable singular value is
@@ -16,6 +19,7 @@ yields a Richardson-refined estimate 2 L(t*) - L(t*/2), which is what the
 alongside).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,10 +27,11 @@ import numpy as np
 
 from .dynamics import PropagationResult, QuadraticHamiltonian, polar_decompose, step_loop
 from .errors import NotConverged, SingularM
-from .phase_space import _maxabs
+from .phase_space import _maxabs, _mT, standard_omega
 
-# steps between re-orthonormalizations of the QR frame
-REORTH_EVERY = 5
+# bound on the log growth of the QR frame between re-orthonormalizations:
+# a block's condition number stays under e^(2 QR_BLOCK_GROWTH)
+QR_BLOCK_GROWTH = 2.0
 
 
 @dataclass(frozen=True)
@@ -65,11 +70,12 @@ def limiting_matrix_estimate(m, t: float) -> np.ndarray:
     return (u * (np.log(sv) / t)) @ u.T
 
 
-def _check_residual(residual, exponents, residual_tol):
+def _check_residual(residual, exponents, residual_tol, where):
     tol = default_residual_tol(exponents[0]) if residual_tol is None else residual_tol
     if residual > tol:
         raise NotConverged(
-            f"Lyapunov residual {residual:.3g} exceeds tolerance {tol:.3g}; raise t_star")
+            f"{where}: Lyapunov residual {residual:.3g} exceeds tolerance {tol:.3g}; "
+            f"raise t_star")
 
 
 def _half_horizon(series: PropagationResult):
@@ -102,45 +108,75 @@ def spectrum_from_propagation(series: PropagationResult, residual_tol: Optional[
     if refine:
         w_half = np.sort(np.linalg.eigvalsh(l_half))[::-1]
         exps = 2.0 * raw - w_half
-    _check_residual(residual, exps, residual_tol)
+    _check_residual(residual, exps, residual_tol, f"SVD spectrum, horizon t*={t_star:.6g}")
     return LyapunovData(exponents=exps, basis=basis, horizon=t_star,
                         residual=residual, raw_exponents=raw, method="svd")
+
+
+def _log_norms(n_modes: int, forms) -> np.ndarray:
+    """Log-norm mu(K), the largest eigenvalue of (K + K^T)/2, of K = Omega h for each form h.
+
+    ||exp(s K)|| <= exp(s mu(K)), so mu bounds the flow's growth rate.
+    """
+    k = standard_omega(n_modes) @ np.asarray(forms, dtype=float)
+    return np.linalg.eigvalsh(0.5 * (k + _mT(k)))[:, -1]
+
+
+def qr_block_steps(ham: QuadraticHamiltonian, dt: float, n_steps: int) -> int:
+    """Steps per QR block: the flow's growth bound over a block stays at e^QR_BLOCK_GROWTH.
+
+    The bound is exp(integral of the log-norm of K), taken over the pieces
+    of piecewise-constant data or the step midpoints of a callable.  A
+    periodic piece flow whose bound over one period allows it takes whole
+    periods, so each block is pushed by the cached period map.  A
+    skew-symmetric K (an orthogonal flow) never needs a block boundary.
+    """
+    if ham.pieces:
+        rates = _log_norms(ham.n_modes, [form for _, form in ham.pieces])
+    else:
+        chunks = (range(lo, min(lo + 1024, n_steps)) for lo in range(0, n_steps, 1024))
+        rates = [np.max(_log_norms(ham.n_modes, [ham.h(j * dt + 0.5 * dt) for j in chunk]))
+                 for chunk in chunks]
+    rate = float(np.max(rates))
+    if rate <= 0:
+        return n_steps
+    span = QR_BLOCK_GROWTH / rate
+    if ham.pieces and ham.period is not None:
+        per_period = sum(duration * r for (duration, _), r in zip(ham.pieces, rates))
+        if per_period <= QR_BLOCK_GROWTH:
+            span = ham.period * math.floor(QR_BLOCK_GROWTH / per_period)
+    return max(1, min(n_steps, round(span / dt)))
 
 
 def qr_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
                 residual_tol: Optional[float] = None) -> LyapunovData:
     """Long-horizon spectrum by re-orthonormalized push-forward.
 
-    Propagates an orthonormal frame over the same steps as
+    Pushes an orthonormal frame along the flow on the step grid of
     :func:`~entgrowth.dynamics.propagate` (the shared
-    :func:`~entgrowth.dynamics.step_loop`), QR-factorizing every
-    ``REORTH_EVERY`` steps and accumulating the log diagonal of R.  Never
-    forms M(t), so there is no overflow and no precision floor on
-    contracting directions.  The exponents are Richardson-refined.
+    :func:`~entgrowth.dynamics.step_loop`), QR-factorizing at the end of
+    every block of :func:`qr_block_steps`, at the half horizon and at t*,
+    and accumulating the log diagonal of R.  Never forms M(t), so there is
+    no overflow and no precision floor on contracting directions.  The
+    exponents are Richardson-refined.
     """
     if dt <= 0 or t_star <= 0:
         raise ValueError("need dt > 0 and t_star > 0")
     n_steps = max(2, int(round(t_star / dt)))
-    dim = 2 * ham.n_modes
-
-    q = np.eye(dim)
-    logs = np.zeros(dim)
-    logs_half = None
-    t_half = None
     half_step = n_steps // 2
-    acc = np.eye(dim)
-    pending = 0
-    for k, t, factors in step_loop(ham, t_star, n_steps):
+    block = qr_block_steps(ham, t_star / n_steps, n_steps)
+    # each half is blocked from its start, so equal halves reuse their factors
+    events = [*range(block, half_step, block), *range(half_step, n_steps, block), n_steps]
+
+    q = np.eye(2 * ham.n_modes)
+    logs = np.zeros(len(q))
+    for k, t, factors in step_loop(ham, t_star, n_steps, events):
         for step in factors:
-            acc = step @ acc
-        pending += 1
-        if pending == REORTH_EVERY or k == n_steps or k == half_step:
-            q, r = np.linalg.qr(acc @ q)
-            diag = np.diag(r)
-            q = q * np.sign(diag)
-            logs += np.log(np.abs(diag))
-            acc = np.eye(dim)
-            pending = 0
+            q = step @ q
+        q, r = np.linalg.qr(q)
+        diag = np.diag(r)
+        q = q * np.sign(diag)
+        logs += np.log(np.abs(diag))
         if k == half_step:
             logs_half = logs.copy()
             t_half = t
@@ -155,7 +191,7 @@ def qr_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
     basis = q[:, order].T
     residual = float(np.max(np.abs(raw - lam_half)))
     exps = 2.0 * raw - lam_half
-    _check_residual(residual, exps, residual_tol)
+    _check_residual(residual, exps, residual_tol, f"lyapunov stage, horizon t*={t_star:.6g}")
     return LyapunovData(exponents=exps, basis=basis, horizon=t_star,
                         residual=residual, raw_exponents=raw, method="qr")
 
@@ -165,8 +201,9 @@ def lyapunov_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
     """Estimate the Lyapunov spectrum of the flow of ``ham`` at horizon ``t_star``.
 
     The pipeline's Lyapunov stage: the QR push-forward of
-    :func:`qr_spectrum` over steps of about ``dt``, with its residual from
-    halving the horizon checked against ``residual_tol``.
+    :func:`qr_spectrum` on a step grid of about ``dt``, with its residual
+    from halving the horizon checked against ``residual_tol``.  A failure
+    names the stage and the horizon.
     """
     return qr_spectrum(ham, t_star, dt, residual_tol=residual_tol)
 
@@ -211,15 +248,41 @@ def regularity_check(data: LyapunovData, tol: Optional[float] = None) -> Regular
 
 @dataclass(frozen=True)
 class PolarExponentComparison:
-    """Spectra of M(t), of its positive polar factor T(t), and of sqrt(T(t))."""
+    """Spectra of M(t), of its positive polar factor T(t), and of sqrt(T(t)).
+
+    ``dev_t`` and ``dev_sqrt`` are the per-exponent deviations, ``tol``
+    the per-exponent tolerance they are held to.
+    """
 
     exponents_m: np.ndarray
     exponents_t: np.ndarray
     exponents_sqrt_t: np.ndarray
-    max_dev_t: float
-    max_dev_sqrt: float
+    dev_t: np.ndarray
+    dev_sqrt: np.ndarray
     residual: float
-    tol: float
+    tol: np.ndarray
+
+    @property
+    def worst_ratio(self) -> float:
+        """Largest deviation in units of its tolerance; at most 1 when the check passed."""
+        return float(max(np.max(self.dev_t / self.tol), np.max(self.dev_sqrt / self.tol)))
+
+
+def _exponent_resolution(exponents, t: float) -> np.ndarray:
+    """Roundoff resolution of each finite-horizon exponent ln(sigma_i)/t of a 2N x 2N flow.
+
+    A backward-stable SVD or symmetric eigensolve of an n x n matrix finds
+    sigma_i to about n eps sigma_1, a relative error of n eps sigma_1 /
+    sigma_i.  The polar comparison resolves sigma_i on two such paths (the
+    SVD of M, the eigensolve of the formed T), and the M path also forms
+    and eigensolves ln(M M^T)/(2t), adding n eps max|lambda|; ln and the
+    division round within eps |lambda_i| on each path.  Together:
+    n eps (2 sigma_1 / (sigma_i t) + 2 max|lambda|), with n = 2N.
+    """
+    lam = np.asarray(exponents, dtype=float)
+    n = len(lam)
+    ratio = np.exp((np.max(lam) - lam) * t)   # sigma_1 / sigma_i
+    return n * np.finfo(float).eps * (2.0 * ratio / t + 2.0 * np.max(np.abs(lam)))
 
 
 def polar_factor_exponents(series: PropagationResult, residual_tol: Optional[float] = None,
@@ -228,7 +291,9 @@ def polar_factor_exponents(series: PropagationResult, residual_tol: Optional[flo
 
     The three spectra are estimated through different numerical paths (SVD
     of M, eigensolve of the polar factor, eigensolve of its square root)
-    at the final horizon and compared within the convergence residual.
+    at the final horizon.  Each exponent is compared within twice the
+    convergence residual or its roundoff resolution
+    (:func:`_exponent_resolution`), whichever is larger.
     """
     t_star = series.t_final
     m = series.final_matrix
@@ -242,13 +307,18 @@ def polar_factor_exponents(series: PropagationResult, residual_tol: Optional[flo
     lam_t = np.log(w_t) / t_star
     lam_sqrt = 0.5 * np.log(w_t) / t_star   # eigenvalues of sqrt(T) are sqrt(eigs of T)
 
-    dev_t = float(np.max(np.abs(lam_t - lam_m)))
-    dev_sqrt = float(np.max(np.abs(lam_sqrt - lam_m / 2.0)))
-    tol = comparison_tol if comparison_tol is not None else max(2.0 * data.residual, 1e-8)
-    if dev_t > tol or dev_sqrt > tol:
+    dev_t = np.abs(lam_t - lam_m)
+    dev_sqrt = np.abs(lam_sqrt - lam_m / 2.0)
+    if comparison_tol is not None:
+        tol = np.full(len(lam_m), float(comparison_tol))
+    else:
+        tol = np.maximum(2.0 * data.residual, _exponent_resolution(lam_m, t_star))
+    if np.any(dev_t > tol) or np.any(dev_sqrt > tol):
+        worst = int(np.argmax(np.maximum(dev_t, dev_sqrt) / tol))
         raise NotConverged(
-            f"polar-factor spectra disagree beyond tolerance: "
-            f"dev(T)={dev_t:.3g}, dev(sqrt T)={dev_sqrt:.3g}, tol={tol:.3g}")
+            f"polar-factor spectra disagree beyond tolerance at exponent {worst}: "
+            f"dev(T)={dev_t[worst]:.3g}, dev(sqrt T)={dev_sqrt[worst]:.3g}, "
+            f"tol={tol[worst]:.3g}")
     return PolarExponentComparison(
         exponents_m=lam_m, exponents_t=lam_t, exponents_sqrt_t=lam_sqrt,
-        max_dev_t=dev_t, max_dev_sqrt=dev_sqrt, residual=data.residual, tol=tol)
+        dev_t=dev_t, dev_sqrt=dev_sqrt, residual=data.residual, tol=tol)

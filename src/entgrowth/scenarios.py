@@ -27,6 +27,7 @@ from .dynamics import (
     generator,
     polar_decompose,
     propagate,
+    step_count,
     stroboscopic_generator,
 )
 from .entropy import asymptotic_entropy, logdet_pd, von_neumann_entropy
@@ -236,7 +237,9 @@ def _lyapunov_section(report, cfg):
 
 def _floquet_section(report, cfg):
     period = cfg.hamiltonian.period
-    one_period = propagate(cfg.hamiltonian, period, cfg.run.dt)
+    # only M(tau) is read: store the last step alone
+    one_period = propagate(cfg.hamiltonian, period, cfg.run.dt,
+                           store_every=step_count(period, cfg.run.dt))
     m_tau = one_period.final_matrix
     mults = np.linalg.eigvals(m_tau)
     rates = np.sort(np.log(np.abs(mults)))[::-1] / period

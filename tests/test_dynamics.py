@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
+import entgrowth.dynamics as dynamics
 from entgrowth.dynamics import (
     DEFECT_FACTOR,
     PolarPair,
@@ -116,6 +117,22 @@ def test_propagate_is_the_exponential_and_stays_symplectic(flow):
         assert lower <= upper
 
 
+def test_constant_propagate_makes_at_most_two_exponentials(monkeypatch):
+    calls = []
+
+    def counting_expm(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(dynamics, "expm", counting_expm)
+    ham = QuadraticHamiltonian.constant(np.diag([-1.0, 1.0]))
+    propagate(ham, 24.0, 0.002, store_every=60)          # 200 equal segments
+    assert len(calls) == 1
+    calls.clear()
+    propagate(ham, 24.0, 0.002, store_every=70)          # and a shorter last one
+    assert len(calls) == 2
+
+
 def test_propagate_second_order_convergence():
     # smooth drive; halving dt should cut the error by about 4
     def h_of_t(t):
@@ -138,7 +155,7 @@ def test_last_step_ends_at_t_final():
     assert 81 * (t_final / 81) != t_final
     ham = QuadraticHamiltonian.constant(np.eye(2))
     assert sample_times(t_final, dt, 14)[-1] == t_final
-    assert [t for _, t, _ in step_loop(ham, t_final, 81)][-1] == t_final
+    assert [t for _, t, _ in step_loop(ham, t_final, 81, [40, 81])][-1] == t_final
     series = propagate(ham, t_final, dt, store_every=14)
     assert series.t_final == t_final
     assert np.array_equal(series.times, sample_times(t_final, dt, 14))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import entgrowth.fock as fock
 from entgrowth.config import parse_config
 from entgrowth.dynamics import QuadraticHamiltonian, evolve_covariance, propagate
 from entgrowth.entropy import renyi2_entropy, von_neumann_entropy
@@ -110,6 +111,19 @@ def test_harmonic_eigenstate_survival():
     traj = evolve_fock(psi0, ham, 2.0, cfg, store_every=20)
     for state in traj.states:
         assert abs(abs(state.amplitudes[1]) - 1.0) < 1e-10
+
+
+def test_constant_hamiltonian_is_diagonalized_once(monkeypatch):
+    builds = []
+
+    def counting_build(*args):
+        builds.append(args[1])
+        return build_hamiltonian(*args)
+
+    monkeypatch.setattr(fock, "build_hamiltonian", counting_build)
+    cfg = FockConfig(n_modes=2, cutoff=8, dt=0.005, leak_ceiling=1.0)
+    traj = evolve_fock(FockState.fock((0, 0), 8), TMS, 0.63, cfg, store_every=40)
+    assert len(traj.times) == 5 and len(builds) == 1     # 126 steps, a shorter last segment
 
 
 def test_tms_covariance_matches_gaussian_propagation():

@@ -3,22 +3,26 @@
 import numpy as np
 import pytest
 
-from entgrowth.dynamics import QuadraticHamiltonian, propagate
+import entgrowth.lyapunov as lyapunov
+from entgrowth.dynamics import PolarPair, QuadraticHamiltonian, propagate
 from entgrowth.errors import NotConverged
 from entgrowth.lyapunov import (
     limiting_matrix_estimate,
     lyapunov_spectrum,
     polar_factor_exponents,
     qr_spectrum,
+    qr_block_steps,
     regularity_check,
     spectrum_from_propagation,
     vector_exponent,
 )
 from entgrowth.phase_space import standard_omega
 from entgrowth.scenarios import (
+    coupled_chain_form,
     inverted_pair_exponents,
     inverted_pair_form,
     metastable_form,
+    parametric_drive_hamiltonian,
 )
 
 INVERTED = QuadraticHamiltonian.constant(np.diag([-1.0, 1.0]))
@@ -86,6 +90,37 @@ def test_qr_resolves_contracting_directions_at_long_horizon():
     # Richardson refinement across the halved horizon recovers 4 digits
     assert np.max(np.abs(data.exponents - expected)) < 2e-3
     assert np.max(np.abs(data.raw_exponents - expected)) < 4 * data.residual
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    calls = []
+    real_qr = np.linalg.qr
+
+    def counting_qr(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real_qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    return calls
+
+
+def test_qr_blocks_follow_the_growth_rate(qr_calls):
+    # one QR per block of growth e^2, plus the half horizon and t*
+    h = coupled_chain_form()
+    lam = float(np.max(np.linalg.eigvals(standard_omega(4) @ h).real))
+    qr_spectrum(QuadraticHamiltonian.constant(h), 120.0, 0.01, residual_tol=np.inf)
+    assert abs(len(qr_calls) - (lam * 120.0 / 2.0 + 3.0)) <= 3.0, len(qr_calls)
+    # a periodic drive is pushed one period map per block: at most 2 QRs per period
+    qr_calls.clear()
+    qr_spectrum(parametric_drive_hamiltonian(), 60 * 2.2, 2.2 / 220.0, residual_tol=np.inf)
+    assert len(qr_calls) <= 2 * 60
+    # a nilpotent K has no exponential growth, and still gets finite blocks
+    qr_calls.clear()
+    ham = QuadraticHamiltonian.constant(metastable_form())
+    assert qr_block_steps(ham, 0.25, 4000) < 4000
+    qr_spectrum(ham, 1000.0, 0.25, residual_tol=np.inf)
+    assert len(qr_calls) > 3
 
 
 def test_trace_free_spectrum():
@@ -169,5 +204,25 @@ def test_polar_factor_exponents_random_unstable():
     t_star = min(14.0 / top, 40.0)
     series = propagate(ham, t_star, 0.01, store_every=20)
     comp = polar_factor_exponents(series, residual_tol=np.inf)
-    assert comp.max_dev_t <= comp.tol
-    assert comp.max_dev_sqrt <= comp.tol
+    assert np.all(comp.dev_t <= comp.tol)
+    assert np.all(comp.dev_sqrt <= comp.tol)
+    assert comp.worst_ratio <= 1.0
+
+
+def test_polar_factor_exponents_catch_a_moved_top_exponent(monkeypatch):
+    # T's top eigenvalue scaled by e^(1e-6 t*) moves lambda_1(T) by 1e-6
+    series = propagate(INVERTED, 14.0, 1e-3, store_every=100)
+    t_star = series.t_final
+    real_polar = lyapunov.polar_decompose
+
+    def moved_polar(m):
+        pair = real_polar(m)
+        w, v = np.linalg.eigh(pair.t_part)
+        w[-1] *= np.exp(1e-6 * t_star)
+        return PolarPair(t_part=(v * w) @ v.T, u_part=pair.u_part)
+
+    comp = polar_factor_exponents(series, residual_tol=np.inf)
+    assert comp.tol[0] < 1e-6
+    monkeypatch.setattr(lyapunov, "polar_decompose", moved_polar)
+    with pytest.raises(NotConverged, match="exponent 0"):
+        polar_factor_exponents(series, residual_tol=np.inf)

@@ -1,4 +1,4 @@
-"""Piecewise-constant Hamiltonians as data: pieces, breakpoints, cached steps."""
+"""Piecewise-constant Hamiltonians as data: pieces, breakpoints, cached segment factors."""
 
 import json
 import math
@@ -73,39 +73,46 @@ def test_h_of_t_is_derived_from_the_pieces():
 
 
 def test_misaligned_grid_matches_aligned_grid():
-    # steps straddling a jump are split there into exact piece exponentials,
+    # segments crossing a jump are split there into exact piece exponentials,
     # so a grid that misses the breakpoints loses nothing
     ham = parametric_drive_hamiltonian()
     ref = propagate(ham, 17.6, 0.01, store_every=10 ** 6).final_matrix
     scale = np.max(np.abs(ref))
     for dt in (0.0137, 0.0137 / 4):
-        got = propagate(ham, 17.6, dt, store_every=10 ** 6).final_matrix
+        got = propagate(ham, 17.6, dt, store_every=7).final_matrix
         assert np.max(np.abs(got - ref)) <= 1e-9 * scale, dt
 
 
 def test_breakpoint_near_grid_point_does_not_split():
     ham = parametric_drive_hamiltonian()
-    n_steps = 1760                                  # dt = 0.01: every breakpoint on the grid
-    assert all(len(factors) == 1 for _, _, factors in step_loop(ham, 17.6, n_steps))
-    split = [k for k, _, factors in step_loop(ham, 17.6, 1285) if len(factors) > 1]
-    assert len(split) == len(ham.breakpoints(17.6))
+    # dt = 0.01 puts every breakpoint on the grid, and segments of 10 steps
+    # put them on segment edges: no segment is split
+    n_steps = 1760
+    aligned = list(step_loop(ham, 17.6, n_steps, range(10, n_steps + 1, 10)))
+    assert all(len(factors) == 1 for _, _, factors in aligned)
+    # on a grid that misses them, each breakpoint splits the segment it lies in once
+    events = [*range(7, 1285, 7), 1285]
+    split = [len(factors) - 1 for _, _, factors in step_loop(ham, 17.6, 1285, events)]
+    assert sum(split) == len(ham.breakpoints(17.6)) and max(split) == 1
 
 
-def test_piecewise_config_builtin_and_callable_agree_bitwise():
+def test_piecewise_config_builtin_agree_bitwise_and_callable_to_roundoff():
     built = parametric_drive_hamiltonian(omega_on=1.0, kappa=1.0, coupling=0.15)
     from_config = _piecewise_config_ham()
     wrapped = _callable_wrapper(built)
     runs = [propagate(ham, 4 * PERIOD, 0.01, store_every=55).matrices
             for ham in (built, from_config, wrapped)]
     assert np.array_equal(runs[0], runs[1])
-    assert np.array_equal(runs[0], runs[2])
+    # the callable is stepped per dt, the data per segment: same flow, other roundoff
+    assert np.max(np.abs(runs[2] - runs[0])) <= 1e-10 * (1.0 + np.max(np.abs(runs[0])))
 
     cfg = FockConfig(n_modes=2, cutoff=8, dt=0.01, leak_ceiling=1.0)
     psi0 = FockState.fock((0, 0), 8)
     states = [evolve_fock(psi0, ham, 1.2, cfg, store_every=30).states
               for ham in (built, from_config, wrapped)]
-    for other in states[1:]:
-        assert all(np.array_equal(a.amplitudes, b.amplitudes) for a, b in zip(states[0], other))
+    assert all(np.array_equal(a.amplitudes, b.amplitudes) for a, b in zip(states[0], states[1]))
+    assert all(np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-10
+               for a, b in zip(states[0], states[2]))
 
 
 def test_step_exponentials_are_computed_once_per_piece(monkeypatch):
@@ -117,15 +124,64 @@ def test_step_exponentials_are_computed_once_per_piece(monkeypatch):
 
     monkeypatch.setattr(dynamics, "expm", counting_expm)
     ham = parametric_drive_hamiltonian()
-    propagate(ham, 17.6, 0.01, store_every=220)
-    assert len(calls) <= 4
+    # each stored segment is one period: the cached period map
+    series = propagate(ham, 17.6, 0.01, store_every=220)
+    assert len(calls) == 2
+    m_tau = series.matrices[1]
+    assert np.allclose(series.matrices[2], m_tau @ m_tau, rtol=1e-12, atol=1e-12)
     calls.clear()
     qr_spectrum(ham, 60 * PERIOD, PERIOD / 220.0, residual_tol=0.5)
-    assert len(calls) <= 4
+    assert len(calls) == 2
     # a callable keeps one fresh exponential per step
     calls.clear()
     propagate(_callable_wrapper(ham), PERIOD, 0.01)
     assert len(calls) == 220
+
+
+def _per_step_product(ham, t_final, n_steps):
+    """M(t_k) at every grid step, one step at a time, each split at the breakpoints inside it."""
+    dt = t_final / n_steps
+    breakpoints = ham.breakpoints(t_final)
+    m = np.eye(2 * ham.n_modes)
+    out = [m]
+    for k in range(n_steps):
+        lo, hi = k * dt, t_final if k == n_steps - 1 else (k + 1) * dt
+        edges = [lo, *(b for b in breakpoints if lo < b < hi), hi]
+        for a, b in zip(edges, edges[1:]):
+            m = expm((b - a) * generator(ham, 0.5 * (a + b))) @ m
+        out.append(m)
+    return np.array(out)
+
+
+def _assert_stored_match_per_step(ham, t_final, dt, store_every):
+    series = propagate(ham, t_final, dt, store_every=store_every)
+    n_steps = dynamics.step_count(t_final, dt)
+    want = _per_step_product(ham, t_final, n_steps)[dynamics.stored_steps(n_steps, store_every)]
+    assert np.max(np.abs(series.matrices - want), axis=(1, 2)).max() <= \
+        1e-10 * (1.0 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("ham, t_final, dt, store_every", [
+    (parametric_drive_hamiltonian(), 17.6, 0.01, 220),
+    (parametric_drive_hamiltonian(), 17.6, 0.0137, 50),
+    (QuadraticHamiltonian.constant(_chain_form([-1.0, -0.64], 0.2)), 24.0, 0.002, 60),
+])
+def test_stored_matrices_match_the_per_step_product(ham, t_final, dt, store_every):
+    _assert_stored_match_per_step(ham, t_final, dt, store_every)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pieces=st.lists(st.tuples(st.floats(0.05, 1.0), st.lists(st.floats(-0.8, 0.8), min_size=3,
+                                                                 max_size=3)),
+                       min_size=2, max_size=3),
+       periods=st.floats(0.3, 4.0), n_steps=st.integers(5, 200),
+       store_every=st.integers(1, 60))
+def test_stride_matches_the_per_step_product(pieces, periods, n_steps, store_every):
+    pieces = [(d, np.array([[v[0], v[1]], [v[1], v[2]]])) for d, v in pieces]
+    period = sum(d for d, _ in pieces)
+    ham = QuadraticHamiltonian.piecewise(pieces, period)
+    t_final = periods * period
+    _assert_stored_match_per_step(ham, t_final, t_final / n_steps, store_every)
 
 
 _forms = st.lists(st.floats(-0.8, 0.8), min_size=3, max_size=3).map(

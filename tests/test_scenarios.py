@@ -8,7 +8,7 @@ import pytest
 
 from entgrowth import fock, scenarios
 from entgrowth.config import parse_config
-from entgrowth.dynamics import QuadraticHamiltonian
+from entgrowth.dynamics import QuadraticHamiltonian, sample_times
 from entgrowth.entropy import LN_E_OVER_2
 from entgrowth.errors import ConfigError
 from entgrowth.phase_space import ModeCount
@@ -188,6 +188,46 @@ def test_failure_names_stage_and_earliest_sample_time():
         except NotPositiveDefinite:
             break
     assert t_text == f"{t:.6g}"
+
+
+def _only_failure(name, tolerances):
+    doc = scenario_document(name)
+    doc["tolerances"] = {**doc.get("tolerances", {}), **tolerances}
+    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    assert len(rep.failures) == 1, rep.failures
+    return rep.failures[0]
+
+
+def test_propagation_failure_names_its_stage_and_time():
+    failure = _only_failure("inverted_pair", {"defect_factor": 1e-30})
+    prefix = "StepTooLarge: propagation stage at t="
+    assert failure.startswith(prefix), failure
+    t_text, detail = failure[len(prefix):].split(": ", 1)
+    assert detail.startswith("symplectic defect")
+    # the first stored sample whose defect is above 1e-30: any nonzero one
+    stored = default_scenario("inverted_pair").run
+    times = sample_times(stored.t_final, stored.dt, stored.store_every)
+    assert t_text in {f"{t:.6g}" for t in times[1:]}
+
+
+def test_lyapunov_failure_names_its_stage_and_horizon():
+    failure = _only_failure("coupled_chain", {"residual_tol": 1e-12})
+    assert failure.startswith("NotConverged: lyapunov stage, horizon t*=120: Lyapunov residual"), \
+        failure
+
+
+def test_fock_failure_names_its_stage_and_time(monkeypatch):
+    real_eigh = np.linalg.eigh
+
+    def lossy_eigh(a):
+        w, v = real_eigh(a)
+        return w - 0.1j, v      # exp(-i s H) then loses norm like e^{-0.1 s}
+
+    ham = builtin_hamiltonian("two_mode_squeezing", ModeCount(2, 1))
+    cfg = fock.FockConfig(n_modes=2, cutoff=8, dt=0.01, leak_ceiling=1.0)
+    monkeypatch.setattr(np.linalg, "eigh", lossy_eigh)
+    with pytest.raises(RuntimeError, match=r"^fock stage at t=0\.05: norm drift"):
+        fock.evolve_fock(fock.FockState.fock((0, 0), 8), ham, 0.5, cfg, store_every=5)
 
 
 def test_coupled_chain_uses_two_unstable_rates():
