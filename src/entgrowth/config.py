@@ -41,7 +41,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import fock as fock_mod
-from .dynamics import QuadraticHamiltonian, sample_times
+from .dynamics import QuadraticHamiltonian, sample_times, step_count, stored_count
 from .errors import ConfigError
 from .phase_space import ModeCount, is_symmetric
 
@@ -240,7 +240,7 @@ def parse_config(text: str) -> ScenarioConfig:
     return ScenarioConfig(
         modes=modes, hamiltonian=ham, initial_state=state,
         canonical={_H: ham_json, _S: state_json},
-        run=_check_run(_parse_section(RunParams, _get(doc, "run", None, _object), "run")),
+        run=_check_run(_parse_section(RunParams, _get(doc, "run", None, _object), "run"), state),
         tolerances=_parse_section(Tolerances, doc.get("tolerances", {}), "tolerances"),
         output=_parse_section(OutputSpec, doc.get("output", {}), "output"),
         scenario=_get(doc, "scenario", None, _string, None))
@@ -358,7 +358,8 @@ def _read_fock(obj, modes):
     n_modes = modes.n_total
     if not 1 <= n_modes <= 3:
         raise ConfigError("the Fock oracle supports 1 to 3 modes", "modes.total")
-    # the oracle's own truncation rules: lowest cutoff, largest dimension
+    # the oracle's own truncation rules: lowest cutoff, and the memory budget
+    # for the initial state; parse_config checks the whole run's samples
     _build(f"{_S}.cutoff", None, fock_mod.FockConfig, n_modes=n_modes, cutoff=cutoff, dt=1.0)
     return ({"state": text, "cutoff": cutoff},
             _build(f"{_S}.state", repr(text), _fock_from_text, text, cutoff, n_modes))
@@ -408,8 +409,9 @@ def stored_sample_index(times, t) -> int:
     return idx
 
 
-def _check_run(run: RunParams) -> RunParams:
-    """The rules that tie run fields to each other, applied before any propagation."""
+def _check_run(run: RunParams, state) -> RunParams:
+    """The rules that tie run fields to each other and to the initial state, applied
+    before any propagation."""
     if run.window is not None and run.window[0] >= run.t_final:
         raise ConfigError(f"window starts at {run.window[0]:g}, not before t_final "
                           f"{run.t_final:g}", "run.window")
@@ -417,6 +419,9 @@ def _check_run(run: RunParams) -> RunParams:
     stored = sample_times(run.t_final, run.dt, run.store_every) if run.bound_times else ()
     for t in run.bound_times:
         stored_sample_index(stored, t)
+    if isinstance(state, fock_mod.FockState):
+        n_samples = stored_count(step_count(run.t_final, run.dt), run.store_every)
+        _build(f"{_S}.cutoff", None, fock_mod.check_budget, state.n_modes, state.cutoff, n_samples)
     return run
 
 

@@ -2,26 +2,53 @@
 
 This is the independent cross-check for everything the Gaussian pipeline
 claims: it evolves arbitrary pure states (Fock, coherent, cat,
-superpositions) under the same quadratic Hamiltonians by dense unitary
-steps and measures true reduced entropies from Schmidt coefficients.
+superpositions) under the same quadratic Hamiltonians by Chebyshev
+propagators on sparse operators and measures true reduced entropies from
+Schmidt coefficients.
 
 Truncation policy: a hard ceiling on the population of the top two levels
 of any mode.  Once exceeded, later samples are marked untrusted rather
 than silently kept; unstable dynamics leaves any fixed cutoff eventually,
 so honest windows beat adaptive cutoff growth.
+
+Size policy: a run's stored amplitudes and its sparse step operator must
+fit ``MEMORY_BUDGET`` bytes (:func:`check_budget`), whatever the number of
+modes; there is no cap on the dimension itself.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import LinearOperator
+from scipy.special import jv
 
 from .dynamics import QuadraticHamiltonian, step_count, step_loop, stored_steps
 from .errors import DimensionMismatch, TruncationLeak
 from .phase_space import require_valid_covariance
 
 
-MAX_DIM = 4096   # largest truncated dimension, cutoff ** n_modes
+MEMORY_BUDGET = 2 ** 27   # bytes: stored amplitudes plus the step operator, 128 MiB
+CHEBYSHEV_CUT = 1e-17     # a propagator's series ends where |J_k| falls below this
+
+
+def check_budget(n_modes: int, cutoff: int, n_samples: int) -> None:
+    """Raise ValueError when a run of ``n_samples`` stored samples exceeds ``MEMORY_BUDGET``.
+
+    A run holds its stored amplitude vectors and its sparse step operator.
+    A quadratic form moves the occupations by at most two quanta, in one
+    mode or across two, so the operator has at most 2 N^2 + 1 nonzero
+    diagonals: each nonzero costs a complex value and a column index, each
+    row a pointer.
+    """
+    dim = cutoff ** n_modes
+    need = 16 * n_samples * dim + 20 * (2 * n_modes ** 2 + 1) * dim + 4 * (dim + 1)
+    if need > MEMORY_BUDGET:
+        raise ValueError(f"{n_samples} stored samples at dimension {dim} need "
+                         f"{need / 2 ** 20:.4g} MiB, above the {MEMORY_BUDGET / 2 ** 20:g} MiB "
+                         f"memory budget")
 
 
 @dataclass(frozen=True)
@@ -40,24 +67,26 @@ class FockConfig:
             raise ValueError("cutoff must be at least 4")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.dim > MAX_DIM:
-            raise ValueError(f"total dimension {self.dim} exceeds bound {MAX_DIM}")
+        check_budget(self.n_modes, self.cutoff, 1)    # the initial state at least
 
     @property
     def dim(self) -> int:
         return self.cutoff ** self.n_modes
 
 
-def build_quadratures(n_modes: int, cutoff: int):
-    """Full-space quadrature operators in (q1, p1, ..., qN, pN) order.
+@lru_cache(maxsize=8)
+def build_quadratures(n_modes: int, cutoff: int) -> tuple:
+    """Full-space quadrature operators in (q1, p1, ..., qN, pN) order, as CSR matrices.
 
     On the truncated ladder [q_i, p_i] = i only away from the top level;
     the commutator defect lives entirely in the highest occupation block.
+    Built on first use and cached per ``(n_modes, cutoff)``: every caller
+    gets the same operators, so their arrays are read-only.
     """
-    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), k=1)
+    a = sparse.diags(np.sqrt(np.arange(1.0, cutoff)), offsets=1, format="csr")
     q = (a + a.T) / np.sqrt(2.0)
     p = (a - a.T) / (1j * np.sqrt(2.0))
-    eye = np.eye(cutoff)
+    eye = sparse.identity(cutoff, format="csr")
     ops = []
     for mode in range(n_modes):
         for local in (q, p):
@@ -65,13 +94,16 @@ def build_quadratures(n_modes: int, cutoff: int):
             factors[mode] = local
             full = factors[0]
             for fac in factors[1:]:
-                full = np.kron(full, fac)
-            ops.append(full)
-    return ops
+                full = sparse.kron(full, fac, format="csr")
+            op = sparse.csr_matrix(full, dtype=complex)
+            for array in (op.data, op.indices, op.indptr):
+                array.setflags(write=False)
+            ops.append(op)
+    return tuple(ops)
 
 
-def build_hamiltonian(ham: QuadraticHamiltonian, t: float, cfg: FockConfig) -> np.ndarray:
-    """Dense Hermitian operator (1/4) h_ab (xi^a xi^b + xi^b xi^a).
+def build_hamiltonian(ham: QuadraticHamiltonian, t: float, cfg: FockConfig):
+    """Sparse (CSR) Hermitian operator (1/4) h_ab (xi^a xi^b + xi^b xi^a).
 
     For symmetric h this equals (1/2) h_ab xi^a xi^b as an operator (the
     commutator term cancels against the antisymmetric form), but the
@@ -83,18 +115,67 @@ def build_hamiltonian(ham: QuadraticHamiltonian, t: float, cfg: FockConfig) -> n
     if h.shape != (2 * cfg.n_modes, 2 * cfg.n_modes):
         raise DimensionMismatch(f"form is {h.shape}, config has {cfg.n_modes} modes")
     xi = build_quadratures(cfg.n_modes, cfg.cutoff)
-    dim = cfg.dim
-    op = np.zeros((dim, dim), dtype=complex)
+    op = sparse.csr_matrix((cfg.dim, cfg.dim), dtype=complex)
     for a in range(2 * cfg.n_modes):
-        row = h[a]
-        if not np.any(row):
+        row = h[a].tolist()     # Python floats scale a sparse matrix under every numpy
+        if not any(row):
             continue
-        acc = np.zeros((dim, dim), dtype=complex)
+        acc = sparse.csr_matrix((cfg.dim, cfg.dim), dtype=complex)
         for b in range(2 * cfg.n_modes):
             if row[b] != 0.0:
-                acc += row[b] * xi[b]
-        op += 0.5 * (xi[a] @ acc)
-    return 0.5 * (op + op.conj().T)
+                acc = acc + row[b] * xi[b]
+        op = op + 0.5 * (xi[a] @ acc)
+    return (0.5 * (op + op.conj().T)).tocsr()
+
+
+def _chebyshev_frame(op):
+    """``(2 (op - c) / w, c, w)``: the operator mapped onto [-1, 1] by its Gershgorin interval.
+
+    Every eigenvalue of a Hermitian ``op`` lies within [c - w, c + w], the
+    union of its Gershgorin discs.
+    """
+    diag = op.diagonal()
+    radius = np.asarray(abs(op).sum(axis=1)).ravel() - np.abs(diag)
+    low, high = float(np.min(diag.real - radius)), float(np.max(diag.real + radius))
+    c, w = 0.5 * (high + low), 0.5 * (high - low)
+    # w = 0 means op = c, and the series has one term
+    scale = 2.0 / w if w > 0.0 else 0.0
+    return ((op - c * sparse.identity(op.shape[0], format="csr")) * scale).tocsr(), c, w
+
+
+_PHASES = np.array([1.0, -1j, -1.0, 1j])    # (-i)^k by k mod 4
+
+
+def _chebyshev_propagator(frame, length: float) -> LinearOperator:
+    """exp(-i length op) acting on vectors, from the frame of :func:`_chebyshev_frame`.
+
+    The Chebyshev expansion of Tal-Ezer and Kosloff (J. Chem. Phys. 81,
+    3967, 1984): exp(-i s op) = e^{-i s c} sum_k (2 - delta_k0) (-i)^k
+    J_k(s w) T_k((op - c) / w).  Past k = s w the Bessel coefficients fall
+    faster than geometrically; the series ends at the last k with |J_k|
+    above ``CHEBYSHEV_CUT``.  The three-term recurrence T_{k+1} = 2 x T_k -
+    T_{k-1} costs one sparse product per term.
+    """
+    doubled, c, w = frame
+    x = length * w
+    # |J_k(x)| < (x/2)^k / k!, far below the cut at k = 1.5 x + 50 for any x
+    ks = np.arange(int(1.5 * x) + 50)
+    bessel = jv(ks, x)
+    n_terms = int(np.nonzero(np.abs(bessel) >= CHEBYSHEV_CUT)[0][-1]) + 1
+    coef = np.exp(-1j * length * c) * _PHASES[ks[:n_terms] % 4] * bessel[:n_terms]
+    coef[1:] *= 2.0
+
+    def matvec(v):
+        out = coef[0] * v
+        if n_terms > 1:
+            prev, cur = v, 0.5 * (doubled @ v)
+            out += coef[1] * cur
+            for a in coef[2:]:
+                prev, cur = cur, doubled @ cur - prev
+                out += a * cur
+        return out
+
+    return LinearOperator(doubled.shape, matvec=matvec, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -206,19 +287,20 @@ class FockTrajectory:
 
 def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
                 cfg: FockConfig, store_every: int = 1) -> FockTrajectory:
-    """Propagate by unitaries exp(-i s H) between the stored steps of the shared step loop.
+    """Propagate by exp(-i s H) between the stored steps of the shared step loop.
 
     The factors are those of :func:`~entgrowth.dynamics.step_loop`: a
-    callable Hamiltonian gets one unitary per step, sampled at the step
-    midpoint, while piecewise-constant data gets one exact unitary per
-    piece crossed between stored samples (and one period unitary per whole
-    period).  Each unitary comes from an eigendecomposition of the
-    Hermitian Fock operator, made once per piece for data, so unitarity
-    holds to roundoff and a constant Hamiltonian needs one ``eigh``.  The
-    norm drift is checked at every stored sample.  Once the top-level
-    population exceeds the ceiling, all later samples are flagged
-    untrusted; an initial state already over the ceiling is rejected
-    outright.
+    callable Hamiltonian gets one propagator per step, sampled at the step
+    midpoint, while piecewise-constant data gets one exact propagator per
+    piece crossed between stored samples (and one period map per whole
+    period).  Each propagator is a Chebyshev series on the sparse Fock
+    operator (:func:`_chebyshev_propagator`), accurate to roundoff; the
+    operator is built once per piece for data, so a constant Hamiltonian
+    is built once.  A run must fit the memory budget of
+    :func:`check_budget`.  The norm drift is checked at every stored
+    sample.  Once the top-level population exceeds the ceiling, all later
+    samples are flagged untrusted; an initial state already over the
+    ceiling is rejected outright.
     """
     if psi0.n_modes != cfg.n_modes or psi0.cutoff != cfg.cutoff:
         raise DimensionMismatch("state shape does not match config")
@@ -229,18 +311,19 @@ def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
                              "ceiling; raise the cutoff")
 
     n_steps = step_count(t_final, cfg.dt)
+    events = stored_steps(n_steps, store_every)[1:]
+    check_budget(cfg.n_modes, cfg.cutoff, len(events) + 1)
     shape = psi0.amplitudes.shape
-    eigs = {}    # piece index -> eigendecomposition of its Fock operator
+    frames = {}    # piece index -> Chebyshev frame of its Fock operator
 
-    def step_unitary(length, t_mid):
+    def propagator(length, t_mid):
         piece = ham.piece_at(t_mid)
-        eig = eigs.get(piece)
-        if eig is None:
-            eig = np.linalg.eigh(build_hamiltonian(ham, t_mid, cfg))
+        frame = frames.get(piece)
+        if frame is None:
+            frame = _chebyshev_frame(build_hamiltonian(ham, t_mid, cfg))
             if piece is not None:
-                eigs[piece] = eig
-        evals, evecs = eig
-        return (evecs * np.exp(-1j * length * evals)) @ evecs.conj().T
+                frames[piece] = frame
+        return _chebyshev_propagator(frame, length)
 
     psi = psi0.amplitudes.ravel().copy()
     state0 = FockState(psi.reshape(shape))
@@ -250,8 +333,7 @@ def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
     trusted_flags = [True]
     leaked = False
 
-    events = stored_steps(n_steps, store_every)[1:]
-    for _, t, factors in step_loop(ham, t_final, n_steps, events, step_unitary):
+    for _, t, factors in step_loop(ham, t_final, n_steps, events, propagator):
         for u in factors:
             psi = u @ psi
         drift = abs(np.linalg.norm(psi) - 1.0)
@@ -269,31 +351,44 @@ def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
                           trusted=np.array(trusted_flags, dtype=bool))
 
 
-def _schmidt_values(state: FockState, modes_a):
+def _schmidt_values(states, modes_a) -> np.ndarray:
+    """Schmidt coefficients across ``modes_a`` | the other modes, one row per state.
+
+    One batched SVD over the stack of the states' (d^|A|, d^|B|)
+    coefficient matrices.
+    """
     modes_a = tuple(modes_a)
-    n = state.n_modes
+    n = states[0].n_modes
     modes_b = tuple(m for m in range(n) if m not in modes_a)
     if not modes_a or not modes_b or len(set(modes_a)) != len(modes_a):
         raise ValueError(f"bad subsystem modes {modes_a} of {n}")
-    perm = modes_a + modes_b
-    tensor = np.transpose(state.amplitudes, perm)
-    d = state.cutoff
-    return np.linalg.svd(tensor.reshape(d ** len(modes_a), d ** len(modes_b)),
+    d = states[0].cutoff
+    stack = np.stack([state.amplitudes for state in states])
+    stack = np.transpose(stack, (0,) + tuple(1 + m for m in modes_a + modes_b))
+    return np.linalg.svd(stack.reshape(len(states), d ** len(modes_a), d ** len(modes_b)),
                          compute_uv=False)
+
+
+def schmidt_entropies(states, modes_a):
+    """Von Neumann and Renyi-2 entropies of ``modes_a``, one per pure state, as two arrays.
+
+    Both come from the Schmidt probabilities p = s^2 of one batched SVD:
+    S = -sum p ln p and S_2 = -ln sum p^2.
+    """
+    probs = _schmidt_values(states, modes_a) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(probs > 1e-300, probs * np.log(probs), 0.0)
+    return -np.sum(terms, axis=-1), -np.log(np.sum(probs ** 2, axis=-1))
 
 
 def reduced_entropy(state: FockState, modes_a) -> float:
     """Entanglement entropy of the given modes from the Schmidt spectrum."""
-    sv = _schmidt_values(state, modes_a)
-    probs = sv ** 2
-    probs = probs[probs > 1e-300]
-    return float(-np.sum(probs * np.log(probs)))
+    return float(schmidt_entropies([state], modes_a)[0][0])
 
 
 def reduced_renyi2(state: FockState, modes_a) -> float:
     """Renyi-2 entropy -ln tr rho_A^2 of the reduced state."""
-    sv = _schmidt_values(state, modes_a)
-    return float(-np.log(np.sum(sv ** 4)))
+    return float(schmidt_entropies([state], modes_a)[1][0])
 
 
 def covariance_of(state: FockState, leak_ceiling: Optional[float] = None):

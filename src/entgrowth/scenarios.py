@@ -504,7 +504,10 @@ def bound_matrices(series, times):
 def _bounds_section(report, series, split, times):
     entries = []
     for t, m in zip(times, bound_matrices(series, times)):
-        rep = gss_rhs_minimize(m, split)
+        try:
+            rep = gss_rhs_minimize(m, split)
+        except EntgrowthError as exc:
+            raise type(exc)(f"bounds stage at t={t:.6g}: {exc}") from exc
         entries.append({"t": float(t), "value": rep.value, "residual": rep.residual,
                         "iterations": rep.iterations, "converged": rep.converged,
                         "diverged": rep.diverged})
@@ -519,7 +522,6 @@ def _bounds_section(report, series, split, times):
 def _fock_stages(report, cfg, series, lyap):
     split = cfg.modes
     modes_a = tuple(range(split.n_a))
-    modes_b = tuple(range(split.n_a, split.n_total))
     sub_a = SubsystemSpec.first_modes(split.n_a, split.n_total)
     psi0 = cfg.initial_state
     fcfg = fock_mod.FockConfig(n_modes=split.n_total, cutoff=psi0.cutoff,
@@ -533,29 +535,22 @@ def _fock_stages(report, cfg, series, lyap):
     alg = subsystem_exponent_algebraic(sub_a, lyap)
 
     _, _, s_as, lowers, uppers = _flow_stage(series.matrices, series.times, g0, split)
-    rows = []
-    containment_ok = True
-    # both trajectories store the same step grid, so sample i pairs with M(t_i)
-    for t, state, trusted, s_as_a, lower, upper in zip(
-            traj.times, traj.states, traj.trusted, s_as.tolist(), lowers.tolist(),
-            uppers.tolist(), strict=True):
-        s_vn_a = fock_mod.reduced_entropy(state, modes_a)
-        i_ab = s_vn_a + fock_mod.reduced_entropy(state, modes_b)  # global state pure
-        trusted = bool(trusted)
-        if trusted and not (lower - 1e-9 <= s_vn_a <= upper + 1e-9):
-            containment_ok = False
-        rows.append(CsvRow(t=float(t), s_vn_a=s_vn_a,
-                           s2_a=fock_mod.reduced_renyi2(state, modes_a), s_as_a=s_as_a,
-                           i_ab=i_ab, lambda_a_alg=alg.lambda_a, lambda_a_vol=None,
-                           bound_lower=lower, bound_upper=upper,
-                           source="fock", trusted=trusted))
-    report.rows = rows
+    s_vn, s2 = fock_mod.schmidt_entropies(traj.states, modes_a)
+    inside = (lowers - 1e-9 <= s_vn) & (s_vn <= uppers + 1e-9)
+    containment_ok = bool(np.all(inside[traj.trusted]))
+    # both trajectories store the same step grid, so sample i pairs with M(t_i);
+    # the global state is pure, so S(B) = S(A), S(AB) = 0 and I(A;B) = 2 S(A)
+    report.rows = [CsvRow(t=t, s_vn_a=s_vn_a, s2_a=s2_a, s_as_a=s_as_a, i_ab=2.0 * s_vn_a,
+                          lambda_a_alg=alg.lambda_a, lambda_a_vol=None, bound_lower=lower,
+                          bound_upper=upper, source="fock", trusted=trusted)
+                   for t, s_vn_a, s2_a, s_as_a, lower, upper, trusted in zip(
+                       traj.times.tolist(), s_vn.tolist(), s2.tolist(), s_as.tolist(),
+                       lowers.tolist(), uppers.tolist(), traj.trusted.tolist(), strict=True)]
 
-    entropies = np.array([row.s_vn_a for row in rows])
     t_trust = traj.trusted_until
     window = cfg.run.window or (cfg.run.window_fraction * t_trust, t_trust)
     mask = traj.trusted
-    t_w, s_w = windowed(traj.times[mask], entropies[mask], *window)
+    t_w, s_w = windowed(traj.times[mask], s_vn[mask], *window)
     fit = fit_slope(t_w, s_w)
     rel_dev = abs(fit.slope - alg.lambda_a) / max(abs(alg.lambda_a), 1e-12)
     report.add("oracle", {

@@ -497,7 +497,7 @@ def test_fock_run_honours_defect_factor():
     ("coherent:5.0,0", 12, "initial_state.state"),
     ("cat:1.0,2", 12, "initial_state.state"),
     ("fock:0,0", 3, "initial_state.cutoff"),
-    ("fock:0,0", 100, "initial_state.cutoff"),
+    ("fock:0,0", 500, "initial_state.cutoff"),
     ("fock:0,0", "many", "initial_state.cutoff"),
 ])
 def test_bad_fock_state_rejected_at_parse(tmp_path, capsys, state, cutoff, field):
@@ -509,6 +509,18 @@ def test_bad_fock_state_rejected_at_parse(tmp_path, capsys, state, cutoff, field
     cfg_path.write_text(json.dumps(doc))
     assert cli.main(["simulate", str(cfg_path)]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_fock_memory_budget_counts_the_stored_samples():
+    # cutoff 100 (dimension 10,000, over the former cap of 4096) fits the
+    # budget at 181 stored samples, and not at 1,001
+    doc = _tms_doc("fock:0,0", run={"t_final": 0.9, "store_every": 1})
+    doc["initial_state"]["cutoff"] = 100
+    assert parse_config(json.dumps(doc)).initial_state.cutoff == 100
+    doc["run"]["t_final"] = 5.0
+    with pytest.raises(ConfigError, match=r"^initial_state\.cutoff: 1001 stored samples .* "
+                                          r"above the 128 MiB memory budget"):
+        parse_config(json.dumps(doc))
 
 
 _EYE4 = matrix_to_json(np.eye(4))

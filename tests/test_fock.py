@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg import expm
 
 import entgrowth.fock as fock
-from entgrowth.config import parse_config
+from entgrowth.config import matrix_to_json, parse_config
 from entgrowth.dynamics import QuadraticHamiltonian, evolve_covariance, propagate
 from entgrowth.entropy import renyi2_entropy, von_neumann_entropy
 from entgrowth.errors import TruncationLeak
@@ -33,13 +34,13 @@ TMS = QuadraticHamiltonian.constant(two_mode_squeezing_form())
 
 def test_quadrature_matrix_smallest_cutoff():
     cfg = FockConfig(n_modes=1, cutoff=4, dt=0.1)
-    q = build_quadratures(cfg.n_modes, cfg.cutoff)[0]
+    q = build_quadratures(cfg.n_modes, cfg.cutoff)[0].toarray()
     assert np.allclose(q[:2, :2].real, [[0.0, 1 / math.sqrt(2)], [1 / math.sqrt(2), 0.0]])
 
 
 def test_vacuum_quadrature_variance():
     cfg = FockConfig(n_modes=1, cutoff=8, dt=0.1)
-    q, p = build_quadratures(cfg.n_modes, cfg.cutoff)
+    q, p = (m.toarray() for m in build_quadratures(cfg.n_modes, cfg.cutoff))
     vac = np.zeros(8)
     vac[0] = 1.0
     assert abs(vac @ (q @ q) @ vac - 0.5) < 1e-12
@@ -48,7 +49,7 @@ def test_vacuum_quadrature_variance():
 
 def test_commutator_on_interior_block():
     cfg = FockConfig(n_modes=1, cutoff=10, dt=0.1)
-    q, p = build_quadratures(cfg.n_modes, cfg.cutoff)
+    q, p = (m.toarray() for m in build_quadratures(cfg.n_modes, cfg.cutoff))
     comm = q @ p - p @ q
     interior = comm[: 9, : 9]
     assert np.allclose(interior, 1j * np.eye(9), atol=1e-12)
@@ -56,7 +57,7 @@ def test_commutator_on_interior_block():
 
 def test_two_mode_commutators_cross_vanish():
     cfg = FockConfig(n_modes=2, cutoff=5, dt=0.1)
-    q1, p1, q2, p2 = build_quadratures(cfg.n_modes, cfg.cutoff)
+    q1, p1, q2, p2 = (m.toarray() for m in build_quadratures(cfg.n_modes, cfg.cutoff))
     assert np.max(np.abs(q1 @ q2 - q2 @ q1)) < 1e-14
     assert np.max(np.abs(q1 @ p2 - p2 @ q1)) < 1e-14
 
@@ -64,7 +65,7 @@ def test_two_mode_commutators_cross_vanish():
 def test_harmonic_hamiltonian_interior_spectrum():
     cfg = FockConfig(n_modes=1, cutoff=12, dt=0.1)
     ham = QuadraticHamiltonian.constant(np.eye(2))
-    op = build_hamiltonian(ham, 0.0, cfg)
+    op = build_hamiltonian(ham, 0.0, cfg).toarray()
     # (q^2 + p^2)/2 is diagonal on the ladder: n + 1/2 on interior levels,
     # with the truncation anomaly confined to the very top entry
     assert np.max(np.abs(op - np.diag(np.diag(op)))) < 1e-12
@@ -76,10 +77,10 @@ def test_harmonic_hamiltonian_interior_spectrum():
 def test_metastable_hamiltonian_is_hermitian_coupling():
     cfg = FockConfig(n_modes=2, cutoff=6, dt=0.1)
     ham = QuadraticHamiltonian.constant(metastable_form())
-    op = build_hamiltonian(ham, 0.0, cfg)
+    op = build_hamiltonian(ham, 0.0, cfg).toarray()
     assert np.max(np.abs(op - op.conj().T)) < 1e-12
     # equals (p1 q2 + q2 p1)/2 built directly from the quadratures
-    _, p1, q2, _ = build_quadratures(cfg.n_modes, cfg.cutoff)
+    _, p1, q2, _ = (m.toarray() for m in build_quadratures(cfg.n_modes, cfg.cutoff))
     direct = 0.5 * (p1 @ q2 + q2 @ p1)
     assert np.max(np.abs(op - direct)) < 1e-12
 
@@ -100,8 +101,60 @@ def test_build_hamiltonian_is_exactly_hermitian(form):
     # at (j, i), so the operator needs no Hermiticity check
     h, cutoff = form
     cfg = FockConfig(n_modes=h.shape[0] // 2, cutoff=cutoff, dt=0.1)
-    op = build_hamiltonian(QuadraticHamiltonian.constant(h), 0.0, cfg)
+    op = build_hamiltonian(QuadraticHamiltonian.constant(h), 0.0, cfg).toarray()
     assert np.array_equal(op, op.conj().T)
+
+
+@st.composite
+def propagation_cases(draw, top_cutoff_3=10):
+    """(h, cutoff, s, psi): a symmetric form with entries in [-1, 1] on 1-3 modes, a cutoff
+    of 4-10 (4 to ``top_cutoff_3`` on 3 modes), a segment length of 1e-3 to 2 and a random
+    normalized state."""
+    n = draw(st.integers(1, 3))
+    a = draw(hnp.arrays(np.float64, (2 * n, 2 * n), elements=st.floats(-1.0, 1.0)))
+    cutoff = draw(st.integers(4, 10 if n < 3 else top_cutoff_3))
+    s = 10.0 ** draw(st.floats(-3.0, math.log10(2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    psi = rng.normal(size=cutoff ** n) + 1j * rng.normal(size=cutoff ** n)
+    return 0.5 * (a + a.T), cutoff, s, psi / np.linalg.norm(psi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(propagation_cases())
+def test_chebyshev_step_matches_dense_exponential(case):
+    # one segment of length s: the propagator against the dense exponential
+    # of the same sparse operator
+    h, cutoff, s, psi = case
+    n = h.shape[0] // 2
+    cfg = FockConfig(n_modes=n, cutoff=cutoff, dt=s, leak_ceiling=1.0)
+    ham = QuadraticHamiltonian.constant(h)
+    traj = evolve_fock(FockState(psi.reshape((cutoff,) * n)), ham, s, cfg)
+    out = traj.states[-1].amplitudes.ravel()
+    exact = expm(-1j * s * build_hamiltonian(ham, 0.0, cfg).toarray()) @ psi
+    assert np.max(np.abs(out - exact)) < 1e-12
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-13
+
+
+@settings(max_examples=15, deadline=None)
+@given(propagation_cases(top_cutoff_3=7), st.lists(st.floats(0.1, 1.0), min_size=2, max_size=3),
+       st.integers(2, 4), st.integers(3, 12), st.integers(1, 7))
+def test_periodic_pieces_match_the_dense_product(case, durations, periods, per_period, store):
+    # a second form per extra piece, on a step grid that need not meet the breakpoints;
+    # three modes stop at cutoff 7, where each dense exponential takes 0.1 s, not 2 s
+    h, cutoff, _, psi = case
+    n = h.shape[0] // 2
+    forms = [h] + [np.roll(h, k, axis=(0, 1)) * (-1) ** k for k in range(1, len(durations))]
+    period = sum(durations)
+    ham = QuadraticHamiltonian.piecewise(list(zip(durations, forms)), period)
+    cfg = FockConfig(n_modes=n, cutoff=cutoff, dt=period / per_period, leak_ceiling=1.0)
+    traj = evolve_fock(FockState(psi.reshape((cutoff,) * n)), ham, periods * period, cfg,
+                       store_every=store)
+    one_period = np.eye(cutoff ** n)
+    for d, form in zip(durations, forms):
+        op = build_hamiltonian(QuadraticHamiltonian.constant(form), 0.0, cfg).toarray()
+        one_period = expm(-1j * d * op) @ one_period
+    exact = np.linalg.matrix_power(one_period, periods) @ psi
+    assert np.max(np.abs(traj.states[-1].amplitudes.ravel() - exact)) < 1e-12
 
 
 def test_harmonic_eigenstate_survival():
@@ -113,7 +166,7 @@ def test_harmonic_eigenstate_survival():
         assert abs(abs(state.amplitudes[1]) - 1.0) < 1e-10
 
 
-def test_constant_hamiltonian_is_diagonalized_once(monkeypatch):
+def test_constant_hamiltonian_is_built_once(monkeypatch):
     builds = []
 
     def counting_build(*args):
@@ -138,6 +191,31 @@ def test_tms_covariance_matches_gaussian_propagation():
         g_exact = evolve_covariance(np.eye(4), gauss.matrices[idx])
         assert np.max(np.abs(g_fock - g_exact)) < 1e-6
         assert np.max(np.abs(z)) < 1e-8
+
+
+def test_three_modes_at_cutoff_20_match_gaussian_propagation():
+    # dimension 8000, over the former cap of 4096, fits the memory budget;
+    # two-mode squeezing of modes 1-2, a beam splitter to an oscillating mode 3
+    h = np.zeros((6, 6))
+    h[:4, :4] = two_mode_squeezing_form()
+    h[2, 4] = h[4, 2] = h[3, 5] = h[5, 3] = 0.5
+    h[4, 4] = h[5, 5] = 1.0
+    cfg = parse_config(json.dumps({
+        "modes": {"total": 3, "subsystem": 1},
+        "hamiltonian": {"type": "constant", "h": matrix_to_json(h)},
+        "initial_state": {"type": "fock", "state": "fock:0,0,0", "cutoff": 20},
+        "run": {"t_final": 0.8, "dt": 0.01, "store_every": 20}}))
+    run = cfg.run
+    fcfg = FockConfig(n_modes=3, cutoff=20, dt=run.dt, leak_ceiling=1e-6)
+    traj = evolve_fock(cfg.initial_state, cfg.hamiltonian, run.t_final, fcfg,
+                       store_every=run.store_every)
+    gauss = propagate(cfg.hamiltonian, run.t_final, run.dt, store_every=run.store_every)
+    assert fcfg.dim == 8000 and traj.trusted.all() and len(traj.times) == 5
+    for state, leak, m in zip(traj.states, traj.leaks, gauss.matrices):
+        g_fock, _ = covariance_of(state)
+        # the slack covariance_of widens by the leak
+        slack = max(1e-9, 100.0 * leak)
+        assert np.max(np.abs(g_fock - evolve_covariance(np.eye(6), m))) <= slack
 
 
 def test_metastable_fock_log_growth():
@@ -191,8 +269,7 @@ def test_global_purity_of_schmidt_spectrum():
     psi0 = FockState.superposition([(1.0, (0, 0)), (1.0, (2, 0))], 14, 2)
     traj = evolve_fock(psi0, TMS, 0.4, cfg, store_every=40)
     from entgrowth.fock import _schmidt_values
-    for state in traj.states:
-        sv = _schmidt_values(state, (0,))
+    for sv in _schmidt_values(traj.states, (0,)):
         assert abs(np.sum(sv ** 2) - 1.0) < 1e-8
 
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from entgrowth import fock, scenarios
 from entgrowth.config import parse_config
@@ -217,17 +218,28 @@ def test_lyapunov_failure_names_its_stage_and_horizon():
 
 
 def test_fock_failure_names_its_stage_and_time(monkeypatch):
-    real_eigh = np.linalg.eigh
+    real_build = fock.build_hamiltonian
 
-    def lossy_eigh(a):
-        w, v = real_eigh(a)
-        return w - 0.1j, v      # exp(-i s H) then loses norm like e^{-0.1 s}
+    def lossy_build(ham, t, cfg):
+        # exp(-i s H) then loses norm like e^{-0.1 s}
+        return real_build(ham, t, cfg) - 0.1j * sparse.identity(cfg.dim, format="csr")
 
     ham = builtin_hamiltonian("two_mode_squeezing", ModeCount(2, 1))
     cfg = fock.FockConfig(n_modes=2, cutoff=8, dt=0.01, leak_ceiling=1.0)
-    monkeypatch.setattr(np.linalg, "eigh", lossy_eigh)
+    monkeypatch.setattr(fock, "build_hamiltonian", lossy_build)
     with pytest.raises(RuntimeError, match=r"^fock stage at t=0\.05: norm drift"):
         fock.evolve_fock(fock.FockState.fock((0, 0), 8), ham, 0.5, cfg, store_every=5)
+
+
+def test_bound_minimizer_failure_names_its_stage_and_time(monkeypatch):
+    # a budget of 0 iterations leaves the minimizer no starting point
+    real_minimize = scenarios.gss_rhs_minimize
+    monkeypatch.setattr(scenarios, "gss_rhs_minimize",
+                        lambda m, split: real_minimize(m, split, budget=0))
+    rep = run_view(default_scenario("inverted_pair"), "bounds")
+    t_final = default_scenario("inverted_pair").run.t_final
+    assert rep.failures == [f"NotPositiveDefinite: bounds stage at t={t_final:.6g}: "
+                            f"no feasible starting point"], rep.failures
 
 
 def test_coupled_chain_uses_two_unstable_rates():
