@@ -315,7 +315,8 @@ def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
     store_every : keep every k-th step (plus t=0 and the final step); the
         times are :func:`sample_times`.
     defect_factor : ceiling on the symplectic defect of each stored M(t) is
-        ``defect_factor * (1 + max|M|^2)``; exceeding it raises StepTooLarge.
+        ``defect_factor * (1 + max|M|^2)``; exceeding it raises StepTooLarge
+        naming the earliest stored time that does.
     """
     if dt <= 0 or t_final <= 0:
         raise ValueError("need dt > 0 and t_final > 0")
@@ -330,22 +331,23 @@ def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
 
     m = np.eye(2 * ham.n_modes)
     mats = [m]
-    defects = [0.0]
-    for _, t, factors in step_loop(ham, t_final, n_steps, stored_steps(n_steps, store_every)[1:]):
+    for _, _, factors in step_loop(ham, t_final, n_steps, stored_steps(n_steps, store_every)[1:]):
         for step in factors:
             m = step @ m
-        defect = _maxabs(m @ omega @ m.T - omega)
-        ceiling = defect_factor * (1.0 + _maxabs(m) ** 2)
-        if defect > ceiling:
-            raise StepTooLarge(
-                f"propagation stage at t={t:.6g}: symplectic defect {defect:.3g} exceeded "
-                f"ceiling {ceiling:.3g}; " + hint)
         mats.append(m)
-        defects.append(defect)
+    mats = np.array(mats)
+    times = sample_times(t_final, dt, store_every)
 
-    return PropagationResult(
-        times=sample_times(t_final, dt, store_every), matrices=np.array(mats),
-        defects=np.array(defects), dt=dt_eff)
+    # checked once on the whole stack: one call per check, not one per sample
+    defects = _maxabs_each(mats @ omega @ _mT(mats) - omega)
+    ceilings = defect_factor * (1.0 + _maxabs_each(mats) ** 2)
+    bad = defects > ceilings
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise StepTooLarge(
+            f"propagation stage at t={times[i]:.6g}: symplectic defect {defects[i]:.3g} exceeded "
+            f"ceiling {ceilings[i]:.3g}; " + hint)
+    return PropagationResult(times=times, matrices=mats, defects=defects, dt=dt_eff)
 
 
 def evolve_covariance(g0, m) -> np.ndarray:

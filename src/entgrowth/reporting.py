@@ -10,6 +10,7 @@ and identical configs produce byte-identical output.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,9 +22,10 @@ CSV_COLUMNS = ("t", "S_vn_A", "S2_A", "S_as_A", "I_AB",
 
 
 def format_float(x) -> str:
-    if x is None or (isinstance(x, float) and not np.isfinite(x)):
+    """17 significant digits; ``None`` and non-finite values print as "nan"."""
+    if x is None or not math.isfinite(x):
         return "nan"
-    return format(float(x), ".17g")
+    return "%.17g" % x
 
 
 @dataclass

@@ -42,6 +42,9 @@ from .phase_space import (
 )
 
 DIVERGENCE_NORM = 1e6
+# L-BFGS-B stopping tolerances: projected gradient and relative decrease
+GTOL = 1e-9
+FTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -159,9 +162,15 @@ def _unpack_cholesky(x, dim, tril_idx, diag_pos):
 
 
 def _half_logdet_rows(r):
-    """(1/2) ln det(R R^T) and its gradient (R^+)^T = (R R^T)^{-1} R, via a thin QR of R^T."""
-    q, u = np.linalg.qr(r.T)
-    return float(np.sum(np.log(np.abs(np.diag(u))))), np.linalg.solve(u, q.T)
+    """(1/2) ln det(R R^T) and its gradient (R^+)^T = (R R^T)^{-1} R, via a thin QR of R^T.
+
+    ``r`` is one block of rows or a stack of equal-shaped blocks; a stack
+    gives an array of values and the stack of gradients, from one QR and
+    one solve call, with each block's log-diagonal summed on its own.
+    """
+    q, u = np.linalg.qr(_mT(r))
+    h = np.log(np.abs(np.diagonal(u, axis1=-2, axis2=-1))).sum(axis=-1)
+    return _float_or_stack(h), np.linalg.solve(u, _mT(q))
 
 
 def _rhs_factor_objective(m, k):
@@ -174,6 +183,11 @@ def _rhs_factor_objective(m, k):
     with x_ii = ln C_ii and h(R) = (1/2) ln det(R R^T), since det G and
     det G_A are products of diagonal entries of C.  Returns
     ``fun(x) -> (value, gradient)`` on the packed lower triangle x.
+
+    The three h terms are one stacked ``_half_logdet_rows`` call when the
+    blocks share a shape (N_A = N_B); otherwise the two B blocks share one
+    and the A block gets its own.  Either way each block is reduced as on
+    its own, so value and gradient do not depend on the grouping.
     """
     dim = m.shape[0]
     tril_idx, diag_pos = _cholesky_layout(dim)
@@ -184,10 +198,14 @@ def _rhs_factor_objective(m, k):
     def fun(x):
         c = _unpack_cholesky(x, dim, tril_idx, diag_pos)
         mc = m @ c
-        h_b, d_b = _half_logdet_rows(c[k:])
-        h_ma, d_ma = _half_logdet_rows(mc[:k])
-        h_mb, d_mb = _half_logdet_rows(mc[k:])
-        d_c = m.T @ np.vstack((d_ma, d_mb))
+        if 2 * k == dim:
+            (h_b, h_ma, h_mb), d = _half_logdet_rows(np.concatenate((c[k:], mc)).reshape(3, k, dim))
+            d_b, d_m = d[0], d[1:].reshape(dim, dim)
+        else:
+            (h_b, h_mb), (d_b, d_mb) = _half_logdet_rows(np.stack((c[k:], mc[k:])))
+            h_ma, d_ma = _half_logdet_rows(mc[:k])
+            d_m = np.vstack((d_ma, d_mb))
+        d_c = m.T @ d_m
         d_c[k:] += d_b
         grad = d_c[tril_idx]
         grad[diag_pos] = grad[diag_pos] * np.diag(c) + weights
@@ -207,7 +225,6 @@ def _is_pd_symmetric(m):
 
 
 def gss_rhs_minimize(m, split: ModeCount, budget: int = 2000,
-                     gtol: float = 1e-9, ftol: float = 1e-14,
                      informed_starts: bool = True) -> BoundReport:
     """Minimize I_as(A;B)(G) + I_as(A;B)(M G M^T) over positive definite G.
 
@@ -255,7 +272,7 @@ def gss_rhs_minimize(m, split: ModeCount, budget: int = 2000,
         x0[diag_pos] = np.log(np.diag(c0))
         res = minimize(fun, x0, method="L-BFGS-B", jac=True, bounds=bounds,
                        options=dict(maxiter=min(per_start, budget - iterations),
-                                    ftol=ftol, gtol=gtol))
+                                    ftol=FTOL, gtol=GTOL))
         iterations += int(res.nit)
         if best is None or res.fun < best.fun:
             best = res

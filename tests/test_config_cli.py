@@ -26,7 +26,7 @@ from entgrowth.config import (
     serialize_config,
 )
 from entgrowth.errors import ConfigError
-from entgrowth.reporting import CSV_COLUMNS
+from entgrowth.reporting import CSV_COLUMNS, format_float
 from entgrowth.dynamics import QuadraticHamiltonian, propagate, sample_times
 from entgrowth.scenarios import (
     SCENARIO_NAMES,
@@ -185,6 +185,18 @@ def test_csv_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text().splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_format_float_prints_17_significant_digits(x):
+    assert format_float(x) == format(x, ".17g")
+    assert format_float(np.float64(x)) == format(x, ".17g")
+
+
+@pytest.mark.parametrize("x", [None, math.nan, math.inf, -math.inf, np.float64("nan"),
+                               np.float64("inf"), np.float64("-inf")])
+def test_format_float_prints_missing_and_nonfinite_as_nan(x):
+    assert format_float(x) == "nan"
 
 
 def _cli(*args):

@@ -9,7 +9,7 @@ from scipy import sparse
 
 from entgrowth import fock, scenarios
 from entgrowth.config import parse_config
-from entgrowth.dynamics import QuadraticHamiltonian, sample_times
+from entgrowth.dynamics import QuadraticHamiltonian, propagate
 from entgrowth.entropy import LN_E_OVER_2
 from entgrowth.errors import ConfigError
 from entgrowth.phase_space import ModeCount
@@ -200,15 +200,22 @@ def _only_failure(name, tolerances):
 
 
 def test_propagation_failure_names_its_stage_and_time():
-    failure = _only_failure("inverted_pair", {"defect_factor": 1e-30})
+    # the failure names the first stored sample whose defect exceeds its
+    # ceiling; at 1e-17 the first nonzero defect (1.8e-18 relative) passes
+    cfg = default_scenario("inverted_pair")
+    series = propagate(cfg.hamiltonian, cfg.run.t_final, cfg.run.dt,
+                       store_every=cfg.run.store_every)
+    scale = 1.0 + np.max(np.abs(series.matrices), axis=(1, 2)) ** 2
     prefix = "StepTooLarge: propagation stage at t="
-    assert failure.startswith(prefix), failure
-    t_text, detail = failure[len(prefix):].split(": ", 1)
-    assert detail.startswith("symplectic defect")
-    # the first stored sample whose defect is above 1e-30: any nonzero one
-    stored = default_scenario("inverted_pair").run
-    times = sample_times(stored.t_final, stored.dt, stored.store_every)
-    assert t_text in {f"{t:.6g}" for t in times[1:]}
+    for factor in (1e-30, 1e-17):
+        failure = _only_failure("inverted_pair", {"defect_factor": factor})
+        assert failure.startswith(prefix), failure
+        t_text, detail = failure[len(prefix):].split(": ", 1)
+        first = int(np.argmax(series.defects > factor * scale))
+        assert first > 0
+        assert t_text == f"{series.times[first]:.6g}", (factor, first)
+        assert detail.startswith(f"symplectic defect {series.defects[first]:.3g} exceeded "
+                                 f"ceiling {factor * scale[first]:.3g}; "), detail
 
 
 def test_lyapunov_failure_names_its_stage_and_horizon():
