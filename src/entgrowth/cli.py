@@ -15,7 +15,8 @@ with its defaults and tolerances, so their sections equal the sections of
 the same name in the ``simulate`` report.  They write no files: their only
 output flag is ``--json``.  Exit code is 0 only when every asserted
 invariant in the run passed, 1 when one failed, and 2 for a usage or
-config error.
+config error, a config file that is not UTF-8 text, or a config or output
+path the operating system refuses.
 """
 
 import argparse
@@ -30,8 +31,13 @@ from .scenarios import SCENARIO_NAMES, run_scenario, run_view, scenario_document
 
 
 def _load_config(path) -> ScenarioConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            reason = f"{exc.reason} at byte {exc.start}"
+            raise ConfigError(f"{path} is not UTF-8 text ({reason})") from exc
+    return parse_config(text)
 
 
 def _emit(report: RunReport, args) -> int:
@@ -146,7 +152,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a config path that cannot be read or an output path that cannot be written
         sys.stderr.write(f"{exc}\n")
         return 2
 

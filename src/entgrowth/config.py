@@ -41,7 +41,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import fock as fock_mod
-from .dynamics import QuadraticHamiltonian, sample_times, step_count, stored_count
+from .dynamics import DEFECT_FACTOR, QuadraticHamiltonian, sample_times, step_count, stored_count
 from .errors import ConfigError
 from .phase_space import ModeCount, is_symmetric
 
@@ -175,8 +175,8 @@ class RunParams:
 @dataclass
 class Tolerances:
     residual_tol: Optional[float] = _field(_positive, default=None)
-    leak_ceiling: float = _field(_positive, default=1e-6)
-    defect_factor: float = _field(_positive, default=1e-8)
+    leak_ceiling: float = _field(_positive, default=fock_mod.LEAK_CEILING)
+    defect_factor: float = _field(_positive, default=DEFECT_FACTOR)
     slope_rel_tol: float = _field(_positive, default=0.05)
 
 

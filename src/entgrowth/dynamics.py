@@ -47,6 +47,8 @@ from .phase_space import (
 )
 
 DEFECT_FACTOR = 1e-8
+# relative tolerance of the checks that a stroboscopic generator reproduces M(tau)
+LOG_CHECK_TOL = 1e-8
 # a piece boundary this close to a segment edge, in units of the step, lies on it
 EDGE_SNAP = 1e-9
 
@@ -204,9 +206,9 @@ def sample_times(t_final: float, dt: float, store_every: int = 1) -> np.ndarray:
     return times
 
 
-def _check_periodicity(ham, samples=(0.13, 0.41, 0.77)):
+def _check_periodicity(ham):
     tau = ham.period
-    for frac in samples:
+    for frac in (0.13, 0.41, 0.77):
         t = frac * tau
         h0 = np.asarray(ham.h(t), dtype=float)
         h1 = np.asarray(ham.h(t + tau), dtype=float)
@@ -377,7 +379,7 @@ class PolarPair:
 
 
 @_earliest_failure
-def polar_decompose(m, check_tol: float = 1e-9) -> PolarPair:
+def polar_decompose(m) -> PolarPair:
     """Polar decomposition via SVD: T = U diag(s) U^T, u = U V^T.
 
     Equivalent to T = sqrt(M M^T) but computed without forming M M^T, so
@@ -395,7 +397,7 @@ def polar_decompose(m, check_tol: float = 1e-9) -> PolarPair:
     dim = m.shape[-1]
     _fail_first(_maxabs_each(_mT(u_part) @ u_part - np.eye(dim)) > 1e-10, SingularM,
                 "orthogonal factor failed its check")
-    _fail_first(_maxabs_each(t_part @ u_part - m) > check_tol * (1.0 + _maxabs_each(m)),
+    _fail_first(_maxabs_each(t_part @ u_part - m) > 1e-9 * (1.0 + _maxabs_each(m)),
                 SingularM, "polar factors do not reproduce the input")
     return PolarPair(t_part=t_part, u_part=u_part)
 
@@ -410,7 +412,7 @@ def sqrt_pd(a) -> np.ndarray:
     return 0.5 * (root + root.T)
 
 
-def stroboscopic_generator(m_tau, tau: float, check_tol: float = 1e-8) -> np.ndarray:
+def stroboscopic_generator(m_tau, tau: float) -> np.ndarray:
     """Effective generator (1/tau) log M(tau) of one drive period.
 
     Requires the principal real logarithm to exist: no eigenvalue of
@@ -432,10 +434,10 @@ def stroboscopic_generator(m_tau, tau: float, check_tol: float = 1e-8) -> np.nda
     if np.max(np.abs(log_m.imag)) > 1e-8 * (1.0 + np.max(np.abs(log_m.real))):
         raise NoRealLogarithm("matrix logarithm came out complex")
     k = log_m.real / tau
-    if _maxabs(expm(tau * k) - m_tau) > check_tol * (1.0 + _maxabs(m_tau)):
+    if _maxabs(expm(tau * k) - m_tau) > LOG_CHECK_TOL * (1.0 + _maxabs(m_tau)):
         raise NoRealLogarithm("exp(tau K) does not reproduce M(tau)")
     n = m_tau.shape[0] // 2
     omega_k = standard_omega(n) @ k
-    if _maxabs(omega_k - omega_k.T) > check_tol * (1.0 + _maxabs(omega_k)):
+    if _maxabs(omega_k - omega_k.T) > LOG_CHECK_TOL * (1.0 + _maxabs(omega_k)):
         raise NoRealLogarithm("log M is not in the symplectic Lie algebra")
     return k

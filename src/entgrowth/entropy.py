@@ -30,6 +30,7 @@ LN_E_OVER_2 = 1.0 - math.log(2.0)
 
 _SERIES_CUT = 1e-6   # below this, nu - 1 is evaluated by series
 _LARGE_CUT = 1e6     # above this, the direct formula loses precision to cancellation
+CORRIDOR_SLACK = 1e-9   # roundoff allowance on each corridor inequality, in nats
 
 
 def mode_entropy(nu: float) -> float:
@@ -108,7 +109,7 @@ class EntropyReport:
     n_modes: int
 
 
-def corridor_check(g, slack: float = 1e-9) -> EntropyReport:
+def corridor_check(g) -> EntropyReport:
     """Compute all three entropies and verify the two-sided corridor.
 
     Checks s_r2 <= s_vn <= s_r2 + N ln(e/2), and the near-saturation bound
@@ -121,11 +122,11 @@ def corridor_check(g, slack: float = 1e-9) -> EntropyReport:
     s_r2 = float(np.sum(np.log(nus)))
     s_as = s_r2 + n * LN_E_OVER_2
     report = EntropyReport(s_vn=s_vn, s_r2=s_r2, s_as=s_as, n_modes=n)
-    if not (s_r2 - slack <= s_vn <= s_as + slack):
+    if not (s_r2 - CORRIDOR_SLACK <= s_vn <= s_as + CORRIDOR_SLACK):
         raise CorridorViolated(
             f"entropy corridor violated: S2={s_r2:.12g}, S={s_vn:.12g}, Sas={s_as:.12g}")
     nu_min = float(np.min(nus))
-    if s_as - s_vn > n / nu_min ** 2 * LN_E_OVER_2 + slack:
+    if s_as - s_vn > n / nu_min ** 2 * LN_E_OVER_2 + CORRIDOR_SLACK:
         raise CorridorViolated(
             f"near-saturation bound violated: gap={s_as - s_vn:.12g} at nu_min={nu_min:.6g}")
     return report

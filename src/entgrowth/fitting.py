@@ -6,6 +6,8 @@ import numpy as np
 
 from .errors import WindowTooShort
 
+MIN_POINTS = 4   # fewest samples a slope fit accepts
+
 
 @dataclass(frozen=True)
 class SlopeFit:
@@ -16,15 +18,15 @@ class SlopeFit:
     window: tuple
 
 
-def fit_slope(times, values, min_points: int = 4) -> SlopeFit:
+def fit_slope(times, values) -> SlopeFit:
     """Ordinary least-squares line fit with the standard error of the slope."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.ndim != 1:
         raise ValueError("times and values must be matching 1-d arrays")
     n = len(times)
-    if n < min_points:
-        raise WindowTooShort(f"need at least {min_points} samples, got {n}")
+    if n < MIN_POINTS:
+        raise WindowTooShort(f"need at least {MIN_POINTS} samples, got {n}")
     t_mean = times.mean()
     v_mean = values.mean()
     dt = times - t_mean

@@ -18,7 +18,6 @@ modes; there is no cap on the dimension itself.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -32,6 +31,7 @@ from .phase_space import require_valid_covariance
 
 MEMORY_BUDGET = 2 ** 27   # bytes: stored amplitudes plus the step operator, 128 MiB
 CHEBYSHEV_CUT = 1e-17     # a propagator's series ends where |J_k| falls below this
+LEAK_CEILING = 1e-6       # default ceiling on the top-two-level population of any mode
 
 
 def check_budget(n_modes: int, cutoff: int, n_samples: int) -> None:
@@ -58,7 +58,7 @@ class FockConfig:
     n_modes: int
     cutoff: int
     dt: float
-    leak_ceiling: float = 1e-6
+    leak_ceiling: float = LEAK_CEILING
 
     def __post_init__(self):
         if not 1 <= self.n_modes <= 3:
@@ -228,7 +228,7 @@ class FockState:
         return state.normalized()
 
     @classmethod
-    def coherent(cls, alphas, cutoff: int, tail_tol: float = 1e-8) -> "FockState":
+    def coherent(cls, alphas, cutoff: int) -> "FockState":
         """Product of coherent states, one amplitude per mode."""
         vecs = []
         for alpha in np.atleast_1d(alphas):
@@ -236,7 +236,7 @@ class FockState:
             log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, cutoff)))])
             vec = np.exp(-0.5 * abs(alpha) ** 2) * alpha ** n / np.exp(0.5 * log_fact)
             tail = 1.0 - float(np.linalg.norm(vec) ** 2)
-            if tail > tail_tol:
+            if tail > 1e-8:
                 raise ValueError(f"coherent amplitude {alpha} loses {tail:.3g} beyond cutoff {cutoff}")
             vecs.append(vec)
         amp = vecs[0]
@@ -391,7 +391,7 @@ def reduced_renyi2(state: FockState, modes_a) -> float:
     return float(schmidt_entropies([state], modes_a)[1][0])
 
 
-def covariance_of(state: FockState, leak_ceiling: Optional[float] = None):
+def covariance_of(state: FockState):
     """First and second quadrature moments: returns (covariance, displacement).
 
     The covariance follows the symmetrized-product convention with the
@@ -401,8 +401,6 @@ def covariance_of(state: FockState, leak_ceiling: Optional[float] = None):
     amount of the truncation size.
     """
     leak = top_level_population(state)
-    if leak_ceiling is not None and leak > leak_ceiling:
-        raise TruncationLeak("top-level population above ceiling; moments untrusted")
     xi = build_quadratures(state.n_modes, state.cutoff)
     psi = state.amplitudes.ravel()
     applied = [op @ psi for op in xi]

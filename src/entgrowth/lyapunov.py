@@ -40,8 +40,7 @@ class LyapunovData:
 
     ``basis[i]`` is the dual-space direction associated with
     ``exponents[i]``; exponents are sorted descending.  ``exponents`` are
-    Richardson-refined unless ``spectrum_from_propagation`` was asked for
-    raw values; ``raw_exponents`` always hold the plain horizon-t* estimate.
+    Richardson-refined; ``raw_exponents`` hold the plain horizon-t* estimate.
     """
 
     exponents: np.ndarray
@@ -50,11 +49,6 @@ class LyapunovData:
     residual: float
     raw_exponents: np.ndarray
     method: str = "svd"
-
-
-def default_residual_tol(top_exponent: float) -> float:
-    """Residual threshold 1e-3 (1 + lambda_1), scaling with the spectrum."""
-    return 1e-3 * (1.0 + max(float(top_exponent), 0.0))
 
 
 def limiting_matrix_estimate(m, t: float) -> np.ndarray:
@@ -70,11 +64,10 @@ def limiting_matrix_estimate(m, t: float) -> np.ndarray:
     return (u * (np.log(sv) / t)) @ u.T
 
 
-def _check_residual(residual, exponents, residual_tol, where):
-    tol = default_residual_tol(exponents[0]) if residual_tol is None else residual_tol
-    if residual > tol:
+def _check_residual(residual, residual_tol, where):
+    if residual > residual_tol:
         raise NotConverged(
-            f"{where}: Lyapunov residual {residual:.3g} exceeds tolerance {tol:.3g}; "
+            f"{where}: Lyapunov residual {residual:.3g} exceeds tolerance {residual_tol:.3g}; "
             f"raise t_star")
 
 
@@ -87,12 +80,12 @@ def _half_horizon(series: PropagationResult):
     return idx, t_half
 
 
-def spectrum_from_propagation(series: PropagationResult, residual_tol: Optional[float] = None,
-                              refine: bool = True) -> LyapunovData:
+def spectrum_from_propagation(series: PropagationResult, residual_tol: float) -> LyapunovData:
     """Exponents and basis from a stored trajectory (SVD estimator).
 
     The residual compares the limiting-matrix estimates at the final
-    horizon and at the stored sample nearest half of it.
+    horizon and at the stored sample nearest half of it; NotConverged when
+    it exceeds ``residual_tol``.
     """
     t_star = series.t_final
     l_full = limiting_matrix_estimate(series.final_matrix, t_star)
@@ -104,11 +97,9 @@ def spectrum_from_propagation(series: PropagationResult, residual_tol: Optional[
     order = np.argsort(w)[::-1]
     raw = w[order]
     basis = vecs[:, order].T
-    exps = raw
-    if refine:
-        w_half = np.sort(np.linalg.eigvalsh(l_half))[::-1]
-        exps = 2.0 * raw - w_half
-    _check_residual(residual, exps, residual_tol, f"SVD spectrum, horizon t*={t_star:.6g}")
+    w_half = np.sort(np.linalg.eigvalsh(l_half))[::-1]
+    exps = 2.0 * raw - w_half
+    _check_residual(residual, residual_tol, f"SVD spectrum, horizon t*={t_star:.6g}")
     return LyapunovData(exponents=exps, basis=basis, horizon=t_star,
                         residual=residual, raw_exponents=raw, method="svd")
 
@@ -149,7 +140,7 @@ def qr_block_steps(ham: QuadraticHamiltonian, dt: float, n_steps: int) -> int:
 
 
 def qr_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
-                residual_tol: Optional[float] = None) -> LyapunovData:
+                residual_tol: float) -> LyapunovData:
     """Long-horizon spectrum by re-orthonormalized push-forward.
 
     Pushes an orthonormal frame along the flow on the step grid of
@@ -158,7 +149,8 @@ def qr_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
     every block of :func:`qr_block_steps`, at the half horizon and at t*,
     and accumulating the log diagonal of R.  Never forms M(t), so there is
     no overflow and no precision floor on contracting directions.  The
-    exponents are Richardson-refined.
+    exponents are Richardson-refined; NotConverged when the residual from
+    halving the horizon exceeds ``residual_tol``.
     """
     if dt <= 0 or t_star <= 0:
         raise ValueError("need dt > 0 and t_star > 0")
@@ -191,13 +183,13 @@ def qr_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
     basis = q[:, order].T
     residual = float(np.max(np.abs(raw - lam_half)))
     exps = 2.0 * raw - lam_half
-    _check_residual(residual, exps, residual_tol, f"lyapunov stage, horizon t*={t_star:.6g}")
+    _check_residual(residual, residual_tol, f"lyapunov stage, horizon t*={t_star:.6g}")
     return LyapunovData(exponents=exps, basis=basis, horizon=t_star,
                         residual=residual, raw_exponents=raw, method="qr")
 
 
 def lyapunov_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
-                      residual_tol: Optional[float] = None) -> LyapunovData:
+                      residual_tol: float) -> LyapunovData:
     """Estimate the Lyapunov spectrum of the flow of ``ham`` at horizon ``t_star``.
 
     The pipeline's Lyapunov stage: the QR push-forward of
@@ -208,12 +200,12 @@ def lyapunov_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
     return qr_spectrum(ham, t_star, dt, residual_tol=residual_tol)
 
 
-def vector_exponent(series: PropagationResult, ell, residual_tol: Optional[float] = None):
+def vector_exponent(series: PropagationResult, ell, residual_tol: float):
     """Finite-horizon exponent ln |M(t)^T ell| / t of one dual vector.
 
     Returns ``(value, residual)`` where the residual is the change under
     halving the horizon.  Raises NotConverged when the residual exceeds
-    the tolerance (default rule scales with the estimate).
+    ``residual_tol``.
     """
     ell = np.asarray(ell, dtype=float)
     norm0 = np.linalg.norm(ell)
@@ -224,9 +216,8 @@ def vector_exponent(series: PropagationResult, ell, residual_tol: Optional[float
     idx_half, t_half = _half_horizon(series)
     val_half = float(np.log(np.linalg.norm(series.matrices[idx_half].T @ ell) / norm0) / t_half)
     residual = abs(val - val_half)
-    tol = default_residual_tol(val) if residual_tol is None else residual_tol
-    if residual > tol:
-        raise NotConverged(f"vector-exponent residual {residual:.3g} exceeds {tol:.3g}")
+    if residual > residual_tol:
+        raise NotConverged(f"vector-exponent residual {residual:.3g} exceeds {residual_tol:.3g}")
     return val, residual
 
 
@@ -285,19 +276,20 @@ def _exponent_resolution(exponents, t: float) -> np.ndarray:
     return n * np.finfo(float).eps * (2.0 * ratio / t + 2.0 * np.max(np.abs(lam)))
 
 
-def polar_factor_exponents(series: PropagationResult, residual_tol: Optional[float] = None,
-                           comparison_tol: Optional[float] = None) -> PolarExponentComparison:
+def polar_factor_exponents(series: PropagationResult,
+                           residual_tol: float) -> PolarExponentComparison:
     """Check lambda(T) = lambda(M) and lambda(sqrt T) = lambda(M)/2.
 
     The three spectra are estimated through different numerical paths (SVD
     of M, eigensolve of the polar factor, eigensolve of its square root)
     at the final horizon.  Each exponent is compared within twice the
     convergence residual or its roundoff resolution
-    (:func:`_exponent_resolution`), whichever is larger.
+    (:func:`_exponent_resolution`), whichever is larger.  The residual of
+    the SVD spectrum is held to ``residual_tol`` first.
     """
     t_star = series.t_final
     m = series.final_matrix
-    data = spectrum_from_propagation(series, residual_tol=residual_tol, refine=False)
+    data = spectrum_from_propagation(series, residual_tol=residual_tol)
     lam_m = data.raw_exponents
 
     t_part = polar_decompose(m).t_part
@@ -309,10 +301,7 @@ def polar_factor_exponents(series: PropagationResult, residual_tol: Optional[flo
 
     dev_t = np.abs(lam_t - lam_m)
     dev_sqrt = np.abs(lam_sqrt - lam_m / 2.0)
-    if comparison_tol is not None:
-        tol = np.full(len(lam_m), float(comparison_tol))
-    else:
-        tol = np.maximum(2.0 * data.residual, _exponent_resolution(lam_m, t_star))
+    tol = np.maximum(2.0 * data.residual, _exponent_resolution(lam_m, t_star))
     if np.any(dev_t > tol) or np.any(dev_sqrt > tol):
         worst = int(np.argmax(np.maximum(dev_t, dev_sqrt) / tol))
         raise NotConverged(

@@ -148,12 +148,12 @@ def n_modes_of(g: np.ndarray) -> int:
     return g.shape[-1] // 2
 
 
-def is_symmetric(a, tol=SYMMETRY_TOL):
-    """Symmetry to ``tol`` relative to the entry size; a mask for a stack."""
+def is_symmetric(a):
+    """Symmetry to ``SYMMETRY_TOL`` relative to the entry size; a mask for a stack."""
     a = np.asarray(a)
     # tolerance scales with the entry size so that long propagations
     # (entries ~ e^{2 lambda t}) are not rejected on roundoff
-    return _maxabs_each(a - _mT(a)) <= tol * (1.0 + _maxabs_each(a))
+    return _maxabs_each(a - _mT(a)) <= SYMMETRY_TOL * (1.0 + _maxabs_each(a))
 
 
 def complex_structure(g: np.ndarray) -> np.ndarray:
@@ -206,7 +206,7 @@ _VERDICT_ERRORS = {
 }
 
 
-def validate_covariance(g, symmetry_tol=SYMMETRY_TOL, uncertainty_slack=UNCERTAINTY_SLACK) -> CovarianceCheck:
+def validate_covariance(g, uncertainty_slack=UNCERTAINTY_SLACK) -> CovarianceCheck:
     """Check symmetry, positive definiteness and the uncertainty bound.
 
     The uncertainty bound requires every eigenvalue of -J^2 (with
@@ -219,7 +219,7 @@ def validate_covariance(g, symmetry_tol=SYMMETRY_TOL, uncertainty_slack=UNCERTAI
     sym = 0.5 * (g + _mT(g))
     j = complex_structure(sym)
     eigs = np.sort(np.linalg.eigvals(-(j @ j)).real)
-    firsts = [_first(~is_symmetric(g, symmetry_tol)), _first_not_pd(sym),
+    firsts = [_first(~is_symmetric(g)), _first_not_pd(sym),
               _first(eigs[..., 0] < 1.0 - uncertainty_slack)]
     index = min(firsts)
     if index == (len(g) if g.ndim > 2 else 1):
@@ -239,7 +239,7 @@ def require_valid_covariance(g, **kwargs) -> None:
 
 
 @_earliest_failure
-def williamson_spectrum(g, method: str = "chol", validate: bool = True) -> np.ndarray:
+def williamson_spectrum(g, method: str = "chol") -> np.ndarray:
     """Symplectic eigenvalues nu_1 >= ... >= nu_N of a covariance matrix.
 
     ``method="chol"`` computes the singular values of L^T Omega L with
@@ -247,11 +247,11 @@ def williamson_spectrum(g, method: str = "chol", validate: bool = True) -> np.nd
     eigensolve of Omega G (for a single mode it reduces to det L, exact);
     ``method="eig"`` takes the magnitudes of the +-i nu eigenvalue pairs of
     Omega G, with a check that they are dominantly imaginary.  A stack of
-    covariance matrices gives one row of eigenvalues per matrix.
+    covariance matrices gives one row of eigenvalues per matrix.  The input
+    is validated first (:func:`require_valid_covariance`).
     """
     g = np.asarray(g, dtype=float)
-    if validate:
-        require_valid_covariance(g)
+    require_valid_covariance(g)
     n = n_modes_of(g)
     omega = standard_omega(n)
     if method == "chol":

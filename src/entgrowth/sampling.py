@@ -38,10 +38,10 @@ def random_covariance(n_modes: int, rng, scale: float = 0.5, mixed: bool = True)
 
 
 def random_unstable_hamiltonian_form(n_modes: int, rng, scale: float = 0.6,
-                                     min_rate: float = 0.2, max_tries: int = 200) -> np.ndarray:
+                                     min_rate: float = 0.2) -> np.ndarray:
     """Random symmetric form h whose generator Omega h has a real unstable pair."""
     omega = standard_omega(n_modes)
-    for _ in range(max_tries):
+    for _ in range(200):
         h = rng.normal(size=(2 * n_modes, 2 * n_modes))
         h = 0.5 * scale * (h + h.T)
         eigs = np.linalg.eigvals(omega @ h)

@@ -26,6 +26,8 @@ from .fitting import SlopeFit, fit_slope, windowed
 from .lyapunov import LyapunovData
 from .phase_space import SubsystemSpec, _mT
 
+SELECT_TOL = 1e-8   # relative residual below which a column counts as dependent
+
 
 @dataclass(frozen=True)
 class ExponentReport:
@@ -53,11 +55,11 @@ def expansion_matrix(theta, lyap: LyapunovData) -> np.ndarray:
     return theta @ basis.T
 
 
-def select_columns(f, tol_rel: float = 1e-8):
+def select_columns(f):
     """Greedy left-to-right selection of the first independent columns.
 
     Column j is selected iff its residual after orthogonal projection onto
-    the span of previously selected columns exceeds ``tol_rel`` times its
+    the span of previously selected columns exceeds ``SELECT_TOL`` times its
     norm.  Returns ``(indices, margins)`` with one margin per column; the
     scan stops once 2 N_A columns are selected.  Within a degenerate
     exponent cluster individual column identities are arbitrary but the
@@ -71,7 +73,7 @@ def select_columns(f, tol_rel: float = 1e-8):
     norms = np.linalg.norm(f, axis=0)
     # columns below the matrix scale are roundoff zeros; without this floor
     # the norm-relative margin of a zero column would be 1
-    floor = tol_rel * (np.max(norms) if np.max(norms) > 0 else 1.0)
+    floor = SELECT_TOL * (np.max(norms) if np.max(norms) > 0 else 1.0)
     for j in range(f.shape[1]):
         col = f[:, j]
         if norms[j] <= floor:
@@ -79,25 +81,24 @@ def select_columns(f, tol_rel: float = 1e-8):
             continue
         resid = col - basis @ (basis.T @ col)
         margins[j] = np.linalg.norm(resid) / norms[j]
-        if len(selected) < need and margins[j] > tol_rel:
+        if len(selected) < need and margins[j] > SELECT_TOL:
             selected.append(j)
             basis = np.column_stack([basis, resid / np.linalg.norm(resid)])
     if len(selected) < need:
         raise RankDeficient(
-            f"only {len(selected)} independent columns of {need} required at tol {tol_rel:g}",
+            f"only {len(selected)} independent columns of {need} required at tol {SELECT_TOL:g}",
             margins=margins)
     return selected, margins
 
 
-def subsystem_exponent_algebraic(sub: SubsystemSpec, lyap: LyapunovData,
-                                 tol_rel: float = 1e-8) -> ExponentReport:
+def subsystem_exponent_algebraic(sub: SubsystemSpec, lyap: LyapunovData) -> ExponentReport:
     """Exponent as the sum of selected Lyapunov exponents.
 
     Also evaluates the generic shortcut (sum of the largest 2 N_A
     exponents) and records whether the two agree.
     """
     f = expansion_matrix(sub.selector, lyap)
-    indices, _ = select_columns(f, tol_rel=tol_rel)
+    indices, _ = select_columns(f)
     lam = lyap.exponents
     value = float(np.sum(lam[list(indices)]))
     generic = float(np.sum(lam[:len(indices)]))
@@ -118,33 +119,31 @@ def restricted_log_volume(sub: SubsystemSpec, m, g0):
     return 0.5 * logdet_pd(0.5 * (block + _mT(block)))
 
 
-def subsystem_exponent_volumetric(sub: SubsystemSpec, series: PropagationResult, g0=None,
-                                  window: Optional[tuple] = None,
-                                  min_points: int = 8) -> ExponentReport:
+def subsystem_exponent_volumetric(sub: SubsystemSpec, series: PropagationResult,
+                                  g0=None) -> ExponentReport:
     """Exponent as the slope of the restricted log volume over [t*/2, t*].
 
     The first half of the horizon of ``series`` is discarded as transient.
     For periodically driven systems sample at multiples of the drive
     period (choose ``store_every`` accordingly) so that bounded Floquet
-    oscillations do not bias the fit.
+    oscillations do not bias the fit.  NotConverged when fewer than 8
+    samples fall in the window.
     """
     if g0 is None:
         g0 = np.eye(series.matrices.shape[1])
-    fit = volumetric_slope_fit(sub, series, g0, window=window)
-    if fit.n_points < min_points:
+    fit = volumetric_slope_fit(sub, series, g0)
+    if fit.n_points < 8:
         raise NotConverged(f"only {fit.n_points} samples in fit window "
                            f"[{fit.window[0]:.3g}, {fit.window[1]:.3g}]")
     return ExponentReport(lambda_a=fit.slope, stderr=fit.stderr, window=fit.window)
 
 
-def volumetric_slope_fit(sub: SubsystemSpec, series: PropagationResult, g0,
-                         window: Optional[tuple] = None) -> SlopeFit:
-    """Raw slope fit of the restricted log volume (full fit record).
+def volumetric_slope_fit(sub: SubsystemSpec, series: PropagationResult, g0) -> SlopeFit:
+    """Raw slope fit of the restricted log volume over [t*/2, t*] (full fit record).
 
     The log volume is evaluated once on the whole stack of stored M(t).
     """
     t_end = series.t_final
-    lo, hi = window if window is not None else (0.5 * t_end, t_end)
     values = restricted_log_volume(sub, series.matrices, g0)
-    t_w, v_w = windowed(series.times, values, lo, hi)
+    t_w, v_w = windowed(series.times, values, 0.5 * t_end, t_end)
     return fit_slope(t_w, v_w)

@@ -262,6 +262,28 @@ def test_cli_missing_file_exit_code():
     assert res.returncode == 2
 
 
+def _one_line_exit_2(argv, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def test_cli_directory_as_config_exits_2(tmp_path, capsys):
+    assert "Is a directory" in _one_line_exit_2(["simulate", str(tmp_path)], capsys)
+
+
+def test_cli_non_utf8_config_exits_2(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"modes": \xff\xfe}')
+    assert "not UTF-8 text" in _one_line_exit_2(["simulate", str(binary)], capsys)
+
+
+def test_cli_directory_as_output_exits_2(tmp_path, capsys):
+    err = _one_line_exit_2(["scenario", "run", "inverted_pair", "--csv", str(tmp_path)], capsys)
+    assert "Is a directory" in err
+
+
 def test_cli_lyapunov_and_exponent_commands(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg = default_scenario("inverted_pair")

@@ -179,7 +179,7 @@ def test_regularity_free_particle():
 
 def test_polar_factor_exponents_orthogonal_flow():
     series = propagate(HARMONIC, 30.0, 1e-3, store_every=100)
-    comp = polar_factor_exponents(series, residual_tol=np.inf, comparison_tol=1e-6)
+    comp = polar_factor_exponents(series, residual_tol=np.inf)
     assert np.max(np.abs(comp.exponents_m)) < 1e-8
     assert np.max(np.abs(comp.exponents_t)) < 1e-8
 

@@ -216,7 +216,7 @@ def test_validity_matches_spectrum_threshold():
         ok = validate_covariance(g).is_valid
         if ok:
             accepted += 1
-            assert np.all(williamson_spectrum(g, validate=False) >= 1.0 - 1e-6)
+            assert np.all(williamson_spectrum(g) >= 1.0 - 1e-6)
         else:
             rejected += 1
             assert np.min(validate_covariance(g).eigenvalues) < 1.0
