@@ -54,14 +54,12 @@ from .lyapunov import (
     vector_exponent,
 )
 from .phase_space import (
-    CovarianceCheck,
     ModeCount,
     SubsystemSpec,
     complex_structure,
     is_pure,
     restrict,
     standard_omega,
-    validate_covariance,
     williamson_spectrum,
 )
 from .ssa import (

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import PropagationResult, QuadraticHamiltonian, polar_decompose, step_loop
+from .dynamics import PropagationResult, QuadraticHamiltonian, polar_decompose, sqrt_pd, step_loop
 from .errors import NotConverged, SingularM
 from .phase_space import _maxabs, _mT, standard_omega
 
@@ -297,7 +297,7 @@ def polar_factor_exponents(series: PropagationResult,
     if w_t[-1] <= 0:
         raise SingularM("polar factor lost positivity")
     lam_t = np.log(w_t) / t_star
-    lam_sqrt = 0.5 * np.log(w_t) / t_star   # eigenvalues of sqrt(T) are sqrt(eigs of T)
+    lam_sqrt = np.log(np.linalg.eigvalsh(sqrt_pd(t_part))[::-1]) / t_star
 
     dev_t = np.abs(lam_t - lam_m)
     dev_sqrt = np.abs(lam_sqrt - lam_m / 2.0)

@@ -6,9 +6,9 @@ Conventions used everywhere in this package:
 * hbar = 1 and the vacuum covariance matrix is the identity;
 * the symplectic form is block diagonal with 2x2 blocks [[0, 1], [-1, 0]].
 
-Covariance matrices are plain ``numpy`` arrays; the helpers here check
-validity (symmetry, positive definiteness, uncertainty bound) and compute
-the symplectic (Williamson) eigenvalues that all entropy formulas consume.
+Covariance matrices are plain ``numpy`` arrays; the one validity check
+here (symmetry, positive definiteness, uncertainty bound) returns the
+symplectic (Williamson) eigenvalues that all entropy formulas consume.
 
 The per-sample functions here and in ``entropy``, ``dynamics``, ``ssa``
 and ``subsystem`` take one (d, d) matrix or an (n, d, d) stack of them and
@@ -22,7 +22,6 @@ sample's ``index``.
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -85,12 +84,6 @@ def _fail_first(bad, error, detail):
     index = int(np.argmax(bad)) if bad.ndim else None
     _fail(error, detail if isinstance(detail, str) else detail(() if index is None else index),
           index)
-
-
-def _first(bad) -> int:
-    """Index of the first sample that ``bad`` marks, or the number of samples."""
-    bad = np.atleast_1d(bad)
-    return int(np.argmax(bad)) if bad.any() else len(bad)
 
 
 def _first_not_pd(a) -> int:
@@ -179,87 +172,52 @@ class ModeCount:
         return self.n_total - self.n_a
 
 
-@dataclass(frozen=True)
-class CovarianceCheck:
-    """Result of :func:`validate_covariance`.
+@_earliest_failure
+def require_valid_covariance(g, uncertainty_slack=UNCERTAINTY_SLACK) -> np.ndarray:
+    """Symplectic eigenvalues nu_1 >= ... >= nu_N of a valid covariance matrix.
 
-    ``eigenvalues`` holds the spectrum of -J^2 (sorted ascending, real
-    parts; one row per matrix of a stack); ``verdict`` is "valid" or the
-    name of the first failed check of the earliest failing matrix, which
-    for a stack is sample ``index``.
-    """
-
-    eigenvalues: np.ndarray
-    verdict: str
-    index: Optional[int] = None
-
-    @property
-    def is_valid(self) -> bool:
-        return self.verdict == "valid"
-
-
-# in check order
-_VERDICT_ERRORS = {
-    "not_symmetric": NotSymmetric,
-    "not_positive_definite": NotPositiveDefinite,
-    "uncertainty_violated": UncertaintyViolated,
-}
-
-
-def validate_covariance(g, uncertainty_slack=UNCERTAINTY_SLACK) -> CovarianceCheck:
-    """Check symmetry, positive definiteness and the uncertainty bound.
-
-    The uncertainty bound requires every eigenvalue of -J^2 (with
-    J = G Omega^{-1}) to be at least ``1 - uncertainty_slack``.  A stack
-    is checked matrix by matrix; the verdict is that of its earliest
-    failing matrix.
+    Checks, in order, symmetry, positive definiteness (the Cholesky factor
+    L of the symmetrized G) and the uncertainty bound nu_N^2 >= 1 -
+    ``uncertainty_slack``, and raises the typed error of the first failed
+    check.  The nu are the singular values of L^T Omega L, which is far
+    better conditioned at large squeezing than an eigensolve of Omega G or
+    of -J^2 (for a single mode it reduces to det L, exact).  A stack of
+    covariance matrices gives one row of eigenvalues per matrix and fails
+    at its earliest failing matrix.
     """
     g = np.asarray(g, dtype=float)
-    n_modes_of(g)
+    n = n_modes_of(g)
+    _fail_first(~is_symmetric(g), NotSymmetric, "covariance check failed: not_symmetric")
     sym = 0.5 * (g + _mT(g))
-    j = complex_structure(sym)
-    eigs = np.sort(np.linalg.eigvals(-(j @ j)).real)
-    firsts = [_first(~is_symmetric(g)), _first_not_pd(sym),
-              _first(eigs[..., 0] < 1.0 - uncertainty_slack)]
-    index = min(firsts)
-    if index == (len(g) if g.ndim > 2 else 1):
-        return CovarianceCheck(eigs, "valid")
-    verdict = list(_VERDICT_ERRORS)[firsts.index(index)]
-    return CovarianceCheck(eigs, verdict, index if g.ndim > 2 else None)
-
-
-def require_valid_covariance(g, **kwargs) -> None:
-    """Raise the typed error for the first failed covariance check, if any."""
-    check = validate_covariance(g, **kwargs)
-    if not check.is_valid:
-        eigs = check.eigenvalues if check.index is None else check.eigenvalues[check.index]
-        _fail(_VERDICT_ERRORS[check.verdict],
-              f"covariance check failed: {check.verdict} (min eig of -J^2 = {eigs[0]:.6g})",
-              check.index)
+    try:
+        ell = np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        _fail(NotPositiveDefinite, "covariance check failed: not_positive_definite",
+              _first_not_pd(sym) if g.ndim > 2 else None)
+    nus = np.linalg.svd(_mT(ell) @ standard_omega(n) @ ell, compute_uv=False)[..., 0::2]
+    _fail_first(nus[..., -1] ** 2 < 1.0 - uncertainty_slack, UncertaintyViolated,
+                lambda i: "covariance check failed: uncertainty_violated "
+                          f"(min symplectic eigenvalue = {nus[i][-1]:.12g})")
+    return nus
 
 
 @_earliest_failure
 def williamson_spectrum(g, method: str = "chol") -> np.ndarray:
     """Symplectic eigenvalues nu_1 >= ... >= nu_N of a covariance matrix.
 
-    ``method="chol"`` computes the singular values of L^T Omega L with
-    G = L L^T, which is far better conditioned at large squeezing than an
-    eigensolve of Omega G (for a single mode it reduces to det L, exact);
-    ``method="eig"`` takes the magnitudes of the +-i nu eigenvalue pairs of
-    Omega G, with a check that they are dominantly imaginary.  A stack of
-    covariance matrices gives one row of eigenvalues per matrix.  The input
-    is validated first (:func:`require_valid_covariance`).
+    ``method="chol"`` returns the spectrum that
+    :func:`require_valid_covariance` computes while it validates ``g``;
+    ``method="eig"`` validates the same way, then takes the magnitudes of
+    the +-i nu eigenvalue pairs of Omega G, with a check that they are
+    dominantly imaginary (a reference for the Cholesky route).  A stack of
+    covariance matrices gives one row of eigenvalues per matrix.
     """
     g = np.asarray(g, dtype=float)
-    require_valid_covariance(g)
-    n = n_modes_of(g)
-    omega = standard_omega(n)
+    nus = require_valid_covariance(g)
     if method == "chol":
-        ell = np.linalg.cholesky(0.5 * (g + _mT(g)))
-        sv = np.linalg.svd(_mT(ell) @ omega @ ell, compute_uv=False)
-        return sv[..., 0::2]
+        return nus
     if method == "eig":
-        ev = np.linalg.eigvals(omega @ g)
+        ev = np.linalg.eigvals(standard_omega(n_modes_of(g)) @ g)
         # eigenvalues come in pairs +-i nu; reject if real parts are not negligible
         scale = np.max(np.abs(ev), axis=-1)
         _fail_first(np.max(np.abs(ev.real), axis=-1) > 1e-6 * (scale + 1.0), UncertaintyViolated,

@@ -13,8 +13,10 @@ through the same stage functions and the same error handling.
 """
 
 import copy
+import errno
 import json
 import math
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -274,8 +276,17 @@ def run_scenario(cfg: ScenarioConfig, write_outputs: bool = True) -> RunReport:
 
     Deterministic: identical configs give byte-identical CSV.  Module
     errors surface as structured warnings or failures with partial results
-    preserved; the CLI maps ``failures`` to a nonzero exit code.
+    preserved; the CLI maps ``failures`` to a nonzero exit code.  An output
+    path that is a directory or lies in a missing directory raises its
+    ``OSError`` before any stage runs.
     """
+    paths = [cfg.output.csv, cfg.output.report, cfg.output.report_json] if write_outputs else []
+    for path in filter(None, paths):
+        # fail before any stage runs, with the error that opening would raise
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     body = _run_classical if _is_builtin(cfg, "classical_shear") else _run_flow
     report = _guarded(cfg, body)
     if write_outputs:

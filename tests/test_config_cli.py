@@ -284,6 +284,22 @@ def test_cli_directory_as_output_exits_2(tmp_path, capsys):
     assert "Is a directory" in err
 
 
+def test_cli_bad_output_path_fails_before_any_stage(tmp_path, capsys, monkeypatch):
+    from entgrowth import scenarios
+
+    def no_stage(cfg, report):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(scenarios, "_run_flow", no_stage)
+    ok_csv = tmp_path / "ok.csv"
+    for bad, reason in ((tmp_path, "Is a directory"),
+                        (tmp_path / "missing" / "r.json", "No such file or directory")):
+        err = _one_line_exit_2(["scenario", "run", "metastable", "--csv", str(ok_csv),
+                                "--report-json", str(bad)], capsys)
+        assert reason in err and str(bad) in err
+        assert not ok_csv.exists()
+
+
 def test_cli_lyapunov_and_exponent_commands(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg = default_scenario("inverted_pair")

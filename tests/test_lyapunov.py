@@ -226,3 +226,13 @@ def test_polar_factor_exponents_catch_a_moved_top_exponent(monkeypatch):
     monkeypatch.setattr(lyapunov, "polar_decompose", moved_polar)
     with pytest.raises(NotConverged, match="exponent 0"):
         polar_factor_exponents(series, residual_tol=np.inf)
+
+
+def test_polar_factor_exponents_catch_a_wrong_square_root(monkeypatch):
+    # a root scaled by e^(t*) moves every lambda(sqrt T) by 1; T's spectrum is untouched
+    series = propagate(INVERTED, 14.0, 1e-3, store_every=100)
+    t_star = series.t_final
+    real_sqrt = lyapunov.sqrt_pd
+    monkeypatch.setattr(lyapunov, "sqrt_pd", lambda a: real_sqrt(a) * np.exp(t_star))
+    with pytest.raises(NotConverged, match="dev\\(sqrt T\\)=1"):
+        polar_factor_exponents(series, residual_tol=np.inf)

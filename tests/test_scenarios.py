@@ -8,11 +8,11 @@ import pytest
 from scipy import sparse
 
 from entgrowth import fock, scenarios
-from entgrowth.config import parse_config
-from entgrowth.dynamics import QuadraticHamiltonian, propagate
+from entgrowth.config import matrix_to_json, parse_config
+from entgrowth.dynamics import QuadraticHamiltonian, evolve_covariance, propagate
 from entgrowth.entropy import LN_E_OVER_2
 from entgrowth.errors import ConfigError
-from entgrowth.phase_space import ModeCount
+from entgrowth.phase_space import ModeCount, SubsystemSpec, require_valid_covariance, restrict
 from entgrowth.scenarios import (
     SCENARIO_NAMES,
     builtin_hamiltonian,
@@ -328,3 +328,26 @@ def test_stages_run_on_the_parsed_objects(monkeypatch, initial_state):
     assert last in run_scenario(cfg, write_outputs=False).sections
     for view, section in (("lyapunov", "lyapunov"), ("exponent", "exponent"), ("bounds", "bounds")):
         assert section in run_view(cfg, view).sections
+
+
+# an 8-site lattice chain of unstable sites, half of it in A: its A blocks
+# squeeze 4 modes at once, and an eigensolve of -J^2, which squares their
+# conditioning, puts them below the uncertainty bound from t = 14.7 on
+LATTICE_H = scenarios._chain_form([1.5] * 8, -1.0)
+
+
+def test_lattice_chain_blocks_keep_the_uncertainty_bound():
+    series = propagate(QuadraticHamiltonian.constant(LATTICE_H), 20.0, 0.01, store_every=10)
+    g_a = restrict(evolve_covariance(np.eye(16), series.matrices), SubsystemSpec.first_modes(4, 8))
+    assert series.t_final == pytest.approx(20.0)
+    assert np.all(require_valid_covariance(g_a) >= 1.0 - 1e-9)
+
+
+def test_lattice_chain_run_reports_no_uncertainty_violation():
+    # the exponent gate still fails here (the fit window, not the check)
+    doc = {"modes": {"total": 8, "subsystem": 4},
+           "hamiltonian": {"type": "constant", "h": matrix_to_json(LATTICE_H)},
+           "initial_state": {"type": "gaussian", "covariance": "vacuum"},
+           "run": {"t_final": 20.0, "dt": 0.01, "store_every": 10}}
+    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    assert not any("UncertaintyViolated" in f for f in rep.failures), rep.failures

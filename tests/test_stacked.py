@@ -18,9 +18,9 @@ from entgrowth.errors import NotPositiveDefinite, SingularM
 from entgrowth.phase_space import (
     ModeCount,
     SubsystemSpec,
+    require_valid_covariance,
     restrict,
     standard_omega,
-    validate_covariance,
     williamson_spectrum,
 )
 from entgrowth.ssa import squashed_bounds
@@ -90,12 +90,7 @@ def test_stacked_functions_equal_their_loop_bit_for_bit(case):
     _agrees_with_loop(lambda m: restricted_log_volume(sub_a, m, g0), mats)
 
     for blocks in (g, g_a):
-        check = validate_covariance(blocks)
-        singles = [validate_covariance(x) for x in blocks]
-        assert (check.eigenvalues == np.array([c.eigenvalues for c in singles])).all()
-        failed = [i for i, c in enumerate(singles) if not c.is_valid]
-        assert check.index == (failed[0] if failed else None)
-        assert check.verdict == (singles[failed[0]].verdict if failed else "valid")
+        _agrees_with_loop(require_valid_covariance, blocks)
         for fn in (logdet_pd, asymptotic_entropy, renyi2_entropy, von_neumann_entropy):
             if _agrees_with_loop(fn, blocks):
                 assert type(fn(blocks[0])) is float
