@@ -279,7 +279,8 @@ def step_loop(ham: QuadraticHamiltonian, t_final: float, n_steps: int, events, m
     exactly, not at the rounded ``n_steps * (t_final / n_steps)``.
     ``make(length, t_mid)`` builds the factor of a time segment from its
     length and midpoint; the default is the flow exponential
-    expm(length K(t_mid)).
+    expm(length K(t_mid)).  For periodic piece data its factors must
+    compose with ``@`` as matrices do: the period map is their product.
 
     A callable ``h`` gets one midpoint factor per step, made as the caller
     iterates over ``factors``.  Piecewise-constant data gets a tuple: one

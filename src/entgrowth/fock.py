@@ -11,17 +11,21 @@ of any mode.  Once exceeded, later samples are marked untrusted rather
 than silently kept; unstable dynamics leaves any fixed cutoff eventually,
 so honest windows beat adaptive cutoff growth.
 
-Size policy: a run's stored amplitudes and its sparse step operator must
-fit ``MEMORY_BUDGET`` bytes (:func:`check_budget`), whatever the number of
-modes; there is no cap on the dimension itself.
+Size policy: a run's stored amplitudes, its sparse step operator and the
+Chebyshev vectors of one recurrence (at most the term count of a
+``SPAN_CAP`` span) must fit ``MEMORY_BUDGET`` bytes (:func:`check_budget`),
+whatever the number of modes; there is no cap on the dimension itself.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator
+from scipy.fft import dct
 from scipy.special import jv
 
 from .dynamics import QuadraticHamiltonian, step_count, step_loop, stored_steps
@@ -29,22 +33,27 @@ from .errors import DimensionMismatch, TruncationLeak
 from .phase_space import require_valid_covariance
 
 
-MEMORY_BUDGET = 2 ** 27   # bytes: stored amplitudes plus the step operator, 128 MiB
-CHEBYSHEV_CUT = 1e-17     # a propagator's series ends where |J_k| falls below this
+MEMORY_BUDGET = 2 ** 27   # bytes: amplitudes, step operator and Chebyshev vectors, 128 MiB
+CHEBYSHEV_CUT = 1e-17     # a series ends where |J_k| falls below this
+# largest x = tau w one recurrence spans: its outputs cost samples x terms x dim,
+# which grows with the square of the span
+SPAN_CAP = 64.0
 LEAK_CEILING = 1e-6       # default ceiling on the top-two-level population of any mode
 
 
 def check_budget(n_modes: int, cutoff: int, n_samples: int) -> None:
     """Raise ValueError when a run of ``n_samples`` stored samples exceeds ``MEMORY_BUDGET``.
 
-    A run holds its stored amplitude vectors and its sparse step operator.
-    A quadratic form moves the occupations by at most two quanta, in one
-    mode or across two, so the operator has at most 2 N^2 + 1 nonzero
-    diagonals: each nonzero costs a complex value and a column index, each
-    row a pointer.
+    A run holds its stored amplitude vectors, its sparse step operator and
+    the Chebyshev vectors of one recurrence, at most the term count of a
+    ``SPAN_CAP`` span.  A quadratic form moves the occupations by at most
+    two quanta, in one mode or across two, so the operator has at most
+    2 N^2 + 1 nonzero diagonals: each nonzero costs a complex value and a
+    column index, each row a pointer.
     """
     dim = cutoff ** n_modes
-    need = 16 * n_samples * dim + 20 * (2 * n_modes ** 2 + 1) * dim + 4 * (dim + 1)
+    need = (16 * (n_samples + _term_count(SPAN_CAP)) * dim
+            + 20 * (2 * n_modes ** 2 + 1) * dim + 4 * (dim + 1))
     if need > MEMORY_BUDGET:
         raise ValueError(f"{n_samples} stored samples at dimension {dim} need "
                          f"{need / 2 ** 20:.4g} MiB, above the {MEMORY_BUDGET / 2 ** 20:g} MiB "
@@ -128,54 +137,114 @@ def build_hamiltonian(ham: QuadraticHamiltonian, t: float, cfg: FockConfig):
     return (0.5 * (op + op.conj().T)).tocsr()
 
 
-def _chebyshev_frame(op):
-    """``(2 (op - c) / w, c, w)``: the operator mapped onto [-1, 1] by its Gershgorin interval.
+@dataclass(frozen=True, eq=False)
+class _Frame:
+    """A Hermitian op as ``doubled`` = 2 (op - c) / w, for its spectrum inside [c - w, c + w].
 
-    Every eigenvalue of a Hermitian ``op`` lies within [c - w, c + w], the
-    union of its Gershgorin discs.
+    Frames compare by identity: segments on one frame share one recurrence.
     """
+
+    doubled: sparse.csr_matrix
+    c: float
+    w: float
+
+
+def _chebyshev_frame(op) -> _Frame:
+    """The frame of a Hermitian ``op`` from the union of its Gershgorin discs."""
     diag = op.diagonal()
     radius = np.asarray(abs(op).sum(axis=1)).ravel() - np.abs(diag)
     low, high = float(np.min(diag.real - radius)), float(np.max(diag.real + radius))
     c, w = 0.5 * (high + low), 0.5 * (high - low)
     # w = 0 means op = c, and the series has one term
     scale = 2.0 / w if w > 0.0 else 0.0
-    return ((op - c * sparse.identity(op.shape[0], format="csr")) * scale).tocsr(), c, w
+    return _Frame(((op - c * sparse.identity(op.shape[0], format="csr")) * scale).tocsr(), c, w)
 
 
-_PHASES = np.array([1.0, -1j, -1.0, 1j])    # (-i)^k by k mod 4
+class _Segments(tuple):
+    """exp(-i l_n op_n) ... exp(-i l_1 op_1) as the pairs ((frame_1, l_1), ..., (frame_n, l_n)).
 
-
-def _chebyshev_propagator(frame, length: float) -> LinearOperator:
-    """exp(-i length op) acting on vectors, from the frame of :func:`_chebyshev_frame`.
-
-    The Chebyshev expansion of Tal-Ezer and Kosloff (J. Chem. Phys. 81,
-    3967, 1984): exp(-i s op) = e^{-i s c} sum_k (2 - delta_k0) (-i)^k
-    J_k(s w) T_k((op - c) / w).  Past k = s w the Bessel coefficients fall
-    faster than geometrically; the series ends at the last k with |J_k|
-    above ``CHEBYSHEV_CUT``.  The three-term recurrence T_{k+1} = 2 x T_k -
-    T_{k-1} costs one sparse product per term.
+    ``a @ b`` applies ``b`` first, as for matrices, so the step loop's
+    period map is the pairs of its pieces in order.
     """
-    doubled, c, w = frame
-    x = length * w
+
+    def __matmul__(self, other):
+        return _Segments(other + self)
+
+
+@lru_cache(maxsize=64)
+def _term_count(x: float) -> int:
+    """Terms of the series at x = tau w: up to the last k with |J_k(x)| above ``CHEBYSHEV_CUT``.
+
+    Cached: every budget check asks for the count at ``SPAN_CAP``, and
+    each J_k call costs a few microseconds at these orders.
+    """
     # |J_k(x)| < (x/2)^k / k!, far below the cut at k = 1.5 x + 50 for any x
     ks = np.arange(int(1.5 * x) + 50)
-    bessel = jv(ks, x)
-    n_terms = int(np.nonzero(np.abs(bessel) >= CHEBYSHEV_CUT)[0][-1]) + 1
-    coef = np.exp(-1j * length * c) * _PHASES[ks[:n_terms] % 4] * bessel[:n_terms]
-    coef[1:] *= 2.0
+    return int(np.nonzero(np.abs(jv(ks, x)) >= CHEBYSHEV_CUT)[0][-1]) + 1
 
-    def matvec(v):
-        out = coef[0] * v
-        if n_terms > 1:
-            prev, cur = v, 0.5 * (doubled @ v)
-            out += coef[1] * cur
-            for a in coef[2:]:
-                prev, cur = cur, doubled @ cur - prev
-                out += a * cur
-        return out
 
-    return LinearOperator(doubled.shape, matvec=matvec, dtype=complex)
+def _chebyshev_coefficients(xs, n_terms: int) -> np.ndarray:
+    """(2 - delta_k0) (-i)^k J_k(x) for k < ``n_terms``, one row per x of ``xs``.
+
+    By Jacobi-Anger, exp(-i x cos theta) = sum_k (2 - delta_k0) (-i)^k
+    J_k(x) cos(k theta), so one DCT-I of its samples at the N + 1
+    Chebyshev-Lobatto angles theta_n = pi n / N gives every row.  Each
+    coefficient picks up aliases of index 2N - k and above; with N =
+    ``n_terms`` they lie below the cut for every x up to the one that set
+    ``n_terms``, since J_k(x) grows with x for k >= x.
+    """
+    theta = np.pi * np.arange(n_terms + 1) / n_terms
+    coef = dct(np.exp(-1j * np.multiply.outer(xs, np.cos(theta))), type=1, axis=-1)[..., :n_terms]
+    coef /= n_terms
+    coef[..., 0] *= 0.5
+    return coef
+
+
+def _chebyshev_series(frame: _Frame, psi, taus, out) -> None:
+    """Write exp(-i tau op) psi for each tau of the ascending ``taus`` to the rows of ``out``.
+
+    The Chebyshev expansion of Tal-Ezer and Kosloff (J. Chem. Phys. 81,
+    3967, 1984): exp(-i tau op) = e^{-i tau c} sum_k (2 - delta_k0) (-i)^k
+    J_k(tau w) T_k((op - c) / w).  The vectors T_k((op - c) / w) psi do not
+    depend on tau: the three-term recurrence T_{k+1} = 2 x T_k - T_{k-1}
+    builds them once, one sparse product per term, up to the term count of
+    the largest tau, and the rows are one product of the coefficient table
+    with them.  ``psi`` is read in full before ``out`` is written.
+    """
+    xs = np.asarray(taus) * frame.w
+    n_terms = _term_count(xs[-1])
+    vecs = np.empty((n_terms, psi.size), dtype=complex)
+    vecs[0] = psi
+    if n_terms > 1:
+        vecs[1] = 0.5 * (frame.doubled @ psi)
+        for k in range(2, n_terms):
+            np.subtract(frame.doubled @ vecs[k - 1], vecs[k - 2], out=vecs[k])
+    coef = _chebyshev_coefficients(xs, n_terms) * np.exp(-1j * frame.c * np.asarray(taus))[:, None]
+    np.matmul(coef, vecs, out=out)
+
+
+def _chebyshev_states(frame: _Frame, psi, lengths) -> np.ndarray:
+    """exp(-i tau_j op) psi at each partial sum tau_j of ``lengths``, one row each.
+
+    One recurrence (:func:`_chebyshev_series`) serves every tau_j within
+    x = ``SPAN_CAP`` of the span's start; the next span restarts from the
+    last state of the one before.  A length longer than a span runs as
+    equal parts in turn.
+    """
+    limit = SPAN_CAP / frame.w if frame.w > 0.0 else math.inf
+    taus = np.concatenate(([0.0], np.cumsum(lengths)))
+    out = np.empty((len(lengths), psi.size), dtype=complex)
+    start = 0
+    while start < len(out):
+        stop = max(start + 1, int(np.searchsorted(taus, taus[start] + limit, side="right")) - 1)
+        offsets = taus[start + 1:stop + 1] - taus[start]
+        # above 1 only for a segment longer than a span, which is alone in it
+        parts = max(1, math.ceil(offsets[0] / limit))
+        for _ in range(parts):
+            _chebyshev_series(frame, psi, offsets / parts, out[start:stop])
+            psi = out[stop - 1]
+        start = stop
+    return out
 
 
 @dataclass(frozen=True)
@@ -260,14 +329,18 @@ class FockState:
         return cls(amp)
 
 
-def top_level_population(state: FockState) -> float:
-    """Largest population of the top two levels over all modes."""
-    prob = np.abs(state.amplitudes) ** 2
-    worst = 0.0
-    for mode in range(state.n_modes):
-        moved = np.moveaxis(prob, mode, 0)
-        worst = max(worst, float(moved[-2:].sum()))
-    return worst
+def top_level_population(states):
+    """Largest population of the top two levels over all modes.
+
+    ``states`` is one FockState, giving a float, or a stack of amplitude
+    tensors with the states along the first axis, giving one value per
+    state.  Only the top two levels of each mode are squared.
+    """
+    if isinstance(states, FockState):
+        return float(top_level_population(states.amplitudes[None])[0])
+    axes = tuple(range(1, states.ndim))
+    return np.max([np.sum(np.abs(np.moveaxis(states, axis, 1)[:, -2:]) ** 2, axis=axes)
+                   for axis in axes], axis=0)
 
 
 @dataclass
@@ -287,26 +360,33 @@ class FockTrajectory:
 
 def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
                 cfg: FockConfig, store_every: int = 1) -> FockTrajectory:
-    """Propagate by exp(-i s H) between the stored steps of the shared step loop.
+    """Propagate by exp(-i s H) over the segments of the shared step loop.
 
-    The factors are those of :func:`~entgrowth.dynamics.step_loop`: a
-    callable Hamiltonian gets one propagator per step, sampled at the step
-    midpoint, while piecewise-constant data gets one exact propagator per
-    piece crossed between stored samples (and one period map per whole
-    period).  Each propagator is a Chebyshev series on the sparse Fock
-    operator (:func:`_chebyshev_propagator`), accurate to roundoff; the
-    operator is built once per piece for data, so a constant Hamiltonian
-    is built once.  A run must fit the memory budget of
-    :func:`check_budget`.  The norm drift is checked at every stored
-    sample.  Once the top-level population exceeds the ceiling, all later
-    samples are flagged untrusted; an initial state already over the
-    ceiling is rejected outright.
+    The segments are those of :func:`~entgrowth.dynamics.step_loop`: a
+    callable Hamiltonian gets one per step, sampled at the step midpoint,
+    while piecewise-constant data gets one exact segment per piece crossed
+    between stored samples (and the pieces of one period map per whole
+    period).  The operator is built once per piece for data, so a constant
+    Hamiltonian is built once.  Consecutive segments on one operator share
+    one Chebyshev recurrence (:func:`_chebyshev_states`): the Chebyshev
+    vectors T_k psi do not depend on the time, so one recurrence serves
+    every stored sample on that operator, each through its own Bessel
+    coefficients, accurate to roundoff.  A recurrence spans at most x =
+    tau w = ``SPAN_CAP`` = 64 and then restarts from its last state,
+    because accumulating its outputs costs samples x terms x dim, which
+    grows with the square of the span.  A run must fit the memory budget
+    of :func:`check_budget`.  The norm drift and the top-level population
+    of the stored samples are checked once per recurrence group.  Once the
+    top-level population exceeds the ceiling, all later samples are
+    flagged untrusted; an initial state already over the ceiling is
+    rejected outright.
     """
     if psi0.n_modes != cfg.n_modes or psi0.cutoff != cfg.cutoff:
         raise DimensionMismatch("state shape does not match config")
     if abs(psi0.norm - 1.0) > 1e-8:
         raise ValueError(f"initial state norm {psi0.norm} not 1")
-    if top_level_population(psi0) > cfg.leak_ceiling:
+    leak0 = top_level_population(psi0)
+    if leak0 > cfg.leak_ceiling:
         raise TruncationLeak("fock stage at t=0: initial state already exceeds the leak "
                              "ceiling; raise the cutoff")
 
@@ -316,39 +396,50 @@ def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
     shape = psi0.amplitudes.shape
     frames = {}    # piece index -> Chebyshev frame of its Fock operator
 
-    def propagator(length, t_mid):
+    def segment(length, t_mid):
         piece = ham.piece_at(t_mid)
         frame = frames.get(piece)
         if frame is None:
             frame = _chebyshev_frame(build_hamiltonian(ham, t_mid, cfg))
             if piece is not None:
                 frames[piece] = frame
-        return _chebyshev_propagator(frame, length)
+        return _Segments(((frame, length),))
+
+    def segments():
+        # (frame, length, t): every segment in order; t is the stored time
+        # the segment ends at, or None inside a stored step
+        for _, t, factors in step_loop(ham, t_final, n_steps, events, segment):
+            pairs = (pair for factor in factors for pair in factor)
+            last = next(pairs)
+            for pair in pairs:
+                yield (*last, None)
+                last = pair
+            yield (*last, t)
 
     psi = psi0.amplitudes.ravel().copy()
-    state0 = FockState(psi.reshape(shape))
     times = [0.0]
-    states = [state0]
-    leaks = [top_level_population(state0)]
-    trusted_flags = [True]
-    leaked = False
-
-    for _, t, factors in step_loop(ham, t_final, n_steps, events, propagator):
-        for u in factors:
-            psi = u @ psi
-        drift = abs(np.linalg.norm(psi) - 1.0)
-        if drift > 1e-8 * max(t, 1.0):
-            raise RuntimeError(f"fock stage at t={t:.6g}: norm drift {drift:.3g}; "
+    states = [FockState(psi.reshape(shape))]
+    leaks = [[leak0]]
+    for frame, group in groupby(segments(), key=itemgetter(0)):
+        _, lengths, ends = zip(*group)
+        block = _chebyshev_states(frame, psi, lengths)
+        psi = block[-1]
+        stored = [j for j, t in enumerate(ends) if t is not None]
+        ts = np.array([ends[j] for j in stored])
+        # squared norms from the real view: no copy of the block
+        flat = block.view(float)
+        drift = np.abs(np.sqrt(np.einsum("ij,ij->i", flat, flat)[stored]) - 1.0)
+        bad = np.nonzero(drift > 1e-8 * np.maximum(ts, 1.0))[0]
+        if len(bad):
+            i = bad[0]
+            raise RuntimeError(f"fock stage at t={ts[i]:.6g}: norm drift {drift[i]:.3g}; "
                                f"step unitary is broken")
-        state = FockState(psi.reshape(shape))
-        lk = top_level_population(state)
-        leaked = leaked or lk > cfg.leak_ceiling
-        times.append(t)
-        states.append(state)
-        leaks.append(lk)
-        trusted_flags.append(not leaked)
-    return FockTrajectory(times=np.array(times), states=states, leaks=np.array(leaks),
-                          trusted=np.array(trusted_flags, dtype=bool))
+        times += ts.tolist()
+        states += [FockState(block[j].reshape(shape)) for j in stored]
+        leaks.append(top_level_population(block.reshape((-1,) + shape))[stored])
+    leaks = np.concatenate(leaks)
+    return FockTrajectory(times=np.array(times), states=states, leaks=leaks,
+                          trusted=~np.logical_or.accumulate(leaks > cfg.leak_ceiling))
 
 
 def _schmidt_values(states, modes_a) -> np.ndarray:

@@ -32,7 +32,7 @@ from .dynamics import (
     step_count,
     stroboscopic_generator,
 )
-from .entropy import asymptotic_entropy, logdet_pd, von_neumann_entropy
+from .entropy import LN_E_OVER_2, logdet_pd, von_neumann_entropy
 from .errors import ConfigError, EntgrowthError, NoRealLogarithm
 from .fitting import fit_slope, windowed
 from .lyapunov import lyapunov_spectrum, regularity_check
@@ -418,10 +418,11 @@ def _run_flow(cfg, report):
 
 @_earliest_failure
 def _flow_stage(mats, times, g0, split):
-    """G(t) = M g0 M^T, its A block, S_as(A) and the squashed bounds at every stored M(t).
+    """G(t) = M g0 M^T, its A block, S_2(A), S_as(A) and the squashed bounds at every stored M(t).
 
     Each step runs once on the whole stack; a failure names its stage and
-    the time of the earliest failing sample.
+    the time of the earliest failing sample.  S_2(A) = (1/2) ln det G_A
+    takes one log-det per A block, and S_as(A) = S_2(A) + N_A ln(e/2).
     """
     g_t = evolve_covariance(g0, mats)
     g_a = restrict(g_t, SubsystemSpec.first_modes(split.n_a, split.n_total))
@@ -430,8 +431,8 @@ def _flow_stage(mats, times, g0, split):
     with _stage("squashed-bound", "polar factor", times):
         lower, upper = squashed_bounds(t_part, g0, split)
     with _stage("entropy", "A block", times):
-        s_as_a = asymptotic_entropy(g_a)
-    return g_t, g_a, s_as_a, lower, upper
+        s2_a = 0.5 * logdet_pd(g_a)
+    return g_t, g_a, s2_a, s2_a + split.n_a * LN_E_OVER_2, lower, upper
 
 
 @_earliest_failure
@@ -440,7 +441,7 @@ def _gaussian_samples(mats, times, g0, split, s_global):
 
     ``s_global`` is the entropy of ``g0``, or None for a pure ``g0``.
     """
-    g_t, g_a, s_as_a, lower, upper = _flow_stage(mats, times, g0, split)
+    g_t, g_a, s2_a, s_as_a, lower, upper = _flow_stage(mats, times, g0, split)
     with _stage("entropy", "A block", times):
         s_vn_a = von_neumann_entropy(g_a)    # the one validation of each A block
     if s_global is None:
@@ -451,8 +452,6 @@ def _gaussian_samples(mats, times, g0, split, s_global):
         sub_b = SubsystemSpec.modes(range(split.n_a, split.n_total), split.n_total)
         with _stage("entropy", "B block", times):
             i_ab = s_vn_a + von_neumann_entropy(restrict(g_t, sub_b)) - s_global
-    # the Renyi-2 entropy of the A blocks validated above
-    s2_a = 0.5 * logdet_pd(g_a)
     return s_vn_a, s2_a, s_as_a, i_ab, lower, upper
 
 
@@ -545,7 +544,7 @@ def _fock_stages(report, cfg, series, lyap):
         report.warn(f"truncation leak at t={traj.trusted_until:g}; later samples untrusted")
     alg = subsystem_exponent_algebraic(sub_a, lyap)
 
-    _, _, s_as, lowers, uppers = _flow_stage(series.matrices, series.times, g0, split)
+    _, _, _, s_as, lowers, uppers = _flow_stage(series.matrices, series.times, g0, split)
     s_vn, s2 = fock_mod.schmidt_entropies(traj.states, modes_a)
     inside = (lowers - 1e-9 <= s_vn) & (s_vn <= uppers + 1e-9)
     containment_ok = bool(np.all(inside[traj.trusted]))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
+from scipy.special import jv
 
 import entgrowth.fock as fock
 from entgrowth.config import matrix_to_json, parse_config
@@ -17,6 +18,7 @@ from entgrowth.entropy import renyi2_entropy, von_neumann_entropy
 from entgrowth.errors import TruncationLeak
 from entgrowth.fitting import fit_slope
 from entgrowth.fock import (
+    SPAN_CAP,
     FockConfig,
     FockState,
     build_hamiltonian,
@@ -155,6 +157,92 @@ def test_periodic_pieces_match_the_dense_product(case, durations, periods, per_p
         one_period = expm(-1j * d * op) @ one_period
     exact = np.linalg.matrix_power(one_period, periods) @ psi
     assert np.max(np.abs(traj.states[-1].amplitudes.ravel() - exact)) < 1e-12
+
+
+def _random_state(cutoff, n, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=(cutoff,) * n) + 1j * rng.normal(size=(cutoff,) * n)
+    return FockState(psi / np.linalg.norm(psi))
+
+
+def test_every_stored_state_of_a_constant_run_matches_the_dense_exponential(monkeypatch):
+    # 300 stored samples on one operator; at cutoff 8 the frame half-width is
+    # w = 13, so the horizon spans x = 78 > SPAN_CAP and one restart runs
+    spans = []    # the x of the budget check at the cap, then of each recurrence
+    real_count = fock._term_count
+    monkeypatch.setattr(fock, "_term_count", lambda x: spans.append(x) or real_count(x))
+    cfg = FockConfig(n_modes=2, cutoff=8, dt=0.02, leak_ceiling=1.0)
+    op = build_hamiltonian(TMS, 0.0, cfg)
+    assert 6.0 * fock._chebyshev_frame(op).w > SPAN_CAP
+    psi0 = _random_state(8, 2, 5)
+    spans.clear()
+    traj = evolve_fock(psi0, TMS, 6.0, cfg, store_every=1)
+    assert len(traj.states) == 301 and len(spans) == 3 and max(spans) <= SPAN_CAP
+    step = expm(-1j * 0.02 * op.toarray())
+    psi = psi0.amplitudes.ravel()
+    for state in traj.states[1:]:
+        psi = step @ psi
+        assert np.max(np.abs(state.amplitudes.ravel() - psi)) < 1e-12
+    # one stored segment of x = 78 runs as two equal parts
+    spans.clear()
+    last = evolve_fock(psi0, TMS, 6.0, cfg, store_every=300).states[-1]
+    assert len(spans) == 3 and max(spans) <= SPAN_CAP
+    assert np.max(np.abs(last.amplitudes.ravel() - psi)) < 1e-12
+
+
+def test_every_stored_state_of_a_piecewise_run_matches_the_dense_exponentials():
+    # pieces of 1.63 and 1.57 on a 0.05 grid: 31-33 stored samples per piece
+    # run, and every breakpoint falls inside a step
+    beam = np.zeros((4, 4))
+    beam[0, 2] = beam[2, 0] = beam[1, 3] = beam[3, 1] = 0.7
+    beam += np.diag([1.0, 1.0, 0.6, 0.6])
+    forms = [two_mode_squeezing_form(), beam]
+    durations = [1.63, 1.57]
+    ham = QuadraticHamiltonian.piecewise(list(zip(durations, forms)), 3.2)
+    cfg = FockConfig(n_modes=2, cutoff=6, dt=0.05, leak_ceiling=1.0)
+    psi0 = _random_state(6, 2, 6)
+    traj = evolve_fock(psi0, ham, 6.4, cfg, store_every=1)
+    ops = [build_hamiltonian(QuadraticHamiltonian.constant(f), 0.0, cfg).toarray() for f in forms]
+    assert len(traj.times) == 129
+    psi, t_prev = psi0.amplitudes.ravel(), 0.0
+    edges = [1.63, 3.2, 4.83, 6.4]
+    for t, state in zip(traj.times[1:], traj.states[1:]):
+        cuts = [t_prev] + [e for e in edges if t_prev < e < t] + [t]
+        for a, b in zip(cuts, cuts[1:]):
+            psi = expm(-1j * (b - a) * ops[ham.piece_at(0.5 * (a + b))]) @ psi
+        assert np.max(np.abs(state.amplitudes.ravel() - psi)) < 1e-12
+        t_prev = t
+
+
+def test_chebyshev_coefficients_match_bessel_functions():
+    # the DCT rows against J_k(x) from scipy, for x over [0, SPAN_CAP]: 1e-15
+    # up to x = 16, then a bound growing like x, as the sampled phase x cos
+    # theta carries a rounding of order x ulp (near x = 64 the two differ
+    # by up to 2.4e-15, and scipy's J_k alone by up to 1.8e-15 from mpmath)
+    n_terms = fock._term_count(SPAN_CAP)
+    xs = np.linspace(0.0, SPAN_CAP, 641)
+    ks = np.arange(n_terms)
+    coef = fock._chebyshev_coefficients(xs, n_terms)
+    bessel = coef / ((-1j) ** ks * np.where(ks == 0, 1.0, 2.0))
+    err = np.max(np.abs(bessel - jv(ks, xs[:, None])), axis=1)
+    assert np.all(err <= np.maximum(1e-15, 6e-17 * xs))
+    # past the term count every J_k(x) is below the cut, for every x up to the cap
+    assert np.max(np.abs(jv(np.arange(n_terms, n_terms + 40), xs[:, None]))) < fock.CHEBYSHEV_CUT
+
+
+@settings(max_examples=25, deadline=None)
+@given(propagation_cases(top_cutoff_3=7), st.floats(0.0, 3.0), st.floats(1e-3, 3.0))
+def test_one_recurrence_equals_two_in_turn(case, s1, s2):
+    # exp(-i (s1 + s2) H) psi from one recurrence, from s1 then s2, and as
+    # the second row of one recurrence over both
+    h, cutoff, _, psi = case
+    cfg = FockConfig(n_modes=h.shape[0] // 2, cutoff=cutoff, dt=0.1)
+    frame = fock._chebyshev_frame(build_hamiltonian(QuadraticHamiltonian.constant(h), 0.0, cfg))
+    whole = fock._chebyshev_states(frame, psi, [s1 + s2])[0]
+    halves = fock._chebyshev_states(frame, fock._chebyshev_states(frame, psi, [s1])[0], [s2])[0]
+    rows = fock._chebyshev_states(frame, psi, [s1, s2])
+    assert np.max(np.abs(whole - halves)) < 1e-12
+    assert np.max(np.abs(whole - rows[1])) < 1e-12
 
 
 def test_harmonic_eigenstate_survival():
@@ -379,3 +467,8 @@ def test_top_level_population_counts_both_modes():
     amp = np.zeros((6, 6))
     amp[0, 4] = 1.0
     assert top_level_population(FockState(amp)) == 1.0
+    # a stack gives one value per state
+    vacuum, mixed = np.zeros((6, 6)), np.zeros((6, 6))
+    vacuum[0, 0] = 1.0
+    mixed[0, 0] = mixed[1, 1] = mixed[4, 3] = mixed[2, 5] = 0.5
+    assert np.array_equal(top_level_population(np.stack([vacuum, amp, mixed])), [0.0, 1.0, 0.25])
