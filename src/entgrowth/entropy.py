@@ -69,16 +69,16 @@ def logdet_pd(a):
     return _float_or_stack(2.0 * np.sum(np.log(np.diagonal(ell, axis1=-2, axis2=-1)), axis=-1))
 
 
-def von_neumann_entropy(g):
-    """Von Neumann entropy of the Gaussian state with covariance ``g``.
-
-    A float for one covariance matrix; an array for a stack, each value the
-    sum of :func:`mode_entropy` over that matrix's symplectic spectrum.
-    """
-    nus = williamson_spectrum(g)
+def _spectrum_entropy(nus):
+    """Sum of :func:`mode_entropy` over a symplectic spectrum: a float, or an array for a stack."""
     if nus.ndim == 1:
         return float(sum(mode_entropy(nu) for nu in nus))
     return np.array([sum(mode_entropy(nu) for nu in row) for row in nus], dtype=float)
+
+
+def von_neumann_entropy(g):
+    """Von Neumann entropy of the Gaussian state with covariance ``g`` (of each of a stack)."""
+    return _spectrum_entropy(williamson_spectrum(g))
 
 
 def renyi2_entropy(g):
@@ -118,7 +118,7 @@ def corridor_check(g) -> EntropyReport:
     """
     nus = williamson_spectrum(g)
     n = len(nus)
-    s_vn = float(sum(mode_entropy(nu) for nu in nus))
+    s_vn = _spectrum_entropy(nus)
     s_r2 = float(np.sum(np.log(nus)))
     s_as = s_r2 + n * LN_E_OVER_2
     report = EntropyReport(s_vn=s_vn, s_r2=s_r2, s_as=s_as, n_modes=n)

@@ -11,10 +11,10 @@ of any mode.  Once exceeded, later samples are marked untrusted rather
 than silently kept; unstable dynamics leaves any fixed cutoff eventually,
 so honest windows beat adaptive cutoff growth.
 
-Size policy: a run's stored amplitudes, its sparse step operator and the
-Chebyshev vectors of one recurrence (at most the term count of a
-``SPAN_CAP`` span) must fit ``MEMORY_BUDGET`` bytes (:func:`check_budget`),
-whatever the number of modes; there is no cap on the dimension itself.
+Size policy: a run's stored amplitudes, twice (the Schmidt stage stacks
+them), its sparse step operator and the Chebyshev vectors of one recurrence
+(at most the term count of a ``SPAN_CAP`` span) must fit ``MEMORY_BUDGET``
+bytes (:func:`check_budget`), with no cap on the modes or the dimension.
 """
 
 import math
@@ -33,7 +33,7 @@ from .errors import DimensionMismatch, TruncationLeak
 from .phase_space import require_valid_covariance
 
 
-MEMORY_BUDGET = 2 ** 27   # bytes: amplitudes, step operator and Chebyshev vectors, 128 MiB
+MEMORY_BUDGET = 2 ** 27   # bytes: amplitudes twice, step operator and Chebyshev vectors, 128 MiB
 CHEBYSHEV_CUT = 1e-17     # a series ends where |J_k| falls below this
 # largest x = tau w one recurrence spans: its outputs cost samples x terms x dim,
 # which grows with the square of the span
@@ -44,15 +44,15 @@ LEAK_CEILING = 1e-6       # default ceiling on the top-two-level population of a
 def check_budget(n_modes: int, cutoff: int, n_samples: int) -> None:
     """Raise ValueError when a run of ``n_samples`` stored samples exceeds ``MEMORY_BUDGET``.
 
-    A run holds its stored amplitude vectors, its sparse step operator and
-    the Chebyshev vectors of one recurrence, at most the term count of a
-    ``SPAN_CAP`` span.  A quadratic form moves the occupations by at most
-    two quanta, in one mode or across two, so the operator has at most
-    2 N^2 + 1 nonzero diagonals: each nonzero costs a complex value and a
-    column index, each row a pointer.
+    A run holds its stored amplitude vectors twice (:func:`schmidt_entropies`
+    stacks them), its sparse step operator and the Chebyshev vectors of one
+    recurrence, at most the term count of a ``SPAN_CAP`` span.  A quadratic
+    form moves the occupations by at most two quanta, in one mode or across
+    two, so the operator has at most 2 N^2 + 1 nonzero diagonals: each
+    nonzero costs a complex value and a column index, each row a pointer.
     """
     dim = cutoff ** n_modes
-    need = (16 * (n_samples + _term_count(SPAN_CAP)) * dim
+    need = (16 * (2 * n_samples + _term_count(SPAN_CAP)) * dim
             + 20 * (2 * n_modes ** 2 + 1) * dim + 4 * (dim + 1))
     if need > MEMORY_BUDGET:
         raise ValueError(f"{n_samples} stored samples at dimension {dim} need "

@@ -87,15 +87,8 @@ def _fail_first(bad, error, detail):
 
 
 def _first_not_pd(a) -> int:
-    """Index of the first matrix that Cholesky rejects, or the number of matrices."""
-    stack = a.reshape(-1, *a.shape[-2:])
-    try:
-        np.linalg.cholesky(stack)
-        return len(stack)
-    except np.linalg.LinAlgError:
-        pass
-    # a stacked factorization does not say which matrix failed
-    for i, mat in enumerate(stack):
+    """Index of the first matrix that Cholesky rejects (a failed stack does not say)."""
+    for i, mat in enumerate(a.reshape(-1, *a.shape[-2:])):
         try:
             np.linalg.cholesky(mat)
         except np.linalg.LinAlgError:
@@ -173,6 +166,30 @@ class ModeCount:
 
 
 @_earliest_failure
+def covariance_factor(g) -> np.ndarray:
+    """Cholesky factor L of a covariance matrix (of each of a stack): symmetry and PD checks."""
+    g = np.asarray(g, dtype=float)
+    n_modes_of(g)
+    _fail_first(~is_symmetric(g), NotSymmetric, "covariance check failed: not_symmetric")
+    sym = 0.5 * (g + _mT(g))
+    try:
+        return np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        _fail(NotPositiveDefinite, "covariance check failed: not_positive_definite",
+              _first_not_pd(sym) if g.ndim > 2 else None)
+
+
+def factor_spectrum(ell, uncertainty_slack=UNCERTAINTY_SLACK) -> np.ndarray:
+    """Symplectic eigenvalues of G = L L^T from its factor L, and the uncertainty check."""
+    nus = np.linalg.svd(_mT(ell) @ standard_omega(n_modes_of(ell)) @ ell,
+                        compute_uv=False)[..., 0::2]
+    _fail_first(nus[..., -1] ** 2 < 1.0 - uncertainty_slack, UncertaintyViolated,
+                lambda i: "covariance check failed: uncertainty_violated "
+                          f"(min symplectic eigenvalue = {nus[i][-1]:.12g})")
+    return nus
+
+
+@_earliest_failure
 def require_valid_covariance(g, uncertainty_slack=UNCERTAINTY_SLACK) -> np.ndarray:
     """Symplectic eigenvalues nu_1 >= ... >= nu_N of a valid covariance matrix.
 
@@ -185,20 +202,7 @@ def require_valid_covariance(g, uncertainty_slack=UNCERTAINTY_SLACK) -> np.ndarr
     covariance matrices gives one row of eigenvalues per matrix and fails
     at its earliest failing matrix.
     """
-    g = np.asarray(g, dtype=float)
-    n = n_modes_of(g)
-    _fail_first(~is_symmetric(g), NotSymmetric, "covariance check failed: not_symmetric")
-    sym = 0.5 * (g + _mT(g))
-    try:
-        ell = np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        _fail(NotPositiveDefinite, "covariance check failed: not_positive_definite",
-              _first_not_pd(sym) if g.ndim > 2 else None)
-    nus = np.linalg.svd(_mT(ell) @ standard_omega(n) @ ell, compute_uv=False)[..., 0::2]
-    _fail_first(nus[..., -1] ** 2 < 1.0 - uncertainty_slack, UncertaintyViolated,
-                lambda i: "covariance check failed: uncertainty_violated "
-                          f"(min symplectic eigenvalue = {nus[i][-1]:.12g})")
-    return nus
+    return factor_spectrum(covariance_factor(g), uncertainty_slack)
 
 
 @_earliest_failure

@@ -32,7 +32,7 @@ from .dynamics import (
     step_count,
     stroboscopic_generator,
 )
-from .entropy import LN_E_OVER_2, logdet_pd, von_neumann_entropy
+from .entropy import LN_E_OVER_2, _spectrum_entropy, von_neumann_entropy
 from .errors import ConfigError, EntgrowthError, NoRealLogarithm
 from .fitting import fit_slope, windowed
 from .lyapunov import lyapunov_spectrum, regularity_check
@@ -41,6 +41,8 @@ from .phase_space import (
     SubsystemSpec,
     _earliest_failure,
     _fail,
+    covariance_factor,
+    factor_spectrum,
     is_pure,
     restrict,
 )
@@ -301,8 +303,8 @@ def _lyapunov_view(cfg, report):
 def _exponent_view(cfg, report):
     series = _propagation_section(report, cfg)
     lyap = _lyapunov_section(report, cfg)
-    sub_a = SubsystemSpec.first_modes(cfg.modes.n_a, cfg.modes.n_total)
-    _exponent_section(report, sub_a, lyap, series, _initial_covariance(cfg))
+    _, _, s2_a, _ = _a_block(series.matrices, series.times, _initial_covariance(cfg), cfg.modes)
+    _exponent_section(report, cfg.modes, lyap, series, s2_a)
 
 
 def _bounds_view(cfg, report):
@@ -317,9 +319,9 @@ def run_view(cfg: ScenarioConfig, view: str) -> RunReport:
     """Run only the pipeline stages one result needs; no CSV, no output files.
 
     ``lyapunov`` runs the Lyapunov stage; ``exponent`` runs propagation,
-    Lyapunov and exponent; ``bounds`` runs propagation and the bound
-    minimizations at ``run.bound_times``, or at ``t_final`` when there are
-    none.  Each section equals the section of the same name in
+    Lyapunov, the A-block factor and exponent; ``bounds`` runs propagation
+    and the bound minimizations at ``run.bound_times``, or at ``t_final``
+    when there are none.  Each section equals the section of the same name in
     :func:`run_scenario`'s report on the same config, and a stage error
     becomes a report failure in the same way.
     """
@@ -358,7 +360,7 @@ def _run_classical(cfg, report):
 
 
 def _initial_covariance(cfg):
-    # a Fock state's exponent stage uses the vacuum; the volumetric slope
+    # a Fock state's exponent view uses the vacuum; the volumetric slope
     # does not depend on this metric
     g0 = cfg.initial_state
     return g0 if isinstance(g0, np.ndarray) else np.eye(2 * cfg.modes.n_total)
@@ -385,10 +387,9 @@ def _stage(name, block, times):
               f"{name} stage, {block} at t={times[exc.index]:.6g}")
 
 
-def _exponent_section(report, sub_a, lyap, series, g0):
-    alg = subsystem_exponent_algebraic(sub_a, lyap)
-    with _stage("exponent", "restricted block", series.times):
-        vol = volumetric_slope_fit(sub_a, series, g0)
+def _exponent_section(report, split, lyap, series, s2_a):
+    alg = subsystem_exponent_algebraic(SubsystemSpec.first_modes(split.n_a, split.n_total), lyap)
+    vol = volumetric_slope_fit(series.times, s2_a, series.t_final)
     report.add("exponent", {
         "lambda_alg": alg.lambda_a, "indices": list(alg.indices),
         "generic_lambda": alg.generic_lambda, "generic_agrees": alg.generic_agrees,
@@ -416,34 +417,41 @@ def _run_flow(cfg, report):
         _metastable_section(report, series.times)
 
 
-@_earliest_failure
-def _flow_stage(mats, times, g0, split):
-    """G(t) = M g0 M^T, its A block, S_2(A), S_as(A) and the squashed bounds at every stored M(t).
+def _a_block(mats, times, g0, split):
+    """G(t) = M g0 M^T, the Cholesky factor L of its A block, S_2(A) and S_as(A) at every M(t).
 
-    Each step runs once on the whole stack; a failure names its stage and
-    the time of the earliest failing sample.  S_2(A) = (1/2) ln det G_A
-    takes one log-det per A block, and S_as(A) = S_2(A) + N_A ln(e/2).
+    The one factorization of each A block: S_2(A) = (1/2) ln det G_A = sum
+    ln diag L, the log volume whose slope is the volumetric exponent.
     """
     g_t = evolve_covariance(g0, mats)
     g_a = restrict(g_t, SubsystemSpec.first_modes(split.n_a, split.n_total))
-    with _stage("squashed-bound", "flow matrix", times):
-        t_part = polar_decompose(mats).t_part
-    with _stage("squashed-bound", "polar factor", times):
-        lower, upper = squashed_bounds(t_part, g0, split)
     with _stage("entropy", "A block", times):
-        s2_a = 0.5 * logdet_pd(g_a)
-    return g_t, g_a, s2_a, s2_a + split.n_a * LN_E_OVER_2, lower, upper
+        ell = covariance_factor(g_a)
+    s2_a = np.sum(np.log(np.diagonal(ell, axis1=-2, axis2=-1)), axis=-1)
+    return g_t, ell, s2_a, s2_a + split.n_a * LN_E_OVER_2
 
 
 @_earliest_failure
-def _gaussian_samples(mats, times, g0, split, s_global):
-    """The entropy and bound columns of the Gaussian rows, one array each.
+def _bounds_columns(mats, times, g0, split):
+    """The squashed-entanglement bounds at every stored M(t), from its polar factor."""
+    with _stage("squashed-bound", "flow matrix", times):
+        t_part = polar_decompose(mats).t_part
+    with _stage("squashed-bound", "polar factor", times):
+        return squashed_bounds(t_part, g0, split)
 
-    ``s_global`` is the entropy of ``g0``, or None for a pure ``g0``.
+
+@_earliest_failure
+def _gaussian_samples(mats, times, g0, split, s_global, g_t, ell):
+    """The S_vn(A), I(A;B) and bound columns of the Gaussian rows, one array each.
+
+    ``g_t`` and ``ell`` are :func:`_a_block`'s stacks; a re-run on the
+    first samples of ``mats`` reads their first rows.  ``s_global`` is the
+    entropy of ``g0``, or None for a pure ``g0``.
     """
-    g_t, g_a, s2_a, s_as_a, lower, upper = _flow_stage(mats, times, g0, split)
+    n = len(mats)
+    lower, upper = _bounds_columns(mats, times, g0, split)
     with _stage("entropy", "A block", times):
-        s_vn_a = von_neumann_entropy(g_a)    # the one validation of each A block
+        s_vn_a = _spectrum_entropy(factor_spectrum(ell[:n]))
     if s_global is None:
         # pure global state: S(B) = S(A) exactly, and S(AB) = 0; avoids
         # the ill-conditioned unit eigenvalues of the big B-block
@@ -451,15 +459,15 @@ def _gaussian_samples(mats, times, g0, split, s_global):
     else:
         sub_b = SubsystemSpec.modes(range(split.n_a, split.n_total), split.n_total)
         with _stage("entropy", "B block", times):
-            i_ab = s_vn_a + von_neumann_entropy(restrict(g_t, sub_b)) - s_global
-    return s_vn_a, s2_a, s_as_a, i_ab, lower, upper
+            i_ab = s_vn_a + von_neumann_entropy(restrict(g_t[:n], sub_b)) - s_global
+    return s_vn_a, i_ab, lower, upper
 
 
 def _gaussian_stages(report, cfg, series, lyap):
     split = cfg.modes
-    sub_a = SubsystemSpec.first_modes(split.n_a, split.n_total)
     g0 = _initial_covariance(cfg)
-    alg, vol = _exponent_section(report, sub_a, lyap, series, g0)
+    g_t, ell, s2_a, s_as_a = _a_block(series.matrices, series.times, g0, split)
+    alg, vol = _exponent_section(report, split, lyap, series, s2_a)
 
     rates = None
     if cfg.hamiltonian.period is not None:
@@ -467,7 +475,9 @@ def _gaussian_stages(report, cfg, series, lyap):
 
     # symplectic invariance: the global spectrum never changes along the flow
     s_global = None if is_pure(g0) else von_neumann_entropy(g0)
-    columns = _gaussian_samples(series.matrices, series.times, g0, split, s_global)
+    s_vn_a, i_ab, lower, upper = _gaussian_samples(series.matrices, series.times, g0, split,
+                                                   s_global, g_t, ell)
+    columns = (s_vn_a, s2_a, s_as_a, i_ab, lower, upper)
     report.rows = [CsvRow(t=t, s_vn_a=s_vn_a, s2_a=s2_a, s_as_a=s_as_a, i_ab=i_ab,
                           lambda_a_alg=alg.lambda_a, lambda_a_vol=vol.slope,
                           bound_lower=lower, bound_upper=upper, source="gaussian", trusted=True)
@@ -544,7 +554,8 @@ def _fock_stages(report, cfg, series, lyap):
         report.warn(f"truncation leak at t={traj.trusted_until:g}; later samples untrusted")
     alg = subsystem_exponent_algebraic(sub_a, lyap)
 
-    _, _, _, s_as, lowers, uppers = _flow_stage(series.matrices, series.times, g0, split)
+    s_as = _a_block(series.matrices, series.times, g0, split)[3]
+    lowers, uppers = _bounds_columns(series.matrices, series.times, g0, split)
     s_vn, s2 = fock_mod.schmidt_entropies(traj.states, modes_a)
     inside = (lowers - 1e-9 <= s_vn) & (s_vn <= uppers + 1e-9)
     containment_ok = bool(np.all(inside[traj.trusted]))

@@ -11,7 +11,9 @@ M(t)^T.  It is computed two independent ways:
   0.5 ln det(F M(t) G0 M(t)^T F^T) over the second half of the horizon.
 
 The volumetric slope is independent of the reference metric G0, which the
-cross-method tests exercise directly.
+cross-method tests exercise directly.  For a Gaussian state with
+covariance G0 the restricted log volume is the Renyi-2 entropy S_2(A),
+which is what the pipeline fits.
 """
 
 from dataclasses import dataclass
@@ -131,19 +133,15 @@ def subsystem_exponent_volumetric(sub: SubsystemSpec, series: PropagationResult,
     """
     if g0 is None:
         g0 = np.eye(series.matrices.shape[1])
-    fit = volumetric_slope_fit(sub, series, g0)
+    fit = volumetric_slope_fit(series.times, restricted_log_volume(sub, series.matrices, g0),
+                               series.t_final)
     if fit.n_points < 8:
         raise NotConverged(f"only {fit.n_points} samples in fit window "
                            f"[{fit.window[0]:.3g}, {fit.window[1]:.3g}]")
     return ExponentReport(lambda_a=fit.slope, stderr=fit.stderr, window=fit.window)
 
 
-def volumetric_slope_fit(sub: SubsystemSpec, series: PropagationResult, g0) -> SlopeFit:
-    """Raw slope fit of the restricted log volume over [t*/2, t*] (full fit record).
-
-    The log volume is evaluated once on the whole stack of stored M(t).
-    """
-    t_end = series.t_final
-    values = restricted_log_volume(sub, series.matrices, g0)
-    t_w, v_w = windowed(series.times, values, 0.5 * t_end, t_end)
+def volumetric_slope_fit(times, log_volume, t_final) -> SlopeFit:
+    """Raw slope fit of a log-volume series over [t_final/2, t_final] (full fit record)."""
+    t_w, v_w = windowed(times, log_volume, 0.5 * t_final, t_final)
     return fit_slope(t_w, v_w)

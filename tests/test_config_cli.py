@@ -571,6 +571,12 @@ def test_fock_memory_budget_counts_the_stored_samples():
     with pytest.raises(ConfigError, match=r"^initial_state\.cutoff: 1001 stored samples .* "
                                           r"above the 128 MiB memory budget"):
         parse_config(json.dumps(doc))
+    # 501 stored samples (76 MiB) fit once, with the step operator and the
+    # Chebyshev vectors, but not with the Schmidt stage's stacked copy
+    doc["run"]["t_final"] = 2.5
+    with pytest.raises(ConfigError, match=r"^initial_state\.cutoff: 501 stored samples at "
+                                          r"dimension 10000 need 171\.6 MiB"):
+        parse_config(json.dumps(doc))
 
 
 _EYE4 = matrix_to_json(np.eye(4))

@@ -161,34 +161,53 @@ def test_overlong_horizon_fails_structurally():
 
 
 def test_failure_names_stage_and_earliest_sample_time():
-    # inverted_pair past its horizon: the restricted block of the volumetric
-    # exponent loses positive definiteness first
-    import json
-    from entgrowth.config import parse_config
-    from entgrowth.dynamics import propagate
-    from entgrowth.errors import NotPositiveDefinite
-    from entgrowth.phase_space import SubsystemSpec
-    from entgrowth.scenarios import scenario_document
-    from entgrowth.subsystem import restricted_log_volume
+    # inverted_pair past its horizon: the A block loses positive
+    # definiteness in its one factorization, before the exponent stage
+    from entgrowth.errors import EntgrowthError
 
     doc = scenario_document("inverted_pair")
     doc["run"]["t_final"] = 60.0
     cfg = parse_config(json.dumps(doc))
     rep = run_scenario(cfg, write_outputs=False)
-    prefix = "NotPositiveDefinite: exponent stage, restricted block at t="
+    prefix = "NotPositiveDefinite: entropy stage, A block at t="
     assert len(rep.failures) == 1 and rep.failures[0].startswith(prefix)
-    t_text, detail = rep.failures[0][len(prefix):].split(": ")
-    assert detail == "matrix is not positive definite"
+    t_text, detail = rep.failures[0][len(prefix):].split(": ", 1)
+    assert detail == "covariance check failed: not_positive_definite"
+    assert t_text == "52.8"
+    assert list(rep.sections) == ["propagation", "lyapunov"]
 
     run = cfg.run
     series = propagate(cfg.hamiltonian, run.t_final, run.dt, store_every=run.store_every)
     sub_a = SubsystemSpec.first_modes(1, 2)
     for t, m in zip(series.times, series.matrices):
         try:
-            restricted_log_volume(sub_a, m, np.eye(4))
-        except NotPositiveDefinite:
+            require_valid_covariance(restrict(evolve_covariance(np.eye(4), m), sub_a))
+        except EntgrowthError:
             break
     assert t_text == f"{t:.6g}"
+
+
+@pytest.mark.parametrize("name", ["inverted_pair", "coupled_chain", "parametric_drive",
+                                  "metastable"])
+def test_each_a_block_is_factored_once(name, monkeypatch):
+    # S_2, S_as, the volumetric exponent and the Williamson spectrum all
+    # read one Cholesky factor of the G_A stack
+    cfg = default_scenario(name)
+    inputs = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a, *args, **kwargs):
+        inputs.append(np.array(a))
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    assert run_scenario(cfg, write_outputs=False).ok
+    monkeypatch.undo()
+    series = propagate(cfg.hamiltonian, cfg.run.t_final, cfg.run.dt,
+                       store_every=cfg.run.store_every)
+    g_a = restrict(evolve_covariance(cfg.initial_state, series.matrices),
+                   SubsystemSpec.first_modes(cfg.modes.n_a, cfg.modes.n_total))
+    assert sum(a.shape == g_a.shape and np.array_equal(a, g_a) for a in inputs) == 1
 
 
 def _only_failure(name, tolerances):
@@ -341,6 +360,23 @@ def test_lattice_chain_blocks_keep_the_uncertainty_bound():
     g_a = restrict(evolve_covariance(np.eye(16), series.matrices), SubsystemSpec.first_modes(4, 8))
     assert series.t_final == pytest.approx(20.0)
     assert np.all(require_valid_covariance(g_a) >= 1.0 - 1e-9)
+
+
+def test_sixteen_site_lattice_keeps_its_exponent_section_at_the_wall():
+    # N=16, N_A=8: the formed A block leaves the uncertainty bound at
+    # t = 19.9; the exponent section, computed from the same factor before
+    # the Williamson spectrum, stays in the report
+    h = scenarios._chain_form([1.5] * 16, -1.0)
+    doc = {"modes": {"total": 16, "subsystem": 8},
+           "hamiltonian": {"type": "constant", "h": matrix_to_json(h)},
+           "initial_state": {"type": "gaussian", "covariance": "vacuum"},
+           "run": {"t_final": 20.0, "dt": 0.01, "store_every": 10}}
+    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    assert list(rep.sections) == ["propagation", "lyapunov", "exponent"]
+    assert rep.failures == [
+        "algebraic 1.70983 vs volumetric 1.75799 disagree",
+        "UncertaintyViolated: entropy stage, A block at t=19.9: covariance check failed: "
+        "uncertainty_violated (min symplectic eigenvalue = 0.999998941819)"]
 
 
 def test_lattice_chain_run_reports_no_uncertainty_violation():

@@ -23,6 +23,8 @@ from entgrowth.phase_space import (
     standard_omega,
     williamson_spectrum,
 )
+from entgrowth.sampling import random_covariance
+from entgrowth.scenarios import _a_block, _gaussian_samples
 from entgrowth.ssa import squashed_bounds
 from entgrowth.subsystem import restricted_log_volume
 
@@ -103,6 +105,31 @@ def test_stacked_functions_equal_their_loop_bit_for_bit(case):
     if _agrees_with_loop(polar_decompose, mats, polar_parts):
         _agrees_with_loop(lambda t: squashed_bounds(t, g0, split),
                           polar_decompose(mats).t_part, lambda bounds: bounds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symplectic_stacks(), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_a_block_stage_equals_the_entropy_functions_bit_for_bit(case, seed, mixed):
+    # the pipeline's one factor of each A block gives, per sample, the bits
+    # of the one-matrix entropy functions, for pure and mixed initial states
+    mats, _, split = case
+    g0 = random_covariance(split.n_total, np.random.default_rng(seed), mixed=mixed)
+    sub_a = SubsystemSpec.first_modes(split.n_a, split.n_total)
+    sub_b = SubsystemSpec.modes(range(split.n_a, split.n_total), split.n_total)
+    g = evolve_covariance(g0, mats)
+    g_a = restrict(g, sub_a)
+    assume(_loop(von_neumann_entropy, g_a)[1] is None)
+    assume(_loop(von_neumann_entropy, restrict(g, sub_b))[1] is None)
+    assume(_loop(lambda t: squashed_bounds(t, g0, split), polar_decompose(mats).t_part)[1] is None)
+
+    times = np.arange(len(mats), dtype=float)
+    g_t, ell, s2, s_as = _a_block(mats, times, g0, split)
+    s_global = von_neumann_entropy(g0) if mixed else None
+    s_vn = _gaussian_samples(mats, times, g0, split, s_global, g_t, ell)[0]
+    for k, block in enumerate(g_a):
+        assert s_vn[k] == von_neumann_entropy(block)
+        assert s2[k] == renyi2_entropy(block)
+        assert s_as[k] == asymptotic_entropy(block)
 
 
 def _clean_case(case):
