@@ -15,6 +15,10 @@ Size policy: a run's stored amplitudes, twice (the Schmidt stage stacks
 them), its sparse step operator and the Chebyshev vectors of one recurrence
 (at most the term count of a ``SPAN_CAP`` span) must fit ``MEMORY_BUDGET``
 bytes (:func:`check_budget`), with no cap on the modes or the dimension.
+
+``scipy.sparse``, ``scipy.fft`` and ``scipy.special`` are imported by the
+functions that use them, on first use, so importing this module (as the
+config parser does) loads none of them.
 """
 
 import math
@@ -24,9 +28,6 @@ from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
-from scipy import sparse
-from scipy.fft import dct
-from scipy.special import jv
 
 from .dynamics import QuadraticHamiltonian, step_count, step_loop, stored_steps
 from .errors import DimensionMismatch, TruncationLeak
@@ -92,6 +93,8 @@ def build_quadratures(n_modes: int, cutoff: int) -> tuple:
     Built on first use and cached per ``(n_modes, cutoff)``: every caller
     gets the same operators, so their arrays are read-only.
     """
+    from scipy import sparse
+
     a = sparse.diags(np.sqrt(np.arange(1.0, cutoff)), offsets=1, format="csr")
     q = (a + a.T) / np.sqrt(2.0)
     p = (a - a.T) / (1j * np.sqrt(2.0))
@@ -120,6 +123,8 @@ def build_hamiltonian(ham: QuadraticHamiltonian, t: float, cfg: FockConfig):
     construction, exactly: entry (i, j) of op + op^H and the conjugate of
     entry (j, i) add the same two numbers.
     """
+    from scipy import sparse
+
     h = np.asarray(ham.h(t), dtype=float)
     if h.shape != (2 * cfg.n_modes, 2 * cfg.n_modes):
         raise DimensionMismatch(f"form is {h.shape}, config has {cfg.n_modes} modes")
@@ -144,19 +149,24 @@ class _Frame:
     Frames compare by identity: segments on one frame share one recurrence.
     """
 
-    doubled: sparse.csr_matrix
+    doubled: "scipy.sparse.csr_matrix"
     c: float
     w: float
 
 
 def _chebyshev_frame(op) -> _Frame:
     """The frame of a Hermitian ``op`` from the union of its Gershgorin discs."""
+    from scipy import sparse
+
     diag = op.diagonal()
     radius = np.asarray(abs(op).sum(axis=1)).ravel() - np.abs(diag)
     low, high = float(np.min(diag.real - radius)), float(np.max(diag.real + radius))
     c, w = 0.5 * (high + low), 0.5 * (high - low)
-    # w = 0 means op = c, and the series has one term
+    # w = 0 means op = c, and the series has one term; a subnormal w, whose
+    # 2 / w overflows, is op = c to within w and is taken as 0 too
     scale = 2.0 / w if w > 0.0 else 0.0
+    if not math.isfinite(scale):
+        scale = w = 0.0
     return _Frame(((op - c * sparse.identity(op.shape[0], format="csr")) * scale).tocsr(), c, w)
 
 
@@ -178,6 +188,8 @@ def _term_count(x: float) -> int:
     Cached: every budget check asks for the count at ``SPAN_CAP``, and
     each J_k call costs a few microseconds at these orders.
     """
+    from scipy.special import jv
+
     # |J_k(x)| < (x/2)^k / k!, far below the cut at k = 1.5 x + 50 for any x
     ks = np.arange(int(1.5 * x) + 50)
     return int(np.nonzero(np.abs(jv(ks, x)) >= CHEBYSHEV_CUT)[0][-1]) + 1
@@ -193,6 +205,8 @@ def _chebyshev_coefficients(xs, n_terms: int) -> np.ndarray:
     ``n_terms`` they lie below the cut for every x up to the one that set
     ``n_terms``, since J_k(x) grows with x for k >= x.
     """
+    from scipy.fft import dct
+
     theta = np.pi * np.arange(n_terms + 1) / n_terms
     coef = dct(np.exp(-1j * np.multiply.outer(xs, np.cos(theta))), type=1, axis=-1)[..., :n_terms]
     coef /= n_terms

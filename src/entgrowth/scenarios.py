@@ -421,12 +421,19 @@ def _a_block(mats, times, g0, split):
     """G(t) = M g0 M^T, the Cholesky factor L of its A block, S_2(A) and S_as(A) at every M(t).
 
     The one factorization of each A block: S_2(A) = (1/2) ln det G_A = sum
-    ln diag L, the log volume whose slope is the volumetric exponent.
+    ln diag L, the log volume whose slope is the volumetric exponent.  When
+    the factor fails at sample i, the samples before i are also checked
+    against the uncertainty bound, and the earliest failure is raised.
     """
     g_t = evolve_covariance(g0, mats)
     g_a = restrict(g_t, SubsystemSpec.first_modes(split.n_a, split.n_total))
     with _stage("entropy", "A block", times):
-        ell = covariance_factor(g_a)
+        try:
+            ell = covariance_factor(g_a)
+        except (ValueError, RuntimeError) as exc:
+            if getattr(exc, "index", None):
+                factor_spectrum(covariance_factor(g_a[:exc.index]))
+            raise
     s2_a = np.sum(np.log(np.diagonal(ell, axis1=-2, axis2=-1)), axis=-1)
     return g_t, ell, s2_a, s2_a + split.n_a * LN_E_OVER_2
 

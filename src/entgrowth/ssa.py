@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .entropy import LN_E_OVER_2, asymptotic_entropy, logdet_pd, mutual_information_asymptotic
 from .errors import DimensionMismatch, NotPositiveDefinite
@@ -222,6 +221,16 @@ def _is_pd_symmetric(m):
         return True
     except np.linalg.LinAlgError:
         return False
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call.
+
+    A run without a bound minimization never loads ``scipy.optimize``,
+    which costs a fresh process more import time than the run itself.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 def gss_rhs_minimize(m, split: ModeCount, budget: int = 2000,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,20 @@ def test_one_recurrence_equals_two_in_turn(case, s1, s2):
     rows = fock._chebyshev_states(frame, psi, [s1, s2])
     assert np.max(np.abs(whole - halves)) < 1e-12
     assert np.max(np.abs(whole - rows[1])) < 1e-12
+
+
+def test_subnormal_form_keeps_the_state_without_a_warning():
+    # h12 = 1e-310 gives a Gershgorin half-width whose 2 / w overflows; the
+    # frame takes it as w = 0, so no NaN enters the operator and the state stays
+    h = np.array([[0.0, 1e-310], [1e-310, 0.0]])
+    cfg = FockConfig(n_modes=1, cutoff=4, dt=0.1)
+    psi0 = FockState.superposition([(1.0, (0,)), (1j, (1,))], 4, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = evolve_fock(psi0, QuadraticHamiltonian.constant(h), 1.0, cfg, store_every=2)
+    assert len(traj.states) == 6
+    for state in traj.states:
+        assert np.array_equal(state.amplitudes, psi0.amplitudes)
 
 
 def test_harmonic_eigenstate_survival():

@@ -11,7 +11,7 @@ from entgrowth import fock, scenarios
 from entgrowth.config import matrix_to_json, parse_config
 from entgrowth.dynamics import QuadraticHamiltonian, evolve_covariance, propagate
 from entgrowth.entropy import LN_E_OVER_2
-from entgrowth.errors import ConfigError
+from entgrowth.errors import ConfigError, UncertaintyViolated
 from entgrowth.phase_space import ModeCount, SubsystemSpec, require_valid_covariance, restrict
 from entgrowth.scenarios import (
     SCENARIO_NAMES,
@@ -377,6 +377,28 @@ def test_sixteen_site_lattice_keeps_its_exponent_section_at_the_wall():
         "algebraic 1.70983 vs volumetric 1.75799 disagree",
         "UncertaintyViolated: entropy stage, A block at t=19.9: covariance check failed: "
         "uncertainty_violated (min symplectic eigenvalue = 0.999998941819)"]
+
+
+def test_thirty_two_site_lattice_names_its_earliest_failing_sample():
+    # N=32, N_A=16: the A-block factor fails at t = 16.1, but the formed
+    # blocks already leave the uncertainty bound at t = 6.3, which is named
+    h = scenarios._chain_form([1.5] * 32, -1.0)
+    doc = {"modes": {"total": 32, "subsystem": 16},
+           "hamiltonian": {"type": "constant", "h": matrix_to_json(h)},
+           "initial_state": {"type": "gaussian", "covariance": "vacuum"},
+           "run": {"t_final": 20.0, "dt": 0.01, "store_every": 10}}
+    cfg = parse_config(json.dumps(doc))
+    rep = run_scenario(cfg, write_outputs=False)
+    assert list(rep.sections) == ["propagation", "lyapunov"]
+    assert rep.failures == [
+        "UncertaintyViolated: entropy stage, A block at t=6.3: covariance check failed: "
+        "uncertainty_violated (min symplectic eigenvalue = 0.99999999945)"]
+    series = propagate(cfg.hamiltonian, 20.0, 0.01, store_every=10)
+    g_a = restrict(evolve_covariance(np.eye(64), series.matrices),
+                   SubsystemSpec.first_modes(16, 32))
+    with pytest.raises(UncertaintyViolated) as info:
+        require_valid_covariance(g_a)
+    assert f"{series.times[info.value.index]:.6g}" == "6.3"
 
 
 def test_lattice_chain_run_reports_no_uncertainty_violation():
