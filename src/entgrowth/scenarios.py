@@ -44,6 +44,7 @@ from .phase_space import (
     covariance_factor,
     factor_spectrum,
     is_pure,
+    require_valid_covariance,
     restrict,
 )
 from .reporting import CsvRow, RunReport, write_csv
@@ -432,7 +433,7 @@ def _a_block(mats, times, g0, split):
             ell = covariance_factor(g_a)
         except (ValueError, RuntimeError) as exc:
             if getattr(exc, "index", None):
-                factor_spectrum(covariance_factor(g_a[:exc.index]))
+                require_valid_covariance(g_a[:exc.index])
             raise
     s2_a = np.sum(np.log(np.diagonal(ell, axis1=-2, axis2=-1)), axis=-1)
     return g_t, ell, s2_a, s2_a + split.n_a * LN_E_OVER_2
