@@ -236,23 +236,25 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(str(exc), "modes") from exc
 
     ham_json, ham = _typed(doc, _H, "hamiltonian", _HAMILTONIANS, modes)
-    state_json, state = _typed(doc, _S, "state", _STATES, modes)
+    # the run before the state: a Fock state's size check reads its sample count
+    run = _check_run(_parse_section(RunParams, _get(doc, "run", None, _object), "run"))
+    state_json, state = _typed(doc, _S, "state", _STATES, modes, run)
     return ScenarioConfig(
         modes=modes, hamiltonian=ham, initial_state=state,
-        canonical={_H: ham_json, _S: state_json},
-        run=_check_run(_parse_section(RunParams, _get(doc, "run", None, _object), "run"), state),
+        canonical={_H: ham_json, _S: state_json}, run=run,
         tolerances=_parse_section(Tolerances, doc.get("tolerances", {}), "tolerances"),
         output=_parse_section(OutputSpec, doc.get("output", {}), "output"),
         scenario=_get(doc, "scenario", None, _string, None))
 
 
-def _typed(doc, path, what, readers, modes):
-    """The canonical JSON and the built object of a section, by the reader of its type."""
+def _typed(doc, path, what, readers, *args):
+    """The canonical JSON and the built object of a section, by the reader of its type,
+    which gets ``args`` after the section."""
     obj = _get(doc, path, None, _object)
     kind = _get(obj, "type", path, _string)
     if kind not in readers:
         raise ConfigError(f"unknown {what} type {kind!r}", f"{path}.type")
-    canonical, built = readers[kind](obj, modes)
+    canonical, built = readers[kind](obj, *args)
     return {"type": kind, **canonical}, built
 
 
@@ -268,7 +270,8 @@ def _build(path, what, make, *args, **kwargs):
 
 
 # section readers: each checks its type's keys and returns the section's
-# canonical JSON (less "type") and the object it describes
+# canonical JSON (less "type") and the object it describes; a state reader
+# also gets the parsed run
 
 
 def _read_constant(obj, modes):
@@ -339,7 +342,7 @@ _HAMILTONIANS = {"constant": _read_constant, "builtin": _read_builtin,
                  "piecewise": _read_piecewise, "fourier": _read_fourier}
 
 
-def _read_gaussian(obj, modes):
+def _read_gaussian(obj, modes, run):
     _object(obj, _S, ("type", "covariance"))
     if obj.get("covariance", "vacuum") == "vacuum":
         canonical, cov = "vacuum", np.eye(2 * modes.n_total)
@@ -350,7 +353,7 @@ def _read_gaussian(obj, modes):
     return {"covariance": canonical}, cov
 
 
-def _read_fock(obj, modes):
+def _read_fock(obj, modes, run):
     """The oracle's initial state, e.g. "fock:0,0", "superfock:1,0,0;1,2,0",
     "coherent:1.0", "cat:1.5"."""
     _object(obj, _S, ("type", "state", "cutoff"))
@@ -358,9 +361,9 @@ def _read_fock(obj, modes):
     n_modes = modes.n_total
     if not 1 <= n_modes <= 3:
         raise ConfigError("the Fock oracle supports 1 to 3 modes", "modes.total")
-    # the oracle's own truncation rules: lowest cutoff, and the memory budget
-    # for the initial state; parse_config checks the whole run's samples
-    _build(f"{_S}.cutoff", None, fock_mod.FockConfig, n_modes=n_modes, cutoff=cutoff, dt=1.0)
+    # the oracle's size rules for the whole run, before any amplitude tensor exists
+    n_samples = stored_count(step_count(run.t_final, run.dt), run.store_every)
+    _build(f"{_S}.cutoff", None, fock_mod.check_size, n_modes, cutoff, n_samples)
     return ({"state": text, "cutoff": cutoff},
             _build(f"{_S}.state", repr(text), _fock_from_text, text, cutoff, n_modes))
 
@@ -409,9 +412,8 @@ def stored_sample_index(times, t) -> int:
     return idx
 
 
-def _check_run(run: RunParams, state) -> RunParams:
-    """The rules that tie run fields to each other and to the initial state, applied
-    before any propagation."""
+def _check_run(run: RunParams) -> RunParams:
+    """The rules that tie run fields to each other, applied before any propagation."""
     if run.window is not None and run.window[0] >= run.t_final:
         raise ConfigError(f"window starts at {run.window[0]:g}, not before t_final "
                           f"{run.t_final:g}", "run.window")
@@ -419,9 +421,6 @@ def _check_run(run: RunParams, state) -> RunParams:
     stored = sample_times(run.t_final, run.dt, run.store_every) if run.bound_times else ()
     for t in run.bound_times:
         stored_sample_index(stored, t)
-    if isinstance(state, fock_mod.FockState):
-        n_samples = stored_count(step_count(run.t_final, run.dt), run.store_every)
-        _build(f"{_S}.cutoff", None, fock_mod.check_budget, state.n_modes, state.cutoff, n_samples)
     return run
 
 

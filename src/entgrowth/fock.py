@@ -11,14 +11,21 @@ of any mode.  Once exceeded, later samples are marked untrusted rather
 than silently kept; unstable dynamics leaves any fixed cutoff eventually,
 so honest windows beat adaptive cutoff growth.
 
-Size policy: a run's stored amplitudes, twice (the Schmidt stage stacks
-them), its sparse step operator and the Chebyshev vectors of one recurrence
-(at most the term count of a ``SPAN_CAP`` span) must fit ``MEMORY_BUDGET``
-bytes (:func:`check_budget`), with no cap on the modes or the dimension.
+Size policy, owned by :func:`check_size` alone: a cutoff of at least 4, and
+a run's stored amplitudes, twice (the Schmidt stage stacks them), its sparse
+step operator and the Chebyshev vectors of one recurrence (at most
+``SPAN_TERMS``, the term count of a ``SPAN_CAP`` span) must fit
+``MEMORY_BUDGET`` bytes, with no cap on the modes or the dimension.  The
+config parser runs it with the run's sample count before it builds the
+state, and :func:`evolve_fock` runs it once more.  The state owns its
+shape; :class:`FockConfig` holds only the step and the leak ceiling.
+
+The operator is one sparse product, [xi_1 ... xi_2N] (h (x) I) [xi_1; ...;
+xi_2N] = h_ab xi^a xi^b, Hermitian-averaged (:func:`build_hamiltonian`).
 
 ``scipy.sparse``, ``scipy.fft`` and ``scipy.special`` are imported by the
-functions that use them, on first use, so importing this module (as the
-config parser does) loads none of them.
+functions that use them, on first use, so importing this module and
+parsing a Fock config load none of them.
 """
 
 import math
@@ -39,21 +46,24 @@ CHEBYSHEV_CUT = 1e-17     # a series ends where |J_k| falls below this
 # largest x = tau w one recurrence spans: its outputs cost samples x terms x dim,
 # which grows with the square of the span
 SPAN_CAP = 64.0
+SPAN_TERMS = 111          # _term_count(SPAN_CAP), kept as a number so sizing loads no Bessel code
 LEAK_CEILING = 1e-6       # default ceiling on the top-two-level population of any mode
 
 
-def check_budget(n_modes: int, cutoff: int, n_samples: int) -> None:
-    """Raise ValueError when a run of ``n_samples`` stored samples exceeds ``MEMORY_BUDGET``.
+def check_size(n_modes: int, cutoff: int, n_samples: int) -> None:
+    """Raise ValueError for a cutoff below 4 or a run of ``n_samples`` over ``MEMORY_BUDGET``.
 
     A run holds its stored amplitude vectors twice (:func:`schmidt_entropies`
     stacks them), its sparse step operator and the Chebyshev vectors of one
-    recurrence, at most the term count of a ``SPAN_CAP`` span.  A quadratic
-    form moves the occupations by at most two quanta, in one mode or across
-    two, so the operator has at most 2 N^2 + 1 nonzero diagonals: each
-    nonzero costs a complex value and a column index, each row a pointer.
+    recurrence, at most ``SPAN_TERMS``.  A quadratic form moves the
+    occupations by at most two quanta, in one mode or across two, so the
+    operator has at most 2 N^2 + 1 nonzero diagonals: each nonzero costs a
+    complex value and a column index, each row a pointer.
     """
+    if cutoff < 4:
+        raise ValueError("cutoff must be at least 4")
     dim = cutoff ** n_modes
-    need = (16 * (2 * n_samples + _term_count(SPAN_CAP)) * dim
+    need = (16 * (2 * n_samples + SPAN_TERMS) * dim
             + 20 * (2 * n_modes ** 2 + 1) * dim + 4 * (dim + 1))
     if need > MEMORY_BUDGET:
         raise ValueError(f"{n_samples} stored samples at dimension {dim} need "
@@ -63,25 +73,14 @@ def check_budget(n_modes: int, cutoff: int, n_samples: int) -> None:
 
 @dataclass(frozen=True)
 class FockConfig:
-    """Truncation and stepping parameters of the oracle."""
+    """Stepping and truncation parameters of the oracle; the state carries its modes and cutoff."""
 
-    n_modes: int
-    cutoff: int
     dt: float
     leak_ceiling: float = LEAK_CEILING
 
     def __post_init__(self):
-        if not 1 <= self.n_modes <= 3:
-            raise ValueError("oracle supports 1 to 3 modes")
-        if self.cutoff < 4:
-            raise ValueError("cutoff must be at least 4")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        check_budget(self.n_modes, self.cutoff, 1)    # the initial state at least
-
-    @property
-    def dim(self) -> int:
-        return self.cutoff ** self.n_modes
 
 
 @lru_cache(maxsize=8)
@@ -114,32 +113,22 @@ def build_quadratures(n_modes: int, cutoff: int) -> tuple:
     return tuple(ops)
 
 
-def build_hamiltonian(ham: QuadraticHamiltonian, t: float, cfg: FockConfig):
-    """Sparse (CSR) Hermitian operator (1/4) h_ab (xi^a xi^b + xi^b xi^a).
+def build_hamiltonian(ham: QuadraticHamiltonian, t: float, cutoff: int):
+    """Sparse (CSR) Hermitian operator (1/4) h_ab (xi^a xi^b + xi^b xi^a) at ``cutoff`` levels per mode.
 
-    For symmetric h this equals (1/2) h_ab xi^a xi^b as an operator (the
-    commutator term cancels against the antisymmetric form), but the
-    symmetrized evaluation keeps the truncated matrix Hermitian by
-    construction, exactly: entry (i, j) of op + op^H and the conjugate of
-    entry (j, i) add the same two numbers.
+    One sparse product gives op = [xi_1 ... xi_2N] (h (x) I) [xi_1; ...; xi_2N]
+    = h_ab xi^a xi^b.  For symmetric h, op / 2 equals the symmetrized form as
+    an operator (the commutator term cancels against the antisymmetric
+    form), but the symmetrized evaluation (op + op^H) / 4 keeps the
+    truncated matrix Hermitian by construction, exactly: entry (i, j) of
+    op + op^H and the conjugate of entry (j, i) add the same two numbers.
     """
     from scipy import sparse
 
-    h = np.asarray(ham.h(t), dtype=float)
-    if h.shape != (2 * cfg.n_modes, 2 * cfg.n_modes):
-        raise DimensionMismatch(f"form is {h.shape}, config has {cfg.n_modes} modes")
-    xi = build_quadratures(cfg.n_modes, cfg.cutoff)
-    op = sparse.csr_matrix((cfg.dim, cfg.dim), dtype=complex)
-    for a in range(2 * cfg.n_modes):
-        row = h[a].tolist()     # Python floats scale a sparse matrix under every numpy
-        if not any(row):
-            continue
-        acc = sparse.csr_matrix((cfg.dim, cfg.dim), dtype=complex)
-        for b in range(2 * cfg.n_modes):
-            if row[b] != 0.0:
-                acc = acc + row[b] * xi[b]
-        op = op + 0.5 * (xi[a] @ acc)
-    return (0.5 * (op + op.conj().T)).tocsr()
+    xi = build_quadratures(ham.n_modes, cutoff)
+    h = sparse.kron(ham.h(t), sparse.identity(xi[0].shape[0]), format="csr")
+    op = sparse.hstack(xi, format="csr") @ (h @ sparse.vstack(xi, format="csr"))
+    return (0.25 * (op + op.conj().T)).tocsr()
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,8 +174,7 @@ class _Segments(tuple):
 def _term_count(x: float) -> int:
     """Terms of the series at x = tau w: up to the last k with |J_k(x)| above ``CHEBYSHEV_CUT``.
 
-    Cached: every budget check asks for the count at ``SPAN_CAP``, and
-    each J_k call costs a few microseconds at these orders.
+    Cached: each J_k call costs a few microseconds at these orders.
     """
     from scipy.special import jv
 
@@ -388,15 +376,14 @@ def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
     coefficients, accurate to roundoff.  A recurrence spans at most x =
     tau w = ``SPAN_CAP`` = 64 and then restarts from its last state,
     because accumulating its outputs costs samples x terms x dim, which
-    grows with the square of the span.  A run must fit the memory budget
-    of :func:`check_budget`.  The norm drift and the top-level population
-    of the stored samples are checked once per recurrence group.  Once the
-    top-level population exceeds the ceiling, all later samples are
-    flagged untrusted; an initial state already over the ceiling is
-    rejected outright.
+    grows with the square of the span.  A run must pass :func:`check_size`.
+    The norm drift and the top-level population of the stored samples are
+    checked once per recurrence group.  Once the top-level population
+    exceeds the ceiling, all later samples are flagged untrusted; an
+    initial state already over the ceiling is rejected outright.
     """
-    if psi0.n_modes != cfg.n_modes or psi0.cutoff != cfg.cutoff:
-        raise DimensionMismatch("state shape does not match config")
+    if ham.n_modes != psi0.n_modes:
+        raise DimensionMismatch(f"Hamiltonian has {ham.n_modes} modes, state has {psi0.n_modes}")
     if abs(psi0.norm - 1.0) > 1e-8:
         raise ValueError(f"initial state norm {psi0.norm} not 1")
     leak0 = top_level_population(psi0)
@@ -406,7 +393,7 @@ def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
 
     n_steps = step_count(t_final, cfg.dt)
     events = stored_steps(n_steps, store_every)[1:]
-    check_budget(cfg.n_modes, cfg.cutoff, len(events) + 1)
+    check_size(psi0.n_modes, psi0.cutoff, len(events) + 1)
     shape = psi0.amplitudes.shape
     frames = {}    # piece index -> Chebyshev frame of its Fock operator
 
@@ -414,7 +401,7 @@ def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
         piece = ham.piece_at(t_mid)
         frame = frames.get(piece)
         if frame is None:
-            frame = _chebyshev_frame(build_hamiltonian(ham, t_mid, cfg))
+            frame = _chebyshev_frame(build_hamiltonian(ham, t_mid, psi0.cutoff))
             if piece is not None:
                 frames[piece] = frame
         return _Segments(((frame, length),))

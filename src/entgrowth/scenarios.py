@@ -33,7 +33,7 @@ from .dynamics import (
     stroboscopic_generator,
 )
 from .entropy import LN_E_OVER_2, _spectrum_entropy, von_neumann_entropy
-from .errors import ConfigError, EntgrowthError, NoRealLogarithm
+from .errors import ConfigError, EntgrowthError, NoRealLogarithm, WindowTooShort
 from .fitting import fit_slope, windowed
 from .lyapunov import lyapunov_spectrum, regularity_check
 from .phase_space import (
@@ -388,9 +388,20 @@ def _stage(name, block, times):
               f"{name} stage, {block} at t={times[exc.index]:.6g}")
 
 
+@contextmanager
+def _fit_stage(name, window):
+    """Name the stage and the window in a slope fit's failure."""
+    try:
+        yield
+    except WindowTooShort as exc:
+        raise WindowTooShort(f"{name} stage, window [{window[0]:.6g}, {window[1]:.6g}]: "
+                             f"{exc}") from exc
+
+
 def _exponent_section(report, split, lyap, series, s2_a):
     alg = subsystem_exponent_algebraic(SubsystemSpec.first_modes(split.n_a, split.n_total), lyap)
-    vol = volumetric_slope_fit(series.times, s2_a, series.t_final)
+    with _fit_stage("exponent", (0.5 * series.t_final, series.t_final)):
+        vol = volumetric_slope_fit(series.times, s2_a, series.t_final)
     report.add("exponent", {
         "lambda_alg": alg.lambda_a, "indices": list(alg.indices),
         "generic_lambda": alg.generic_lambda, "generic_agrees": alg.generic_agrees,
@@ -493,8 +504,8 @@ def _gaussian_stages(report, cfg, series, lyap):
                    in zip(series.times.tolist(), *(col.tolist() for col in columns))]
 
     window = cfg.run.window or (0.5 * series.t_final, series.t_final)
-    t_w, s_w = windowed(series.times, columns[0], *window)
-    fit = fit_slope(t_w, s_w)
+    with _fit_stage("slopes", window):
+        fit = fit_slope(*windowed(series.times, columns[0], *window))
     lambda_ref = alg.lambda_a
     rel_dev = abs(fit.slope - lambda_ref) / max(abs(lambda_ref), 1e-12)
     report.add("slopes", {"s_vn_slope": fit.slope, "stderr": fit.stderr,
@@ -552,8 +563,7 @@ def _fock_stages(report, cfg, series, lyap):
     modes_a = tuple(range(split.n_a))
     sub_a = SubsystemSpec.first_modes(split.n_a, split.n_total)
     psi0 = cfg.initial_state
-    fcfg = fock_mod.FockConfig(n_modes=split.n_total, cutoff=psi0.cutoff,
-                               dt=cfg.run.dt, leak_ceiling=cfg.tolerances.leak_ceiling)
+    fcfg = fock_mod.FockConfig(dt=cfg.run.dt, leak_ceiling=cfg.tolerances.leak_ceiling)
     g0, _ = fock_mod.covariance_of(psi0)
 
     traj = fock_mod.evolve_fock(psi0, cfg.hamiltonian, cfg.run.t_final, fcfg,
@@ -579,8 +589,8 @@ def _fock_stages(report, cfg, series, lyap):
     t_trust = traj.trusted_until
     window = cfg.run.window or (cfg.run.window_fraction * t_trust, t_trust)
     mask = traj.trusted
-    t_w, s_w = windowed(traj.times[mask], s_vn[mask], *window)
-    fit = fit_slope(t_w, s_w)
+    with _fit_stage("oracle", window):
+        fit = fit_slope(*windowed(traj.times[mask], s_vn[mask], *window))
     rel_dev = abs(fit.slope - alg.lambda_a) / max(abs(alg.lambda_a), 1e-12)
     report.add("oracle", {
         "slope": fit.slope, "stderr": fit.stderr, "window": list(fit.window),

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entgrowth import cli
+from entgrowth import cli, fock
+from entgrowth import config as config_mod
 from entgrowth.config import (
     OutputSpec,
     RunParams,
@@ -475,13 +476,17 @@ def test_cli_oracle_command(tmp_path):
     assert res.returncode == 2
 
 
-def test_shipped_oracle_config_runs(tmp_path):
-    import pathlib
+def test_shipped_oracle_config_runs(monkeypatch):
+    # the size rules run twice: at parse for the run's 61 stored samples, and in evolve_fock
+    sizes = []
+    check_size = fock.check_size
+    monkeypatch.setattr(fock, "check_size", lambda *args: sizes.append(args) or check_size(*args))
     cfg_path = pathlib.Path(__file__).resolve().parent.parent / "configs" / "oracle_two_mode_squeezing.json"
     cfg = parse_config(cfg_path.read_text())
     rep = run_scenario(cfg, write_outputs=False)
     assert rep.ok, (rep.failures, rep.warnings)
     assert rep.sections["oracle"]["rel_dev"] <= 0.1
+    assert sizes == [(2, 20, 61), (2, 20, 61)]
 
 
 def test_fock_config_through_pipeline(tmp_path):
@@ -556,6 +561,30 @@ def test_bad_fock_state_rejected_at_parse(tmp_path, capsys, state, cutoff, field
     with pytest.raises(ConfigError, match=field):
         parse_config(json.dumps(doc))
     cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", str(cfg_path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_modes, state, cutoff, field", [
+    (4, "fock:0,0,0,0", 4, "modes.total"),
+    (3, "fock:0,0,0", 10_000, "initial_state.cutoff"),
+])
+def test_fock_size_rules_reject_before_the_state_is_built(monkeypatch, tmp_path, capsys,
+                                                         n_modes, state, cutoff, field):
+    # the cases of test_bad_fock_state_rejected_at_parse that need another
+    # mode count; 3 modes at cutoff 10,000 would be a 16 TB amplitude tensor
+    def no_state(*args):
+        raise AssertionError("state built before the size rules ran")
+
+    monkeypatch.setattr(config_mod, "_fock_from_text", no_state)
+    doc = {"modes": {"total": n_modes, "subsystem": 1},
+           "hamiltonian": {"type": "constant", "h": matrix_to_json(np.eye(2 * n_modes))},
+           "initial_state": {"type": "fock", "state": state, "cutoff": cutoff},
+           "run": {"t_final": 0.1, "dt": 0.01}}
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: "):
+        parse_config(json.dumps(doc))
+    cfg_path = tmp_path / "big.json"
     cfg_path.write_text(json.dumps(doc))
     assert cli.main(["simulate", str(cfg_path)]) == 2
     assert field in capsys.readouterr().err

@@ -16,7 +16,7 @@ import entgrowth.fock as fock
 from entgrowth.config import matrix_to_json, parse_config
 from entgrowth.dynamics import QuadraticHamiltonian, evolve_covariance, propagate
 from entgrowth.entropy import renyi2_entropy, von_neumann_entropy
-from entgrowth.errors import TruncationLeak
+from entgrowth.errors import DimensionMismatch, TruncationLeak
 from entgrowth.fitting import fit_slope
 from entgrowth.fock import (
     SPAN_CAP,
@@ -36,14 +36,12 @@ TMS = QuadraticHamiltonian.constant(two_mode_squeezing_form())
 
 
 def test_quadrature_matrix_smallest_cutoff():
-    cfg = FockConfig(n_modes=1, cutoff=4, dt=0.1)
-    q = build_quadratures(cfg.n_modes, cfg.cutoff)[0].toarray()
+    q = build_quadratures(1, 4)[0].toarray()
     assert np.allclose(q[:2, :2].real, [[0.0, 1 / math.sqrt(2)], [1 / math.sqrt(2), 0.0]])
 
 
 def test_vacuum_quadrature_variance():
-    cfg = FockConfig(n_modes=1, cutoff=8, dt=0.1)
-    q, p = (m.toarray() for m in build_quadratures(cfg.n_modes, cfg.cutoff))
+    q, p = (m.toarray() for m in build_quadratures(1, 8))
     vac = np.zeros(8)
     vac[0] = 1.0
     assert abs(vac @ (q @ q) @ vac - 0.5) < 1e-12
@@ -51,24 +49,21 @@ def test_vacuum_quadrature_variance():
 
 
 def test_commutator_on_interior_block():
-    cfg = FockConfig(n_modes=1, cutoff=10, dt=0.1)
-    q, p = (m.toarray() for m in build_quadratures(cfg.n_modes, cfg.cutoff))
+    q, p = (m.toarray() for m in build_quadratures(1, 10))
     comm = q @ p - p @ q
     interior = comm[: 9, : 9]
     assert np.allclose(interior, 1j * np.eye(9), atol=1e-12)
 
 
 def test_two_mode_commutators_cross_vanish():
-    cfg = FockConfig(n_modes=2, cutoff=5, dt=0.1)
-    q1, p1, q2, p2 = (m.toarray() for m in build_quadratures(cfg.n_modes, cfg.cutoff))
+    q1, p1, q2, p2 = (m.toarray() for m in build_quadratures(2, 5))
     assert np.max(np.abs(q1 @ q2 - q2 @ q1)) < 1e-14
     assert np.max(np.abs(q1 @ p2 - p2 @ q1)) < 1e-14
 
 
 def test_harmonic_hamiltonian_interior_spectrum():
-    cfg = FockConfig(n_modes=1, cutoff=12, dt=0.1)
     ham = QuadraticHamiltonian.constant(np.eye(2))
-    op = build_hamiltonian(ham, 0.0, cfg).toarray()
+    op = build_hamiltonian(ham, 0.0, 12).toarray()
     # (q^2 + p^2)/2 is diagonal on the ladder: n + 1/2 on interior levels,
     # with the truncation anomaly confined to the very top entry
     assert np.max(np.abs(op - np.diag(np.diag(op)))) < 1e-12
@@ -78,12 +73,11 @@ def test_harmonic_hamiltonian_interior_spectrum():
 
 
 def test_metastable_hamiltonian_is_hermitian_coupling():
-    cfg = FockConfig(n_modes=2, cutoff=6, dt=0.1)
     ham = QuadraticHamiltonian.constant(metastable_form())
-    op = build_hamiltonian(ham, 0.0, cfg).toarray()
+    op = build_hamiltonian(ham, 0.0, 6).toarray()
     assert np.max(np.abs(op - op.conj().T)) < 1e-12
     # equals (p1 q2 + q2 p1)/2 built directly from the quadratures
-    _, p1, q2, _ = (m.toarray() for m in build_quadratures(cfg.n_modes, cfg.cutoff))
+    _, p1, q2, _ = (m.toarray() for m in build_quadratures(2, 6))
     direct = 0.5 * (p1 @ q2 + q2 @ p1)
     assert np.max(np.abs(op - direct)) < 1e-12
 
@@ -100,12 +94,16 @@ def fock_forms(draw):
 @settings(max_examples=40, deadline=None)
 @given(fock_forms())
 def test_build_hamiltonian_is_exactly_hermitian(form):
-    # 0.5 (op + op^H) adds the same two numbers at (i, j) and, conjugated,
-    # at (j, i), so the operator needs no Hermiticity check
+    # (op + op^H) / 4 adds the same two numbers at (i, j) and, conjugated,
+    # at (j, i), so the operator needs no Hermiticity check; every entry is
+    # the dense (1/4) h_ab (xi_a xi_b + xi_b xi_a) to roundoff
     h, cutoff = form
-    cfg = FockConfig(n_modes=h.shape[0] // 2, cutoff=cutoff, dt=0.1)
-    op = build_hamiltonian(QuadraticHamiltonian.constant(h), 0.0, cfg).toarray()
+    op = build_hamiltonian(QuadraticHamiltonian.constant(h), 0.0, cutoff).toarray()
     assert np.array_equal(op, op.conj().T)
+    xi = [m.toarray() for m in build_quadratures(h.shape[0] // 2, cutoff)]
+    dense = sum(0.25 * h[a, b] * (xi[a] @ xi[b] + xi[b] @ xi[a])
+                for a in range(len(xi)) for b in range(len(xi)))
+    assert np.allclose(op, dense, rtol=0.0, atol=1e-14 * cutoff * np.abs(h).sum())
 
 
 @st.composite
@@ -129,11 +127,11 @@ def test_chebyshev_step_matches_dense_exponential(case):
     # of the same sparse operator
     h, cutoff, s, psi = case
     n = h.shape[0] // 2
-    cfg = FockConfig(n_modes=n, cutoff=cutoff, dt=s, leak_ceiling=1.0)
+    cfg = FockConfig(dt=s, leak_ceiling=1.0)
     ham = QuadraticHamiltonian.constant(h)
     traj = evolve_fock(FockState(psi.reshape((cutoff,) * n)), ham, s, cfg)
     out = traj.states[-1].amplitudes.ravel()
-    exact = expm(-1j * s * build_hamiltonian(ham, 0.0, cfg).toarray()) @ psi
+    exact = expm(-1j * s * build_hamiltonian(ham, 0.0, cutoff).toarray()) @ psi
     assert np.max(np.abs(out - exact)) < 1e-12
     assert abs(np.linalg.norm(out) - 1.0) < 1e-13
 
@@ -149,12 +147,12 @@ def test_periodic_pieces_match_the_dense_product(case, durations, periods, per_p
     forms = [h] + [np.roll(h, k, axis=(0, 1)) * (-1) ** k for k in range(1, len(durations))]
     period = sum(durations)
     ham = QuadraticHamiltonian.piecewise(list(zip(durations, forms)), period)
-    cfg = FockConfig(n_modes=n, cutoff=cutoff, dt=period / per_period, leak_ceiling=1.0)
+    cfg = FockConfig(dt=period / per_period, leak_ceiling=1.0)
     traj = evolve_fock(FockState(psi.reshape((cutoff,) * n)), ham, periods * period, cfg,
                        store_every=store)
     one_period = np.eye(cutoff ** n)
     for d, form in zip(durations, forms):
-        op = build_hamiltonian(QuadraticHamiltonian.constant(form), 0.0, cfg).toarray()
+        op = build_hamiltonian(QuadraticHamiltonian.constant(form), 0.0, cutoff).toarray()
         one_period = expm(-1j * d * op) @ one_period
     exact = np.linalg.matrix_power(one_period, periods) @ psi
     assert np.max(np.abs(traj.states[-1].amplitudes.ravel() - exact)) < 1e-12
@@ -169,16 +167,15 @@ def _random_state(cutoff, n, seed):
 def test_every_stored_state_of_a_constant_run_matches_the_dense_exponential(monkeypatch):
     # 300 stored samples on one operator; at cutoff 8 the frame half-width is
     # w = 13, so the horizon spans x = 78 > SPAN_CAP and one restart runs
-    spans = []    # the x of the budget check at the cap, then of each recurrence
+    spans = []    # the x of each recurrence
     real_count = fock._term_count
     monkeypatch.setattr(fock, "_term_count", lambda x: spans.append(x) or real_count(x))
-    cfg = FockConfig(n_modes=2, cutoff=8, dt=0.02, leak_ceiling=1.0)
-    op = build_hamiltonian(TMS, 0.0, cfg)
+    cfg = FockConfig(dt=0.02, leak_ceiling=1.0)
+    op = build_hamiltonian(TMS, 0.0, 8)
     assert 6.0 * fock._chebyshev_frame(op).w > SPAN_CAP
     psi0 = _random_state(8, 2, 5)
-    spans.clear()
     traj = evolve_fock(psi0, TMS, 6.0, cfg, store_every=1)
-    assert len(traj.states) == 301 and len(spans) == 3 and max(spans) <= SPAN_CAP
+    assert len(traj.states) == 301 and len(spans) == 2 and max(spans) <= SPAN_CAP
     step = expm(-1j * 0.02 * op.toarray())
     psi = psi0.amplitudes.ravel()
     for state in traj.states[1:]:
@@ -187,7 +184,7 @@ def test_every_stored_state_of_a_constant_run_matches_the_dense_exponential(monk
     # one stored segment of x = 78 runs as two equal parts
     spans.clear()
     last = evolve_fock(psi0, TMS, 6.0, cfg, store_every=300).states[-1]
-    assert len(spans) == 3 and max(spans) <= SPAN_CAP
+    assert len(spans) == 2 and max(spans) <= SPAN_CAP
     assert np.max(np.abs(last.amplitudes.ravel() - psi)) < 1e-12
 
 
@@ -200,10 +197,10 @@ def test_every_stored_state_of_a_piecewise_run_matches_the_dense_exponentials():
     forms = [two_mode_squeezing_form(), beam]
     durations = [1.63, 1.57]
     ham = QuadraticHamiltonian.piecewise(list(zip(durations, forms)), 3.2)
-    cfg = FockConfig(n_modes=2, cutoff=6, dt=0.05, leak_ceiling=1.0)
+    cfg = FockConfig(dt=0.05, leak_ceiling=1.0)
     psi0 = _random_state(6, 2, 6)
     traj = evolve_fock(psi0, ham, 6.4, cfg, store_every=1)
-    ops = [build_hamiltonian(QuadraticHamiltonian.constant(f), 0.0, cfg).toarray() for f in forms]
+    ops = [build_hamiltonian(QuadraticHamiltonian.constant(f), 0.0, 6).toarray() for f in forms]
     assert len(traj.times) == 129
     psi, t_prev = psi0.amplitudes.ravel(), 0.0
     edges = [1.63, 3.2, 4.83, 6.4]
@@ -221,6 +218,7 @@ def test_chebyshev_coefficients_match_bessel_functions():
     # theta carries a rounding of order x ulp (near x = 64 the two differ
     # by up to 2.4e-15, and scipy's J_k alone by up to 1.8e-15 from mpmath)
     n_terms = fock._term_count(SPAN_CAP)
+    assert n_terms == fock.SPAN_TERMS    # the count the size check reads
     xs = np.linspace(0.0, SPAN_CAP, 641)
     ks = np.arange(n_terms)
     coef = fock._chebyshev_coefficients(xs, n_terms)
@@ -237,8 +235,7 @@ def test_one_recurrence_equals_two_in_turn(case, s1, s2):
     # exp(-i (s1 + s2) H) psi from one recurrence, from s1 then s2, and as
     # the second row of one recurrence over both
     h, cutoff, _, psi = case
-    cfg = FockConfig(n_modes=h.shape[0] // 2, cutoff=cutoff, dt=0.1)
-    frame = fock._chebyshev_frame(build_hamiltonian(QuadraticHamiltonian.constant(h), 0.0, cfg))
+    frame = fock._chebyshev_frame(build_hamiltonian(QuadraticHamiltonian.constant(h), 0.0, cutoff))
     whole = fock._chebyshev_states(frame, psi, [s1 + s2])[0]
     halves = fock._chebyshev_states(frame, fock._chebyshev_states(frame, psi, [s1])[0], [s2])[0]
     rows = fock._chebyshev_states(frame, psi, [s1, s2])
@@ -250,7 +247,7 @@ def test_subnormal_form_keeps_the_state_without_a_warning():
     # h12 = 1e-310 gives a Gershgorin half-width whose 2 / w overflows; the
     # frame takes it as w = 0, so no NaN enters the operator and the state stays
     h = np.array([[0.0, 1e-310], [1e-310, 0.0]])
-    cfg = FockConfig(n_modes=1, cutoff=4, dt=0.1)
+    cfg = FockConfig(dt=0.1)
     psi0 = FockState.superposition([(1.0, (0,)), (1j, (1,))], 4, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -261,7 +258,7 @@ def test_subnormal_form_keeps_the_state_without_a_warning():
 
 
 def test_harmonic_eigenstate_survival():
-    cfg = FockConfig(n_modes=1, cutoff=10, dt=0.01)
+    cfg = FockConfig(dt=0.01)
     ham = QuadraticHamiltonian.constant(np.eye(2))
     psi0 = FockState.fock((1,), 10)
     traj = evolve_fock(psi0, ham, 2.0, cfg, store_every=20)
@@ -277,13 +274,13 @@ def test_constant_hamiltonian_is_built_once(monkeypatch):
         return build_hamiltonian(*args)
 
     monkeypatch.setattr(fock, "build_hamiltonian", counting_build)
-    cfg = FockConfig(n_modes=2, cutoff=8, dt=0.005, leak_ceiling=1.0)
+    cfg = FockConfig(dt=0.005, leak_ceiling=1.0)
     traj = evolve_fock(FockState.fock((0, 0), 8), TMS, 0.63, cfg, store_every=40)
     assert len(traj.times) == 5 and len(builds) == 1     # 126 steps, a shorter last segment
 
 
 def test_tms_covariance_matches_gaussian_propagation():
-    cfg = FockConfig(n_modes=2, cutoff=16, dt=0.005, leak_ceiling=1e-6)
+    cfg = FockConfig(dt=0.005, leak_ceiling=1e-6)
     psi0 = FockState.fock((0, 0), 16)
     traj = evolve_fock(psi0, TMS, 0.6, cfg, store_every=40)
     gauss = propagate(TMS, 0.6, 0.005, store_every=40)
@@ -309,11 +306,11 @@ def test_three_modes_at_cutoff_20_match_gaussian_propagation():
         "initial_state": {"type": "fock", "state": "fock:0,0,0", "cutoff": 20},
         "run": {"t_final": 0.8, "dt": 0.01, "store_every": 20}}))
     run = cfg.run
-    fcfg = FockConfig(n_modes=3, cutoff=20, dt=run.dt, leak_ceiling=1e-6)
+    fcfg = FockConfig(dt=run.dt, leak_ceiling=1e-6)
     traj = evolve_fock(cfg.initial_state, cfg.hamiltonian, run.t_final, fcfg,
                        store_every=run.store_every)
     gauss = propagate(cfg.hamiltonian, run.t_final, run.dt, store_every=run.store_every)
-    assert fcfg.dim == 8000 and traj.trusted.all() and len(traj.times) == 5
+    assert cfg.initial_state.amplitudes.size == 8000 and traj.trusted.all() and len(traj.times) == 5
     for state, leak, m in zip(traj.states, traj.leaks, gauss.matrices):
         g_fock, _ = covariance_of(state)
         # the slack covariance_of widens by the leak
@@ -325,7 +322,7 @@ def test_metastable_fock_log_growth():
     # mode-1 volume element grows like t, so the Renyi-2 entropy of the
     # oracle covariance follows 0.5 ln(1 + t^2), i.e. ln t growth; the
     # occupation grows ~ t^2/4, so the cutoff only covers a couple of e-folds
-    cfg = FockConfig(n_modes=2, cutoff=20, dt=0.01, leak_ceiling=1e-4)
+    cfg = FockConfig(dt=0.01, leak_ceiling=1e-4)
     ham = QuadraticHamiltonian.constant(metastable_form())
     psi0 = FockState.fock((0, 0), 20)
     traj = evolve_fock(psi0, ham, 4.0, cfg, store_every=20)
@@ -356,7 +353,7 @@ def test_reduced_entropy_bell_like():
 
 
 def test_reduced_entropy_matches_gaussian_for_squeezed_vacuum():
-    cfg = FockConfig(n_modes=2, cutoff=20, dt=0.005, leak_ceiling=1e-6)
+    cfg = FockConfig(dt=0.005, leak_ceiling=1e-6)
     psi0 = FockState.fock((0, 0), 20)
     traj = evolve_fock(psi0, TMS, 0.5, cfg, store_every=100)
     state = traj.states[-1]
@@ -368,7 +365,7 @@ def test_reduced_entropy_matches_gaussian_for_squeezed_vacuum():
 
 
 def test_global_purity_of_schmidt_spectrum():
-    cfg = FockConfig(n_modes=2, cutoff=14, dt=0.01, leak_ceiling=1e-4)
+    cfg = FockConfig(dt=0.01, leak_ceiling=1e-4)
     psi0 = FockState.superposition([(1.0, (0, 0)), (1.0, (2, 0))], 14, 2)
     traj = evolve_fock(psi0, TMS, 0.4, cfg, store_every=40)
     from entgrowth.fock import _schmidt_values
@@ -377,7 +374,7 @@ def test_global_purity_of_schmidt_spectrum():
 
 
 def test_gaussian_envelope_upper_bounds_entropy():
-    cfg = FockConfig(n_modes=2, cutoff=18, dt=0.005, leak_ceiling=1e-4)
+    cfg = FockConfig(dt=0.005, leak_ceiling=1e-4)
     for psi0 in (FockState.fock((1, 0), 18),
                  FockState.superposition([(1.0, (0, 0)), (1.0, (2, 0))], 18, 2)):
         traj = evolve_fock(psi0, TMS, 0.7, cfg, store_every=35)
@@ -409,7 +406,7 @@ def test_cat_state_covariance_is_valid():
 
 
 def test_leak_flags_untrusted_tail():
-    cfg = FockConfig(n_modes=2, cutoff=8, dt=0.01, leak_ceiling=1e-6)
+    cfg = FockConfig(dt=0.01, leak_ceiling=1e-6)
     psi0 = FockState.fock((0, 0), 8)
     traj = evolve_fock(psi0, TMS, 2.0, cfg, store_every=10)
     assert not traj.trusted[-1]
@@ -418,8 +415,13 @@ def test_leak_flags_untrusted_tail():
     assert np.all(~traj.trusted[flipped[0]:])   # once untrusted, stays untrusted
 
 
+def test_state_and_hamiltonian_share_the_mode_count():
+    with pytest.raises(DimensionMismatch, match="Hamiltonian has 2 modes, state has 1"):
+        evolve_fock(FockState.fock((0,), 4), TMS, 0.1, FockConfig(dt=0.01))
+
+
 def test_initial_leak_rejected():
-    cfg = FockConfig(n_modes=1, cutoff=6, dt=0.01, leak_ceiling=1e-6)
+    cfg = FockConfig(dt=0.01, leak_ceiling=1e-6)
     psi0 = FockState.fock((5,), 6)
     with pytest.raises(TruncationLeak):
         evolve_fock(psi0, QuadraticHamiltonian.constant(np.eye(2)), 1.0, cfg)
@@ -464,7 +466,7 @@ def test_slope_state_independence():
 def test_coherent_state_oracle_matches_vacuum_growth():
     # displacement never enters the entanglement: a coherent state follows
     # the vacuum entropy trajectory exactly
-    cfg = FockConfig(n_modes=2, cutoff=20, dt=0.005, leak_ceiling=3e-3)
+    cfg = FockConfig(dt=0.005, leak_ceiling=3e-3)
     psi_vac = FockState.fock((0, 0), 20)
     psi_coh = FockState.coherent([0.5, -0.3], 20)
     t_vac = evolve_fock(psi_vac, TMS, 0.8, cfg, store_every=40)

@@ -35,10 +35,13 @@ SCRIPT = textwrap.dedent("""
     assert entgrowth.cli.main(["scenario", "run", "inverted_pair"]) == 0
     run(json.dumps(sc.scenario_document("coupled_chain")))
     record()
+    with open({oracle!r}) as fh:
+        oracle = fh.read()
+    parse_config(oracle)
+    record()
     run(json.dumps(sc.scenario_document("metastable")))   # four bound times
     record()
-    with open({oracle!r}) as fh:
-        run(fh.read())
+    run(oracle)
     record()
     print(json.dumps(stages))
 """)
@@ -49,10 +52,12 @@ def test_flow_runs_load_no_minimizer_or_fock_modules():
     res = subprocess.run([sys.executable, "-c", SCRIPT.format(deferred=DEFERRED, oracle=oracle)],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    base, flow, bounds, oracle_run = (set(names) for names in json.loads(res.stdout.splitlines()[-1]))
-    # the CLI and library flow runs add none of the four
+    stages = json.loads(res.stdout.splitlines()[-1])
+    base, flow, oracle_parse, bounds, oracle_run = (set(names) for names in stages)
+    # the CLI and library flow runs add none of the four, nor does parsing a Fock config
     assert flow == base
+    assert oracle_parse == base
     # the first bound minimization loads the minimizer
-    assert "scipy.optimize" in bounds - flow
+    assert "scipy.optimize" in bounds - oracle_parse
     # the oracle has what it uses (scipy.optimize may have loaded some already)
     assert oracle_run >= {"scipy.sparse", "scipy.fft", "scipy.special"}

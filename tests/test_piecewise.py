@@ -106,7 +106,7 @@ def test_piecewise_config_builtin_agree_bitwise_and_callable_to_roundoff():
     # the callable is stepped per dt, the data per segment: same flow, other roundoff
     assert np.max(np.abs(runs[2] - runs[0])) <= 1e-10 * (1.0 + np.max(np.abs(runs[0])))
 
-    cfg = FockConfig(n_modes=2, cutoff=8, dt=0.01, leak_ceiling=1.0)
+    cfg = FockConfig(dt=0.01, leak_ceiling=1.0)
     psi0 = FockState.fock((0, 0), 8)
     states = [evolve_fock(psi0, ham, 1.2, cfg, store_every=30).states
               for ham in (built, from_config, wrapped)]

@@ -246,15 +246,43 @@ def test_lyapunov_failure_names_its_stage_and_horizon():
 def test_fock_failure_names_its_stage_and_time(monkeypatch):
     real_build = fock.build_hamiltonian
 
-    def lossy_build(ham, t, cfg):
+    def lossy_build(ham, t, cutoff):
         # exp(-i s H) then loses norm like e^{-0.1 s}
-        return real_build(ham, t, cfg) - 0.1j * sparse.identity(cfg.dim, format="csr")
+        return real_build(ham, t, cutoff) - 0.1j * sparse.identity(cutoff ** 2, format="csr")
 
     ham = builtin_hamiltonian("two_mode_squeezing", ModeCount(2, 1))
-    cfg = fock.FockConfig(n_modes=2, cutoff=8, dt=0.01, leak_ceiling=1.0)
+    cfg = fock.FockConfig(dt=0.01, leak_ceiling=1.0)
     monkeypatch.setattr(fock, "build_hamiltonian", lossy_build)
     with pytest.raises(RuntimeError, match=r"^fock stage at t=0\.05: norm drift"):
         fock.evolve_fock(fock.FockState.fock((0, 0), 8), ham, 0.5, cfg, store_every=5)
+
+
+def test_gaussian_fit_failures_name_their_stage_and_window():
+    # samples at t = 0, 6, ..., 24 leave 3 in the fit window [12, 24]
+    doc = scenario_document("inverted_pair")
+    doc["run"]["store_every"] = 3000
+    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    assert rep.failures == ["WindowTooShort: exponent stage, window [12, 24]: "
+                            "need at least 4 samples, got 3"], rep.failures
+    assert list(rep.sections) == ["propagation", "lyapunov"]
+    # a run.window with one stored sample fails the entropy-slope fit
+    doc = scenario_document("inverted_pair")
+    doc["run"]["window"] = [23.9, 24.0]
+    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    assert rep.failures == ["WindowTooShort: slopes stage, window [23.9, 24]: "
+                            "need at least 4 samples, got 1"], rep.failures
+
+
+def test_oracle_fit_failure_names_its_stage_and_window():
+    # at cutoff 6 the leak ends trust at t=0.175, so [0.75 t, t] holds 2 samples
+    doc = {"modes": {"total": 2, "subsystem": 1},
+           "hamiltonian": {"type": "builtin", "name": "two_mode_squeezing"},
+           "initial_state": {"type": "fock", "state": "fock:0,0", "cutoff": 6},
+           "run": {"t_final": 1.5, "dt": 0.005, "store_every": 5},
+           "tolerances": {"leak_ceiling": 1e-6}}
+    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    assert rep.failures == ["WindowTooShort: oracle stage, window [0.13125, 0.175]: "
+                            "need at least 4 samples, got 2"], rep.failures
 
 
 def test_bound_minimizer_failure_names_its_stage_and_time(monkeypatch):
