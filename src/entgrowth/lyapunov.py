@@ -25,7 +25,14 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import PropagationResult, QuadraticHamiltonian, polar_decompose, sqrt_pd, step_loop
+from .dynamics import (
+    CHUNK_STEPS,
+    PropagationResult,
+    QuadraticHamiltonian,
+    polar_decompose,
+    sqrt_pd,
+    step_loop,
+)
 from .errors import NotConverged, SingularM
 from .phase_space import _maxabs, _mT, standard_omega
 
@@ -125,7 +132,8 @@ def qr_block_steps(ham: QuadraticHamiltonian, dt: float, n_steps: int) -> int:
     if ham.pieces:
         rates = _log_norms(ham.n_modes, [form for _, form in ham.pieces])
     else:
-        chunks = (range(lo, min(lo + 1024, n_steps)) for lo in range(0, n_steps, 1024))
+        chunks = (range(lo, min(lo + CHUNK_STEPS, n_steps))
+                  for lo in range(0, n_steps, CHUNK_STEPS))
         rates = [np.max(_log_norms(ham.n_modes, [ham.h(j * dt + 0.5 * dt) for j in chunk]))
                  for chunk in chunks]
     rate = float(np.max(rates))

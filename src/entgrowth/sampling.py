@@ -1,8 +1,12 @@
-"""Random symplectic matrices and covariance matrices for checks and trials."""
+"""Random symplectic matrices and covariance matrices for checks and trials.
+
+The exponential is the package's own :func:`~entgrowth.dynamics.expm`, so
+drawing a matrix loads no SciPy module.
+"""
 
 import numpy as np
-from scipy.linalg import expm
 
+from .dynamics import expm
 from .phase_space import standard_omega
 
 

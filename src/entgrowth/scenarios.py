@@ -589,16 +589,17 @@ def _fock_stages(report, cfg, series, lyap):
     t_trust = traj.trusted_until
     window = cfg.run.window or (cfg.run.window_fraction * t_trust, t_trust)
     mask = traj.trusted
+    # the trust horizon and the containment verdict stand even if the fit fails
+    section = {"trusted_until": t_trust, "bounds_contain_entropy": containment_ok,
+               "exponent": {"lambda_alg": alg.lambda_a, "indices": list(alg.indices)}}
+    report.add("oracle", section)
+    if not containment_ok:
+        report.fail("oracle entanglement entropy escaped the squashed-entanglement bounds")
     with _fit_stage("oracle", window):
         fit = fit_slope(*windowed(traj.times[mask], s_vn[mask], *window))
     rel_dev = abs(fit.slope - alg.lambda_a) / max(abs(alg.lambda_a), 1e-12)
-    report.add("oracle", {
-        "slope": fit.slope, "stderr": fit.stderr, "window": list(fit.window),
-        "trusted_until": t_trust, "lambda_ref": alg.lambda_a, "rel_dev": rel_dev,
-        "bounds_contain_entropy": containment_ok,
-        "exponent": {"lambda_alg": alg.lambda_a, "indices": list(alg.indices)}})
-    if not containment_ok:
-        report.fail("oracle entanglement entropy escaped the squashed-entanglement bounds")
+    section.update(slope=fit.slope, stderr=fit.stderr, window=list(fit.window),
+                   lambda_ref=alg.lambda_a, rel_dev=rel_dev)
     if rel_dev > cfg.tolerances.slope_rel_tol:
         report.fail(f"oracle slope {fit.slope:.4f} deviates from exponent "
                     f"{alg.lambda_a:.4f} by {rel_dev:.1%}")

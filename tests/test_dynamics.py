@@ -1,18 +1,22 @@
-"""Generators, propagation, polar factors, stroboscopic extraction."""
+"""Generators, the matrix exponential, propagation, polar factors, stroboscopic extraction."""
+
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 import entgrowth.dynamics as dynamics
 from entgrowth.dynamics import (
+    CHUNK_STEPS,
     DEFECT_FACTOR,
     PolarPair,
     QuadraticHamiltonian,
     evolve_covariance,
+    expm as package_expm,
     generator,
     polar_decompose,
     propagate,
@@ -25,7 +29,12 @@ from entgrowth.errors import NoRealLogarithm, NonSymmetricH
 from entgrowth.fock import FockConfig, FockState, evolve_fock
 from entgrowth.phase_space import ModeCount, is_pure, standard_omega, williamson_spectrum
 from entgrowth.sampling import random_symplectic
-from entgrowth.scenarios import metastable_form
+from entgrowth.scenarios import (
+    inverted_pair_form,
+    metastable_form,
+    parametric_drive_hamiltonian,
+    scenario_document,
+)
 from entgrowth.ssa import squashed_bounds
 
 
@@ -54,6 +63,174 @@ def test_generator_rejects_asymmetric_form():
     ham = QuadraticHamiltonian(h=lambda t: h, n_modes=1)
     with pytest.raises(NonSymmetricH):
         generator(ham, 0.0)
+
+
+def _random_generator():
+    """K = Omega h for a random symmetric h on 4 modes, ||K||_1 = 9.42.
+
+    Drawn from the standard library's generator, whose stream for a seed
+    does not change between Python releases.
+    """
+    rng = random.Random(2009)
+    a = np.array([[rng.uniform(-1, 1) for _ in range(8)] for _ in range(8)])
+    return 1.25 * (standard_omega(4) @ (a + a.T))
+
+
+def _exponential_cases():
+    duration, form = parametric_drive_hamiltonian().pieces[1]
+    return {"pair": 0.12 * (standard_omega(2) @ inverted_pair_form()),
+            "drive": duration * (standard_omega(2) @ form),
+            "random": _random_generator()}
+
+
+# exp(A) of each case to 40 digits (mpmath.expm at 60 digits on the double A)
+EXP_REFERENCES = {
+    "pair": """
+        1.007208990186412712071788729567001116343 1.202882157330193809532261818769922803035e-1
+        -1.44283565371896018825155328786274558689e-3 -5.766804379891094912497169020349596610087e-5
+        1.202997493417791631437180969443105099026e-1 1.007208990186412712071788729567001116343
+        -2.409455069463518059399899227746986569437e-2 -1.44283565371896018825155328786274558689e-3
+        -1.44283565371896018825155328786274558689e-3 -5.766804379891094912497169020349596610087e-5
+        1.004611886009718584483812197793635176788 1.201844132541813412748126656521148540953e-1
+        -2.409455069463518059399899227746986569437e-2 -1.44283565371896018825155328786274558689e-3
+        7.692955809143585061373473077394420836645e-2 1.004611886009718584483812197793635176788
+    """,
+    "drive": """
+        2.58418265332917324330614772806588339461 2.377662693697587302237284658750352923048
+        -1.955786496209366110200920296604161114088e-1 -1.032175819429697935484092479012732133609e-1
+        2.393145330989032769837114345695308157414 2.58418265332917324330614772806588339461
+        -2.534318221116682687904851092196253057785e-1 -1.955786496209366110200920296604161114088e-1
+        -1.955786496209366110200920296604161114088e-1 -1.032175819429697935484092479012732133609e-1
+        -2.353267494998181155721259436186254909924e-2 1.001428267791323260931232443156854063591
+        -2.534318221116682687904851092196253057785e-1 -1.955786496209366110200920296604161114088e-1
+        -9.859456304998777933314027562118988292248e-1 -2.353267494998181155721259436186254909924e-2
+    """,
+    "random": """
+        7.002223178803373300235363523425170434676 -5.10297841303436579260160824103306481381
+        -2.724469249467178656698381018290346201539 9.873090301133424738407919509222316055816e-1
+        8.344196324440436641273587322466603154691 7.380571494444076283917198928374245956651e-1
+        -1.982461191161304682948856181388375533517e-1 4.698963828529145706101047762148851956058
+        4.388067895248727546587497245995212318182 -2.525680532910978034218340473687974356521
+        1.820636567556534750164143942598450590796 -1.135123071693910861316707024933215957582
+        3.151492391016886853100208672170502534496 -1.342280191052338692888302295734145579716
+        -1.921779498843808679034126457686048921332 2.55266221928432359401226961582234180713
+        -1.573160400351070834910368914574796427144 -2.66643095735656822244786857084644660167
+        -1.646772480913031606998924858868168852183 1.801618714314799820417358052050766061903
+        -3.242435373386277488094570612228926472652e-1 1.886419184636366675147397836540144949829
+        -2.952994290936810213915214547356788735845 -6.323151085320069829700262535740908812482e-1
+        -2.285752059756422241540768181036440481935 3.002893187444271280005607804325343498488
+        9.364711046766052297722558071392840767376e-1 -1.062195795012457411965346756014837994036
+        -2.396523280499126522040941170532170312936 -2.509486334907678767594422074651414718822e-1
+        2.422745856036229067209388215000453234471 -1.904049394188447104795196686533387099762
+        5.256239758043333644576639720588654876066 -1.677053795678491802771954153022158915381
+        -1.299857218734957200853043374282556489033 -1.514196951081898909915622223416791909626
+        8.818755662650744203493917913920716547043 9.784526704329018786385250181777204132199e-1
+        4.606064572967108807190061082030836603152 2.522327054029898895700421915482941878649
+        -3.289451325664819679761775139699279562474e-1 3.645732177840436633122291583824228885388e-1
+        -3.737338624943035764587173041733420576969e-1 -5.772474282143700834716077052423818223515e-1
+        1.520456951132526781198273068915974450611 1.026196386462837660208829885749973706183
+        2.206043914829437560628148689000531695659 -5.529175419165921472338600661458597795279e-1
+        6.288470714873435705435125476668759725109 -5.849672480004089014665867982454801705304
+        3.566700551930306618323375095272735403559 -2.29337934357894310825816285530650604501
+        6.575389206059876134768463240170808967513 -4.596742920927250956643795538948365791923e-1
+        -3.284994691685102318852957032087727378527 3.044042429759705640086155974567838494787
+        -7.05550709776019698362390309535656607754e-1 1.570272199143870805598149581292806495368
+        -3.115351771947721393793374544237681141653 1.851330894678650642352961255120812879342
+        -6.38242902951276170797508296132152552463e-1 4.038268615242459127781033835040627759766e-1
+        1.964720006871777753798143569461161259083 1.787137009133552803800311412021706665418e-1
+    """,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXP_REFERENCES))
+def test_expm_matches_forty_digit_references(name):
+    # the inverted_pair step, the long inverted parametric_drive piece (order 9)
+    # and a random generator of 1-norm 9.4 (order 13, scaled)
+    a = _exponential_cases()[name]
+    want = np.array(EXP_REFERENCES[name].split(), dtype=float).reshape(a.shape)
+    assert np.max(np.abs(package_expm(a) - want)) <= 4e-16 * np.max(np.abs(want))
+
+
+def test_expm_of_a_nilpotent_step_is_exactly_one_plus_the_step():
+    run = scenario_document("metastable")["run"]
+    a = run["dt"] * run["store_every"] * (standard_omega(2) @ metastable_form())
+    assert np.array_equal(package_expm(a), np.eye(4) + a)
+
+
+def test_stacked_expm_equals_the_calls_on_each_matrix_bit_for_bit():
+    rng = np.random.default_rng(29)
+    mats = []
+    # 1-norms from 1e-4 to 30 reach every Pade order and several scalings
+    for norm in np.geomspace(1e-4, 30.0, 12):
+        h = rng.normal(size=(4, 4))
+        k = standard_omega(2) @ (h + h.T)
+        mats.append(k * (norm / np.max(np.abs(k).sum(axis=0))))
+    mats += [case for case in _exponential_cases().values() if case.shape == (4, 4)]
+    stack = np.array(mats).reshape(2, -1, 4, 4)
+    got = package_expm(stack)
+    assert got.shape == stack.shape
+    for idx in np.ndindex(stack.shape[:2]):
+        assert np.array_equal(got[idx], package_expm(stack[idx]))
+
+
+@st.composite
+def scaled_generators(draw):
+    """t K for a random symmetric h on 1-4 modes, scaled to ||t K||_1 in [1e-4, 20]."""
+    n = draw(st.integers(1, 4))
+    a = draw(hnp.arrays(np.float64, (2 * n, 2 * n), elements=st.floats(-1.0, 1.0)))
+    k = standard_omega(n) @ (a + a.T)
+    norm = np.max(np.abs(k).sum(axis=0))
+    assume(norm > 1e-3)
+    return k * (draw(st.floats(1e-4, 20.0)) / norm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaled_generators())
+def test_expm_agrees_with_scipy_and_stays_symplectic(a):
+    m = package_expm(a)
+    scale = np.max(np.abs(m))
+    # scipy's own error grows with the norm: for [[0, -17], [-17, 0]] it is
+    # 3.4e-12 of the largest entry, where this exponential equals the
+    # correctly rounded mpmath value
+    norm = np.max(np.abs(a).sum(axis=0))
+    assert np.max(np.abs(m - expm(a))) <= 1e-12 * max(1.0, norm) * scale
+    omega = standard_omega(len(a) // 2)
+    assert np.max(np.abs(m @ omega @ m.T - omega)) <= DEFECT_FACTOR * (1.0 + scale ** 2)
+
+
+def test_callable_steps_are_stacked_exponentials_per_segment(monkeypatch):
+    calls = []
+
+    def counting_expm(a):
+        calls.append(a.shape)
+        return package_expm(a)
+
+    monkeypatch.setattr(dynamics, "expm", counting_expm)
+
+    def h_of_t(t):
+        return np.array([[1.0 + 0.5 * np.cos(1.3 * t), 0.0], [0.0, 1.0]])
+
+    ham = QuadraticHamiltonian(h=h_of_t, n_modes=1)
+    n_steps = 2 * CHUNK_STEPS + 100
+    segments = [n_steps // 2, n_steps]          # each chunked from its own start
+    got = [list(factors) for _, _, factors in step_loop(ham, 10.0, n_steps, segments)]
+    # one call per chunk of a segment, none across a segment's end
+    assert calls == [(CHUNK_STEPS, 2, 2), (50, 2, 2)] * 2
+    dt = 10.0 / n_steps
+    per_step = [package_expm(dt * generator(ham, j * dt + 0.5 * dt)) for j in range(n_steps)]
+    assert all(np.array_equal(a, b) for a, b in zip(got[0] + got[1], per_step, strict=True))
+
+
+def test_stacked_generator_names_the_earliest_asymmetric_time():
+    def h_of_t(t):
+        return np.array([[1.0, 0.0], [float(t > 0.25), 1.0]])
+
+    ham = QuadraticHamiltonian(h=h_of_t, n_modes=1)
+    assert generator(ham, [0.1, 0.2]).shape == (2, 2, 2)
+    with pytest.raises(NonSymmetricH, match=r"h\(0\.3\) is not symmetric"):
+        generator(ham, [0.1, 0.3, 0.4])
+    with pytest.raises(NonSymmetricH, match=r"h\(0\.375\) is not symmetric"):
+        propagate(ham, 1.0, 0.25)
 
 
 def test_propagate_constant_matches_expm():
@@ -122,7 +299,7 @@ def test_constant_propagate_makes_at_most_two_exponentials(monkeypatch):
 
     def counting_expm(a):
         calls.append(a.shape)
-        return expm(a)
+        return package_expm(a)
 
     monkeypatch.setattr(dynamics, "expm", counting_expm)
     ham = QuadraticHamiltonian.constant(np.diag([-1.0, 1.0]))

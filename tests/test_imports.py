@@ -1,4 +1,11 @@
-"""Start-up: a run loads only the SciPy modules its stages use."""
+"""Start-up: a run loads only the SciPy modules its stages use.
+
+Gaussian flows use the package's own matrix exponential, so a constant or
+piecewise run without a Floquet section loads no SciPy module at all, on
+any SciPy release.  ``scipy.optimize`` loads with the first bound
+minimization, and ``scipy.sparse``, ``scipy.fft`` and ``scipy.special``
+with the first Fock step; parsing a Fock config loads none of them.
+"""
 
 import json
 import os
@@ -6,25 +13,19 @@ import subprocess
 import sys
 import textwrap
 
-DEFERRED = ("scipy.optimize", "scipy.sparse", "scipy.fft", "scipy.special")
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
-# a fresh interpreter: the test process has already loaded everything.  The
-# first entry is what numpy and scipy.linalg load themselves (older SciPy
-# releases, 1.10 among them, import scipy.sparse with scipy.linalg), each
-# later entry what is loaded
-# after one more stage.  The CLI prints its report first; the last line
-# holds the entries.
+# a fresh interpreter: the test process has already loaded everything.  Each
+# entry lists the scipy modules loaded after one more stage.  The CLI prints
+# its report first; the last line holds the entries.
 SCRIPT = textwrap.dedent("""
     import json, sys
-    import numpy, scipy.linalg
 
     stages = []
 
     def record():
-        stages.append([name for name in {deferred!r} if name in sys.modules])
+        stages.append(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
-    record()
     import entgrowth, entgrowth.cli, entgrowth.scenarios as sc
     from entgrowth.config import parse_config
 
@@ -34,30 +35,29 @@ SCRIPT = textwrap.dedent("""
 
     assert entgrowth.cli.main(["scenario", "run", "inverted_pair"]) == 0
     run(json.dumps(sc.scenario_document("coupled_chain")))
-    record()
     with open({oracle!r}) as fh:
         oracle = fh.read()
     parse_config(oracle)
     record()
-    run(json.dumps(sc.scenario_document("metastable")))   # four bound times
-    record()
     run(oracle)
+    record()
+    run(json.dumps(sc.scenario_document("metastable")))   # four bound times
     record()
     print(json.dumps(stages))
 """)
 
 
-def test_flow_runs_load_no_minimizer_or_fock_modules():
+def test_flow_runs_load_no_scipy_module():
     oracle = os.path.join(CONFIGS, "oracle_two_mode_squeezing.json")
-    res = subprocess.run([sys.executable, "-c", SCRIPT.format(deferred=DEFERRED, oracle=oracle)],
+    res = subprocess.run([sys.executable, "-c", SCRIPT.format(oracle=oracle)],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     stages = json.loads(res.stdout.splitlines()[-1])
-    base, flow, oracle_parse, bounds, oracle_run = (set(names) for names in stages)
-    # the CLI and library flow runs add none of the four, nor does parsing a Fock config
-    assert flow == base
-    assert oracle_parse == base
-    # the first bound minimization loads the minimizer
-    assert "scipy.optimize" in bounds - oracle_parse
-    # the oracle has what it uses (scipy.optimize may have loaded some already)
+    flows, oracle_run, bounds = (set(names) for names in stages)
+    # the CLI and library flow runs and parsing a Fock config load no scipy module
+    assert flows == set()
+    # the oracle adds what it uses, and no minimizer
     assert oracle_run >= {"scipy.sparse", "scipy.fft", "scipy.special"}
+    assert "scipy.optimize" not in oracle_run
+    # the first bound minimization adds the minimizer
+    assert "scipy.optimize" in bounds - oracle_run

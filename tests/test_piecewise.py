@@ -117,10 +117,11 @@ def test_piecewise_config_builtin_agree_bitwise_and_callable_to_roundoff():
 
 def test_step_exponentials_are_computed_once_per_piece(monkeypatch):
     calls = []
+    package_expm = dynamics.expm
 
     def counting_expm(a):
         calls.append(a.shape)
-        return expm(a)
+        return package_expm(a)
 
     monkeypatch.setattr(dynamics, "expm", counting_expm)
     ham = parametric_drive_hamiltonian()
@@ -132,10 +133,13 @@ def test_step_exponentials_are_computed_once_per_piece(monkeypatch):
     calls.clear()
     qr_spectrum(ham, 60 * PERIOD, PERIOD / 220.0, residual_tol=0.5)
     assert len(calls) == 2
-    # a callable keeps one fresh exponential per step
+    # a callable keeps one fresh exponential per step, stacked per stored segment
     calls.clear()
     propagate(_callable_wrapper(ham), PERIOD, 0.01)
-    assert len(calls) == 220
+    assert calls == [(1, 4, 4)] * 220
+    calls.clear()
+    propagate(_callable_wrapper(ham), PERIOD, 0.01, store_every=220)
+    assert calls == [(220, 4, 4)]
 
 
 def _per_step_product(ham, t_final, n_steps):

@@ -173,7 +173,7 @@ def test_failure_names_stage_and_earliest_sample_time():
     assert len(rep.failures) == 1 and rep.failures[0].startswith(prefix)
     t_text, detail = rep.failures[0][len(prefix):].split(": ", 1)
     assert detail == "covariance check failed: not_positive_definite"
-    assert t_text == "52.8"
+    assert t_text == "52.56"
     assert list(rep.sections) == ["propagation", "lyapunov"]
 
     run = cfg.run
@@ -283,6 +283,11 @@ def test_oracle_fit_failure_names_its_stage_and_window():
     rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
     assert rep.failures == ["WindowTooShort: oracle stage, window [0.13125, 0.175]: "
                             "need at least 4 samples, got 2"], rep.failures
+    # what was settled before the fit stays in the report
+    oracle = rep.sections["oracle"]
+    assert oracle["trusted_until"] == pytest.approx(0.175)
+    assert oracle["bounds_contain_entropy"] is True
+    assert "slope" not in oracle
 
 
 def test_bound_minimizer_failure_names_its_stage_and_time(monkeypatch):
@@ -392,7 +397,7 @@ def test_lattice_chain_blocks_keep_the_uncertainty_bound():
 
 def test_sixteen_site_lattice_keeps_its_exponent_section_at_the_wall():
     # N=16, N_A=8: the formed A block leaves the uncertainty bound at
-    # t = 19.9; the exponent section, computed from the same factor before
+    # t = 19.8; the exponent section, computed from the same factor before
     # the Williamson spectrum, stays in the report
     h = scenarios._chain_form([1.5] * 16, -1.0)
     doc = {"modes": {"total": 16, "subsystem": 8},
@@ -403,8 +408,8 @@ def test_sixteen_site_lattice_keeps_its_exponent_section_at_the_wall():
     assert list(rep.sections) == ["propagation", "lyapunov", "exponent"]
     assert rep.failures == [
         "algebraic 1.70983 vs volumetric 1.75799 disagree",
-        "UncertaintyViolated: entropy stage, A block at t=19.9: covariance check failed: "
-        "uncertainty_violated (min symplectic eigenvalue = 0.999998941819)"]
+        "UncertaintyViolated: entropy stage, A block at t=19.8: covariance check failed: "
+        "uncertainty_violated (min symplectic eigenvalue = 0.99998808371)"]
 
 
 def test_thirty_two_site_lattice_names_its_earliest_failing_sample():
@@ -420,7 +425,7 @@ def test_thirty_two_site_lattice_names_its_earliest_failing_sample():
     assert list(rep.sections) == ["propagation", "lyapunov"]
     assert rep.failures == [
         "UncertaintyViolated: entropy stage, A block at t=6.3: covariance check failed: "
-        "uncertainty_violated (min symplectic eigenvalue = 0.99999999945)"]
+        "uncertainty_violated (min symplectic eigenvalue = 0.99999999924)"]
     series = propagate(cfg.hamiltonian, 20.0, 0.01, store_every=10)
     g_a = restrict(evolve_covariance(np.eye(64), series.matrices),
                    SubsystemSpec.first_modes(16, 32))
