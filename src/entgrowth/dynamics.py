@@ -19,10 +19,11 @@ steps it reads.  Each factor is symplectic up to the accuracy of the
 exponential, and the defect |M Omega M^T - Omega| of every stored M(t) is
 monitored rather than silently projected away.
 
-The exponential is the package's own :func:`expm`, in numpy alone, so a
-constant or piecewise Gaussian run imports no SciPy module; only
-:func:`stroboscopic_generator` loads ``scipy.linalg`` (for ``logm``), on
-its first call.
+The exponential is the package's own :func:`expm`, in numpy alone, so no
+flow imports a SciPy module, whether constant, piecewise or callable.  Only
+the library function :func:`stroboscopic_generator` loads
+``scipy.linalg`` (for ``logm``), on its first call; no pipeline stage
+calls it.
 """
 
 import math
@@ -574,6 +575,16 @@ def sqrt_pd(a) -> np.ndarray:
     return 0.5 * (root + root.T)
 
 
+def require_real_logarithm(multipliers) -> None:
+    """Raise NoRealLogarithm unless M(tau), of eigenvalues ``multipliers``, has a real log."""
+    scale = np.max(np.abs(multipliers))
+    for ev in multipliers:
+        if abs(ev.imag) <= 1e-12 * (1.0 + scale) and ev.real <= 0:
+            raise NoRealLogarithm(
+                f"eigenvalue {ev:.6g} lies on the closed negative real axis; "
+                "no real stroboscopic generator exists at this period")
+
+
 def stroboscopic_generator(m_tau, tau: float) -> np.ndarray:
     """Effective generator (1/tau) log M(tau) of one drive period.
 
@@ -586,13 +597,7 @@ def stroboscopic_generator(m_tau, tau: float) -> np.ndarray:
     m_tau = np.asarray(m_tau, dtype=float)
     if tau <= 0:
         raise ValueError("tau must be positive")
-    eigs = np.linalg.eigvals(m_tau)
-    scale = np.max(np.abs(eigs))
-    for ev in eigs:
-        if abs(ev.imag) <= 1e-12 * (1.0 + scale) and ev.real <= 0:
-            raise NoRealLogarithm(
-                f"eigenvalue {ev:.6g} lies on the closed negative real axis; "
-                "no real stroboscopic generator exists at this period")
+    require_real_logarithm(np.linalg.eigvals(m_tau))
     from scipy.linalg import logm
 
     log_m = logm(m_tau)

@@ -4,8 +4,8 @@ One scenario per claim the package checks: a pair of inverted oscillators
 (linear entropy growth with an analytically known spectrum), a
 nearest-neighbor chain with tunable instability, the nilpotent metastable
 model (logarithmic growth, constant subadditivity bound), a periodically
-driven mode (stroboscopic generator, Floquet rates), and the classical
-log-growth counterexample in closed form.
+driven mode (Floquet multipliers and rates), and the classical log-growth
+counterexample in closed form.
 
 ``run_scenario`` runs the whole pipeline; ``run_view`` runs only the stages
 one result needs (the CLI's ``lyapunov``, ``exponent`` and ``bounds-check``),
@@ -29,8 +29,8 @@ from .dynamics import (
     generator,
     polar_decompose,
     propagate,
+    require_real_logarithm,
     step_count,
-    stroboscopic_generator,
 )
 from .entropy import LN_E_OVER_2, _spectrum_entropy, von_neumann_entropy
 from .errors import ConfigError, EntgrowthError, NoRealLogarithm, WindowTooShort
@@ -108,8 +108,8 @@ def parametric_drive_hamiltonian(omega_on=1.0, kappa=1.0, t_on=0.6, period=2.2,
     """Mode-1 frequency square-modulated between +omega_on^2 and -kappa^2.
 
     The long inverted phase with a short stable interlude produces real
-    Floquet multipliers off the unit circle, so the stroboscopic generator
-    exists and is unstable.
+    Floquet multipliers off the unit circle: an unstable pair of Floquet
+    rates ln|mu|/period.
     """
     if not 0 < t_on < period:
         raise ValueError("need 0 < t_on < period")
@@ -241,21 +241,19 @@ def _lyapunov_section(report, cfg):
 
 
 def _floquet_section(report, cfg):
+    """Multipliers mu of M(tau), rates ln|mu|/tau and the sum of the first 2 N_A rates."""
     period = cfg.hamiltonian.period
-    # only M(tau) is read: store the last step alone
-    one_period = propagate(cfg.hamiltonian, period, cfg.run.dt,
-                           store_every=step_count(period, cfg.run.dt))
-    m_tau = one_period.final_matrix
-    mults = np.linalg.eigvals(m_tau)
+    # only M(tau) is read: store the last step alone, under the run's defect ceiling
+    n_steps = step_count(period, cfg.run.dt)
+    mults = np.linalg.eigvals(propagate(cfg.hamiltonian, period, cfg.run.dt, store_every=n_steps,
+                                        defect_factor=cfg.tolerances.defect_factor).final_matrix)
     rates = np.sort(np.log(np.abs(mults)))[::-1] / period
-    section = {"multipliers_abs": np.sort(np.abs(mults))[::-1], "rates": rates}
+    report.add("floquet", {"multipliers_abs": np.sort(np.abs(mults))[::-1], "rates": rates,
+                           "lambda_from_multipliers": float(np.sum(rates[:2 * cfg.modes.n_a]))})
     try:
-        k_strob = stroboscopic_generator(m_tau, period)
-        section["stroboscopic_eig_real_parts"] = np.sort(np.linalg.eigvals(k_strob).real)[::-1]
+        require_real_logarithm(mults)
     except NoRealLogarithm as exc:
         report.warn(f"no real stroboscopic generator: {exc}")
-    report.add("floquet", section)
-    return rates
 
 
 def _guarded(cfg, body) -> RunReport:
@@ -414,12 +412,14 @@ def _exponent_section(report, split, lyap, series, s2_a):
 def _run_flow(cfg, report):
     """The pipeline for a Gaussian or a Fock initial state.
 
-    The stages that read only the flow M(t) (propagation, Lyapunov, bounds)
-    are the same for both state types; the entropy rows and the slope gate
-    are each state type's own.
+    The stages that read only the flow M(t) (propagation, Lyapunov, Floquet
+    for a periodic flow, bounds) are the same for both state types; the
+    entropy rows and the slope gate are each state type's own.
     """
     series = _propagation_section(report, cfg)
     lyap = _lyapunov_section(report, cfg)
+    if cfg.hamiltonian.period is not None:
+        _floquet_section(report, cfg)
     gaussian = isinstance(cfg.initial_state, np.ndarray)
     (_gaussian_stages if gaussian else _fock_stages)(report, cfg, series, lyap)
     if cfg.run.bound_times:
@@ -488,10 +488,6 @@ def _gaussian_stages(report, cfg, series, lyap):
     g_t, ell, s2_a, s_as_a = _a_block(series.matrices, series.times, g0, split)
     alg, vol = _exponent_section(report, split, lyap, series, s2_a)
 
-    rates = None
-    if cfg.hamiltonian.period is not None:
-        rates = _floquet_section(report, cfg)
-
     # symplectic invariance: the global spectrum never changes along the flow
     s_global = None if is_pure(g0) else von_neumann_entropy(g0)
     s_vn_a, i_ab, lower, upper = _gaussian_samples(series.matrices, series.times, g0, split,
@@ -515,9 +511,6 @@ def _gaussian_stages(report, cfg, series, lyap):
     if abs(fit.slope - lambda_ref) > max(tol * abs(lambda_ref), 0.02):
         report.fail(f"entropy slope {fit.slope:.6g} vs subsystem exponent {lambda_ref:.6g} "
                     f"beyond tolerance")
-    if rates is not None:
-        lam_floquet = float(np.sum(rates[:2 * split.n_a]))
-        report.sections["floquet"]["lambda_from_multipliers"] = lam_floquet
 
 
 def _metastable_section(report, times):

@@ -1,10 +1,11 @@
 """Start-up: a run loads only the SciPy modules its stages use.
 
-Gaussian flows use the package's own matrix exponential, so a constant or
-piecewise run without a Floquet section loads no SciPy module at all, on
-any SciPy release.  ``scipy.optimize`` loads with the first bound
-minimization, and ``scipy.sparse``, ``scipy.fft`` and ``scipy.special``
-with the first Fock step; parsing a Fock config loads none of them.
+Gaussian flows use the package's own matrix exponential and take the
+Floquet rates from the eigenvalues of M(tau), so a constant, piecewise or
+periodic run loads no SciPy module at all, on any SciPy release.
+``scipy.optimize`` loads with the first bound minimization, and
+``scipy.sparse``, ``scipy.fft`` and ``scipy.special`` with the first Fock
+step; parsing a Fock config loads none of them.
 """
 
 import json
@@ -35,6 +36,7 @@ SCRIPT = textwrap.dedent("""
 
     assert entgrowth.cli.main(["scenario", "run", "inverted_pair"]) == 0
     run(json.dumps(sc.scenario_document("coupled_chain")))
+    run(json.dumps(sc.scenario_document("parametric_drive")))   # a Floquet section
     with open({oracle!r}) as fh:
         oracle = fh.read()
     parse_config(oracle)

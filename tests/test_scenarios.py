@@ -76,14 +76,63 @@ def test_parametric_floquet_cross_checks():
     exp = rep.sections["exponent"]
     # exponent from the multipliers of one period matches the spectrum route
     assert abs(floq["lambda_from_multipliers"] - exp["lambda_alg"]) < 5e-3
-    # the effective one-period generator exists and has a real unstable pair
-    strob = np.array(floq["stroboscopic_eig_real_parts"])
-    assert strob[0] > 0.1 and strob[-1] < -0.1
-    assert abs(strob[0] + strob[-1]) < 1e-9
+    # the Floquet rates hold a real unstable pair
+    rates = np.array(floq["rates"])
+    assert rates[0] > 0.1 and rates[-1] < -0.1
+    assert abs(rates[0] + rates[-1]) < 1e-9
     mults = np.array(floq["multipliers_abs"])
     assert mults[0] > 1.0 + 1e-6
     assert abs(floq["lambda_from_multipliers"]
                - math.log(mults[0]) / 2.2) < 1e-9
+
+
+def _half_turn_document(state, store_every):
+    # h = I turns phase space by pi in one period: M(tau) = -1 has no real log
+    return {"modes": {"total": 2, "subsystem": 1},
+            "hamiltonian": {"type": "piecewise", "period": math.pi,
+                            "pieces": [{"duration": math.pi, "h": matrix_to_json(np.eye(4))}]},
+            "initial_state": state,
+            "run": {"t_final": 4 * math.pi, "dt": math.pi / 100, "store_every": store_every}}
+
+
+def test_half_turn_floquet_section_for_both_state_types():
+    warning = ("no real stroboscopic generator: eigenvalue -1",
+               "lies on the closed negative real axis")
+    sections = []
+    for state in ({"type": "gaussian", "covariance": "vacuum"},
+                  {"type": "fock", "state": "fock:0,0", "cutoff": 8}):
+        rep = run_scenario(parse_config(json.dumps(_half_turn_document(state, 10))),
+                           write_outputs=False)
+        assert any(w.startswith(warning[0]) and warning[1] in w for w in rep.warnings), \
+            rep.warnings
+        sections.append(rep.to_json_dict()["sections"]["floquet"])
+    assert sections[0] == sections[1]
+    assert np.max(np.abs(sections[0]["rates"])) < 1e-12
+    # five stored samples leave three in the exponent window; the Floquet
+    # section is settled before that fit
+    doc = _half_turn_document({"type": "gaussian", "covariance": "vacuum"}, 100)
+    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    assert rep.failures == [f"WindowTooShort: exponent stage, window [{2 * math.pi:.6g}, "
+                            f"{4 * math.pi:.6g}]: need at least 4 samples, got 3"], rep.failures
+    assert rep.to_json_dict()["sections"]["floquet"] == sections[0]
+
+
+def test_floquet_stage_propagates_under_the_configs_defect_factor(monkeypatch):
+    # the one-period M(tau) is held to the same defect ceiling as the series
+    factors = []
+
+    def spy(*args, **kwargs):
+        factors.append(kwargs.get("defect_factor"))
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "propagate", spy)
+    for state in ({"type": "gaussian", "covariance": "vacuum"},
+                  {"type": "fock", "state": "fock:0,0", "cutoff": 8}):
+        doc = _half_turn_document(state, 10)
+        doc["tolerances"] = {"defect_factor": 1e-3}
+        rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+        assert "floquet" in rep.sections, rep.failures
+    assert factors == [1e-3] * 4
 
 
 def test_metastable_scenario_flags():
