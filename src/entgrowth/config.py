@@ -334,7 +334,7 @@ def _read_fourier(obj, modes):
                             for k, v in term.items() if v is not None} for term in terms]}
     if period is not None:
         canonical["period"] = period
-    return canonical, _build(f"{_H}.terms", "fourier", QuadraticHamiltonian,
+    return canonical, _build(f"{_H}.period", "fourier", QuadraticHamiltonian,
                              h=h_of_t, n_modes=modes.n_total, period=period)
 
 

@@ -6,10 +6,10 @@ data or a callable:
 
 * piecewise-constant data (``QuadraticHamiltonian.constant`` and
   ``QuadraticHamiltonian.piecewise``) knows its pieces and breakpoints.
-  Its flow is an exact product of piece exponentials, so the step ``dt``
-  only sets the sample grid: the flow between two stored samples is one
-  exponential per piece it crosses, and the whole periods inside it are
-  one cached period map M(tau) each;
+  Its flow is an exact product of piece exponentials, which the Hamiltonian
+  keeps for every stage, so the step ``dt`` only sets the sample grid: the
+  flow between two stored samples is one exponential per piece it crosses,
+  and the whole periods inside it are one period map M(tau) each;
 * any other ``h(t)`` callable is stepped by per-step exponentials sampled
   at the step midpoint (second-order Magnus).
 
@@ -29,7 +29,7 @@ calls it.
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -202,7 +202,11 @@ class QuadraticHamiltonian:
     Piecewise-constant forms are data instead: build them with
     :meth:`constant` or :meth:`piecewise`, which fill ``pieces`` with
     ``(duration, form)`` pairs (repeated with ``period``; a constant is one
-    piece without a period) and derive ``h`` from them.
+    piece without a period) and derive ``h`` from them.  Piece data keeps
+    the exponential of each (piece, length) that :meth:`exponential` makes
+    for as long as the Hamiltonian lives, with no eviction, so every flow
+    stage of every run on it shares them.  A callable's ``period`` is
+    checked at construction.
     """
 
     h: Optional[Callable[[float], np.ndarray]]
@@ -210,11 +214,18 @@ class QuadraticHamiltonian:
     period: Optional[float] = None
     pieces: tuple = ()
     _starts: tuple = field(default=(), init=False, repr=False, compare=False)
+    _exponentials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.period is not None and self.period <= 0:
             raise ValueError("period must be positive")
         if not self.pieces:
+            tau = self.period
+            for t in (0.13 * tau, 0.41 * tau, 0.77 * tau) if tau is not None else ():
+                h0 = np.asarray(self.h(t), dtype=float)
+                h1 = np.asarray(self.h(t + tau), dtype=float)
+                if _maxabs(h1 - h0) > 1e-10 * (1.0 + _maxabs(h0)):
+                    raise ValueError(f"declared period {tau} but h({t + tau}) != h({t})")
             return
         if self.h is not None:
             raise ValueError("a piecewise-constant form derives h from its pieces")
@@ -275,6 +286,16 @@ class QuadraticHamiltonian:
 
     def _piece_form(self, t: float) -> np.ndarray:
         return self.pieces[self.piece_at(t)][1]
+
+    def exponential(self, length: float, t_mid: float) -> np.ndarray:
+        """expm(length K) of the piece in force at ``t_mid``: read-only, made once per length."""
+        if not self.pieces:
+            raise ValueError("a callable h has no piece exponentials")
+        key = (self.piece_at(t_mid), length)
+        if key not in self._exponentials:
+            self._exponentials[key] = expm(length * generator(self, t_mid))
+            self._exponentials[key].setflags(write=False)
+        return self._exponentials[key]
 
     def breakpoints(self, t_final: float) -> list:
         """Times in (0, t_final) where one piece hands over to the next, ascending."""
@@ -356,42 +377,24 @@ def sample_times(t_final: float, dt: float, store_every: int = 1) -> np.ndarray:
     return times
 
 
-def _check_periodicity(ham):
-    tau = ham.period
-    for frac in (0.13, 0.41, 0.77):
-        t = frac * tau
-        h0 = np.asarray(ham.h(t), dtype=float)
-        h1 = np.asarray(ham.h(t + tau), dtype=float)
-        if _maxabs(h1 - h0) > 1e-10 * (1.0 + _maxabs(h0)):
-            raise ValueError(f"declared period {tau} but h({t + tau}) != h({t})")
-
-
 def _piece_factors(ham, dt, make):
     """``factors(t_a, length)``: the exact factors of piece data over [t_a, t_a + length].
 
-    One factor per piece the segment crosses, made once per (piece,
-    length); the whole periods inside the segment are one period map
-    M(tau) each, the ordered product of the full-piece factors.
+    One factor ``make(length, t_mid)`` per piece the segment crosses; the
+    whole periods inside the segment are one period map M(tau) each, the
+    ordered product of the full-piece factors formed once per call (more
+    accurate than applying a period piece by piece).
     """
-    cache = {}
     tol = EDGE_SNAP * dt
-
-    def piece(i, phase, length):
-        key = (i, length)
-        if key not in cache:
-            cache[key] = make(length, phase + 0.5 * length)
-        return cache[key]
-
     if ham.period is None:
-        return lambda t_a, length: (piece(0, t_a, length),)
+        return lambda t_a, length: (make(length, t_a + 0.5 * length),)
     tau, starts = ham.period, ham._starts
     durations = [duration for duration, _ in ham.pieces]
 
+    @cache
     def period():
-        if "period" not in cache:
-            full = [piece(i, s, d) for i, (s, d) in enumerate(zip(starts, durations))]
-            cache["period"] = reduce(lambda acc, f: f @ acc, full[1:], full[0])
-        return cache["period"]
+        full = [make(d, s + 0.5 * d) for s, d in zip(starts, durations)]
+        return reduce(lambda acc, f: f @ acc, full[1:], full[0])
 
     def factors(t_a, length):
         phase = math.fmod(t_a, tau)
@@ -409,9 +412,9 @@ def _piece_factors(ham, dt, make):
                 continue
             run = durations[i] if phase == starts[i] else starts[i] + durations[i] - phase
             if length < run - tol:
-                out.append(piece(i, phase, length))
+                out.append(make(length, phase + 0.5 * length))
                 break
-            out.append(piece(i, phase, run))
+            out.append(make(run, phase + 0.5 * run))
             length -= run
             i = (i + 1) % len(durations)
             phase = starts[i]
@@ -437,23 +440,18 @@ def step_loop(ham: QuadraticHamiltonian, t_final: float, n_steps: int, events, m
     :func:`expm` calls of up to ``CHUNK_STEPS`` steps.  Piecewise-constant
     data gets a tuple: one exact factor per piece the segment crosses, so
     a segment is split only at breakpoints, and one period map M(tau) per
-    whole period inside it.
-    These factors are made once per (piece, segment length) in a call, so
-    segments of equal step count reuse them.  A breakpoint within
-    ``EDGE_SNAP`` steps of a segment edge lies on it.
+    whole period inside it.  Its default factors are the Hamiltonian's
+    kept :meth:`~QuadraticHamiltonian.exponential`, shared by every call.
+    A breakpoint within ``EDGE_SNAP`` steps of a segment edge lies on it.
     """
-    midpoints = make is None and not ham.pieces
-    if make is None:
-        def make(length, t_mid):
-            return expm(length * generator(ham, t_mid))
     dt = t_final / n_steps
-    piece_factors = _piece_factors(ham, dt, make) if ham.pieces else None
+    piece_factors = _piece_factors(ham, dt, make or ham.exponential) if ham.pieces else None
     k_prev = 0
     for k in events:
         t = t_final if k == n_steps else k * dt
         if piece_factors is not None:
             factors = piece_factors(k_prev * dt, (k - k_prev) * dt)
-        elif midpoints:
+        elif make is None:
             factors = _midpoint_factors(ham, dt, k_prev, k)
         else:
             factors = (make(dt, j * dt + 0.5 * dt) for j in range(k_prev, k))
@@ -470,7 +468,8 @@ def _midpoint_factors(ham, dt, lo, hi):
 
 def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
               store_every: int = 1, defect_factor: float = DEFECT_FACTOR) -> PropagationResult:
-    """Time-ordered exponential at the stored steps of :func:`step_loop`.
+    """Time-ordered exponential at the stored steps of :func:`step_loop`, from
+    the piece exponentials ``ham`` keeps when it is piece data.
 
     Parameters
     ----------
@@ -485,8 +484,6 @@ def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
     """
     if dt <= 0 or t_final <= 0:
         raise ValueError("need dt > 0 and t_final > 0")
-    if ham.period is not None and not ham.pieces:
-        _check_periodicity(ham)
     n_steps = step_count(t_final, dt)
     dt_eff = t_final / n_steps
     omega = standard_omega(ham.n_modes)

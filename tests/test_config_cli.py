@@ -164,12 +164,24 @@ def test_warning_free_run_has_all_sections():
 
 
 def test_declared_period_is_checked():
-    import numpy as np
-    from entgrowth.dynamics import QuadraticHamiltonian, propagate
-    lying = QuadraticHamiltonian(h=lambda t: np.diag([1.0 + 0.2 * t, 1.0]),
-                                 n_modes=1, period=2.0)
-    with pytest.raises(ValueError):
-        propagate(lying, 1.0, 0.01)
+    with pytest.raises(ValueError, match=re.escape("declared period 2.0 but h(2.26) != h(0.26)")):
+        QuadraticHamiltonian(h=lambda t: np.diag([1.0 + 0.2 * t, 1.0]), n_modes=1, period=2.0)
+
+
+def test_false_declared_period_is_a_config_error_for_every_command(tmp_path, capfd):
+    # h = (1 + cos 2t) I has period pi, not 1
+    doc = json.loads(MINIMAL)
+    doc["hamiltonian"] = {"type": "fourier", "base": _EYE4, "period": 1.0,
+                          "terms": [{"omega": 2.0, "cos": _EYE4}]}
+    doc["run"] = {"t_final": 4.0, "dt": 0.01}
+    cfg_path = tmp_path / "lying.json"
+    cfg_path.write_text(json.dumps(doc))
+    for command in ("simulate", "lyapunov", "exponent", "bounds-check"):
+        assert cli.main([command, str(cfg_path)]) == 2, command
+        out, err = capfd.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.splitlines() == ["config error: hamiltonian.period: fourier: declared period "
+                                    "1.0 but h(1.13) != h(0.13)"]
 
 
 def test_csv_deterministic(tmp_path):

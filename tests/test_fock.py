@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
@@ -93,17 +93,21 @@ def fock_forms(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(fock_forms())
+@example(form=(np.full((2, 2), 2.22507386e-313), 4))
 def test_build_hamiltonian_is_exactly_hermitian(form):
     # (op + op^H) / 4 adds the same two numbers at (i, j) and, conjugated,
     # at (j, i), so the operator needs no Hermiticity check; every entry is
-    # the dense (1/4) h_ab (xi_a xi_b + xi_b xi_a) to roundoff
+    # the dense (1/4) h_ab (xi_a xi_b + xi_b xi_a) to roundoff, which for a
+    # subnormal form is a few smallest subnormals where the relative term
+    # underflows to 0
     h, cutoff = form
     op = build_hamiltonian(QuadraticHamiltonian.constant(h), 0.0, cutoff).toarray()
     assert np.array_equal(op, op.conj().T)
     xi = [m.toarray() for m in build_quadratures(h.shape[0] // 2, cutoff)]
     dense = sum(0.25 * h[a, b] * (xi[a] @ xi[b] + xi[b] @ xi[a])
                 for a in range(len(xi)) for b in range(len(xi)))
-    assert np.allclose(op, dense, rtol=0.0, atol=1e-14 * cutoff * np.abs(h).sum())
+    atol = 1e-14 * cutoff * np.abs(h).sum() + 4 * h.size * np.finfo(float).smallest_subnormal
+    assert np.allclose(op, dense, rtol=0.0, atol=atol)
 
 
 @st.composite

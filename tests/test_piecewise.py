@@ -1,4 +1,4 @@
-"""Piecewise-constant Hamiltonians as data: pieces, breakpoints, cached segment factors."""
+"""Piecewise-constant Hamiltonians as data: pieces, breakpoints, kept piece exponentials."""
 
 import json
 import math
@@ -16,7 +16,12 @@ from entgrowth.errors import DimensionMismatch, NonSymmetricH
 from entgrowth.fock import FockConfig, FockState, evolve_fock
 from entgrowth.lyapunov import qr_spectrum
 from entgrowth.phase_space import standard_omega
-from entgrowth.scenarios import _chain_form, parametric_drive_hamiltonian
+from entgrowth.scenarios import (
+    _chain_form,
+    default_scenario,
+    parametric_drive_hamiltonian,
+    run_scenario,
+)
 
 PERIOD, T_ON = 2.2, 0.6
 H_ON = _chain_form([1.0, 1.0], 0.15)
@@ -115,7 +120,9 @@ def test_piecewise_config_builtin_agree_bitwise_and_callable_to_roundoff():
                for a, b in zip(states[0], states[2]))
 
 
-def test_step_exponentials_are_computed_once_per_piece(monkeypatch):
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """The shapes of the arguments of every ``dynamics.expm`` call."""
     calls = []
     package_expm = dynamics.expm
 
@@ -124,14 +131,22 @@ def test_step_exponentials_are_computed_once_per_piece(monkeypatch):
         return package_expm(a)
 
     monkeypatch.setattr(dynamics, "expm", counting_expm)
+    return calls
+
+
+def test_step_exponentials_are_computed_once_per_piece(expm_calls):
+    calls = expm_calls
     ham = parametric_drive_hamiltonian()
-    # each stored segment is one period: the cached period map
+    # each stored segment is one period: the period map of the two piece exponentials
     series = propagate(ham, 17.6, 0.01, store_every=220)
     assert len(calls) == 2
     m_tau = series.matrices[1]
     assert np.allclose(series.matrices[2], m_tau @ m_tau, rtol=1e-12, atol=1e-12)
+    # the Hamiltonian keeps them: another stage on it makes none
     calls.clear()
     qr_spectrum(ham, 60 * PERIOD, PERIOD / 220.0, residual_tol=0.5)
+    assert calls == []
+    qr_spectrum(parametric_drive_hamiltonian(), 60 * PERIOD, PERIOD / 220.0, residual_tol=0.5)
     assert len(calls) == 2
     # a callable keeps one fresh exponential per step, stacked per stored segment
     calls.clear()
@@ -140,6 +155,30 @@ def test_step_exponentials_are_computed_once_per_piece(monkeypatch):
     calls.clear()
     propagate(_callable_wrapper(ham), PERIOD, 0.01, store_every=220)
     assert calls == [(220, 4, 4)]
+
+
+def test_every_flow_stage_of_a_run_shares_the_piece_exponentials(expm_calls):
+    # propagation, QR spectrum and the Floquet stage's one period read the
+    # same two matrices; a second run of the same config makes none
+    drive = default_scenario("parametric_drive")
+    assert run_scenario(drive, write_outputs=False).ok
+    assert len(expm_calls) == 2
+    expm_calls.clear()
+    assert run_scenario(drive, write_outputs=False).ok
+    assert expm_calls == []
+    assert run_scenario(default_scenario("coupled_chain"), write_outputs=False).ok
+    assert len(expm_calls) == 3
+
+
+def test_kept_piece_exponentials_are_read_only():
+    ham = parametric_drive_hamiltonian()
+    factor = ham.exponential(0.6, 0.3)
+    assert factor is ham.exponential(0.6, 2.5)          # same piece one period later
+    assert np.array_equal(factor, dynamics.expm(0.6 * generator(ham, 0.3)))
+    with pytest.raises(ValueError):
+        factor[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        _callable_wrapper(ham).exponential(0.6, 0.3)
 
 
 def _per_step_product(ham, t_final, n_steps):
