@@ -14,13 +14,15 @@ Commands::
 with its defaults and tolerances, so their sections equal the sections of
 the same name in the ``simulate`` report.  They write no files: their only
 output flag is ``--json``.  Exit code is 0 only when every asserted
-invariant in the run passed, 1 when one failed, and 2 for a usage or
-config error, a config file that is not UTF-8 text, or a config or output
-path the operating system refuses.
+invariant in the run passed, 1 when one failed, 2 for a usage or config
+error, a config file that is not UTF-8 text, or a config or output path
+the operating system refuses, and 141 when the reader closed standard
+output before the report was written (``entgrowth ... | head``).
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .config import ScenarioConfig, parse_config, serialize_config
@@ -28,6 +30,9 @@ from .errors import ConfigError
 from .fock import FockState
 from .reporting import RunReport
 from .scenarios import SCENARIO_NAMES, run_scenario, run_view, scenario_document
+
+# the shell's status for a process that SIGPIPE ended, 128 + 13
+EXIT_BROKEN_PIPE = 141
 
 
 def _load_config(path) -> ScenarioConfig:
@@ -148,7 +153,14 @@ def main(argv=None) -> int:
     if args.command == "scenario" and args.action == "run" and not args.name:
         parser.error("scenario run needs a name")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output (``| head``): no message, and
+        # nothing left for the interpreter's exit flush to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

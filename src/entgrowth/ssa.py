@@ -8,19 +8,18 @@ whose value lower-bounds the sum of mutual informations of any state and
 its image under the symplectic transformation M.  The minimizer is a
 quasi-Newton descent on Cholesky factors G = C C^T (log-parametrized
 diagonal) with informed restarts.  Value and exact gradient are evaluated
-in factor space: each log-determinant is read off a triangular factor of
-rows of C or M C, so neither G nor M G M^T is ever formed.  When M is
-positive definite the stationary point is known in closed form
-(G = M^{-1}, value 2 I_as(M)) and is used both as a restart and as a test
-oracle.
+in factor space, from the diagonal of C and one LAPACK Householder QR per
+row block of C or M C, so neither G nor M G M^T is ever formed.  When M is
+positive definite the stationary point G = M^{-1} (value 2 I_as(M)) is a
+restart and a test oracle.
 
 The infimum may sit at the boundary of the cone (covariance entries
 running to infinity).  The log-diagonal of C is confined to
-+-ln(DIVERGENCE_NORM), which keeps C C^T numerically positive definite,
-and the minimizer reports a divergence flag instead of failing when the
-best point has entries beyond DIVERGENCE_NORM.
++-ln(DIVERGENCE_NORM), which keeps C C^T numerically positive definite;
+a best point with entries beyond DIVERGENCE_NORM is flagged, not an error.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -148,28 +147,39 @@ def _rhs_objective(m, split: ModeCount):
 
 
 def _cholesky_layout(dim):
-    """Row-major lower-triangle indices and the positions of the diagonal among them."""
-    return np.tril_indices(dim), np.array([i * (i + 1) // 2 + i for i in range(dim)])
+    """Flat row-major positions of the lower triangle, and the positions of the diagonal among them."""
+    rows, cols = np.tril_indices(dim)
+    return rows * dim + cols, np.flatnonzero(rows == cols)
 
 
-def _unpack_cholesky(x, dim, tril_idx, diag_pos):
-    c = np.zeros((dim, dim))
-    c[tril_idx] = x
-    d = np.arange(dim)
-    c[d, d] = np.exp(x[diag_pos])
-    return c
+def _unpack_cholesky(x, dim, tril_flat, diag_pos):
+    c = np.zeros(dim * dim)
+    c[tril_flat] = x
+    c[tril_flat[diag_pos]] = np.exp(x[diag_pos])
+    return c.reshape(dim, dim)
+
+
+@functools.cache
+def _qr_routines():
+    # imported on first use; scipy.optimize, which every minimization loads, loads them too
+    from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
+    return dgeqrf, dorgqr, dtrtrs
 
 
 def _half_logdet_rows(r):
-    """(1/2) ln det(R R^T) and its gradient (R^+)^T = (R R^T)^{-1} R, via a thin QR of R^T.
+    """(1/2) ln det(R R^T) and its gradient (R R^T)^{-1} R = U^{-1} Q^T for one k x d row block R.
 
-    ``r`` is one block of rows or a stack of equal-shaped blocks; a stack
-    gives an array of values and the stack of gradients, from one QR and
-    one solve call, with each block's log-diagonal summed on its own.
+    R^T = Q U is LAPACK's Householder QR (dgeqrf, dorgqr), as in ``np.linalg.qr``,
+    and dtrtrs the triangular solve, with no per-call wrapping; R R^T is never
+    formed.  A nonzero ``info`` (a rank-deficient R) raises ``LinAlgError``.
     """
-    q, u = np.linalg.qr(_mT(r))
-    h = np.log(np.abs(np.diagonal(u, axis1=-2, axis2=-1))).sum(axis=-1)
-    return _float_or_stack(h), np.linalg.solve(u, _mT(q))
+    geqrf, orgqr, trtrs = _qr_routines()
+    qr, tau, _, info_qr = geqrf(r.T)
+    q, _, info_q = orgqr(qr, tau)
+    grad, info = trtrs(qr, q.T)   # U is the upper triangle of qr's leading k x k block
+    if info_qr or info_q or info:
+        raise np.linalg.LinAlgError(f"singular row block (LAPACK info {info_qr}, {info_q}, {info})")
+    return np.log(np.abs(qr.diagonal())).sum(), grad
 
 
 def _rhs_factor_objective(m, k):
@@ -180,34 +190,25 @@ def _rhs_factor_objective(m, k):
         sum_{i<k} x_ii - 2 sum_i x_ii - ln|det M| + h(C_B) + h((M C)_A) + h((M C)_B)
 
     with x_ii = ln C_ii and h(R) = (1/2) ln det(R R^T), since det G and
-    det G_A are products of diagonal entries of C.  Returns
-    ``fun(x) -> (value, gradient)`` on the packed lower triangle x.
-
-    The three h terms are one stacked ``_half_logdet_rows`` call when the
-    blocks share a shape (N_A = N_B); otherwise the two B blocks share one
-    and the A block gets its own.  Either way each block is reduced as on
-    its own, so value and gradient do not depend on the grouping.
+    det G_A are products of diagonal entries of C.  Returns ``fun(x) ->
+    (value, gradient)`` on the packed lower triangle x, one ``_half_logdet_rows`` per h.
     """
     dim = m.shape[0]
-    tril_idx, diag_pos = _cholesky_layout(dim)
+    tril_flat, diag_pos = _cholesky_layout(dim)
     ln_det_m = np.linalg.slogdet(m)[1]
     weights = np.full(dim, -2.0)
     weights[:k] += 1.0
 
     def fun(x):
-        c = _unpack_cholesky(x, dim, tril_idx, diag_pos)
+        c = _unpack_cholesky(x, dim, tril_flat, diag_pos)
         mc = m @ c
-        if 2 * k == dim:
-            (h_b, h_ma, h_mb), d = _half_logdet_rows(np.concatenate((c[k:], mc)).reshape(3, k, dim))
-            d_b, d_m = d[0], d[1:].reshape(dim, dim)
-        else:
-            (h_b, h_mb), (d_b, d_mb) = _half_logdet_rows(np.stack((c[k:], mc[k:])))
-            h_ma, d_ma = _half_logdet_rows(mc[:k])
-            d_m = np.vstack((d_ma, d_mb))
-        d_c = m.T @ d_m
+        h_b, d_b = _half_logdet_rows(c[k:])
+        h_ma, d_ma = _half_logdet_rows(mc[:k])
+        h_mb, d_mb = _half_logdet_rows(mc[k:])
+        d_c = m.T @ np.concatenate((d_ma, d_mb))
         d_c[k:] += d_b
-        grad = d_c[tril_idx]
-        grad[diag_pos] = grad[diag_pos] * np.diag(c) + weights
+        grad = d_c.ravel()[tril_flat]
+        grad[diag_pos] = grad[diag_pos] * c.diagonal() + weights   # dC_ii/dx_ii = C_ii
         return float(weights @ x[diag_pos]) + h_b + h_ma + h_mb - ln_det_m, grad
 
     return fun
@@ -244,17 +245,16 @@ def gss_rhs_minimize(m, split: ModeCount, budget: int = 2000,
     identity and (with ``informed_starts``) from M^{-1} when M is positive
     definite (the known stationary point) and from (M M^T)^{-1/2}.
     ``budget`` caps total iterations across restarts; a best point that did
-    not converge is returned flagged non-converged, with the optimizer's
-    stop reason.
+    not converge is returned flagged, with the optimizer's stop reason.
     """
     m = np.asarray(m, dtype=float)
     dim = 2 * split.n_total
     if m.shape != (dim, dim):
         raise DimensionMismatch(f"transformation shape {m.shape} vs split {split}")
     fun = _rhs_factor_objective(m, 2 * split.n_a)
-    tril_idx, diag_pos = _cholesky_layout(dim)
+    tril_flat, diag_pos = _cholesky_layout(dim)
     log_cap = np.log(DIVERGENCE_NORM)
-    bounds = [(None, None)] * len(tril_idx[0])
+    bounds = [(None, None)] * len(tril_flat)
     for pos in diag_pos:
         bounds[pos] = (-log_cap, log_cap)
 
@@ -277,7 +277,7 @@ def gss_rhs_minimize(m, split: ModeCount, budget: int = 2000,
             c0 = np.linalg.cholesky(0.5 * (g_start + g_start.T))
         except np.linalg.LinAlgError:
             continue
-        x0 = c0[tril_idx].copy()
+        x0 = c0.ravel()[tril_flat]
         x0[diag_pos] = np.log(np.diag(c0))
         res = minimize(fun, x0, method="L-BFGS-B", jac=True, bounds=bounds,
                        options=dict(maxiter=min(per_start, budget - iterations),
@@ -289,7 +289,7 @@ def gss_rhs_minimize(m, split: ModeCount, budget: int = 2000,
     if best is None:
         raise NotPositiveDefinite("no feasible starting point")
 
-    c = _unpack_cholesky(best.x, dim, tril_idx, diag_pos)
+    c = _unpack_cholesky(best.x, dim, tril_flat, diag_pos)
     g_best = c @ c.T
     g_best = 0.5 * (g_best + g_best.T)
     fam = SubsystemFamily.transported_pair(split, m)

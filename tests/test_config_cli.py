@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
@@ -273,6 +274,28 @@ def test_cli_bad_config_exit_code(tmp_path):
 def test_cli_missing_file_exit_code():
     res = _cli("simulate", "/nonexistent/path.json")
     assert res.returncode == 2
+
+
+def test_cli_closed_stdout_exits_quietly():
+    # `entgrowth ... --json | head -1`: the reader leaves after one line.  A
+    # one-page pipe holds less than the report, so the writer is still
+    # blocked on it when the reader closes, whatever the timing
+    fcntl = pytest.importorskip("fcntl")
+    read_fd, write_fd = os.pipe()
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen([sys.executable, "-m", "entgrowth.cli", "scenario", "run", "metastable",
+                             "--json"], stdout=write_fd, stderr=subprocess.PIPE)
+    os.close(write_fd)
+    line = b""
+    while not line.endswith(b"\n"):
+        byte = os.read(read_fd, 1)
+        assert byte, "the report ended before its first line did"
+        line += byte
+    os.close(read_fd)
+    err = proc.communicate(timeout=300)[1]
+    assert line == b"scenario: metastable\n"
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE
+    assert err == b""
 
 
 def _one_line_exit_2(argv, capsys):

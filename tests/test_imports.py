@@ -3,9 +3,11 @@
 Gaussian flows use the package's own matrix exponential and take the
 Floquet rates from the eigenvalues of M(tau), so a constant, piecewise or
 periodic run loads no SciPy module at all, on any SciPy release.
-``scipy.optimize`` loads with the first bound minimization, and
-``scipy.sparse``, ``scipy.fft`` and ``scipy.special`` with the first Fock
-step; parsing a Fock config loads none of them.
+``scipy.optimize`` loads with the first bound minimization, and with it
+``scipy.linalg`` and the LAPACK wrappers the objective calls.
+``scipy.sparse``, ``scipy.fft`` and ``scipy.special`` load with the first
+Fock step, and ``scipy.linalg`` only if they import it themselves; parsing
+a Fock config loads none of them.
 """
 
 import json
@@ -49,6 +51,15 @@ SCRIPT = textwrap.dedent("""
 """)
 
 
+def _loaded_by(*modules):
+    """The scipy modules that importing ``modules`` loads in a fresh interpreter."""
+    script = (f"import sys, {', '.join(modules)}; "
+              "print(' '.join(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return set(res.stdout.split())
+
+
 def test_flow_runs_load_no_scipy_module():
     oracle = os.path.join(CONFIGS, "oracle_two_mode_squeezing.json")
     res = subprocess.run([sys.executable, "-c", SCRIPT.format(oracle=oracle)],
@@ -58,8 +69,11 @@ def test_flow_runs_load_no_scipy_module():
     flows, oracle_run, bounds = (set(names) for names in stages)
     # the CLI and library flow runs and parsing a Fock config load no scipy module
     assert flows == set()
-    # the oracle adds what it uses, and no minimizer
+    # the oracle adds what it uses, and no minimizer; scipy.linalg only where
+    # those modules import it themselves (older scipy.special does)
     assert oracle_run >= {"scipy.sparse", "scipy.fft", "scipy.special"}
     assert "scipy.optimize" not in oracle_run
-    # the first bound minimization adds the minimizer
-    assert "scipy.optimize" in bounds - oracle_run
+    assert "scipy.linalg" not in oracle_run - _loaded_by("scipy.sparse", "scipy.fft", "scipy.special")
+    # the first bound minimization adds the minimizer, which loads scipy.linalg
+    # and the LAPACK wrappers its objective calls
+    assert {"scipy.optimize", "scipy.linalg", "scipy.linalg.lapack"} <= bounds - oracle_run

@@ -180,8 +180,8 @@ def test_minimize_stop_summary_names_the_reason():
 def factor_points(draw, limit=1.5):
     """(M, split, x): random symplectic M and a packed Cholesky factor x in [-limit, limit].
 
-    Both N_A = N_B and N_A != N_B are drawn, the two groupings of the
-    objective's blocks.
+    Both N_A = N_B and N_A != N_B are drawn, so row blocks of both equal
+    and unequal heights occur.
     """
     n_total = draw(st.integers(2, 4))
     split = ModeCount(n_total, draw(st.integers(1, n_total - 1)))
@@ -202,24 +202,29 @@ def test_factor_gradient_matches_central_differences(point):
     assert np.max(np.abs(fd - grad)) <= 1e-6 * (1.0 + np.max(np.abs(grad)))
 
 
-def _per_block_objective(m, k):
-    """The factor objective with one ``_half_logdet_rows`` call per row block."""
+def _numpy_objective(m, k):
+    """The factor objective on ``np.linalg.qr`` and ``np.linalg.solve``, one row block at a time."""
     dim = m.shape[0]
-    tril_idx, diag_pos = _cholesky_layout(dim)
+    tril_idx = np.tril_indices(dim)
+    diag = tril_idx[0] == tril_idx[1]
     weights = np.full(dim, -2.0)
     weights[:k] += 1.0
 
+    def half_logdet_rows(r):
+        q, u = np.linalg.qr(r.T)
+        return np.log(np.abs(np.diag(u))).sum(), np.linalg.solve(u, q.T)
+
     def fun(x):
-        c = _unpack_cholesky(x, dim, tril_idx, diag_pos)
+        c = _unpack_cholesky(x, dim, *_cholesky_layout(dim))
         mc = m @ c
-        h_b, d_b = _half_logdet_rows(c[k:])
-        h_ma, d_ma = _half_logdet_rows(mc[:k])
-        h_mb, d_mb = _half_logdet_rows(mc[k:])
+        h_b, d_b = half_logdet_rows(c[k:])
+        h_ma, d_ma = half_logdet_rows(mc[:k])
+        h_mb, d_mb = half_logdet_rows(mc[k:])
         d_c = m.T @ np.vstack((d_ma, d_mb))
         d_c[k:] += d_b
         grad = d_c[tril_idx]
-        grad[diag_pos] = grad[diag_pos] * np.diag(c) + weights
-        value = float(weights @ x[diag_pos]) + h_b + h_ma + h_mb - np.linalg.slogdet(m)[1]
+        grad[diag] = grad[diag] * np.diag(c) + weights
+        value = float(weights @ x[diag]) + h_b + h_ma + h_mb - np.linalg.slogdet(m)[1]
         return value, grad
 
     return fun
@@ -227,15 +232,25 @@ def _per_block_objective(m, k):
 
 @settings(max_examples=60, deadline=None)
 @given(factor_points())
-def test_stacked_objective_equals_per_block_reference(point):
-    # the stacked QR and solve reduce each block on its own, so the grouping
-    # changes no bit of value or gradient and the minimizer's path
+def test_factor_objective_matches_numpy_reference(point):
+    # the objective calls the LAPACK routines that np.linalg.qr and solve
+    # run, so value and gradient agree to roundoff with the numpy reference
+    # (bit for bit on one LAPACK build; 4 ulp allows for another)
     m, split, x = point
     k = 2 * split.n_a
     value, grad = _rhs_factor_objective(m, k)(x)
-    ref_value, ref_grad = _per_block_objective(m, k)(x)
-    assert value == ref_value
-    assert np.array_equal(grad, ref_grad)
+    ref_value, ref_grad = _numpy_objective(m, k)(x)
+    ulp = np.finfo(float).eps
+    assert abs(value - ref_value) <= 4 * ulp * max(1.0, abs(ref_value))
+    assert np.all(np.abs(grad - ref_grad) <= 4 * ulp * np.maximum(1.0, np.abs(ref_grad)))
+
+
+def test_half_logdet_rows_rejects_a_rank_deficient_block():
+    r = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        _half_logdet_rows(r)
+    h, grad = _half_logdet_rows(r[:1])   # its nonzero row alone is full rank
+    assert h == pytest.approx(0.5 * math.log(5.0)) and np.allclose(grad, r[:1] / 5.0)
 
 
 @settings(max_examples=60, deadline=None)
