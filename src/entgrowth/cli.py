@@ -4,7 +4,8 @@ Commands::
 
     entgrowth simulate <config.json>          full pipeline per the config
     entgrowth lyapunov <config.json>          its Lyapunov stage only
-    entgrowth exponent <config.json>          its propagation, Lyapunov and exponent stages
+    entgrowth exponent <config.json>          its propagation, Lyapunov and exponent stages;
+                                              gaussian configs only (fock: exit 2)
     entgrowth bounds-check <config.json>      its propagation and bound stages
     entgrowth oracle <config.json>            simulate, for fock configs only
     entgrowth scenario list

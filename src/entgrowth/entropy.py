@@ -2,10 +2,10 @@
 
 All entropies are in nats.  The von Neumann entropy is a sum of
 single-eigenvalue terms over the symplectic spectrum; the Renyi-2 entropy
-is half the log-determinant of the covariance matrix; the asymptotic
-entropy ``0.5 ln det(e G / 2)`` is defined on the whole positive-definite
-cone (it does not require the uncertainty bound) and sits a fixed
-``N ln(e/2)`` above the Renyi-2 value.
+is half the log-determinant of the covariance matrix, sum ln diag L of its
+checked Cholesky factor L; the asymptotic entropy ``0.5 ln det(e G / 2)``
+is defined on the whole positive-definite cone (it does not require the
+uncertainty bound) and sits a fixed ``N ln(e/2)`` above the Renyi-2 value.
 """
 
 import math
@@ -16,12 +16,14 @@ import numpy as np
 from .errors import CorridorViolated, NotPositiveDefinite
 from .phase_space import (
     ModeCount,
+    _earliest_failure,
     _fail,
     _first_not_pd,
     _float_or_stack,
     _mT,
+    covariance_factor,
+    factor_spectrum,
     n_modes_of,
-    require_valid_covariance,
     split_blocks,
     williamson_spectrum,
 )
@@ -54,6 +56,11 @@ def mode_entropy(nu: float) -> float:
     return hi * math.log(hi) - eps * math.log(eps)
 
 
+def _half_logdet_factor(ell):
+    """(1/2) ln det(L L^T) = sum ln diag L of a Cholesky factor L (one value per matrix of a stack)."""
+    return np.sum(np.log(np.diagonal(ell, axis1=-2, axis2=-1)), axis=-1)
+
+
 def logdet_pd(a):
     """log det of a positive definite matrix via Cholesky (overflow safe).
 
@@ -66,7 +73,7 @@ def logdet_pd(a):
     except np.linalg.LinAlgError:
         _fail(NotPositiveDefinite, "matrix is not positive definite",
               _first_not_pd(sym) if a.ndim > 2 else None)
-    return _float_or_stack(2.0 * np.sum(np.log(np.diagonal(ell, axis1=-2, axis2=-1)), axis=-1))
+    return _float_or_stack(2.0 * _half_logdet_factor(ell))
 
 
 def _spectrum_entropy(nus):
@@ -81,10 +88,12 @@ def von_neumann_entropy(g):
     return _spectrum_entropy(williamson_spectrum(g))
 
 
+@_earliest_failure
 def renyi2_entropy(g):
-    """Renyi-2 entropy: half the log-determinant of the covariance matrix (of each of a stack)."""
-    require_valid_covariance(g)
-    return 0.5 * logdet_pd(g)
+    """Renyi-2 entropy (1/2) ln det G as sum ln diag L of the checked factor L (of each of a stack)."""
+    ell = covariance_factor(g)
+    factor_spectrum(ell)
+    return _float_or_stack(_half_logdet_factor(ell))
 
 
 def asymptotic_entropy(g):

@@ -38,7 +38,7 @@ import numpy as np
 
 from .dynamics import QuadraticHamiltonian, step_count, step_loop, stored_steps
 from .errors import DimensionMismatch, TruncationLeak
-from .phase_space import require_valid_covariance
+from .phase_space import williamson_spectrum
 
 
 MEMORY_BUDGET = 2 ** 27   # bytes: amplitudes twice, step operator and Chebyshev vectors, 128 MiB
@@ -502,5 +502,5 @@ def covariance_of(state: FockState):
     for a in range(dim):
         for b in range(a, dim):
             g[a, b] = g[b, a] = 2.0 * np.real(np.vdot(applied[a], applied[b])) - 2.0 * z[a] * z[b]
-    require_valid_covariance(g, uncertainty_slack=max(1e-9, 100.0 * leak))
+    williamson_spectrum(g, uncertainty_slack=max(1e-9, 100.0 * leak))
     return g, z

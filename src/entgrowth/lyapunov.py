@@ -21,7 +21,6 @@ alongside).
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -236,10 +235,8 @@ class RegularityReport:
     tol: float
 
 
-def regularity_check(data: LyapunovData, tol: Optional[float] = None) -> RegularityReport:
-    """Check that exponents come in conjugate pairs lambda_k = -lambda_{2N+1-k}."""
-    if tol is None:
-        tol = max(1e-8, 2.0 * data.residual)
+def regularity_check(data: LyapunovData, tol: float) -> RegularityReport:
+    """Check that exponents pair as lambda_k = -lambda_{2N+1-k} to within ``tol`` (max-abs)."""
     lam = data.exponents
     viol = float(np.max(np.abs(lam + lam[::-1])))
     return RegularityReport(is_regular=viol <= tol, max_violation=viol, tol=tol)

@@ -6,9 +6,9 @@ Conventions used everywhere in this package:
 * hbar = 1 and the vacuum covariance matrix is the identity;
 * the symplectic form is block diagonal with 2x2 blocks [[0, 1], [-1, 0]].
 
-Covariance matrices are plain ``numpy`` arrays; the one validity check
-here (symmetry, positive definiteness, uncertainty bound) returns the
-symplectic (Williamson) eigenvalues that all entropy formulas consume.
+Covariance matrices are plain ``numpy`` arrays; the one validity check,
+``williamson_spectrum``, returns the symplectic eigenvalues that all
+entropy formulas consume; callers that read its factor L run its two steps.
 
 The per-sample functions here and in ``entropy``, ``dynamics``, ``ssa``
 and ``subsystem`` take one (d, d) matrix or an (n, d, d) stack of them and
@@ -190,45 +190,18 @@ def factor_spectrum(ell, uncertainty_slack=UNCERTAINTY_SLACK) -> np.ndarray:
 
 
 @_earliest_failure
-def require_valid_covariance(g, uncertainty_slack=UNCERTAINTY_SLACK) -> np.ndarray:
+def williamson_spectrum(g, uncertainty_slack=UNCERTAINTY_SLACK) -> np.ndarray:
     """Symplectic eigenvalues nu_1 >= ... >= nu_N of a valid covariance matrix.
 
-    Checks, in order, symmetry, positive definiteness (the Cholesky factor
-    L of the symmetrized G) and the uncertainty bound nu_N^2 >= 1 -
-    ``uncertainty_slack``, and raises the typed error of the first failed
-    check.  The nu are the singular values of L^T Omega L, which is far
-    better conditioned at large squeezing than an eigensolve of Omega G or
-    of -J^2 (for a single mode it reduces to det L, exact).  A stack of
-    covariance matrices gives one row of eigenvalues per matrix and fails
-    at its earliest failing matrix.
+    The covariance check: in order, symmetry and positive definiteness
+    (:func:`covariance_factor`), then the uncertainty bound nu_N^2 >= 1 -
+    ``uncertainty_slack`` (:func:`factor_spectrum`); raises the typed error
+    of the first failed check.  The nu are the singular values of L^T Omega
+    L, far better conditioned at large squeezing than an eigensolve of
+    Omega G or of -J^2 (for one mode it is det L, exact).  A stack gives
+    one row per matrix and fails at its earliest failing matrix.
     """
     return factor_spectrum(covariance_factor(g), uncertainty_slack)
-
-
-@_earliest_failure
-def williamson_spectrum(g, method: str = "chol") -> np.ndarray:
-    """Symplectic eigenvalues nu_1 >= ... >= nu_N of a covariance matrix.
-
-    ``method="chol"`` returns the spectrum that
-    :func:`require_valid_covariance` computes while it validates ``g``;
-    ``method="eig"`` validates the same way, then takes the magnitudes of
-    the +-i nu eigenvalue pairs of Omega G, with a check that they are
-    dominantly imaginary (a reference for the Cholesky route).  A stack of
-    covariance matrices gives one row of eigenvalues per matrix.
-    """
-    g = np.asarray(g, dtype=float)
-    nus = require_valid_covariance(g)
-    if method == "chol":
-        return nus
-    if method == "eig":
-        ev = np.linalg.eigvals(standard_omega(n_modes_of(g)) @ g)
-        # eigenvalues come in pairs +-i nu; reject if real parts are not negligible
-        scale = np.max(np.abs(ev), axis=-1)
-        _fail_first(np.max(np.abs(ev.real), axis=-1) > 1e-6 * (scale + 1.0), UncertaintyViolated,
-                    "eigenvalues of Omega G are not dominantly imaginary; "
-                    "input is not a valid covariance matrix")
-        return np.sort(np.abs(ev.imag))[..., ::-2]
-    raise ValueError(f"unknown method {method!r}")
 
 
 def is_pure(g, tol: float = PURITY_TOL) -> bool:

@@ -32,7 +32,7 @@ from .dynamics import (
     require_real_logarithm,
     step_count,
 )
-from .entropy import LN_E_OVER_2, _spectrum_entropy, von_neumann_entropy
+from .entropy import LN_E_OVER_2, _half_logdet_factor, _spectrum_entropy, von_neumann_entropy
 from .errors import ConfigError, EntgrowthError, NoRealLogarithm, WindowTooShort
 from .fitting import fit_slope, windowed
 from .lyapunov import lyapunov_spectrum, regularity_check
@@ -44,8 +44,8 @@ from .phase_space import (
     covariance_factor,
     factor_spectrum,
     is_pure,
-    require_valid_covariance,
     restrict,
+    williamson_spectrum,
 )
 from .reporting import CsvRow, RunReport, write_csv
 from .ssa import gss_rhs_minimize, squashed_bounds
@@ -302,7 +302,7 @@ def _lyapunov_view(cfg, report):
 def _exponent_view(cfg, report):
     series = _propagation_section(report, cfg)
     lyap = _lyapunov_section(report, cfg)
-    _, _, s2_a, _ = _a_block(series.matrices, series.times, _initial_covariance(cfg), cfg.modes)
+    _, _, s2_a, _ = _a_block(series.matrices, series.times, cfg.initial_state, cfg.modes)
     _exponent_section(report, cfg.modes, lyap, series, s2_a)
 
 
@@ -322,10 +322,14 @@ def run_view(cfg: ScenarioConfig, view: str) -> RunReport:
     and the bound minimizations at ``run.bound_times``, or at ``t_final``
     when there are none.  Each section equals the section of the same name in
     :func:`run_scenario`'s report on the same config, and a stage error
-    becomes a report failure in the same way.
+    becomes a report failure in the same way.  A view of a stage that the
+    config's pipeline never runs is a ``ConfigError``: every view of the
+    classical counterexample, and the exponent view of a Fock state.
     """
     if _is_builtin(cfg, "classical_shear"):
         raise ConfigError(f"the classical counterexample has no {view} stage", "hamiltonian")
+    if view == "exponent" and not isinstance(cfg.initial_state, np.ndarray):
+        raise ConfigError("a fock initial state has no exponent stage", "initial_state.type")
     return _guarded(cfg, _VIEWS[view])
 
 
@@ -356,13 +360,6 @@ def _run_classical(cfg, report):
                                   source="gaussian", trusted=True))
     if abs(fit.slope - 1.0) > 0.02:
         report.fail(f"classical MI log-slope {fit.slope:.4f} deviates from 1 beyond 0.02")
-
-
-def _initial_covariance(cfg):
-    # a Fock state's exponent view uses the vacuum; the volumetric slope
-    # does not depend on this metric
-    g0 = cfg.initial_state
-    return g0 if isinstance(g0, np.ndarray) else np.eye(2 * cfg.modes.n_total)
 
 
 def _propagation_section(report, cfg):
@@ -434,19 +431,17 @@ def _a_block(mats, times, g0, split):
 
     The one factorization of each A block: S_2(A) = (1/2) ln det G_A = sum
     ln diag L, the log volume whose slope is the volumetric exponent.  When
-    the factor fails at sample i, the samples before i are also checked
-    against the uncertainty bound, and the earliest failure is raised.
+    the factor fails, the whole covariance check names the earliest failure.
     """
     g_t = evolve_covariance(g0, mats)
     g_a = restrict(g_t, SubsystemSpec.first_modes(split.n_a, split.n_total))
     with _stage("entropy", "A block", times):
         try:
             ell = covariance_factor(g_a)
-        except (ValueError, RuntimeError) as exc:
-            if getattr(exc, "index", None):
-                require_valid_covariance(g_a[:exc.index])
+        except (ValueError, RuntimeError):
+            williamson_spectrum(g_a)
             raise
-    s2_a = np.sum(np.log(np.diagonal(ell, axis1=-2, axis2=-1)), axis=-1)
+    s2_a = _half_logdet_factor(ell)
     return g_t, ell, s2_a, s2_a + split.n_a * LN_E_OVER_2
 
 
@@ -484,7 +479,7 @@ def _gaussian_samples(mats, times, g0, split, s_global, g_t, ell):
 
 def _gaussian_stages(report, cfg, series, lyap):
     split = cfg.modes
-    g0 = _initial_covariance(cfg)
+    g0 = cfg.initial_state
     g_t, ell, s2_a, s_as_a = _a_block(series.matrices, series.times, g0, split)
     alg, vol = _exponent_section(report, split, lyap, series, s2_a)
 

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .entropy import LN_E_OVER_2, asymptotic_entropy, logdet_pd, mutual_information_asymptotic
+from .entropy import LN_E_OVER_2, asymptotic_entropy, logdet_pd
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .phase_space import (
     ModeCount,
@@ -139,13 +139,6 @@ class BoundReport:
         return f"stopped before converging: {self.stop_reason}"
 
 
-def _rhs_objective(m, split: ModeCount):
-    def objective(g):
-        return (mutual_information_asymptotic(g, split)
-                + mutual_information_asymptotic(m @ g @ m.T, split))
-    return objective
-
-
 def _cholesky_layout(dim):
     """Flat row-major positions of the lower triangle, and the positions of the diagonal among them."""
     rows, cols = np.tril_indices(dim)
@@ -185,7 +178,8 @@ def _half_logdet_rows(r):
 def _rhs_factor_objective(m, k):
     """The right-hand-side objective and its gradient in Cholesky coordinates.
 
-    For G = C C^T the objective of ``_rhs_objective`` reads
+    For G = C C^T the objective I_as(A;B)(G) + I_as(A;B)(M G M^T), which is
+    -2 ``gss_objective(G, SubsystemFamily.transported_pair(split, M))``, reads
 
         sum_{i<k} x_ii - 2 sum_i x_ii - ln|det M| + h(C_B) + h((M C)_A) + h((M C)_B)
 

@@ -8,22 +8,22 @@ M(t)^T.  It is computed two independent ways:
   Lyapunov basis, greedily selecting the first 2 N_A independent columns
   of that coefficient matrix, and summing the matching exponents;
 * volumetrically, as the fitted slope of the restricted log-determinant
-  0.5 ln det(F M(t) G0 M(t)^T F^T) over the second half of the horizon.
+  0.5 ln det(F M(t) G0 M(t)^T F^T) over the second half of the horizon,
+  by ``fitting.fit_slope``, the rule of every slope in the package.
 
 The volumetric slope is independent of the reference metric G0, which the
 cross-method tests exercise directly.  For a Gaussian state with
 covariance G0 the restricted log volume is the Renyi-2 entropy S_2(A),
-which is what the pipeline fits.
+which is what the pipeline fits with :func:`volumetric_slope_fit`.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .dynamics import PropagationResult
 from .entropy import logdet_pd
-from .errors import DimensionMismatch, NotConverged, RankDeficient
+from .errors import DimensionMismatch, RankDeficient
 from .fitting import SlopeFit, fit_slope, windowed
 from .lyapunov import LyapunovData
 from .phase_space import SubsystemSpec, _mT
@@ -33,19 +33,17 @@ SELECT_TOL = 1e-8   # relative residual below which a column counts as dependent
 
 @dataclass(frozen=True)
 class ExponentReport:
-    """Subsystem exponent with selection diagnostics.
+    """Algebraic subsystem exponent with selection diagnostics.
 
     ``indices`` maps selection rank to Lyapunov index (0-based, strictly
-    increasing).  For the volumetric method ``stderr`` and ``window``
-    describe the slope fit instead.
+    increasing); ``generic_lambda`` sums the largest 2 N_A exponents.  The
+    volumetric exponent is a ``fitting.SlopeFit``.
     """
 
     lambda_a: float
-    indices: Optional[tuple] = None
-    generic_lambda: Optional[float] = None
-    generic_agrees: Optional[bool] = None
-    stderr: Optional[float] = None
-    window: Optional[tuple] = None
+    indices: tuple
+    generic_lambda: float
+    generic_agrees: bool
 
 
 def expansion_matrix(theta, lyap: LyapunovData) -> np.ndarray:
@@ -122,23 +120,20 @@ def restricted_log_volume(sub: SubsystemSpec, m, g0):
 
 
 def subsystem_exponent_volumetric(sub: SubsystemSpec, series: PropagationResult,
-                                  g0=None) -> ExponentReport:
-    """Exponent as the slope of the restricted log volume over [t*/2, t*].
+                                  g0=None) -> SlopeFit:
+    """Exponent as the slope of the restricted log volume over [t*/2, t*]: the full fit record.
 
     The first half of the horizon of ``series`` is discarded as transient.
     For periodically driven systems sample at multiples of the drive
     period (choose ``store_every`` accordingly) so that bounded Floquet
-    oscillations do not bias the fit.  NotConverged when fewer than 8
-    samples fall in the window.
+    oscillations do not bias the fit.  The fit is
+    :func:`volumetric_slope_fit`, the pipeline's: ``WindowTooShort`` when
+    fewer than ``fitting.MIN_POINTS`` samples fall in the window.
     """
     if g0 is None:
         g0 = np.eye(series.matrices.shape[1])
-    fit = volumetric_slope_fit(series.times, restricted_log_volume(sub, series.matrices, g0),
-                               series.t_final)
-    if fit.n_points < 8:
-        raise NotConverged(f"only {fit.n_points} samples in fit window "
-                           f"[{fit.window[0]:.3g}, {fit.window[1]:.3g}]")
-    return ExponentReport(lambda_a=fit.slope, stderr=fit.stderr, window=fit.window)
+    return volumetric_slope_fit(series.times, restricted_log_volume(sub, series.matrices, g0),
+                                series.t_final)
 
 
 def volumetric_slope_fit(times, log_volume, t_final) -> SlopeFit:

@@ -363,6 +363,9 @@ def test_cli_bounds_check_command(tmp_path):
     assert all(np.isfinite(entry["residual"]) for entry in entries)
 
 
+SHIPPED_ORACLE_CONFIG = (pathlib.Path(__file__).resolve().parent.parent / "configs"
+                         / "oracle_two_mode_squeezing.json")
+
 # the stage commands and the sections of the simulate report they reproduce
 STAGE_SECTIONS = {"lyapunov": {"lyapunov"},
                   "exponent": {"propagation", "lyapunov", "exponent"},
@@ -424,6 +427,19 @@ def test_stage_commands_refuse_the_classical_counterexample(tmp_path, capsys):
     for command in STAGE_SECTIONS:
         assert cli.main([command, str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+def test_shipped_oracle_config_has_no_exponent_stage(capsys):
+    # a fock state's pipeline runs no exponent stage (simulate's report has
+    # none), so its view is a config error; its other stages run
+    path = str(SHIPPED_ORACLE_CONFIG)
+    code, _, sim = _run_cli(capsys, "simulate", path)
+    assert code == 0 and "exponent" not in sim["sections"], sim["failures"]
+    for command in ("lyapunov", "bounds-check"):
+        code, _, doc = _run_cli(capsys, command, path)
+        assert code == 0 and doc["ok"], (command, doc["failures"])
+    err = _one_line_exit_2(["exponent", path], capsys)
+    assert err.startswith("config error: initial_state.type: ")
 
 
 def test_off_grid_bound_time_is_config_error(tmp_path):
@@ -516,8 +532,7 @@ def test_shipped_oracle_config_runs(monkeypatch):
     sizes = []
     check_size = fock.check_size
     monkeypatch.setattr(fock, "check_size", lambda *args: sizes.append(args) or check_size(*args))
-    cfg_path = pathlib.Path(__file__).resolve().parent.parent / "configs" / "oracle_two_mode_squeezing.json"
-    cfg = parse_config(cfg_path.read_text())
+    cfg = parse_config(SHIPPED_ORACLE_CONFIG.read_text())
     rep = run_scenario(cfg, write_outputs=False)
     assert rep.ok, (rep.failures, rep.warnings)
     assert rep.sections["oracle"]["rel_dev"] <= 0.1

@@ -156,9 +156,8 @@ def test_von_neumann_matches_trace_formula():
 
 def test_odd_dimension_rejected():
     from entgrowth.errors import DimensionMismatch
-    from entgrowth.phase_space import require_valid_covariance
     with pytest.raises(DimensionMismatch):
-        require_valid_covariance(np.eye(3))
+        williamson_spectrum(np.eye(3))
 
 
 def test_geometric_renyi_identity():

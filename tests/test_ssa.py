@@ -20,7 +20,6 @@ from entgrowth.ssa import (
     _cholesky_layout,
     _half_logdet_rows,
     _rhs_factor_objective,
-    _rhs_objective,
     _unpack_cholesky,
     gss_objective,
     gss_rhs_minimize,
@@ -263,7 +262,7 @@ def test_factor_value_matches_formed_objective(point):
     value, _ = _rhs_factor_objective(m, 2 * split.n_a)(x)
     dim = m.shape[0]
     c = _unpack_cholesky(x, dim, *_cholesky_layout(dim))
-    formed = _rhs_objective(m, split)(c @ c.T)
+    formed = -2.0 * gss_objective(c @ c.T, SubsystemFamily.transported_pair(split, m))
     assert abs(value - formed) <= 1e-10 * (1.0 + abs(value))
 
 
@@ -304,8 +303,11 @@ def test_minimize_local_minimum_certificate():
     m = random_pd_symplectic(2, rng)
     rep = gss_rhs_minimize(m, SPLIT)
     assert rep.residual <= 1e-8
-    from entgrowth.ssa import _rhs_objective
-    objective = _rhs_objective(m, SPLIT)
+    fam = SubsystemFamily.transported_pair(SPLIT, m)
+
+    def objective(g):
+        return -2.0 * gss_objective(g, fam)
+
     base = objective(rep.argmin_g)
     for _ in range(20):
         d = rng.normal(size=(4, 4))

@@ -5,6 +5,8 @@ and fail where the loop first fails: same sample, same error type, same
 message after the sample prefix.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,12 +15,20 @@ from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 from entgrowth.dynamics import evolve_covariance, polar_decompose
-from entgrowth.entropy import asymptotic_entropy, logdet_pd, renyi2_entropy, von_neumann_entropy
+from entgrowth.entropy import (
+    LN_E_OVER_2,
+    _spectrum_entropy,
+    asymptotic_entropy,
+    logdet_pd,
+    renyi2_entropy,
+    von_neumann_entropy,
+)
 from entgrowth.errors import NotPositiveDefinite, SingularM
 from entgrowth.phase_space import (
     ModeCount,
     SubsystemSpec,
-    require_valid_covariance,
+    covariance_factor,
+    factor_spectrum,
     restrict,
     standard_omega,
     williamson_spectrum,
@@ -27,6 +37,7 @@ from entgrowth.sampling import random_covariance
 from entgrowth.scenarios import _a_block, _gaussian_samples
 from entgrowth.ssa import squashed_bounds
 from entgrowth.subsystem import restricted_log_volume
+from test_phase_space import eig_williamson_spectrum
 
 
 @st.composite
@@ -92,12 +103,11 @@ def test_stacked_functions_equal_their_loop_bit_for_bit(case):
     _agrees_with_loop(lambda m: restricted_log_volume(sub_a, m, g0), mats)
 
     for blocks in (g, g_a):
-        _agrees_with_loop(require_valid_covariance, blocks)
+        for spectrum in (williamson_spectrum, eig_williamson_spectrum):
+            _agrees_with_loop(spectrum, blocks)
         for fn in (logdet_pd, asymptotic_entropy, renyi2_entropy, von_neumann_entropy):
             if _agrees_with_loop(fn, blocks):
                 assert type(fn(blocks[0])) is float
-        for method in ("chol", "eig"):
-            _agrees_with_loop(lambda x: williamson_spectrum(x, method=method), blocks)
 
     def polar_parts(pair):
         return pair.t_part, pair.u_part
@@ -130,6 +140,77 @@ def test_a_block_stage_equals_the_entropy_functions_bit_for_bit(case, seed, mixe
         assert s_vn[k] == von_neumann_entropy(block)
         assert s2[k] == renyi2_entropy(block)
         assert s_as[k] == asymptotic_entropy(block)
+
+
+@st.composite
+def covariance_stacks(draw):
+    """1-6 random covariance matrices on 1-3 modes, all pure or all mixed, up to two corrupted.
+
+    A corrupted sample is scaled toward zero (below the vacuum when the
+    scale is small enough), negated (not positive definite) or made
+    asymmetric.
+    """
+    n = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mixed = draw(st.booleans())
+    stack = np.array([random_covariance(n, rng, mixed=mixed) for _ in range(count)])
+    corruptions = st.tuples(st.integers(0, count - 1),
+                            st.sampled_from(["scaled", "negated", "asymmetric"]))
+    for index, kind in draw(st.lists(corruptions, max_size=2)):
+        if kind == "scaled":
+            stack[index] *= draw(st.floats(0.2, 1.0))
+        elif kind == "negated":
+            stack[index] = -stack[index]
+        else:
+            stack[index][0, -1] += 1e-3 * (1.0 + np.abs(stack[index]).max())
+    return stack
+
+
+def _factor_path(stack):
+    """The pipeline's A-block route: one factor L per sample, then the spectrum of L.
+
+    Fails as the pipeline's entropy stage does: when the factor fails at
+    sample i, the samples before i are checked against the uncertainty
+    bound first.
+    """
+    try:
+        ell = covariance_factor(stack)
+    except (ValueError, RuntimeError) as exc:
+        if getattr(exc, "index", None):
+            factor_spectrum(covariance_factor(stack[:exc.index]))
+        raise
+    return ell, factor_spectrum(ell)
+
+
+@settings(max_examples=120, deadline=None)
+@given(covariance_stacks())
+def test_library_entropies_equal_the_factor_path_bit_for_bit(stack):
+    n = stack.shape[-1] // 2
+    try:
+        ell, nus = _factor_path(stack)
+    except (ValueError, RuntimeError) as failure:
+        for fn in (renyi2_entropy, von_neumann_entropy):
+            with pytest.raises(type(failure)) as info:
+                fn(stack)
+            assert type(info.value) is type(failure)
+            assert (info.value.index, str(info.value)) == (failure.index, str(failure))
+    else:
+        s2 = np.sum(np.log(np.diagonal(ell, axis1=-2, axis2=-1)), axis=-1)
+        with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
+            assert (renyi2_entropy(stack) == s2).all()
+        assert cholesky.call_count == 1
+        assert renyi2_entropy(stack[0]) == s2[0]
+        assert (von_neumann_entropy(stack) == _spectrum_entropy(nus)).all()
+        assert von_neumann_entropy(stack[0]) == _spectrum_entropy(nus[0])
+    # the asymptotic entropy needs only the factor, not the uncertainty bound
+    try:
+        ell = covariance_factor(stack)
+    except (ValueError, RuntimeError):
+        return
+    s_as = np.sum(np.log(np.diagonal(ell, axis1=-2, axis2=-1)), axis=-1) + n * LN_E_OVER_2
+    assert (asymptotic_entropy(stack) == s_as).all()
+    assert asymptotic_entropy(stack[0]) == s_as[0]
 
 
 def _clean_case(case):
