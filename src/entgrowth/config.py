@@ -41,7 +41,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import fock as fock_mod
-from .dynamics import DEFECT_FACTOR, QuadraticHamiltonian, sample_times, step_count, stored_count
+from .dynamics import DEFECT_FACTOR, QuadraticHamiltonian, sample_times
 from .errors import ConfigError
 from .phase_space import ModeCount, is_symmetric
 
@@ -362,7 +362,7 @@ def _read_fock(obj, modes, run):
     if not 1 <= n_modes <= 3:
         raise ConfigError("the Fock oracle supports 1 to 3 modes", "modes.total")
     # the oracle's size rules for the whole run, before any amplitude tensor exists
-    n_samples = stored_count(step_count(run.t_final, run.dt), run.store_every)
+    n_samples = len(sample_times(run.t_final, run.dt, run.store_every))
     _build(f"{_S}.cutoff", None, fock_mod.check_size, n_modes, cutoff, n_samples)
     return ({"state": text, "cutoff": cutoff},
             _build(f"{_S}.state", repr(text), _fock_from_text, text, cutoff, n_modes))

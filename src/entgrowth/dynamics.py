@@ -361,11 +361,6 @@ def stored_steps(n_steps: int, store_every: int) -> list:
     return steps
 
 
-def stored_count(n_steps: int, store_every: int) -> int:
-    """The number of steps :func:`stored_steps` keeps, without listing them."""
-    return len(range(0, n_steps + 1, store_every)) + (n_steps % store_every != 0)
-
-
 def sample_times(t_final: float, dt: float, store_every: int = 1) -> np.ndarray:
     """The times ``propagate`` stores, at the steps of :func:`stored_steps`.
 
@@ -507,7 +502,7 @@ def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
     if bad.any():
         i = int(np.argmax(bad))
         raise StepTooLarge(
-            f"propagation stage at t={times[i]:.6g}: symplectic defect {defects[i]:.3g} exceeded "
+            f"at t={times[i]:.6g}: symplectic defect {defects[i]:.3g} exceeded "
             f"ceiling {ceilings[i]:.3g}; " + hint)
     return PropagationResult(times=times, matrices=mats, defects=defects, dt=dt_eff)
 

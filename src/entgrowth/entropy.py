@@ -125,10 +125,11 @@ def corridor_check(g) -> EntropyReport:
     s_as - s_vn <= (N / nu_min^2) ln(e/2): the upper corridor wall becomes
     exact when all symplectic eigenvalues are large.
     """
-    nus = williamson_spectrum(g)
+    ell = covariance_factor(g)
+    nus = factor_spectrum(ell)
     n = len(nus)
     s_vn = _spectrum_entropy(nus)
-    s_r2 = float(np.sum(np.log(nus)))
+    s_r2 = float(_half_logdet_factor(ell))
     s_as = s_r2 + n * LN_E_OVER_2
     report = EntropyReport(s_vn=s_vn, s_r2=s_r2, s_as=s_as, n_modes=n)
     if not (s_r2 - CORRIDOR_SLACK <= s_vn <= s_as + CORRIDOR_SLACK):

@@ -12,13 +12,14 @@ than silently kept; unstable dynamics leaves any fixed cutoff eventually,
 so honest windows beat adaptive cutoff growth.
 
 Size policy, owned by :func:`check_size` alone: a cutoff of at least 4, and
-a run's stored amplitudes, twice (the Schmidt stage stacks them), its sparse
-step operator and the Chebyshev vectors of one recurrence (at most
-``SPAN_TERMS``, the term count of a ``SPAN_CAP`` span) must fit
-``MEMORY_BUDGET`` bytes, with no cap on the modes or the dimension.  The
-config parser runs it with the run's sample count before it builds the
-state, and :func:`evolve_fock` runs it once more.  The state owns its
-shape; :class:`FockConfig` holds only the step and the leak ceiling.
+a run's stored amplitudes, twice (its stack, and a recurrence block while the
+block's stored rows are copied), its sparse step operator and the Chebyshev
+vectors of one recurrence (at most ``SPAN_TERMS``, the term count of a
+``SPAN_CAP`` span) must fit ``MEMORY_BUDGET`` bytes, with no cap on the modes
+or the dimension.  The config parser runs it with the run's sample count
+before it builds the state, and :func:`evolve_fock` runs it once more.  The
+state owns its shape; :class:`FockConfig` holds only the step and the leak
+ceiling.
 
 The operator is one sparse product, [xi_1 ... xi_2N] (h (x) I) [xi_1; ...;
 xi_2N] = h_ab xi^a xi^b, Hermitian-averaged (:func:`build_hamiltonian`).
@@ -36,7 +37,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .dynamics import QuadraticHamiltonian, step_count, step_loop, stored_steps
+from .dynamics import QuadraticHamiltonian, sample_times, step_count, step_loop, stored_steps
 from .errors import DimensionMismatch, TruncationLeak
 from .phase_space import williamson_spectrum
 
@@ -53,12 +54,13 @@ LEAK_CEILING = 1e-6       # default ceiling on the top-two-level population of a
 def check_size(n_modes: int, cutoff: int, n_samples: int) -> None:
     """Raise ValueError for a cutoff below 4 or a run of ``n_samples`` over ``MEMORY_BUDGET``.
 
-    A run holds its stored amplitude vectors twice (:func:`schmidt_entropies`
-    stacks them), its sparse step operator and the Chebyshev vectors of one
-    recurrence, at most ``SPAN_TERMS``.  A quadratic form moves the
-    occupations by at most two quanta, in one mode or across two, so the
-    operator has at most 2 N^2 + 1 nonzero diagonals: each nonzero costs a
-    complex value and a column index, each row a pointer.
+    A run holds its stored amplitude vectors twice (a recurrence block beside
+    the trajectory's stack while its stored rows are copied), its sparse step
+    operator and the Chebyshev vectors of one recurrence, at most
+    ``SPAN_TERMS``.  A quadratic form moves the occupations by at most two
+    quanta, in one mode or across two, so the operator has at most 2 N^2 + 1
+    nonzero diagonals: each nonzero costs a complex value and a column
+    index, each row a pointer.
     """
     if cutoff < 4:
         raise ValueError("cutoff must be at least 4")
@@ -331,26 +333,19 @@ class FockState:
         return cls(amp)
 
 
-def top_level_population(states):
-    """Largest population of the top two levels over all modes.
-
-    ``states`` is one FockState, giving a float, or a stack of amplitude
-    tensors with the states along the first axis, giving one value per
-    state.  Only the top two levels of each mode are squared.
-    """
-    if isinstance(states, FockState):
-        return float(top_level_population(states.amplitudes[None])[0])
-    axes = tuple(range(1, states.ndim))
-    return np.max([np.sum(np.abs(np.moveaxis(states, axis, 1)[:, -2:]) ** 2, axis=axes)
+def top_level_population(amplitudes):
+    """Largest population of the top two levels over all modes, for each state of a stack."""
+    axes = tuple(range(1, amplitudes.ndim))
+    return np.max([np.sum(np.abs(np.moveaxis(amplitudes, axis, 1)[:, -2:]) ** 2, axis=axes)
                    for axis in axes], axis=0)
 
 
 @dataclass
 class FockTrajectory:
-    """Sampled oracle evolution with trust flags per sample."""
+    """Oracle samples: one stack of ``amplitudes`` on the ``times`` of ``propagate``, trust flags."""
 
     times: np.ndarray
-    states: list
+    amplitudes: np.ndarray
     leaks: np.ndarray
     trusted: np.ndarray
 
@@ -377,24 +372,24 @@ def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
     tau w = ``SPAN_CAP`` = 64 and then restarts from its last state,
     because accumulating its outputs costs samples x terms x dim, which
     grows with the square of the span.  A run must pass :func:`check_size`.
-    The norm drift and the top-level population of the stored samples are
-    checked once per recurrence group.  Once the top-level population
-    exceeds the ceiling, all later samples are flagged untrusted; an
-    initial state already over the ceiling is rejected outright.
+    Stored states are copied out of their block into one stack on the times
+    of ``propagate``, whose norm drift and top-level population are checked
+    once, failing at the earliest stored time.  Once the top-level population
+    exceeds the ceiling, all later samples are flagged untrusted; an initial
+    state already over the ceiling is rejected outright.
     """
     if ham.n_modes != psi0.n_modes:
         raise DimensionMismatch(f"Hamiltonian has {ham.n_modes} modes, state has {psi0.n_modes}")
     if abs(psi0.norm - 1.0) > 1e-8:
         raise ValueError(f"initial state norm {psi0.norm} not 1")
-    leak0 = top_level_population(psi0)
-    if leak0 > cfg.leak_ceiling:
+    if top_level_population(psi0.amplitudes[None])[0] > cfg.leak_ceiling:
         raise TruncationLeak("fock stage at t=0: initial state already exceeds the leak "
                              "ceiling; raise the cutoff")
 
+    times = sample_times(t_final, cfg.dt, store_every)
+    check_size(psi0.n_modes, psi0.cutoff, len(times))
     n_steps = step_count(t_final, cfg.dt)
     events = stored_steps(n_steps, store_every)[1:]
-    check_size(psi0.n_modes, psi0.cutoff, len(events) + 1)
-    shape = psi0.amplitudes.shape
     frames = {}    # piece index -> Chebyshev frame of its Fock operator
 
     def segment(length, t_mid):
@@ -407,67 +402,66 @@ def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
         return _Segments(((frame, length),))
 
     def segments():
-        # (frame, length, t): every segment in order; t is the stored time
-        # the segment ends at, or None inside a stored step
-        for _, t, factors in step_loop(ham, t_final, n_steps, events, segment):
+        # (frame, length, stored): every segment in order; the last segment
+        # of a stored step ends at its stored time
+        for _, _, factors in step_loop(ham, t_final, n_steps, events, segment):
             pairs = (pair for factor in factors for pair in factor)
             last = next(pairs)
             for pair in pairs:
-                yield (*last, None)
+                yield (*last, False)
                 last = pair
-            yield (*last, t)
+            yield (*last, True)
 
-    psi = psi0.amplitudes.ravel().copy()
-    times = [0.0]
-    states = [FockState(psi.reshape(shape))]
-    leaks = [[leak0]]
+    amplitudes = np.empty(times.shape + psi0.amplitudes.shape, dtype=complex)
+    rows = amplitudes.reshape(len(times), -1)    # a view: its rows are the stack's states
+    rows[0] = psi0.amplitudes.ravel()
+    psi, count = rows[0], 1
     for frame, group in groupby(segments(), key=itemgetter(0)):
-        _, lengths, ends = zip(*group)
+        _, lengths, stored = zip(*group)
         block = _chebyshev_states(frame, psi, lengths)
         psi = block[-1]
-        stored = [j for j, t in enumerate(ends) if t is not None]
-        ts = np.array([ends[j] for j in stored])
-        # squared norms from the real view: no copy of the block
-        flat = block.view(float)
-        drift = np.abs(np.sqrt(np.einsum("ij,ij->i", flat, flat)[stored]) - 1.0)
-        bad = np.nonzero(drift > 1e-8 * np.maximum(ts, 1.0))[0]
-        if len(bad):
-            i = bad[0]
-            raise RuntimeError(f"fock stage at t={ts[i]:.6g}: norm drift {drift[i]:.3g}; "
-                               f"step unitary is broken")
-        times += ts.tolist()
-        states += [FockState(block[j].reshape(shape)) for j in stored]
-        leaks.append(top_level_population(block.reshape((-1,) + shape))[stored])
-    leaks = np.concatenate(leaks)
-    return FockTrajectory(times=np.array(times), states=states, leaks=leaks,
+        kept = np.flatnonzero(stored)
+        rows[count:count + len(kept)] = block[kept]
+        count += len(kept)
+
+    # squared norms from the real view: no copy of the stack
+    flat = rows.view(float)
+    drift = np.abs(np.sqrt(np.einsum("ij,ij->i", flat, flat)) - 1.0)
+    bad = np.nonzero(drift > 1e-8 * np.maximum(times, 1.0))[0]
+    if len(bad):
+        i = bad[0]
+        raise RuntimeError(f"fock stage at t={times[i]:.6g}: norm drift {drift[i]:.3g}; "
+                           f"step unitary is broken")
+    leaks = top_level_population(amplitudes)
+    return FockTrajectory(times=times, amplitudes=amplitudes, leaks=leaks,
                           trusted=~np.logical_or.accumulate(leaks > cfg.leak_ceiling))
 
 
-def _schmidt_values(states, modes_a) -> np.ndarray:
-    """Schmidt coefficients across ``modes_a`` | the other modes, one row per state.
+def _schmidt_values(amplitudes, modes_a) -> np.ndarray:
+    """Schmidt coefficients across ``modes_a`` | the other modes, one row per state of the stack.
 
-    One batched SVD over the stack of the states' (d^|A|, d^|B|)
-    coefficient matrices.
+    One batched SVD over the (d^|A|, d^|B|) coefficient matrices of the
+    stack ``amplitudes``, states along the first axis.
     """
     modes_a = tuple(modes_a)
-    n = states[0].n_modes
+    n = amplitudes.ndim - 1
     modes_b = tuple(m for m in range(n) if m not in modes_a)
     if not modes_a or not modes_b or len(set(modes_a)) != len(modes_a):
         raise ValueError(f"bad subsystem modes {modes_a} of {n}")
-    d = states[0].cutoff
-    stack = np.stack([state.amplitudes for state in states])
-    stack = np.transpose(stack, (0,) + tuple(1 + m for m in modes_a + modes_b))
-    return np.linalg.svd(stack.reshape(len(states), d ** len(modes_a), d ** len(modes_b)),
+    d = amplitudes.shape[1]
+    stack = np.transpose(amplitudes, (0,) + tuple(1 + m for m in modes_a + modes_b))
+    return np.linalg.svd(stack.reshape(len(stack), d ** len(modes_a), d ** len(modes_b)),
                          compute_uv=False)
 
 
-def schmidt_entropies(states, modes_a):
-    """Von Neumann and Renyi-2 entropies of ``modes_a``, one per pure state, as two arrays.
+def schmidt_entropies(amplitudes, modes_a):
+    """Von Neumann and Renyi-2 entropies of ``modes_a``, one per pure state of a stack, as two arrays.
 
+    The states lie along the first axis, as in :attr:`FockTrajectory.amplitudes`.
     Both come from the Schmidt probabilities p = s^2 of one batched SVD:
     S = -sum p ln p and S_2 = -ln sum p^2.
     """
-    probs = _schmidt_values(states, modes_a) ** 2
+    probs = _schmidt_values(amplitudes, modes_a) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(probs > 1e-300, probs * np.log(probs), 0.0)
     return -np.sum(terms, axis=-1), -np.log(np.sum(probs ** 2, axis=-1))
@@ -475,12 +469,12 @@ def schmidt_entropies(states, modes_a):
 
 def reduced_entropy(state: FockState, modes_a) -> float:
     """Entanglement entropy of the given modes from the Schmidt spectrum."""
-    return float(schmidt_entropies([state], modes_a)[0][0])
+    return float(schmidt_entropies(state.amplitudes[None], modes_a)[0][0])
 
 
 def reduced_renyi2(state: FockState, modes_a) -> float:
     """Renyi-2 entropy -ln tr rho_A^2 of the reduced state."""
-    return float(schmidt_entropies([state], modes_a)[1][0])
+    return float(schmidt_entropies(state.amplitudes[None], modes_a)[1][0])
 
 
 def covariance_of(state: FockState):
@@ -492,7 +486,7 @@ def covariance_of(state: FockState):
     chopping the amplitude tail can push the moments below the bound by an
     amount of the truncation size.
     """
-    leak = top_level_population(state)
+    leak = top_level_population(state.amplitudes[None])[0]
     xi = build_quadratures(state.n_modes, state.cutoff)
     psi = state.amplitudes.ravel()
     applied = [op @ psi for op in xi]

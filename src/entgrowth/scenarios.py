@@ -33,7 +33,7 @@ from .dynamics import (
     step_count,
 )
 from .entropy import LN_E_OVER_2, _half_logdet_factor, _spectrum_entropy, von_neumann_entropy
-from .errors import ConfigError, EntgrowthError, NoRealLogarithm, WindowTooShort
+from .errors import ConfigError, EntgrowthError, NoRealLogarithm, StepTooLarge, WindowTooShort
 from .fitting import fit_slope, windowed
 from .lyapunov import lyapunov_spectrum, regularity_check
 from .phase_space import (
@@ -245,8 +245,7 @@ def _floquet_section(report, cfg):
     period = cfg.hamiltonian.period
     # only M(tau) is read: store the last step alone, under the run's defect ceiling
     n_steps = step_count(period, cfg.run.dt)
-    mults = np.linalg.eigvals(propagate(cfg.hamiltonian, period, cfg.run.dt, store_every=n_steps,
-                                        defect_factor=cfg.tolerances.defect_factor).final_matrix)
+    mults = np.linalg.eigvals(_flow_stage("floquet", cfg, period, n_steps).final_matrix)
     rates = np.sort(np.log(np.abs(mults)))[::-1] / period
     report.add("floquet", {"multipliers_abs": np.sort(np.abs(mults))[::-1], "rates": rates,
                            "lambda_from_multipliers": float(np.sum(rates[:2 * cfg.modes.n_a]))})
@@ -349,7 +348,8 @@ def _run_classical(cfg, report):
     t_grid = np.geomspace(1.0 / eps, cfg.run.t_final / eps, 120)
     mi = np.array([classical_counterexample_mi(t, eps) for t in t_grid])
     mask = t_grid * eps >= 100.0
-    fit = fit_slope(np.log(t_grid[mask]), mi[mask])
+    with _fit_stage("classical_counterexample", (100.0 / eps, cfg.run.t_final / eps)):
+        fit = fit_slope(np.log(t_grid[mask]), mi[mask])
     report.add("classical_counterexample", {
         "eps": eps, "log_slope": fit.slope, "log_slope_stderr": fit.stderr,
         "mi_at_t0": mi[0], "mi_at_tend": mi[-1]})
@@ -363,12 +363,20 @@ def _run_classical(cfg, report):
 
 
 def _propagation_section(report, cfg):
-    series = propagate(cfg.hamiltonian, cfg.run.t_final, cfg.run.dt,
-                       store_every=cfg.run.store_every, defect_factor=cfg.tolerances.defect_factor)
+    series = _flow_stage("propagation", cfg, cfg.run.t_final, cfg.run.store_every)
     report.add("propagation", {"t_final": series.t_final, "dt": series.dt,
                                "max_defect": float(np.max(series.defects)),
                                "samples": len(series.times)})
     return series
+
+
+def _flow_stage(name, cfg, t_final, store_every):
+    """``propagate`` to ``t_final`` at the run's step and defect ceiling; a failure names the stage."""
+    try:
+        return propagate(cfg.hamiltonian, t_final, cfg.run.dt, store_every=store_every,
+                         defect_factor=cfg.tolerances.defect_factor)
+    except StepTooLarge as exc:
+        raise StepTooLarge(f"{name} stage {exc}") from exc
 
 
 @contextmanager
@@ -562,16 +570,15 @@ def _fock_stages(report, cfg, series, lyap):
 
     s_as = _a_block(series.matrices, series.times, g0, split)[3]
     lowers, uppers = _bounds_columns(series.matrices, series.times, g0, split)
-    s_vn, s2 = fock_mod.schmidt_entropies(traj.states, modes_a)
+    s_vn, s2 = fock_mod.schmidt_entropies(traj.amplitudes, modes_a)
     inside = (lowers - 1e-9 <= s_vn) & (s_vn <= uppers + 1e-9)
     containment_ok = bool(np.all(inside[traj.trusted]))
-    # both trajectories store the same step grid, so sample i pairs with M(t_i);
     # the global state is pure, so S(B) = S(A), S(AB) = 0 and I(A;B) = 2 S(A)
     report.rows = [CsvRow(t=t, s_vn_a=s_vn_a, s2_a=s2_a, s_as_a=s_as_a, i_ab=2.0 * s_vn_a,
                           lambda_a_alg=alg.lambda_a, lambda_a_vol=None, bound_lower=lower,
                           bound_upper=upper, source="fock", trusted=trusted)
                    for t, s_vn_a, s2_a, s_as_a, lower, upper, trusted in zip(
-                       traj.times.tolist(), s_vn.tolist(), s2.tolist(), s_as.tolist(),
+                       series.times.tolist(), s_vn.tolist(), s2.tolist(), s_as.tolist(),
                        lowers.tolist(), uppers.tolist(), traj.trusted.tolist(), strict=True)]
 
     t_trust = traj.trusted_until
@@ -584,7 +591,7 @@ def _fock_stages(report, cfg, series, lyap):
     if not containment_ok:
         report.fail("oracle entanglement entropy escaped the squashed-entanglement bounds")
     with _fit_stage("oracle", window):
-        fit = fit_slope(*windowed(traj.times[mask], s_vn[mask], *window))
+        fit = fit_slope(*windowed(series.times[mask], s_vn[mask], *window))
     rel_dev = abs(fit.slope - alg.lambda_a) / max(abs(alg.lambda_a), 1e-12)
     section.update(slope=fit.slope, stderr=fit.stderr, window=list(fit.window),
                    lambda_ref=alg.lambda_a, rel_dev=rel_dev)

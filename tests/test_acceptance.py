@@ -221,7 +221,7 @@ def test_criterion_09_squashed_bounds_vs_oracle():
         for idx, t in enumerate(traj.times):
             if not traj.trusted[idx]:
                 break
-            s_true = reduced_entropy(traj.states[idx], (0,))
+            s_true = reduced_entropy(FockState(traj.amplitudes[idx]), (0,))
             t_part = polar_decompose(gauss.matrices[idx]).t_part
             lower, upper = squashed_bounds(t_part, g0, SPLIT2)
             if not (lower - 1e-9 <= s_true <= upper + 1e-9):

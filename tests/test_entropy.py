@@ -120,6 +120,14 @@ def test_corridor_property_random():
         assert -1e-9 <= rep.s_vn - rep.s_r2 <= 2 * LN_E_OVER_2 + 1e-9
 
 
+def test_corridor_renyi2_is_renyi2_entropy():
+    # one Renyi-2 route: sum ln diag L of the checked factor, bit for bit
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        g = random_covariance(3, rng)
+        assert corridor_check(g).s_r2 == renyi2_entropy(g)
+
+
 def test_symplectic_invariance_of_entropy():
     rng = np.random.default_rng(59)
     for _ in range(20):

@@ -134,7 +134,7 @@ def test_chebyshev_step_matches_dense_exponential(case):
     cfg = FockConfig(dt=s, leak_ceiling=1.0)
     ham = QuadraticHamiltonian.constant(h)
     traj = evolve_fock(FockState(psi.reshape((cutoff,) * n)), ham, s, cfg)
-    out = traj.states[-1].amplitudes.ravel()
+    out = traj.amplitudes[-1].ravel()
     exact = expm(-1j * s * build_hamiltonian(ham, 0.0, cutoff).toarray()) @ psi
     assert np.max(np.abs(out - exact)) < 1e-12
     assert abs(np.linalg.norm(out) - 1.0) < 1e-13
@@ -159,7 +159,7 @@ def test_periodic_pieces_match_the_dense_product(case, durations, periods, per_p
         op = build_hamiltonian(QuadraticHamiltonian.constant(form), 0.0, cutoff).toarray()
         one_period = expm(-1j * d * op) @ one_period
     exact = np.linalg.matrix_power(one_period, periods) @ psi
-    assert np.max(np.abs(traj.states[-1].amplitudes.ravel() - exact)) < 1e-12
+    assert np.max(np.abs(traj.amplitudes[-1].ravel() - exact)) < 1e-12
 
 
 def _random_state(cutoff, n, seed):
@@ -179,17 +179,17 @@ def test_every_stored_state_of_a_constant_run_matches_the_dense_exponential(monk
     assert 6.0 * fock._chebyshev_frame(op).w > SPAN_CAP
     psi0 = _random_state(8, 2, 5)
     traj = evolve_fock(psi0, TMS, 6.0, cfg, store_every=1)
-    assert len(traj.states) == 301 and len(spans) == 2 and max(spans) <= SPAN_CAP
+    assert len(traj.amplitudes) == 301 and len(spans) == 2 and max(spans) <= SPAN_CAP
     step = expm(-1j * 0.02 * op.toarray())
     psi = psi0.amplitudes.ravel()
-    for state in traj.states[1:]:
+    for amp in traj.amplitudes[1:]:
         psi = step @ psi
-        assert np.max(np.abs(state.amplitudes.ravel() - psi)) < 1e-12
+        assert np.max(np.abs(amp.ravel() - psi)) < 1e-12
     # one stored segment of x = 78 runs as two equal parts
     spans.clear()
-    last = evolve_fock(psi0, TMS, 6.0, cfg, store_every=300).states[-1]
+    last = evolve_fock(psi0, TMS, 6.0, cfg, store_every=300).amplitudes[-1]
     assert len(spans) == 2 and max(spans) <= SPAN_CAP
-    assert np.max(np.abs(last.amplitudes.ravel() - psi)) < 1e-12
+    assert np.max(np.abs(last.ravel() - psi)) < 1e-12
 
 
 def test_every_stored_state_of_a_piecewise_run_matches_the_dense_exponentials():
@@ -208,11 +208,11 @@ def test_every_stored_state_of_a_piecewise_run_matches_the_dense_exponentials():
     assert len(traj.times) == 129
     psi, t_prev = psi0.amplitudes.ravel(), 0.0
     edges = [1.63, 3.2, 4.83, 6.4]
-    for t, state in zip(traj.times[1:], traj.states[1:]):
+    for t, amp in zip(traj.times[1:], traj.amplitudes[1:]):
         cuts = [t_prev] + [e for e in edges if t_prev < e < t] + [t]
         for a, b in zip(cuts, cuts[1:]):
             psi = expm(-1j * (b - a) * ops[ham.piece_at(0.5 * (a + b))]) @ psi
-        assert np.max(np.abs(state.amplitudes.ravel() - psi)) < 1e-12
+        assert np.max(np.abs(amp.ravel() - psi)) < 1e-12
         t_prev = t
 
 
@@ -256,9 +256,9 @@ def test_subnormal_form_keeps_the_state_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = evolve_fock(psi0, QuadraticHamiltonian.constant(h), 1.0, cfg, store_every=2)
-    assert len(traj.states) == 6
-    for state in traj.states:
-        assert np.array_equal(state.amplitudes, psi0.amplitudes)
+    assert len(traj.amplitudes) == 6
+    for amp in traj.amplitudes:
+        assert np.array_equal(amp, psi0.amplitudes)
 
 
 def test_harmonic_eigenstate_survival():
@@ -266,8 +266,8 @@ def test_harmonic_eigenstate_survival():
     ham = QuadraticHamiltonian.constant(np.eye(2))
     psi0 = FockState.fock((1,), 10)
     traj = evolve_fock(psi0, ham, 2.0, cfg, store_every=20)
-    for state in traj.states:
-        assert abs(abs(state.amplitudes[1]) - 1.0) < 1e-10
+    for amp in traj.amplitudes:
+        assert abs(abs(amp[1]) - 1.0) < 1e-10
 
 
 def test_constant_hamiltonian_is_built_once(monkeypatch):
@@ -283,6 +283,47 @@ def test_constant_hamiltonian_is_built_once(monkeypatch):
     assert len(traj.times) == 5 and len(builds) == 1     # 126 steps, a shorter last segment
 
 
+def _flow(kind):
+    """(Hamiltonian, t_final, dt, store_every) of one kind of Hamiltonian data."""
+    if kind == "constant":
+        return TMS, 0.63, 0.005, 40
+    if kind == "multi-piece":
+        beam = np.diag([1.0, 1.0, 0.6, 0.6])
+        beam[0, 2] = beam[2, 0] = beam[1, 3] = beam[3, 1] = 0.7
+        pieces = [(0.13, two_mode_squeezing_form(0.5)), (0.17, beam)]
+        return QuadraticHamiltonian.piecewise(pieces, 0.3), 1.0, 0.01, 7
+    if kind == "one-piece-periodic":
+        return QuadraticHamiltonian.piecewise([(0.1, two_mode_squeezing_form(0.2))], 0.1), 2.0, 0.01, 50
+    mod = np.zeros((4, 4))
+    mod[0, 0] = 0.5
+    cfg = parse_config(json.dumps({
+        "modes": {"total": 2, "subsystem": 1},
+        "hamiltonian": {"type": "fourier", "period": 2.0,
+                        "base": matrix_to_json(two_mode_squeezing_form()),
+                        "terms": [{"omega": math.pi, "cos": matrix_to_json(mod)}]},
+        "initial_state": {"type": "gaussian", "covariance": "vacuum"},
+        "run": {"t_final": 1.0, "dt": 0.01}}))
+    return cfg.hamiltonian, 1.0, 0.01, 5
+
+
+@pytest.mark.parametrize("kind", ["constant", "multi-piece", "one-piece-periodic", "fourier"])
+def test_trajectory_is_one_stack_on_the_propagation_grid(kind):
+    # the times of propagate bit for bit, and a stack whose memory holds its
+    # stored states alone: no recurrence block stays alive behind a sample
+    # (the one-piece periodic flow crosses its 20 periods in one 20-row
+    # recurrence block, of which 4 rows are stored)
+    ham, t_final, dt, store_every = _flow(kind)
+    cutoff = 12
+    traj = evolve_fock(FockState.fock((1, 0), cutoff), ham, t_final,
+                       FockConfig(dt=dt, leak_ceiling=1.0), store_every=store_every)
+    assert np.array_equal(traj.times, propagate(ham, t_final, dt, store_every).times)
+    assert traj.amplitudes.shape == (len(traj.times), cutoff, cutoff)
+    memory = traj.amplitudes
+    while memory.base is not None:
+        memory = memory.base
+    assert memory.size == len(traj.times) * cutoff ** 2
+
+
 def test_tms_covariance_matches_gaussian_propagation():
     cfg = FockConfig(dt=0.005, leak_ceiling=1e-6)
     psi0 = FockState.fock((0, 0), 16)
@@ -291,7 +332,7 @@ def test_tms_covariance_matches_gaussian_propagation():
     for idx, t in enumerate(traj.times):
         if not traj.trusted[idx]:
             break
-        g_fock, z = covariance_of(traj.states[idx])
+        g_fock, z = covariance_of(FockState(traj.amplitudes[idx]))
         g_exact = evolve_covariance(np.eye(4), gauss.matrices[idx])
         assert np.max(np.abs(g_fock - g_exact)) < 1e-6
         assert np.max(np.abs(z)) < 1e-8
@@ -315,8 +356,8 @@ def test_three_modes_at_cutoff_20_match_gaussian_propagation():
                        store_every=run.store_every)
     gauss = propagate(cfg.hamiltonian, run.t_final, run.dt, store_every=run.store_every)
     assert cfg.initial_state.amplitudes.size == 8000 and traj.trusted.all() and len(traj.times) == 5
-    for state, leak, m in zip(traj.states, traj.leaks, gauss.matrices):
-        g_fock, _ = covariance_of(state)
+    for amp, leak, m in zip(traj.amplitudes, traj.leaks, gauss.matrices):
+        g_fock, _ = covariance_of(FockState(amp))
         # the slack covariance_of widens by the leak
         slack = max(1e-9, 100.0 * leak)
         assert np.max(np.abs(g_fock - evolve_covariance(np.eye(6), m))) <= slack
@@ -334,7 +375,7 @@ def test_metastable_fock_log_growth():
     ts, s2 = [], []
     for idx, t in enumerate(traj.times):
         if t >= 0.8 and traj.trusted[idx]:
-            g, _ = covariance_of(traj.states[idx])
+            g, _ = covariance_of(FockState(traj.amplitudes[idx]))
             ts.append(t)
             s2.append(renyi2_entropy(restrict(g, sub)))
     ts = np.array(ts)
@@ -360,7 +401,7 @@ def test_reduced_entropy_matches_gaussian_for_squeezed_vacuum():
     cfg = FockConfig(dt=0.005, leak_ceiling=1e-6)
     psi0 = FockState.fock((0, 0), 20)
     traj = evolve_fock(psi0, TMS, 0.5, cfg, store_every=100)
-    state = traj.states[-1]
+    state = FockState(traj.amplitudes[-1])
     assert traj.trusted[-1]
     s_fock = reduced_entropy(state, (0,))
     g, _ = covariance_of(state)
@@ -373,7 +414,7 @@ def test_global_purity_of_schmidt_spectrum():
     psi0 = FockState.superposition([(1.0, (0, 0)), (1.0, (2, 0))], 14, 2)
     traj = evolve_fock(psi0, TMS, 0.4, cfg, store_every=40)
     from entgrowth.fock import _schmidt_values
-    for sv in _schmidt_values(traj.states, (0,)):
+    for sv in _schmidt_values(traj.amplitudes, (0,)):
         assert abs(np.sum(sv ** 2) - 1.0) < 1e-8
 
 
@@ -385,8 +426,9 @@ def test_gaussian_envelope_upper_bounds_entropy():
         for idx in range(len(traj.times)):
             if not traj.trusted[idx]:
                 break
-            s_true = reduced_entropy(traj.states[idx], (0,))
-            g, _ = covariance_of(traj.states[idx])
+            state = FockState(traj.amplitudes[idx])
+            s_true = reduced_entropy(state, (0,))
+            g, _ = covariance_of(state)
             s_env = von_neumann_entropy(restrict(g, SubsystemSpec.first_modes(1, 2)))
             assert s_true <= s_env + 1e-6
 
@@ -475,20 +517,21 @@ def test_coherent_state_oracle_matches_vacuum_growth():
     psi_coh = FockState.coherent([0.5, -0.3], 20)
     t_vac = evolve_fock(psi_vac, TMS, 0.8, cfg, store_every=40)
     t_coh = evolve_fock(psi_coh, TMS, 0.8, cfg, store_every=40)
-    for s_vac, s_coh, ok in zip(t_vac.states, t_coh.states, t_coh.trusted):
+    for a_vac, a_coh, ok in zip(t_vac.amplitudes, t_coh.amplitudes, t_coh.trusted):
         if not ok:
             break
-        assert abs(reduced_entropy(s_vac, (0,)) - reduced_entropy(s_coh, (0,))) < 1e-6
+        assert abs(reduced_entropy(FockState(a_vac), (0,))
+                   - reduced_entropy(FockState(a_coh), (0,))) < 1e-6
 
 
 def test_top_level_population_counts_both_modes():
     amp = np.zeros((6, 6))
     amp[5, 0] = 1.0
-    assert top_level_population(FockState(amp)) == 1.0
+    assert top_level_population(amp[None]) == [1.0]
     amp = np.zeros((6, 6))
     amp[0, 4] = 1.0
-    assert top_level_population(FockState(amp)) == 1.0
-    # a stack gives one value per state
+    assert top_level_population(amp[None]) == [1.0]
+    # one value per state of the stack
     vacuum, mixed = np.zeros((6, 6)), np.zeros((6, 6))
     vacuum[0, 0] = 1.0
     mixed[0, 0] = mixed[1, 1] = mixed[4, 3] = mixed[2, 5] = 0.5

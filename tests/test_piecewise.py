@@ -113,11 +113,10 @@ def test_piecewise_config_builtin_agree_bitwise_and_callable_to_roundoff():
 
     cfg = FockConfig(dt=0.01, leak_ceiling=1.0)
     psi0 = FockState.fock((0, 0), 8)
-    states = [evolve_fock(psi0, ham, 1.2, cfg, store_every=30).states
+    stacks = [evolve_fock(psi0, ham, 1.2, cfg, store_every=30).amplitudes
               for ham in (built, from_config, wrapped)]
-    assert all(np.array_equal(a.amplitudes, b.amplitudes) for a, b in zip(states[0], states[1]))
-    assert all(np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-10
-               for a, b in zip(states[0], states[2]))
+    assert np.array_equal(stacks[0], stacks[1])
+    assert np.max(np.abs(stacks[2] - stacks[0])) <= 1e-10
 
 
 @pytest.fixture

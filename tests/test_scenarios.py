@@ -286,6 +286,31 @@ def test_propagation_failure_names_its_stage_and_time():
                                  f"ceiling {factor * scale[first]:.3g}; "), detail
 
 
+def test_floquet_failure_names_its_stage_and_time(monkeypatch):
+    # the one-period call alone gets a zero ceiling, which the roundoff of
+    # M(6) exceeds; the propagation stage to t=0.05 keeps the run's ceiling
+    real_propagate = scenarios.propagate
+
+    def strict_floquet(ham, t_final, dt, **kwargs):
+        if t_final == ham.period:
+            kwargs["defect_factor"] = 0.0
+        return real_propagate(ham, t_final, dt, **kwargs)
+
+    base = np.array([[-1.0, 0, 0.2, 0], [0, 1, 0, 0], [0.2, 0, -0.6, 0], [0, 0, 0, 1]])
+    cfg = parse_config(json.dumps({
+        "modes": {"total": 2, "subsystem": 1},
+        "hamiltonian": {"type": "fourier", "period": 6.0, "base": matrix_to_json(base),
+                        "terms": [{"omega": math.pi / 3, "cos": matrix_to_json(0.1 * np.eye(4))}]},
+        "initial_state": {"type": "gaussian", "covariance": "vacuum"},
+        "run": {"t_final": 0.05, "dt": 0.01, "lyapunov_t_star": 20.0, "lyapunov_dt": 0.01}}))
+    monkeypatch.setattr(scenarios, "propagate", strict_floquet)
+    rep = run_scenario(cfg, write_outputs=False)
+    assert len(rep.failures) == 1, rep.failures
+    assert rep.failures[0].startswith("StepTooLarge: floquet stage at t=6: symplectic defect "), \
+        rep.failures
+    assert list(rep.sections) == ["propagation", "lyapunov"]
+
+
 def test_lyapunov_failure_names_its_stage_and_horizon():
     failure = _only_failure("coupled_chain", {"residual_tol": 1e-12})
     assert failure.startswith("NotConverged: lyapunov stage, horizon t*=120: Lyapunov residual"), \
@@ -304,6 +329,15 @@ def test_fock_failure_names_its_stage_and_time(monkeypatch):
     monkeypatch.setattr(fock, "build_hamiltonian", lossy_build)
     with pytest.raises(RuntimeError, match=r"^fock stage at t=0\.05: norm drift"):
         fock.evolve_fock(fock.FockState.fock((0, 0), 8), ham, 0.5, cfg, store_every=5)
+
+
+def test_classical_fit_failure_names_its_stage_and_window():
+    # at t_final 100 the fit window [100/eps, t_final/eps] holds one grid point
+    doc = scenario_document("classical_counterexample")
+    doc["run"]["t_final"] = 100.0
+    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    assert rep.failures == ["WindowTooShort: classical_counterexample stage, window [2000, 2000]: "
+                            "need at least 4 samples, got 1"], rep.failures
 
 
 def test_gaussian_fit_failures_name_their_stage_and_window():
