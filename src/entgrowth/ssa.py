@@ -5,21 +5,17 @@ The central object is the minimization over positive definite matrices G of
     I_as(A;B)(G) + I_as(A;B)(M G M^T),
 
 whose value lower-bounds the sum of mutual informations of any state and
-its image under the symplectic transformation M.  The minimizer is a
-quasi-Newton descent on Cholesky factors G = C C^T (log-parametrized
-diagonal) with informed restarts.  Value and exact gradient are evaluated
-in factor space, from the diagonal of C and one LAPACK Householder QR per
-row block of C or M C, so neither G nor M G M^T is ever formed.  When M is
+its image under the symplectic transformation M.  It is geodesically convex
+on the positive definite cone under the affine-invariant metric, so every
+stationary point is a global minimum.  The minimizer is a damped Newton
+descent from G = I in whitened coordinates G = R e^X R^T, in numpy alone;
+two stacked QR factorizations of row blocks of R and M R give its value,
+gradient and Hessian, so neither G nor M G M^T is formed.  When M is
 positive definite the stationary point G = M^{-1} (value 2 I_as(M)) is a
-restart and a test oracle.
-
-The infimum may sit at the boundary of the cone (covariance entries
-running to infinity).  The log-diagonal of C is confined to
-+-ln(DIVERGENCE_NORM), which keeps C C^T numerically positive definite;
-a best point with entries beyond DIVERGENCE_NORM is flagged, not an error.
+test oracle.  The infimum may sit at the boundary of the cone, where no
+minimizer exists; the result is then flagged ``diverged``, not an error.
 """
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,10 +35,11 @@ from .phase_space import (
     standard_omega,
 )
 
-DIVERGENCE_NORM = 1e6
-# L-BFGS-B stopping tolerances: projected gradient and relative decrease
-GTOL = 1e-9
-FTOL = 1e-14
+EPS = np.finfo(float).eps
+ROUNDOFF = 64 * EPS      # the value's roundoff per unit of summed |log-determinant| terms
+STEP_CAP = 2.0           # largest |eigenvalue| of a Newton step before the line search
+ARMIJO, MAX_HALVINGS = 1e-4, 40
+DIVERGENCE_STEP = 0.1    # a longer final Newton step reads as a boundary infimum
 
 
 @dataclass(frozen=True)
@@ -128,170 +125,158 @@ class BoundReport:
     iterations: int
     converged: bool
     diverged: bool
-    stop_reason: str       # the optimizer's message for the returned start
+    stop_reason: str       # why the descent stopped
     budget: int
 
     @property
     def stop_summary(self) -> str:
-        """Why the returned start stopped, worded for a warning."""
+        """Why the descent stopped, worded for a warning."""
         if self.iterations >= self.budget:
             return f"exhausted its budget of {self.budget} iterations"
         return f"stopped before converging: {self.stop_reason}"
 
 
-def _cholesky_layout(dim):
-    """Flat row-major positions of the lower triangle, and the positions of the diagonal among them."""
-    rows, cols = np.tril_indices(dim)
-    return rows * dim + cols, np.flatnonzero(rows == cols)
+def _rhs_terms(m, k, r):
+    """The right-hand-side objective at G = R R^T, less its constant -ln|det M|.
 
-
-def _unpack_cholesky(x, dim, tril_flat, diag_pos):
-    c = np.zeros(dim * dim)
-    c[tril_flat] = x
-    c[tril_flat[diag_pos]] = np.exp(x[diag_pos])
-    return c.reshape(dim, dim)
-
-
-@functools.cache
-def _qr_routines():
-    # imported on first use; scipy.optimize, which every minimization loads, loads them too
-    from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
-    return dgeqrf, dorgqr, dtrtrs
-
-
-def _half_logdet_rows(r):
-    """(1/2) ln det(R R^T) and its gradient (R R^T)^{-1} R = U^{-1} Q^T for one k x d row block R.
-
-    R^T = Q U is LAPACK's Householder QR (dgeqrf, dorgqr), as in ``np.linalg.qr``,
-    and dtrtrs the triangular solve, with no per-call wrapping; R R^T is never
-    formed.  A nonzero ``info`` (a rank-deficient R) raises ``LinAlgError``.
+    Over the selectors F_i (rows of A and of B, of G and of M G M^T) it is
+    sum_i h(F_i R) - 2 ln|det R|, with h(W) = (1/2) ln det(W W^T) read off
+    the diagonal of the QR factor of W^T: one stacked QR for the two A-type
+    blocks, one for the two B-type blocks.  Returns the value, its roundoff
+    and the (4, d, d) stack of projectors onto the row spaces of the F_i R.
     """
-    geqrf, orgqr, trtrs = _qr_routines()
-    qr, tau, _, info_qr = geqrf(r.T)
-    q, _, info_q = orgqr(qr, tau)
-    grad, info = trtrs(qr, q.T)   # U is the upper triangle of qr's leading k x k block
-    if info_qr or info_q or info:
-        raise np.linalg.LinAlgError(f"singular row block (LAPACK info {info_qr}, {info_q}, {info})")
-    return np.log(np.abs(qr.diagonal())).sum(), grad
+    mr = m @ r
+    logs, proj = [], []
+    for rows in (slice(None, k), slice(k, None)):
+        q, u = np.linalg.qr(np.stack((r[rows].T, mr[rows].T)))
+        logs.append(np.log(np.abs(np.diagonal(u, axis1=1, axis2=2))))
+        proj.append(q @ _mT(q))
+    ln_det_r = np.linalg.slogdet(r)[1]
+    magnitude = sum(np.abs(block).sum() for block in logs) + 2.0 * abs(ln_det_r)
+    value = sum(block.sum() for block in logs) - 2.0 * ln_det_r
+    return float(value), ROUNDOFF * float(magnitude), np.concatenate(proj)
 
 
-def _rhs_factor_objective(m, k):
-    """The right-hand-side objective and its gradient in Cholesky coordinates.
+def _newton_step(proj):
+    """Minimum-norm Newton step X in the whitened coordinates G = R e^X R^T, and its decrement.
 
-    For G = C C^T the objective I_as(A;B)(G) + I_as(A;B)(M G M^T), which is
-    -2 ``gss_objective(G, SubsystemFamily.transported_pair(split, M))``, reads
-
-        sum_{i<k} x_ii - 2 sum_i x_ii - ln|det M| + h(C_B) + h((M C)_A) + h((M C)_B)
-
-    with x_ii = ln C_ii and h(R) = (1/2) ln det(R R^T), since det G and
-    det G_A are products of diagonal entries of C.  Returns ``fun(x) ->
-    (value, gradient)`` on the packed lower triangle x, one ``_half_logdet_rows`` per h.
+    With the projectors P_i of ``_rhs_terms`` and Q_i = I - P_i, the gradient
+    at X = 0 is (1/2) sum_i P_i - I and the Hessian maps X to (1/4) sum_i
+    (P_i X Q_i + Q_i X P_i).  It is positive semidefinite with X ∝ I in its
+    null space (the objective is scale invariant), so X is its pseudo-inverse
+    applied to minus the gradient.  The decrement is -<gradient, X>.
     """
-    dim = m.shape[0]
-    tril_flat, diag_pos = _cholesky_layout(dim)
+    dim = proj.shape[-1]
+    eye = np.eye(dim)
+    total = proj.sum(axis=0)
+    grad = 0.5 * total - eye
+    # row-major vec: P X Q -> kron(P, Q), and sum_i (P_i (x) Q_i + Q_i (x) P_i)
+    # = S (x) I + I (x) S - 2 sum_i P_i (x) P_i with S = sum_i P_i
+    hess = -0.5 * np.einsum("nij,nkl->ikjl", proj, proj)
+    hess += 0.25 * (total[:, None, :, None] * eye[None, :, None, :]
+                    + eye[:, None, :, None] * total[None, :, None, :])
+    w, v = np.linalg.eigh(hess.reshape(dim * dim, dim * dim))
+    keep = w > dim * dim * EPS * w[-1]
+    coef = (v[:, keep].T @ grad.ravel()) / w[keep]
+    step = -(v[:, keep] @ coef).reshape(dim, dim)
+    return 0.5 * (step + step.T), float(coef @ (w[keep] * coef))
+
+
+@dataclass(frozen=True)
+class Descent:
+    """Outcome of one Newton descent: its iterates and why it stopped."""
+
+    path: list            # (R, value, Newton step length) per iterate, with G = R R^T
+    nfev: int             # objective evaluations, line-search trials included
+    converged: bool       # the stop rule was met at the last iterate
+    message: str
+
+
+def minimize(m, k, r, budget: int) -> Descent:
+    """Damped Newton descent on the right-hand side of ``gss_rhs_minimize``, from G = R R^T.
+
+    ``k`` is the number of rows of A.  Each iteration shrinks the Newton
+    step X to largest |eigenvalue| STEP_CAP at most and backtracks (Armijo,
+    halving) along R e^{aX} R^T = (R V e^{a Lambda / 2})(...)^T, X = V Lambda V^T.
+    It stops converged when half the Newton decrement (the decrease the
+    quadratic model predicts) falls below the value's roundoff; unconverged
+    after ``budget`` iterations or when no trial step decreases the value.
+    """
     ln_det_m = np.linalg.slogdet(m)[1]
-    weights = np.full(dim, -2.0)
-    weights[:k] += 1.0
-
-    def fun(x):
-        c = _unpack_cholesky(x, dim, tril_flat, diag_pos)
-        mc = m @ c
-        h_b, d_b = _half_logdet_rows(c[k:])
-        h_ma, d_ma = _half_logdet_rows(mc[:k])
-        h_mb, d_mb = _half_logdet_rows(mc[k:])
-        d_c = m.T @ np.concatenate((d_ma, d_mb))
-        d_c[k:] += d_b
-        grad = d_c.ravel()[tril_flat]
-        grad[diag_pos] = grad[diag_pos] * c.diagonal() + weights   # dC_ii/dx_ii = C_ii
-        return float(weights @ x[diag_pos]) + h_b + h_ma + h_mb - ln_det_m, grad
-
-    return fun
-
-
-def _is_pd_symmetric(m):
-    if _maxabs(m - m.T) > 1e-10 * (1.0 + _maxabs(m)):
-        return False
-    try:
-        np.linalg.cholesky(0.5 * (m + m.T))
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call.
-
-    A run without a bound minimization never loads ``scipy.optimize``,
-    which costs a fresh process more import time than the run itself.
-    """
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+    value, noise, proj = _rhs_terms(m, k, r)
+    nfev, path = 1, []
+    while True:
+        step, decrement = _newton_step(proj)
+        w, vecs = np.linalg.eigh(step)
+        size = max(-w[0], w[-1])
+        path.append((r, float(value - ln_det_m), float(size)))
+        if 0.5 * decrement <= noise:
+            converged, message = True, "Newton decrement below the value's roundoff"
+            break
+        converged = False
+        if len(path) > budget:
+            message = f"iteration budget of {budget} exhausted"
+            break
+        shrink = min(1.0, STEP_CAP / size)
+        rv, w, alpha = r @ vecs, shrink * w, 1.0
+        for _ in range(MAX_HALVINGS):
+            trial = rv * np.exp(0.5 * alpha * w)
+            trial_value, trial_noise, trial_proj = _rhs_terms(m, k, trial)
+            nfev += 1
+            if trial_value <= value - ARMIJO * alpha * shrink * decrement:
+                break
+            alpha *= 0.5
+        else:
+            message = "line search found no decrease"
+            break
+        r, value, noise, proj = trial, trial_value, trial_noise, trial_proj
+    if not np.isfinite(path[-1][1]):
+        converged, message = False, f"the objective is {path[-1][1]} (ln|det M| = {ln_det_m})"
+    return Descent(path=path, nfev=nfev, converged=converged, message=message)
 
 
-def gss_rhs_minimize(m, split: ModeCount, budget: int = 2000,
-                     informed_starts: bool = True) -> BoundReport:
+def gss_rhs_minimize(m, split: ModeCount, budget: int = 2000) -> BoundReport:
     """Minimize I_as(A;B)(G) + I_as(A;B)(M G M^T) over positive definite G.
 
-    G is parametrized as C C^T with lower-triangular C and log-parametrized
-    diagonal so iterates stay inside the cone; descent is L-BFGS-B on the
-    exact factor-space gradient (``_rhs_factor_objective``), with the
-    log-diagonal bounded by +-ln(DIVERGENCE_NORM), restarted from the
-    identity and (with ``informed_starts``) from M^{-1} when M is positive
-    definite (the known stationary point) and from (M M^T)^{-1/2}.
-    ``budget`` caps total iterations across restarts; a best point that did
-    not converge is returned flagged, with the optimizer's stop reason.
+    The objective is geodesically convex (Sra and Hosseini, SIAM J. Optim.
+    25, 713, 2015), so one Newton descent from G = I (``minimize``) finds the
+    global minimum.  ``converged`` means its stop rule was met within
+    ``budget`` iterations; a budget below one raises ``NotPositiveDefinite``.
+    The reported point is the last iterate whose formed G (and each block
+    ``stationarity_residual`` inverts) is numerically nonsingular; near the
+    cone boundary later iterates may not be, and the result is then
+    unconverged.  ``diverged`` means the reported point is still a Newton
+    step longer than DIVERGENCE_STEP (largest |eigenvalue| of X, an
+    affine-invariant length) from the minimum of its quadratic model.
+    Toward an attained minimum Newton converges quadratically and the last
+    step is tiny; toward a cone-boundary infimum the objective decays
+    exponentially along a geodesic and every step has the same length (1/2
+    on ``metastable``).
     """
     m = np.asarray(m, dtype=float)
     dim = 2 * split.n_total
     if m.shape != (dim, dim):
         raise DimensionMismatch(f"transformation shape {m.shape} vs split {split}")
-    fun = _rhs_factor_objective(m, 2 * split.n_a)
-    tril_flat, diag_pos = _cholesky_layout(dim)
-    log_cap = np.log(DIVERGENCE_NORM)
-    bounds = [(None, None)] * len(tril_flat)
-    for pos in diag_pos:
-        bounds[pos] = (-log_cap, log_cap)
-
-    starts = [np.eye(dim)]
-    if informed_starts:
-        if _is_pd_symmetric(m):
-            starts.append(np.linalg.inv(m))
-        w, vecs = np.linalg.eigh(m @ m.T)
-        if w[0] > 0:
-            starts.append((vecs / np.sqrt(w)) @ vecs.T)   # (M M^T)^{-1/2}
-
-    best = None
-    iterations = 0
-    converged = False
-    per_start = max(50, budget // len(starts))
-    for g_start in starts:
-        if iterations >= budget:
-            break
-        try:
-            c0 = np.linalg.cholesky(0.5 * (g_start + g_start.T))
-        except np.linalg.LinAlgError:
-            continue
-        x0 = c0.ravel()[tril_flat]
-        x0[diag_pos] = np.log(np.diag(c0))
-        res = minimize(fun, x0, method="L-BFGS-B", jac=True, bounds=bounds,
-                       options=dict(maxiter=min(per_start, budget - iterations),
-                                    ftol=FTOL, gtol=GTOL))
-        iterations += int(res.nit)
-        if best is None or res.fun < best.fun:
-            best = res
-            converged = bool(res.success)
-    if best is None:
+    if budget < 1:
         raise NotPositiveDefinite("no feasible starting point")
-
-    c = _unpack_cholesky(best.x, dim, tril_flat, diag_pos)
-    g_best = c @ c.T
-    g_best = 0.5 * (g_best + g_best.T)
+    best = minimize(m, 2 * split.n_a, np.eye(dim), budget)
     fam = SubsystemFamily.transported_pair(split, m)
-    residual = stationarity_residual(g_best, fam)
-    diverged = _maxabs(g_best) > DIVERGENCE_NORM
-    return BoundReport(value=float(best.fun), argmin_g=g_best, residual=float(residual),
-                       iterations=iterations, converged=converged, diverged=diverged,
-                       stop_reason=str(best.message), budget=budget)
+    for back, (factor, value, size) in enumerate(reversed(best.path)):
+        g_best = factor @ factor.T
+        g_best = 0.5 * (g_best + g_best.T)
+        try:
+            residual = stationarity_residual(g_best, fam)
+            break
+        except (NotPositiveDefinite, np.linalg.LinAlgError):
+            continue
+    else:
+        raise NotPositiveDefinite("no iterate's G is numerically nonsingular")
+    converged, reason = best.converged, best.message
+    if back:
+        converged, reason = False, f"G is numerically singular at the last {back} iterates"
+    return BoundReport(value=value, argmin_g=g_best, residual=float(residual),
+                       iterations=len(best.path) - 1 - back, converged=converged,
+                       diverged=size > DIVERGENCE_STEP, stop_reason=reason, budget=budget)
 
 
 def _require_pd_symplectic(t_mat):

@@ -2,9 +2,8 @@
 
 Gaussian flows use the package's own matrix exponential and take the
 Floquet rates from the eigenvalues of M(tau), so a constant, piecewise or
-periodic run loads no SciPy module at all, on any SciPy release.
-``scipy.optimize`` loads with the first bound minimization, and with it
-``scipy.linalg`` and the LAPACK wrappers the objective calls.
+periodic run loads no SciPy module at all, on any SciPy release.  The
+bound minimizer is numpy alone, so bound minimizations load none either.
 ``scipy.sparse``, ``scipy.fft`` and ``scipy.special`` load with the first
 Fock step, and ``scipy.linalg`` only if they import it themselves; parsing
 a Fock config loads none of them.
@@ -39,6 +38,7 @@ SCRIPT = textwrap.dedent("""
     assert entgrowth.cli.main(["scenario", "run", "inverted_pair"]) == 0
     run(json.dumps(sc.scenario_document("coupled_chain")))
     run(json.dumps(sc.scenario_document("parametric_drive")))   # a Floquet section
+    assert sc.run_view(sc.default_scenario("metastable"), "bounds").ok   # four bound times
     with open({oracle!r}) as fh:
         oracle = fh.read()
     parse_config(oracle)
@@ -67,13 +67,13 @@ def test_flow_runs_load_no_scipy_module():
     assert res.returncode == 0, res.stderr
     stages = json.loads(res.stdout.splitlines()[-1])
     flows, oracle_run, bounds = (set(names) for names in stages)
-    # the CLI and library flow runs and parsing a Fock config load no scipy module
+    # the CLI and library flow runs, bound minimizations and parsing a Fock
+    # config load no scipy module
     assert flows == set()
     # the oracle adds what it uses, and no minimizer; scipy.linalg only where
     # those modules import it themselves (older scipy.special does)
     assert oracle_run >= {"scipy.sparse", "scipy.fft", "scipy.special"}
     assert "scipy.optimize" not in oracle_run
     assert "scipy.linalg" not in oracle_run - _loaded_by("scipy.sparse", "scipy.fft", "scipy.special")
-    # the first bound minimization adds the minimizer, which loads scipy.linalg
-    # and the LAPACK wrappers its objective calls
-    assert {"scipy.optimize", "scipy.linalg", "scipy.linalg.lapack"} <= bounds - oracle_run
+    # the bound minimizations add no scipy module
+    assert bounds - oracle_run == set()

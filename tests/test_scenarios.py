@@ -373,6 +373,15 @@ def test_oracle_fit_failure_names_its_stage_and_window():
     assert "slope" not in oracle
 
 
+def test_metastable_bounds_meet_the_stop_rule():
+    # every bound time of the builtin, t=1000 included, converges at the
+    # boundary infimum: no warning but the divergence ones
+    rep = run_view(default_scenario("metastable"), "bounds")
+    assert rep.ok, rep.failures
+    assert all(b["converged"] and b["diverged"] for b in rep.sections["bounds"])
+    assert all("diverged toward the cone boundary" in w for w in rep.warnings), rep.warnings
+
+
 def test_bound_minimizer_failure_names_its_stage_and_time(monkeypatch):
     # a budget of 0 iterations leaves the minimizer no starting point
     real_minimize = scenarios.gss_rhs_minimize

@@ -13,16 +13,20 @@ from scipy.linalg import expm
 from entgrowth.entropy import LN_E_OVER_2, mutual_information_asymptotic
 from entgrowth.errors import DimensionMismatch, NotDarboux, NotPositiveDefinite
 from entgrowth.phase_space import ModeCount, standard_omega
-from entgrowth.sampling import random_covariance, random_pd_symplectic, random_symplectic
-from entgrowth.scenarios import metastable_form, two_mode_squeezing_form
+from entgrowth.sampling import (
+    random_covariance,
+    random_pd_symplectic,
+    random_symplectic,
+    random_unstable_hamiltonian_form,
+)
+from entgrowth.scenarios import inverted_pair_form, metastable_form, two_mode_squeezing_form
 from entgrowth.ssa import (
     SubsystemFamily,
-    _cholesky_layout,
-    _half_logdet_rows,
-    _rhs_factor_objective,
-    _unpack_cholesky,
+    _newton_step,
+    _rhs_terms,
     gss_objective,
     gss_rhs_minimize,
+    minimize,
     op_norm,
     pure_state_growth_lower_bound,
     squashed_bounds,
@@ -175,9 +179,28 @@ def test_minimize_stop_summary_names_the_reason():
     assert stopped.stop_summary == f"stopped before converging: {rep.stop_reason}"
 
 
+def _factor(x, dim):
+    """Lower-triangular C from its packed lower triangle, with a log-parametrized diagonal."""
+    rows, cols = np.tril_indices(dim)
+    c = np.zeros((dim, dim))
+    c[rows, cols] = np.where(rows == cols, np.exp(x), x)
+    return c
+
+
+def _rhs_value(m, split, r):
+    """I_as(A;B)(G) + I_as(A;B)(M G M^T) at G = R R^T, from the minimizer's own terms."""
+    return _rhs_terms(m, 2 * split.n_a, r)[0] - np.linalg.slogdet(m)[1]
+
+
+def _along(r, y, s):
+    """A factor of R e^{sY} R^T: the affine-invariant geodesic from R R^T along symmetric Y."""
+    w, v = np.linalg.eigh(y)
+    return (r @ v) * np.exp(0.5 * s * w)
+
+
 @st.composite
 def factor_points(draw, limit=1.5):
-    """(M, split, x): random symplectic M and a packed Cholesky factor x in [-limit, limit].
+    """(M, split, C): random symplectic M and a Cholesky factor C, packed entries in [-limit, limit].
 
     Both N_A = N_B and N_A != N_B are drawn, so row blocks of both equal
     and unequal heights occur.
@@ -187,82 +210,48 @@ def factor_points(draw, limit=1.5):
     m = random_symplectic(n_total, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     dim = 2 * n_total
     x = draw(hnp.arrays(np.float64, dim * (dim + 1) // 2, elements=st.floats(-limit, limit)))
-    return m, split, x
+    return m, split, _factor(x, dim)
 
 
 @settings(max_examples=40, deadline=None)
-@given(factor_points())
-def test_factor_gradient_matches_central_differences(point):
-    m, split, x = point
-    fun = _rhs_factor_objective(m, 2 * split.n_a)
-    _, grad = fun(x)
-    h = 1e-6
-    fd = np.array([(fun(x + h * e)[0] - fun(x - h * e)[0]) / (2 * h) for e in np.eye(len(x))])
-    assert np.max(np.abs(fd - grad)) <= 1e-6 * (1.0 + np.max(np.abs(grad)))
+@given(factor_points(), st.integers(0, 2**32 - 1))
+def test_factor_gradient_matches_central_differences(point, seed):
+    # along a random symmetric Y the slope is <(1/2) sum_i P_i - I, Y>; along
+    # the Newton step X (H X = -grad) the slope is -decrement and the
+    # curvature +decrement, which checks the Hessian the step inverts
+    m, split, c = point
+    _, _, proj = _rhs_terms(m, 2 * split.n_a, c)
+    step, decrement = _newton_step(proj)
+    y = np.random.default_rng(seed).normal(size=c.shape)
+    y = 0.5 * (y + y.T)
 
+    def phi(direction, s):
+        return _rhs_value(m, split, _along(c, direction, s))
 
-def _numpy_objective(m, k):
-    """The factor objective on ``np.linalg.qr`` and ``np.linalg.solve``, one row block at a time."""
-    dim = m.shape[0]
-    tril_idx = np.tril_indices(dim)
-    diag = tril_idx[0] == tril_idx[1]
-    weights = np.full(dim, -2.0)
-    weights[:k] += 1.0
-
-    def half_logdet_rows(r):
-        q, u = np.linalg.qr(r.T)
-        return np.log(np.abs(np.diag(u))).sum(), np.linalg.solve(u, q.T)
-
-    def fun(x):
-        c = _unpack_cholesky(x, dim, *_cholesky_layout(dim))
-        mc = m @ c
-        h_b, d_b = half_logdet_rows(c[k:])
-        h_ma, d_ma = half_logdet_rows(mc[:k])
-        h_mb, d_mb = half_logdet_rows(mc[k:])
-        d_c = m.T @ np.vstack((d_ma, d_mb))
-        d_c[k:] += d_b
-        grad = d_c[tril_idx]
-        grad[diag] = grad[diag] * np.diag(c) + weights
-        value = float(weights @ x[diag]) + h_b + h_ma + h_mb - np.linalg.slogdet(m)[1]
-        return value, grad
-
-    return fun
-
-
-@settings(max_examples=60, deadline=None)
-@given(factor_points())
-def test_factor_objective_matches_numpy_reference(point):
-    # the objective calls the LAPACK routines that np.linalg.qr and solve
-    # run, so value and gradient agree to roundoff with the numpy reference
-    # (bit for bit on one LAPACK build; 4 ulp allows for another)
-    m, split, x = point
-    k = 2 * split.n_a
-    value, grad = _rhs_factor_objective(m, k)(x)
-    ref_value, ref_grad = _numpy_objective(m, k)(x)
-    ulp = np.finfo(float).eps
-    assert abs(value - ref_value) <= 4 * ulp * max(1.0, abs(ref_value))
-    assert np.all(np.abs(grad - ref_grad) <= 4 * ulp * np.maximum(1.0, np.abs(ref_grad)))
-
-
-def test_half_logdet_rows_rejects_a_rank_deficient_block():
-    r = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-    with pytest.raises(np.linalg.LinAlgError):
-        _half_logdet_rows(r)
-    h, grad = _half_logdet_rows(r[:1])   # its nonzero row alone is full rank
-    assert h == pytest.approx(0.5 * math.log(5.0)) and np.allclose(grad, r[:1] / 5.0)
+    h = 1e-5
+    slope = (phi(y, h) - phi(y, -h)) / (2 * h)
+    grad = 0.5 * proj.sum(axis=0) - np.eye(len(c))
+    assert abs(slope - np.sum(grad * y)) <= 1e-6 * (1.0 + np.max(np.abs(y)))
+    # along the step scaled to unit largest |eigenvalue|
+    size = np.max(np.abs(np.linalg.eigvalsh(step)))
+    if size == 0.0:
+        return
+    unit, slope_unit, curvature_unit = step / size, -decrement / size, decrement / size ** 2
+    slope = (phi(unit, h) - phi(unit, -h)) / (2 * h)
+    assert abs(slope - slope_unit) <= 1e-6 * (1.0 + abs(slope_unit))
+    h = 1e-3
+    curvature = (phi(unit, h) - 2 * phi(unit, 0.0) + phi(unit, -h)) / h ** 2
+    assert abs(curvature - curvature_unit) <= 1e-5 * (1.0 + curvature_unit)
 
 
 @settings(max_examples=60, deadline=None)
 @given(factor_points(limit=0.5))
 def test_factor_value_matches_formed_objective(point):
     # the formed reference loses about eps * cond(C C^T), which reaches 1e11
-    # at x = -1.5 everywhere (off by up to 6e-7 there, while the factor value
-    # agrees with 50-digit arithmetic to 1e-15); |x| <= 0.5 keeps cond < 1e4
-    m, split, x = point
-    value, _ = _rhs_factor_objective(m, 2 * split.n_a)(x)
-    dim = m.shape[0]
-    c = _unpack_cholesky(x, dim, *_cholesky_layout(dim))
+    # at x = -1.5 everywhere; |x| <= 0.5 keeps cond < 1e4
+    m, split, c = point
     formed = -2.0 * gss_objective(c @ c.T, SubsystemFamily.transported_pair(split, m))
+    value = _rhs_value(m, split, c)
     assert abs(value - formed) <= 1e-10 * (1.0 + abs(value))
 
 
@@ -270,23 +259,94 @@ def test_factor_value_matches_formed_objective(point):
 @given(factor_points())
 def test_factor_value_nonnegative(point):
     # Fischer's inequality: ln det G <= ln det G_A + ln det G_B
-    m, split, x = point
-    value, _ = _rhs_factor_objective(m, 2 * split.n_a)(x)
-    assert value >= -1e-12
+    m, split, c = point
+    assert _rhs_value(m, split, c) >= -1e-12
+
+
+@st.composite
+def unstable_flow_points(draw):
+    """(M, split, C): M = exp(t Omega h) for a random h with a real unstable pair, on 2-3 modes.
+
+    C is a Cholesky factor as in ``factor_points``, packed entries in [-1, 1].
+    """
+    n_total = draw(st.integers(2, 3))
+    split = ModeCount(n_total, draw(st.integers(1, n_total - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = random_unstable_hamiltonian_form(n_total, rng)
+    m = expm(draw(st.floats(0.5, 4.0)) * standard_omega(n_total) @ h)
+    dim = 2 * n_total
+    x = draw(hnp.arrays(np.float64, dim * (dim + 1) // 2, elements=st.floats(-1.0, 1.0)))
+    return m, split, _factor(x, dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unstable_flow_points(), st.integers(0, 2**32 - 1))
+def test_objective_is_geodesically_convex(point, seed):
+    # no second difference along an affine-invariant geodesic R e^{sY} R^T
+    # through a random PD point is negative, beyond roundoff
+    m, split, c = point
+    y = np.random.default_rng(seed).normal(size=c.shape)
+    y = 0.5 * (y + y.T)
+    y /= np.max(np.abs(np.linalg.eigvalsh(y)))
+    values = [_rhs_value(m, split, _along(c, y, s)) for s in np.linspace(-1.0, 1.0, 9)]
+    assert min(np.diff(values, 2)) >= -1e-10 * max(1.0, max(abs(v) for v in values))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_minimum_does_not_depend_on_the_start(n_total, seed):
+    # the objective is geodesically convex, so a descent from any PD start
+    # finds the value of the descent from the identity
+    rng = np.random.default_rng(seed)
+    split = ModeCount(n_total, int(rng.integers(1, n_total)))
+    m = random_symplectic(n_total, rng)
+    reference = gss_rhs_minimize(m, split)
+    assert reference.converged
+    for _ in range(3):
+        start = np.linalg.cholesky(random_covariance(n_total, rng, scale=1.0))
+        other = minimize(m, 2 * split.n_a, start, reference.budget)
+        assert other.converged and abs(other.path[-1][1] - reference.value) <= 1e-8
+
+
+def test_minimize_inverted_pair_long_horizons():
+    # L-BFGS-B on Cholesky entries stopped at 17.6996347655 (t=8.04, 2,000
+    # iterations, residual 3.7e-5) and 32.2216179071 (t=12)
+    k = standard_omega(2) @ inverted_pair_form()
+    rep = gss_rhs_minimize(expm(8.04 * k), SPLIT)
+    assert rep.converged and not rep.diverged, rep
+    assert rep.residual <= 1e-8 and rep.value <= 17.6986, rep
+    rep = gss_rhs_minimize(expm(12.0 * k), SPLIT)
+    assert rep.converged and rep.value <= 32.12, rep
+
+
+def test_minimize_reports_the_last_checkable_iterate():
+    # a rank-one shear I + t Omega v v^T whose infimum 0 sits at the cone
+    # boundary: the descent ends where the formed G is numerically
+    # singular, so the report steps back to the last iterate that
+    # stationarity_residual accepts, unconverged
+    rng = np.random.default_rng(54)
+    v = random_symplectic(2, rng)[:, 0]
+    m = np.eye(4) + rng.uniform(1, 1000) * standard_omega(2) @ np.outer(v, v)
+    descent = minimize(m, 2, np.eye(4), 2000)
+    rep = gss_rhs_minimize(m, SPLIT)
+    assert rep.stop_reason == "G is numerically singular at the last 1 iterates", rep
+    assert rep.iterations == len(descent.path) - 2 and rep.value == descent.path[-2][1]
+    assert not rep.converged and rep.diverged and math.isfinite(rep.residual)
+    assert abs(rep.value) <= 1e-6
 
 
 def test_minimize_cold_start_success_rate():
-    # the known stationary point must be found from the identity start
-    # (no informed restarts) in at least 90% of random PD-symplectic cases
+    # the known stationary point is found from the identity start in every
+    # random PD-symplectic case
     rng = np.random.default_rng(808)
     hits = 0
     for _ in range(20):
         m = random_pd_symplectic(2, rng, scale=0.5)
         target = 2.0 * mutual_information_asymptotic(m, SPLIT)
-        rep = gss_rhs_minimize(m, SPLIT, informed_starts=False)
+        rep = gss_rhs_minimize(m, SPLIT)
         if abs(rep.value - target) <= 1e-6:
             hits += 1
-    assert hits >= 18
+    assert hits == 20
 
 
 def test_minimize_never_beats_known_optimum():
