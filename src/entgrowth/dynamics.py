@@ -20,10 +20,7 @@ exponential, and the defect |M Omega M^T - Omega| of every stored M(t) is
 monitored rather than silently projected away.
 
 The exponential is the package's own :func:`expm`, in numpy alone, so no
-flow imports a SciPy module, whether constant, piecewise or callable.  Only
-the library function :func:`stroboscopic_generator` loads
-``scipy.linalg`` (for ``logm``), on its first call; no pipeline stage
-calls it.
+flow imports a SciPy module, whether constant, piecewise or callable.
 """
 
 import math
@@ -52,8 +49,6 @@ from .phase_space import (
 )
 
 DEFECT_FACTOR = 1e-8
-# relative tolerance of the checks that a stroboscopic generator reproduces M(tau)
-LOG_CHECK_TOL = 1e-8
 # a piece boundary this close to a segment edge, in units of the step, lies on it
 EDGE_SNAP = 1e-9
 # steps per stacked call where a callable h is sampled step by step
@@ -296,18 +291,6 @@ class QuadraticHamiltonian:
             self._exponentials[key] = expm(length * generator(self, t_mid))
             self._exponentials[key].setflags(write=False)
         return self._exponentials[key]
-
-    def breakpoints(self, t_final: float) -> list:
-        """Times in (0, t_final) where one piece hands over to the next, ascending."""
-        if self.period is None or len(self.pieces) < 2:
-            return []
-        times = []
-        for n in range(int(t_final // self.period) + 1):
-            for start in self._starts:
-                b = n * self.period + start
-                if 0.0 < b < t_final:
-                    times.append(b)
-        return times
 
 
 def generator(ham: QuadraticHamiltonian, t) -> np.ndarray:
@@ -557,16 +540,6 @@ def polar_decompose(m) -> PolarPair:
     return PolarPair(t_part=t_part, u_part=u_part)
 
 
-def sqrt_pd(a) -> np.ndarray:
-    """Symmetric square root of a symmetric positive definite matrix."""
-    a = np.asarray(a, dtype=float)
-    w, vecs = np.linalg.eigh(0.5 * (a + a.T))
-    if w[0] <= 0:
-        raise SingularM(f"matrix is not positive definite (min eig {w[0]:.3g})")
-    root = (vecs * np.sqrt(w)) @ vecs.T
-    return 0.5 * (root + root.T)
-
-
 def require_real_logarithm(multipliers) -> None:
     """Raise NoRealLogarithm unless M(tau), of eigenvalues ``multipliers``, has a real log."""
     scale = np.max(np.abs(multipliers))
@@ -575,31 +548,3 @@ def require_real_logarithm(multipliers) -> None:
             raise NoRealLogarithm(
                 f"eigenvalue {ev:.6g} lies on the closed negative real axis; "
                 "no real stroboscopic generator exists at this period")
-
-
-def stroboscopic_generator(m_tau, tau: float) -> np.ndarray:
-    """Effective generator (1/tau) log M(tau) of one drive period.
-
-    Requires the principal real logarithm to exist: no eigenvalue of
-    M(tau) may lie on the closed negative real axis.  The result K
-    satisfies exp(tau K) = M(tau) and Omega K symmetric, so it is again a
-    quadratic-Hamiltonian generator.  ``scipy.linalg`` (for ``logm``) is
-    imported on the first call.
-    """
-    m_tau = np.asarray(m_tau, dtype=float)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    require_real_logarithm(np.linalg.eigvals(m_tau))
-    from scipy.linalg import logm
-
-    log_m = logm(m_tau)
-    if np.max(np.abs(log_m.imag)) > 1e-8 * (1.0 + np.max(np.abs(log_m.real))):
-        raise NoRealLogarithm("matrix logarithm came out complex")
-    k = log_m.real / tau
-    if _maxabs(expm(tau * k) - m_tau) > LOG_CHECK_TOL * (1.0 + _maxabs(m_tau)):
-        raise NoRealLogarithm("exp(tau K) does not reproduce M(tau)")
-    n = m_tau.shape[0] // 2
-    omega_k = standard_omega(n) @ k
-    if _maxabs(omega_k - omega_k.T) > LOG_CHECK_TOL * (1.0 + _maxabs(omega_k)):
-        raise NoRealLogarithm("log M is not in the symplectic Lie algebra")
-    return k

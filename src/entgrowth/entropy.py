@@ -6,16 +6,16 @@ is half the log-determinant of the covariance matrix, sum ln diag L of its
 checked Cholesky factor L; the asymptotic entropy ``0.5 ln det(e G / 2)``
 is defined on the whole positive-definite cone (it does not require the
 uncertainty bound) and sits a fixed ``N ln(e/2)`` above the Renyi-2 value.
+The corridor S2 <= S <= S2 + N ln(e/2) between them, and the mutual
+informations, are checked by the test suite rather than here.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorridorViolated, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 from .phase_space import (
-    ModeCount,
     _earliest_failure,
     _fail,
     _first_not_pd,
@@ -24,7 +24,6 @@ from .phase_space import (
     covariance_factor,
     factor_spectrum,
     n_modes_of,
-    split_blocks,
     williamson_spectrum,
 )
 
@@ -32,7 +31,6 @@ LN_E_OVER_2 = 1.0 - math.log(2.0)
 
 _SERIES_CUT = 1e-6   # below this, nu - 1 is evaluated by series
 _LARGE_CUT = 1e6     # above this, the direct formula loses precision to cancellation
-CORRIDOR_SLACK = 1e-9   # roundoff allowance on each corridor inequality, in nats
 
 
 def mode_entropy(nu: float) -> float:
@@ -106,54 +104,3 @@ def asymptotic_entropy(g):
     g = np.asarray(g, dtype=float)
     n = n_modes_of(g)
     return 0.5 * logdet_pd(g) + n * LN_E_OVER_2
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    """Von Neumann, Renyi-2 and asymptotic entropies of one covariance matrix."""
-
-    s_vn: float
-    s_r2: float
-    s_as: float
-    n_modes: int
-
-
-def corridor_check(g) -> EntropyReport:
-    """Compute all three entropies and verify the two-sided corridor.
-
-    Checks s_r2 <= s_vn <= s_r2 + N ln(e/2), and the near-saturation bound
-    s_as - s_vn <= (N / nu_min^2) ln(e/2): the upper corridor wall becomes
-    exact when all symplectic eigenvalues are large.
-    """
-    ell = covariance_factor(g)
-    nus = factor_spectrum(ell)
-    n = len(nus)
-    s_vn = _spectrum_entropy(nus)
-    s_r2 = float(_half_logdet_factor(ell))
-    s_as = s_r2 + n * LN_E_OVER_2
-    report = EntropyReport(s_vn=s_vn, s_r2=s_r2, s_as=s_as, n_modes=n)
-    if not (s_r2 - CORRIDOR_SLACK <= s_vn <= s_as + CORRIDOR_SLACK):
-        raise CorridorViolated(
-            f"entropy corridor violated: S2={s_r2:.12g}, S={s_vn:.12g}, Sas={s_as:.12g}")
-    nu_min = float(np.min(nus))
-    if s_as - s_vn > n / nu_min ** 2 * LN_E_OVER_2 + CORRIDOR_SLACK:
-        raise CorridorViolated(
-            f"near-saturation bound violated: gap={s_as - s_vn:.12g} at nu_min={nu_min:.6g}")
-    return report
-
-
-def mutual_information(g, split: ModeCount) -> float:
-    """S(A) + S(B) - S(AB) across the first-modes bipartition."""
-    g_a, g_b = split_blocks(g, split)
-    return von_neumann_entropy(g_a) + von_neumann_entropy(g_b) - von_neumann_entropy(g)
-
-
-def mutual_information_asymptotic(g, split: ModeCount) -> float:
-    """Asymptotic-entropy mutual information on the PD cone.
-
-    The N ln(e/2) constants cancel across the bipartition, leaving
-    0.5 (ln det G_A + ln det G_B - ln det G).  Can be negative for general
-    positive definite G.
-    """
-    g_a, g_b = split_blocks(g, split)
-    return 0.5 * (logdet_pd(g_a) + logdet_pd(g_b) - logdet_pd(g))

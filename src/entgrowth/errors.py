@@ -67,10 +67,6 @@ class RankDeficient(EntgrowthError, ValueError):
         self.margins = margins
 
 
-class CorridorViolated(EntgrowthError, RuntimeError):
-    """Entropy corridor inequality failed."""
-
-
 class TruncationLeak(EntgrowthError, RuntimeError):
     """Population at the top Fock levels exceeded the configured ceiling."""
 

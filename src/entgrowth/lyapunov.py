@@ -7,10 +7,9 @@ this estimator.  It re-orthonormalizes once per block of the flow, with
 the block as long as the data's growth bound allows (see
 :func:`qr_block_steps`), so piecewise-constant data costs one QR per block
 whatever ``dt`` is.  :func:`spectrum_from_propagation` takes one SVD of a
-stored M(t*) instead: it is the reference the polar-factor comparison and
-the tests check against, and it loses contracting directions to roundoff
-once lambda_1 * t exceeds about 30 (smallest resolvable singular value is
-~ eps * sigma_max).
+stored M(t*) instead: it is the reference the tests check against, and it
+loses contracting directions to roundoff once lambda_1 * t exceeds about
+30 (smallest resolvable singular value is ~ eps * sigma_max).
 
 Both report a convergence residual from halving the horizon.  Since the
 leading finite-horizon error decays like 1/t, the two-horizon data also
@@ -24,14 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    CHUNK_STEPS,
-    PropagationResult,
-    QuadraticHamiltonian,
-    polar_decompose,
-    sqrt_pd,
-    step_loop,
-)
+from .dynamics import CHUNK_STEPS, PropagationResult, QuadraticHamiltonian, step_loop
 from .errors import NotConverged, SingularM
 from .phase_space import _maxabs, _mT, standard_omega
 
@@ -207,27 +199,6 @@ def lyapunov_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
     return qr_spectrum(ham, t_star, dt, residual_tol=residual_tol)
 
 
-def vector_exponent(series: PropagationResult, ell, residual_tol: float):
-    """Finite-horizon exponent ln |M(t)^T ell| / t of one dual vector.
-
-    Returns ``(value, residual)`` where the residual is the change under
-    halving the horizon.  Raises NotConverged when the residual exceeds
-    ``residual_tol``.
-    """
-    ell = np.asarray(ell, dtype=float)
-    norm0 = np.linalg.norm(ell)
-    if norm0 == 0:
-        raise ValueError("direction vector must be nonzero")
-    t_star = series.t_final
-    val = float(np.log(np.linalg.norm(series.final_matrix.T @ ell) / norm0) / t_star)
-    idx_half, t_half = _half_horizon(series)
-    val_half = float(np.log(np.linalg.norm(series.matrices[idx_half].T @ ell) / norm0) / t_half)
-    residual = abs(val - val_half)
-    if residual > residual_tol:
-        raise NotConverged(f"vector-exponent residual {residual:.3g} exceeds {residual_tol:.3g}")
-    return val, residual
-
-
 @dataclass(frozen=True)
 class RegularityReport:
     is_regular: bool
@@ -240,79 +211,3 @@ def regularity_check(data: LyapunovData, tol: float) -> RegularityReport:
     lam = data.exponents
     viol = float(np.max(np.abs(lam + lam[::-1])))
     return RegularityReport(is_regular=viol <= tol, max_violation=viol, tol=tol)
-
-
-@dataclass(frozen=True)
-class PolarExponentComparison:
-    """Spectra of M(t), of its positive polar factor T(t), and of sqrt(T(t)).
-
-    ``dev_t`` and ``dev_sqrt`` are the per-exponent deviations, ``tol``
-    the per-exponent tolerance they are held to.
-    """
-
-    exponents_m: np.ndarray
-    exponents_t: np.ndarray
-    exponents_sqrt_t: np.ndarray
-    dev_t: np.ndarray
-    dev_sqrt: np.ndarray
-    residual: float
-    tol: np.ndarray
-
-    @property
-    def worst_ratio(self) -> float:
-        """Largest deviation in units of its tolerance; at most 1 when the check passed."""
-        return float(max(np.max(self.dev_t / self.tol), np.max(self.dev_sqrt / self.tol)))
-
-
-def _exponent_resolution(exponents, t: float) -> np.ndarray:
-    """Roundoff resolution of each finite-horizon exponent ln(sigma_i)/t of a 2N x 2N flow.
-
-    A backward-stable SVD or symmetric eigensolve of an n x n matrix finds
-    sigma_i to about n eps sigma_1, a relative error of n eps sigma_1 /
-    sigma_i.  The polar comparison resolves sigma_i on two such paths (the
-    SVD of M, the eigensolve of the formed T), and the M path also forms
-    and eigensolves ln(M M^T)/(2t), adding n eps max|lambda|; ln and the
-    division round within eps |lambda_i| on each path.  Together:
-    n eps (2 sigma_1 / (sigma_i t) + 2 max|lambda|), with n = 2N.
-    """
-    lam = np.asarray(exponents, dtype=float)
-    n = len(lam)
-    ratio = np.exp((np.max(lam) - lam) * t)   # sigma_1 / sigma_i
-    return n * np.finfo(float).eps * (2.0 * ratio / t + 2.0 * np.max(np.abs(lam)))
-
-
-def polar_factor_exponents(series: PropagationResult,
-                           residual_tol: float) -> PolarExponentComparison:
-    """Check lambda(T) = lambda(M) and lambda(sqrt T) = lambda(M)/2.
-
-    The three spectra are estimated through different numerical paths (SVD
-    of M, eigensolve of the polar factor, eigensolve of its square root)
-    at the final horizon.  Each exponent is compared within twice the
-    convergence residual or its roundoff resolution
-    (:func:`_exponent_resolution`), whichever is larger.  The residual of
-    the SVD spectrum is held to ``residual_tol`` first.
-    """
-    t_star = series.t_final
-    m = series.final_matrix
-    data = spectrum_from_propagation(series, residual_tol=residual_tol)
-    lam_m = data.raw_exponents
-
-    t_part = polar_decompose(m).t_part
-    w_t = np.sort(np.linalg.eigvalsh(t_part))[::-1]
-    if w_t[-1] <= 0:
-        raise SingularM("polar factor lost positivity")
-    lam_t = np.log(w_t) / t_star
-    lam_sqrt = np.log(np.linalg.eigvalsh(sqrt_pd(t_part))[::-1]) / t_star
-
-    dev_t = np.abs(lam_t - lam_m)
-    dev_sqrt = np.abs(lam_sqrt - lam_m / 2.0)
-    tol = np.maximum(2.0 * data.residual, _exponent_resolution(lam_m, t_star))
-    if np.any(dev_t > tol) or np.any(dev_sqrt > tol):
-        worst = int(np.argmax(np.maximum(dev_t, dev_sqrt) / tol))
-        raise NotConverged(
-            f"polar-factor spectra disagree beyond tolerance at exponent {worst}: "
-            f"dev(T)={dev_t[worst]:.3g}, dev(sqrt T)={dev_sqrt[worst]:.3g}, "
-            f"tol={tol[worst]:.3g}")
-    return PolarExponentComparison(
-        exponents_m=lam_m, exponents_t=lam_t, exponents_sqrt_t=lam_sqrt,
-        dev_t=dev_t, dev_sqrt=dev_sqrt, residual=data.residual, tol=tol)

@@ -259,10 +259,6 @@ class SubsystemSpec:
             f[2 * k + 1, 2 * m + 1] = 1.0
         return cls(f)
 
-    def compose(self, inner: "SubsystemSpec") -> "SubsystemSpec":
-        """Restriction of a restriction: selector of ``inner`` applied after self."""
-        return SubsystemSpec(inner.selector @ self.selector)
-
 
 def restrict(g, sub: SubsystemSpec) -> np.ndarray:
     """Covariance matrix of the subsystem, F G F^T (symmetrized), of a matrix or each of a stack."""
@@ -272,12 +268,3 @@ def restrict(g, sub: SubsystemSpec) -> np.ndarray:
         raise DimensionMismatch(f"covariance is {g.shape}, selector expects {f.shape[1]} columns")
     out = f @ g @ f.T
     return 0.5 * (out + _mT(out))
-
-
-def split_blocks(g, split: ModeCount):
-    """A- and B-blocks of a covariance matrix under a first-modes bipartition."""
-    g = np.asarray(g, dtype=float)
-    if g.shape[0] != 2 * split.n_total:
-        raise DimensionMismatch(f"covariance is {g.shape}, split expects {2 * split.n_total}")
-    k = 2 * split.n_a
-    return g[:k, :k], g[k:, k:]

@@ -14,7 +14,6 @@ through the same stage functions and the same error handling.
 
 import copy
 import errno
-import json
 import math
 import os
 from contextlib import contextmanager
@@ -22,7 +21,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import fock as fock_mod
-from .config import ScenarioConfig, config_hash, parse_config, stored_sample_index
+from .config import ScenarioConfig, config_hash, stored_sample_index
 from .dynamics import (
     QuadraticHamiltonian,
     evolve_covariance,
@@ -72,16 +71,6 @@ def _chain_form(omega_sq, coupling):
 def inverted_pair_form(kappa1=1.0, kappa2=0.8, coupling=0.2):
     """Two inverted oscillators with position coupling."""
     return _chain_form([-kappa1 ** 2, -kappa2 ** 2], coupling)
-
-
-def inverted_pair_exponents(kappa1=1.0, kappa2=0.8, coupling=0.2):
-    """Closed-form Lyapunov exponents of the inverted pair (descending)."""
-    growth = np.linalg.eigvalsh(np.array([[kappa1 ** 2, -coupling],
-                                          [-coupling, kappa2 ** 2]]))
-    if growth[0] <= 0:
-        raise ValueError("coupling destroyed the instability")
-    lam = np.sqrt(growth)[::-1]
-    return np.array([lam[0], lam[1], -lam[1], -lam[0]])
 
 
 def coupled_chain_form(omega_sq=(-1.0, 1.0, -0.64, 1.0), coupling=0.25):
@@ -209,10 +198,6 @@ def scenario_document(name: str) -> dict:
         raise ConfigError(f"unknown scenario {name!r}", "scenario")
     return {"scenario": name, "initial_state": {"type": "gaussian", "covariance": "vacuum"},
             **copy.deepcopy(_SCENARIOS[name])}
-
-
-def default_scenario(name: str) -> ScenarioConfig:
-    return parse_config(json.dumps(scenario_document(name)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .entropy import LN_E_OVER_2, asymptotic_entropy, logdet_pd
+from .entropy import LN_E_OVER_2, logdet_pd
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .phase_space import (
     ModeCount,
@@ -71,10 +71,6 @@ class SubsystemFamily:
         object.__setattr__(self, "members", tuple(checked))
 
     @classmethod
-    def whole_system(cls, n_total: int) -> "SubsystemFamily":
-        return cls(members=((np.eye(2 * n_total), 1.0),), n_total=n_total)
-
-    @classmethod
     def transported_pair(cls, split: ModeCount, m) -> "SubsystemFamily":
         """The four-member family {A, B, A M, B M} at weight 1/2 each."""
         m = np.asarray(m, dtype=float)
@@ -84,34 +80,29 @@ class SubsystemFamily:
                    n_total=split.n_total)
 
 
-def gss_objective(g, fam: SubsystemFamily) -> float:
-    """S_as(G) - sum_i p_i S_as(F_i G F_i^T); the quantity the supremum runs over."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (2 * fam.n_total, 2 * fam.n_total):
-        raise DimensionMismatch(f"matrix shape {g.shape} vs family on {fam.n_total} modes")
-    total = asymptotic_entropy(g)
-    for f, p in fam.members:
-        if p == 0.0:
-            continue
-        block = f @ g @ f.T
-        total -= p * asymptotic_entropy(0.5 * (block + block.T))
-    return total
+def _inverse(a, what):
+    """np.linalg.inv of ``a``; a singular ``a`` raises NotPositiveDefinite naming ``what``."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"{what} is singular") from exc
 
 
 def stationarity_residual(g, fam: SubsystemFamily) -> float:
-    """Relative residual of G^{-1} = sum_i p_i F_i^T (F_i G F_i^T)^{-1} F_i."""
+    """Relative residual of G^{-1} = sum_i p_i F_i^T (F_i G F_i^T)^{-1} F_i.
+
+    A singular or non-PD G, or a singular block F_i G F_i^T, raises
+    NotPositiveDefinite.
+    """
     g = np.asarray(g, dtype=float)
-    try:
-        g_inv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("matrix is singular") from exc
+    g_inv = _inverse(g, "matrix")
     logdet_pd(g)  # raises NotPositiveDefinite for non-PD input
     acc = np.zeros_like(g)
     for f, p in fam.members:
         if p == 0.0:
             continue
         block = f @ g @ f.T
-        acc += p * (f.T @ np.linalg.inv(0.5 * (block + block.T)) @ f)
+        acc += p * (f.T @ _inverse(0.5 * (block + block.T), "block F G F^T") @ f)
     return _maxabs(g_inv - acc) / _maxabs(g_inv)
 
 
@@ -267,7 +258,7 @@ def gss_rhs_minimize(m, split: ModeCount, budget: int = 2000) -> BoundReport:
         try:
             residual = stationarity_residual(g_best, fam)
             break
-        except (NotPositiveDefinite, np.linalg.LinAlgError):
+        except NotPositiveDefinite:
             continue
     else:
         raise NotPositiveDefinite("no iterate's G is numerically nonsingular")
@@ -320,23 +311,6 @@ def _sas_blocks(t_mat, split: ModeCount):
     s_a = 0.5 * logdet + split.n_a * LN_E_OVER_2
     s_b = 0.5 * logdet + split.n_b * LN_E_OVER_2
     return s_a, s_b
-
-
-def pure_state_growth_lower_bound(t_mat, g0, split: ModeCount) -> float:
-    """Lower bound on the subsystem entropy generated from any pure state.
-
-    ``t_mat`` is the positive polar factor of the transformation and ``g0``
-    the initial covariance matrix; the bound is
-
-        S_as(A)(T) + S_as(B)(T) - N ln(e/2) - N_A ln(e |G0| / 2)
-
-    with |G0| the operator norm.
-    """
-    t_mat = _require_pd_symplectic(t_mat)
-    s_a, s_b = _sas_blocks(t_mat, split)
-    norm = op_norm(g0)
-    return (s_a + s_b - split.n_total * LN_E_OVER_2
-            - split.n_a * (LN_E_OVER_2 + np.log(norm)))
 
 
 @_earliest_failure

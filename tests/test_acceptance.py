@@ -13,26 +13,29 @@ import pytest
 
 from entgrowth.config import parse_config
 from entgrowth.dynamics import QuadraticHamiltonian, polar_decompose, propagate
-from entgrowth.entropy import LN_E_OVER_2, corridor_check, mutual_information_asymptotic, renyi2_entropy
+from entgrowth.entropy import LN_E_OVER_2, renyi2_entropy
 from entgrowth.fitting import fit_slope
 from entgrowth.fock import FockConfig, FockState
-from entgrowth.lyapunov import lyapunov_spectrum, polar_factor_exponents
+from entgrowth.lyapunov import lyapunov_spectrum
 from entgrowth.phase_space import ModeCount, SubsystemSpec, standard_omega
-from entgrowth.sampling import (
-    random_covariance,
-    random_pd_symplectic,
-    random_symplectic,
-    random_unstable_hamiltonian_form,
-)
 from entgrowth.scenarios import (
     classical_counterexample_mi,
-    default_scenario,
     metastable_form,
     run_scenario,
     two_mode_squeezing_form,
 )
 from entgrowth.ssa import gss_rhs_minimize, squashed_bounds, stationarity_residual, SubsystemFamily
 from entgrowth.subsystem import subsystem_exponent_algebraic
+from reference import (
+    corridor_check,
+    default_scenario,
+    mutual_information_asymptotic,
+    polar_factor_exponents,
+    random_covariance,
+    random_pd_symplectic,
+    random_symplectic,
+    random_unstable_hamiltonian_form,
+)
 
 SPLIT2 = ModeCount(2, 1)
 TMS = QuadraticHamiltonian.constant(two_mode_squeezing_form())

@@ -33,10 +33,10 @@ from entgrowth.dynamics import QuadraticHamiltonian, propagate, sample_times
 from entgrowth.scenarios import (
     SCENARIO_NAMES,
     bound_matrices,
-    default_scenario,
     metastable_form,
     run_scenario,
 )
+from reference import default_scenario
 
 MINIMAL = """
 {

@@ -1,24 +1,29 @@
 """Gaussian entropy formulas, the bounding corridor, mutual informations."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from entgrowth.config import matrix_to_json, parse_config
 from entgrowth.entropy import (
     LN_E_OVER_2,
     asymptotic_entropy,
-    corridor_check,
     mode_entropy,
-    mutual_information,
-    mutual_information_asymptotic,
     renyi2_entropy,
     von_neumann_entropy,
 )
 from entgrowth.errors import NotPositiveDefinite
-from entgrowth.phase_space import ModeCount, williamson_spectrum
-from entgrowth.sampling import random_covariance, random_symplectic
+from entgrowth.phase_space import ModeCount, standard_omega, williamson_spectrum
+from entgrowth.scenarios import inverted_pair_form, run_scenario, scenario_document
+from reference import (
+    corridor_check,
+    mutual_information_asymptotic,
+    random_covariance,
+    random_symplectic,
+)
 
 
 def thermal_entropy_series(n_bar, n_terms=400):
@@ -179,24 +184,57 @@ def test_geometric_renyi_identity():
         assert abs(renyi2_entropy(g) - log_vol) < 1e-9
 
 
+def pipeline_rows(g0, coupling):
+    """The CSV rows of an inverted pair of the given coupling run from covariance ``g0``."""
+    doc = scenario_document("inverted_pair")
+    doc["hamiltonian"]["params"] = {"coupling": coupling}
+    doc["initial_state"]["covariance"] = matrix_to_json(g0)
+    doc["run"].update(t_final=6.0, store_every=100)
+    return run_scenario(parse_config(json.dumps(doc)), write_outputs=False).rows
+
+
+def flow_blocks(t, g0, coupling):
+    """A and B blocks of G = M(t) g0 M(t)^T, M(t) from SciPy's exponential, and their roundoff.
+
+    The pipeline reads each block's entropy off its Cholesky factor, whose
+    last pivot cancels: nu comes out with a relative error of about
+    eps |G|^2 (the conditioning wall of a long horizon), here at most
+    0.35 eps |G|^2 in I(A;B) on every row.
+    """
+    m = expm(t * standard_omega(2) @ inverted_pair_form(coupling=coupling))
+    g = m @ g0 @ m.T
+    return g[:2, :2], g[2:, 2:], 1e-9 + np.finfo(float).eps * np.max(np.abs(g)) ** 2
+
+
 def test_mutual_information_product_state():
-    g = np.diag([2.0, 2.0, 3.0, 3.0])
-    assert abs(mutual_information(g, ModeCount(2, 1))) < 1e-9
+    # an uncoupled flow keeps a product state a product: I(A;B) = 0
+    g0 = np.diag([2.0, 2.0, 3.0, 3.0])
+    rows = pipeline_rows(g0, coupling=0.0)
+    assert len(rows) > 10
+    for row in rows:
+        assert abs(row.i_ab) <= flow_blocks(row.t, g0, coupling=0.0)[2], row
 
 
 def test_mutual_information_two_mode_squeezed():
-    m = two_mode_squeezer(0.8)
-    g = m @ m.T
-    split = ModeCount(2, 1)
-    s_a = von_neumann_entropy(g[:2, :2])
-    assert np.isclose(mutual_information(g, split), 2 * s_a, atol=1e-8)
+    # a pure global state: I(A;B) = S(A) + S(B) = 2 S(A)
+    g0 = np.eye(4)
+    for row in pipeline_rows(g0, coupling=0.2):
+        assert row.i_ab == 2 * row.s_vn_a, row
+        g_a, g_b, tol = flow_blocks(row.t, g0, coupling=0.2)
+        s_a, s_b = von_neumann_entropy(g_a), von_neumann_entropy(g_b)
+        assert abs(row.i_ab - (s_a + s_b)) <= tol, (row, s_a, s_b)
 
 
 def test_mutual_information_nonnegative():
+    # a mixed state under a coupled flow: I(A;B) = S(A) + S(B) - S(AB) >= 0
     rng = np.random.default_rng(67)
-    for _ in range(50):
-        g = random_covariance(2, rng, mixed=True)
-        assert mutual_information(g, ModeCount(2, 1)) >= -1e-9
+    g0 = random_covariance(2, rng, mixed=True)
+    s_ab = von_neumann_entropy(g0)
+    for row in pipeline_rows(g0, coupling=0.2):
+        assert row.i_ab >= -1e-9, row
+        g_a, g_b, tol = flow_blocks(row.t, g0, coupling=0.2)
+        expected = von_neumann_entropy(g_a) + von_neumann_entropy(g_b) - s_ab
+        assert abs(row.i_ab - expected) <= tol, (row, expected)
 
 
 def test_mutual_information_asymptotic_values():

@@ -38,7 +38,8 @@ SCRIPT = textwrap.dedent("""
     assert entgrowth.cli.main(["scenario", "run", "inverted_pair"]) == 0
     run(json.dumps(sc.scenario_document("coupled_chain")))
     run(json.dumps(sc.scenario_document("parametric_drive")))   # a Floquet section
-    assert sc.run_view(sc.default_scenario("metastable"), "bounds").ok   # four bound times
+    metastable = parse_config(json.dumps(sc.scenario_document("metastable")))
+    assert sc.run_view(metastable, "bounds").ok   # four bound times
     with open({oracle!r}) as fh:
         oracle = fh.read()
     parse_config(oracle)

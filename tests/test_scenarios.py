@@ -17,12 +17,11 @@ from entgrowth.scenarios import (
     SCENARIO_NAMES,
     builtin_hamiltonian,
     classical_counterexample_mi,
-    default_scenario,
-    inverted_pair_exponents,
     run_scenario,
     run_view,
     scenario_document,
 )
+from reference import default_scenario, inverted_pair_exponents
 
 
 def test_classical_counterexample_closed_form():

@@ -10,27 +10,27 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
-from entgrowth.entropy import LN_E_OVER_2, mutual_information_asymptotic
+from entgrowth.entropy import LN_E_OVER_2
 from entgrowth.errors import DimensionMismatch, NotDarboux, NotPositiveDefinite
 from entgrowth.phase_space import ModeCount, standard_omega
-from entgrowth.sampling import (
-    random_covariance,
-    random_pd_symplectic,
-    random_symplectic,
-    random_unstable_hamiltonian_form,
-)
 from entgrowth.scenarios import inverted_pair_form, metastable_form, two_mode_squeezing_form
 from entgrowth.ssa import (
     SubsystemFamily,
     _newton_step,
     _rhs_terms,
-    gss_objective,
     gss_rhs_minimize,
     minimize,
     op_norm,
-    pure_state_growth_lower_bound,
     squashed_bounds,
     stationarity_residual,
+)
+from reference import (
+    gss_objective,
+    mutual_information_asymptotic,
+    random_covariance,
+    random_pd_symplectic,
+    random_symplectic,
+    random_unstable_hamiltonian_form,
 )
 
 SPLIT = ModeCount(2, 1)
@@ -66,7 +66,7 @@ def test_objective_identity_transport_is_zero():
 
 
 def test_objective_whole_system_family():
-    fam = SubsystemFamily.whole_system(2)
+    fam = SubsystemFamily(members=((np.eye(4), 1.0),), n_total=2)
     rng = np.random.default_rng(3)
     for _ in range(5):
         g = random_covariance(2, rng, mixed=True)
@@ -109,11 +109,22 @@ def test_stationarity_at_inverse_for_pd_symplectic():
 
 
 def test_stationarity_whole_system_always_zero():
-    fam = SubsystemFamily.whole_system(2)
+    fam = SubsystemFamily(members=((np.eye(4), 1.0),), n_total=2)
     rng = np.random.default_rng(13)
     for _ in range(5):
         g = random_covariance(2, rng, mixed=True)
         assert stationarity_residual(g, fam) < 1e-12
+
+
+def test_stationarity_singular_block_is_not_positive_definite():
+    # M = I + t Omega v v^T with t = 1e20 and v = (1, 1, 1, 1): rows 0 and 1
+    # of M round to +-t v, so the block (F_A M) G (F_A M)^T at G = I is
+    # exactly singular in floating point while G itself is fine
+    v = np.ones(4)
+    m = np.eye(4) + 1e20 * standard_omega(2) @ np.outer(v, v)
+    fam = SubsystemFamily.transported_pair(SPLIT, m)
+    with pytest.raises(NotPositiveDefinite, match="block F G F\\^T is singular"):
+        stationarity_residual(np.eye(4), fam)
 
 
 def test_stationarity_generic_point_nonzero():
@@ -380,16 +391,6 @@ def test_minimize_local_minimum_certificate():
         except NotPositiveDefinite:
             continue
         assert val >= base - 1e-6
-
-
-def test_pure_state_lower_bound_values():
-    split = SPLIT
-    val = pure_state_growth_lower_bound(np.eye(4), np.eye(4), split)
-    assert abs(val - (-LN_E_OVER_2)) < 1e-12
-    r = 0.9
-    t_mat = two_mode_squeezer(r)
-    val = pure_state_growth_lower_bound(t_mat, np.eye(4), split)
-    assert abs(val - (2 * math.log(math.cosh(r)) - LN_E_OVER_2)) < 1e-10
 
 
 def test_squashed_bounds_identity_point():

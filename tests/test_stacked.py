@@ -33,10 +33,10 @@ from entgrowth.phase_space import (
     standard_omega,
     williamson_spectrum,
 )
-from entgrowth.sampling import random_covariance
 from entgrowth.scenarios import _a_block, _gaussian_samples
 from entgrowth.ssa import squashed_bounds
 from entgrowth.subsystem import restricted_log_volume
+from reference import random_covariance
 from test_phase_space import eig_williamson_spectrum
 
 

@@ -7,18 +7,14 @@ from entgrowth.dynamics import QuadraticHamiltonian, propagate
 from entgrowth.errors import RankDeficient
 from entgrowth.lyapunov import qr_spectrum
 from entgrowth.phase_space import SubsystemSpec, standard_omega
-from entgrowth.sampling import random_covariance, random_symplectic
-from entgrowth.scenarios import (
-    coupled_chain_form,
-    inverted_pair_exponents,
-    inverted_pair_form,
-)
+from entgrowth.scenarios import coupled_chain_form, inverted_pair_form
 from entgrowth.subsystem import (
     expansion_matrix,
     select_columns,
     subsystem_exponent_algebraic,
     subsystem_exponent_volumetric,
 )
+from reference import inverted_pair_exponents, random_covariance, random_symplectic
 
 PAIR_HAM = QuadraticHamiltonian.constant(inverted_pair_form())
 
