@@ -41,7 +41,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import fock as fock_mod
-from .dynamics import DEFECT_FACTOR, QuadraticHamiltonian, sample_times
+from .dynamics import DEFECT_FACTOR, QuadraticHamiltonian, nearest_sample, sample_count, step_count
 from .errors import ConfigError
 from .phase_space import ModeCount, is_symmetric
 
@@ -361,8 +361,9 @@ def _read_fock(obj, modes, run):
     n_modes = modes.n_total
     if not 1 <= n_modes <= 3:
         raise ConfigError("the Fock oracle supports 1 to 3 modes", "modes.total")
-    # the oracle's size rules for the whole run, before any amplitude tensor exists
-    n_samples = len(sample_times(run.t_final, run.dt, run.store_every))
+    # the oracle's size rules for the whole run, before any amplitude tensor
+    # or sample grid exists
+    n_samples = sample_count(step_count(run.t_final, run.dt), run.store_every)
     _build(f"{_S}.cutoff", None, fock_mod.check_size, n_modes, cutoff, n_samples)
     return ({"state": text, "cutoff": cutoff},
             _build(f"{_S}.state", repr(text), _fock_from_text, text, cutoff, n_modes))
@@ -399,6 +400,13 @@ def _fock_from_text(text, cutoff, n_modes) -> "fock_mod.FockState":
     raise ConfigError(f"unknown state kind {kind!r}", f"{_S}.state")
 
 
+def _require_stored(t, nearest) -> None:
+    """ConfigError on ``run.bound_times`` when ``t`` is farther than 1e-9 (1 + |t|) from ``nearest``."""
+    if abs(nearest - t) > 1e-9 * (1.0 + abs(t)):
+        raise ConfigError(f"bound time {t:g} is not a stored sample time "
+                          f"(nearest {nearest:.17g})", "run.bound_times")
+
+
 def stored_sample_index(times, t) -> int:
     """The index of the stored sample time ``t``.
 
@@ -406,9 +414,7 @@ def stored_sample_index(times, t) -> int:
     ConfigError on ``run.bound_times``, not a silent move to the nearest.
     """
     idx = int(np.argmin(np.abs(times - t)))
-    if abs(times[idx] - t) > 1e-9 * (1.0 + abs(t)):
-        raise ConfigError(f"bound time {t:g} is not a stored sample time "
-                          f"(nearest {times[idx]:.17g})", "run.bound_times")
+    _require_stored(t, times[idx])
     return idx
 
 
@@ -417,10 +423,10 @@ def _check_run(run: RunParams) -> RunParams:
     if run.window is not None and run.window[0] >= run.t_final:
         raise ConfigError(f"window starts at {run.window[0]:g}, not before t_final "
                           f"{run.t_final:g}", "run.window")
-    # also rejects times past t_final, the last stored time
-    stored = sample_times(run.t_final, run.dt, run.store_every) if run.bound_times else ()
+    # also rejects times past t_final, the last stored time; the grid is
+    # never listed, so a run too large for memory is rejected without it
     for t in run.bound_times:
-        stored_sample_index(stored, t)
+        _require_stored(t, nearest_sample(run.t_final, run.dt, run.store_every, t)[1])
     return run
 
 

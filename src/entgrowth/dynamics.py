@@ -336,12 +336,18 @@ def step_count(t_final: float, dt: float) -> int:
     return max(1, int(round(t_final / dt)))
 
 
+def sample_count(n_steps: int, store_every: int) -> int:
+    """Number of steps a trajectory keeps: 0, every ``store_every``-th step and the last.
+
+    Stored sample i is step min(i * store_every, n_steps): the grid rule of
+    :func:`stored_steps`, :func:`sample_times` and :func:`nearest_sample`.
+    """
+    return -(-n_steps // store_every) + 1
+
+
 def stored_steps(n_steps: int, store_every: int) -> list:
-    """The steps a trajectory keeps: 0, every ``store_every``-th step and the last."""
-    steps = list(range(0, n_steps + 1, store_every))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    return steps
+    """The steps a trajectory keeps, in order: 0, every ``store_every``-th step and the last."""
+    return [min(i * store_every, n_steps) for i in range(sample_count(n_steps, store_every))]
 
 
 def sample_times(t_final: float, dt: float, store_every: int = 1) -> np.ndarray:
@@ -353,6 +359,25 @@ def sample_times(t_final: float, dt: float, store_every: int = 1) -> np.ndarray:
     times = np.array(stored_steps(n_steps, store_every)) * (t_final / n_steps)
     times[-1] = t_final
     return times
+
+
+def nearest_sample(t_final: float, dt: float, store_every: int, t: float) -> tuple:
+    """Index and time of the stored sample nearest ``t``, the first of a tie.
+
+    Equal to the nearest entry of :func:`sample_times`, computed from the
+    grid rule without listing the grid.
+    """
+    n_steps = step_count(t_final, dt)
+    last = sample_count(n_steps, store_every) - 1
+    step = t_final / n_steps
+
+    def time(i):
+        return t_final if i == last else min(i * store_every, n_steps) * step
+
+    guess = min(max(round(t / (step * store_every)), 0), last)
+    index = min(sorted({max(guess - 1, 0), guess, min(guess + 1, last)}),
+                key=lambda i: abs(time(i) - t))
+    return index, time(index)
 
 
 def _piece_factors(ham, dt, make):

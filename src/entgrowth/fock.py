@@ -37,7 +37,14 @@ from operator import itemgetter
 
 import numpy as np
 
-from .dynamics import QuadraticHamiltonian, sample_times, step_count, step_loop, stored_steps
+from .dynamics import (
+    QuadraticHamiltonian,
+    sample_count,
+    sample_times,
+    step_count,
+    step_loop,
+    stored_steps,
+)
 from .errors import DimensionMismatch, TruncationLeak
 from .phase_space import williamson_spectrum
 
@@ -386,9 +393,9 @@ def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
         raise TruncationLeak("fock stage at t=0: initial state already exceeds the leak "
                              "ceiling; raise the cutoff")
 
-    times = sample_times(t_final, cfg.dt, store_every)
-    check_size(psi0.n_modes, psi0.cutoff, len(times))
     n_steps = step_count(t_final, cfg.dt)
+    check_size(psi0.n_modes, psi0.cutoff, sample_count(n_steps, store_every))
+    times = sample_times(t_final, cfg.dt, store_every)
     events = stored_steps(n_steps, store_every)[1:]
     frames = {}    # piece index -> Chebyshev frame of its Fock operator
 

@@ -1,21 +1,28 @@
-"""Finite-horizon Lyapunov spectra, bases, and regularity diagnostics.
+"""Lyapunov spectra, bases, and regularity diagnostics.
+
+:func:`lyapunov_spectrum` is the pipeline's Lyapunov stage.  A periodic
+flow whose one-period map M(tau) has a well-conditioned eigenvector matrix
+gets its exact spectrum from :func:`floquet_spectrum`: the exponents are
+ln|mu| / tau of the Floquet multipliers mu (Bianchi, Hackl, Yokomizo and
+Rigol, JHEP 2018), with no horizon and no finite-horizon bias.  Every other
+flow (aperiodic, constant, or with a defective or nearly defective M(tau))
+gets the estimate of :func:`qr_spectrum`.
 
 The limiting matrix ln(M M^T) / (2t) is estimated by the re-orthonormalized
 push-forward of :func:`qr_spectrum`, which accumulates ln diag(R) and
-resolves the full spectrum at any horizon; :func:`lyapunov_spectrum` is
-this estimator.  It re-orthonormalizes once per block of the flow, with
-the block as long as the data's growth bound allows (see
-:func:`qr_block_steps`), so piecewise-constant data costs one QR per block
-whatever ``dt`` is.  :func:`spectrum_from_propagation` takes one SVD of a
-stored M(t*) instead: it is the reference the tests check against, and it
-loses contracting directions to roundoff once lambda_1 * t exceeds about
+resolves the full spectrum at any horizon.  It re-orthonormalizes once per
+block of the flow, with the block as long as the data's growth bound allows
+(see :func:`qr_block_steps`), so piecewise-constant data costs one QR per
+block whatever ``dt`` is.  :func:`spectrum_from_propagation` takes one SVD
+of a stored M(t*) instead: it is the reference the tests check against, and
+it loses contracting directions to roundoff once lambda_1 * t exceeds about
 30 (smallest resolvable singular value is ~ eps * sigma_max).
 
-Both report a convergence residual from halving the horizon.  Since the
-leading finite-horizon error decays like 1/t, the two-horizon data also
-yields a Richardson-refined estimate 2 L(t*) - L(t*/2), which is what the
-``exponents`` field of the pipeline's spectrum carries (raw values are kept
-alongside).
+Both estimators report a convergence residual from halving the horizon.
+Since the leading finite-horizon error decays like 1/t, the two-horizon
+data also yields a Richardson-refined estimate 2 L(t*) - L(t*/2), which is
+what the ``exponents`` field of the pipeline's spectrum carries (raw values
+are kept alongside).
 """
 
 import math
@@ -23,13 +30,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CHUNK_STEPS, PropagationResult, QuadraticHamiltonian, step_loop
+from .dynamics import (
+    CHUNK_STEPS,
+    PropagationResult,
+    QuadraticHamiltonian,
+    propagate,
+    step_count,
+    step_loop,
+)
 from .errors import NotConverged, SingularM
 from .phase_space import _maxabs, _mT, standard_omega
 
 # bound on the log growth of the QR frame between re-orthonormalizations:
 # a block's condition number stays under e^(2 QR_BLOCK_GROWTH)
 QR_BLOCK_GROWTH = 2.0
+# largest condition number of the eigenvector matrix of M(tau) that the exact
+# Floquet spectrum accepts.  Roundoff splits a 2 x 2 Jordan block into
+# eigenvectors about sqrt(eps) apart, a condition number near 7e7; the drive
+# workload's maps read 2.0-2.4
+FLOQUET_COND_MAX = 1e6
 
 
 @dataclass(frozen=True)
@@ -37,8 +56,11 @@ class LyapunovData:
     """Sorted exponents with orthonormal basis rows and convergence data.
 
     ``basis[i]`` is the dual-space direction associated with
-    ``exponents[i]``; exponents are sorted descending.  ``exponents`` are
-    Richardson-refined; ``raw_exponents`` hold the plain horizon-t* estimate.
+    ``exponents[i]``; exponents are sorted descending.  For the estimators
+    ``exponents`` are Richardson-refined and ``raw_exponents`` hold the plain
+    horizon-t* estimate.  For ``method == "floquet"`` both are the exact
+    ln|mu| / tau, ``horizon`` is the period and ``residual`` is 0: there is
+    no horizon to halve.
     """
 
     exponents: np.ndarray
@@ -187,15 +209,53 @@ def qr_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
                         residual=residual, raw_exponents=raw, method="qr")
 
 
-def lyapunov_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
-                      residual_tol: float) -> LyapunovData:
-    """Estimate the Lyapunov spectrum of the flow of ``ham`` at horizon ``t_star``.
+def floquet_spectrum(period_map, period: float):
+    """Exact exponents and flag basis from the one-period map M(tau), or None.
 
-    The pipeline's Lyapunov stage: the QR push-forward of
-    :func:`qr_spectrum` on a step grid of about ``dt``, with its residual
-    from halving the horizon checked against ``residual_tol``.  A failure
-    names the stage and the horizon.
+    The exponents are the sorted ln|mu| / tau of the eigenvalues mu of
+    ``period_map``.  The basis is the orthonormal flag of its invariant
+    subspaces in descending |mu|: the eigenvectors, each conjugate pair
+    replaced by its real and imaginary parts, orthonormalized by one QR.
+    None when the eigenvector matrix has a condition number above
+    ``FLOQUET_COND_MAX``: a defective or nearly defective map, whose
+    eigenvectors do not span its invariant subspaces.
     """
+    mults, vecs = np.linalg.eig(period_map)
+    if np.linalg.cond(vecs) > FLOQUET_COND_MAX:
+        return None
+    # eig gives a conjugate pair as adjacent columns: the upper member's real
+    # and imaginary parts span the pair's real invariant plane
+    real, upper = mults.imag == 0, mults.imag > 0
+    cols = np.concatenate([vecs[:, real].real, vecs[:, upper].real, vecs[:, upper].imag], axis=1)
+    logs = np.log(np.abs(np.concatenate([mults[real], mults[upper], mults[upper]])))
+    order = np.argsort(-logs, kind="stable")
+    exps = logs[order] / period
+    basis = np.linalg.qr(cols[:, order])[0].T
+    return LyapunovData(exponents=exps, basis=basis, horizon=period, residual=0.0,
+                        raw_exponents=exps, method="floquet")
+
+
+def lyapunov_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
+                      residual_tol: float, period_map=None) -> LyapunovData:
+    """The Lyapunov spectrum of the flow of ``ham``: exact when periodic, else estimated.
+
+    The pipeline's Lyapunov stage.  A flow with a period gets the exact
+    :func:`floquet_spectrum` of ``period_map``, its one-period map M(tau),
+    which is propagated at ``dt`` when not given; for a callable ``h`` that
+    map carries the midpoint rule's O(dt^2) error.  Every other flow, and a
+    periodic one whose map is (nearly) defective, gets the QR push-forward
+    of :func:`qr_spectrum` to ``t_star`` on a step grid of about ``dt``,
+    with its residual from halving the horizon checked against
+    ``residual_tol``; ``t_star`` and ``residual_tol`` are read on that path
+    alone.  A failure names the stage and the horizon.
+    """
+    if ham.period is not None:
+        if period_map is None:
+            n_steps = step_count(ham.period, dt)
+            period_map = propagate(ham, ham.period, dt, store_every=n_steps).final_matrix
+        exact = floquet_spectrum(period_map, ham.period)
+        if exact is not None:
+            return exact
     return qr_spectrum(ham, t_star, dt, residual_tol=residual_tol)
 
 

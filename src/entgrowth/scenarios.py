@@ -203,14 +203,27 @@ def scenario_document(name: str) -> dict:
 # ---------------------------------------------------------------------------
 # pipeline
 
-def _lyapunov_section(report, cfg):
+def _period_map(cfg):
+    """M(tau) of a periodic flow at the run's step and defect ceiling; None without a period.
+
+    The one matrix that the Lyapunov stage and the Floquet section both read.
+    """
+    period = cfg.hamiltonian.period
+    if period is None:
+        return None
+    # only M(tau) is read: store the last step alone
+    return _flow_stage("floquet", cfg, period, step_count(period, cfg.run.dt)).final_matrix
+
+
+def _lyapunov_section(report, cfg, period_map):
     ham, run = cfg.hamiltonian, cfg.run
     t_star = run.lyapunov_t_star or max(run.t_final, 60.0)
     dt = run.lyapunov_dt or min(run.dt * 5.0, 0.05)
     residual_tol = cfg.tolerances.residual_tol
     if residual_tol is None:
         residual_tol = 0.05
-    lyap = lyapunov_spectrum(ham, t_star, dt, residual_tol=residual_tol * 10.0)
+    lyap = lyapunov_spectrum(ham, t_star, dt, residual_tol=residual_tol * 10.0,
+                             period_map=period_map)
     reg = regularity_check(lyap, tol=max(0.05, 4.0 * lyap.residual))
     section = {"exponents": lyap.exponents, "raw_exponents": lyap.raw_exponents,
                "basis": lyap.basis,
@@ -225,12 +238,10 @@ def _lyapunov_section(report, cfg):
     return lyap
 
 
-def _floquet_section(report, cfg):
+def _floquet_section(report, cfg, period_map):
     """Multipliers mu of M(tau), rates ln|mu|/tau and the sum of the first 2 N_A rates."""
     period = cfg.hamiltonian.period
-    # only M(tau) is read: store the last step alone, under the run's defect ceiling
-    n_steps = step_count(period, cfg.run.dt)
-    mults = np.linalg.eigvals(_flow_stage("floquet", cfg, period, n_steps).final_matrix)
+    mults = np.linalg.eigvals(period_map)
     rates = np.sort(np.log(np.abs(mults)))[::-1] / period
     report.add("floquet", {"multipliers_abs": np.sort(np.abs(mults))[::-1], "rates": rates,
                            "lambda_from_multipliers": float(np.sum(rates[:2 * cfg.modes.n_a]))})
@@ -280,12 +291,12 @@ def run_scenario(cfg: ScenarioConfig, write_outputs: bool = True) -> RunReport:
 
 
 def _lyapunov_view(cfg, report):
-    _lyapunov_section(report, cfg)
+    _lyapunov_section(report, cfg, _period_map(cfg))
 
 
 def _exponent_view(cfg, report):
     series = _propagation_section(report, cfg)
-    lyap = _lyapunov_section(report, cfg)
+    lyap = _lyapunov_section(report, cfg, _period_map(cfg))
     _, _, s2_a, _ = _a_block(series.matrices, series.times, cfg.initial_state, cfg.modes)
     _exponent_section(report, cfg.modes, lyap, series, s2_a)
 
@@ -404,12 +415,15 @@ def _run_flow(cfg, report):
 
     The stages that read only the flow M(t) (propagation, Lyapunov, Floquet
     for a periodic flow, bounds) are the same for both state types; the
-    entropy rows and the slope gate are each state type's own.
+    entropy rows and the slope gate are each state type's own.  A periodic
+    flow's M(tau) is propagated once, before the Lyapunov stage, which reads
+    it with the Floquet section.
     """
     series = _propagation_section(report, cfg)
-    lyap = _lyapunov_section(report, cfg)
-    if cfg.hamiltonian.period is not None:
-        _floquet_section(report, cfg)
+    period_map = _period_map(cfg)
+    lyap = _lyapunov_section(report, cfg, period_map)
+    if period_map is not None:
+        _floquet_section(report, cfg, period_map)
     gaussian = isinstance(cfg.initial_state, np.ndarray)
     (_gaussian_stages if gaussian else _fock_stages)(report, cfg, series, lyap)
     if cfg.run.bound_times:

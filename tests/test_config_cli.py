@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -656,6 +657,22 @@ def test_fock_memory_budget_counts_the_stored_samples():
     with pytest.raises(ConfigError, match=r"^initial_state\.cutoff: 501 stored samples at "
                                           r"dimension 10000 need 171\.6 MiB"):
         parse_config(json.dumps(doc))
+
+
+def test_oversized_fock_run_is_rejected_without_listing_its_grid():
+    # 1,000,001 stored samples: the count and the bound-time check come from
+    # the grid rule, so the rejection allocates no grid of that length
+    doc = _tms_doc("fock:0,0", run={"t_final": 5000.0, "store_every": 1,
+                                    "bound_times": [2500.0]})
+    parse_config(SHIPPED_ORACLE_CONFIG.read_text())   # the modules a Fock config loads
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"^initial_state\.cutoff: 1000001 stored samples"):
+            parse_config(json.dumps(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 _EYE4 = matrix_to_json(np.eye(4))

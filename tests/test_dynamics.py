@@ -20,8 +20,11 @@ from entgrowth.dynamics import (
     generator,
     polar_decompose,
     propagate,
+    nearest_sample,
     require_real_logarithm,
+    sample_count,
     sample_times,
+    step_count,
     step_loop,
 )
 from entgrowth.errors import NoRealLogarithm, NonSymmetricH
@@ -337,6 +340,21 @@ def test_last_step_ends_at_t_final():
     assert np.array_equal(series.times, sample_times(t_final, dt, 14))
     traj = evolve_fock(FockState.fock((0,), 4), ham, t_final, FockConfig(dt=dt), store_every=14)
     assert np.array_equal(traj.times, series.times)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.01, 1e3), st.integers(1, 400), st.integers(1, 60), st.floats(-0.2, 1.2),
+       st.booleans())
+def test_grid_rule_counts_and_finds_what_sample_times_lists(t_final, steps, store_every, u,
+                                                            on_grid):
+    # off-grid dt too: step_count rounds it
+    dt = t_final / (steps + 0.3)
+    times = sample_times(t_final, dt, store_every)
+    assert sample_count(step_count(t_final, dt), store_every) == len(times)
+    t = times[round(u * (len(times) - 1)) % len(times)] if on_grid else u * t_final
+    index, time = nearest_sample(t_final, dt, store_every, t)
+    assert index == int(np.argmin(np.abs(times - t)))
+    assert time == times[index]
 
 
 def test_evolve_covariance_basics():

@@ -1,11 +1,16 @@
 """Limiting-matrix estimates, spectra, regularity, polar-factor comparisons."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from entgrowth.dynamics import PolarPair, QuadraticHamiltonian, propagate
 from entgrowth.errors import NotConverged
 from entgrowth.lyapunov import (
+    floquet_spectrum,
     limiting_matrix_estimate,
     lyapunov_spectrum,
     qr_spectrum,
@@ -119,6 +124,60 @@ def test_qr_blocks_follow_the_growth_rate(qr_calls):
     assert qr_block_steps(ham, 0.25, 4000) < 4000
     qr_spectrum(ham, 1000.0, 0.25, residual_tol=np.inf)
     assert len(qr_calls) > 3
+
+
+@st.composite
+def two_piece_flows(draw):
+    """A periodic flow of two pieces on 2 or 3 modes, with generic random forms.
+
+    The forms are seeded normal draws: sparse or axis-aligned forms can
+    leave the QR estimate's identity start frame with no component along a
+    flow direction, which only roundoff seeds (an error near ln(1/eps) / t*).
+    """
+    dim = 2 * draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pieces = []
+    for _ in range(2):
+        a = draw(st.floats(0.1, 1.0)) * rng.normal(size=(dim, dim))
+        pieces.append((draw(st.floats(0.2, 1.5)), 0.5 * (a + a.T)))
+    return QuadraticHamiltonian.piecewise(pieces, sum(d for d, _ in pieces))
+
+
+@settings(max_examples=25, deadline=None)
+@given(two_piece_flows())
+def test_floquet_spectrum_is_the_limit_of_the_qr_estimate(ham):
+    # M(t*) = V diag(mu)^k V^-1 at t* = k tau, so its log singular values
+    # are within ln cond(V) of k ln|mu|: the estimate's bias, on top of the
+    # 1/t* drift its residual measures, is at most 2 ln cond(V) / t*, plus
+    # roundoff
+    tau = ham.period
+    period_map = propagate(ham, tau, tau / 50, store_every=50).final_matrix
+    exact = lyapunov_spectrum(ham, 1.0, tau / 50, residual_tol=np.inf, period_map=period_map)
+    assume(exact.method == "floquet")
+    assert np.array_equal(np.sort(exact.exponents)[::-1], exact.exponents)
+    assert np.allclose(exact.basis @ exact.basis.T, np.eye(len(period_map)), atol=1e-12)
+    # whole periods, so that M(t*) = M(tau)^k; the estimate's order within
+    # a cluster of near-equal exponents is arbitrary, so both are sorted
+    t_star = tau * math.ceil(600.0 / tau)
+    qr = qr_spectrum(ham, t_star, tau / 50, residual_tol=np.inf)
+    bias = 2.0 * np.log(np.linalg.cond(np.linalg.eig(period_map)[1])) / t_star
+    deviation = np.sort(qr.exponents)[::-1] - exact.exponents
+    assert np.max(np.abs(deviation)) <= qr.residual + bias + 1e-12
+
+
+def test_periodic_spectrum_routes_by_the_period_map():
+    # a drive's map is well conditioned; a one-piece metastable map is a
+    # Jordan block, and keeps the QR estimate
+    drive = parametric_drive_hamiltonian()
+    data = lyapunov_spectrum(drive, 132.0, 0.01, residual_tol=0.0)
+    assert data.method == "floquet" and data.residual == 0.0 and data.horizon == 2.2
+    assert np.array_equal(data.exponents, data.raw_exponents)
+    defective = QuadraticHamiltonian.piecewise([(1.0, metastable_form())], 1.0)
+    period_map = propagate(defective, 1.0, 0.25, store_every=4).final_matrix
+    assert floquet_spectrum(period_map, 1.0) is None
+    data = lyapunov_spectrum(defective, 1000.0, 0.25, residual_tol=np.inf)
+    qr = qr_spectrum(defective, 1000.0, 0.25, residual_tol=np.inf)
+    assert data.method == "qr" and np.array_equal(data.exponents, qr.exponents)
 
 
 def test_trace_free_spectrum():

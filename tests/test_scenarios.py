@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from entgrowth import fock, scenarios
+from entgrowth import fock, lyapunov, scenarios
 from entgrowth.config import matrix_to_json, parse_config
 from entgrowth.dynamics import QuadraticHamiltonian, evolve_covariance, propagate
 from entgrowth.entropy import LN_E_OVER_2
@@ -17,6 +17,7 @@ from entgrowth.scenarios import (
     SCENARIO_NAMES,
     builtin_hamiltonian,
     classical_counterexample_mi,
+    metastable_form,
     run_scenario,
     run_view,
     scenario_document,
@@ -83,6 +84,60 @@ def test_parametric_floquet_cross_checks():
     assert mults[0] > 1.0 + 1e-6
     assert abs(floq["lambda_from_multipliers"]
                - math.log(mults[0]) / 2.2) < 1e-9
+
+
+def test_parametric_drive_spectrum_is_exact_from_one_period_map(monkeypatch):
+    # the Lyapunov stage reads the Floquet section's M(tau), propagated once:
+    # the elliptic pair is exactly 0, not the +-6.0e-5 of a QR push-forward
+    # to 60 periods, and no QR frame is pushed
+    calls = []
+    real_propagate = scenarios.propagate
+
+    def spy(ham, t_final, dt, **kwargs):
+        calls.append(t_final)
+        return real_propagate(ham, t_final, dt, **kwargs)
+
+    def no_qr(*args, **kwargs):
+        raise AssertionError("qr_spectrum called on a periodic flow")
+
+    monkeypatch.setattr(scenarios, "propagate", spy)
+    monkeypatch.setattr(lyapunov, "qr_spectrum", no_qr)
+    rep = run_scenario(default_scenario("parametric_drive"), write_outputs=False)
+    assert rep.ok, rep.failures
+    assert calls == [17.6, 2.2]
+    lyap = rep.sections["lyapunov"]
+    assert lyap["method"] == "floquet" and lyap["horizon"] == 2.2 and lyap["residual"] == 0.0
+    assert np.max(np.abs(lyap["exponents"][1:3])) <= 1e-12
+    assert np.array_equal(lyap["exponents"], rep.sections["floquet"]["rates"])
+    assert abs(rep.sections["exponent"]["lambda_alg"]
+               - rep.sections["floquet"]["lambda_from_multipliers"]) <= 1e-12
+
+
+def _defective_document():
+    # one metastable piece with period 1: M(tau) = I + K is a Jordan block
+    return {"modes": {"total": 2, "subsystem": 1},
+            "hamiltonian": {"type": "piecewise", "period": 1.0,
+                            "pieces": [{"duration": 1.0, "h": matrix_to_json(metastable_form())}]},
+            "initial_state": {"type": "gaussian", "covariance": "vacuum"},
+            "run": {"t_final": 10.0, "dt": 0.25, "lyapunov_t_star": 1000.0,
+                    "lyapunov_dt": 0.25}}
+
+
+def test_defective_period_map_keeps_the_qr_spectrum():
+    cfg = parse_config(json.dumps(_defective_document()))
+    period_map = propagate(cfg.hamiltonian, 1.0, 0.25, store_every=4).final_matrix
+    assert np.linalg.cond(np.linalg.eig(period_map)[1]) > lyapunov.FLOQUET_COND_MAX
+    rep = run_view(cfg, "lyapunov")
+    assert rep.ok, rep.failures
+    section = rep.sections["lyapunov"]
+    qr = lyapunov.qr_spectrum(cfg.hamiltonian, 1000.0, 0.25, residual_tol=np.inf)
+    assert section["method"] == "qr" and section["horizon"] == 1000.0
+    assert np.array_equal(section["exponents"], qr.exponents)
+    assert np.array_equal(section["basis"], qr.basis)
+    assert section["residual"] == qr.residual
+    # the values before periodic flows read M(tau)
+    assert abs(section["exponents"][0] - 0.00138629136112714) <= 1e-12
+    assert abs(section["residual"] - 0.005521464417854712) <= 1e-12
 
 
 def _half_turn_document(state, store_every):
@@ -287,7 +342,8 @@ def test_propagation_failure_names_its_stage_and_time():
 
 def test_floquet_failure_names_its_stage_and_time(monkeypatch):
     # the one-period call alone gets a zero ceiling, which the roundoff of
-    # M(6) exceeds; the propagation stage to t=0.05 keeps the run's ceiling
+    # M(6) exceeds; the propagation stage to t=0.05 keeps the run's ceiling.
+    # The Lyapunov stage reads that M(tau), so it never starts
     real_propagate = scenarios.propagate
 
     def strict_floquet(ham, t_final, dt, **kwargs):
@@ -307,7 +363,7 @@ def test_floquet_failure_names_its_stage_and_time(monkeypatch):
     assert len(rep.failures) == 1, rep.failures
     assert rep.failures[0].startswith("StepTooLarge: floquet stage at t=6: symplectic defect "), \
         rep.failures
-    assert list(rep.sections) == ["propagation", "lyapunov"]
+    assert list(rep.sections) == ["propagation"]
 
 
 def test_lyapunov_failure_names_its_stage_and_horizon():
