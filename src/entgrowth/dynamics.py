@@ -264,10 +264,6 @@ class QuadraticHamiltonian:
         n_modes = np.shape(pieces[0][1])[0] // 2
         return cls(h=None, n_modes=n_modes, period=float(period), pieces=pieces)
 
-    @property
-    def is_constant(self) -> bool:
-        return len(self.pieces) == 1 and self.period is None
-
     def piece_at(self, t: float) -> Optional[int]:
         """Index of the piece in force at time t; None for a callable ``h``."""
         if not self.pieces:
@@ -483,7 +479,8 @@ def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
         times are :func:`sample_times`.
     defect_factor : ceiling on the symplectic defect of each stored M(t) is
         ``defect_factor * (1 + max|M|^2)``; exceeding it raises StepTooLarge
-        naming the earliest stored time that does.
+        naming the earliest stored time that does.  An M(t) too large for its
+        defect to be finite raises SingularM, naming the overflow, instead.
     """
     if dt <= 0 or t_final <= 0:
         raise ValueError("need dt > 0 and t_final > 0")
@@ -506,9 +503,14 @@ def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
     # checked once on the whole stack: one call per check, not one per sample
     defects = _maxabs_each(mats @ omega @ _mT(mats) - omega)
     ceilings = defect_factor * (1.0 + _maxabs_each(mats) ** 2)
-    bad = defects > ceilings
+    # a NaN defect compares False with its ceiling, so overflow is its own test
+    overflow = ~np.isfinite(defects)
+    bad = overflow | (defects > ceilings)
     if bad.any():
         i = int(np.argmax(bad))
+        if overflow[i]:
+            raise SingularM(f"at t={times[i]:.6g}: M(t) overflowed, so its symplectic defect "
+                            f"is not finite; shorten t_final")
         raise StepTooLarge(
             f"at t={times[i]:.6g}: symplectic defect {defects[i]:.3g} exceeded "
             f"ceiling {ceilings[i]:.3g}; " + hint)

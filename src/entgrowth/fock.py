@@ -234,28 +234,33 @@ def _chebyshev_series(frame: _Frame, psi, taus, out) -> None:
     np.matmul(coef, vecs, out=out)
 
 
-def _chebyshev_states(frame: _Frame, psi, lengths) -> np.ndarray:
-    """exp(-i tau_j op) psi at each partial sum tau_j of ``lengths``, one row each.
+def _chebyshev_states(frame: _Frame, psi, lengths, stored, out):
+    """Write exp(-i tau_j op) psi to ``out`` at each partial sum tau_j of ``lengths`` that
+    ``stored`` flags, one row each in order, and return the state at the last sum.
 
     One recurrence (:func:`_chebyshev_series`) serves every tau_j within
-    x = ``SPAN_CAP`` of the span's start; the next span restarts from the
-    last state of the one before.  A length longer than a span runs as
-    equal parts in turn.
+    x = ``SPAN_CAP`` of the span's start.  It forms only the span's stored
+    rows and its last state, from which the next span restarts.  A length
+    longer than a span runs as equal parts in turn.
     """
     limit = SPAN_CAP / frame.w if frame.w > 0.0 else math.inf
     taus = np.concatenate(([0.0], np.cumsum(lengths)))
-    out = np.empty((len(lengths), psi.size), dtype=complex)
-    start = 0
-    while start < len(out):
+    kept = np.flatnonzero(stored)
+    start = count = 0
+    while start < len(lengths):
         stop = max(start + 1, int(np.searchsorted(taus, taus[start] + limit, side="right")) - 1)
-        offsets = taus[start + 1:stop + 1] - taus[start]
+        rows = kept[(kept >= start) & (kept < stop)]
+        offsets = taus[np.union1d(rows, [stop - 1]) + 1] - taus[start]
+        block = np.empty((len(offsets), psi.size), dtype=complex)
         # above 1 only for a segment longer than a span, which is alone in it
         parts = max(1, math.ceil(offsets[0] / limit))
         for _ in range(parts):
-            _chebyshev_series(frame, psi, offsets / parts, out[start:stop])
-            psi = out[stop - 1]
+            _chebyshev_series(frame, psi, offsets / parts, block)
+            psi = block[-1]
+        out[count:count + len(rows)] = block[:len(rows)]
+        count += len(rows)
         start = stop
-    return out
+    return psi
 
 
 @dataclass(frozen=True)
@@ -425,11 +430,8 @@ def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
     psi, count = rows[0], 1
     for frame, group in groupby(segments(), key=itemgetter(0)):
         _, lengths, stored = zip(*group)
-        block = _chebyshev_states(frame, psi, lengths)
-        psi = block[-1]
-        kept = np.flatnonzero(stored)
-        rows[count:count + len(kept)] = block[kept]
-        count += len(kept)
+        psi = _chebyshev_states(frame, psi, lengths, stored, rows[count:])
+        count += sum(stored)
 
     # squared norms from the real view: no copy of the stack
     flat = rows.view(float)

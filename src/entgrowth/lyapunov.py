@@ -1,28 +1,22 @@
 """Lyapunov spectra, bases, and regularity diagnostics.
 
-:func:`lyapunov_spectrum` is the pipeline's Lyapunov stage.  A periodic
-flow whose one-period map M(tau) has a well-conditioned eigenvector matrix
-gets its exact spectrum from :func:`floquet_spectrum`: the exponents are
-ln|mu| / tau of the Floquet multipliers mu (Bianchi, Hackl, Yokomizo and
-Rigol, JHEP 2018), with no horizon and no finite-horizon bias.  Every other
-flow (aperiodic, constant, or with a defective or nearly defective M(tau))
-gets the estimate of :func:`qr_spectrum`.
+:func:`lyapunov_spectrum` is the pipeline's Lyapunov stage.  Piece data and
+periodic callables have an exact map M(tau) (:func:`map_period`): the
+one-period map, or exp(tau K) for a constant flow, which is periodic with
+any period.  When its eigenvectors are well conditioned,
+:func:`floquet_spectrum` reads the exponents ln|mu| / tau of its
+multipliers mu (Bianchi, Hackl, Yokomizo and Rigol, JHEP 2018), with no
+horizon and no finite-horizon bias.  Aperiodic callables and defective maps
+get the estimate of :func:`qr_spectrum`, a re-orthonormalized push-forward
+that accumulates ln diag(R), once per block of the flow as long as the
+data's growth bound allows (:func:`qr_block_steps`).
+:func:`spectrum_from_propagation` takes one SVD of a stored M(t*) instead:
+it is the tests' reference, and loses contracting directions to roundoff
+once lambda_1 * t exceeds about 30.
 
-The limiting matrix ln(M M^T) / (2t) is estimated by the re-orthonormalized
-push-forward of :func:`qr_spectrum`, which accumulates ln diag(R) and
-resolves the full spectrum at any horizon.  It re-orthonormalizes once per
-block of the flow, with the block as long as the data's growth bound allows
-(see :func:`qr_block_steps`), so piecewise-constant data costs one QR per
-block whatever ``dt`` is.  :func:`spectrum_from_propagation` takes one SVD
-of a stored M(t*) instead: it is the reference the tests check against, and
-it loses contracting directions to roundoff once lambda_1 * t exceeds about
-30 (smallest resolvable singular value is ~ eps * sigma_max).
-
-Both estimators report a convergence residual from halving the horizon.
-Since the leading finite-horizon error decays like 1/t, the two-horizon
-data also yields a Richardson-refined estimate 2 L(t*) - L(t*/2), which is
-what the ``exponents`` field of the pipeline's spectrum carries (raw values
-are kept alongside).
+Both estimators report a residual from halving the horizon.  Since the
+leading finite-horizon error decays like 1/t, ``exponents`` carry the
+Richardson-refined 2 L(t*) - L(t*/2), and ``raw_exponents`` the plain values.
 """
 
 import math
@@ -59,8 +53,8 @@ class LyapunovData:
     ``exponents[i]``; exponents are sorted descending.  For the estimators
     ``exponents`` are Richardson-refined and ``raw_exponents`` hold the plain
     horizon-t* estimate.  For ``method == "floquet"`` both are the exact
-    ln|mu| / tau, ``horizon`` is the period and ``residual`` is 0: there is
-    no horizon to halve.
+    ln|mu| / tau, ``horizon`` is tau and ``residual`` is 0: there is no
+    horizon to halve.
     """
 
     exponents: np.ndarray
@@ -210,7 +204,7 @@ def qr_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
 
 
 def floquet_spectrum(period_map, period: float):
-    """Exact exponents and flag basis from the one-period map M(tau), or None.
+    """Exact exponents and flag basis from the map M(tau) of :func:`map_period`, or None.
 
     The exponents are the sorted ln|mu| / tau of the eigenvalues mu of
     ``period_map``.  The basis is the orthonormal flag of its invariant
@@ -235,28 +229,32 @@ def floquet_spectrum(period_map, period: float):
                         raw_exponents=exps, method="floquet")
 
 
+def map_period(ham: QuadraticHamiltonian, dt: float):
+    """tau of the exact map M(tau): the period, else ``dt`` for a constant flow, else None."""
+    if ham.period is not None:
+        return ham.period
+    return dt if ham.pieces else None
+
+
 def lyapunov_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
                       residual_tol: float, period_map=None) -> LyapunovData:
-    """The Lyapunov spectrum of the flow of ``ham``: exact when periodic, else estimated.
+    """The Lyapunov spectrum of the flow of ``ham``: exact from its map M(tau), else estimated.
 
-    The pipeline's Lyapunov stage.  A flow with a period gets the exact
-    :func:`floquet_spectrum` of ``period_map``, its one-period map M(tau),
-    which is propagated at ``dt`` when not given; for a callable ``h`` that
-    map carries the midpoint rule's O(dt^2) error.  Every other flow, and a
-    periodic one whose map is (nearly) defective, gets the QR push-forward
-    of :func:`qr_spectrum` to ``t_star`` on a step grid of about ``dt``,
-    with its residual from halving the horizon checked against
+    The pipeline's Lyapunov stage.  A flow with a map (:func:`map_period`)
+    gets the exact :func:`floquet_spectrum` of ``period_map``, the pair
+    ``(M(tau), tau)``, propagated at ``dt`` when not given; for a periodic
+    callable ``h`` that map carries the midpoint rule's O(dt^2) error.  An
+    aperiodic callable, and a flow whose map is (nearly) defective, gets the
+    QR push-forward of :func:`qr_spectrum` to ``t_star`` on a step grid of
+    about ``dt``, with its residual from halving the horizon checked against
     ``residual_tol``; ``t_star`` and ``residual_tol`` are read on that path
     alone.  A failure names the stage and the horizon.
     """
-    if ham.period is not None:
-        if period_map is None:
-            n_steps = step_count(ham.period, dt)
-            period_map = propagate(ham, ham.period, dt, store_every=n_steps).final_matrix
-        exact = floquet_spectrum(period_map, ham.period)
-        if exact is not None:
-            return exact
-    return qr_spectrum(ham, t_star, dt, residual_tol=residual_tol)
+    tau = map_period(ham, dt)
+    if period_map is None and tau is not None:
+        period_map = propagate(ham, tau, dt, store_every=step_count(tau, dt)).final_matrix, tau
+    exact = None if period_map is None else floquet_spectrum(*period_map)
+    return exact or qr_spectrum(ham, t_star, dt, residual_tol=residual_tol)
 
 
 @dataclass(frozen=True)

@@ -25,16 +25,16 @@ from .config import ScenarioConfig, config_hash, stored_sample_index
 from .dynamics import (
     QuadraticHamiltonian,
     evolve_covariance,
-    generator,
     polar_decompose,
     propagate,
     require_real_logarithm,
     step_count,
 )
 from .entropy import LN_E_OVER_2, _half_logdet_factor, _spectrum_entropy, von_neumann_entropy
-from .errors import ConfigError, EntgrowthError, NoRealLogarithm, StepTooLarge, WindowTooShort
+from .errors import (ConfigError, EntgrowthError, NoRealLogarithm, SingularM, StepTooLarge,
+                     WindowTooShort)
 from .fitting import fit_slope, windowed
-from .lyapunov import lyapunov_spectrum, regularity_check
+from .lyapunov import lyapunov_spectrum, map_period, regularity_check
 from .phase_space import (
     ModeCount,
     SubsystemSpec,
@@ -204,35 +204,33 @@ def scenario_document(name: str) -> dict:
 # pipeline
 
 def _period_map(cfg):
-    """M(tau) of a periodic flow at the run's step and defect ceiling; None without a period.
+    """``(M(tau), tau)`` at the run's step and defect ceiling; None for an aperiodic callable.
 
-    The one matrix that the Lyapunov stage and the Floquet section both read.
+    The one matrix that the Lyapunov stage and, for a periodic flow, the
+    Floquet section read.  A constant flow's tau is ``run.dt``.
     """
-    period = cfg.hamiltonian.period
-    if period is None:
+    tau = map_period(cfg.hamiltonian, cfg.run.dt)
+    if tau is None:
         return None
     # only M(tau) is read: store the last step alone
-    return _flow_stage("floquet", cfg, period, step_count(period, cfg.run.dt)).final_matrix
+    stage = "lyapunov" if cfg.hamiltonian.period is None else "floquet"
+    return _flow_stage(stage, cfg, tau, step_count(tau, cfg.run.dt)).final_matrix, tau
 
 
 def _lyapunov_section(report, cfg, period_map):
-    ham, run = cfg.hamiltonian, cfg.run
+    run = cfg.run
     t_star = run.lyapunov_t_star or max(run.t_final, 60.0)
     dt = run.lyapunov_dt or min(run.dt * 5.0, 0.05)
     residual_tol = cfg.tolerances.residual_tol
     if residual_tol is None:
         residual_tol = 0.05
-    lyap = lyapunov_spectrum(ham, t_star, dt, residual_tol=residual_tol * 10.0,
+    lyap = lyapunov_spectrum(cfg.hamiltonian, t_star, dt, residual_tol=residual_tol * 10.0,
                              period_map=period_map)
     reg = regularity_check(lyap, tol=max(0.05, 4.0 * lyap.residual))
-    section = {"exponents": lyap.exponents, "raw_exponents": lyap.raw_exponents,
-               "basis": lyap.basis,
-               "residual": lyap.residual, "horizon": lyap.horizon, "method": lyap.method,
-               "regular": reg.is_regular, "pairing_violation": reg.max_violation}
-    if ham.is_constant:
-        eigs = np.linalg.eigvals(generator(ham, 0.0))
-        section["eig_k_real_parts"] = np.sort(eigs.real)[::-1]
-    report.add("lyapunov", section)
+    report.add("lyapunov", {
+        "exponents": lyap.exponents, "raw_exponents": lyap.raw_exponents, "basis": lyap.basis,
+        "residual": lyap.residual, "horizon": lyap.horizon, "method": lyap.method,
+        "regular": reg.is_regular, "pairing_violation": reg.max_violation})
     if not reg.is_regular:
         report.warn(f"spectrum not regular at tolerance: pairing violation {reg.max_violation:.3g}")
     return lyap
@@ -240,9 +238,8 @@ def _lyapunov_section(report, cfg, period_map):
 
 def _floquet_section(report, cfg, period_map):
     """Multipliers mu of M(tau), rates ln|mu|/tau and the sum of the first 2 N_A rates."""
-    period = cfg.hamiltonian.period
-    mults = np.linalg.eigvals(period_map)
-    rates = np.sort(np.log(np.abs(mults)))[::-1] / period
+    mults = np.linalg.eigvals(period_map[0])
+    rates = np.sort(np.log(np.abs(mults)))[::-1] / period_map[1]
     report.add("floquet", {"multipliers_abs": np.sort(np.abs(mults))[::-1], "rates": rates,
                            "lambda_from_multipliers": float(np.sum(rates[:2 * cfg.modes.n_a]))})
     try:
@@ -371,8 +368,8 @@ def _flow_stage(name, cfg, t_final, store_every):
     try:
         return propagate(cfg.hamiltonian, t_final, cfg.run.dt, store_every=store_every,
                          defect_factor=cfg.tolerances.defect_factor)
-    except StepTooLarge as exc:
-        raise StepTooLarge(f"{name} stage {exc}") from exc
+    except (StepTooLarge, SingularM) as exc:
+        raise type(exc)(f"{name} stage {exc}") from exc
 
 
 @contextmanager
@@ -416,13 +413,13 @@ def _run_flow(cfg, report):
     The stages that read only the flow M(t) (propagation, Lyapunov, Floquet
     for a periodic flow, bounds) are the same for both state types; the
     entropy rows and the slope gate are each state type's own.  A periodic
-    flow's M(tau) is propagated once, before the Lyapunov stage, which reads
-    it with the Floquet section.
+    flow's M(tau), or a constant flow's M(dt), is propagated once, before
+    the Lyapunov stage, which reads it with the Floquet section.
     """
     series = _propagation_section(report, cfg)
     period_map = _period_map(cfg)
     lyap = _lyapunov_section(report, cfg, period_map)
-    if period_map is not None:
+    if cfg.hamiltonian.period is not None:
         _floquet_section(report, cfg, period_map)
     gaussian = isinstance(cfg.initial_state, np.ndarray)
     (_gaussian_stages if gaussian else _fock_stages)(report, cfg, series, lyap)

@@ -35,7 +35,11 @@ def _configs():
             "run": {"t_final": 0.9, "dt": 0.005, "store_every": 5,
                     "lyapunov_t_star": 40.0, "lyapunov_dt": 0.01},
             "tolerances": {"leak_ceiling": 3e-3, "slope_rel_tol": 0.15}}
-    return [parse_config(json.dumps(doc)) for doc in (gaussian, fock)]
+    # a defective map: the one flow kind here that calls qr_spectrum
+    metastable = scenario_document("metastable")
+    metastable["run"].update(t_final=20.0, lyapunov_t_star=20.0, window=[10.0, 20.0],
+                             bound_times=[])
+    return [parse_config(json.dumps(doc)) for doc in (gaussian, fock, metastable)]
 
 
 def test_tracer_counts_every_counted_span():

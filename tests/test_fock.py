@@ -240,9 +240,16 @@ def test_one_recurrence_equals_two_in_turn(case, s1, s2):
     # the second row of one recurrence over both
     h, cutoff, _, psi = case
     frame = fock._chebyshev_frame(build_hamiltonian(QuadraticHamiltonian.constant(h), 0.0, cutoff))
-    whole = fock._chebyshev_states(frame, psi, [s1 + s2])[0]
-    halves = fock._chebyshev_states(frame, fock._chebyshev_states(frame, psi, [s1])[0], [s2])[0]
-    rows = fock._chebyshev_states(frame, psi, [s1, s2])
+
+    def states(start, lengths):
+        out = np.empty((len(lengths), start.size), dtype=complex)
+        last = fock._chebyshev_states(frame, start, lengths, [True] * len(lengths), out)
+        assert np.array_equal(last, out[-1])
+        return out
+
+    whole = states(psi, [s1 + s2])[0]
+    halves = states(states(psi, [s1])[0], [s2])[0]
+    rows = states(psi, [s1, s2])
     assert np.max(np.abs(whole - halves)) < 1e-12
     assert np.max(np.abs(whole - rows[1])) < 1e-12
 
@@ -310,8 +317,8 @@ def _flow(kind):
 def test_trajectory_is_one_stack_on_the_propagation_grid(kind):
     # the times of propagate bit for bit, and a stack whose memory holds its
     # stored states alone: no recurrence block stays alive behind a sample
-    # (the one-piece periodic flow crosses its 20 periods in one 20-row
-    # recurrence block, of which 4 rows are stored)
+    # (the one-piece periodic flow crosses its 20 periods in one recurrence
+    # whose block holds only the 4 stored rows)
     ham, t_final, dt, store_every = _flow(kind)
     cutoff = 12
     traj = evolve_fock(FockState.fock((1, 0), cutoff), ham, t_final,
@@ -322,6 +329,27 @@ def test_trajectory_is_one_stack_on_the_propagation_grid(kind):
     while memory.base is not None:
         memory = memory.base
     assert memory.size == len(traj.times) * cutoff ** 2
+
+
+def test_recurrence_blocks_hold_only_stored_rows(monkeypatch):
+    # period = dt: 200 period maps on one operator, of which 4 end at a
+    # stored sample; the recurrence forms those and no others
+    blocks = []
+    real_series = fock._chebyshev_series
+
+    def counting_series(frame, psi, taus, out):
+        blocks.append(len(out))
+        return real_series(frame, psi, taus, out)
+
+    monkeypatch.setattr(fock, "_chebyshev_series", counting_series)
+    form = two_mode_squeezing_form(0.2)
+    ham = QuadraticHamiltonian.piecewise([(0.01, form)], 0.01)
+    traj = evolve_fock(FockState.fock((0, 0), 12), ham, 2.0, FockConfig(dt=0.01), store_every=50)
+    assert len(traj.times) == 5
+    assert 0 < max(blocks) <= len(traj.times)
+    m = propagate(QuadraticHamiltonian.constant(form), 2.0, 0.01, store_every=50).matrices
+    g = np.array([fock.covariance_of(FockState(amp))[0] for amp in traj.amplitudes])
+    assert np.allclose(g, evolve_covariance(np.eye(4), m), atol=1e-9)
 
 
 def test_tms_covariance_matches_gaussian_propagation():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from entgrowth.dynamics import PolarPair, QuadraticHamiltonian, propagate
+from entgrowth.dynamics import PolarPair, QuadraticHamiltonian, expm, propagate
 from entgrowth.errors import NotConverged
 from entgrowth.lyapunov import (
     floquet_spectrum,
@@ -62,17 +62,60 @@ def test_spectrum_harmonic_oscillator():
     assert np.allclose(data.exponents, 0.0, atol=1e-9)
 
 
+def _roundoff_bound(period_map, tau):
+    """Roundoff of the exact exponents ln|mu| / tau of the map M(tau).
+
+    Each multiplier moves by at most cond(V) times the backward error eps
+    ||M|| of the eigensolve and of M(tau) itself (Bauer-Fike), so ln|mu|
+    moves by that over |mu|; the factor 16 n covers the norm equivalences.
+    """
+    mults, vecs = np.linalg.eig(period_map)
+    n = len(period_map)
+    shift = 16 * n * np.finfo(float).eps * np.linalg.cond(vecs) * np.linalg.norm(period_map, 2)
+    return shift / (np.min(np.abs(mults)) * tau)
+
+
 def test_spectrum_matches_generator_eigenvalues():
-    # time-independent case: exponents equal sorted real parts of eig(K)
+    # time-independent case: exponents equal sorted real parts of eig(K), to roundoff
     rng = np.random.default_rng(5)
     h = rng.normal(size=(4, 4))
     h = 0.4 * (h + h.T)
     ham = QuadraticHamiltonian.constant(h)
     k = standard_omega(2) @ h
     expected = np.sort(np.linalg.eigvals(k).real)[::-1]
-    t_star = 30.0 / max(expected[0], 0.3)
-    data = lyapunov_spectrum(ham, t_star=t_star, dt=0.01, residual_tol=np.inf)
-    assert np.max(np.abs(data.exponents - expected)) < max(4 * data.residual, 0.02)
+    data = lyapunov_spectrum(ham, t_star=1.0, dt=0.01, residual_tol=0.0)
+    assert data.method == "floquet" and data.horizon == 0.01 and data.residual == 0.0
+    error = np.max(np.abs(data.exponents - expected))
+    assert error <= _roundoff_bound(expm(0.01 * k), 0.01) and error < 1e-12
+
+
+@st.composite
+def constant_flows(draw):
+    """A constant flow on 2 to 4 modes whose generator has a real unstable pair."""
+    n_modes = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return QuadraticHamiltonian.constant(reference.random_unstable_hamiltonian_form(n_modes, rng))
+
+
+@settings(max_examples=25, deadline=None)
+@given(constant_flows())
+def test_constant_spectrum_is_exact_and_the_limit_of_the_qr_estimate(ham):
+    # a constant flow is periodic with any period: M(dt) = exp(dt K) gives
+    # the real parts of eig(K) to roundoff, and QR at a long horizon lies
+    # within its residual plus the 2 ln cond(V) / t* of a bounded direction
+    dt = 0.01
+    k = standard_omega(ham.n_modes) @ ham.pieces[0][1]
+    period_map = expm(dt * k)
+    exact = lyapunov_spectrum(ham, 1.0, dt, residual_tol=0.0)
+    assume(exact.method == "floquet")
+    expected = np.sort(np.linalg.eigvals(k).real)[::-1]
+    assert np.max(np.abs(exact.exponents - expected)) <= _roundoff_bound(period_map, dt)
+    assert np.allclose(exact.basis @ exact.basis.T, np.eye(len(k)), atol=1e-12)
+    t_star = 600.0
+    qr = qr_spectrum(ham, t_star, 0.05, residual_tol=np.inf)
+    bias = 2.0 * np.log(np.linalg.cond(np.linalg.eig(k)[1])) / t_star
+    deviation = np.sort(qr.exponents)[::-1] - exact.exponents
+    assert np.max(np.abs(deviation)) <= qr.residual + bias + 1e-12
 
 
 def test_qr_and_svd_agree_at_moderate_horizon():
@@ -152,7 +195,8 @@ def test_floquet_spectrum_is_the_limit_of_the_qr_estimate(ham):
     # roundoff
     tau = ham.period
     period_map = propagate(ham, tau, tau / 50, store_every=50).final_matrix
-    exact = lyapunov_spectrum(ham, 1.0, tau / 50, residual_tol=np.inf, period_map=period_map)
+    exact = lyapunov_spectrum(ham, 1.0, tau / 50, residual_tol=np.inf,
+                              period_map=(period_map, tau))
     assume(exact.method == "floquet")
     assert np.array_equal(np.sort(exact.exponents)[::-1], exact.exponents)
     assert np.allclose(exact.basis @ exact.basis.T, np.eye(len(period_map)), atol=1e-12)
@@ -187,8 +231,9 @@ def test_trace_free_spectrum():
 
 
 def test_not_converged_raised():
-    # non-normal generator: the finite-horizon estimate drifts like 1/t
-    ham = QuadraticHamiltonian.constant(inverted_pair_form())
+    # non-normal generator: the finite-horizon estimate drifts like 1/t.  A
+    # callable h has no exact map, so it takes the QR estimate
+    ham = QuadraticHamiltonian(h=lambda t: inverted_pair_form(), n_modes=2)
     with pytest.raises(NotConverged):
         lyapunov_spectrum(ham, t_star=4.0, dt=1e-3, residual_tol=1e-6)
 

@@ -71,7 +71,7 @@ def test_h_of_t_is_derived_from_the_pieces():
     assert np.array_equal(ham.h(1.0), H_OFF)
     assert [round(b, 12) for b in breakpoints(ham, 5.0)] == [0.6, 2.2, 2.8, 4.4]
     const = QuadraticHamiltonian.constant(np.eye(2))
-    assert const.is_constant and not ham.is_constant
+    assert len(const.pieces) == 1 and const.period is None
     assert breakpoints(const, 100.0) == [] and const.piece_at(1e6) == 0
     with pytest.raises(ValueError):
         ham.pieces[0][1][0, 0] = 5.0                 # forms are read-only
@@ -157,8 +157,9 @@ def test_step_exponentials_are_computed_once_per_piece(expm_calls):
 
 
 def test_every_flow_stage_of_a_run_shares_the_piece_exponentials(expm_calls):
-    # propagation, QR spectrum and the Floquet stage's one period read the
-    # same two matrices; a second run of the same config makes none
+    # propagation and the Floquet stage's one period read the same two
+    # matrices; a second run of the same config makes none.  A constant flow
+    # makes one for its stored steps and one for its map M(dt)
     drive = default_scenario("parametric_drive")
     assert run_scenario(drive, write_outputs=False).ok
     assert len(expm_calls) == 2
@@ -166,7 +167,7 @@ def test_every_flow_stage_of_a_run_shares_the_piece_exponentials(expm_calls):
     assert run_scenario(drive, write_outputs=False).ok
     assert expm_calls == []
     assert run_scenario(default_scenario("coupled_chain"), write_outputs=False).ok
-    assert len(expm_calls) == 3
+    assert len(expm_calls) == 2
 
 
 def test_kept_piece_exponentials_are_read_only():
