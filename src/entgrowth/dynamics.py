@@ -493,16 +493,19 @@ def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
 
     m = np.eye(2 * ham.n_modes)
     mats = [m]
-    for _, _, factors in step_loop(ham, t_final, n_steps, stored_steps(n_steps, store_every)[1:]):
-        for step in factors:
-            m = step @ m
-        mats.append(m)
-    mats = np.array(mats)
+    # an overflowed M(t) is reported once, as SingularM below, not also as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, _, factors in step_loop(ham, t_final, n_steps,
+                                       stored_steps(n_steps, store_every)[1:]):
+            for step in factors:
+                m = step @ m
+            mats.append(m)
+        mats = np.array(mats)
+        # checked once on the whole stack: one call per check, not one per sample
+        defects = _maxabs_each(mats @ omega @ _mT(mats) - omega)
+        ceilings = defect_factor * (1.0 + _maxabs_each(mats) ** 2)
     times = sample_times(t_final, dt, store_every)
 
-    # checked once on the whole stack: one call per check, not one per sample
-    defects = _maxabs_each(mats @ omega @ _mT(mats) - omega)
-    ceilings = defect_factor * (1.0 + _maxabs_each(mats) ** 2)
     # a NaN defect compares False with its ceiling, so overflow is its own test
     overflow = ~np.isfinite(defects)
     bad = overflow | (defects > ceilings)

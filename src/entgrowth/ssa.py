@@ -1,4 +1,4 @@
-"""Generalized-subadditivity objectives, stationarity checks, and entropy bounds.
+"""Generalized-subadditivity minimization and entropy bounds.
 
 The central object is the minimization over positive definite matrices G of
 
@@ -10,14 +10,16 @@ on the positive definite cone under the affine-invariant metric, so every
 stationary point is a global minimum.  The minimizer is a damped Newton
 descent from G = I in whitened coordinates G = R e^X R^T, in numpy alone;
 two stacked QR factorizations of row blocks of R and M R give its value,
-gradient and Hessian, so neither G nor M G M^T is formed.  When M is
+gradient and Hessian, so neither G nor M G M^T is formed.  The gradient
+there, (1/2) sum_i P_i - I, is R^T (G^{-1} - sum_i p_i F_i^T (F_i G
+F_i^T)^{-1} F_i) R, the stationarity equation of the whole problem, so the
+minimizer certifies its own last iterate.  When M is
 positive definite the stationary point G = M^{-1} (value 2 I_as(M)) is a
 test oracle.  The infimum may sit at the boundary of the cone, where no
 minimizer exists; the result is then flagged ``diverged``, not an error.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -25,7 +27,6 @@ from .entropy import LN_E_OVER_2, logdet_pd
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .phase_space import (
     ModeCount,
-    SubsystemSpec,
     _earliest_failure,
     _fail_first,
     _float_or_stack,
@@ -40,90 +41,32 @@ ROUNDOFF = 64 * EPS      # the value's roundoff per unit of summed |log-determin
 STEP_CAP = 2.0           # largest |eigenvalue| of a Newton step before the line search
 ARMIJO, MAX_HALVINGS = 1e-4, 40
 DIVERGENCE_STEP = 0.1    # a longer final Newton step reads as a boundary infimum
+BUDGET = 2000            # Newton iterations before a descent stops unconverged
 
 
 @dataclass(frozen=True)
-class SubsystemFamily:
-    """Weighted family of form-preserving selectors.
-
-    Each member is a pair (F_i, p_i) with F_i preserving the symplectic
-    form and the weights satisfying the scaling condition
-    sum_i p_i N_i = N.
-    """
-
-    members: tuple
-    n_total: int
-
-    def __post_init__(self):
-        scaled = 0.0
-        checked = []
-        for f, p in self.members:
-            if p < 0:
-                raise ValueError("weights must be nonnegative")
-            sub = SubsystemSpec(f)   # checks the shape and the form
-            if sub.n_total != self.n_total:
-                raise DimensionMismatch(
-                    f"selector shape {sub.selector.shape} for {self.n_total} modes")
-            scaled += p * sub.n_a
-            checked.append((sub.selector, float(p)))
-        if abs(scaled - self.n_total) > 1e-12 * max(1.0, self.n_total):
-            raise ValueError(f"scaling condition violated: sum p_i N_i = {scaled} != {self.n_total}")
-        object.__setattr__(self, "members", tuple(checked))
-
-    @classmethod
-    def transported_pair(cls, split: ModeCount, m) -> "SubsystemFamily":
-        """The four-member family {A, B, A M, B M} at weight 1/2 each."""
-        m = np.asarray(m, dtype=float)
-        f_a = SubsystemSpec.first_modes(split.n_a, split.n_total).selector
-        f_b = SubsystemSpec.modes(range(split.n_a, split.n_total), split.n_total).selector
-        return cls(members=((f_a, 0.5), (f_b, 0.5), (f_a @ m, 0.5), (f_b @ m, 0.5)),
-                   n_total=split.n_total)
-
-
-def _inverse(a, what):
-    """np.linalg.inv of ``a``; a singular ``a`` raises NotPositiveDefinite naming ``what``."""
-    try:
-        return np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{what} is singular") from exc
-
-
-def stationarity_residual(g, fam: SubsystemFamily) -> float:
-    """Relative residual of G^{-1} = sum_i p_i F_i^T (F_i G F_i^T)^{-1} F_i.
-
-    A singular or non-PD G, or a singular block F_i G F_i^T, raises
-    NotPositiveDefinite.
-    """
-    g = np.asarray(g, dtype=float)
-    g_inv = _inverse(g, "matrix")
-    logdet_pd(g)  # raises NotPositiveDefinite for non-PD input
-    acc = np.zeros_like(g)
-    for f, p in fam.members:
-        if p == 0.0:
-            continue
-        block = f @ g @ f.T
-        acc += p * (f.T @ _inverse(0.5 * (block + block.T), "block F G F^T") @ f)
-    return _maxabs(g_inv - acc) / _maxabs(g_inv)
-
-
-@dataclass
 class BoundReport:
-    """Outcome of one right-hand-side minimization."""
+    """Outcome of one Newton descent on the right-hand side, read at its last iterate G = R R^T."""
 
-    value: float
-    argmin_g: Optional[np.ndarray]
-    residual: float
+    value: float           # the right-hand side at G
+    residual: float        # max |(1/2) sum_i P_i - I|, the whitened stationarity residual at G
+    step: float            # largest |eigenvalue| of the Newton step X at G
     iterations: int
-    converged: bool
-    diverged: bool
+    nfev: int              # objective evaluations, line-search trials included
+    converged: bool        # the stop rule was met at G
     stop_reason: str       # why the descent stopped
-    budget: int
+    factor: np.ndarray     # R
+
+    @property
+    def diverged(self) -> bool:
+        """G is still a Newton step longer than DIVERGENCE_STEP from its quadratic model's minimum."""
+        return self.step > DIVERGENCE_STEP
 
     @property
     def stop_summary(self) -> str:
         """Why the descent stopped, worded for a warning."""
-        if self.iterations >= self.budget:
-            return f"exhausted its budget of {self.budget} iterations"
+        if self.iterations >= BUDGET:
+            return f"exhausted its budget of {BUDGET} iterations"
         return f"stopped before converging: {self.stop_reason}"
 
 
@@ -149,7 +92,8 @@ def _rhs_terms(m, k, r):
 
 
 def _newton_step(proj):
-    """Minimum-norm Newton step X in the whitened coordinates G = R e^X R^T, and its decrement.
+    """Minimum-norm Newton step X in the whitened coordinates G = R e^X R^T,
+    its decrement, and the largest |entry| of the gradient.
 
     With the projectors P_i of ``_rhs_terms`` and Q_i = I - P_i, the gradient
     at X = 0 is (1/2) sum_i P_i - I and the Hessian maps X to (1/4) sum_i
@@ -170,20 +114,10 @@ def _newton_step(proj):
     keep = w > dim * dim * EPS * w[-1]
     coef = (v[:, keep].T @ grad.ravel()) / w[keep]
     step = -(v[:, keep] @ coef).reshape(dim, dim)
-    return 0.5 * (step + step.T), float(coef @ (w[keep] * coef))
+    return 0.5 * (step + step.T), float(coef @ (w[keep] * coef)), _maxabs(grad)
 
 
-@dataclass(frozen=True)
-class Descent:
-    """Outcome of one Newton descent: its iterates and why it stopped."""
-
-    path: list            # (R, value, Newton step length) per iterate, with G = R R^T
-    nfev: int             # objective evaluations, line-search trials included
-    converged: bool       # the stop rule was met at the last iterate
-    message: str
-
-
-def minimize(m, k, r, budget: int) -> Descent:
+def minimize(m, k, r) -> BoundReport:
     """Damped Newton descent on the right-hand side of ``gss_rhs_minimize``, from G = R R^T.
 
     ``k`` is the number of rows of A.  Each iteration shrinks the Newton
@@ -191,22 +125,24 @@ def minimize(m, k, r, budget: int) -> Descent:
     halving) along R e^{aX} R^T = (R V e^{a Lambda / 2})(...)^T, X = V Lambda V^T.
     It stops converged when half the Newton decrement (the decrease the
     quadratic model predicts) falls below the value's roundoff; unconverged
-    after ``budget`` iterations or when no trial step decreases the value.
+    after BUDGET iterations or when no trial step decreases the value.  The
+    last iterate is reported unconverged, too, when its formed G fails a
+    Cholesky factorization: the descent then ran into the cone boundary
+    further than double precision resolves.
     """
     ln_det_m = np.linalg.slogdet(m)[1]
     value, noise, proj = _rhs_terms(m, k, r)
-    nfev, path = 1, []
+    nfev, iterations = 1, 0
     while True:
-        step, decrement = _newton_step(proj)
+        step, decrement, residual = _newton_step(proj)
         w, vecs = np.linalg.eigh(step)
         size = max(-w[0], w[-1])
-        path.append((r, float(value - ln_det_m), float(size)))
         if 0.5 * decrement <= noise:
-            converged, message = True, "Newton decrement below the value's roundoff"
+            converged, reason = True, "Newton decrement below the value's roundoff"
             break
         converged = False
-        if len(path) > budget:
-            message = f"iteration budget of {budget} exhausted"
+        if iterations >= BUDGET:
+            reason = f"iteration budget of {BUDGET} exhausted"
             break
         shrink = min(1.0, STEP_CAP / size)
         rv, w, alpha = r @ vecs, shrink * w, 1.0
@@ -218,56 +154,40 @@ def minimize(m, k, r, budget: int) -> Descent:
                 break
             alpha *= 0.5
         else:
-            message = "line search found no decrease"
+            reason = "line search found no decrease"
             break
         r, value, noise, proj = trial, trial_value, trial_noise, trial_proj
-    if not np.isfinite(path[-1][1]):
-        converged, message = False, f"the objective is {path[-1][1]} (ln|det M| = {ln_det_m})"
-    return Descent(path=path, nfev=nfev, converged=converged, message=message)
+        iterations += 1
+    try:
+        np.linalg.cholesky(r @ r.T)
+    except np.linalg.LinAlgError:
+        converged, reason = False, "G is numerically singular at the last iterate"
+    value = float(value - ln_det_m)
+    if not np.isfinite(value):
+        converged, reason = False, f"the objective is {value} (ln|det M| = {ln_det_m})"
+    return BoundReport(value=value, residual=residual, step=float(size), iterations=iterations,
+                       nfev=nfev, converged=converged, stop_reason=reason, factor=r)
 
 
-def gss_rhs_minimize(m, split: ModeCount, budget: int = 2000) -> BoundReport:
+def gss_rhs_minimize(m, split: ModeCount) -> BoundReport:
     """Minimize I_as(A;B)(G) + I_as(A;B)(M G M^T) over positive definite G.
 
     The objective is geodesically convex (Sra and Hosseini, SIAM J. Optim.
     25, 713, 2015), so one Newton descent from G = I (``minimize``) finds the
-    global minimum.  ``converged`` means its stop rule was met within
-    ``budget`` iterations; a budget below one raises ``NotPositiveDefinite``.
-    The reported point is the last iterate whose formed G (and each block
-    ``stationarity_residual`` inverts) is numerically nonsingular; near the
-    cone boundary later iterates may not be, and the result is then
-    unconverged.  ``diverged`` means the reported point is still a Newton
-    step longer than DIVERGENCE_STEP (largest |eigenvalue| of X, an
-    affine-invariant length) from the minimum of its quadratic model.
-    Toward an attained minimum Newton converges quadratically and the last
-    step is tiny; toward a cone-boundary infimum the objective decays
-    exponentially along a geodesic and every step has the same length (1/2
-    on ``metastable``).
+    global minimum.  ``converged`` means its stop rule was met within BUDGET
+    iterations at a G that is numerically positive definite.  ``diverged``
+    means the last iterate is still a Newton step longer than DIVERGENCE_STEP
+    (largest |eigenvalue| of X, an affine-invariant length) from the minimum
+    of its quadratic model.  Toward an attained minimum Newton converges
+    quadratically and the last step is tiny; toward a cone-boundary infimum
+    the objective decays exponentially along a geodesic and every step has
+    the same length (1/2 on ``metastable``).
     """
     m = np.asarray(m, dtype=float)
     dim = 2 * split.n_total
     if m.shape != (dim, dim):
         raise DimensionMismatch(f"transformation shape {m.shape} vs split {split}")
-    if budget < 1:
-        raise NotPositiveDefinite("no feasible starting point")
-    best = minimize(m, 2 * split.n_a, np.eye(dim), budget)
-    fam = SubsystemFamily.transported_pair(split, m)
-    for back, (factor, value, size) in enumerate(reversed(best.path)):
-        g_best = factor @ factor.T
-        g_best = 0.5 * (g_best + g_best.T)
-        try:
-            residual = stationarity_residual(g_best, fam)
-            break
-        except NotPositiveDefinite:
-            continue
-    else:
-        raise NotPositiveDefinite("no iterate's G is numerically nonsingular")
-    converged, reason = best.converged, best.message
-    if back:
-        converged, reason = False, f"G is numerically singular at the last {back} iterates"
-    return BoundReport(value=value, argmin_g=g_best, residual=float(residual),
-                       iterations=len(best.path) - 1 - back, converged=converged,
-                       diverged=size > DIVERGENCE_STEP, stop_reason=reason, budget=budget)
+    return minimize(m, 2 * split.n_a, np.eye(dim))
 
 
 def _require_pd_symplectic(t_mat):

@@ -23,11 +23,17 @@ from entgrowth.entropy import (
     asymptotic_entropy,
     logdet_pd,
 )
-from entgrowth.errors import DimensionMismatch, NotConverged, SingularM
+from entgrowth.errors import DimensionMismatch, NotConverged, NotPositiveDefinite, SingularM
 from entgrowth.lyapunov import spectrum_from_propagation
-from entgrowth.phase_space import ModeCount, covariance_factor, factor_spectrum, standard_omega
+from entgrowth.phase_space import (
+    ModeCount,
+    SubsystemSpec,
+    _maxabs,
+    covariance_factor,
+    factor_spectrum,
+    standard_omega,
+)
 from entgrowth.scenarios import scenario_document
-from entgrowth.ssa import SubsystemFamily
 
 CORRIDOR_SLACK = 1e-9   # roundoff allowance on each corridor inequality, in nats
 
@@ -183,6 +189,80 @@ def mutual_information_asymptotic(g, split: ModeCount) -> float:
     """
     g_a, g_b = split_blocks(g, split)
     return 0.5 * (logdet_pd(g_a) + logdet_pd(g_b) - logdet_pd(g))
+
+
+# ---------------------------------------------------------------------------
+# the gSSA objective and its stationarity condition, from formed G
+
+
+@dataclass(frozen=True)
+class SubsystemFamily:
+    """Weighted family of form-preserving selectors.
+
+    Each member is a pair (F_i, p_i) with F_i preserving the symplectic
+    form and the weights satisfying the scaling condition
+    sum_i p_i N_i = N.
+    """
+
+    members: tuple
+    n_total: int
+
+    def __post_init__(self):
+        scaled = 0.0
+        checked = []
+        for f, p in self.members:
+            if p < 0:
+                raise ValueError("weights must be nonnegative")
+            sub = SubsystemSpec(f)   # checks the shape and the form
+            if sub.n_total != self.n_total:
+                raise DimensionMismatch(
+                    f"selector shape {sub.selector.shape} for {self.n_total} modes")
+            scaled += p * sub.n_a
+            checked.append((sub.selector, float(p)))
+        if abs(scaled - self.n_total) > 1e-12 * max(1.0, self.n_total):
+            raise ValueError(f"scaling condition violated: sum p_i N_i = {scaled} != {self.n_total}")
+        object.__setattr__(self, "members", tuple(checked))
+
+    @classmethod
+    def transported_pair(cls, split: ModeCount, m) -> "SubsystemFamily":
+        """The four-member family {A, B, A M, B M} at weight 1/2 each."""
+        m = np.asarray(m, dtype=float)
+        f_a = SubsystemSpec.first_modes(split.n_a, split.n_total).selector
+        f_b = SubsystemSpec.modes(range(split.n_a, split.n_total), split.n_total).selector
+        return cls(members=((f_a, 0.5), (f_b, 0.5), (f_a @ m, 0.5), (f_b @ m, 0.5)),
+                   n_total=split.n_total)
+
+
+def _inverse(a, what):
+    """np.linalg.inv of ``a``; a singular ``a`` raises NotPositiveDefinite naming ``what``."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"{what} is singular") from exc
+
+
+def stationarity_terms(g, fam: SubsystemFamily):
+    """G^{-1} and sum_i p_i F_i^T (F_i G F_i^T)^{-1} F_i, whose difference vanishes at a minimum.
+
+    A singular or non-PD G, or a singular block F_i G F_i^T, raises
+    NotPositiveDefinite.
+    """
+    g = np.asarray(g, dtype=float)
+    g_inv = _inverse(g, "matrix")
+    logdet_pd(g)  # raises NotPositiveDefinite for non-PD input
+    acc = np.zeros_like(g)
+    for f, p in fam.members:
+        if p == 0.0:
+            continue
+        block = f @ g @ f.T
+        acc += p * (f.T @ _inverse(0.5 * (block + block.T), "block F G F^T") @ f)
+    return g_inv, acc
+
+
+def stationarity_residual(g, fam: SubsystemFamily) -> float:
+    """Relative residual of G^{-1} = sum_i p_i F_i^T (F_i G F_i^T)^{-1} F_i."""
+    g_inv, acc = stationarity_terms(g, fam)
+    return _maxabs(g_inv - acc) / _maxabs(g_inv)
 
 
 def gss_objective(g, fam: SubsystemFamily) -> float:

@@ -24,9 +24,10 @@ from entgrowth.scenarios import (
     run_scenario,
     two_mode_squeezing_form,
 )
-from entgrowth.ssa import gss_rhs_minimize, squashed_bounds, stationarity_residual, SubsystemFamily
+from entgrowth.ssa import gss_rhs_minimize, squashed_bounds
 from entgrowth.subsystem import subsystem_exponent_algebraic
 from reference import (
+    SubsystemFamily,
     corridor_check,
     default_scenario,
     mutual_information_asymptotic,
@@ -35,6 +36,7 @@ from reference import (
     random_pd_symplectic,
     random_symplectic,
     random_unstable_hamiltonian_form,
+    stationarity_residual,
 )
 
 SPLIT2 = ModeCount(2, 1)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from entgrowth import fock, lyapunov, scenarios
 from entgrowth.config import matrix_to_json, parse_config
 from entgrowth.dynamics import QuadraticHamiltonian, evolve_covariance, generator, propagate
 from entgrowth.entropy import LN_E_OVER_2
-from entgrowth.errors import ConfigError, UncertaintyViolated
+from entgrowth.errors import ConfigError, NotPositiveDefinite, UncertaintyViolated
 from entgrowth.phase_space import ModeCount, SubsystemSpec, restrict, williamson_spectrum
 from entgrowth.scenarios import (
     SCENARIO_NAMES,
@@ -351,13 +352,15 @@ def test_propagation_failure_names_its_stage_and_time():
 
 def test_overflowed_propagation_names_its_stage_and_time():
     # a rate of 400 overflows M M^T by t=1 and M itself by t=2; a NaN defect
-    # passed the ceiling test, and the entropy stage failed on the blocks
+    # passed the ceiling test, and the entropy stage failed on the blocks.
+    # The overflow is reported once, as the failure, with no numpy warning
     doc = {"modes": {"total": 2, "subsystem": 1},
            "hamiltonian": {"type": "constant",
                            "h": matrix_to_json(np.diag([-160000.0, 1.0, 1.0, 1.0]))},
            "initial_state": {"type": "gaussian", "covariance": "vacuum"},
            "run": {"t_final": 10.0, "dt": 0.5}}
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn"):
+        warnings.simplefilter("error")
         rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
     assert rep.failures == ["SingularM: propagation stage at t=1: M(t) overflowed, so its "
                             "symplectic defect is not finite; shorten t_final"], rep.failures
@@ -464,14 +467,14 @@ def test_metastable_bounds_meet_the_stop_rule():
 
 
 def test_bound_minimizer_failure_names_its_stage_and_time(monkeypatch):
-    # a budget of 0 iterations leaves the minimizer no starting point
-    real_minimize = scenarios.gss_rhs_minimize
-    monkeypatch.setattr(scenarios, "gss_rhs_minimize",
-                        lambda m, split: real_minimize(m, split, budget=0))
+    def singular(m, split):
+        raise NotPositiveDefinite("stand-in failure")
+
+    monkeypatch.setattr(scenarios, "gss_rhs_minimize", singular)
     rep = run_view(default_scenario("inverted_pair"), "bounds")
     t_final = default_scenario("inverted_pair").run.t_final
     assert rep.failures == [f"NotPositiveDefinite: bounds stage at t={t_final:.6g}: "
-                            f"no feasible starting point"], rep.failures
+                            f"stand-in failure"], rep.failures
 
 
 def test_coupled_chain_uses_two_unstable_rates():
