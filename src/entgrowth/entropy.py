@@ -30,28 +30,30 @@ from .phase_space import (
 LN_E_OVER_2 = 1.0 - math.log(2.0)
 
 _SERIES_CUT = 1e-6   # below this, nu - 1 is evaluated by series
-_LARGE_CUT = 1e6     # above this, the direct formula loses precision to cancellation
+_LOG1P_CUT = 1.5     # from here up, the log1p form; below it, the direct form
 
 
-def mode_entropy(nu: float) -> float:
-    """Entropy contribution s(nu) of a single symplectic eigenvalue.
+def mode_entropy(nu):
+    """Entropy contribution s(nu) of each symplectic eigenvalue: a float for a float.
 
-    s(nu) = ((nu+1)/2) ln((nu+1)/2) - ((nu-1)/2) ln((nu-1)/2), continued
-    by its limit s(1) = 0.  Values slightly below 1 (roundoff) are clamped.
+    s(nu) = ((nu+1)/2) ln((nu+1)/2) - e ln e with e = (nu-1)/2, continued by
+    its limit s(1) = 0; values slightly below 1 (roundoff) are clamped.  The
+    direct form cancels at large nu, losing about nu machine epsilons, so
+    from ``_LOG1P_CUT`` up s is ln e + ((nu+1)/2) log1p(1/e), which does not
+    cancel; below it the direct form is the more accurate one, and below
+    nu - 1 = ``_SERIES_CUT`` its series.  An array is evaluated in every
+    form at once, and each element keeps its own.
     """
-    nu = float(nu)
-    if nu <= 1.0:
-        return 0.0
-    eps = 0.5 * (nu - 1.0)
-    if nu - 1.0 < _SERIES_CUT:
-        # (1+eps)ln(1+eps) - eps ln eps  ~  eps (1 - ln eps) + eps^2/2
-        return eps * (1.0 - math.log(eps)) + 0.5 * eps * eps
-    if nu > _LARGE_CUT:
-        # central-difference expansion of x ln x; direct evaluation would
-        # cancel ~ eps*nu of precision
-        return math.log(0.5 * nu) + 1.0 - 1.0 / (6.0 * nu * nu)
-    hi = 0.5 * (nu + 1.0)
-    return hi * math.log(hi) - eps * math.log(eps)
+    nu = np.asarray(nu, dtype=float)
+    eps, hi = 0.5 * (nu - 1.0), 0.5 * (nu + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_eps = np.log(eps)
+        # (1+e) ln(1+e) - e ln e  ~  e (1 - ln e) + e^2/2
+        series = eps * (1.0 - log_eps) + 0.5 * eps * eps
+        direct = hi * np.log(hi) - eps * log_eps
+        log1p_form = log_eps + hi * np.log1p(1.0 / eps)
+    s = np.where(nu >= _LOG1P_CUT, log1p_form, np.where(nu - 1.0 < _SERIES_CUT, series, direct))
+    return _float_or_stack(np.where(nu <= 1.0, 0.0, s))
 
 
 def _half_logdet_factor(ell):
@@ -74,16 +76,9 @@ def logdet_pd(a):
     return _float_or_stack(2.0 * _half_logdet_factor(ell))
 
 
-def _spectrum_entropy(nus):
-    """Sum of :func:`mode_entropy` over a symplectic spectrum: a float, or an array for a stack."""
-    if nus.ndim == 1:
-        return float(sum(mode_entropy(nu) for nu in nus))
-    return np.array([sum(mode_entropy(nu) for nu in row) for row in nus], dtype=float)
-
-
 def von_neumann_entropy(g):
     """Von Neumann entropy of the Gaussian state with covariance ``g`` (of each of a stack)."""
-    return _spectrum_entropy(williamson_spectrum(g))
+    return _float_or_stack(np.sum(mode_entropy(williamson_spectrum(g)), axis=-1))
 
 
 @_earliest_failure

@@ -1,12 +1,12 @@
 """Lyapunov spectra, bases, and regularity diagnostics.
 
-:func:`lyapunov_spectrum` is the pipeline's Lyapunov stage.  Piece data and
-periodic callables have an exact map M(tau) (:func:`map_period`): the
-one-period map, or exp(tau K) for a constant flow, which is periodic with
-any period.  When its eigenvectors are well conditioned,
-:func:`floquet_spectrum` reads the exponents ln|mu| / tau of its
-multipliers mu (Bianchi, Hackl, Yokomizo and Rigol, JHEP 2018), with no
-horizon and no finite-horizon bias.  Aperiodic callables and defective maps
+:func:`lyapunov_spectrum` is the pipeline's Lyapunov stage.  A constant
+flow has an exact spectrum in its generator K, and a periodic flow in its
+one-period map M(tau).  When their eigenvectors are well conditioned,
+:func:`floquet_spectrum` reads the exponents Re lambda of the eigenvalues
+lambda of K, or ln|mu| / tau of the multipliers mu of M(tau) (Bianchi,
+Hackl, Yokomizo and Rigol, JHEP 2018), with no horizon and no
+finite-horizon bias.  Aperiodic callables and defective generators or maps
 get the estimate of :func:`qr_spectrum`, a re-orthonormalized push-forward
 that accumulates ln diag(R), once per block of the flow as long as the
 data's growth bound allows (:func:`qr_block_steps`).
@@ -28,6 +28,7 @@ from .dynamics import (
     CHUNK_STEPS,
     PropagationResult,
     QuadraticHamiltonian,
+    generator,
     propagate,
     step_count,
     step_loop,
@@ -38,8 +39,8 @@ from .phase_space import _maxabs, _mT, standard_omega
 # bound on the log growth of the QR frame between re-orthonormalizations:
 # a block's condition number stays under e^(2 QR_BLOCK_GROWTH)
 QR_BLOCK_GROWTH = 2.0
-# largest condition number of the eigenvector matrix of M(tau) that the exact
-# Floquet spectrum accepts.  Roundoff splits a 2 x 2 Jordan block into
+# largest condition number of the eigenvector matrix of K or M(tau) that the
+# exact Floquet spectrum accepts.  Roundoff splits a 2 x 2 Jordan block into
 # eigenvectors about sqrt(eps) apart, a condition number near 7e7; the drive
 # workload's maps read 2.0-2.4
 FLOQUET_COND_MAX = 1e6
@@ -53,8 +54,9 @@ class LyapunovData:
     ``exponents[i]``; exponents are sorted descending.  For the estimators
     ``exponents`` are Richardson-refined and ``raw_exponents`` hold the plain
     horizon-t* estimate.  For ``method == "floquet"`` both are the exact
-    ln|mu| / tau, ``horizon`` is tau and ``residual`` is 0: there is no
-    horizon to halve.
+    exponents and ``residual`` is 0: there is no horizon to halve.
+    ``horizon`` is then a periodic flow's tau, and 0 for a constant flow,
+    whose exponents are read off its generator.
     """
 
     exponents: np.ndarray
@@ -203,57 +205,57 @@ def qr_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
                         residual=residual, raw_exponents=raw, method="qr")
 
 
-def floquet_spectrum(period_map, period: float):
-    """Exact exponents and flag basis from the map M(tau) of :func:`map_period`, or None.
+def floquet_spectrum(flow, period=None):
+    """Exact exponents and flag basis of a constant or periodic flow, or None.
 
-    The exponents are the sorted ln|mu| / tau of the eigenvalues mu of
-    ``period_map``.  The basis is the orthonormal flag of its invariant
-    subspaces in descending |mu|: the eigenvectors, each conjugate pair
-    replaced by its real and imaginary parts, orthonormalized by one QR.
-    None when the eigenvector matrix has a condition number above
-    ``FLOQUET_COND_MAX``: a defective or nearly defective map, whose
-    eigenvectors do not span its invariant subspaces.
+    ``flow`` is a constant flow's generator K, with no ``period``, or a
+    periodic flow's map M(tau), with its period tau.  The exponents are the
+    sorted real parts Re lambda of the eigenvalues of K, or ln|mu| / tau of
+    the multipliers mu of M(tau).  The basis is the orthonormal flag of the
+    invariant subspaces in descending exponent: the eigenvectors, each
+    conjugate pair replaced by its real and imaginary parts, orthonormalized
+    by one QR.  None when the eigenvector matrix has a condition number
+    above ``FLOQUET_COND_MAX``: a defective or nearly defective K or map,
+    whose eigenvectors do not span its invariant subspaces.
     """
-    mults, vecs = np.linalg.eig(period_map)
+    eigs, vecs = np.linalg.eig(flow)
     if np.linalg.cond(vecs) > FLOQUET_COND_MAX:
         return None
     # eig gives a conjugate pair as adjacent columns: the upper member's real
     # and imaginary parts span the pair's real invariant plane
-    real, upper = mults.imag == 0, mults.imag > 0
+    real, upper = eigs.imag == 0, eigs.imag > 0
     cols = np.concatenate([vecs[:, real].real, vecs[:, upper].real, vecs[:, upper].imag], axis=1)
-    logs = np.log(np.abs(np.concatenate([mults[real], mults[upper], mults[upper]])))
-    order = np.argsort(-logs, kind="stable")
-    exps = logs[order] / period
+    eigs = np.concatenate([eigs[real], eigs[upper], eigs[upper]])
+    rates = eigs.real if period is None else np.log(np.abs(eigs)) / period
+    order = np.argsort(-rates, kind="stable")
+    exps = rates[order]
     basis = np.linalg.qr(cols[:, order])[0].T
-    return LyapunovData(exponents=exps, basis=basis, horizon=period, residual=0.0,
+    return LyapunovData(exponents=exps, basis=basis, horizon=period or 0.0, residual=0.0,
                         raw_exponents=exps, method="floquet")
-
-
-def map_period(ham: QuadraticHamiltonian, dt: float):
-    """tau of the exact map M(tau): the period, else ``dt`` for a constant flow, else None."""
-    if ham.period is not None:
-        return ham.period
-    return dt if ham.pieces else None
 
 
 def lyapunov_spectrum(ham: QuadraticHamiltonian, t_star: float, dt: float,
                       residual_tol: float, period_map=None) -> LyapunovData:
-    """The Lyapunov spectrum of the flow of ``ham``: exact from its map M(tau), else estimated.
+    """The Lyapunov spectrum of the flow of ``ham``: exact from K or M(tau), else estimated.
 
-    The pipeline's Lyapunov stage.  A flow with a map (:func:`map_period`)
-    gets the exact :func:`floquet_spectrum` of ``period_map``, the pair
-    ``(M(tau), tau)``, propagated at ``dt`` when not given; for a periodic
-    callable ``h`` that map carries the midpoint rule's O(dt^2) error.  An
-    aperiodic callable, and a flow whose map is (nearly) defective, gets the
-    QR push-forward of :func:`qr_spectrum` to ``t_star`` on a step grid of
-    about ``dt``, with its residual from halving the horizon checked against
-    ``residual_tol``; ``t_star`` and ``residual_tol`` are read on that path
-    alone.  A failure names the stage and the horizon.
+    The pipeline's Lyapunov stage.  A constant flow gets the exact
+    :func:`floquet_spectrum` of its generator K.  A periodic flow gets that
+    of ``period_map``, its one-period map M(tau), propagated at ``dt`` when
+    not given; for a periodic callable ``h`` that map carries the midpoint
+    rule's O(dt^2) error.  An aperiodic callable, and a flow whose K or
+    M(tau) is (nearly) defective, gets the QR push-forward of
+    :func:`qr_spectrum` to ``t_star`` on a step grid of about ``dt``, with
+    its residual from halving the horizon checked against ``residual_tol``;
+    ``t_star`` and ``residual_tol`` are read on that path alone.  A failure
+    names the stage and the horizon.
     """
-    tau = map_period(ham, dt)
-    if period_map is None and tau is not None:
-        period_map = propagate(ham, tau, dt, store_every=step_count(tau, dt)).final_matrix, tau
-    exact = None if period_map is None else floquet_spectrum(*period_map)
+    tau = ham.period
+    if tau is None:
+        exact = floquet_spectrum(generator(ham, 0.0)) if ham.pieces else None
+    else:
+        if period_map is None:
+            period_map = propagate(ham, tau, dt, store_every=step_count(tau, dt)).final_matrix
+        exact = floquet_spectrum(period_map, tau)
     return exact or qr_spectrum(ham, t_star, dt, residual_tol=residual_tol)
 
 

@@ -12,7 +12,6 @@ and identical configs produce byte-identical output.
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -28,34 +27,37 @@ def format_float(x) -> str:
     return "%.17g" % x
 
 
-@dataclass
-class CsvRow:
-    t: float
-    s_vn_a: float
-    s2_a: float
-    s_as_a: float
-    i_ab: float
-    lambda_a_alg: Optional[float]
-    lambda_a_vol: Optional[float]
-    bound_lower: Optional[float]
-    bound_upper: Optional[float]
-    source: str
-    trusted: bool
+# one record field per CSV column, named as the header in lower case
+ROW_DTYPE = np.dtype([(name.lower(), "f8") for name in CSV_COLUMNS[:-2]]
+                     + [("source", "U8"), ("trusted", "?")])
+_ROW_FORMAT = ",".join(["%.17g"] * (len(CSV_COLUMNS) - 2) + ["%s", "%d"]) + "\n"
 
-    def render(self) -> str:
-        cells = [format_float(self.t), format_float(self.s_vn_a), format_float(self.s2_a),
-                 format_float(self.s_as_a), format_float(self.i_ab),
-                 format_float(self.lambda_a_alg), format_float(self.lambda_a_vol),
-                 format_float(self.bound_lower), format_float(self.bound_upper),
-                 self.source, "1" if self.trusted else "0"]
-        return ",".join(cells)
+
+def csv_rows(**columns) -> np.recarray:
+    """The CSV table: one record per stored time ``t``, a field per CSV column.
+
+    Each keyword is a field of :data:`ROW_DTYPE` with an array of one value
+    per row or a scalar for every row; None is NaN.  A missing or unknown
+    column is a TypeError.
+    """
+    if set(columns) != set(ROW_DTYPE.names):
+        raise TypeError(f"csv_rows needs exactly the columns {ROW_DTYPE.names}, "
+                        f"got {tuple(columns)}")
+    rows = np.empty(len(columns["t"]), dtype=ROW_DTYPE)
+    for name, values in columns.items():
+        rows[name] = np.nan if values is None else values
+    return rows.view(np.recarray)
 
 
 def write_csv(path, rows) -> None:
+    """Write a :func:`csv_rows` table; a non-finite float prints as "nan"."""
+    table = np.asarray(rows)   # a plain array's fields read faster than a recarray's
+    floats = [np.where(np.isfinite(table[name]), table[name], np.nan).tolist()
+              for name in ROW_DTYPE.names[:-2]]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(row.render() + "\n")
+        for cells in zip(*floats, table["source"].tolist(), table["trusted"].tolist()):
+            fh.write(_ROW_FORMAT % cells)
 
 
 @dataclass
@@ -64,7 +66,8 @@ class RunReport:
 
     ``failures`` are violated invariants (nonzero exit from the CLI);
     ``warnings`` are expected conditions worth surfacing (truncation leak,
-    optimizer divergence toward the cone boundary, ...).
+    optimizer divergence toward the cone boundary, ...).  ``rows`` is the
+    CSV table of :func:`csv_rows`, empty until a pipeline fills it.
     """
 
     scenario_id: str
@@ -72,7 +75,7 @@ class RunReport:
     sections: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
     failures: list = field(default_factory=list)
-    rows: list = field(default_factory=list)
+    rows: np.recarray = field(default_factory=lambda: np.recarray(0, dtype=ROW_DTYPE))
 
     def add(self, name, payload):
         self.sections[name] = payload

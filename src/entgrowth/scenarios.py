@@ -30,11 +30,11 @@ from .dynamics import (
     require_real_logarithm,
     step_count,
 )
-from .entropy import LN_E_OVER_2, _half_logdet_factor, _spectrum_entropy, von_neumann_entropy
+from .entropy import LN_E_OVER_2, _half_logdet_factor, mode_entropy, von_neumann_entropy
 from .errors import (ConfigError, EntgrowthError, NoRealLogarithm, SingularM, StepTooLarge,
                      WindowTooShort)
 from .fitting import fit_slope, windowed
-from .lyapunov import lyapunov_spectrum, map_period, regularity_check
+from .lyapunov import lyapunov_spectrum, regularity_check
 from .phase_space import (
     ModeCount,
     SubsystemSpec,
@@ -46,7 +46,7 @@ from .phase_space import (
     restrict,
     williamson_spectrum,
 )
-from .reporting import CsvRow, RunReport, write_csv
+from .reporting import RunReport, csv_rows, write_csv
 from .ssa import gss_rhs_minimize, squashed_bounds
 from .subsystem import (
     subsystem_exponent_algebraic,
@@ -204,17 +204,15 @@ def scenario_document(name: str) -> dict:
 # pipeline
 
 def _period_map(cfg):
-    """``(M(tau), tau)`` at the run's step and defect ceiling; None for an aperiodic callable.
+    """A periodic flow's M(tau) at the run's step and defect ceiling; None for an aperiodic flow.
 
-    The one matrix that the Lyapunov stage and, for a periodic flow, the
-    Floquet section read.  A constant flow's tau is ``run.dt``.
+    The one matrix that the Lyapunov stage and the Floquet section read.
     """
-    tau = map_period(cfg.hamiltonian, cfg.run.dt)
+    tau = cfg.hamiltonian.period
     if tau is None:
         return None
     # only M(tau) is read: store the last step alone
-    stage = "lyapunov" if cfg.hamiltonian.period is None else "floquet"
-    return _flow_stage(stage, cfg, tau, step_count(tau, cfg.run.dt)).final_matrix, tau
+    return _flow_stage("floquet", cfg, tau, step_count(tau, cfg.run.dt)).final_matrix
 
 
 def _lyapunov_section(report, cfg, period_map):
@@ -238,8 +236,8 @@ def _lyapunov_section(report, cfg, period_map):
 
 def _floquet_section(report, cfg, period_map):
     """Multipliers mu of M(tau), rates ln|mu|/tau and the sum of the first 2 N_A rates."""
-    mults = np.linalg.eigvals(period_map[0])
-    rates = np.sort(np.log(np.abs(mults)))[::-1] / period_map[1]
+    mults = np.linalg.eigvals(period_map)
+    rates = np.sort(np.log(np.abs(mults)))[::-1] / cfg.hamiltonian.period
     report.add("floquet", {"multipliers_abs": np.sort(np.abs(mults))[::-1], "rates": rates,
                            "lambda_from_multipliers": float(np.sum(rates[:2 * cfg.modes.n_a]))})
     try:
@@ -346,11 +344,9 @@ def _run_classical(cfg, report):
     report.add("classical_counterexample", {
         "eps": eps, "log_slope": fit.slope, "log_slope_stderr": fit.stderr,
         "mi_at_t0": mi[0], "mi_at_tend": mi[-1]})
-    for t, val in zip(t_grid, mi):
-        report.rows.append(CsvRow(t=t, s_vn_a=float("nan"), s2_a=float("nan"),
-                                  s_as_a=float("nan"), i_ab=val, lambda_a_alg=None,
-                                  lambda_a_vol=None, bound_lower=None, bound_upper=None,
-                                  source="gaussian", trusted=True))
+    report.rows = csv_rows(t=t_grid, s_vn_a=None, s2_a=None, s_as_a=None, i_ab=mi,
+                           lambda_a_alg=None, lambda_a_vol=None, bound_lower=None,
+                           bound_upper=None, source="gaussian", trusted=True)
     if abs(fit.slope - 1.0) > 0.02:
         report.fail(f"classical MI log-slope {fit.slope:.4f} deviates from 1 beyond 0.02")
 
@@ -413,8 +409,8 @@ def _run_flow(cfg, report):
     The stages that read only the flow M(t) (propagation, Lyapunov, Floquet
     for a periodic flow, bounds) are the same for both state types; the
     entropy rows and the slope gate are each state type's own.  A periodic
-    flow's M(tau), or a constant flow's M(dt), is propagated once, before
-    the Lyapunov stage, which reads it with the Floquet section.
+    flow's M(tau) is propagated once, before the Lyapunov stage, which reads
+    it with the Floquet section.
     """
     series = _propagation_section(report, cfg)
     period_map = _period_map(cfg)
@@ -469,7 +465,7 @@ def _gaussian_samples(mats, times, g0, split, s_global, g_t, ell):
     n = len(mats)
     lower, upper = _bounds_columns(mats, times, g0, split)
     with _stage("entropy", "A block", times):
-        s_vn_a = _spectrum_entropy(factor_spectrum(ell[:n]))
+        s_vn_a = np.sum(mode_entropy(factor_spectrum(ell[:n])), axis=-1)
     if s_global is None:
         # pure global state: S(B) = S(A) exactly, and S(AB) = 0; avoids
         # the ill-conditioned unit eigenvalues of the big B-block
@@ -491,16 +487,13 @@ def _gaussian_stages(report, cfg, series, lyap):
     s_global = None if is_pure(g0) else von_neumann_entropy(g0)
     s_vn_a, i_ab, lower, upper = _gaussian_samples(series.matrices, series.times, g0, split,
                                                    s_global, g_t, ell)
-    columns = (s_vn_a, s2_a, s_as_a, i_ab, lower, upper)
-    report.rows = [CsvRow(t=t, s_vn_a=s_vn_a, s2_a=s2_a, s_as_a=s_as_a, i_ab=i_ab,
-                          lambda_a_alg=alg.lambda_a, lambda_a_vol=vol.slope,
-                          bound_lower=lower, bound_upper=upper, source="gaussian", trusted=True)
-                   for t, s_vn_a, s2_a, s_as_a, i_ab, lower, upper
-                   in zip(series.times.tolist(), *(col.tolist() for col in columns))]
+    report.rows = csv_rows(t=series.times, s_vn_a=s_vn_a, s2_a=s2_a, s_as_a=s_as_a, i_ab=i_ab,
+                           lambda_a_alg=alg.lambda_a, lambda_a_vol=vol.slope, bound_lower=lower,
+                           bound_upper=upper, source="gaussian", trusted=True)
 
     window = cfg.run.window or (0.5 * series.t_final, series.t_final)
     with _fit_stage("slopes", window):
-        fit = fit_slope(*windowed(series.times, columns[0], *window))
+        fit = fit_slope(*windowed(series.times, s_vn_a, *window))
     lambda_ref = alg.lambda_a
     rel_dev = abs(fit.slope - lambda_ref) / max(abs(lambda_ref), 1e-12)
     report.add("slopes", {"s_vn_slope": fit.slope, "stderr": fit.stderr,
@@ -515,9 +508,10 @@ def _gaussian_stages(report, cfg, series, lyap):
 def _metastable_section(report, times):
     # S2(A) against ln t on [10, t_final], from the rows already built
     grid_mask = times >= 10.0
-    s2_vals = np.array([row.s2_a for row in report.rows])[grid_mask]
+    s2_vals = report.rows.s2_a[grid_mask]
     dev = s2_vals - np.log(times[grid_mask])
-    log_fit = fit_slope(np.log(times[grid_mask]), s2_vals)
+    with _fit_stage("metastable", (10.0, times[-1])):
+        log_fit = fit_slope(np.log(times[grid_mask]), s2_vals)
     report.add("metastable", {"log_slope": log_fit.slope,
                               "max_abs_s2_minus_ln_t": float(np.max(np.abs(dev)))})
     if np.max(np.abs(dev)) >= 0.5:
@@ -570,12 +564,9 @@ def _fock_stages(report, cfg, series, lyap):
     inside = (lowers - 1e-9 <= s_vn) & (s_vn <= uppers + 1e-9)
     containment_ok = bool(np.all(inside[traj.trusted]))
     # the global state is pure, so S(B) = S(A), S(AB) = 0 and I(A;B) = 2 S(A)
-    report.rows = [CsvRow(t=t, s_vn_a=s_vn_a, s2_a=s2_a, s_as_a=s_as_a, i_ab=2.0 * s_vn_a,
-                          lambda_a_alg=alg.lambda_a, lambda_a_vol=None, bound_lower=lower,
-                          bound_upper=upper, source="fock", trusted=trusted)
-                   for t, s_vn_a, s2_a, s_as_a, lower, upper, trusted in zip(
-                       series.times.tolist(), s_vn.tolist(), s2.tolist(), s_as.tolist(),
-                       lowers.tolist(), uppers.tolist(), traj.trusted.tolist(), strict=True)]
+    report.rows = csv_rows(t=series.times, s_vn_a=s_vn, s2_a=s2, s_as_a=s_as, i_ab=2.0 * s_vn,
+                           lambda_a_alg=alg.lambda_a, lambda_a_vol=None, bound_lower=lowers,
+                           bound_upper=uppers, source="fock", trusted=traj.trusted)
 
     t_trust = traj.trusted_until
     window = cfg.run.window or (cfg.run.window_fraction * t_trust, t_trust)

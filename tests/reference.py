@@ -4,12 +4,13 @@ No pipeline stage runs any of these.  They draw random symplectic and
 covariance matrices, list the piece handovers of a Hamiltonian, check
 the entropy corridor and the polar-factor spectra, evaluate the
 asymptotic mutual information and the gSSA objective from formed
-log-determinants, and parse the builtin scenarios from their documents.
-pytest puts ``tests/`` on the import path, so the test modules import
-this one as ``reference``.
+log-determinants, and parse the builtin scenarios from their documents
+and the shipped oracle config from its file.  pytest puts ``tests/`` on
+the import path, so the test modules import this one as ``reference``.
 """
 
 import json
+import pathlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +20,9 @@ from entgrowth.dynamics import PropagationResult, expm, polar_decompose
 from entgrowth.entropy import (
     LN_E_OVER_2,
     _half_logdet_factor,
-    _spectrum_entropy,
     asymptotic_entropy,
     logdet_pd,
+    mode_entropy,
 )
 from entgrowth.errors import DimensionMismatch, NotConverged, NotPositiveDefinite, SingularM
 from entgrowth.lyapunov import spectrum_from_propagation
@@ -122,6 +123,10 @@ def default_scenario(name: str):
     return parse_config(json.dumps(scenario_document(name)))
 
 
+SHIPPED_ORACLE_CONFIG = (pathlib.Path(__file__).resolve().parent.parent / "configs"
+                         / "oracle_two_mode_squeezing.json")
+
+
 def inverted_pair_exponents(kappa1=1.0, kappa2=0.8, coupling=0.2):
     """Closed-form Lyapunov exponents of the inverted pair (descending)."""
     growth = np.linalg.eigvalsh(np.array([[kappa1 ** 2, -coupling],
@@ -157,7 +162,7 @@ def corridor_check(g) -> EntropyReport:
     ell = covariance_factor(g)
     nus = factor_spectrum(ell)
     n = len(nus)
-    s_vn = _spectrum_entropy(nus)
+    s_vn = float(np.sum(mode_entropy(nus)))
     s_r2 = float(_half_logdet_factor(ell))
     s_as = s_r2 + n * LN_E_OVER_2
     report = EntropyReport(s_vn=s_vn, s_r2=s_r2, s_as=s_as, n_modes=n)

@@ -29,7 +29,7 @@ from entgrowth.config import (
     serialize_config,
 )
 from entgrowth.errors import ConfigError
-from entgrowth.reporting import CSV_COLUMNS, format_float
+from entgrowth.reporting import CSV_COLUMNS, csv_rows, format_float, write_csv
 from entgrowth.dynamics import QuadraticHamiltonian, propagate, sample_times
 from entgrowth.scenarios import (
     SCENARIO_NAMES,
@@ -37,7 +37,7 @@ from entgrowth.scenarios import (
     metastable_form,
     run_scenario,
 )
-from reference import default_scenario
+from reference import SHIPPED_ORACLE_CONFIG, default_scenario
 
 MINIMAL = """
 {
@@ -214,6 +214,30 @@ def test_format_float_prints_missing_and_nonfinite_as_nan(x):
     assert format_float(x) == "nan"
 
 
+def test_write_csv_prints_every_float_cell_as_format_float(tmp_path):
+    # one format string per row writes what format_float writes cell by cell
+    cells = [None, math.nan, math.inf, -math.inf, -0.0, 1e-320, 0.1, -2.5, 1e300]
+    columns = {name: cells[i:] + cells[:i] for i, name in enumerate(
+        ("t", "s_vn_a", "s2_a", "s_as_a", "i_ab", "lambda_a_alg", "lambda_a_vol",
+         "bound_lower", "bound_upper"))}
+    trusted = [i % 2 == 0 for i in range(len(cells))]
+    path = tmp_path / "rows.csv"
+    write_csv(path, csv_rows(**columns, source="fock", trusted=trusted))
+    lines = [",".join([*(format_float(col[i]) for col in columns.values()), "fock",
+                       "1" if trusted[i] else "0"]) for i in range(len(cells))]
+    assert path.read_text() == "\n".join([",".join(CSV_COLUMNS), *lines]) + "\n"
+    # a scalar fills its column, None is NaN, and every column must be named once
+    rows = csv_rows(**{**columns, "lambda_a_alg": 2.0, "bound_upper": None},
+                    source="gaussian", trusted=True)
+    assert (rows.lambda_a_alg == 2.0).all() and np.isnan(rows.bound_upper).all()
+    assert rows.trusted.all() and len(rows) == len(cells)
+    with pytest.raises(TypeError):
+        csv_rows(**{k: v for k, v in columns.items() if k != "i_ab"}, source="fock",
+                 trusted=True)
+    with pytest.raises(TypeError):
+        csv_rows(**columns, source="fock", trusted=True, lambda_A_alg=2.0)
+
+
 def _cli(*args):
     return subprocess.run([sys.executable, "-m", "entgrowth.cli", *args],
                           capture_output=True, text=True)
@@ -363,9 +387,6 @@ def test_cli_bounds_check_command(tmp_path):
     assert [entry["t"] for entry in entries] == [1.0, 10.0]
     assert all(np.isfinite(entry["residual"]) for entry in entries)
 
-
-SHIPPED_ORACLE_CONFIG = (pathlib.Path(__file__).resolve().parent.parent / "configs"
-                         / "oracle_two_mode_squeezing.json")
 
 # the stage commands and the sections of the simulate report they reproduce
 STAGE_SECTIONS = {"lyapunov": {"lyapunov"},

@@ -142,14 +142,57 @@ def test_symplectic_invariance_of_entropy():
 
 
 def test_mode_entropy_branches_agree():
-    # direct, series and large-nu branches must join smoothly
-    for nu in (1.0 + 5e-7, 1.0 + 2e-6):
+    # the series, direct and log1p forms join at nu = 1 + 1e-6 and nu = 1.5:
+    # on either side of each edge the two forms that meet there agree to
+    # roundoff (absolute, or relative where s > 1), and so does s(nu)
+    def series(nu):
         eps = 0.5 * (nu - 1.0)
-        direct = 0.5 * (nu + 1) * math.log(0.5 * (nu + 1)) - eps * math.log(eps)
-        assert abs(mode_entropy(nu) - direct) < 1e-12
-    for nu in (9.9e5, 1.1e6):
-        asym = math.log(0.5 * nu) + 1.0 - 1.0 / (6 * nu * nu)
-        assert abs(mode_entropy(nu) - asym) < 1e-9
+        return eps * (1.0 - math.log(eps)) + 0.5 * eps * eps
+
+    def direct(nu):
+        eps, hi = 0.5 * (nu - 1.0), 0.5 * (nu + 1.0)
+        return hi * math.log(hi) - eps * math.log(eps)
+
+    def log1p_form(nu):
+        eps = 0.5 * (nu - 1.0)
+        return math.log(eps) + 0.5 * (nu + 1.0) * math.log1p(1.0 / eps)
+
+    tol = 2.0 * np.finfo(float).eps
+    for lower, upper, edge in ((series, direct, 1.0 + 1e-6), (direct, log1p_form, 1.5)):
+        for nu in (0.5 * (1.0 + edge), edge, 2.0 * edge - 1.0):
+            s = mode_entropy(nu)
+            assert abs(lower(nu) - upper(nu)) <= tol * max(1.0, s), nu
+            assert abs(s - lower(nu)) <= tol * max(1.0, s), nu
+    # roundoff below 1 is clamped to the limit s(1) = 0
+    assert mode_entropy(1.0) == mode_entropy(1.0 - 1e-12) == 0.0
+
+
+# s(nu) = ((nu+1)/2) ln((nu+1)/2) - ((nu-1)/2) ln((nu-1)/2) at 40 digits
+# (mpmath, at the double nearest each nu)
+MODE_ENTROPY_40_DIGITS = (
+    (1.0 + 1e-9, 1.120820739487915581107388298473231877949e-8),
+    (1.0 + 1e-6, 7.754328993665299606235109367573672829837e-6),
+    (1.2, 0.3350997070841618612061756310658397662849),
+    (1.5, 0.625503029422734849416484923616381413256),
+    (2.0, 0.9547712524422192276756357339256119888957),
+    (8.8e5, 13.99453000589422867858269862511379674418),
+    (1e6, 14.12236337740416212802404988998134201084),
+    (1e12, 27.93787393536860289879866516808752725647),
+)
+
+
+def test_mode_entropy_matches_high_precision_values():
+    # the direct form at large nu cancels about eps * nu: it read 3.7e-11
+    # relative off at nu = 8.8e5.  The error is absolute, or relative where s > 1
+    for nu, exact in MODE_ENTROPY_40_DIGITS:
+        value = mode_entropy(nu)
+        assert type(value) is float
+        assert abs(value - exact) <= 4.0 * np.finfo(float).eps * max(1.0, exact), (nu, value)
+    # an array of eigenvalues, of any shape, gives the one-eigenvalue values bit for bit
+    nus = np.array([nu for nu, _ in MODE_ENTROPY_40_DIGITS])
+    singles = [mode_entropy(nu) for nu in nus.tolist()]
+    assert mode_entropy(nus).tolist() == singles
+    assert mode_entropy(nus.reshape(2, 4)).ravel().tolist() == singles
 
 
 def test_von_neumann_matches_trace_formula():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from entgrowth.dynamics import PolarPair, QuadraticHamiltonian, expm, propagate
+from entgrowth.dynamics import PolarPair, QuadraticHamiltonian, propagate
 from entgrowth.errors import NotConverged
 from entgrowth.lyapunov import (
     floquet_spectrum,
@@ -62,17 +62,15 @@ def test_spectrum_harmonic_oscillator():
     assert np.allclose(data.exponents, 0.0, atol=1e-9)
 
 
-def _roundoff_bound(period_map, tau):
-    """Roundoff of the exact exponents ln|mu| / tau of the map M(tau).
+def _roundoff_bound(k):
+    """Roundoff of the exact exponents Re lambda of a generator K.
 
-    Each multiplier moves by at most cond(V) times the backward error eps
-    ||M|| of the eigensolve and of M(tau) itself (Bauer-Fike), so ln|mu|
-    moves by that over |mu|; the factor 16 n covers the norm equivalences.
+    Each eigenvalue moves by at most cond(V) times the backward error
+    eps ||K|| of the eigensolve (Bauer-Fike); the factor 16 n covers the
+    norm equivalences.
     """
-    mults, vecs = np.linalg.eig(period_map)
-    n = len(period_map)
-    shift = 16 * n * np.finfo(float).eps * np.linalg.cond(vecs) * np.linalg.norm(period_map, 2)
-    return shift / (np.min(np.abs(mults)) * tau)
+    vecs = np.linalg.eig(k)[1]
+    return 16 * len(k) * np.finfo(float).eps * np.linalg.cond(vecs) * np.linalg.norm(k, 2)
 
 
 def test_spectrum_matches_generator_eigenvalues():
@@ -84,9 +82,10 @@ def test_spectrum_matches_generator_eigenvalues():
     k = standard_omega(2) @ h
     expected = np.sort(np.linalg.eigvals(k).real)[::-1]
     data = lyapunov_spectrum(ham, t_star=1.0, dt=0.01, residual_tol=0.0)
-    assert data.method == "floquet" and data.horizon == 0.01 and data.residual == 0.0
+    # read off K itself: no horizon, and no propagated map
+    assert data.method == "floquet" and data.horizon == 0.0 and data.residual == 0.0
     error = np.max(np.abs(data.exponents - expected))
-    assert error <= _roundoff_bound(expm(0.01 * k), 0.01) and error < 1e-12
+    assert error <= _roundoff_bound(k) and error < 1e-14
 
 
 @st.composite
@@ -100,16 +99,14 @@ def constant_flows(draw):
 @settings(max_examples=25, deadline=None)
 @given(constant_flows())
 def test_constant_spectrum_is_exact_and_the_limit_of_the_qr_estimate(ham):
-    # a constant flow is periodic with any period: M(dt) = exp(dt K) gives
-    # the real parts of eig(K) to roundoff, and QR at a long horizon lies
-    # within its residual plus the 2 ln cond(V) / t* of a bounded direction
-    dt = 0.01
+    # a constant flow's exponents are the real parts of eig(K) to roundoff,
+    # and QR at a long horizon lies within its residual plus the
+    # 2 ln cond(V) / t* of a bounded direction
     k = standard_omega(ham.n_modes) @ ham.pieces[0][1]
-    period_map = expm(dt * k)
-    exact = lyapunov_spectrum(ham, 1.0, dt, residual_tol=0.0)
+    exact = lyapunov_spectrum(ham, 1.0, 0.01, residual_tol=0.0)
     assume(exact.method == "floquet")
     expected = np.sort(np.linalg.eigvals(k).real)[::-1]
-    assert np.max(np.abs(exact.exponents - expected)) <= _roundoff_bound(period_map, dt)
+    assert np.max(np.abs(exact.exponents - expected)) <= _roundoff_bound(k)
     assert np.allclose(exact.basis @ exact.basis.T, np.eye(len(k)), atol=1e-12)
     t_star = 600.0
     qr = qr_spectrum(ham, t_star, 0.05, residual_tol=np.inf)
@@ -195,8 +192,7 @@ def test_floquet_spectrum_is_the_limit_of_the_qr_estimate(ham):
     # roundoff
     tau = ham.period
     period_map = propagate(ham, tau, tau / 50, store_every=50).final_matrix
-    exact = lyapunov_spectrum(ham, 1.0, tau / 50, residual_tol=np.inf,
-                              period_map=(period_map, tau))
+    exact = lyapunov_spectrum(ham, 1.0, tau / 50, residual_tol=np.inf, period_map=period_map)
     assume(exact.method == "floquet")
     assert np.array_equal(np.sort(exact.exponents)[::-1], exact.exponents)
     assert np.allclose(exact.basis @ exact.basis.T, np.eye(len(period_map)), atol=1e-12)

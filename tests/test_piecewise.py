@@ -159,7 +159,7 @@ def test_step_exponentials_are_computed_once_per_piece(expm_calls):
 def test_every_flow_stage_of_a_run_shares_the_piece_exponentials(expm_calls):
     # propagation and the Floquet stage's one period read the same two
     # matrices; a second run of the same config makes none.  A constant flow
-    # makes one for its stored steps and one for its map M(dt)
+    # makes one for its stored steps; its spectrum is read off K
     drive = default_scenario("parametric_drive")
     assert run_scenario(drive, write_outputs=False).ok
     assert len(expm_calls) == 2
@@ -167,7 +167,7 @@ def test_every_flow_stage_of_a_run_shares_the_piece_exponentials(expm_calls):
     assert run_scenario(drive, write_outputs=False).ok
     assert expm_calls == []
     assert run_scenario(default_scenario("coupled_chain"), write_outputs=False).ok
-    assert len(expm_calls) == 2
+    assert len(expm_calls) == 1
 
 
 def test_kept_piece_exponentials_are_read_only():

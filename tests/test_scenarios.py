@@ -23,7 +23,7 @@ from entgrowth.scenarios import (
     run_view,
     scenario_document,
 )
-from reference import default_scenario, inverted_pair_exponents
+from reference import SHIPPED_ORACLE_CONFIG, default_scenario, inverted_pair_exponents
 
 
 def test_classical_counterexample_closed_form():
@@ -50,6 +50,31 @@ def test_metastable_scenario_report():
     assert 1.0 in bounds and 100.0 in bounds
     assert all(v <= 2.0 * LN_E_OVER_2 + 1e-6 for v in bounds.values())
     assert meta["max_abs_s2_minus_ln_t"] < 0.01
+
+
+def test_gaussian_rows_keep_the_entropy_order():
+    # S2_A <= S_vn_A <= S_as_A holds in exact arithmetic; the direct form of
+    # s(nu) put S_vn_A above S_as_A by up to 9.0e-10 (inverted_pair) and
+    # 1.3e-10 (coupled_chain)
+    for name in ("inverted_pair", "coupled_chain"):
+        rows = run_scenario(default_scenario(name), write_outputs=False).rows
+        assert len(rows) == 201
+        assert np.all(rows.s2_a <= rows.s_vn_a), name
+        assert np.max(rows.s_vn_a - rows.s_as_a) <= 1e-12, name
+
+
+def test_constant_flow_exponents_are_the_real_parts_of_eig_k():
+    # ln|mu(M(dt))| / dt carried a roundoff of about eps cond(V) / dt.  The
+    # inverted pair's lambda_A is sqrt(a) + sqrt(b) for the roots a, b of
+    # x^2 - (k1^2 + k2^2) x + k1^2 k2^2 - g^2, here at 40 digits (mpmath)
+    rep = run_view(default_scenario("inverted_pair"), "exponent")
+    lam = rep.sections["exponent"]["lambda_alg"]
+    assert abs(lam - 1.785831273800234195353297637287775020649) <= 1e-15 * lam
+    assert rep.sections["lyapunov"]["pairing_violation"] <= 1e-15
+    # two-mode squeezing at rate 1: lambda_A = 2
+    rep = run_scenario(parse_config(SHIPPED_ORACLE_CONFIG.read_text()), write_outputs=False)
+    assert rep.ok, rep.failures
+    assert abs(rep.sections["oracle"]["exponent"]["lambda_alg"] - 2.0) <= 2 * np.spacing(2.0)
 
 
 def test_exponent_stage_fails_when_the_two_routes_disagree():
@@ -343,11 +368,16 @@ def test_propagation_failure_names_its_stage_and_time():
         assert t_text == f"{series.times[first]:.6g}", (factor, first)
         assert detail.startswith(f"symplectic defect {series.defects[first]:.3g} exceeded "
                                  f"ceiling {factor * scale[first]:.3g}; "), detail
-    # the lyapunov view propagates only the constant flow's map M(dt), and
-    # names the stage that reads it
+    # the lyapunov view of a constant flow reads K and propagates nothing; a
+    # periodic flow's propagates only its map M(tau), and names the floquet
+    # stage that reads it
     cfg.tolerances.defect_factor = 1e-30
-    rep = run_view(cfg, "lyapunov")
-    assert rep.failures[0].startswith("StepTooLarge: lyapunov stage at t=0.002: "), rep.failures
+    assert run_view(cfg, "lyapunov").ok
+    drive = default_scenario("parametric_drive")
+    drive.tolerances.defect_factor = 1e-30
+    rep = run_view(drive, "lyapunov")
+    assert rep.failures[0].startswith("StepTooLarge: floquet stage at t=2.2: "), rep.failures
+    assert list(rep.sections) == []
 
 
 def test_overflowed_propagation_names_its_stage_and_time():
@@ -438,6 +468,12 @@ def test_gaussian_fit_failures_name_their_stage_and_window():
     rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
     assert rep.failures == ["WindowTooShort: slopes stage, window [23.9, 24]: "
                             "need at least 4 samples, got 1"], rep.failures
+    # the metastable log-growth fit reads [10, t_final]: samples 10 and 11
+    doc = scenario_document("metastable")
+    doc["run"].update(t_final=11.0, window=[5.0, 11.0], bound_times=[], lyapunov_t_star=11.0)
+    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    assert rep.failures == ["WindowTooShort: metastable stage, window [10, 11]: "
+                            "need at least 4 samples, got 2"], rep.failures
 
 
 def test_oracle_fit_failure_names_its_stage_and_window():
