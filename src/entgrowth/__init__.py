@@ -2,9 +2,9 @@
 
 Core layers:
 
-* :mod:`entgrowth.phase_space` - conventions, covariance validity, restriction
+* :mod:`entgrowth.phase_space` - conventions, covariance validity, row factors
 * :mod:`entgrowth.entropy` - Gaussian entropies
-* :mod:`entgrowth.dynamics` - symplectic propagation, polar factors
+* :mod:`entgrowth.dynamics` - symplectic propagation
 * :mod:`entgrowth.lyapunov` - limiting matrix, spectra, regularity
 * :mod:`entgrowth.subsystem` - subsystem volume-growth exponents
 * :mod:`entgrowth.ssa` - subadditivity minimization and entropy bounds
@@ -17,19 +17,11 @@ they return.
 
 from types import ModuleType as _Module
 
-from .dynamics import (
-    PolarPair,
-    PropagationResult,
-    QuadraticHamiltonian,
-    evolve_covariance,
-    generator,
-    polar_decompose,
-    propagate,
-)
+from .dynamics import PropagationResult, QuadraticHamiltonian, generator, propagate
 from .entropy import LN_E_OVER_2, von_neumann_entropy
 from .fock import FockConfig, FockState, FockTrajectory, covariance_of, evolve_fock
 from .lyapunov import LyapunovData, lyapunov_spectrum, regularity_check
-from .phase_space import ModeCount, SubsystemSpec, is_pure, restrict, williamson_spectrum
+from .phase_space import ModeCount, SubsystemSpec, is_pure, row_factor, williamson_spectrum
 from .ssa import BoundReport, gss_rhs_minimize, squashed_bounds
 from .subsystem import ExponentReport, subsystem_exponent_algebraic
 

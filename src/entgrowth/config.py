@@ -43,7 +43,7 @@ import numpy as np
 from . import fock as fock_mod
 from .dynamics import DEFECT_FACTOR, QuadraticHamiltonian, nearest_sample, sample_count, step_count
 from .errors import ConfigError
-from .phase_space import ModeCount, is_symmetric
+from .phase_space import ModeCount, is_symmetric, williamson_spectrum
 
 # readers: each checks one JSON value, returns it converted, and raises a
 # ConfigError naming the value's path when it does not fit
@@ -348,6 +348,8 @@ def _read_gaussian(obj, modes, run):
         canonical, cov = "vacuum", np.eye(2 * modes.n_total)
     else:
         cov = _get(obj, "covariance", _S, _form(2 * modes.n_total))
+        # the covariance check, before any stage reads g0
+        _build(f"{_S}.covariance", None, williamson_spectrum, cov)
         canonical = matrix_to_json(cov)
     cov.setflags(write=False)   # every stage and every run of the config reads this one array
     return {"covariance": canonical}, cov

@@ -179,10 +179,32 @@ def covariance_factor(g) -> np.ndarray:
               _first_not_pd(sym) if g.ndim > 2 else None)
 
 
+def row_factor(w) -> np.ndarray:
+    """Lower-triangular L with L L^T = W W^T, of a row block W (of each of a stack).
+
+    L is the transposed R of a QR factorization of W^T, its diagonal made
+    positive: the factor of W W^T without forming W W^T, whose conditioning
+    is that of W squared.  A zero or non-finite pivot fails the covariance
+    check's positive definiteness.
+    """
+    r = np.linalg.qr(_mT(np.asarray(w, dtype=float)), mode="r")
+    pivots = np.diagonal(r, axis1=-2, axis2=-1)
+    _fail_first(~(np.isfinite(pivots) & (pivots != 0)).all(axis=-1), NotPositiveDefinite,
+                "covariance check failed: not_positive_definite")
+    return _mT(r * np.where(pivots < 0, -1.0, 1.0)[..., None])
+
+
 def factor_spectrum(ell, uncertainty_slack=UNCERTAINTY_SLACK) -> np.ndarray:
-    """Symplectic eigenvalues of G = L L^T from its factor L, and the uncertainty check."""
-    nus = np.linalg.svd(_mT(ell) @ standard_omega(n_modes_of(ell)) @ ell,
-                        compute_uv=False)[..., 0::2]
+    """Symplectic eigenvalues of G = L L^T from its factor L, and the uncertainty check.
+
+    They are the singular values of the antisymmetric L^T Omega L, of which
+    only the antisymmetric part is kept: a product that should cancel, such
+    as L_00 L_10 - L_10 L_00, may be rounded once (a fused multiply-add) and
+    leave about eps L_00 L_10 on the diagonal, which for a block with
+    L_10 >> L_11 is far above the spectrum's own roundoff.
+    """
+    x = _mT(ell) @ standard_omega(n_modes_of(ell)) @ ell
+    nus = np.linalg.svd(0.5 * (x - _mT(x)), compute_uv=False)[..., 0::2]
     _fail_first(nus[..., -1] ** 2 < 1.0 - uncertainty_slack, UncertaintyViolated,
                 lambda i: "covariance check failed: uncertainty_violated "
                           f"(min symplectic eigenvalue = {nus[i][-1]:.12g})")

@@ -22,14 +22,7 @@ import numpy as np
 
 from . import fock as fock_mod
 from .config import ScenarioConfig, config_hash, stored_sample_index
-from .dynamics import (
-    QuadraticHamiltonian,
-    evolve_covariance,
-    polar_decompose,
-    propagate,
-    require_real_logarithm,
-    step_count,
-)
+from .dynamics import QuadraticHamiltonian, propagate, require_real_logarithm, step_count
 from .entropy import LN_E_OVER_2, _half_logdet_factor, mode_entropy, von_neumann_entropy
 from .errors import (ConfigError, EntgrowthError, NoRealLogarithm, SingularM, StepTooLarge,
                      WindowTooShort)
@@ -43,8 +36,7 @@ from .phase_space import (
     covariance_factor,
     factor_spectrum,
     is_pure,
-    restrict,
-    williamson_spectrum,
+    row_factor,
 )
 from .reporting import RunReport, csv_rows, write_csv
 from .ssa import gss_rhs_minimize, squashed_bounds
@@ -172,10 +164,10 @@ _SCENARIOS = {
                 "lyapunov_t_star": 1000.0, "lyapunov_dt": 0.25,
                 "bound_times": [1.0, 10.0, 100.0, 1000.0], "window": [100.0, 1000.0]},
         "tolerances": {"residual_tol": 0.05}},
-    # period 2.2, horizon capped at 8 periods so the restricted determinants
-    # stay conditioned: the A block mixes e^{+2 lambda t} with a bounded
-    # direction of size ~ 6e-3, and the small Cholesky pivot drowns past ~9
-    # periods
+    # period 2.2, 8 periods.  The A block mixes e^{+lambda t} with a bounded
+    # direction, which the stored M(t) itself loses to roundoff: every gate
+    # passes to 24 periods, and from 32 on S2_A grows at the wrong rate,
+    # which the exponent gate catches
     "parametric_drive": {
         "modes": {"total": 2, "subsystem": 1},
         "hamiltonian": {"type": "builtin", "name": "parametric_drive"},
@@ -292,7 +284,8 @@ def _lyapunov_view(cfg, report):
 def _exponent_view(cfg, report):
     series = _propagation_section(report, cfg)
     lyap = _lyapunov_section(report, cfg, _period_map(cfg))
-    _, _, s2_a, _ = _a_block(series.matrices, series.times, cfg.initial_state, cfg.modes)
+    _, s2_a, _ = _a_block(series.matrices, series.times, covariance_factor(cfg.initial_state),
+                          cfg.modes)
     _exponent_section(report, cfg.modes, lyap, series, s2_a)
 
 
@@ -426,41 +419,34 @@ def _run_flow(cfg, report):
         _metastable_section(report, series.times)
 
 
-def _a_block(mats, times, g0, split):
-    """G(t) = M g0 M^T, the Cholesky factor L of its A block, S_2(A) and S_as(A) at every M(t).
+def _a_block(mats, times, c0, split):
+    """The factor L of each A block, S_2(A) and S_as(A) at every M(t).
 
-    The one factorization of each A block: S_2(A) = (1/2) ln det G_A = sum
-    ln diag L, the log volume whose slope is the volumetric exponent.  When
-    the factor fails, the whole covariance check names the earliest failure.
+    ``c0`` is the Cholesky factor of g0, so that G_A = (M g0 M^T)_A is
+    W W^T with W = M_A C0, M_A the 2 N_A rows of A: L is ``row_factor(W)``,
+    and neither G(t) nor G_A is formed.  S_2(A) = (1/2) ln det G_A = sum
+    ln diag L is the log volume whose slope is the volumetric exponent.
     """
-    g_t = evolve_covariance(g0, mats)
-    g_a = restrict(g_t, SubsystemSpec.first_modes(split.n_a, split.n_total))
     with _stage("entropy", "A block", times):
-        try:
-            ell = covariance_factor(g_a)
-        except (ValueError, RuntimeError):
-            williamson_spectrum(g_a)
-            raise
+        ell = row_factor(mats[..., :2 * split.n_a, :] @ c0)
     s2_a = _half_logdet_factor(ell)
-    return g_t, ell, s2_a, s2_a + split.n_a * LN_E_OVER_2
+    return ell, s2_a, s2_a + split.n_a * LN_E_OVER_2
 
 
-@_earliest_failure
 def _bounds_columns(mats, times, g0, split):
-    """The squashed-entanglement bounds at every stored M(t), from its polar factor."""
+    """The squashed-entanglement bounds at every stored M(t)."""
     with _stage("squashed-bound", "flow matrix", times):
-        t_part = polar_decompose(mats).t_part
-    with _stage("squashed-bound", "polar factor", times):
-        return squashed_bounds(t_part, g0, split)
+        return squashed_bounds(mats, g0, split)
 
 
 @_earliest_failure
-def _gaussian_samples(mats, times, g0, split, s_global, g_t, ell):
+def _gaussian_samples(mats, times, g0, c0, split, s_global, ell):
     """The S_vn(A), I(A;B) and bound columns of the Gaussian rows, one array each.
 
-    ``g_t`` and ``ell`` are :func:`_a_block`'s stacks; a re-run on the
-    first samples of ``mats`` reads their first rows.  ``s_global`` is the
-    entropy of ``g0``, or None for a pure ``g0``.
+    ``ell`` is :func:`_a_block`'s stack and ``c0`` the Cholesky factor of
+    ``g0``; a re-run on the first samples of ``mats`` reads the first rows
+    of ``ell``.  ``s_global`` is the entropy of ``g0``, or None for a pure
+    ``g0``.
     """
     n = len(mats)
     lower, upper = _bounds_columns(mats, times, g0, split)
@@ -471,22 +457,23 @@ def _gaussian_samples(mats, times, g0, split, s_global, g_t, ell):
         # the ill-conditioned unit eigenvalues of the big B-block
         i_ab = 2.0 * s_vn_a
     else:
-        sub_b = SubsystemSpec.modes(range(split.n_a, split.n_total), split.n_total)
         with _stage("entropy", "B block", times):
-            i_ab = s_vn_a + von_neumann_entropy(restrict(g_t[:n], sub_b)) - s_global
+            nus_b = factor_spectrum(row_factor(mats[..., 2 * split.n_a:, :] @ c0))
+        i_ab = s_vn_a + np.sum(mode_entropy(nus_b), axis=-1) - s_global
     return s_vn_a, i_ab, lower, upper
 
 
 def _gaussian_stages(report, cfg, series, lyap):
     split = cfg.modes
     g0 = cfg.initial_state
-    g_t, ell, s2_a, s_as_a = _a_block(series.matrices, series.times, g0, split)
+    c0 = covariance_factor(g0)
+    ell, s2_a, s_as_a = _a_block(series.matrices, series.times, c0, split)
     alg, vol = _exponent_section(report, split, lyap, series, s2_a)
 
     # symplectic invariance: the global spectrum never changes along the flow
     s_global = None if is_pure(g0) else von_neumann_entropy(g0)
-    s_vn_a, i_ab, lower, upper = _gaussian_samples(series.matrices, series.times, g0, split,
-                                                   s_global, g_t, ell)
+    s_vn_a, i_ab, lower, upper = _gaussian_samples(series.matrices, series.times, g0, c0, split,
+                                                   s_global, ell)
     report.rows = csv_rows(t=series.times, s_vn_a=s_vn_a, s2_a=s2_a, s_as_a=s_as_a, i_ab=i_ab,
                            lambda_a_alg=alg.lambda_a, lambda_a_vol=vol.slope, bound_lower=lower,
                            bound_upper=upper, source="gaussian", trusted=True)
@@ -558,7 +545,7 @@ def _fock_stages(report, cfg, series, lyap):
         report.warn(f"truncation leak at t={traj.trusted_until:g}; later samples untrusted")
     alg = subsystem_exponent_algebraic(sub_a, lyap)
 
-    s_as = _a_block(series.matrices, series.times, g0, split)[3]
+    s_as = _a_block(series.matrices, series.times, covariance_factor(g0), split)[2]
     lowers, uppers = _bounds_columns(series.matrices, series.times, g0, split)
     s_vn, s2 = fock_mod.schmidt_entropies(traj.amplitudes, modes_a)
     inside = (lowers - 1e-9 <= s_vn) & (s_vn <= uppers + 1e-9)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import LN_E_OVER_2, logdet_pd
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .entropy import LN_E_OVER_2, _half_logdet_factor
+from .errors import DimensionMismatch, NotDarboux, SingularM
 from .phase_space import (
     ModeCount,
     _earliest_failure,
@@ -33,6 +33,7 @@ from .phase_space import (
     _maxabs,
     _maxabs_each,
     _mT,
+    row_factor,
     standard_omega,
 )
 
@@ -190,70 +191,49 @@ def gss_rhs_minimize(m, split: ModeCount) -> BoundReport:
     return minimize(m, 2 * split.n_a, np.eye(dim))
 
 
-def _require_pd_symplectic(t_mat):
-    # a polar factor at long times has eigenvalues below the eps*|T| floor
-    # of dense storage, so positivity is checked to roundoff scale only;
-    # the determinant blocks the bounds consume enforce their own PD-ness.
-    # The checks raise at their own first failing matrix of a stack; a
-    # caller wrapped in _earliest_failure orders them across samples
-    t_mat = np.asarray(t_mat, dtype=float)
-    size = _maxabs_each(t_mat)
-    _fail_first(_maxabs_each(t_mat - _mT(t_mat)) > 1e-10 * (1.0 + size), NotPositiveDefinite,
-                "expected a symmetric positive definite matrix")
-    w = np.linalg.eigvalsh(t_mat)
-    _fail_first((w[..., -1] <= 0) | (w[..., 0] < -1e-12 * (1.0 + w[..., -1])), NotPositiveDefinite,
-                lambda i: f"matrix has negative eigenvalue {w[i][0]:.3g}")
-    omega = standard_omega(t_mat.shape[-1] // 2)
-    _fail_first(_maxabs_each(t_mat @ omega @ _mT(t_mat) - omega) > 1e-8 * (1.0 + size ** 2),
-                ValueError, "matrix is not symplectic")
-    return t_mat
-
-
 def op_norm(g) -> float:
     """Operator norm (largest eigenvalue) of a symmetric PD matrix."""
     return float(np.linalg.eigvalsh(np.asarray(g, dtype=float))[-1])
 
 
-def _sas_blocks(t_mat, split: ModeCount):
-    """Block asymptotic entropies of a symplectic PD matrix.
-
-    A symplectic positive definite matrix is a pure covariance matrix, so
-    its two reduced blocks share the nontrivial symplectic spectrum and
-    det(T_A) = det(T_B) exactly.  Evaluating both through the smaller block
-    keeps the computation inside double range when the large block mixes
-    directions spread over e^{+-lambda t}.
-    """
-    k = 2 * split.n_a
-    if split.n_a <= split.n_b:
-        logdet = logdet_pd(t_mat[..., :k, :k])
-    else:
-        logdet = logdet_pd(t_mat[..., k:, k:])
-    s_a = 0.5 * logdet + split.n_a * LN_E_OVER_2
-    s_b = 0.5 * logdet + split.n_b * LN_E_OVER_2
-    return s_a, s_b
-
-
 @_earliest_failure
-def squashed_bounds(t_mat, g0, split: ModeCount):
-    """Two-sided bounds on the squashed entanglement after the transformation.
+def squashed_bounds(m, g0, split: ModeCount):
+    """Two-sided bounds on the squashed entanglement after the symplectic transformation M.
 
-    Returns ``(lower, upper)``:
+    Returns ``(lower, upper)``, with T the polar factor of M = T u (so that
+    T^2 = M M^T):
 
         upper = 0.5 S_as(A)(T^2) + 0.5 S_as(B)(T^2) + (N/2) ln |G0|
         lower = S_as(A)(T) + S_as(B)(T) - 2N ln(e/2) - N ln |G0|
 
     For pure states the squashed entanglement equals the entanglement
-    entropy, so the oracle trajectory must thread between the two.  For a
-    stack of polar factors both are arrays; |G0| is computed once.
+    entropy, so the entropy must thread between the two.  T and T^2 are
+    pure covariance matrices, so their A and B blocks share one determinant,
+    read from the smaller block X.  Neither is formed: one SVD M = U S V^T
+    gives (1/2) ln det T_X = sum ln diag ``row_factor(U_X S^(1/2))`` and
+    (1/2) ln det (T^2)_X = sum ln diag ``row_factor(M_X)``.  A positive
+    definite symplectic M is its own polar factor.  The checks, in order:
+    finite entries, M Omega M^T = Omega to 1e-8 (1 + max|M|^2), singular
+    values in range, lower <= upper + 1e-9.  For a stack both bounds are
+    arrays; |G0| is computed once.
     """
-    t_mat = _require_pd_symplectic(t_mat)
-    norm = op_norm(g0)
-    n = split.n_total
-    t_sq = t_mat @ t_mat
-    sa2, sb2 = _sas_blocks(0.5 * (t_sq + _mT(t_sq)), split)
-    upper = 0.5 * sa2 + 0.5 * sb2 + 0.5 * n * np.log(norm)
-    sa, sb = _sas_blocks(t_mat, split)
-    lower = sa + sb - 2.0 * n * LN_E_OVER_2 - n * np.log(norm)
-    _fail_first(lower > upper + 1e-9, RuntimeError,
+    m = np.asarray(m, dtype=float)
+    if m.shape[-2:] != (2 * split.n_total,) * 2:
+        raise DimensionMismatch(f"transformation shape {m.shape} vs split {split}")
+    _fail_first(~np.isfinite(m).all(axis=(-2, -1)), SingularM, "matrix has non-finite entries")
+    omega = standard_omega(split.n_total)
+    _fail_first(_maxabs_each(m @ omega @ _mT(m) - omega) > 1e-8 * (1.0 + _maxabs_each(m) ** 2),
+                NotDarboux, "matrix is not symplectic")
+    u, sv, _ = np.linalg.svd(m)
+    _fail_first((sv[..., -1] <= 0) | ~np.isfinite(sv[..., 0]), SingularM,
+                lambda i: f"singular values out of range: [{sv[i][-1]:.3g}, {sv[i][0]:.3g}]")
+    k = 2 * split.n_a
+    rows = slice(None, k) if split.n_a <= split.n_b else slice(k, None)
+    half_t = _half_logdet_factor(row_factor((u * np.sqrt(sv)[..., None, :])[..., rows, :]))
+    half_t_sq = _half_logdet_factor(row_factor(m[..., rows, :]))
+    offset = split.n_total * (LN_E_OVER_2 + np.log(op_norm(g0)))
+    upper = half_t_sq + 0.5 * offset
+    lower = 2.0 * half_t - offset
+    _fail_first(lower > upper + 1e-9, SingularM,
                 lambda i: f"bound ordering violated: lower={lower[i]} > upper={upper[i]}")
     return _float_or_stack(lower), _float_or_stack(upper)

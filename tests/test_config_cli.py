@@ -787,6 +787,10 @@ def _ham(kind, **keys):
     return json.dumps({"type": kind, **keys})
 
 
+def _diagonal(*entries):
+    return json.dumps(matrix_to_json(np.diag(entries)))
+
+
 _SKEW4 = {"rows": 4, "cols": 4, "data": list((np.eye(4) + np.triu(np.ones((4, 4)), 1)).ravel())}
 
 
@@ -826,6 +830,11 @@ _SKEW4 = {"rows": 4, "cols": 4, "data": list((np.eye(4) + np.triu(np.ones((4, 4)
     pytest.param("hamiltonian", _ham("piecewise", period=2.0, pieces=[_PIECE]), "hamiltonian.pieces",
                  id="piece-durations-short-of-period"),
     pytest.param("hamiltonian", _ham("builtin", name=5), "hamiltonian.name", id="builtin-name-int"),
+    # the covariance check runs at parse, before any stage reads g0
+    pytest.param("initial_state.covariance", _diagonal(1.0, 1.0, -1.0, 1.0),
+                 "initial_state.covariance", id="covariance-not-positive-definite"),
+    pytest.param("initial_state.covariance", _diagonal(0.5, 0.5, 1.0, 1.0),
+                 "initial_state.covariance", id="covariance-below-the-uncertainty-bound"),
 ])
 def test_malformed_value_is_config_error_naming_its_path(tmp_path, capfd, key, value, field):
     doc = json.loads(MINIMAL)

@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -236,17 +237,29 @@ def pipeline_rows(g0, coupling):
     return run_scenario(parse_config(json.dumps(doc)), write_outputs=False).rows
 
 
-def flow_blocks(t, g0, coupling):
-    """A and B blocks of G = M(t) g0 M(t)^T, M(t) from SciPy's exponential, and their roundoff.
+def _exact_mode_entropy(nu):
+    half_up, half_down = (nu + 1) / 2, (nu - 1) / 2
+    return half_up * mpmath.log(half_up) - (half_down * mpmath.log(half_down) if nu > 1 else 0)
 
-    The pipeline reads each block's entropy off its Cholesky factor, whose
-    last pivot cancels: nu comes out with a relative error of about
-    eps |G|^2 (the conditioning wall of a long horizon), here at most
-    0.35 eps |G|^2 in I(A;B) on every row.
+
+def flow_blocks(t, g0, coupling):
+    """S(A) and S(B) of G = M(t) g0 M(t)^T at 40 digits, and the pipeline's error model.
+
+    M(t) = exp(t Omega h) is mpmath's exponential of the double h; each block
+    is one mode, whose symplectic eigenvalue is sqrt(det).  The pipeline
+    reads each block off the QR factor of its rows of M(t) C0, never from
+    the formed G, so I(A;B) carries an error of at most 0.82 eps |G| on
+    every row (measured); the tolerance is 1e-14 + 2 eps |G|.  The formed
+    blocks lost about eps |G|^2: 1.2e-6 at t = 6 on the product state.
     """
-    m = expm(t * standard_omega(2) @ inverted_pair_form(coupling=coupling))
-    g = m @ g0 @ m.T
-    return g[:2, :2], g[2:, 2:], 1e-9 + np.finfo(float).eps * np.max(np.abs(g)) ** 2
+    with mpmath.workdps(40):
+        m = mpmath.expm(mpmath.mpf(t) * mpmath.matrix(standard_omega(2)
+                                                      @ inverted_pair_form(coupling=coupling)))
+        g = m * mpmath.matrix(g0) * m.T
+        s_a, s_b = (_exact_mode_entropy(mpmath.sqrt(g[i, i] * g[i + 1, i + 1]
+                                                    - g[i, i + 1] * g[i + 1, i]))
+                    for i in (0, 2))
+        return s_a, s_b, 1e-14 + 2.0 * np.finfo(float).eps * float(max(abs(x) for x in g))
 
 
 def test_mutual_information_product_state():
@@ -263,9 +276,8 @@ def test_mutual_information_two_mode_squeezed():
     g0 = np.eye(4)
     for row in pipeline_rows(g0, coupling=0.2):
         assert row.i_ab == 2 * row.s_vn_a, row
-        g_a, g_b, tol = flow_blocks(row.t, g0, coupling=0.2)
-        s_a, s_b = von_neumann_entropy(g_a), von_neumann_entropy(g_b)
-        assert abs(row.i_ab - (s_a + s_b)) <= tol, (row, s_a, s_b)
+        s_a, s_b, tol = flow_blocks(row.t, g0, coupling=0.2)
+        assert abs(row.i_ab - float(s_a + s_b)) <= tol, (row, s_a, s_b)
 
 
 def test_mutual_information_nonnegative():
@@ -275,8 +287,8 @@ def test_mutual_information_nonnegative():
     s_ab = von_neumann_entropy(g0)
     for row in pipeline_rows(g0, coupling=0.2):
         assert row.i_ab >= -1e-9, row
-        g_a, g_b, tol = flow_blocks(row.t, g0, coupling=0.2)
-        expected = von_neumann_entropy(g_a) + von_neumann_entropy(g_b) - s_ab
+        s_a, s_b, tol = flow_blocks(row.t, g0, coupling=0.2)
+        expected = float(s_a + s_b - s_ab)
         assert abs(row.i_ab - expected) <= tol, (row, expected)
 
 

@@ -1,7 +1,9 @@
 """Built-in scenario demos and cross-checks between pipeline sections."""
 
+import importlib.util
 import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -13,7 +15,14 @@ from entgrowth.config import matrix_to_json, parse_config
 from entgrowth.dynamics import QuadraticHamiltonian, evolve_covariance, generator, propagate
 from entgrowth.entropy import LN_E_OVER_2
 from entgrowth.errors import ConfigError, NotPositiveDefinite, UncertaintyViolated
-from entgrowth.phase_space import ModeCount, SubsystemSpec, restrict, williamson_spectrum
+from entgrowth.phase_space import (
+    ModeCount,
+    SubsystemSpec,
+    factor_spectrum,
+    restrict,
+    row_factor,
+    williamson_spectrum,
+)
 from entgrowth.scenarios import (
     SCENARIO_NAMES,
     builtin_hamiltonian,
@@ -23,7 +32,10 @@ from entgrowth.scenarios import (
     run_view,
     scenario_document,
 )
+from entgrowth.ssa import squashed_bounds
 from reference import SHIPPED_ORACLE_CONFIG, default_scenario, inverted_pair_exponents
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_classical_counterexample_closed_form():
@@ -61,6 +73,51 @@ def test_gaussian_rows_keep_the_entropy_order():
         assert len(rows) == 201
         assert np.all(rows.s2_a <= rows.s_vn_a), name
         assert np.max(rows.s_vn_a - rows.s_as_a) <= 1e-12, name
+
+
+def _workload_document(workload, index):
+    """Config document of run ``index`` of a benchmark workload at seed 11, without outputs."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    doc = workloads.make_config(workload, 11, index, "unused.csv", "unused.json")
+    del doc["output"]
+    return doc
+
+
+def test_gaussian_rows_lie_between_their_squashed_bounds():
+    # the squashed entanglement of a pure state is its entanglement entropy,
+    # so bound_lower <= S_vn_A <= bound_upper in exact arithmetic.  Read off
+    # the formed G_A, S_vn_A sat above bound_upper by up to 1.45e-8 on
+    # inverted_pair and 2.0e-4 on the drive workload's run 1
+    docs = [scenario_document(name) for name in ("inverted_pair", "coupled_chain",
+                                                 "parametric_drive")]
+    docs += [_workload_document(workload, index) for workload in ("chain", "drive")
+             for index in range(-1, 4)]
+    for doc in docs:
+        rows = run_scenario(parse_config(json.dumps(doc)), write_outputs=False).rows
+        assert np.all(rows.bound_lower - 1e-9 <= rows.s_vn_a), doc
+        assert np.all(rows.s_vn_a <= rows.bound_upper + 1e-9), doc
+
+
+# S_vn_A of the exact flow at the last stored sample, from 60-digit mpmath on
+# the double h: exp(24 K) for inverted_pair, and M(tau)^8 with M(tau) the
+# product of the exact piece exponentials for parametric_drive
+S_VN_A_60_DIGITS = {
+    "inverted_pair": (24.0, 40.4343865874416292254679547296924481427461841, 2e-12),
+    "parametric_drive": (17.6, 9.32680772862634858156214451108533772425374173, 1e-11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(S_VN_A_60_DIGITS))
+def test_gaussian_entropy_matches_a_high_precision_reference(name):
+    # measured relative errors: 1.7e-14 (inverted_pair, at most 3.5e-13 over
+    # its stored samples) and 1.4e-12 (parametric_drive, at most 2.7e-12 on
+    # the drive workload's runs); the formed G_A read 4.2e-11 and 1.8e-6
+    t, exact, rel_tol = S_VN_A_60_DIGITS[name]
+    rows = run_scenario(default_scenario(name), write_outputs=False).rows
+    assert rows.t[-1] == t
+    assert abs(rows.s_vn_a[-1] - exact) <= rel_tol * exact
 
 
 def test_constant_flow_exponents_are_the_real_parts_of_eig_k():
@@ -294,27 +351,27 @@ def test_overlong_horizon_fails_structurally():
 
 
 def test_failure_names_stage_and_earliest_sample_time():
-    # inverted_pair past its horizon: the A block loses positive
-    # definiteness in its one factorization, before the exponent stage
+    # inverted_pair far past its horizon: the formed M(t) has lost its small
+    # singular values, so the bounds read from its SVD fall out of order
+    # before any A block fails; one typed failure, after the exponent section
     from entgrowth.errors import EntgrowthError
 
     doc = scenario_document("inverted_pair")
-    doc["run"]["t_final"] = 60.0
+    doc["run"]["t_final"] = 120.0
     cfg = parse_config(json.dumps(doc))
     rep = run_scenario(cfg, write_outputs=False)
-    prefix = "NotPositiveDefinite: entropy stage, A block at t="
+    prefix = "SingularM: squashed-bound stage, flow matrix at t="
     assert len(rep.failures) == 1 and rep.failures[0].startswith(prefix)
     t_text, detail = rep.failures[0][len(prefix):].split(": ", 1)
-    assert detail == "covariance check failed: not_positive_definite"
-    assert t_text == "52.56"
-    assert list(rep.sections) == ["propagation", "lyapunov"]
+    assert detail.startswith("bound ordering violated: lower=")
+    assert t_text == "114.48"
+    assert list(rep.sections) == ["propagation", "lyapunov", "exponent"]
 
     run = cfg.run
     series = propagate(cfg.hamiltonian, run.t_final, run.dt, store_every=run.store_every)
-    sub_a = SubsystemSpec.first_modes(1, 2)
     for t, m in zip(series.times, series.matrices):
         try:
-            williamson_spectrum(restrict(evolve_covariance(np.eye(4), m), sub_a))
+            squashed_bounds(m, np.eye(4), cfg.modes)
         except EntgrowthError:
             break
     assert t_text == f"{t:.6g}"
@@ -324,23 +381,25 @@ def test_failure_names_stage_and_earliest_sample_time():
                                   "metastable"])
 def test_each_a_block_is_factored_once(name, monkeypatch):
     # S_2, S_as, the volumetric exponent and the Williamson spectrum all
-    # read one Cholesky factor of the G_A stack
+    # read one QR factor of the stacked rows (M_A C0)^T.  The builtins start
+    # in the vacuum, C0 = I, so the bound stage's factor of (T^2)_A = M_A M_A^T
+    # reads the same stack: two calls, and no third
     cfg = default_scenario(name)
     inputs = []
-    cholesky = np.linalg.cholesky
+    qr = np.linalg.qr
 
     def counted(a, *args, **kwargs):
         inputs.append(np.array(a))
-        return cholesky(a, *args, **kwargs)
+        return qr(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    monkeypatch.setattr(np.linalg, "qr", counted)
     assert run_scenario(cfg, write_outputs=False).ok
     monkeypatch.undo()
     series = propagate(cfg.hamiltonian, cfg.run.t_final, cfg.run.dt,
                        store_every=cfg.run.store_every)
-    g_a = restrict(evolve_covariance(cfg.initial_state, series.matrices),
-                   SubsystemSpec.first_modes(cfg.modes.n_a, cfg.modes.n_total))
-    assert sum(a.shape == g_a.shape and np.array_equal(a, g_a) for a in inputs) == 1
+    c0 = np.linalg.cholesky(cfg.initial_state)
+    rows_t = np.swapaxes(series.matrices[:, :2 * cfg.modes.n_a] @ c0, 1, 2)
+    assert sum(a.shape == rows_t.shape and np.array_equal(a, rows_t) for a in inputs) == 2
 
 
 def _only_failure(name, tolerances):
@@ -610,27 +669,30 @@ def test_lattice_chain_blocks_keep_the_uncertainty_bound():
 
 
 def test_sixteen_site_lattice_keeps_its_exponent_section_at_the_wall():
-    # N=16, N_A=8: the formed A block leaves the uncertainty bound at
-    # t = 19.8; the exponent section, computed from the same factor before
-    # the Williamson spectrum, stays in the report.  Its exact lambda_alg,
-    # 1.73441, is within 1.4 % of the volumetric 1.75799, so the exponent
+    # N=16, N_A=8: the A block factored from the rows of the formed M(t)
+    # leaves the uncertainty bound at t = 39.8 (the formed G_A did at 19.8);
+    # the exponent section, computed from the same factor before the
+    # Williamson spectrum, stays in the report.  Its exact lambda_alg,
+    # 1.73441, is within 0.9 % of the volumetric 1.74971, so the exponent
     # gate passes
     h = scenarios._chain_form([1.5] * 16, -1.0)
     doc = {"modes": {"total": 16, "subsystem": 8},
            "hamiltonian": {"type": "constant", "h": matrix_to_json(h)},
            "initial_state": {"type": "gaussian", "covariance": "vacuum"},
-           "run": {"t_final": 20.0, "dt": 0.01, "store_every": 10}}
+           "run": {"t_final": 48.0, "dt": 0.01, "store_every": 10}}
     rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
     assert list(rep.sections) == ["propagation", "lyapunov", "exponent"]
     assert abs(rep.sections["exponent"]["lambda_alg"] - 1.73441) < 5e-6
     assert rep.failures == [
-        "UncertaintyViolated: entropy stage, A block at t=19.8: covariance check failed: "
-        "uncertainty_violated (min symplectic eigenvalue = 0.99998808371)"]
+        "UncertaintyViolated: entropy stage, A block at t=39.8: covariance check failed: "
+        "uncertainty_violated (min symplectic eigenvalue = 0.998388194555)"]
 
 
 def test_thirty_two_site_lattice_names_its_earliest_failing_sample():
-    # N=32, N_A=16: the A-block factor fails at t = 16.1, but the formed
-    # blocks already leave the uncertainty bound at t = 6.3, which is named
+    # N=32, N_A=16: the A blocks factored from the rows of the formed M(t)
+    # leave the uncertainty bound first at t = 14.8 (the formed G_A did at
+    # 6.3), which is named.  The volumetric slope on [10, 20] is still in
+    # its transient, so the exponent gate fails before it
     h = scenarios._chain_form([1.5] * 32, -1.0)
     doc = {"modes": {"total": 32, "subsystem": 16},
            "hamiltonian": {"type": "constant", "h": matrix_to_json(h)},
@@ -638,16 +700,15 @@ def test_thirty_two_site_lattice_names_its_earliest_failing_sample():
            "run": {"t_final": 20.0, "dt": 0.01, "store_every": 10}}
     cfg = parse_config(json.dumps(doc))
     rep = run_scenario(cfg, write_outputs=False)
-    assert list(rep.sections) == ["propagation", "lyapunov"]
+    assert list(rep.sections) == ["propagation", "lyapunov", "exponent"]
     assert rep.failures == [
-        "UncertaintyViolated: entropy stage, A block at t=6.3: covariance check failed: "
-        "uncertainty_violated (min symplectic eigenvalue = 0.99999999924)"]
+        "algebraic 3.84899 vs volumetric 3.66496 disagree",
+        "UncertaintyViolated: entropy stage, A block at t=14.8: covariance check failed: "
+        "uncertainty_violated (min symplectic eigenvalue = 0.999999999493)"]
     series = propagate(cfg.hamiltonian, 20.0, 0.01, store_every=10)
-    g_a = restrict(evolve_covariance(np.eye(64), series.matrices),
-                   SubsystemSpec.first_modes(16, 32))
     with pytest.raises(UncertaintyViolated) as info:
-        williamson_spectrum(g_a)
-    assert f"{series.times[info.value.index]:.6g}" == "6.3"
+        factor_spectrum(row_factor(series.matrices[:, :32]))
+    assert f"{series.times[info.value.index]:.6g}" == "14.8"
 
 
 def test_lattice_chain_run_reports_no_uncertainty_violation():

