@@ -1,79 +1,82 @@
-"""Brute-force truncated-number-basis simulator for one to three modes.
+"""Truncated-number-basis oracle for one to three modes.
 
-This is the independent cross-check for everything the Gaussian pipeline
-claims: it evolves arbitrary pure states (Fock, coherent, cat,
-superpositions) under the same quadratic Hamiltonians by Chebyshev
-propagators on sparse operators and measures true reduced entropies from
-Schmidt coefficients.
+This is the independent cross-check of the non-Gaussian half of the claims:
+for an arbitrary pure initial state (Fock, coherent, cat, superpositions)
+it forms the amplitudes of U(t) psi0 on the truncated number basis and
+measures true reduced entropies from Schmidt coefficients.
 
-Truncation policy: a hard ceiling on the population of the top two levels
-of any mode.  Once exceeded, later samples are marked untrusted rather
-than silently kept; unstable dynamics leaves any fixed cutoff eventually,
-so honest windows beat adaptive cutoff growth.
+Projection of U(t) psi0.  For a quadratic H, U(t) is the Gaussian unitary
+of the flow M(t) that the propagation stage stores: U^dag a U = alpha a +
+beta a^dag, with alpha and beta the complex (a, a^dag) blocks of M(t)
+(:func:`_ladder_blocks`).  U|0> is the Gaussian state whose amplitudes obey
+the recurrence (Miatto and Quesada, Quantum 4, 366, 2020)
+
+    sqrt(n_i + 1) psi(n + e_i) = b_i psi(n) + sum_j B_ij sqrt(n_j) psi(n - e_j)
+
+with B = beta conj(alpha)^-1, b = 0 and |<0|U|0>| = |det alpha|^(-1/2),
+formed for all samples at once (:func:`_gaussian_amplitudes`).  A sum of
+number states, sum_n c_n |n>, maps to sum_n c_n prod_i X_i^n_i / sqrt(n_i!)
+U|0> in the images X_i = U a_i^dag U^dag.  Since a U|0> = B a^dag U|0>,
+that is a polynomial in a^dag applied to U|0>, which reads only the levels
+below each amplitude, so the projection needs no level above the cutoff
+(:func:`_number_sum`).  A sum of coherent states sum_k c_k |gamma_k> maps
+to sum_k c_k D(gamma_k(t)) U|0>, with gamma_k(t) = alpha gamma_k + beta
+conj(gamma_k) and the same recurrence with b = gamma_k(t) - B
+conj(gamma_k(t)).  Every term shares U|0>, so the relative phases are
+exact and only the global phase of each sample is left open.  There is no
+time step, no operator and no series.
+
+Trust rule: the rows read the normalized projection.  Once the population
+of its top two levels in any mode exceeds the leak ceiling, that sample and
+all later ones are flagged untrusted rather than silently kept; unstable
+dynamics leaves any fixed cutoff eventually, so honest windows beat
+adaptive cutoff growth.  The weight lost above the cutoff, 1 - |P psi|^2,
+is exact at every sample.  The projection of a unit vector has |P psi|^2
+<= 1, and a sample above 1 + ``NORM_SLACK`` fails the run.
 
 Size policy, owned by :func:`check_size` alone: a cutoff of at least 4, and
-a run's stored amplitudes, twice (its stack, and a recurrence block while the
-block's stored rows are copied), its sparse step operator and the Chebyshev
-vectors of one recurrence (at most ``SPAN_TERMS``, the term count of a
-``SPAN_CAP`` span) must fit ``MEMORY_BUDGET`` bytes, with no cap on the modes
-or the dimension.  The config parser runs it with the run's sample count
-before it builds the state, and :func:`evolve_fock` runs it once more.  The
-state owns its shape; :class:`FockConfig` holds only the step and the leak
+a run's stored amplitudes with the working tensors that form them must fit
+``MEMORY_BUDGET`` bytes, with no cap on the modes or the dimension.  The
+config parser runs it with the run's sample count before it builds the
+state, and :func:`evolve_fock` runs it once more.  The state owns its
+shape; :class:`FockConfig` holds only the sample grid's step and the leak
 ceiling.
 
-The operator is one sparse product, [xi_1 ... xi_2N] (h (x) I) [xi_1; ...;
-xi_2N] = h_ab xi^a xi^b, Hermitian-averaged (:func:`build_hamiltonian`).
-
-``scipy.sparse``, ``scipy.fft`` and ``scipy.special`` are imported by the
-functions that use them, on first use, so importing this module and
-parsing a Fock config load none of them.
+No pipeline stage calls :func:`build_hamiltonian` (the sparse truncated
+Hamiltonian) or the reduced entropies of one state.  ``scipy.sparse`` is
+imported by the functions that build sparse operators, on first use, so an
+oracle run loads no SciPy module.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 
-from .dynamics import (
-    QuadraticHamiltonian,
-    sample_count,
-    sample_times,
-    step_count,
-    step_loop,
-    stored_steps,
-)
+from .dynamics import QuadraticHamiltonian, sample_count, sample_times, step_count
 from .errors import DimensionMismatch, TruncationLeak
 from .phase_space import williamson_spectrum
 
 
-MEMORY_BUDGET = 2 ** 27   # bytes: amplitudes twice, step operator and Chebyshev vectors, 128 MiB
-CHEBYSHEV_CUT = 1e-17     # a series ends where |J_k| falls below this
-# largest x = tau w one recurrence spans: its outputs cost samples x terms x dim,
-# which grows with the square of the span
-SPAN_CAP = 64.0
-SPAN_TERMS = 111          # _term_count(SPAN_CAP), kept as a number so sizing loads no Bessel code
+MEMORY_BUDGET = 2 ** 27   # bytes: the stored amplitudes and the working tensors, 128 MiB
+# amplitude tensors a run holds per sample: the stack it returns, U|0> (or one
+# coherent term's state) and one monomial's product while it is added
+TENSORS = 3
 LEAK_CEILING = 1e-6       # default ceiling on the top-two-level population of any mode
+NORM_SLACK = 1e-12        # roundoff allowed above |P psi|^2 = 1
 
 
 def check_size(n_modes: int, cutoff: int, n_samples: int) -> None:
     """Raise ValueError for a cutoff below 4 or a run of ``n_samples`` over ``MEMORY_BUDGET``.
 
-    A run holds its stored amplitude vectors twice (a recurrence block beside
-    the trajectory's stack while its stored rows are copied), its sparse step
-    operator and the Chebyshev vectors of one recurrence, at most
-    ``SPAN_TERMS``.  A quadratic form moves the occupations by at most two
-    quanta, in one mode or across two, so the operator has at most 2 N^2 + 1
-    nonzero diagonals: each nonzero costs a complex value and a column
-    index, each row a pointer.
+    A run holds ``TENSORS`` tensors of cutoff^N 16-byte complex amplitudes
+    per sample while it forms its stack.
     """
     if cutoff < 4:
         raise ValueError("cutoff must be at least 4")
     dim = cutoff ** n_modes
-    need = (16 * (2 * n_samples + SPAN_TERMS) * dim
-            + 20 * (2 * n_modes ** 2 + 1) * dim + 4 * (dim + 1))
+    need = 16 * TENSORS * n_samples * dim
     if need > MEMORY_BUDGET:
         raise ValueError(f"{n_samples} stored samples at dimension {dim} need "
                          f"{need / 2 ** 20:.4g} MiB, above the {MEMORY_BUDGET / 2 ** 20:g} MiB "
@@ -82,7 +85,7 @@ def check_size(n_modes: int, cutoff: int, n_samples: int) -> None:
 
 @dataclass(frozen=True)
 class FockConfig:
-    """Stepping and truncation parameters of the oracle; the state carries its modes and cutoff."""
+    """The sample grid's step and the leak ceiling; the state carries its modes and cutoff."""
 
     dt: float
     leak_ceiling: float = LEAK_CEILING
@@ -140,134 +143,19 @@ def build_hamiltonian(ham: QuadraticHamiltonian, t: float, cutoff: int):
     return (0.25 * (op + op.conj().T)).tocsr()
 
 
-@dataclass(frozen=True, eq=False)
-class _Frame:
-    """A Hermitian op as ``doubled`` = 2 (op - c) / w, for its spectrum inside [c - w, c + w].
-
-    Frames compare by identity: segments on one frame share one recurrence.
-    """
-
-    doubled: "scipy.sparse.csr_matrix"
-    c: float
-    w: float
-
-
-def _chebyshev_frame(op) -> _Frame:
-    """The frame of a Hermitian ``op`` from the union of its Gershgorin discs."""
-    from scipy import sparse
-
-    diag = op.diagonal()
-    radius = np.asarray(abs(op).sum(axis=1)).ravel() - np.abs(diag)
-    low, high = float(np.min(diag.real - radius)), float(np.max(diag.real + radius))
-    c, w = 0.5 * (high + low), 0.5 * (high - low)
-    # w = 0 means op = c, and the series has one term; a subnormal w, whose
-    # 2 / w overflows, is op = c to within w and is taken as 0 too
-    scale = 2.0 / w if w > 0.0 else 0.0
-    if not math.isfinite(scale):
-        scale = w = 0.0
-    return _Frame(((op - c * sparse.identity(op.shape[0], format="csr")) * scale).tocsr(), c, w)
-
-
-class _Segments(tuple):
-    """exp(-i l_n op_n) ... exp(-i l_1 op_1) as the pairs ((frame_1, l_1), ..., (frame_n, l_n)).
-
-    ``a @ b`` applies ``b`` first, as for matrices, so the step loop's
-    period map is the pairs of its pieces in order.
-    """
-
-    def __matmul__(self, other):
-        return _Segments(other + self)
-
-
-@lru_cache(maxsize=64)
-def _term_count(x: float) -> int:
-    """Terms of the series at x = tau w: up to the last k with |J_k(x)| above ``CHEBYSHEV_CUT``.
-
-    Cached: each J_k call costs a few microseconds at these orders.
-    """
-    from scipy.special import jv
-
-    # |J_k(x)| < (x/2)^k / k!, far below the cut at k = 1.5 x + 50 for any x
-    ks = np.arange(int(1.5 * x) + 50)
-    return int(np.nonzero(np.abs(jv(ks, x)) >= CHEBYSHEV_CUT)[0][-1]) + 1
-
-
-def _chebyshev_coefficients(xs, n_terms: int) -> np.ndarray:
-    """(2 - delta_k0) (-i)^k J_k(x) for k < ``n_terms``, one row per x of ``xs``.
-
-    By Jacobi-Anger, exp(-i x cos theta) = sum_k (2 - delta_k0) (-i)^k
-    J_k(x) cos(k theta), so one DCT-I of its samples at the N + 1
-    Chebyshev-Lobatto angles theta_n = pi n / N gives every row.  Each
-    coefficient picks up aliases of index 2N - k and above; with N =
-    ``n_terms`` they lie below the cut for every x up to the one that set
-    ``n_terms``, since J_k(x) grows with x for k >= x.
-    """
-    from scipy.fft import dct
-
-    theta = np.pi * np.arange(n_terms + 1) / n_terms
-    coef = dct(np.exp(-1j * np.multiply.outer(xs, np.cos(theta))), type=1, axis=-1)[..., :n_terms]
-    coef /= n_terms
-    coef[..., 0] *= 0.5
-    return coef
-
-
-def _chebyshev_series(frame: _Frame, psi, taus, out) -> None:
-    """Write exp(-i tau op) psi for each tau of the ascending ``taus`` to the rows of ``out``.
-
-    The Chebyshev expansion of Tal-Ezer and Kosloff (J. Chem. Phys. 81,
-    3967, 1984): exp(-i tau op) = e^{-i tau c} sum_k (2 - delta_k0) (-i)^k
-    J_k(tau w) T_k((op - c) / w).  The vectors T_k((op - c) / w) psi do not
-    depend on tau: the three-term recurrence T_{k+1} = 2 x T_k - T_{k-1}
-    builds them once, one sparse product per term, up to the term count of
-    the largest tau, and the rows are one product of the coefficient table
-    with them.  ``psi`` is read in full before ``out`` is written.
-    """
-    xs = np.asarray(taus) * frame.w
-    n_terms = _term_count(xs[-1])
-    vecs = np.empty((n_terms, psi.size), dtype=complex)
-    vecs[0] = psi
-    if n_terms > 1:
-        vecs[1] = 0.5 * (frame.doubled @ psi)
-        for k in range(2, n_terms):
-            np.subtract(frame.doubled @ vecs[k - 1], vecs[k - 2], out=vecs[k])
-    coef = _chebyshev_coefficients(xs, n_terms) * np.exp(-1j * frame.c * np.asarray(taus))[:, None]
-    np.matmul(coef, vecs, out=out)
-
-
-def _chebyshev_states(frame: _Frame, psi, lengths, stored, out):
-    """Write exp(-i tau_j op) psi to ``out`` at each partial sum tau_j of ``lengths`` that
-    ``stored`` flags, one row each in order, and return the state at the last sum.
-
-    One recurrence (:func:`_chebyshev_series`) serves every tau_j within
-    x = ``SPAN_CAP`` of the span's start.  It forms only the span's stored
-    rows and its last state, from which the next span restarts.  A length
-    longer than a span runs as equal parts in turn.
-    """
-    limit = SPAN_CAP / frame.w if frame.w > 0.0 else math.inf
-    taus = np.concatenate(([0.0], np.cumsum(lengths)))
-    kept = np.flatnonzero(stored)
-    start = count = 0
-    while start < len(lengths):
-        stop = max(start + 1, int(np.searchsorted(taus, taus[start] + limit, side="right")) - 1)
-        rows = kept[(kept >= start) & (kept < stop)]
-        offsets = taus[np.union1d(rows, [stop - 1]) + 1] - taus[start]
-        block = np.empty((len(offsets), psi.size), dtype=complex)
-        # above 1 only for a segment longer than a span, which is alone in it
-        parts = max(1, math.ceil(offsets[0] / limit))
-        for _ in range(parts):
-            _chebyshev_series(frame, psi, offsets / parts, block)
-            psi = block[-1]
-        out[count:count + len(rows)] = block[:len(rows)]
-        count += len(rows)
-        start = stop
-    return psi
-
-
 @dataclass(frozen=True)
 class FockState:
-    """Complex amplitude tensor over the truncated number basis."""
+    """Complex amplitude tensor over the truncated number basis.
+
+    ``coherent_terms`` holds the state as a finite sum of coherent product
+    states, pairs (c_k, gamma_k) for sum_k c_k |gamma_k>, when it was built
+    as one (:meth:`coherent`, :meth:`cat`); the amplitudes are then its
+    truncation, and the oracle maps the terms.  Otherwise the oracle maps
+    the amplitudes, as the sum of c_n |n>.
+    """
 
     amplitudes: np.ndarray
+    coherent_terms: tuple = ()
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
@@ -275,7 +163,12 @@ class FockState:
             raise DimensionMismatch("amplitude tensor must have 1 to 3 axes")
         if len(set(amp.shape)) != 1:
             raise DimensionMismatch("all modes must share one cutoff")
+        terms = tuple((complex(c), np.asarray(gamma, dtype=complex))
+                      for c, gamma in self.coherent_terms)
+        if any(gamma.shape != (amp.ndim,) for _, gamma in terms):
+            raise DimensionMismatch(f"each coherent term needs {amp.ndim} amplitudes")
         object.__setattr__(self, "amplitudes", amp)
+        object.__setattr__(self, "coherent_terms", terms)
 
     @property
     def n_modes(self) -> int:
@@ -315,8 +208,9 @@ class FockState:
     @classmethod
     def coherent(cls, alphas, cutoff: int) -> "FockState":
         """Product of coherent states, one amplitude per mode."""
+        alphas = np.atleast_1d(alphas)
         vecs = []
-        for alpha in np.atleast_1d(alphas):
+        for alpha in alphas:
             n = np.arange(cutoff)
             log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, cutoff)))])
             vec = np.exp(-0.5 * abs(alpha) ** 2) * alpha ** n / np.exp(0.5 * log_fact)
@@ -327,7 +221,7 @@ class FockState:
         amp = vecs[0]
         for vec in vecs[1:]:
             amp = np.multiply.outer(amp, vec)
-        return cls(amp).normalized()
+        return cls(amp / np.linalg.norm(amp), ((1.0, alphas),))
 
     @classmethod
     def cat(cls, alpha, cutoff: int, n_modes: int = 1, mode: int = 0) -> "FockState":
@@ -342,7 +236,11 @@ class FockState:
         for m in range(n_modes):
             vec = local if m == mode else vac
             amp = vec if amp is None else np.multiply.outer(amp, vec)
-        return cls(amp)
+        gamma = np.zeros(n_modes, dtype=complex)
+        gamma[mode] = alpha
+        # <alpha|-alpha> = exp(-2 |alpha|^2)
+        c = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-2.0 * abs(alpha) ** 2))
+        return cls(amp, ((c, gamma), (c, -gamma)))
 
 
 def top_level_population(amplitudes):
@@ -352,14 +250,182 @@ def top_level_population(amplitudes):
                    for axis in axes], axis=0)
 
 
+def _ladder_blocks(mats):
+    """(alpha, beta) with U^dag a U = alpha a + beta a^dag, for each M(t) of a stack.
+
+    M acts on (q1, p1, ..., qN, pN) with U^dag xi U = M xi; substituting
+    a = (q + i p) / sqrt(2) gives, per mode pair (i, j), alpha_ij = (M_qq +
+    M_pp + i (M_pq - M_qp)) / 2 and beta_ij = (M_qq - M_pp + i (M_pq +
+    M_qp)) / 2.
+    """
+    qq, qp = mats[..., 0::2, 0::2], mats[..., 0::2, 1::2]
+    pq, pp = mats[..., 1::2, 0::2], mats[..., 1::2, 1::2]
+    return 0.5 * ((qq + pp) + 1j * (pq - qp)), 0.5 * ((qq - pp) + 1j * (pq + qp))
+
+
+def _shifts(axis, levels, ndim):
+    """(lo, hi, counts): index tuples of the levels below the top and above the bottom on
+    ``axis`` of an ``ndim`` tensor, and 1 .. levels - 1 shaped along that axis."""
+    lead = (slice(None),) * axis
+    shape = [1] * ndim
+    shape[axis] = levels - 1
+    return (lead + (slice(None, -1),), lead + (slice(1, None),),
+            np.arange(1.0, levels).reshape(shape))
+
+
+def _ladder(psi, axis, up):
+    """a^dag (``up``) or a on ``axis`` of a tensor, on its levels: a^dag drops what it
+    raises past the top level, and a leaves the top level empty."""
+    out = np.zeros_like(psi)
+    lo, hi, counts = _shifts(axis, psi.shape[axis], psi.ndim)
+    if up:
+        np.multiply(np.sqrt(counts), psi[lo], out=out[hi])
+    else:
+        np.multiply(np.sqrt(counts), psi[hi], out=out[lo])
+    return out
+
+
+def _gaussian_amplitudes(b, bmat, c0, levels):
+    """Amplitudes of c0 exp(b . a^dag + a^dag B a^dag / 2)|0> on ``levels`` per mode, per sample.
+
+    ``b`` (samples, N), or None for 0, ``bmat`` (samples, N, N) and ``c0``
+    (samples,).  Mode i's sweep fills the amplitudes whose later modes are
+    empty, one level k + 1 of mode i at a time, by the recurrence divided
+    by sqrt(k + 1), with the earlier modes' levels as one vectorized axis
+    each; its B_ij sqrt(n_j) psi(n - e_j) terms for j < i are shifts along
+    those axes.
+    """
+    n_samples, n = bmat.shape[:2]
+    psi = np.zeros((n_samples,) + (levels,) * n, dtype=complex)
+    psi.reshape(n_samples, -1)[:, 0] = c0
+    # sqrt(k / (k + 1)) and 1 / sqrt(k + 1) for the step from level k
+    ks = np.arange(levels - 1.0)
+    down, over = np.sqrt(ks / (ks + 1.0)), 1.0 / np.sqrt(ks + 1.0)
+    for i in range(n):
+        # the amplitudes with modes past i empty; mode i is the last axis
+        face = psi[(slice(None),) * (i + 2) + (0,) * (n - 1 - i)]
+        shape = (n_samples,) + (1,) * i
+        diag = bmat[:, i, i].reshape(shape)
+        lin = None if b is None else b[:, i].reshape(shape)
+        cross = []
+        for j in range(i):
+            lo, hi, counts = _shifts(j + 1, levels, i + 1)
+            cross.append((lo, hi, bmat[:, i, j].reshape(shape) * np.sqrt(counts)))
+        for k in range(levels - 1):
+            here, nxt = face[..., k], face[..., k + 1]
+            if k:
+                np.multiply(down[k] * diag, face[..., k - 1], out=nxt)
+            if lin is not None:
+                nxt += (over[k] * lin) * here
+            for lo, hi, coef in cross:
+                nxt[hi] += (over[k] * coef) * here[lo]
+    return psi
+
+
+def _image_polynomial(poly, lift, beta, i):
+    """The polynomial X_i g of a polynomial g, for the states g(a^dag) U|0>, per sample.
+
+    ``poly`` holds the coefficients of the monomials x^m, one axis per
+    mode after the samples.  X_i = U a_i^dag U^dag = sum_j alpha_ji a_j^dag
+    - conj(beta_ji) a_j, since U a U^dag = alpha^dag a - beta^T a^dag
+    inverts the map of :func:`_ladder_blocks`.  On g(a^dag) U|0>, a_j acts as
+    d/dx_j + (B x)_j, because a U|0> = B a^dag U|0>; so X_i g = sum_m R_mi
+    x_m g - sum_j conj(beta_ji) dg/dx_j, with ``lift`` R = alpha - B conj(beta).
+    """
+    shape = (len(poly),) + (1,) * (poly.ndim - 1)
+    out = np.zeros_like(poly)
+    for m in range(poly.ndim - 1):
+        lo, hi, counts = _shifts(m + 1, poly.shape[m + 1], poly.ndim)
+        out[hi] += lift[:, m, i].reshape(shape) * poly[lo]
+        out[lo] -= beta[:, m, i].conj().reshape(shape) * (counts * poly[hi])
+    return out
+
+
+def _number_sum(coef, vacuum, alpha, beta, bmat):
+    """sum_n coef[n] prod_i X_i^n_i / sqrt(n_i!) U|0>, per sample, from ``vacuum`` = U|0>.
+
+    The sum is g(a^dag) U|0> for a polynomial g of the state's total
+    occupation, whose coefficients (per sample) follow by Horner's rule in
+    each mode in turn, sum_k c_k X^k / sqrt(k!) = c_0 + X (c_1 + X (c_2 +
+    ...) / sqrt(2)) / sqrt(1), each c_k the sum over the later modes
+    (:func:`_image_polynomial`; the X_i commute).  Each monomial x^m then
+    enters as (a^dag)^m U|0>, sqrt(n! / (n - m)!) psi(n - m), which reads
+    only lower levels: the sum is exact on the cutoff with no level above
+    it.
+    """
+    n_samples, n, cutoff = len(vacuum), coef.ndim, coef.shape[0]
+    degree = int(np.argwhere(coef).sum(axis=1).max())
+    one = np.zeros((n_samples,) + (degree + 1,) * n, dtype=complex)
+    one.reshape(n_samples, -1)[:, 0] = 1.0
+    lift = alpha - bmat @ beta.conj()
+
+    def horner(c, mode):
+        if mode == n:
+            return c * one
+        occupied = np.flatnonzero(c.reshape(len(c), -1).any(axis=1))
+        out = horner(c[occupied[-1]], mode + 1)
+        for k in range(occupied[-1] - 1, -1, -1):
+            out = _image_polynomial(out, lift, beta, mode) / math.sqrt(k + 1)
+            if c[k].any():
+                out += horner(c[k], mode + 1)
+        return out
+
+    poly = horner(coef, 0)
+    levels = np.arange(cutoff, dtype=float)
+    out, buffer = np.zeros_like(vacuum), np.empty_like(vacuum)
+    for m in np.argwhere(np.any(poly, axis=0)):
+        # sqrt(n! / (n - m_i)!) on the levels n >= m_i of each mode with m_i > 0
+        weights = []
+        for axis, mi in enumerate(m, 1):
+            if mi:
+                falling = np.ones(cutoff - mi)
+                for k in range(mi):
+                    falling *= levels[mi:] - k
+                weights.append(np.sqrt(falling).reshape((-1,) + (1,) * (n - axis)))
+        # the first weight joins the sample coefficients, the others scale the
+        # product in place; the product of every monomial shares one buffer
+        factor = poly[(slice(None),) + tuple(m)].reshape((n_samples,) + (1,) * n)
+        target = out[(slice(None),) + tuple(slice(mi, None) for mi in m)]
+        product = buffer[(slice(None),) + tuple(slice(mi, None) for mi in m)]
+        np.multiply(factor * weights[0] if weights else factor,
+                    vacuum[(slice(None),) + tuple(slice(cutoff - mi) for mi in m)], out=product)
+        for weight in weights[1:]:
+            product *= weight
+        np.add(target, product, out=target)
+    return out
+
+
+def _projection(psi0: FockState, alpha, beta) -> np.ndarray:
+    """P U(t) psi0 on the state's cutoff, one tensor per sample of (alpha, beta)."""
+    cutoff = psi0.cutoff
+    # B = beta conj(alpha)^-1, solved as conj(alpha)^T B^T = beta^T (B is symmetric)
+    bmat = np.linalg.solve(np.swapaxes(alpha.conj(), -1, -2), np.swapaxes(beta, -1, -2))
+    bmat = np.swapaxes(bmat, -1, -2)
+    vacuum = np.exp(-0.5 * np.linalg.slogdet(alpha)[1]).astype(complex)
+    if not psi0.coherent_terms:
+        return _number_sum(psi0.amplitudes, _gaussian_amplitudes(None, bmat, vacuum, cutoff),
+                           alpha, beta, bmat)
+    out = 0.0
+    for c, gamma0 in psi0.coherent_terms:
+        gamma = alpha @ gamma0 + beta @ gamma0.conj()
+        b = gamma - np.einsum("sij,sj->si", bmat, gamma.conj())
+        # <0|D(gamma) U|0> = <-gamma|U|0>
+        weight = np.exp(-0.5 * np.sum(np.abs(gamma) ** 2, axis=-1)
+                        + 0.5 * np.einsum("si,sij,sj->s", gamma.conj(), bmat, gamma.conj()))
+        out = out + _gaussian_amplitudes(b, bmat, c * vacuum * weight, cutoff)
+    return out
+
+
 @dataclass
 class FockTrajectory:
-    """Oracle samples: one stack of ``amplitudes`` on the ``times`` of ``propagate``, trust flags."""
+    """Oracle samples: one stack of normalized ``amplitudes`` on the ``times`` of ``propagate``,
+    the weight each lost above the cutoff, trust flags."""
 
     times: np.ndarray
     amplitudes: np.ndarray
     leaks: np.ndarray
     trusted: np.ndarray
+    lost: np.ndarray
 
     @property
     def trusted_until(self) -> float:
@@ -367,83 +433,50 @@ class FockTrajectory:
         return float(self.times[idx[-1]]) if len(idx) else 0.0
 
 
-def evolve_fock(psi0: FockState, ham: QuadraticHamiltonian, t_final: float,
-                cfg: FockConfig, store_every: int = 1) -> FockTrajectory:
-    """Propagate by exp(-i s H) over the segments of the shared step loop.
+def evolve_fock(psi0: FockState, matrices, t_final: float, cfg: FockConfig,
+                store_every: int = 1) -> FockTrajectory:
+    """The normalized projection of U(t) psi0 at each stored flow matrix M(t) of ``matrices``.
 
-    The segments are those of :func:`~entgrowth.dynamics.step_loop`: a
-    callable Hamiltonian gets one per step, sampled at the step midpoint,
-    while piecewise-constant data gets one exact segment per piece crossed
-    between stored samples (and the pieces of one period map per whole
-    period).  The operator is built once per piece for data, so a constant
-    Hamiltonian is built once.  Consecutive segments on one operator share
-    one Chebyshev recurrence (:func:`_chebyshev_states`): the Chebyshev
-    vectors T_k psi do not depend on the time, so one recurrence serves
-    every stored sample on that operator, each through its own Bessel
-    coefficients, accurate to roundoff.  A recurrence spans at most x =
-    tau w = ``SPAN_CAP`` = 64 and then restarts from its last state,
-    because accumulating its outputs costs samples x terms x dim, which
-    grows with the square of the span.  A run must pass :func:`check_size`.
-    Stored states are copied out of their block into one stack on the times
-    of ``propagate``, whose norm drift and top-level population are checked
-    once, failing at the earliest stored time.  Once the top-level population
-    exceeds the ceiling, all later samples are flagged untrusted; an initial
-    state already over the ceiling is rejected outright.
+    ``matrices`` are the flow on the grid of ``propagate(ham, t_final,
+    cfg.dt, store_every)``, which the trajectory's times equal bit for bit.
+    Each sample is formed from its own M(t) by the recurrence (see the
+    module docstring); nothing is stepped.  A run must pass
+    :func:`check_size`.  A sample whose projection has squared norm above 1 +
+    ``NORM_SLACK`` fails at the earliest such time; the lost weight 1 -
+    |P psi|^2 of each sample is kept.  Once the top-level population of the
+    normalized projection exceeds the ceiling, all later samples are
+    flagged untrusted; an initial state already over the ceiling is
+    rejected outright.
     """
-    if ham.n_modes != psi0.n_modes:
-        raise DimensionMismatch(f"Hamiltonian has {ham.n_modes} modes, state has {psi0.n_modes}")
+    mats = np.asarray(matrices, dtype=float)
+    if mats.ndim != 3 or mats.shape[1:] != (2 * psi0.n_modes,) * 2:
+        raise DimensionMismatch(f"flow acts on {mats.shape[-1] // 2} modes, the state has "
+                                f"{psi0.n_modes}")
+    n_samples = sample_count(step_count(t_final, cfg.dt), store_every)
+    if len(mats) != n_samples:
+        raise DimensionMismatch(f"{len(mats)} flow matrices for {n_samples} sample times")
     if abs(psi0.norm - 1.0) > 1e-8:
         raise ValueError(f"initial state norm {psi0.norm} not 1")
     if top_level_population(psi0.amplitudes[None])[0] > cfg.leak_ceiling:
         raise TruncationLeak("fock stage at t=0: initial state already exceeds the leak "
                              "ceiling; raise the cutoff")
-
-    n_steps = step_count(t_final, cfg.dt)
-    check_size(psi0.n_modes, psi0.cutoff, sample_count(n_steps, store_every))
+    check_size(psi0.n_modes, psi0.cutoff, n_samples)
     times = sample_times(t_final, cfg.dt, store_every)
-    events = stored_steps(n_steps, store_every)[1:]
-    frames = {}    # piece index -> Chebyshev frame of its Fock operator
 
-    def segment(length, t_mid):
-        piece = ham.piece_at(t_mid)
-        frame = frames.get(piece)
-        if frame is None:
-            frame = _chebyshev_frame(build_hamiltonian(ham, t_mid, psi0.cutoff))
-            if piece is not None:
-                frames[piece] = frame
-        return _Segments(((frame, length),))
-
-    def segments():
-        # (frame, length, stored): every segment in order; the last segment
-        # of a stored step ends at its stored time
-        for _, _, factors in step_loop(ham, t_final, n_steps, events, segment):
-            pairs = (pair for factor in factors for pair in factor)
-            last = next(pairs)
-            for pair in pairs:
-                yield (*last, False)
-                last = pair
-            yield (*last, True)
-
-    amplitudes = np.empty(times.shape + psi0.amplitudes.shape, dtype=complex)
-    rows = amplitudes.reshape(len(times), -1)    # a view: its rows are the stack's states
-    rows[0] = psi0.amplitudes.ravel()
-    psi, count = rows[0], 1
-    for frame, group in groupby(segments(), key=itemgetter(0)):
-        _, lengths, stored = zip(*group)
-        psi = _chebyshev_states(frame, psi, lengths, stored, rows[count:])
-        count += sum(stored)
-
+    amplitudes = _projection(psi0, *_ladder_blocks(mats))
     # squared norms from the real view: no copy of the stack
-    flat = rows.view(float)
-    drift = np.abs(np.sqrt(np.einsum("ij,ij->i", flat, flat)) - 1.0)
-    bad = np.nonzero(drift > 1e-8 * np.maximum(times, 1.0))[0]
+    flat = amplitudes.reshape(n_samples, -1).view(float)
+    norm2 = np.einsum("ij,ij->i", flat, flat)
+    bad = np.flatnonzero(norm2 > 1.0 + NORM_SLACK)
     if len(bad):
         i = bad[0]
-        raise RuntimeError(f"fock stage at t={times[i]:.6g}: norm drift {drift[i]:.3g}; "
-                           f"step unitary is broken")
+        raise RuntimeError(f"fock stage at t={times[i]:.6g}: projection norm^2 exceeds 1 by "
+                           f"{norm2[i] - 1.0:.3g}; M(t) is not symplectic")
+    amplitudes /= np.sqrt(norm2).reshape((n_samples,) + (1,) * psi0.n_modes)
     leaks = top_level_population(amplitudes)
     return FockTrajectory(times=times, amplitudes=amplitudes, leaks=leaks,
-                          trusted=~np.logical_or.accumulate(leaks > cfg.leak_ceiling))
+                          trusted=~np.logical_or.accumulate(leaks > cfg.leak_ceiling),
+                          lost=1.0 - norm2)
 
 
 def _schmidt_values(amplitudes, modes_a) -> np.ndarray:
@@ -490,15 +523,18 @@ def covariance_of(state: FockState):
     """First and second quadrature moments: returns (covariance, displacement).
 
     The covariance follows the symmetrized-product convention with the
-    vacuum normalized to the identity.  The result is validity-checked with
-    an uncertainty slack widened by the measured top-level population:
-    chopping the amplitude tail can push the moments below the bound by an
-    amount of the truncation size.
+    vacuum normalized to the identity.  q psi and p psi come from ladder
+    shifts of the amplitude tensor, with the truncated a and a^dag.  The
+    result is validity-checked with an uncertainty slack widened by the
+    measured top-level population: chopping the amplitude tail can push the
+    moments below the bound by an amount of the truncation size.
     """
     leak = top_level_population(state.amplitudes[None])[0]
-    xi = build_quadratures(state.n_modes, state.cutoff)
-    psi = state.amplitudes.ravel()
-    applied = [op @ psi for op in xi]
+    psi = state.amplitudes
+    applied = []
+    for mode in range(state.n_modes):
+        lower, upper = _ladder(psi, mode, False), _ladder(psi, mode, True)
+        applied += [(lower + upper) / np.sqrt(2.0), (lower - upper) / (1j * np.sqrt(2.0))]
     dim = 2 * state.n_modes
     z = np.array([np.real(np.vdot(psi, applied[a])) for a in range(dim)])
     g = np.empty((dim, dim))

@@ -539,7 +539,7 @@ def _fock_stages(report, cfg, series, lyap):
     fcfg = fock_mod.FockConfig(dt=cfg.run.dt, leak_ceiling=cfg.tolerances.leak_ceiling)
     g0, _ = fock_mod.covariance_of(psi0)
 
-    traj = fock_mod.evolve_fock(psi0, cfg.hamiltonian, cfg.run.t_final, fcfg,
+    traj = fock_mod.evolve_fock(psi0, series.matrices, cfg.run.t_final, fcfg,
                                 store_every=cfg.run.store_every)
     if traj.trusted_until < cfg.run.t_final:
         report.warn(f"truncation leak at t={traj.trusted_until:g}; later samples untrusted")
@@ -559,7 +559,8 @@ def _fock_stages(report, cfg, series, lyap):
     window = cfg.run.window or (cfg.run.window_fraction * t_trust, t_trust)
     mask = traj.trusted
     # the trust horizon and the containment verdict stand even if the fit fails
-    section = {"trusted_until": t_trust, "bounds_contain_entropy": containment_ok,
+    section = {"trusted_until": t_trust, "max_lost_weight": float(np.max(traj.lost[mask])),
+               "bounds_contain_entropy": containment_ok,
                "exponent": {"lambda_alg": alg.lambda_a, "indices": list(alg.indices)}}
     report.add("oracle", section)
     if not containment_ok:

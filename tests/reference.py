@@ -4,19 +4,38 @@ No pipeline stage runs any of these.  They draw random symplectic and
 covariance matrices, list the piece handovers of a Hamiltonian, check
 the entropy corridor and the polar-factor spectra, evaluate the
 asymptotic mutual information and the gSSA objective from formed
-log-determinants, and parse the builtin scenarios from their documents
-and the shipped oracle config from its file.  pytest puts ``tests/`` on
+log-determinants, parse the builtin scenarios from their documents and
+the shipped oracle config from its file, and step Fock states by
+Chebyshev series on the sparse Hamiltonian, the Schrodinger reference of
+the oracle's recurrence.  pytest puts ``tests/`` on
 the import path, so the test modules import this one as ``reference``.
 """
 
 import json
+import math
 import pathlib
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
+from scipy import sparse
+from scipy.fft import dct
+from scipy.special import jv
+
+import entgrowth.fock as fock
 
 from entgrowth.config import parse_config
-from entgrowth.dynamics import PropagationResult, expm, polar_decompose
+from entgrowth.dynamics import (
+    PropagationResult,
+    expm,
+    polar_decompose,
+    sample_times,
+    step_count,
+    step_loop,
+    stored_steps,
+)
 from entgrowth.entropy import (
     LN_E_OVER_2,
     _half_logdet_factor,
@@ -362,3 +381,190 @@ def polar_factor_exponents(series: PropagationResult,
     return PolarExponentComparison(
         exponents_m=lam_m, exponents_t=lam_t, exponents_sqrt_t=lam_sqrt,
         dev_t=dev_t, dev_sqrt=dev_sqrt, residual=data.residual, tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# Schrodinger reference of the Fock oracle
+
+
+CHEBYSHEV_CUT = 1e-17     # a series ends where |J_k| falls below this
+# largest x = tau w one recurrence spans: its outputs cost samples x terms x dim,
+# which grows with the square of the span
+SPAN_CAP = 64.0
+
+
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """A Hermitian op as ``doubled`` = 2 (op - c) / w, for its spectrum inside [c - w, c + w].
+
+    Frames compare by identity: segments on one frame share one recurrence.
+    """
+
+    doubled: "sparse.csr_matrix"
+    c: float
+    w: float
+
+
+def chebyshev_frame(op) -> Frame:
+    """The frame of a Hermitian ``op`` from the union of its Gershgorin discs."""
+    diag = op.diagonal()
+    radius = np.asarray(abs(op).sum(axis=1)).ravel() - np.abs(diag)
+    low, high = float(np.min(diag.real - radius)), float(np.max(diag.real + radius))
+    c, w = 0.5 * (high + low), 0.5 * (high - low)
+    # w = 0 means op = c, and the series has one term; a subnormal w, whose
+    # 2 / w overflows, is op = c to within w and is taken as 0 too
+    scale = 2.0 / w if w > 0.0 else 0.0
+    if not math.isfinite(scale):
+        scale = w = 0.0
+    return Frame(((op - c * sparse.identity(op.shape[0], format="csr")) * scale).tocsr(), c, w)
+
+
+class _Segments(tuple):
+    """exp(-i l_n op_n) ... exp(-i l_1 op_1) as the pairs ((frame_1, l_1), ..., (frame_n, l_n)).
+
+    ``a @ b`` applies ``b`` first, as for matrices, so the step loop's
+    period map is the pairs of its pieces in order.
+    """
+
+    def __matmul__(self, other):
+        return _Segments(other + self)
+
+
+@lru_cache(maxsize=64)
+def term_count(x: float) -> int:
+    """Terms of the series at x = tau w: up to the last k with |J_k(x)| above ``CHEBYSHEV_CUT``.
+
+    Cached: each J_k call costs a few microseconds at these orders.
+    """
+    # |J_k(x)| < (x/2)^k / k!, far below the cut at k = 1.5 x + 50 for any x
+    ks = np.arange(int(1.5 * x) + 50)
+    return int(np.nonzero(np.abs(jv(ks, x)) >= CHEBYSHEV_CUT)[0][-1]) + 1
+
+
+def chebyshev_coefficients(xs, n_terms: int) -> np.ndarray:
+    """(2 - delta_k0) (-i)^k J_k(x) for k < ``n_terms``, one row per x of ``xs``.
+
+    By Jacobi-Anger, exp(-i x cos theta) = sum_k (2 - delta_k0) (-i)^k
+    J_k(x) cos(k theta), so one DCT-I of its samples at the N + 1
+    Chebyshev-Lobatto angles theta_n = pi n / N gives every row.  Each
+    coefficient picks up aliases of index 2N - k and above; with N =
+    ``n_terms`` they lie below the cut for every x up to the one that set
+    ``n_terms``, since J_k(x) grows with x for k >= x.
+    """
+    theta = np.pi * np.arange(n_terms + 1) / n_terms
+    coef = dct(np.exp(-1j * np.multiply.outer(xs, np.cos(theta))), type=1, axis=-1)[..., :n_terms]
+    coef /= n_terms
+    coef[..., 0] *= 0.5
+    return coef
+
+
+def chebyshev_series(frame: Frame, psi, taus, out) -> None:
+    """Write exp(-i tau op) psi for each tau of the ascending ``taus`` to the rows of ``out``.
+
+    The Chebyshev expansion of Tal-Ezer and Kosloff (J. Chem. Phys. 81,
+    3967, 1984): exp(-i tau op) = e^{-i tau c} sum_k (2 - delta_k0) (-i)^k
+    J_k(tau w) T_k((op - c) / w).  The vectors T_k((op - c) / w) psi do not
+    depend on tau: the three-term recurrence T_{k+1} = 2 x T_k - T_{k-1}
+    builds them once, one sparse product per term, up to the term count of
+    the largest tau, and the rows are one product of the coefficient table
+    with them.  ``psi`` is read in full before ``out`` is written.
+    """
+    xs = np.asarray(taus) * frame.w
+    n_terms = term_count(xs[-1])
+    vecs = np.empty((n_terms, psi.size), dtype=complex)
+    vecs[0] = psi
+    if n_terms > 1:
+        vecs[1] = 0.5 * (frame.doubled @ psi)
+        for k in range(2, n_terms):
+            np.subtract(frame.doubled @ vecs[k - 1], vecs[k - 2], out=vecs[k])
+    coef = chebyshev_coefficients(xs, n_terms) * np.exp(-1j * frame.c * np.asarray(taus))[:, None]
+    np.matmul(coef, vecs, out=out)
+
+
+def chebyshev_states(frame: Frame, psi, lengths, stored, out):
+    """Write exp(-i tau_j op) psi to ``out`` at each partial sum tau_j of ``lengths`` that
+    ``stored`` flags, one row each in order, and return the state at the last sum.
+
+    One recurrence (:func:`chebyshev_series`) serves every tau_j within
+    x = ``SPAN_CAP`` of the span's start.  It forms only the span's stored
+    rows and its last state, from which the next span restarts.  A length
+    longer than a span runs as equal parts in turn.
+    """
+    limit = SPAN_CAP / frame.w if frame.w > 0.0 else math.inf
+    taus = np.concatenate(([0.0], np.cumsum(lengths)))
+    kept = np.flatnonzero(stored)
+    start = count = 0
+    while start < len(lengths):
+        stop = max(start + 1, int(np.searchsorted(taus, taus[start] + limit, side="right")) - 1)
+        rows = kept[(kept >= start) & (kept < stop)]
+        offsets = taus[np.union1d(rows, [stop - 1]) + 1] - taus[start]
+        block = np.empty((len(offsets), psi.size), dtype=complex)
+        # above 1 only for a segment longer than a span, which is alone in it
+        parts = max(1, math.ceil(offsets[0] / limit))
+        for _ in range(parts):
+            chebyshev_series(frame, psi, offsets / parts, block)
+            psi = block[-1]
+        out[count:count + len(rows)] = block[:len(rows)]
+        count += len(rows)
+        start = stop
+    return psi
+
+
+def chebyshev_evolve(psi0, ham, t_final: float, dt: float, store_every: int = 1):
+    """(times, amplitudes): exp(-i s H) psi0 stepped over the segments of the shared step loop.
+
+    The independent Schrodinger evolution the oracle's recurrence is held
+    to, on the sparse truncated Hamiltonian (:func:`entgrowth.fock.build_hamiltonian`).
+    The segments are those of :func:`~entgrowth.dynamics.step_loop`: a
+    callable Hamiltonian gets one per step, sampled at the step midpoint,
+    while piecewise-constant data gets one exact segment per piece crossed
+    between stored samples (and the pieces of one period map per whole
+    period).  The operator is built once per piece for data, so a constant
+    Hamiltonian is built once.  Consecutive segments on one operator share
+    one Chebyshev recurrence (:func:`chebyshev_states`), accurate to
+    roundoff.  Stored states are copied out of their block into one stack
+    on the times of ``propagate``, whose norm drift is checked once,
+    failing at the earliest stored time.
+    """
+    n_steps = step_count(t_final, dt)
+    times = sample_times(t_final, dt, store_every)
+    events = stored_steps(n_steps, store_every)[1:]
+    frames = {}    # piece index -> Chebyshev frame of its Fock operator
+
+    def segment(length, t_mid):
+        piece = ham.piece_at(t_mid)
+        frame = frames.get(piece)
+        if frame is None:
+            frame = chebyshev_frame(fock.build_hamiltonian(ham, t_mid, psi0.cutoff))
+            if piece is not None:
+                frames[piece] = frame
+        return _Segments(((frame, length),))
+
+    def segments():
+        # (frame, length, stored): every segment in order; the last segment
+        # of a stored step ends at its stored time
+        for _, _, factors in step_loop(ham, t_final, n_steps, events, segment):
+            pairs = (pair for factor in factors for pair in factor)
+            last = next(pairs)
+            for pair in pairs:
+                yield (*last, False)
+                last = pair
+            yield (*last, True)
+
+    amplitudes = np.empty(times.shape + psi0.amplitudes.shape, dtype=complex)
+    rows = amplitudes.reshape(len(times), -1)    # a view: its rows are the stack's states
+    rows[0] = psi0.amplitudes.ravel()
+    psi, count = rows[0], 1
+    for frame, group in groupby(segments(), key=itemgetter(0)):
+        _, lengths, stored = zip(*group)
+        psi = chebyshev_states(frame, psi, lengths, stored, rows[count:])
+        count += sum(stored)
+
+    flat = rows.view(float)
+    drift = np.abs(np.sqrt(np.einsum("ij,ij->i", flat, flat)) - 1.0)
+    bad = np.nonzero(drift > 1e-8 * np.maximum(times, 1.0))[0]
+    if len(bad):
+        i = bad[0]
+        raise RuntimeError(f"chebyshev reference at t={times[i]:.6g}: norm drift {drift[i]:.3g}; "
+                           f"step unitary is broken")
+    return times, amplitudes

@@ -220,8 +220,8 @@ def test_criterion_09_squashed_bounds_vs_oracle():
         from entgrowth.fock import covariance_of, evolve_fock, reduced_entropy
         g0, _ = covariance_of(psi0)
         cfg = FockConfig(dt=0.005, leak_ceiling=3e-3)
-        traj = evolve_fock(psi0, TMS, 1.4, cfg, store_every=10)
         gauss = propagate(TMS, 1.4, 0.005, store_every=10)
+        traj = evolve_fock(psi0, gauss.matrices, 1.4, cfg, store_every=10)
         ok_here = True
         for idx, t in enumerate(traj.times):
             if not traj.trusted[idx]:

@@ -338,7 +338,8 @@ def test_last_step_ends_at_t_final():
     series = propagate(ham, t_final, dt, store_every=14)
     assert series.t_final == t_final
     assert np.array_equal(series.times, sample_times(t_final, dt, 14))
-    traj = evolve_fock(FockState.fock((0,), 4), ham, t_final, FockConfig(dt=dt), store_every=14)
+    traj = evolve_fock(FockState.fock((0,), 4), series.matrices, t_final, FockConfig(dt=dt),
+                       store_every=14)
     assert np.array_equal(traj.times, series.times)
 
 

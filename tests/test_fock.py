@@ -1,4 +1,5 @@
-"""Truncated-number-basis oracle: operators, evolution, entropies, moments."""
+"""Truncated-number-basis oracle: operators, the Chebyshev reference, the recurrence,
+entropies, moments."""
 
 import json
 import math
@@ -13,13 +14,13 @@ from scipy.linalg import expm
 from scipy.special import jv
 
 import entgrowth.fock as fock
+import reference
 from entgrowth.config import matrix_to_json, parse_config
 from entgrowth.dynamics import QuadraticHamiltonian, evolve_covariance, propagate
 from entgrowth.entropy import renyi2_entropy, von_neumann_entropy
 from entgrowth.errors import DimensionMismatch, TruncationLeak
 from entgrowth.fitting import fit_slope
 from entgrowth.fock import (
-    SPAN_CAP,
     FockConfig,
     FockState,
     build_hamiltonian,
@@ -31,8 +32,16 @@ from entgrowth.fock import (
 )
 from entgrowth.phase_space import SubsystemSpec, restrict
 from entgrowth.scenarios import metastable_form, run_scenario, two_mode_squeezing_form
+from reference import SPAN_CAP, chebyshev_evolve
 
 TMS = QuadraticHamiltonian.constant(two_mode_squeezing_form())
+
+
+def _oracle(psi0, ham, t_final, dt, store_every=1, leak_ceiling=1.0):
+    """The recurrence's trajectory on the flow ``propagate`` stores for ``ham``."""
+    matrices = propagate(ham, t_final, dt, store_every).matrices
+    return evolve_fock(psi0, matrices, t_final, FockConfig(dt=dt, leak_ceiling=leak_ceiling),
+                       store_every=store_every)
 
 
 def test_quadrature_matrix_smallest_cutoff():
@@ -131,10 +140,9 @@ def test_chebyshev_step_matches_dense_exponential(case):
     # of the same sparse operator
     h, cutoff, s, psi = case
     n = h.shape[0] // 2
-    cfg = FockConfig(dt=s, leak_ceiling=1.0)
     ham = QuadraticHamiltonian.constant(h)
-    traj = evolve_fock(FockState(psi.reshape((cutoff,) * n)), ham, s, cfg)
-    out = traj.amplitudes[-1].ravel()
+    _, amplitudes = chebyshev_evolve(FockState(psi.reshape((cutoff,) * n)), ham, s, s)
+    out = amplitudes[-1].ravel()
     exact = expm(-1j * s * build_hamiltonian(ham, 0.0, cutoff).toarray()) @ psi
     assert np.max(np.abs(out - exact)) < 1e-12
     assert abs(np.linalg.norm(out) - 1.0) < 1e-13
@@ -151,15 +159,14 @@ def test_periodic_pieces_match_the_dense_product(case, durations, periods, per_p
     forms = [h] + [np.roll(h, k, axis=(0, 1)) * (-1) ** k for k in range(1, len(durations))]
     period = sum(durations)
     ham = QuadraticHamiltonian.piecewise(list(zip(durations, forms)), period)
-    cfg = FockConfig(dt=period / per_period, leak_ceiling=1.0)
-    traj = evolve_fock(FockState(psi.reshape((cutoff,) * n)), ham, periods * period, cfg,
-                       store_every=store)
+    _, amplitudes = chebyshev_evolve(FockState(psi.reshape((cutoff,) * n)), ham,
+                                     periods * period, period / per_period, store)
     one_period = np.eye(cutoff ** n)
     for d, form in zip(durations, forms):
         op = build_hamiltonian(QuadraticHamiltonian.constant(form), 0.0, cutoff).toarray()
         one_period = expm(-1j * d * op) @ one_period
     exact = np.linalg.matrix_power(one_period, periods) @ psi
-    assert np.max(np.abs(traj.amplitudes[-1].ravel() - exact)) < 1e-12
+    assert np.max(np.abs(amplitudes[-1].ravel() - exact)) < 1e-12
 
 
 def _random_state(cutoff, n, seed):
@@ -172,22 +179,21 @@ def test_every_stored_state_of_a_constant_run_matches_the_dense_exponential(monk
     # 300 stored samples on one operator; at cutoff 8 the frame half-width is
     # w = 13, so the horizon spans x = 78 > SPAN_CAP and one restart runs
     spans = []    # the x of each recurrence
-    real_count = fock._term_count
-    monkeypatch.setattr(fock, "_term_count", lambda x: spans.append(x) or real_count(x))
-    cfg = FockConfig(dt=0.02, leak_ceiling=1.0)
+    real_count = reference.term_count
+    monkeypatch.setattr(reference, "term_count", lambda x: spans.append(x) or real_count(x))
     op = build_hamiltonian(TMS, 0.0, 8)
-    assert 6.0 * fock._chebyshev_frame(op).w > SPAN_CAP
+    assert 6.0 * reference.chebyshev_frame(op).w > SPAN_CAP
     psi0 = _random_state(8, 2, 5)
-    traj = evolve_fock(psi0, TMS, 6.0, cfg, store_every=1)
-    assert len(traj.amplitudes) == 301 and len(spans) == 2 and max(spans) <= SPAN_CAP
+    _, amplitudes = chebyshev_evolve(psi0, TMS, 6.0, 0.02, 1)
+    assert len(amplitudes) == 301 and len(spans) == 2 and max(spans) <= SPAN_CAP
     step = expm(-1j * 0.02 * op.toarray())
     psi = psi0.amplitudes.ravel()
-    for amp in traj.amplitudes[1:]:
+    for amp in amplitudes[1:]:
         psi = step @ psi
         assert np.max(np.abs(amp.ravel() - psi)) < 1e-12
     # one stored segment of x = 78 runs as two equal parts
     spans.clear()
-    last = evolve_fock(psi0, TMS, 6.0, cfg, store_every=300).amplitudes[-1]
+    last = chebyshev_evolve(psi0, TMS, 6.0, 0.02, 300)[1][-1]
     assert len(spans) == 2 and max(spans) <= SPAN_CAP
     assert np.max(np.abs(last.ravel() - psi)) < 1e-12
 
@@ -201,14 +207,13 @@ def test_every_stored_state_of_a_piecewise_run_matches_the_dense_exponentials():
     forms = [two_mode_squeezing_form(), beam]
     durations = [1.63, 1.57]
     ham = QuadraticHamiltonian.piecewise(list(zip(durations, forms)), 3.2)
-    cfg = FockConfig(dt=0.05, leak_ceiling=1.0)
     psi0 = _random_state(6, 2, 6)
-    traj = evolve_fock(psi0, ham, 6.4, cfg, store_every=1)
+    times, amplitudes = chebyshev_evolve(psi0, ham, 6.4, 0.05, 1)
     ops = [build_hamiltonian(QuadraticHamiltonian.constant(f), 0.0, 6).toarray() for f in forms]
-    assert len(traj.times) == 129
+    assert len(times) == 129
     psi, t_prev = psi0.amplitudes.ravel(), 0.0
     edges = [1.63, 3.2, 4.83, 6.4]
-    for t, amp in zip(traj.times[1:], traj.amplitudes[1:]):
+    for t, amp in zip(times[1:], amplitudes[1:]):
         cuts = [t_prev] + [e for e in edges if t_prev < e < t] + [t]
         for a, b in zip(cuts, cuts[1:]):
             psi = expm(-1j * (b - a) * ops[ham.piece_at(0.5 * (a + b))]) @ psi
@@ -221,16 +226,16 @@ def test_chebyshev_coefficients_match_bessel_functions():
     # up to x = 16, then a bound growing like x, as the sampled phase x cos
     # theta carries a rounding of order x ulp (near x = 64 the two differ
     # by up to 2.4e-15, and scipy's J_k alone by up to 1.8e-15 from mpmath)
-    n_terms = fock._term_count(SPAN_CAP)
-    assert n_terms == fock.SPAN_TERMS    # the count the size check reads
+    n_terms = reference.term_count(SPAN_CAP)
     xs = np.linspace(0.0, SPAN_CAP, 641)
     ks = np.arange(n_terms)
-    coef = fock._chebyshev_coefficients(xs, n_terms)
+    coef = reference.chebyshev_coefficients(xs, n_terms)
     bessel = coef / ((-1j) ** ks * np.where(ks == 0, 1.0, 2.0))
     err = np.max(np.abs(bessel - jv(ks, xs[:, None])), axis=1)
     assert np.all(err <= np.maximum(1e-15, 6e-17 * xs))
     # past the term count every J_k(x) is below the cut, for every x up to the cap
-    assert np.max(np.abs(jv(np.arange(n_terms, n_terms + 40), xs[:, None]))) < fock.CHEBYSHEV_CUT
+    tail = jv(np.arange(n_terms, n_terms + 40), xs[:, None])
+    assert np.max(np.abs(tail)) < reference.CHEBYSHEV_CUT
 
 
 @settings(max_examples=25, deadline=None)
@@ -239,11 +244,12 @@ def test_one_recurrence_equals_two_in_turn(case, s1, s2):
     # exp(-i (s1 + s2) H) psi from one recurrence, from s1 then s2, and as
     # the second row of one recurrence over both
     h, cutoff, _, psi = case
-    frame = fock._chebyshev_frame(build_hamiltonian(QuadraticHamiltonian.constant(h), 0.0, cutoff))
+    frame = reference.chebyshev_frame(build_hamiltonian(QuadraticHamiltonian.constant(h), 0.0,
+                                                        cutoff))
 
     def states(start, lengths):
         out = np.empty((len(lengths), start.size), dtype=complex)
-        last = fock._chebyshev_states(frame, start, lengths, [True] * len(lengths), out)
+        last = reference.chebyshev_states(frame, start, lengths, [True] * len(lengths), out)
         assert np.array_equal(last, out[-1])
         return out
 
@@ -254,30 +260,123 @@ def test_one_recurrence_equals_two_in_turn(case, s1, s2):
     assert np.max(np.abs(whole - rows[1])) < 1e-12
 
 
+def _random_form(n_modes, seed, scale=0.5):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2 * n_modes, 2 * n_modes))
+    return scale * (a + a.T)
+
+
+def _padded(amplitudes):
+    """A state given on few levels, as a maker of the same state at any cutoff."""
+    def make(cutoff):
+        amp = np.zeros((cutoff,) * amplitudes.ndim, dtype=complex)
+        amp[(slice(len(amplitudes)),) * amplitudes.ndim] = amplitudes
+        return FockState(amp)
+    return make
+
+
+def _two_piece_flow():
+    beam = np.diag([1.0, 1.0, 0.6, 0.6])
+    beam[0, 2] = beam[2, 0] = beam[1, 3] = beam[3, 1] = 0.7
+    pieces = [(0.13, two_mode_squeezing_form(0.5)), (0.17, beam + _random_form(2, 3, 0.1))]
+    return QuadraticHamiltonian.piecewise(pieces, 0.3)
+
+
+# (state maker by cutoff, Hamiltonian, t_final, dt, store_every, cutoff): every kind of
+# initial state, generic forms (B with all its entries), a periodic flow and three modes
+RECURRENCE_CASES = {
+    "fock": (lambda c: FockState.fock((1, 0), c),
+             QuadraticHamiltonian.constant(_random_form(2, 1)), 0.2, 0.01, 1, 14),
+    "superfock": (lambda c: FockState.superposition([(1.0, (0, 0)), (1j, (2, 1))], c, 2),
+                  QuadraticHamiltonian.constant(_random_form(2, 2)), 0.2, 0.01, 1, 14),
+    "coherent": (lambda c: FockState.coherent([0.5, -0.3j], c),
+                 QuadraticHamiltonian.constant(_random_form(2, 4)), 0.2, 0.01, 1, 16),
+    "cat": (lambda c: FockState.cat(0.8 + 0.3j, c, n_modes=2, mode=1),
+            QuadraticHamiltonian.constant(_random_form(2, 5)), 0.2, 0.01, 1, 16),
+    "raw tensor": (_padded(_random_state(4, 2, 7).amplitudes),
+                   QuadraticHamiltonian.constant(_random_form(2, 6, 0.3)), 0.2, 0.01, 1, 16),
+    "two-piece periodic": (
+        lambda c: FockState.superposition([(1.0, (0, 0)), (1.0, (1, 1))], c, 2),
+        _two_piece_flow(), 1.0, 0.01, 5, 14),
+    "three modes": (_padded(_random_state(2, 3, 8).amplitudes),
+                    QuadraticHamiltonian.constant(_random_form(3, 9, 0.2)), 0.2, 0.01, 1, 10),
+}
+
+
+@pytest.mark.parametrize("kind", list(RECURRENCE_CASES))
+def test_recurrence_matches_the_chebyshev_reference(kind):
+    # the reference runs 10 levels above the oracle's cutoff and is projected
+    # back; wherever the oracle loses less than 1e-12 weight above its cutoff
+    # and the reference less than 1e-12 in its top two levels, the amplitudes
+    # agree to 1e-10 after one global phase per sample
+    make, ham, t_final, dt, store_every, cutoff = RECURRENCE_CASES[kind]
+    traj = _oracle(make(cutoff), ham, t_final, dt, store_every)
+    _, ref = chebyshev_evolve(make(cutoff + 10), ham, t_final, dt, store_every)
+    projected = ref[(slice(None),) + (slice(cutoff),) * (ref.ndim - 1)]
+    compared = (traj.lost < 1e-12) & (top_level_population(ref) < 1e-12)
+    assert compared.sum() >= 8, kind
+    assert np.all(traj.lost > -1e-12)
+    rec = traj.amplitudes * np.sqrt(1.0 - traj.lost).reshape((-1,) + (1,) * (ref.ndim - 1))
+    for got, want in zip(rec[compared], projected[compared]):
+        overlap = np.vdot(want, got)
+        assert np.max(np.abs(got - overlap / abs(overlap) * want)) < 1e-10, kind
+
+
+@pytest.mark.parametrize("name, cutoff, t_final", [("two_mode_squeezing", 24, 0.8),
+                                                   ("inverted_pair", 30, 1.5)])
+def test_vacuum_oracle_entropy_equals_the_gaussian_pipeline(name, cutoff, t_final):
+    # no Schrodinger reference: the Schmidt entropy of the projected U|0> against
+    # the Gaussian rows' S_vn_A, at every sample that loses less than 1e-12 weight
+    # (the horizons are too short for the Gaussian exponent gate, whose failure
+    # leaves the rows in place)
+    def doc(state):
+        return json.dumps({
+            "modes": {"total": 2, "subsystem": 1},
+            "hamiltonian": {"type": "builtin", "name": name},
+            "initial_state": state,
+            "run": {"t_final": t_final, "dt": 0.005, "store_every": 4},
+            "tolerances": {"leak_ceiling": 1.0, "slope_rel_tol": 10.0}})
+
+    fock_cfg = parse_config(doc({"type": "fock", "state": "fock:0,0", "cutoff": cutoff}))
+    oracle = run_scenario(fock_cfg, write_outputs=False)
+    gauss = run_scenario(parse_config(doc({"type": "gaussian", "covariance": "vacuum"})),
+                         write_outputs=False)
+    run = fock_cfg.run
+    lost = _oracle(fock_cfg.initial_state, fock_cfg.hamiltonian, run.t_final, run.dt,
+                   run.store_every).lost
+    kept = lost < 1e-12
+    assert 10 <= kept.sum() < len(kept)
+    dev = np.abs(oracle.rows.s_vn_a - gauss.rows.s_vn_a)[kept]
+    assert np.max(dev) < 1e-10, np.max(dev)
+
+
 def test_subnormal_form_keeps_the_state_without_a_warning():
     # h12 = 1e-310 gives a Gershgorin half-width whose 2 / w overflows; the
-    # frame takes it as w = 0, so no NaN enters the operator and the state stays
+    # frame takes it as w = 0, so no NaN enters the operator and the state
+    # stays; the recurrence on the same flow keeps it to roundoff
     h = np.array([[0.0, 1e-310], [1e-310, 0.0]])
-    cfg = FockConfig(dt=0.1)
+    ham = QuadraticHamiltonian.constant(h)
     psi0 = FockState.superposition([(1.0, (0,)), (1j, (1,))], 4, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = evolve_fock(psi0, QuadraticHamiltonian.constant(h), 1.0, cfg, store_every=2)
-    assert len(traj.amplitudes) == 6
-    for amp in traj.amplitudes:
+        _, amplitudes = chebyshev_evolve(psi0, ham, 1.0, 0.1, 2)
+        traj = _oracle(psi0, ham, 1.0, 0.1, store_every=2)
+    assert len(amplitudes) == 6
+    for amp in amplitudes:
         assert np.array_equal(amp, psi0.amplitudes)
+    assert np.max(np.abs(traj.amplitudes - psi0.amplitudes)) < 1e-15
 
 
 def test_harmonic_eigenstate_survival():
-    cfg = FockConfig(dt=0.01)
     ham = QuadraticHamiltonian.constant(np.eye(2))
     psi0 = FockState.fock((1,), 10)
-    traj = evolve_fock(psi0, ham, 2.0, cfg, store_every=20)
+    traj = _oracle(psi0, ham, 2.0, 0.01, store_every=20, leak_ceiling=1e-6)
     for amp in traj.amplitudes:
         assert abs(abs(amp[1]) - 1.0) < 1e-10
 
 
 def test_constant_hamiltonian_is_built_once(monkeypatch):
+    # the reference builds the operator once; the recurrence builds none
     builds = []
 
     def counting_build(*args):
@@ -285,9 +384,10 @@ def test_constant_hamiltonian_is_built_once(monkeypatch):
         return build_hamiltonian(*args)
 
     monkeypatch.setattr(fock, "build_hamiltonian", counting_build)
-    cfg = FockConfig(dt=0.005, leak_ceiling=1.0)
-    traj = evolve_fock(FockState.fock((0, 0), 8), TMS, 0.63, cfg, store_every=40)
-    assert len(traj.times) == 5 and len(builds) == 1     # 126 steps, a shorter last segment
+    times, _ = chebyshev_evolve(FockState.fock((0, 0), 8), TMS, 0.63, 0.005, 40)
+    assert len(times) == 5 and len(builds) == 1     # 126 steps, a shorter last segment
+    assert len(_oracle(FockState.fock((0, 0), 8), TMS, 0.63, 0.005, 40).times) == 5
+    assert len(builds) == 1
 
 
 def _flow(kind):
@@ -316,13 +416,10 @@ def _flow(kind):
 @pytest.mark.parametrize("kind", ["constant", "multi-piece", "one-piece-periodic", "fourier"])
 def test_trajectory_is_one_stack_on_the_propagation_grid(kind):
     # the times of propagate bit for bit, and a stack whose memory holds its
-    # stored states alone: no recurrence block stays alive behind a sample
-    # (the one-piece periodic flow crosses its 20 periods in one recurrence
-    # whose block holds only the 4 stored rows)
+    # stored states alone: no working tensor stays alive behind a sample
     ham, t_final, dt, store_every = _flow(kind)
     cutoff = 12
-    traj = evolve_fock(FockState.fock((1, 0), cutoff), ham, t_final,
-                       FockConfig(dt=dt, leak_ceiling=1.0), store_every=store_every)
+    traj = _oracle(FockState.fock((1, 0), cutoff), ham, t_final, dt, store_every)
     assert np.array_equal(traj.times, propagate(ham, t_final, dt, store_every).times)
     assert traj.amplitudes.shape == (len(traj.times), cutoff, cutoff)
     memory = traj.amplitudes
@@ -333,29 +430,28 @@ def test_trajectory_is_one_stack_on_the_propagation_grid(kind):
 
 def test_recurrence_blocks_hold_only_stored_rows(monkeypatch):
     # period = dt: 200 period maps on one operator, of which 4 end at a
-    # stored sample; the recurrence forms those and no others
+    # stored sample; the reference's recurrence forms those and no others
     blocks = []
-    real_series = fock._chebyshev_series
+    real_series = reference.chebyshev_series
 
     def counting_series(frame, psi, taus, out):
         blocks.append(len(out))
         return real_series(frame, psi, taus, out)
 
-    monkeypatch.setattr(fock, "_chebyshev_series", counting_series)
+    monkeypatch.setattr(reference, "chebyshev_series", counting_series)
     form = two_mode_squeezing_form(0.2)
     ham = QuadraticHamiltonian.piecewise([(0.01, form)], 0.01)
-    traj = evolve_fock(FockState.fock((0, 0), 12), ham, 2.0, FockConfig(dt=0.01), store_every=50)
-    assert len(traj.times) == 5
-    assert 0 < max(blocks) <= len(traj.times)
+    times, amplitudes = chebyshev_evolve(FockState.fock((0, 0), 12), ham, 2.0, 0.01, 50)
+    assert len(times) == 5
+    assert 0 < max(blocks) <= len(times)
     m = propagate(QuadraticHamiltonian.constant(form), 2.0, 0.01, store_every=50).matrices
-    g = np.array([fock.covariance_of(FockState(amp))[0] for amp in traj.amplitudes])
+    g = np.array([fock.covariance_of(FockState(amp))[0] for amp in amplitudes])
     assert np.allclose(g, evolve_covariance(np.eye(4), m), atol=1e-9)
 
 
 def test_tms_covariance_matches_gaussian_propagation():
-    cfg = FockConfig(dt=0.005, leak_ceiling=1e-6)
     psi0 = FockState.fock((0, 0), 16)
-    traj = evolve_fock(psi0, TMS, 0.6, cfg, store_every=40)
+    traj = _oracle(psi0, TMS, 0.6, 0.005, store_every=40, leak_ceiling=1e-6)
     gauss = propagate(TMS, 0.6, 0.005, store_every=40)
     for idx, t in enumerate(traj.times):
         if not traj.trusted[idx]:
@@ -379,10 +475,9 @@ def test_three_modes_at_cutoff_20_match_gaussian_propagation():
         "initial_state": {"type": "fock", "state": "fock:0,0,0", "cutoff": 20},
         "run": {"t_final": 0.8, "dt": 0.01, "store_every": 20}}))
     run = cfg.run
-    fcfg = FockConfig(dt=run.dt, leak_ceiling=1e-6)
-    traj = evolve_fock(cfg.initial_state, cfg.hamiltonian, run.t_final, fcfg,
-                       store_every=run.store_every)
     gauss = propagate(cfg.hamiltonian, run.t_final, run.dt, store_every=run.store_every)
+    traj = evolve_fock(cfg.initial_state, gauss.matrices, run.t_final,
+                       FockConfig(dt=run.dt, leak_ceiling=1e-6), store_every=run.store_every)
     assert cfg.initial_state.amplitudes.size == 8000 and traj.trusted.all() and len(traj.times) == 5
     for amp, leak, m in zip(traj.amplitudes, traj.leaks, gauss.matrices):
         g_fock, _ = covariance_of(FockState(amp))
@@ -395,10 +490,9 @@ def test_metastable_fock_log_growth():
     # mode-1 volume element grows like t, so the Renyi-2 entropy of the
     # oracle covariance follows 0.5 ln(1 + t^2), i.e. ln t growth; the
     # occupation grows ~ t^2/4, so the cutoff only covers a couple of e-folds
-    cfg = FockConfig(dt=0.01, leak_ceiling=1e-4)
     ham = QuadraticHamiltonian.constant(metastable_form())
     psi0 = FockState.fock((0, 0), 20)
-    traj = evolve_fock(psi0, ham, 4.0, cfg, store_every=20)
+    traj = _oracle(psi0, ham, 4.0, 0.01, store_every=20, leak_ceiling=1e-4)
     sub = SubsystemSpec.first_modes(1, 2)
     ts, s2 = [], []
     for idx, t in enumerate(traj.times):
@@ -426,9 +520,8 @@ def test_reduced_entropy_bell_like():
 
 
 def test_reduced_entropy_matches_gaussian_for_squeezed_vacuum():
-    cfg = FockConfig(dt=0.005, leak_ceiling=1e-6)
     psi0 = FockState.fock((0, 0), 20)
-    traj = evolve_fock(psi0, TMS, 0.5, cfg, store_every=100)
+    traj = _oracle(psi0, TMS, 0.5, 0.005, store_every=100, leak_ceiling=1e-6)
     state = FockState(traj.amplitudes[-1])
     assert traj.trusted[-1]
     s_fock = reduced_entropy(state, (0,))
@@ -438,19 +531,17 @@ def test_reduced_entropy_matches_gaussian_for_squeezed_vacuum():
 
 
 def test_global_purity_of_schmidt_spectrum():
-    cfg = FockConfig(dt=0.01, leak_ceiling=1e-4)
     psi0 = FockState.superposition([(1.0, (0, 0)), (1.0, (2, 0))], 14, 2)
-    traj = evolve_fock(psi0, TMS, 0.4, cfg, store_every=40)
+    traj = _oracle(psi0, TMS, 0.4, 0.01, store_every=40, leak_ceiling=1e-4)
     from entgrowth.fock import _schmidt_values
     for sv in _schmidt_values(traj.amplitudes, (0,)):
         assert abs(np.sum(sv ** 2) - 1.0) < 1e-8
 
 
 def test_gaussian_envelope_upper_bounds_entropy():
-    cfg = FockConfig(dt=0.005, leak_ceiling=1e-4)
     for psi0 in (FockState.fock((1, 0), 18),
                  FockState.superposition([(1.0, (0, 0)), (1.0, (2, 0))], 18, 2)):
-        traj = evolve_fock(psi0, TMS, 0.7, cfg, store_every=35)
+        traj = _oracle(psi0, TMS, 0.7, 0.005, store_every=35, leak_ceiling=1e-4)
         for idx in range(len(traj.times)):
             if not traj.trusted[idx]:
                 break
@@ -480,9 +571,8 @@ def test_cat_state_covariance_is_valid():
 
 
 def test_leak_flags_untrusted_tail():
-    cfg = FockConfig(dt=0.01, leak_ceiling=1e-6)
     psi0 = FockState.fock((0, 0), 8)
-    traj = evolve_fock(psi0, TMS, 2.0, cfg, store_every=10)
+    traj = _oracle(psi0, TMS, 2.0, 0.01, store_every=10, leak_ceiling=1e-6)
     assert not traj.trusted[-1]
     assert traj.trusted_until < 2.0
     flipped = np.nonzero(~traj.trusted)[0]
@@ -490,15 +580,18 @@ def test_leak_flags_untrusted_tail():
 
 
 def test_state_and_hamiltonian_share_the_mode_count():
-    with pytest.raises(DimensionMismatch, match="Hamiltonian has 2 modes, state has 1"):
-        evolve_fock(FockState.fock((0,), 4), TMS, 0.1, FockConfig(dt=0.01))
+    # and the flow holds one matrix per sample of the grid
+    matrices = propagate(TMS, 0.1, 0.01).matrices
+    with pytest.raises(DimensionMismatch, match="flow acts on 2 modes, the state has 1"):
+        evolve_fock(FockState.fock((0,), 4), matrices, 0.1, FockConfig(dt=0.01))
+    with pytest.raises(DimensionMismatch, match="11 flow matrices for 6 sample times"):
+        evolve_fock(FockState.fock((0, 0), 4), matrices, 0.1, FockConfig(dt=0.01), store_every=2)
 
 
 def test_initial_leak_rejected():
-    cfg = FockConfig(dt=0.01, leak_ceiling=1e-6)
     psi0 = FockState.fock((5,), 6)
     with pytest.raises(TruncationLeak):
-        evolve_fock(psi0, QuadraticHamiltonian.constant(np.eye(2)), 1.0, cfg)
+        _oracle(psi0, QuadraticHamiltonian.constant(np.eye(2)), 1.0, 0.01, leak_ceiling=1e-6)
 
 
 def _oracle_report(state, cutoff, t_final):
@@ -539,12 +632,11 @@ def test_slope_state_independence():
 
 def test_coherent_state_oracle_matches_vacuum_growth():
     # displacement never enters the entanglement: a coherent state follows
-    # the vacuum entropy trajectory exactly
-    cfg = FockConfig(dt=0.005, leak_ceiling=3e-3)
-    psi_vac = FockState.fock((0, 0), 20)
-    psi_coh = FockState.coherent([0.5, -0.3], 20)
-    t_vac = evolve_fock(psi_vac, TMS, 0.8, cfg, store_every=40)
-    t_coh = evolve_fock(psi_coh, TMS, 0.8, cfg, store_every=40)
+    # the vacuum entropy trajectory exactly, up to the cutoff's truncation
+    psi_vac = FockState.fock((0, 0), 30)
+    psi_coh = FockState.coherent([0.5, -0.3], 30)
+    t_vac = _oracle(psi_vac, TMS, 0.8, 0.005, store_every=40, leak_ceiling=3e-3)
+    t_coh = _oracle(psi_coh, TMS, 0.8, 0.005, store_every=40, leak_ceiling=3e-3)
     for a_vac, a_coh, ok in zip(t_vac.amplitudes, t_coh.amplitudes, t_coh.trusted):
         if not ok:
             break

@@ -1,12 +1,11 @@
-"""Start-up: a run loads only the SciPy modules its stages use.
+"""Start-up: a run loads no SciPy module.
 
 Gaussian flows use the package's own matrix exponential and take the
 Floquet rates from the eigenvalues of M(tau), so a constant, piecewise or
 periodic run loads no SciPy module at all, on any SciPy release.  The
 bound minimizer is numpy alone, so bound minimizations load none either.
-``scipy.sparse``, ``scipy.fft`` and ``scipy.special`` load with the first
-Fock step, and ``scipy.linalg`` only if they import it themselves; parsing
-a Fock config loads none of them.
+The Fock oracle forms its amplitudes from the stored M(t) with numpy
+alone, so parsing and running a Fock config load none as well.
 """
 
 import json
@@ -52,15 +51,6 @@ SCRIPT = textwrap.dedent("""
 """)
 
 
-def _loaded_by(*modules):
-    """The scipy modules that importing ``modules`` loads in a fresh interpreter."""
-    script = (f"import sys, {', '.join(modules)}; "
-              "print(' '.join(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    return set(res.stdout.split())
-
-
 def test_flow_runs_load_no_scipy_module():
     oracle = os.path.join(CONFIGS, "oracle_two_mode_squeezing.json")
     res = subprocess.run([sys.executable, "-c", SCRIPT.format(oracle=oracle)],
@@ -68,13 +58,8 @@ def test_flow_runs_load_no_scipy_module():
     assert res.returncode == 0, res.stderr
     stages = json.loads(res.stdout.splitlines()[-1])
     flows, oracle_run, bounds = (set(names) for names in stages)
-    # the CLI and library flow runs, bound minimizations and parsing a Fock
-    # config load no scipy module
+    # the CLI and library flow runs, bound minimizations, parsing and running
+    # a Fock config load no scipy module
     assert flows == set()
-    # the oracle adds what it uses, and no minimizer; scipy.linalg only where
-    # those modules import it themselves (older scipy.special does)
-    assert oracle_run >= {"scipy.sparse", "scipy.fft", "scipy.special"}
-    assert "scipy.optimize" not in oracle_run
-    assert "scipy.linalg" not in oracle_run - _loaded_by("scipy.sparse", "scipy.fft", "scipy.special")
-    # the bound minimizations add no scipy module
-    assert bounds - oracle_run == set()
+    assert oracle_run == set()
+    assert bounds == set()

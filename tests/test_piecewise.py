@@ -113,7 +113,8 @@ def test_piecewise_config_builtin_agree_bitwise_and_callable_to_roundoff():
 
     cfg = FockConfig(dt=0.01, leak_ceiling=1.0)
     psi0 = FockState.fock((0, 0), 8)
-    stacks = [evolve_fock(psi0, ham, 1.2, cfg, store_every=30).amplitudes
+    stacks = [evolve_fock(psi0, propagate(ham, 1.2, 0.01, store_every=30).matrices, 1.2, cfg,
+                          store_every=30).amplitudes
               for ham in (built, from_config, wrapped)]
     assert np.array_equal(stacks[0], stacks[1])
     assert np.max(np.abs(stacks[2] - stacks[0])) <= 1e-10

@@ -8,7 +8,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from entgrowth import fock, lyapunov, scenarios
 from entgrowth.config import matrix_to_json, parse_config
@@ -490,18 +489,15 @@ def test_lyapunov_failure_names_its_stage_and_horizon():
         failure
 
 
-def test_fock_failure_names_its_stage_and_time(monkeypatch):
-    real_build = fock.build_hamiltonian
-
-    def lossy_build(ham, t, cutoff):
-        # exp(-i s H) then loses norm like e^{-0.1 s}
-        return real_build(ham, t, cutoff) - 0.1j * sparse.identity(cutoff ** 2, format="csr")
-
+def test_fock_failure_names_its_stage_and_time():
+    # a flow that shrinks like e^{-0.1 t} is not symplectic: the projected
+    # vacuum's squared norm grows like e^{0.2 t} and first exceeds 1 at t=0.05
     ham = builtin_hamiltonian("two_mode_squeezing", ModeCount(2, 1))
+    series = propagate(ham, 0.5, 0.01, store_every=5)
+    lossy = series.matrices * np.exp(-0.1 * series.times)[:, None, None]
     cfg = fock.FockConfig(dt=0.01, leak_ceiling=1.0)
-    monkeypatch.setattr(fock, "build_hamiltonian", lossy_build)
-    with pytest.raises(RuntimeError, match=r"^fock stage at t=0\.05: norm drift"):
-        fock.evolve_fock(fock.FockState.fock((0, 0), 8), ham, 0.5, cfg, store_every=5)
+    with pytest.raises(RuntimeError, match=r"^fock stage at t=0\.05: projection norm\^2 exceeds 1"):
+        fock.evolve_fock(fock.FockState.fock((0, 0), 8), lossy, 0.5, cfg, store_every=5)
 
 
 def test_classical_fit_failure_names_its_stage_and_window():
