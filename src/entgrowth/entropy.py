@@ -41,28 +41,19 @@ def mode_entropy(nu):
     direct form cancels at large nu, losing about nu machine epsilons, so
     from ``_LOG1P_CUT`` up s is ln e + ((nu+1)/2) log1p(1/e), which does not
     cancel; below it the direct form is the more accurate one, and below
-    nu - 1 = ``_SERIES_CUT`` its series.  Each form is evaluated only on the
-    elements in its range.
+    nu - 1 = ``_SERIES_CUT`` its series.  An array is evaluated in every
+    form at once, and each element keeps its own.
     """
     nu = np.asarray(nu, dtype=float)
-    s = np.zeros(nu.shape)
-    large = nu >= _LOG1P_CUT
-    if large.any():
-        x = nu[large]
-        eps = 0.5 * (x - 1.0)
-        s[large] = np.log(eps) + 0.5 * (x + 1.0) * np.log1p(1.0 / eps)
-    rest = ~(large | (nu <= 1.0))    # (1, _LOG1P_CUT), and NaN, which the direct form keeps
-    if rest.any():
-        small = rest & (nu - 1.0 < _SERIES_CUT)
-        if small.any():
-            # (1+e) ln(1+e) - e ln e  ~  e (1 - ln e) + e^2/2
-            eps = 0.5 * (nu[small] - 1.0)
-            s[small] = eps * (1.0 - np.log(eps)) + 0.5 * eps * eps
-            rest &= ~small
-        x = nu[rest]
-        eps, hi = 0.5 * (x - 1.0), 0.5 * (x + 1.0)
-        s[rest] = hi * np.log(hi) - eps * np.log(eps)
-    return _float_or_stack(s)
+    eps, hi = 0.5 * (nu - 1.0), 0.5 * (nu + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_eps = np.log(eps)
+        # (1+e) ln(1+e) - e ln e  ~  e (1 - ln e) + e^2/2
+        series = eps * (1.0 - log_eps) + 0.5 * eps * eps
+        direct = hi * np.log(hi) - eps * log_eps
+        log1p_form = log_eps + hi * np.log1p(1.0 / eps)
+    s = np.where(nu >= _LOG1P_CUT, log1p_form, np.where(nu - 1.0 < _SERIES_CUT, series, direct))
+    return _float_or_stack(np.where(nu <= 1.0, 0.0, s))
 
 
 def _half_logdet_factor(ell):

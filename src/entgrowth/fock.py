@@ -18,29 +18,38 @@ formed for all samples at once (:func:`_gaussian_amplitudes`).  A sum of
 number states, sum_n c_n |n>, maps to sum_n c_n prod_i X_i^n_i / sqrt(n_i!)
 U|0> in the images X_i = U a_i^dag U^dag.  Since a U|0> = B a^dag U|0>,
 that is a polynomial in a^dag applied to U|0>, which reads only the levels
-below each amplitude, so the projection needs no level above the cutoff
-(:func:`_number_sum`).  A sum of coherent states sum_k c_k |gamma_k> maps
-to sum_k c_k D(gamma_k(t)) U|0>, with gamma_k(t) = alpha gamma_k + beta
-conj(gamma_k) and the same recurrence with b = gamma_k(t) - B
+below each amplitude, so the projection needs no level above the ones it
+forms (:func:`_number_sum`).  A sum of coherent states sum_k c_k |gamma_k>
+maps to sum_k c_k D(gamma_k(t)) U|0>, with gamma_k(t) = alpha gamma_k +
+beta conj(gamma_k) and the same recurrence with b = gamma_k(t) - B
 conj(gamma_k(t)).  Every term shares U|0>, so the relative phases are
 exact and only the global phase of each sample is left open.  There is no
 time step, no operator and no series.
 
-Trust rule: the rows read the normalized projection.  Once the population
-of its top two levels in any mode exceeds the leak ceiling, that sample and
-all later ones are flagged untrusted rather than silently kept; unstable
-dynamics leaves any fixed cutoff eventually, so honest windows beat
-adaptive cutoff growth.  The weight lost above the cutoff, 1 - |P psi|^2,
-is exact at every sample.  The projection of a unit vector has |P psi|^2
-<= 1, and a sample above 1 + ``NORM_SLACK`` fails the run.
+Levels and trust rule.  The projection is formed on the state's cutoff +
+``MARGIN`` levels per mode, and the rows read it normalized.  Once the
+population of levels cutoff - 2 and cutoff - 1 in any mode exceeds the
+leak ceiling, that sample and all later ones are flagged untrusted rather
+than silently kept; unstable dynamics leaves any fixed cutoff eventually,
+so honest windows beat adaptive cutoff growth.  The margin is what keeps
+the entropies of trusted rows close: a normalized projection drops the
+-p ln p of the weight it loses, so on the cutoff's own levels its entropy
+errs more than a state stepped under the truncated Hamiltonian (2 to 14
+times, on trusted rows at cutoff 14), and four levels more bring it below
+the stepped state's error.  The weight lost above the levels, 1 - |P psi|^2, is exact at every
+sample.  The projection of a unit vector has |P psi|^2 <= 1, and a sample
+above 1 + ``NORM_SLACK`` fails the run.
 
 Size policy, owned by :func:`check_size` alone: a cutoff of at least 4, and
-a run's stored amplitudes with the working tensors that form them must fit
-``MEMORY_BUDGET`` bytes, with no cap on the modes or the dimension.  The
-config parser runs it with the run's sample count before it builds the
-state, and :func:`evolve_fock` runs it once more.  The state owns its
-shape; :class:`FockConfig` holds only the sample grid's step and the leak
-ceiling.
+a run's stored amplitudes with the working tensors and polynomials that
+form them must fit ``MEMORY_BUDGET`` bytes, with no cap on the modes or the
+dimension.  The count covers a number state of any occupation the cutoff
+admits: one whose polynomials outgrow the room beside the stack forms its
+samples in chunks.  Its run time grows with the occupation all the same
+(see :func:`_number_sum`).  The config parser runs the check with the
+run's sample count before it builds the state, and :func:`evolve_fock`
+runs it once more.  The state owns its shape; :class:`FockConfig` holds
+only the sample grid's step and the leak ceiling.
 
 No pipeline stage calls :func:`build_hamiltonian` (the sparse truncated
 Hamiltonian) or the reduced entropies of one state.  ``scipy.sparse`` is
@@ -49,7 +58,7 @@ oracle run loads no SciPy module.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -60,23 +69,40 @@ from .phase_space import williamson_spectrum
 
 
 MEMORY_BUDGET = 2 ** 27   # bytes: the stored amplitudes and the working tensors, 128 MiB
+MARGIN = 4                # levels per mode the oracle resolves above the state's cutoff
 # amplitude tensors a run holds per sample: the stack it returns, U|0> (or one
-# coherent term's state) and one monomial's product while it is added
+# coherent term's state) and one monomial's product
 TENSORS = 3
-LEAK_CEILING = 1e-6       # default ceiling on the top-two-level population of any mode
+BLOCKS = 8                # complex N x N blocks of M(t) a run holds per sample
+LEAK_CEILING = 1e-6       # default ceiling on the population of levels cutoff - 2, cutoff - 1
 NORM_SLACK = 1e-12        # roundoff allowed above |P psi|^2 = 1
+
+
+def _horner_size(n_modes: int, degree: int) -> int:
+    """Coefficients one sample's Horner polynomials of ``degree`` hold at once: n_modes + 4 of
+    them (one per level of the nesting, and an image with its temporaries), (degree + 1)^N each."""
+    return (n_modes + 4) * (degree + 1) ** n_modes
+
+
+def _run_bytes(n_modes: int, cutoff: int, n_samples: int) -> int:
+    """The bytes :func:`check_size` counts for a run (see there)."""
+    return 16 * (n_samples * (TENSORS * (cutoff + MARGIN) ** n_modes + BLOCKS * n_modes ** 2)
+                 + _horner_size(n_modes, n_modes * (cutoff - 1)))
 
 
 def check_size(n_modes: int, cutoff: int, n_samples: int) -> None:
     """Raise ValueError for a cutoff below 4 or a run of ``n_samples`` over ``MEMORY_BUDGET``.
 
-    A run holds ``TENSORS`` tensors of cutoff^N 16-byte complex amplitudes
-    per sample while it forms its stack.
+    A run holds, per sample, ``TENSORS`` tensors of (cutoff + ``MARGIN``)^N
+    16-byte complex amplitudes and ``BLOCKS`` complex N x N blocks, and
+    beside them the Horner polynomials of one sample at the largest total
+    occupation a state of the cutoff has, N (cutoff - 1).  A number state
+    whose polynomials outgrow that room forms its samples in chunks that
+    fit it.
     """
     if cutoff < 4:
         raise ValueError("cutoff must be at least 4")
-    dim = cutoff ** n_modes
-    need = 16 * TENSORS * n_samples * dim
+    dim, need = (cutoff + MARGIN) ** n_modes, _run_bytes(n_modes, cutoff, n_samples)
     if need > MEMORY_BUDGET:
         raise ValueError(f"{n_samples} stored samples at dimension {dim} need "
                          f"{need / 2 ** 20:.4g} MiB, above the {MEMORY_BUDGET / 2 ** 20:g} MiB "
@@ -147,15 +173,14 @@ def build_hamiltonian(ham: QuadraticHamiltonian, t: float, cutoff: int):
 class FockState:
     """Complex amplitude tensor over the truncated number basis.
 
-    ``coherent_terms`` holds the state as a finite sum of coherent product
-    states, pairs (c_k, gamma_k) for sum_k c_k |gamma_k>, when it was built
-    as one (:meth:`coherent`, :meth:`cat`); the amplitudes are then its
-    truncation, and the oracle maps the terms.  Otherwise the oracle maps
-    the amplitudes, as the sum of c_n |n>.
+    A state built by :meth:`coherent` or :meth:`cat` also keeps its exact
+    terms, pairs (c_k, gamma_k) of sum_k c_k |gamma_k>, of which the
+    amplitudes are the truncation; the oracle maps the terms.  Any other
+    state is mapped from its amplitudes, as the sum of c_n |n>.
     """
 
     amplitudes: np.ndarray
-    coherent_terms: tuple = ()
+    _terms: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
@@ -163,12 +188,13 @@ class FockState:
             raise DimensionMismatch("amplitude tensor must have 1 to 3 axes")
         if len(set(amp.shape)) != 1:
             raise DimensionMismatch("all modes must share one cutoff")
-        terms = tuple((complex(c), np.asarray(gamma, dtype=complex))
-                      for c, gamma in self.coherent_terms)
-        if any(gamma.shape != (amp.ndim,) for _, gamma in terms):
-            raise DimensionMismatch(f"each coherent term needs {amp.ndim} amplitudes")
         object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "coherent_terms", terms)
+
+    @classmethod
+    def _of_terms(cls, amplitudes, terms) -> "FockState":
+        state = cls(amplitudes)
+        object.__setattr__(state, "_terms", terms)
+        return state
 
     @property
     def n_modes(self) -> int:
@@ -183,7 +209,8 @@ class FockState:
         return float(np.linalg.norm(self.amplitudes))
 
     def normalized(self) -> "FockState":
-        return FockState(self.amplitudes / self.norm)
+        # the terms of a coherent or cat state are already the exact unit state
+        return FockState._of_terms(self.amplitudes / self.norm, self._terms)
 
     @classmethod
     def fock(cls, occupations, cutoff: int) -> "FockState":
@@ -221,7 +248,7 @@ class FockState:
         amp = vecs[0]
         for vec in vecs[1:]:
             amp = np.multiply.outer(amp, vec)
-        return cls(amp / np.linalg.norm(amp), ((1.0, alphas),))
+        return cls._of_terms(amp / np.linalg.norm(amp), ((1.0, alphas.astype(complex)),))
 
     @classmethod
     def cat(cls, alpha, cutoff: int, n_modes: int = 1, mode: int = 0) -> "FockState":
@@ -240,14 +267,16 @@ class FockState:
         gamma[mode] = alpha
         # <alpha|-alpha> = exp(-2 |alpha|^2)
         c = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-2.0 * abs(alpha) ** 2))
-        return cls(amp, ((c, gamma), (c, -gamma)))
+        return cls._of_terms(amp, ((c, gamma), (c, -gamma)))
 
 
-def top_level_population(amplitudes):
-    """Largest population of the top two levels over all modes, for each state of a stack."""
+def top_level_population(amplitudes, cutoff=None):
+    """Largest population of levels cutoff - 2 and cutoff - 1 over all modes, for each state
+    of a stack; by default the stack's own top two levels."""
+    top = amplitudes.shape[1] if cutoff is None else cutoff
     axes = tuple(range(1, amplitudes.ndim))
-    return np.max([np.sum(np.abs(np.moveaxis(amplitudes, axis, 1)[:, -2:]) ** 2, axis=axes)
-                   for axis in axes], axis=0)
+    return np.max([np.sum(np.abs(np.moveaxis(amplitudes, axis, 1)[:, top - 2:top]) ** 2,
+                          axis=axes) for axis in axes], axis=0)
 
 
 def _ladder_blocks(mats):
@@ -322,8 +351,8 @@ def _gaussian_amplitudes(b, bmat, c0, levels):
     return psi
 
 
-def _image_polynomial(poly, lift, beta, i):
-    """The polynomial X_i g of a polynomial g, for the states g(a^dag) U|0>, per sample.
+def _image_polynomial(poly, lift, beta, i, scale):
+    """The polynomial ``scale`` X_i g of a polynomial g, for the states g(a^dag) U|0>, per sample.
 
     ``poly`` holds the coefficients of the monomials x^m, one axis per
     mode after the samples.  X_i = U a_i^dag U^dag = sum_j alpha_ji a_j^dag
@@ -336,90 +365,98 @@ def _image_polynomial(poly, lift, beta, i):
     out = np.zeros_like(poly)
     for m in range(poly.ndim - 1):
         lo, hi, counts = _shifts(m + 1, poly.shape[m + 1], poly.ndim)
-        out[hi] += lift[:, m, i].reshape(shape) * poly[lo]
-        out[lo] -= beta[:, m, i].conj().reshape(shape) * (counts * poly[hi])
+        out[hi] += (scale * lift[:, m, i]).reshape(shape) * poly[lo]
+        out[lo] -= (scale * beta[:, m, i].conj()).reshape(shape) * (counts * poly[hi])
     return out
 
 
-def _number_sum(coef, vacuum, alpha, beta, bmat):
-    """sum_n coef[n] prod_i X_i^n_i / sqrt(n_i!) U|0>, per sample, from ``vacuum`` = U|0>.
+def _number_sum(coef, vacuum, alpha, beta, bmat, out) -> None:
+    """Add sum_n coef[n] prod_i X_i^n_i / sqrt(n_i!) U|0> to ``out``, per sample, from
+    ``vacuum`` = U|0>.
 
-    The sum is g(a^dag) U|0> for a polynomial g of the state's total
-    occupation, whose coefficients (per sample) follow by Horner's rule in
-    each mode in turn, sum_k c_k X^k / sqrt(k!) = c_0 + X (c_1 + X (c_2 +
-    ...) / sqrt(2)) / sqrt(1), each c_k the sum over the later modes
-    (:func:`_image_polynomial`; the X_i commute).  Each monomial x^m then
-    enters as (a^dag)^m U|0>, sqrt(n! / (n - m)!) psi(n - m), which reads
-    only lower levels: the sum is exact on the cutoff with no level above
-    it.
+    The sum is g(a^dag) U|0> for a polynomial g of degree D, the state's
+    largest total occupation, whose coefficients (per sample) follow by
+    Horner's rule in each mode in turn, sum_k c_k X^k / sqrt(k!) = c_0 + X
+    (c_1 + X (c_2 + ...) / sqrt(2)) / sqrt(1), each c_k the sum over the
+    later modes (:func:`_image_polynomial`; the X_i commute).  Each monomial
+    x^m with every m_i below the levels then enters as (a^dag)^m U|0>,
+    sqrt(n! / (n - m)!) psi(n - m), which reads only lower levels: the sum
+    is exact on the levels with none above them.  Per sample it holds
+    :func:`_horner_size` coefficients, and its time grows as D times those
+    plus the monomials, at most min(D + 1, levels)^N, times the levels^N
+    amplitudes.
     """
-    n_samples, n, cutoff = len(vacuum), coef.ndim, coef.shape[0]
+    n_samples, n, levels = len(vacuum), coef.ndim, vacuum.shape[1]
     degree = int(np.argwhere(coef).sum(axis=1).max())
-    one = np.zeros((n_samples,) + (degree + 1,) * n, dtype=complex)
-    one.reshape(n_samples, -1)[:, 0] = 1.0
     lift = alpha - bmat @ beta.conj()
 
     def horner(c, mode):
         if mode == n:
-            return c * one
+            poly = np.zeros((n_samples,) + (degree + 1,) * n, dtype=complex)
+            poly.reshape(n_samples, -1)[:, 0] = c
+            return poly
         occupied = np.flatnonzero(c.reshape(len(c), -1).any(axis=1))
-        out = horner(c[occupied[-1]], mode + 1)
+        poly = horner(c[occupied[-1]], mode + 1)
         for k in range(occupied[-1] - 1, -1, -1):
-            out = _image_polynomial(out, lift, beta, mode) / math.sqrt(k + 1)
+            poly = _image_polynomial(poly, lift, beta, mode, 1.0 / math.sqrt(k + 1))
             if c[k].any():
-                out += horner(c[k], mode + 1)
-        return out
+                poly += horner(c[k], mode + 1)
+        return poly
 
     poly = horner(coef, 0)
-    levels = np.arange(cutoff, dtype=float)
-    out, buffer = np.zeros_like(vacuum), np.empty_like(vacuum)
-    for m in np.argwhere(np.any(poly, axis=0)):
-        # sqrt(n! / (n - m_i)!) on the levels n >= m_i of each mode with m_i > 0
-        weights = []
-        for axis, mi in enumerate(m, 1):
-            if mi:
-                falling = np.ones(cutoff - mi)
-                for k in range(mi):
-                    falling *= levels[mi:] - k
-                weights.append(np.sqrt(falling).reshape((-1,) + (1,) * (n - axis)))
-        # the first weight joins the sample coefficients, the others scale the
-        # product in place; the product of every monomial shares one buffer
-        factor = poly[(slice(None),) + tuple(m)].reshape((n_samples,) + (1,) * n)
+    kept = poly[(slice(None),) + (slice(levels),) * n]
+    monomials = np.argwhere(np.any(kept, axis=0))
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, levels)))))
+    buffer = np.empty_like(vacuum)
+    for m in monomials:
+        # the product of every monomial shares one buffer and takes its weights in place
+        factor = kept[(slice(None),) + tuple(m)].reshape((n_samples,) + (1,) * n)
         target = out[(slice(None),) + tuple(slice(mi, None) for mi in m)]
         product = buffer[(slice(None),) + tuple(slice(mi, None) for mi in m)]
-        np.multiply(factor * weights[0] if weights else factor,
-                    vacuum[(slice(None),) + tuple(slice(cutoff - mi) for mi in m)], out=product)
-        for weight in weights[1:]:
-            product *= weight
+        np.multiply(factor, vacuum[(slice(None),) + tuple(slice(levels - mi) for mi in m)],
+                    out=product)
+        for axis, mi in enumerate(m, 1):
+            if mi:
+                # sqrt(n! / (n - m_i)!) on the levels n >= m_i
+                root = np.exp(0.5 * (log_factorial[mi:] - log_factorial[:levels - mi]))
+                product *= root.reshape((-1,) + (1,) * (n - axis))
         np.add(target, product, out=target)
-    return out
 
 
-def _projection(psi0: FockState, alpha, beta) -> np.ndarray:
-    """P U(t) psi0 on the state's cutoff, one tensor per sample of (alpha, beta)."""
-    cutoff = psi0.cutoff
+def _projection(psi0: FockState, alpha, beta, levels: int) -> np.ndarray:
+    """P U(t) psi0 on ``levels`` per mode, one tensor per sample of (alpha, beta)."""
+    n_samples, n = len(alpha), psi0.n_modes
     # B = beta conj(alpha)^-1, solved as conj(alpha)^T B^T = beta^T (B is symmetric)
     bmat = np.linalg.solve(np.swapaxes(alpha.conj(), -1, -2), np.swapaxes(beta, -1, -2))
     bmat = np.swapaxes(bmat, -1, -2)
     vacuum = np.exp(-0.5 * np.linalg.slogdet(alpha)[1]).astype(complex)
-    if not psi0.coherent_terms:
-        return _number_sum(psi0.amplitudes, _gaussian_amplitudes(None, bmat, vacuum, cutoff),
-                           alpha, beta, bmat)
-    out = 0.0
-    for c, gamma0 in psi0.coherent_terms:
-        gamma = alpha @ gamma0 + beta @ gamma0.conj()
-        b = gamma - np.einsum("sij,sj->si", bmat, gamma.conj())
-        # <0|D(gamma) U|0> = <-gamma|U|0>
-        weight = np.exp(-0.5 * np.sum(np.abs(gamma) ** 2, axis=-1)
-                        + 0.5 * np.einsum("si,sij,sj->s", gamma.conj(), bmat, gamma.conj()))
-        out = out + _gaussian_amplitudes(b, bmat, c * vacuum * weight, cutoff)
+    out = np.zeros((n_samples,) + (levels,) * n, dtype=complex)
+    if psi0._terms:
+        for c, gamma0 in psi0._terms:
+            gamma = alpha @ gamma0 + beta @ gamma0.conj()
+            b = gamma - np.einsum("sij,sj->si", bmat, gamma.conj())
+            # <0|D(gamma) U|0> = <-gamma|U|0>
+            weight = np.exp(-0.5 * np.sum(np.abs(gamma) ** 2, axis=-1)
+                            + 0.5 * np.einsum("si,sij,sj->s", gamma.conj(), bmat, gamma.conj()))
+            out += _gaussian_amplitudes(b, bmat, c * vacuum * weight, levels)
+        return out
+    # a chunk's samples hold U|0>, one monomial's product and their Horner
+    # polynomials, in the room check_size keeps beside the stack: at least one
+    degree = int(np.argwhere(psi0.amplitudes).sum(axis=1).max())
+    dim = levels ** n
+    room = (TENSORS - 1) * n_samples * dim + _horner_size(n, n * (psi0.cutoff - 1))
+    step = room // (2 * dim + _horner_size(n, degree))
+    for start in range(0, n_samples, step):
+        part = slice(start, start + step)
+        _number_sum(psi0.amplitudes, _gaussian_amplitudes(None, bmat[part], vacuum[part], levels),
+                    alpha[part], beta[part], bmat[part], out[part])
     return out
 
 
 @dataclass
 class FockTrajectory:
-    """Oracle samples: one stack of normalized ``amplitudes`` on the ``times`` of ``propagate``,
-    the weight each lost above the cutoff, trust flags."""
+    """Oracle samples: one stack of normalized ``amplitudes`` on cutoff + ``MARGIN`` levels per
+    mode at the ``times`` of ``propagate``, the weight each lost above those levels, trust flags."""
 
     times: np.ndarray
     amplitudes: np.ndarray
@@ -440,10 +477,11 @@ def evolve_fock(psi0: FockState, matrices, t_final: float, cfg: FockConfig,
     ``matrices`` are the flow on the grid of ``propagate(ham, t_final,
     cfg.dt, store_every)``, which the trajectory's times equal bit for bit.
     Each sample is formed from its own M(t) by the recurrence (see the
-    module docstring); nothing is stepped.  A run must pass
-    :func:`check_size`.  A sample whose projection has squared norm above 1 +
-    ``NORM_SLACK`` fails at the earliest such time; the lost weight 1 -
-    |P psi|^2 of each sample is kept.  Once the top-level population of the
+    module docstring) on the state's cutoff + ``MARGIN`` levels per mode;
+    nothing is stepped.  A run must pass :func:`check_size`.  A sample whose
+    projection has squared norm above 1 + ``NORM_SLACK`` fails at the
+    earliest such time; the lost weight 1 - |P psi|^2 of each sample is
+    kept.  Once the population of levels cutoff - 2 and cutoff - 1 of the
     normalized projection exceeds the ceiling, all later samples are
     flagged untrusted; an initial state already over the ceiling is
     rejected outright.
@@ -463,7 +501,7 @@ def evolve_fock(psi0: FockState, matrices, t_final: float, cfg: FockConfig,
     check_size(psi0.n_modes, psi0.cutoff, n_samples)
     times = sample_times(t_final, cfg.dt, store_every)
 
-    amplitudes = _projection(psi0, *_ladder_blocks(mats))
+    amplitudes = _projection(psi0, *_ladder_blocks(mats), psi0.cutoff + MARGIN)
     # squared norms from the real view: no copy of the stack
     flat = amplitudes.reshape(n_samples, -1).view(float)
     norm2 = np.einsum("ij,ij->i", flat, flat)
@@ -473,7 +511,7 @@ def evolve_fock(psi0: FockState, matrices, t_final: float, cfg: FockConfig,
         raise RuntimeError(f"fock stage at t={times[i]:.6g}: projection norm^2 exceeds 1 by "
                            f"{norm2[i] - 1.0:.3g}; M(t) is not symplectic")
     amplitudes /= np.sqrt(norm2).reshape((n_samples,) + (1,) * psi0.n_modes)
-    leaks = top_level_population(amplitudes)
+    leaks = top_level_population(amplitudes, psi0.cutoff)
     return FockTrajectory(times=times, amplitudes=amplitudes, leaks=leaks,
                           trusted=~np.logical_or.accumulate(leaks > cfg.leak_ceiling),
                           lost=1.0 - norm2)

@@ -673,11 +673,11 @@ def test_fock_memory_budget_counts_the_stored_samples():
     with pytest.raises(ConfigError, match=r"^initial_state\.cutoff: 1001 stored samples .* "
                                           r"above the 128 MiB memory budget"):
         parse_config(json.dumps(doc))
-    # 501 stored samples (76 MiB) fit once, but not as the three tensors a
-    # run holds while it forms them
+    # 501 stored samples (83 MiB on the oracle's 104 levels per mode) fit
+    # once, but not as the three tensors a run holds while it forms them
     doc["run"]["t_final"] = 2.5
     with pytest.raises(ConfigError, match=r"^initial_state\.cutoff: 501 stored samples at "
-                                          r"dimension 10000 need 229\.3 MiB"):
+                                          r"dimension 10816 need 251\.9 MiB"):
         parse_config(json.dumps(doc))
 
 

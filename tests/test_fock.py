@@ -3,6 +3,7 @@ entropies, moments."""
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -306,13 +307,13 @@ RECURRENCE_CASES = {
 @pytest.mark.parametrize("kind", list(RECURRENCE_CASES))
 def test_recurrence_matches_the_chebyshev_reference(kind):
     # the reference runs 10 levels above the oracle's cutoff and is projected
-    # back; wherever the oracle loses less than 1e-12 weight above its cutoff
-    # and the reference less than 1e-12 in its top two levels, the amplitudes
-    # agree to 1e-10 after one global phase per sample
+    # onto the oracle's levels; wherever the oracle loses less than 1e-12
+    # weight above them and the reference less than 1e-12 in its top two
+    # levels, the amplitudes agree to 1e-10 after one global phase per sample
     make, ham, t_final, dt, store_every, cutoff = RECURRENCE_CASES[kind]
     traj = _oracle(make(cutoff), ham, t_final, dt, store_every)
     _, ref = chebyshev_evolve(make(cutoff + 10), ham, t_final, dt, store_every)
-    projected = ref[(slice(None),) + (slice(cutoff),) * (ref.ndim - 1)]
+    projected = ref[(slice(None),) + (slice(cutoff + fock.MARGIN),) * (ref.ndim - 1)]
     compared = (traj.lost < 1e-12) & (top_level_population(ref) < 1e-12)
     assert compared.sum() >= 8, kind
     assert np.all(traj.lost > -1e-12)
@@ -320,6 +321,48 @@ def test_recurrence_matches_the_chebyshev_reference(kind):
     for got, want in zip(rec[compared], projected[compared]):
         overlap = np.vdot(want, got)
         assert np.max(np.abs(got - overlap / abs(overlap) * want)) < 1e-10, kind
+
+
+def test_high_occupation_state_fits_its_count_and_matches_the_reference(monkeypatch):
+    # fock:11,11 at cutoff 14, its occupation three below the top: the Horner
+    # polynomials of degree 22 outgrow the room beside the stack, so the
+    # samples form in chunks, and the run's traced peak stays within the bytes
+    # check_size counts; wherever the reference keeps less than 1e-12 in its
+    # top two levels, the amplitudes agree to 1e-10 after one global phase
+    chunks = []
+    number_sum = fock._number_sum
+    monkeypatch.setattr(fock, "_number_sum", lambda *args: chunks.append(len(args[1]))
+                        or number_sum(*args))
+    ham = QuadraticHamiltonian.constant(_random_form(2, 1, 0.3))
+    cutoff, t_final, dt = 14, 0.3, 0.01
+    matrices = propagate(ham, t_final, dt).matrices
+    tracemalloc.start()
+    try:
+        traj = evolve_fock(FockState.fock((11, 11), cutoff), matrices, t_final,
+                           FockConfig(dt=dt, leak_ceiling=1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chunks) > 1 and sum(chunks) == len(matrices) == 31
+    assert peak <= fock._run_bytes(2, cutoff, len(matrices))
+    _, ref = chebyshev_evolve(FockState.fock((11, 11), cutoff + 14), ham, t_final, dt)
+    projected = ref[:, :cutoff + fock.MARGIN, :cutoff + fock.MARGIN]
+    compared = top_level_population(ref) < 1e-12
+    assert compared.sum() >= 8
+    rec = traj.amplitudes * np.sqrt(1.0 - traj.lost).reshape((-1, 1, 1))
+    for got, want in zip(rec[compared], projected[compared]):
+        overlap = np.vdot(want, got)
+        assert np.max(np.abs(got - overlap / abs(overlap) * want)) < 1e-10
+
+
+def test_normalized_coherent_and_cat_states_keep_their_terms():
+    # the oracle maps the exact terms of either state, normalized or not
+    for psi0 in (FockState.coherent([0.5, -0.3j], 12), FockState.cat(0.8, 12, n_modes=2)):
+        again = psi0.normalized()
+        assert again._terms is psi0._terms and len(psi0._terms) > 0
+        assert np.array_equal(_oracle(psi0, TMS, 0.2, 0.01, 10).amplitudes,
+                              _oracle(again, TMS, 0.2, 0.01, 10).amplitudes)
+        assert FockState(psi0.amplitudes)._terms == ()
 
 
 @pytest.mark.parametrize("name, cutoff, t_final", [("two_mode_squeezing", 24, 0.8),
@@ -364,7 +407,8 @@ def test_subnormal_form_keeps_the_state_without_a_warning():
     assert len(amplitudes) == 6
     for amp in amplitudes:
         assert np.array_equal(amp, psi0.amplitudes)
-    assert np.max(np.abs(traj.amplitudes - psi0.amplitudes)) < 1e-15
+    padded = _padded(psi0.amplitudes)(4 + fock.MARGIN).amplitudes
+    assert np.max(np.abs(traj.amplitudes - padded)) < 1e-15
 
 
 def test_harmonic_eigenstate_survival():
@@ -421,11 +465,12 @@ def test_trajectory_is_one_stack_on_the_propagation_grid(kind):
     cutoff = 12
     traj = _oracle(FockState.fock((1, 0), cutoff), ham, t_final, dt, store_every)
     assert np.array_equal(traj.times, propagate(ham, t_final, dt, store_every).times)
-    assert traj.amplitudes.shape == (len(traj.times), cutoff, cutoff)
+    levels = cutoff + fock.MARGIN
+    assert traj.amplitudes.shape == (len(traj.times), levels, levels)
     memory = traj.amplitudes
     while memory.base is not None:
         memory = memory.base
-    assert memory.size == len(traj.times) * cutoff ** 2
+    assert memory.size == len(traj.times) * levels ** 2
 
 
 def test_recurrence_blocks_hold_only_stored_rows(monkeypatch):
@@ -632,9 +677,9 @@ def test_slope_state_independence():
 
 def test_coherent_state_oracle_matches_vacuum_growth():
     # displacement never enters the entanglement: a coherent state follows
-    # the vacuum entropy trajectory exactly, up to the cutoff's truncation
-    psi_vac = FockState.fock((0, 0), 30)
-    psi_coh = FockState.coherent([0.5, -0.3], 30)
+    # the vacuum entropy trajectory exactly
+    psi_vac = FockState.fock((0, 0), 20)
+    psi_coh = FockState.coherent([0.5, -0.3], 20)
     t_vac = _oracle(psi_vac, TMS, 0.8, 0.005, store_every=40, leak_ceiling=3e-3)
     t_coh = _oracle(psi_coh, TMS, 0.8, 0.005, store_every=40, leak_ceiling=3e-3)
     for a_vac, a_coh, ok in zip(t_vac.amplitudes, t_coh.amplitudes, t_coh.trusted):
@@ -642,6 +687,25 @@ def test_coherent_state_oracle_matches_vacuum_growth():
             break
         assert abs(reduced_entropy(FockState(a_vac), (0,))
                    - reduced_entropy(FockState(a_coh), (0,))) < 1e-6
+
+
+@pytest.mark.parametrize("ham", [TMS, QuadraticHamiltonian.constant(_random_form(2, 7, 0.4))],
+                         ids=["two_mode_squeezing", "random"])
+def test_trusted_entropies_err_less_than_the_truncated_stepper(ham):
+    # the margin's purpose: on every trusted row at cutoff 14, the oracle's
+    # entropy is closer to the exact one (the reference at cutoff 30) than
+    # the reference stepped under the Hamiltonian truncated to cutoff 14
+    for make in (lambda c: FockState.fock((0, 0), c), lambda c: FockState.fock((1, 0), c),
+                 lambda c: FockState.coherent([0.5, -0.3j], c),
+                 lambda c: FockState.cat(0.8, c, n_modes=2)):
+        traj = _oracle(make(14), ham, 1.0, 0.01, store_every=10, leak_ceiling=3e-3)
+        _, stepped = chebyshev_evolve(make(14), ham, 1.0, 0.01, 10)
+        _, exact = chebyshev_evolve(make(30), ham, 1.0, 0.01, 10)
+        assert traj.trusted.sum() >= 5
+        for i in np.flatnonzero(traj.trusted):
+            s_exact = reduced_entropy(FockState(exact[i]), (0,))
+            err = abs(reduced_entropy(FockState(traj.amplitudes[i]), (0,)) - s_exact)
+            assert err <= abs(reduced_entropy(FockState(stepped[i]), (0,)) - s_exact) + 1e-12
 
 
 def test_top_level_population_counts_both_modes():
