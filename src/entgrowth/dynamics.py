@@ -19,8 +19,9 @@ steps it reads.  Each factor is symplectic up to the accuracy of the
 exponential, and the defect |M Omega M^T - Omega| of every stored M(t) is
 monitored rather than silently projected away.
 
-The exponential is the package's own :func:`expm`, in numpy alone, so no
-flow imports a SciPy module, whether constant, piecewise or callable.
+The exponential is the package's own :func:`expm`, one scaling-and-squaring
+Taylor sum in ``np.longdouble`` with numpy alone, so no flow imports a SciPy
+module, whether constant, piecewise or callable.
 """
 
 import math
@@ -54,102 +55,29 @@ EDGE_SNAP = 1e-9
 # steps per stacked call where a callable h is sampled step by step
 CHUNK_STEPS = 1024
 
-# Pade coefficients b_0..b_m of the [m/m] approximant to exp, for the orders
-# of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)
-_PADE_B = {
-    3: (120, 60, 12, 1),
-    5: (30240, 15120, 3360, 420, 30, 1),
-    7: (17297280, 8648640, 1995840, 277200, 25200, 1512, 56, 1),
-    9: (17643225600, 8821612800, 2075673600, 302702400, 30270240, 2162160, 110880, 3960,
-        90, 1),
-    13: (64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
-         129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
-         40840800, 960960, 16380, 182, 1),
-}
-_ORDERS = tuple(_PADE_B)
-# order m keeps the backward error under 2^-53 while eta_m(A) < theta_m; order 13
-# first scales A by 2^-s to bring eta under its theta
-_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
-          9: 2.097847961257068e0, 13: 4.25}
-# 1/|c_(2m+1)| of the backward-error series, for the non-normality count ell(A, m)
-_ELL_C = {3: 100800.0, 5: 10059033600.0, 7: 4487938430976000.0,
-          9: 5914384781877411840000.0, 13: 113250775606021113483283660800000000.0}
-_UNIT = 2.0 ** -53
-
-
-def _pade_rows(m):
-    """Rows (U_hi, V_hi, U_lo, V_lo) over the powers (I, A, A^2, A^4, A^6).
-
-    The order-m numerator is P = V + U and the denominator Q = V - U,
-    with U = A (A^6 U_hi + U_lo) and V = A^6 V_hi + V_lo; orders below 13
-    have zero high rows.
-    """
-    b = _PADE_B[m] + (0,) * (13 - m)
-    odd, even = b[1::2], b[0::2]
-    return [(0, 0, *odd[4:]), (0, 0, *even[4:]),
-            (odd[0], 0, *odd[1:4]), (even[0], 0, *even[1:4])]
-
-
-_PADE = np.array([_pade_rows(m) for m in _ORDERS], dtype=np.longdouble)
-# A^p scaled by 2^-s enters a row as 2^-(s (p + row offset)): U carries one more
-# factor of A, and the high rows one more A^6
-_PADE_POWERS = np.add.outer([7, 6, 1, 0], [0, 1, 2, 4, 6])
-
-
-def _onenorm(a):
-    """The 1-norm (largest column sum) of each matrix of a stack."""
-    return np.abs(a).sum(axis=-2).max(axis=-1)
-
-
-def _ell(a, norm1, m):
-    """ell(A, m): the extra squarings a non-normal A needs at order m.
-
-    Zero without a matrix product when ||A||^(2m+1) already bounds the
-    1-norm of |A|^(2m+1) under the threshold.
-    """
-    if norm1 ** (2 * m) <= _ELL_C[m] * _UNIT:
-        return 0
-    power = np.linalg.matrix_power(np.abs(a), 2 * m + 1)
-    ratio = float(_onenorm(power)) / (norm1 * _ELL_C[m] * _UNIT)
-    return math.ceil(math.log2(ratio) / (2 * m)) if ratio > 1.0 else 0
-
-
-def _order_and_scale(a, powers, norms):
-    """(index into _ORDERS, s) for one matrix: the order and scaling of Algorithm 5.1.
-
-    ``powers`` are its (I, A, A^2, A^4, A^6) in extended precision and
-    ``norms`` their exact 1-norms from A on; the norms of A^8 and A^10
-    are taken only when orders 3 and 5 do not fit.
-    """
-    norm1, _, n4, n6 = norms
-    eta = max(n4 ** (1 / 4), n6 ** (1 / 6))
-    for i, m in enumerate(_ORDERS[:2]):
-        if eta < _THETA[m] and _ell(a, norm1, m) == 0:
-            return i, 0
-    n8, n10 = _onenorm(powers[3] @ powers[3:5]).astype(float).tolist()   # A^8, A^10
-    d8 = n8 ** (1 / 8)
-    eta = max(n6 ** (1 / 6), d8)
-    for i, m in enumerate(_ORDERS[2:4], start=2):
-        if eta < _THETA[m] and _ell(a, norm1, m) == 0:
-            return i, 0
-    eta = min(eta, max(d8, n10 ** (1 / 10)))
-    s = max(math.ceil(math.log2(eta / _THETA[13])), 0) if eta > 0 else 0
-    return 4, s + _ell(np.ldexp(a, -s), math.ldexp(norm1, -s), 13)
+# exp(B) of a B of 1-norm at most THETA is its degree-16 Taylor polynomial to
+# within THETA^17 / 17! = 2.1e-20, under 2^-64
+_THETA = 0.5
+# row j: the coefficients 1/k! of B^k, k = 4j .. 4j+3, for Paterson & Stockmeyer's
+# blocks over (I, B, B^2, B^3); with B^16 / 16! they are summed by Horner's rule in B^4
+_TAYLOR = np.array([[np.longdouble(1) / math.factorial(4 * j + i) for i in range(4)]
+                    for j in range(4)], dtype=np.longdouble)
 
 
 def expm(a) -> np.ndarray:
     """Matrix exponential of the real matrix ``a``, or of each of a stack ``(..., n, n)``.
 
-    Al-Mohy & Higham's scaling-and-squaring Pade algorithm (SIAM J. Matrix
-    Anal. Appl. 31, 970, 2009), the one ``scipy.linalg.expm`` implements:
-    the order m in {3, 5, 7, 9, 13} and, for 13, the scaling 2^-s are
-    chosen per matrix from exact 1-norms of its powers.  The powers, the
-    Pade numerator P and denominator Q and the squarings are formed in
-    ``np.longdouble``, and the solve of Q X = P is refined once against
-    the extended-precision residual P - Q X, so each result is correctly
-    rounded in practice.  Where ``np.longdouble`` is plain double (Windows,
-    macOS on arm64) the refinement gains no precision and the result has
-    the accuracy of a double-precision Pade evaluation.
+    Scaling and squaring of the degree-16 Taylor polynomial, in
+    ``np.longdouble``: each matrix A is scaled to B = 2^-s A, with the
+    least s >= 0 that brings the 1-norm of B to 1/2 or below, and the
+    polynomial of B, summed by Paterson & Stockmeyer's scheme (products
+    B^2, B^3, B^4 and three Horner steps in B^4), is squared s times.  With
+    64 mantissa bits, the entries not far below the largest are correctly
+    rounded, or one ulp off, in practice, and a nilpotent step (A^2 = 0)
+    gives exactly I + A.  Where ``np.longdouble`` is plain double (Windows,
+    macOS on arm64) the result has double accuracy, and a large A takes
+    three or four squarings more, each adding roundoff, than a Pade
+    evaluation of order 13 would.
 
     A stack gives, bit for bit, the matrices of the calls on each of its
     matrices.
@@ -158,34 +86,21 @@ def expm(a) -> np.ndarray:
     n = a.shape[-1]
     flat = a.reshape((-1, n, n))
     count = len(flat)
-    powers = np.empty((count, 5, n, n), dtype=np.longdouble)
+    # s = ceil(log2(|A|_1 / THETA)), from the binary exponent of the ratio
+    mantissa, exponent = np.frexp(np.abs(flat).sum(axis=-2).max(axis=-1) / _THETA)
+    scale = np.maximum(exponent - (mantissa == 0.5), 0)
+    powers = np.empty((count, 4, n, n), dtype=np.longdouble)
     powers[:, 0] = np.eye(n)
-    powers[:, 1] = flat
+    powers[:, 1] = np.ldexp(flat, -scale[:, None, None])
     np.matmul(powers[:, 1], powers[:, 1], out=powers[:, 2])
-    np.matmul(powers[:, 2], powers[:, 2], out=powers[:, 3])
-    np.matmul(powers[:, 3], powers[:, 2], out=powers[:, 4])
-    norms = _onenorm(powers[:, 1:]).astype(float).tolist()
-    picks = np.array([_order_and_scale(flat[i], powers[i], norms[i]) for i in range(count)],
-                     dtype=int).reshape(count, 2)
-    (order, scale), (top_order, top_scale) = picks.T, picks.max(axis=0, initial=0).tolist()
-    coef = _PADE[order]
-    if top_scale:
-        coef = np.ldexp(coef, -scale[:, None, None] * _PADE_POWERS)
-    rows = (coef @ powers.reshape(count, 5, n * n)).reshape(count, 4, n, n)
-    halves = rows[:, 2:]
-    if top_order >= _ORDERS.index(9):
-        halves = powers[:, 4, None] @ rows[:, :2] + halves
-    u, v = powers[:, 1] @ halves[:, 0], halves[:, 1]
-    p, q = v + u, v - u
-    q_inv = np.linalg.inv(q.astype(float))
-    x = q_inv @ p
-    x += q_inv @ (p - q @ x)
-    for k in range(top_scale):
-        deep = np.nonzero(scale > k)[0]
-        if len(deep) == count:
-            x = x @ x
-        else:
-            x[deep] = x[deep] @ x[deep]
+    np.matmul(powers[:, 2], powers[:, 1], out=powers[:, 3])
+    b4 = powers[:, 2] @ powers[:, 2]
+    blocks = (_TAYLOR @ powers.reshape(count, 4, n * n)).reshape(count, 4, n, n)
+    x = b4 / math.factorial(16) + blocks[:, 3]
+    for j in (2, 1, 0):
+        x = b4 @ x + blocks[:, j]
+    for k in range(int(scale.max(initial=0))):
+        x = np.where((scale > k)[:, None, None], x @ x, x)
     return x.astype(float).reshape(a.shape)
 
 

@@ -146,23 +146,27 @@ EXP_REFERENCES = {
 
 @pytest.mark.parametrize("name", sorted(EXP_REFERENCES))
 def test_expm_matches_forty_digit_references(name):
-    # the inverted_pair step, the long inverted parametric_drive piece (order 9)
-    # and a random generator of 1-norm 9.4 (order 13, scaled)
+    # the inverted_pair step (unscaled), the long inverted parametric_drive
+    # piece and a random generator of 1-norm 9.4 (both scaled and squared)
     a = _exponential_cases()[name]
     want = np.array(EXP_REFERENCES[name].split(), dtype=float).reshape(a.shape)
     assert np.max(np.abs(package_expm(a) - want)) <= 4e-16 * np.max(np.abs(want))
 
 
-def test_expm_of_a_nilpotent_step_is_exactly_one_plus_the_step():
+@pytest.mark.parametrize("length", [1, 3, 4, 10, 60])
+def test_expm_of_a_nilpotent_step_is_exactly_one_plus_the_step(length):
+    # length 1 is the metastable builtin's stored step, 4 its QR block; the
+    # longer steps are squared several times, and stay exact
     run = scenario_document("metastable")["run"]
-    a = run["dt"] * run["store_every"] * (standard_omega(2) @ metastable_form())
+    assert run["dt"] * run["store_every"] == 1.0
+    a = length * (standard_omega(2) @ metastable_form())
     assert np.array_equal(package_expm(a), np.eye(4) + a)
 
 
 def test_stacked_expm_equals_the_calls_on_each_matrix_bit_for_bit():
     rng = np.random.default_rng(29)
     mats = []
-    # 1-norms from 1e-4 to 30 reach every Pade order and several scalings
+    # 1-norms from 1e-4 to 30: unscaled and scaled by up to 2^-6
     for norm in np.geomspace(1e-4, 30.0, 12):
         h = rng.normal(size=(4, 4))
         k = standard_omega(2) @ (h + h.T)

@@ -666,10 +666,11 @@ def test_lattice_chain_blocks_keep_the_uncertainty_bound():
 
 def test_sixteen_site_lattice_keeps_its_exponent_section_at_the_wall():
     # N=16, N_A=8: the A block factored from the rows of the formed M(t)
-    # leaves the uncertainty bound at t = 39.8 (the formed G_A did at 19.8);
-    # the exponent section, computed from the same factor before the
-    # Williamson spectrum, stays in the report.  Its exact lambda_alg,
-    # 1.73441, is within 0.9 % of the volumetric 1.74971, so the exponent
+    # leaves the uncertainty bound at t = 37.1 (the formed G_A did at 19.8),
+    # as it does from the correctly rounded step exponential; the exponent
+    # section, computed from the same factor before the Williamson
+    # spectrum, stays in the report.  Its exact lambda_alg,
+    # 1.73441, is within 0.9 % of the volumetric 1.74967, so the exponent
     # gate passes
     h = scenarios._chain_form([1.5] * 16, -1.0)
     doc = {"modes": {"total": 16, "subsystem": 8},
@@ -680,14 +681,15 @@ def test_sixteen_site_lattice_keeps_its_exponent_section_at_the_wall():
     assert list(rep.sections) == ["propagation", "lyapunov", "exponent"]
     assert abs(rep.sections["exponent"]["lambda_alg"] - 1.73441) < 5e-6
     assert rep.failures == [
-        "UncertaintyViolated: entropy stage, A block at t=39.8: covariance check failed: "
-        "uncertainty_violated (min symplectic eigenvalue = 0.998388194555)"]
+        "UncertaintyViolated: entropy stage, A block at t=37.1: covariance check failed: "
+        "uncertainty_violated (min symplectic eigenvalue = 0.999983753894)"]
 
 
 def test_thirty_two_site_lattice_names_its_earliest_failing_sample():
     # N=32, N_A=16: the A blocks factored from the rows of the formed M(t)
-    # leave the uncertainty bound first at t = 14.8 (the formed G_A did at
-    # 6.3), which is named.  The volumetric slope on [10, 20] is still in
+    # leave the uncertainty bound first at t = 14.6 (the formed G_A did at
+    # 6.3), as they do from the correctly rounded step exponential, and
+    # that sample is named.  The volumetric slope on [10, 20] is still in
     # its transient, so the exponent gate fails before it
     h = scenarios._chain_form([1.5] * 32, -1.0)
     doc = {"modes": {"total": 32, "subsystem": 16},
@@ -699,12 +701,12 @@ def test_thirty_two_site_lattice_names_its_earliest_failing_sample():
     assert list(rep.sections) == ["propagation", "lyapunov", "exponent"]
     assert rep.failures == [
         "algebraic 3.84899 vs volumetric 3.66496 disagree",
-        "UncertaintyViolated: entropy stage, A block at t=14.8: covariance check failed: "
+        "UncertaintyViolated: entropy stage, A block at t=14.6: covariance check failed: "
         "uncertainty_violated (min symplectic eigenvalue = 0.999999999493)"]
     series = propagate(cfg.hamiltonian, 20.0, 0.01, store_every=10)
     with pytest.raises(UncertaintyViolated) as info:
         factor_spectrum(row_factor(series.matrices[:, :32]))
-    assert f"{series.times[info.value.index]:.6g}" == "14.8"
+    assert f"{series.times[info.value.index]:.6g}" == "14.6"
 
 
 def test_lattice_chain_run_reports_no_uncertainty_violation():

@@ -1,13 +1,16 @@
 """Algebraic and volumetric subsystem exponents and the column selection."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
-from entgrowth.dynamics import QuadraticHamiltonian, propagate
+from entgrowth.dynamics import QuadraticHamiltonian, generator, propagate
 from entgrowth.errors import RankDeficient
-from entgrowth.lyapunov import qr_spectrum
+from entgrowth.lyapunov import floquet_spectrum, qr_spectrum
 from entgrowth.phase_space import SubsystemSpec, standard_omega
-from entgrowth.scenarios import coupled_chain_form, inverted_pair_form
+from entgrowth.scenarios import _chain_form, coupled_chain_form, inverted_pair_form
 from entgrowth.subsystem import (
     expansion_matrix,
     select_columns,
@@ -109,6 +112,23 @@ def test_algebraic_conjugate_pair_alignment(pair_spectrum):
     assert abs(rep.lambda_a - (lam[1] + lam[2])) < 1e-12
     assert abs(rep.lambda_a) < 6 * pair_spectrum.residual + 1e-3   # conjugate pair sums to 0
     assert not rep.generic_agrees
+
+
+def test_degenerate_clusters_give_the_same_exponent_in_every_order():
+    # two uncoupled identical inverted oscillators: exponents (1, 1, -1, -1)
+    # in two clusters, whose order within a cluster is the eigensolver's.
+    # Mode 1 alone takes one direction of each cluster, whichever the
+    # order, and lambda_A = 1 - 1 = 0: its vacuum stays a product state
+    ham = QuadraticHamiltonian.constant(_chain_form([-1.0, -1.0], 0.0))
+    lyap = floquet_spectrum(generator(ham, 0.0))
+    assert np.allclose(lyap.exponents, [1.0, 1.0, -1.0, -1.0], atol=1e-12)
+    sub = SubsystemSpec.first_modes(1, 2)
+    assert abs(subsystem_exponent_algebraic(sub, lyap).lambda_a) < 1e-12
+    for upper, lower in itertools.product([(0, 1), (1, 0)], [(2, 3), (3, 2)]):
+        rep = subsystem_exponent_algebraic(
+            sub, dataclasses.replace(lyap, basis=lyap.basis[list(upper + lower)]))
+        assert abs(rep.lambda_a) < 1e-12
+        assert rep.indices[0] in (0, 1) and rep.indices[1] in (2, 3)
 
 
 def test_contracting_pair_has_zero_symplectic_pairing(pair_spectrum):
