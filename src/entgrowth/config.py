@@ -41,7 +41,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import fock as fock_mod
-from .dynamics import DEFECT_FACTOR, QuadraticHamiltonian, nearest_sample, sample_count, step_count
+from .dynamics import QuadraticHamiltonian, nearest_sample, sample_count, step_count
 from .errors import ConfigError
 from .phase_space import ModeCount, is_symmetric, williamson_spectrum
 
@@ -174,9 +174,7 @@ class RunParams:
 
 @dataclass
 class Tolerances:
-    residual_tol: Optional[float] = _field(_positive, default=None)
     leak_ceiling: float = _field(_positive, default=fock_mod.LEAK_CEILING)
-    defect_factor: float = _field(_positive, default=DEFECT_FACTOR)
     slope_rel_tol: float = _field(_positive, default=0.05)
 
 
@@ -361,8 +359,6 @@ def _read_fock(obj, modes, run):
     _object(obj, _S, ("type", "state", "cutoff"))
     text, cutoff = _get(obj, "state", _S, _string), _get(obj, "cutoff", _S, _integer)
     n_modes = modes.n_total
-    if not 1 <= n_modes <= 3:
-        raise ConfigError("the Fock oracle supports 1 to 3 modes", "modes.total")
     # the oracle's size rules for the whole run, before any amplitude tensor
     # or sample grid exists
     n_samples = sample_count(step_count(run.t_final, run.dt), run.store_every)

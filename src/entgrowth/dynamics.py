@@ -49,6 +49,8 @@ from .phase_space import (
     standard_omega,
 )
 
+# a stored M(t) is symplectic to DEFECT_FACTOR (1 + max|M|^2): the ceiling of
+# propagate and of the bound stage's input check
 DEFECT_FACTOR = 1e-8
 # a piece boundary this close to a segment edge, in units of the step, lies on it
 EDGE_SNAP = 1e-9
@@ -291,23 +293,24 @@ def nearest_sample(t_final: float, dt: float, store_every: int, t: float) -> tup
     return index, time(index)
 
 
-def _piece_factors(ham, dt, make):
+def _piece_factors(ham, dt):
     """``factors(t_a, length)``: the exact factors of piece data over [t_a, t_a + length].
 
-    One factor ``make(length, t_mid)`` per piece the segment crosses; the
-    whole periods inside the segment are one period map M(tau) each, the
-    ordered product of the full-piece factors formed once per call (more
-    accurate than applying a period piece by piece).
+    One kept exponential ``ham.exponential(length, t_mid)`` per piece the
+    segment crosses; the whole periods inside the segment are one period
+    map M(tau) each, the ordered product of the full-piece exponentials
+    formed once per call (more accurate than applying a period piece by
+    piece).
     """
     tol = EDGE_SNAP * dt
     if ham.period is None:
-        return lambda t_a, length: (make(length, t_a + 0.5 * length),)
+        return lambda t_a, length: (ham.exponential(length, t_a + 0.5 * length),)
     tau, starts = ham.period, ham._starts
     durations = [duration for duration, _ in ham.pieces]
 
     @cache
     def period():
-        full = [make(d, s + 0.5 * d) for s, d in zip(starts, durations)]
+        full = [ham.exponential(d, s + 0.5 * d) for s, d in zip(starts, durations)]
         return reduce(lambda acc, f: f @ acc, full[1:], full[0])
 
     def factors(t_a, length):
@@ -326,9 +329,9 @@ def _piece_factors(ham, dt, make):
                 continue
             run = durations[i] if phase == starts[i] else starts[i] + durations[i] - phase
             if length < run - tol:
-                out.append(make(length, phase + 0.5 * length))
+                out.append(ham.exponential(length, phase + 0.5 * length))
                 break
-            out.append(make(run, phase + 0.5 * run))
+            out.append(ham.exponential(run, phase + 0.5 * run))
             length -= run
             i = (i + 1) % len(durations)
             phase = starts[i]
@@ -337,38 +340,32 @@ def _piece_factors(ham, dt, make):
     return factors
 
 
-def step_loop(ham: QuadraticHamiltonian, t_final: float, n_steps: int, events, make=None):
+def step_loop(ham: QuadraticHamiltonian, t_final: float, n_steps: int, events):
     """Yield ``(k, t_k, factors)`` at the event steps k of the grid t_k = k t_final / n_steps.
 
     ``events`` are ascending step indices in [1, n_steps].  Applying
     ``factors`` in order (first factor first) takes the flow from the
     previous event, or t=0, to t_k.  The last step ends at ``t_final``
     exactly, not at the rounded ``n_steps * (t_final / n_steps)``.
-    ``make(length, t_mid)`` builds the factor of a time segment from its
-    length and midpoint; the default is the flow exponential
-    expm(length K(t_mid)).  For periodic piece data its factors must
-    compose with ``@`` as matrices do: the period map is their product.
 
-    A callable ``h`` gets one midpoint factor per step, made as the caller
-    iterates over ``factors``; the default factors are made in stacked
-    :func:`expm` calls of up to ``CHUNK_STEPS`` steps.  Piecewise-constant
-    data gets a tuple: one exact factor per piece the segment crosses, so
-    a segment is split only at breakpoints, and one period map M(tau) per
-    whole period inside it.  Its default factors are the Hamiltonian's
-    kept :meth:`~QuadraticHamiltonian.exponential`, shared by every call.
-    A breakpoint within ``EDGE_SNAP`` steps of a segment edge lies on it.
+    A callable ``h`` gets one midpoint factor expm(dt K(t_mid)) per step,
+    made as the caller iterates over ``factors``, in stacked :func:`expm`
+    calls of up to ``CHUNK_STEPS`` steps.  Piecewise-constant data gets a
+    tuple: one exact factor per piece the segment crosses, so a segment is
+    split only at breakpoints, and one period map M(tau) per whole period
+    inside it.  Its factors are the Hamiltonian's kept
+    :meth:`~QuadraticHamiltonian.exponential`, shared by every call.  A
+    breakpoint within ``EDGE_SNAP`` steps of a segment edge lies on it.
     """
     dt = t_final / n_steps
-    piece_factors = _piece_factors(ham, dt, make or ham.exponential) if ham.pieces else None
+    piece_factors = _piece_factors(ham, dt) if ham.pieces else None
     k_prev = 0
     for k in events:
         t = t_final if k == n_steps else k * dt
         if piece_factors is not None:
             factors = piece_factors(k_prev * dt, (k - k_prev) * dt)
-        elif make is None:
-            factors = _midpoint_factors(ham, dt, k_prev, k)
         else:
-            factors = (make(dt, j * dt + 0.5 * dt) for j in range(k_prev, k))
+            factors = _midpoint_factors(ham, dt, k_prev, k)
         yield k, t, factors
         k_prev = k
 
@@ -381,7 +378,7 @@ def _midpoint_factors(ham, dt, lo, hi):
 
 
 def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
-              store_every: int = 1, defect_factor: float = DEFECT_FACTOR) -> PropagationResult:
+              store_every: int = 1) -> PropagationResult:
     """Time-ordered exponential at the stored steps of :func:`step_loop`, from
     the piece exponentials ``ham`` keeps when it is piece data.
 
@@ -392,10 +389,12 @@ def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
         number of steps lands exactly on ``t_final``.
     store_every : keep every k-th step (plus t=0 and the final step); the
         times are :func:`sample_times`.
-    defect_factor : ceiling on the symplectic defect of each stored M(t) is
-        ``defect_factor * (1 + max|M|^2)``; exceeding it raises StepTooLarge
-        naming the earliest stored time that does.  An M(t) too large for its
-        defect to be finite raises SingularM, naming the overflow, instead.
+
+    The ceiling on the symplectic defect of each stored M(t) is
+    ``DEFECT_FACTOR * (1 + max|M|^2)``, read at call time; exceeding it
+    raises StepTooLarge naming the earliest stored time that does.  An M(t)
+    too large for its defect to be finite raises SingularM, naming the
+    overflow, instead.
     """
     if dt <= 0 or t_final <= 0:
         raise ValueError("need dt > 0 and t_final > 0")
@@ -418,7 +417,7 @@ def propagate(ham: QuadraticHamiltonian, t_final: float, dt: float,
         mats = np.array(mats)
         # checked once on the whole stack: one call per check, not one per sample
         defects = _maxabs_each(mats @ omega @ _mT(mats) - omega)
-        ceilings = defect_factor * (1.0 + _maxabs_each(mats) ** 2)
+        ceilings = DEFECT_FACTOR * (1.0 + _maxabs_each(mats) ** 2)
     times = sample_times(t_final, dt, store_every)
 
     # a NaN defect compares False with its ceiling, so overflow is its own test

@@ -1,4 +1,4 @@
-"""Truncated-number-basis oracle for one to three modes.
+"""Truncated-number-basis oracle for any number of modes.
 
 This is the independent cross-check of the non-Gaussian half of the claims:
 for an arbitrary pure initial state (Fock, coherent, cat, superpositions)
@@ -184,8 +184,8 @@ class FockState:
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.ndim < 1 or amp.ndim > 3:
-            raise DimensionMismatch("amplitude tensor must have 1 to 3 axes")
+        if amp.ndim < 1:
+            raise DimensionMismatch("amplitude tensor must have at least 1 axis")
         if len(set(amp.shape)) != 1:
             raise DimensionMismatch("all modes must share one cutoff")
         object.__setattr__(self, "amplitudes", amp)

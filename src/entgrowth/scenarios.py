@@ -46,6 +46,9 @@ from .subsystem import (
 )
 
 _OSCILLATOR_KINETIC = 1.0  # coefficient of p^2/2 in every builtin
+# ceiling on the Lyapunov stage's residual, the spectrum's change from halving
+# its horizon; metastable's QR estimate reads 0.0055
+RESIDUAL_CEILING = 0.5
 
 
 def _chain_form(omega_sq, coupling):
@@ -149,21 +152,18 @@ _SCENARIOS = {
         "modes": {"total": 2, "subsystem": 1},
         "hamiltonian": {"type": "builtin", "name": "inverted_pair"},
         "run": {"t_final": 24.0, "dt": 0.002, "store_every": 60,
-                "lyapunov_t_star": 120.0, "lyapunov_dt": 0.01},
-        "tolerances": {"residual_tol": 0.05}},
+                "lyapunov_t_star": 120.0, "lyapunov_dt": 0.01}},
     "coupled_chain": {
         "modes": {"total": 4, "subsystem": 1},
         "hamiltonian": {"type": "builtin", "name": "coupled_chain"},
         "run": {"t_final": 24.0, "dt": 0.002, "store_every": 60,
-                "lyapunov_t_star": 120.0, "lyapunov_dt": 0.01},
-        "tolerances": {"residual_tol": 0.05}},
+                "lyapunov_t_star": 120.0, "lyapunov_dt": 0.01}},
     "metastable": {
         "modes": {"total": 2, "subsystem": 1},
         "hamiltonian": {"type": "builtin", "name": "metastable"},
         "run": {"t_final": 1000.0, "dt": 0.25, "store_every": 4,
                 "lyapunov_t_star": 1000.0, "lyapunov_dt": 0.25,
-                "bound_times": [1.0, 10.0, 100.0, 1000.0], "window": [100.0, 1000.0]},
-        "tolerances": {"residual_tol": 0.05}},
+                "bound_times": [1.0, 10.0, 100.0, 1000.0], "window": [100.0, 1000.0]}},
     # period 2.2, 8 periods.  The A block mixes e^{+lambda t} with a bounded
     # direction, which the stored M(t) itself loses to roundoff: every gate
     # passes to 24 periods, and from 32 on S2_A grows at the wrong rate,
@@ -172,8 +172,7 @@ _SCENARIOS = {
         "modes": {"total": 2, "subsystem": 1},
         "hamiltonian": {"type": "builtin", "name": "parametric_drive"},
         "run": {"t_final": 17.6, "dt": 0.01, "store_every": 220,
-                "lyapunov_t_star": 132.0, "lyapunov_dt": 0.01},
-        "tolerances": {"residual_tol": 0.05}},
+                "lyapunov_t_star": 132.0, "lyapunov_dt": 0.01}},
     # closed form: the pipeline never evolves the shear
     "classical_counterexample": {
         "modes": {"total": 2, "subsystem": 1},
@@ -211,10 +210,7 @@ def _lyapunov_section(report, cfg, period_map):
     run = cfg.run
     t_star = run.lyapunov_t_star or max(run.t_final, 60.0)
     dt = run.lyapunov_dt or min(run.dt * 5.0, 0.05)
-    residual_tol = cfg.tolerances.residual_tol
-    if residual_tol is None:
-        residual_tol = 0.05
-    lyap = lyapunov_spectrum(cfg.hamiltonian, t_star, dt, residual_tol=residual_tol * 10.0,
+    lyap = lyapunov_spectrum(cfg.hamiltonian, t_star, dt, residual_tol=RESIDUAL_CEILING,
                              period_map=period_map)
     reg = regularity_check(lyap, tol=max(0.05, 4.0 * lyap.residual))
     report.add("lyapunov", {
@@ -353,10 +349,9 @@ def _propagation_section(report, cfg):
 
 
 def _flow_stage(name, cfg, t_final, store_every):
-    """``propagate`` to ``t_final`` at the run's step and defect ceiling; a failure names the stage."""
+    """``propagate`` to ``t_final`` at the run's step; a failure names the stage."""
     try:
-        return propagate(cfg.hamiltonian, t_final, cfg.run.dt, store_every=store_every,
-                         defect_factor=cfg.tolerances.defect_factor)
+        return propagate(cfg.hamiltonian, t_final, cfg.run.dt, store_every=store_every)
     except (StepTooLarge, SingularM) as exc:
         raise type(exc)(f"{name} stage {exc}") from exc
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import DEFECT_FACTOR
 from .entropy import LN_E_OVER_2, _half_logdet_factor
 from .errors import DimensionMismatch, NotDarboux, SingularM
 from .phase_space import (
@@ -213,7 +214,7 @@ def squashed_bounds(m, g0, split: ModeCount):
     gives (1/2) ln det T_X = sum ln diag ``row_factor(U_X S^(1/2))`` and
     (1/2) ln det (T^2)_X = sum ln diag ``row_factor(M_X)``.  A positive
     definite symplectic M is its own polar factor.  The checks, in order:
-    finite entries, M Omega M^T = Omega to 1e-8 (1 + max|M|^2), singular
+    finite entries, M Omega M^T = Omega to ``DEFECT_FACTOR`` (1 + max|M|^2), singular
     values in range, lower <= upper + 1e-9.  For a stack both bounds are
     arrays; |G0| is computed once.
     """
@@ -222,7 +223,8 @@ def squashed_bounds(m, g0, split: ModeCount):
         raise DimensionMismatch(f"transformation shape {m.shape} vs split {split}")
     _fail_first(~np.isfinite(m).all(axis=(-2, -1)), SingularM, "matrix has non-finite entries")
     omega = standard_omega(split.n_total)
-    _fail_first(_maxabs_each(m @ omega @ _mT(m) - omega) > 1e-8 * (1.0 + _maxabs_each(m) ** 2),
+    _fail_first(_maxabs_each(m @ omega @ _mT(m) - omega)
+                > DEFECT_FACTOR * (1.0 + _maxabs_each(m) ** 2),
                 NotDarboux, "matrix is not symplectic")
     u, sv, _ = np.linalg.svd(m)
     _fail_first((sv[..., -1] <= 0) | ~np.isfinite(sv[..., 0]), SingularM,

@@ -33,8 +33,6 @@ from entgrowth.dynamics import (
     polar_decompose,
     sample_times,
     step_count,
-    step_loop,
-    stored_steps,
 )
 from entgrowth.entropy import (
     LN_E_OVER_2,
@@ -419,17 +417,6 @@ def chebyshev_frame(op) -> Frame:
     return Frame(((op - c * sparse.identity(op.shape[0], format="csr")) * scale).tocsr(), c, w)
 
 
-class _Segments(tuple):
-    """exp(-i l_n op_n) ... exp(-i l_1 op_1) as the pairs ((frame_1, l_1), ..., (frame_n, l_n)).
-
-    ``a @ b`` applies ``b`` first, as for matrices, so the step loop's
-    period map is the pairs of its pieces in order.
-    """
-
-    def __matmul__(self, other):
-        return _Segments(other + self)
-
-
 @lru_cache(maxsize=64)
 def term_count(x: float) -> int:
     """Terms of the series at x = tau w: up to the last k with |J_k(x)| above ``CHEBYSHEV_CUT``.
@@ -511,51 +498,44 @@ def chebyshev_states(frame: Frame, psi, lengths, stored, out):
 
 
 def chebyshev_evolve(psi0, ham, t_final: float, dt: float, store_every: int = 1):
-    """(times, amplitudes): exp(-i s H) psi0 stepped over the segments of the shared step loop.
+    """(times, amplitudes): exp(-i s H) psi0 under piece data ``ham`` at the stored times.
 
     The independent Schrodinger evolution the oracle's recurrence is held
     to, on the sparse truncated Hamiltonian (:func:`entgrowth.fock.build_hamiltonian`).
-    The segments are those of :func:`~entgrowth.dynamics.step_loop`: a
-    callable Hamiltonian gets one per step, sampled at the step midpoint,
-    while piecewise-constant data gets one exact segment per piece crossed
-    between stored samples (and the pieces of one period map per whole
-    period).  The operator is built once per piece for data, so a constant
-    Hamiltonian is built once.  Consecutive segments on one operator share
-    one Chebyshev recurrence (:func:`chebyshev_states`), accurate to
-    roundoff.  Stored states are copied out of their block into one stack
-    on the times of ``propagate``, whose norm drift is checked once,
-    failing at the earliest stored time.
+    Its segments are its own, not the package's step loop's: the run is
+    cut at the stored times and at the piece handovers of
+    :func:`breakpoints`, and a handover within 1e-9 steps of a stored time
+    is merged into that time, so no segment is empty.  The operator is
+    built once per piece, so a constant Hamiltonian is built once.
+    Consecutive segments on one operator share one Chebyshev recurrence
+    (:func:`chebyshev_states`), accurate to roundoff.  Stored states are
+    copied out of their block into one stack on the times of
+    ``propagate``, whose norm drift is checked once, failing at the
+    earliest stored time.
     """
-    n_steps = step_count(t_final, dt)
+    if not ham.pieces:
+        raise ValueError("the Chebyshev reference steps piecewise-constant data alone")
     times = sample_times(t_final, dt, store_every)
-    events = stored_steps(n_steps, store_every)[1:]
+    snap = 1e-9 * t_final / step_count(t_final, dt)
+    handovers = [b for b in breakpoints(ham, t_final) if np.min(np.abs(times - b)) > snap]
+    cuts = sorted([(t, True) for t in times[1:]] + [(b, False) for b in handovers])
     frames = {}    # piece index -> Chebyshev frame of its Fock operator
 
-    def segment(length, t_mid):
+    def frame_at(t_mid):
         piece = ham.piece_at(t_mid)
-        frame = frames.get(piece)
-        if frame is None:
-            frame = chebyshev_frame(fock.build_hamiltonian(ham, t_mid, psi0.cutoff))
-            if piece is not None:
-                frames[piece] = frame
-        return _Segments(((frame, length),))
+        if piece not in frames:
+            frames[piece] = chebyshev_frame(fock.build_hamiltonian(ham, t_mid, psi0.cutoff))
+        return frames[piece]
 
-    def segments():
-        # (frame, length, stored): every segment in order; the last segment
-        # of a stored step ends at its stored time
-        for _, _, factors in step_loop(ham, t_final, n_steps, events, segment):
-            pairs = (pair for factor in factors for pair in factor)
-            last = next(pairs)
-            for pair in pairs:
-                yield (*last, False)
-                last = pair
-            yield (*last, True)
+    # (frame, length, stored): every segment in order
+    segments = [(frame_at(0.5 * (a + b)), b - a, stored)
+                for a, (b, stored) in zip([0.0] + [t for t, _ in cuts], cuts)]
 
     amplitudes = np.empty(times.shape + psi0.amplitudes.shape, dtype=complex)
     rows = amplitudes.reshape(len(times), -1)    # a view: its rows are the stack's states
     rows[0] = psi0.amplitudes.ravel()
     psi, count = rows[0], 1
-    for frame, group in groupby(segments(), key=itemgetter(0)):
+    for frame, group in groupby(segments, key=itemgetter(0)):
         _, lengths, stored = zip(*group)
         psi = chebyshev_states(frame, psi, lengths, stored, rows[count:])
         count += sum(stored)

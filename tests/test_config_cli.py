@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entgrowth import cli, fock
+from entgrowth import cli, dynamics, fock, scenarios
 from entgrowth import config as config_mod
 from entgrowth.config import (
     OutputSpec,
@@ -346,8 +346,6 @@ def test_cli_directory_as_output_exits_2(tmp_path, capsys):
 
 
 def test_cli_bad_output_path_fails_before_any_stage(tmp_path, capsys, monkeypatch):
-    from entgrowth import scenarios
-
     def no_stage(cfg, report):
         raise AssertionError("a stage ran")
 
@@ -427,15 +425,14 @@ def test_stage_command_sections_equal_simulate(tmp_path, capsys, name):
     assert ("bounds" in sim["sections"]) == bool(cfg.run.bound_times)
 
 
-@pytest.mark.parametrize("residual_tol, ok", [(0.01, True), (1e-6, False)])
-def test_stage_commands_reach_the_simulate_verdict(tmp_path, capsys, residual_tol, ok):
-    # every command takes 10 x residual_tol as the Lyapunov residual ceiling;
+@pytest.mark.parametrize("ceiling, ok", [(0.1, True), (1e-5, False)])
+def test_stage_commands_reach_the_simulate_verdict(monkeypatch, tmp_path, capsys, ceiling, ok):
+    # every command holds the Lyapunov residual to the one ceiling;
     # metastable's defective map keeps the QR estimate, whose residual
     # (0.0055) lies between 1e-5 and 0.1
-    cfg = default_scenario("metastable")
-    cfg.tolerances.residual_tol = residual_tol
+    monkeypatch.setattr(scenarios, "RESIDUAL_CEILING", ceiling)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(serialize_config(cfg))
+    cfg_path.write_text(serialize_config(default_scenario("metastable")))
     for command in ("simulate", "lyapunov", "exponent"):
         code, out, doc = _run_cli(capsys, command, str(cfg_path))
         assert (code, doc["ok"]) == ((0, True) if ok else (1, False)), (command, doc["failures"])
@@ -589,8 +586,7 @@ def _tms_doc(state, **extra):
             "initial_state": initial,
             "run": {"t_final": 0.9, "dt": 0.005, "store_every": 5,
                     "lyapunov_t_star": 40.0, "lyapunov_dt": 0.01, **extra.get("run", {})},
-            "tolerances": {"leak_ceiling": 3e-3, "slope_rel_tol": 0.15,
-                           **extra.get("tolerances", {})}}
+            "tolerances": {"leak_ceiling": 3e-3, "slope_rel_tol": 0.15}}
 
 
 def _twin_reports(**extra):
@@ -609,8 +605,9 @@ def test_fock_run_shares_the_flow_stages_with_its_gaussian_twin():
     assert [entry["t"] for entry in fock_doc["bounds"]] == [0.5, 0.9]
 
 
-def test_fock_run_honours_defect_factor():
-    reports = _twin_reports(tolerances={"defect_factor": 1e-30})
+def test_fock_run_keeps_the_defect_ceiling(monkeypatch):
+    monkeypatch.setattr(dynamics, "DEFECT_FACTOR", 1e-30)
+    reports = _twin_reports()
     for rep in reports:
         assert len(rep.failures) == 1 and rep.failures[0].startswith("StepTooLarge"), rep.failures
 
@@ -640,13 +637,14 @@ def test_bad_fock_state_rejected_at_parse(tmp_path, capsys, state, cutoff, field
 
 
 @pytest.mark.parametrize("n_modes, state, cutoff, field", [
-    (4, "fock:0,0,0,0", 4, "modes.total"),
+    (4, "fock:0,0,0,0", 100, "initial_state.cutoff"),
     (3, "fock:0,0,0", 10_000, "initial_state.cutoff"),
 ])
 def test_fock_size_rules_reject_before_the_state_is_built(monkeypatch, tmp_path, capsys,
                                                          n_modes, state, cutoff, field):
     # the cases of test_bad_fock_state_rejected_at_parse that need another
-    # mode count; 3 modes at cutoff 10,000 would be a 16 TB amplitude tensor
+    # mode count; 4 modes at cutoff 100 would be a 1.9 GB amplitude tensor,
+    # 3 modes at cutoff 10,000 a 16 TB one
     def no_state(*args):
         raise AssertionError("state built before the size rules ran")
 
@@ -808,7 +806,9 @@ _SKEW4 = {"rows": 4, "cols": 4, "data": list((np.eye(4) + np.triu(np.ones((4, 4)
     ("run.t_final", "NaN", "run.t_final"),
     ("run.window_fraction", "2", "run.window_fraction"),
     ("run.bound_times", "[1.0, null]", "run.bound_times[1]"),
+    # removed keys, refused as unknown
     ("tolerances.defect_factor", "-1", "tolerances.defect_factor"),
+    ("tolerances.residual_tol", "0.05", "tolerances.residual_tol"),
     ("tolerances", "[]", "tolerances"),
     ("scenario", "5", "scenario"),
     ("output.csv", "1", "output.csv"),
@@ -867,7 +867,7 @@ def _valid_sections(data):
            "window_fraction": maybe(st.floats(min_value=1e-3, max_value=1.0)),
            "bound_times": maybe(st.lists(st.sampled_from(stored), max_size=4))}
     tolerances = {name: maybe(positive) for name in
-                  ("residual_tol", "leak_ceiling", "defect_factor", "slope_rel_tol")}
+                  ("leak_ceiling", "slope_rel_tol")}
     output = {name: maybe(st.text(min_size=1, max_size=8)) for name in ("csv", "report", "report_json")}
     doc = json.loads(MINIMAL)
     for name, section in (("run", run), ("tolerances", tolerances), ("output", output)):

@@ -284,7 +284,7 @@ def _two_piece_flow():
 
 
 # (state maker by cutoff, Hamiltonian, t_final, dt, store_every, cutoff): every kind of
-# initial state, generic forms (B with all its entries), a periodic flow and three modes
+# initial state, generic forms (B with all its entries), a periodic flow, three and four modes
 RECURRENCE_CASES = {
     "fock": (lambda c: FockState.fock((1, 0), c),
              QuadraticHamiltonian.constant(_random_form(2, 1)), 0.2, 0.01, 1, 14),
@@ -301,6 +301,8 @@ RECURRENCE_CASES = {
         _two_piece_flow(), 1.0, 0.01, 5, 14),
     "three modes": (_padded(_random_state(2, 3, 8).amplitudes),
                     QuadraticHamiltonian.constant(_random_form(3, 9, 0.2)), 0.2, 0.01, 1, 10),
+    "four modes": (_padded(_random_state(2, 4, 10).amplitudes),
+                   QuadraticHamiltonian.constant(_random_form(4, 11, 0.1)), 0.2, 0.01, 1, 6),
 }
 
 
@@ -474,8 +476,8 @@ def test_trajectory_is_one_stack_on_the_propagation_grid(kind):
 
 
 def test_recurrence_blocks_hold_only_stored_rows(monkeypatch):
-    # period = dt: 200 period maps on one operator, of which 4 end at a
-    # stored sample; the reference's recurrence forms those and no others
+    # 200 segments of 0.01 on one operator, of which 4 end at a stored
+    # sample; the recurrence forms those rows and no others
     blocks = []
     real_series = reference.chebyshev_series
 
@@ -485,12 +487,14 @@ def test_recurrence_blocks_hold_only_stored_rows(monkeypatch):
 
     monkeypatch.setattr(reference, "chebyshev_series", counting_series)
     form = two_mode_squeezing_form(0.2)
-    ham = QuadraticHamiltonian.piecewise([(0.01, form)], 0.01)
-    times, amplitudes = chebyshev_evolve(FockState.fock((0, 0), 12), ham, 2.0, 0.01, 50)
-    assert len(times) == 5
-    assert 0 < max(blocks) <= len(times)
-    m = propagate(QuadraticHamiltonian.constant(form), 2.0, 0.01, store_every=50).matrices
-    g = np.array([fock.covariance_of(FockState(amp))[0] for amp in amplitudes])
+    frame = reference.chebyshev_frame(build_hamiltonian(QuadraticHamiltonian.constant(form), 0.0,
+                                                        12))
+    psi0 = FockState.fock((0, 0), 12).amplitudes.ravel()
+    out = np.empty((4, psi0.size), dtype=complex)
+    reference.chebyshev_states(frame, psi0, [0.01] * 200, [j % 50 == 49 for j in range(200)], out)
+    assert 0 < max(blocks) <= len(out)
+    m = propagate(QuadraticHamiltonian.constant(form), 2.0, 0.01, store_every=50).matrices[1:]
+    g = np.array([fock.covariance_of(FockState(amp.reshape(12, 12)))[0] for amp in out])
     assert np.allclose(g, evolve_covariance(np.eye(4), m), atol=1e-9)
 
 

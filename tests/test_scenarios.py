@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from entgrowth import fock, lyapunov, scenarios
+from entgrowth import dynamics, fock, lyapunov, scenarios
 from entgrowth.config import matrix_to_json, parse_config
 from entgrowth.dynamics import QuadraticHamiltonian, evolve_covariance, generator, propagate
 from entgrowth.entropy import LN_E_OVER_2
@@ -257,24 +257,6 @@ def test_half_turn_floquet_section_for_both_state_types():
     assert rep.to_json_dict()["sections"]["floquet"] == sections[0]
 
 
-def test_floquet_stage_propagates_under_the_configs_defect_factor(monkeypatch):
-    # the one-period M(tau) is held to the same defect ceiling as the series
-    factors = []
-
-    def spy(*args, **kwargs):
-        factors.append(kwargs.get("defect_factor"))
-        return propagate(*args, **kwargs)
-
-    monkeypatch.setattr(scenarios, "propagate", spy)
-    for state in ({"type": "gaussian", "covariance": "vacuum"},
-                  {"type": "fock", "state": "fock:0,0", "cutoff": 8}):
-        doc = _half_turn_document(state, 10)
-        doc["tolerances"] = {"defect_factor": 1e-3}
-        rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
-        assert "floquet" in rep.sections, rep.failures
-    assert factors == [1e-3] * 4
-
-
 def test_metastable_scenario_flags():
     rep = run_scenario(default_scenario("metastable"), write_outputs=False)
     assert rep.ok, rep.failures
@@ -401,15 +383,13 @@ def test_each_a_block_is_factored_once(name, monkeypatch):
     assert sum(a.shape == rows_t.shape and np.array_equal(a, rows_t) for a in inputs) == 2
 
 
-def _only_failure(name, tolerances):
-    doc = scenario_document(name)
-    doc["tolerances"] = {**doc.get("tolerances", {}), **tolerances}
-    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+def _only_failure(name):
+    rep = run_scenario(default_scenario(name), write_outputs=False)
     assert len(rep.failures) == 1, rep.failures
     return rep.failures[0]
 
 
-def test_propagation_failure_names_its_stage_and_time():
+def test_propagation_failure_names_its_stage_and_time(monkeypatch):
     # the failure names the first stored sample whose defect exceeds its
     # ceiling; at 1e-17 the first nonzero defect (1.8e-18 relative) passes
     cfg = default_scenario("inverted_pair")
@@ -418,7 +398,8 @@ def test_propagation_failure_names_its_stage_and_time():
     scale = 1.0 + np.max(np.abs(series.matrices), axis=(1, 2)) ** 2
     prefix = "StepTooLarge: propagation stage at t="
     for factor in (1e-30, 1e-17):
-        failure = _only_failure("inverted_pair", {"defect_factor": factor})
+        monkeypatch.setattr(dynamics, "DEFECT_FACTOR", factor)
+        failure = _only_failure("inverted_pair")
         assert failure.startswith(prefix), failure
         t_text, detail = failure[len(prefix):].split(": ", 1)
         first = int(np.argmax(series.defects > factor * scale))
@@ -429,11 +410,9 @@ def test_propagation_failure_names_its_stage_and_time():
     # the lyapunov view of a constant flow reads K and propagates nothing; a
     # periodic flow's propagates only its map M(tau), and names the floquet
     # stage that reads it
-    cfg.tolerances.defect_factor = 1e-30
+    monkeypatch.setattr(dynamics, "DEFECT_FACTOR", 1e-30)
     assert run_view(cfg, "lyapunov").ok
-    drive = default_scenario("parametric_drive")
-    drive.tolerances.defect_factor = 1e-30
-    rep = run_view(drive, "lyapunov")
+    rep = run_view(default_scenario("parametric_drive"), "lyapunov")
     assert rep.failures[0].startswith("StepTooLarge: floquet stage at t=2.2: "), rep.failures
     assert list(rep.sections) == []
 
@@ -462,9 +441,10 @@ def test_floquet_failure_names_its_stage_and_time(monkeypatch):
     real_propagate = scenarios.propagate
 
     def strict_floquet(ham, t_final, dt, **kwargs):
-        if t_final == ham.period:
-            kwargs["defect_factor"] = 0.0
-        return real_propagate(ham, t_final, dt, **kwargs)
+        with pytest.MonkeyPatch.context() as patch:
+            if t_final == ham.period:
+                patch.setattr(dynamics, "DEFECT_FACTOR", 0.0)
+            return real_propagate(ham, t_final, dt, **kwargs)
 
     base = np.array([[-1.0, 0, 0.2, 0], [0, 1, 0, 0], [0.2, 0, -0.6, 0], [0, 0, 0, 1]])
     cfg = parse_config(json.dumps({
@@ -481,10 +461,11 @@ def test_floquet_failure_names_its_stage_and_time(monkeypatch):
     assert list(rep.sections) == ["propagation"]
 
 
-def test_lyapunov_failure_names_its_stage_and_horizon():
+def test_lyapunov_failure_names_its_stage_and_horizon(monkeypatch):
     # the nilpotent metastable flow has a defective map, so it keeps the QR
-    # estimate and its residual
-    failure = _only_failure("metastable", {"residual_tol": 1e-12})
+    # estimate and its residual, 0.0055
+    monkeypatch.setattr(scenarios, "RESIDUAL_CEILING", 1e-11)
+    failure = _only_failure("metastable")
     assert failure.startswith("NotConverged: lyapunov stage, horizon t*=1000: Lyapunov residual"), \
         failure
 
