@@ -24,8 +24,8 @@ from . import fock as fock_mod
 from .config import ScenarioConfig, config_hash, stored_sample_index
 from .dynamics import QuadraticHamiltonian, propagate, require_real_logarithm, step_count
 from .entropy import LN_E_OVER_2, _half_logdet_factor, mode_entropy, von_neumann_entropy
-from .errors import (ConfigError, EntgrowthError, NoRealLogarithm, SingularM, StepTooLarge,
-                     WindowTooShort)
+from .errors import (ConfigError, EntgrowthError, NoRealLogarithm, NotConverged, SingularM,
+                     StepTooLarge, WindowTooShort)
 from .fitting import fit_slope, windowed
 from .lyapunov import lyapunov_spectrum, regularity_check
 from .phase_space import (
@@ -210,9 +210,12 @@ def _lyapunov_section(report, cfg, period_map):
     run = cfg.run
     t_star = run.lyapunov_t_star or max(run.t_final, 60.0)
     dt = run.lyapunov_dt or min(run.dt * 5.0, 0.05)
-    lyap = lyapunov_spectrum(cfg.hamiltonian, t_star, dt, residual_tol=RESIDUAL_CEILING,
-                             period_map=period_map)
-    reg = regularity_check(lyap, tol=max(0.05, 4.0 * lyap.residual))
+    lyap = lyapunov_spectrum(cfg.hamiltonian, t_star, dt, period_map=period_map)
+    if lyap.residual > RESIDUAL_CEILING:
+        raise NotConverged(
+            f"lyapunov stage, horizon t*={t_star:.6g}: Lyapunov residual {lyap.residual:.3g} "
+            f"exceeds tolerance {RESIDUAL_CEILING:.3g}; raise t_star")
+    reg = regularity_check(lyap)
     report.add("lyapunov", {
         "exponents": lyap.exponents, "raw_exponents": lyap.raw_exponents, "basis": lyap.basis,
         "residual": lyap.residual, "horizon": lyap.horizon, "method": lyap.method,
@@ -250,8 +253,8 @@ def _is_builtin(cfg, name):
     return cfg.canonical["hamiltonian"] == {"type": "builtin", "name": name}
 
 
-def run_scenario(cfg: ScenarioConfig, write_outputs: bool = True) -> RunReport:
-    """Execute the pipeline a config describes and emit CSV plus reports.
+def run_scenario(cfg: ScenarioConfig) -> RunReport:
+    """Execute the pipeline a config describes and write the files ``cfg.output`` names.
 
     Deterministic: identical configs give byte-identical CSV.  Module
     errors surface as structured warnings or failures with partial results
@@ -259,8 +262,7 @@ def run_scenario(cfg: ScenarioConfig, write_outputs: bool = True) -> RunReport:
     path that is a directory or lies in a missing directory raises its
     ``OSError`` before any stage runs.
     """
-    paths = [cfg.output.csv, cfg.output.report, cfg.output.report_json] if write_outputs else []
-    for path in filter(None, paths):
+    for path in filter(None, [cfg.output.csv, cfg.output.report, cfg.output.report_json]):
         # fail before any stage runs, with the error that opening would raise
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -268,8 +270,7 @@ def run_scenario(cfg: ScenarioConfig, write_outputs: bool = True) -> RunReport:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     body = _run_classical if _is_builtin(cfg, "classical_shear") else _run_flow
     report = _guarded(cfg, body)
-    if write_outputs:
-        _write_outputs(cfg, report)
+    _write_outputs(cfg, report)
     return report
 
 

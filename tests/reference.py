@@ -344,20 +344,18 @@ def _exponent_resolution(exponents, t: float) -> np.ndarray:
     return n * np.finfo(float).eps * (2.0 * ratio / t + 2.0 * np.max(np.abs(lam)))
 
 
-def polar_factor_exponents(series: PropagationResult,
-                           residual_tol: float) -> PolarExponentComparison:
+def polar_factor_exponents(series: PropagationResult) -> PolarExponentComparison:
     """Check lambda(T) = lambda(M) and lambda(sqrt T) = lambda(M)/2.
 
     The three spectra are estimated through different numerical paths (SVD
     of M, eigensolve of the polar factor, eigensolve of its square root)
     at the final horizon.  Each exponent is compared within twice the
     convergence residual or its roundoff resolution
-    (:func:`_exponent_resolution`), whichever is larger.  The residual of
-    the SVD spectrum is held to ``residual_tol`` first.
+    (:func:`_exponent_resolution`), whichever is larger.
     """
     t_star = series.t_final
     m = series.final_matrix
-    data = spectrum_from_propagation(series, residual_tol=residual_tol)
+    data = spectrum_from_propagation(series)
     lam_m = data.raw_exponents
 
     t_part = polar_decompose(m).t_part

@@ -50,7 +50,7 @@ def _report(num, passed, detail):
 
 def test_criterion_01_gaussian_linear_growth():
     t0 = time.monotonic()
-    rep = run_scenario(default_scenario("inverted_pair"), write_outputs=False)
+    rep = run_scenario(default_scenario("inverted_pair"))
     elapsed = time.monotonic() - t0
     slopes = rep.sections["slopes"]
     rel = slopes["rel_dev"]
@@ -71,14 +71,14 @@ def _oracle_config(state):
 
 def test_criterion_02_non_gaussian_linear_growth():
     t0 = time.monotonic()
-    lyap = lyapunov_spectrum(TMS, t_star=12.0, dt=0.01, residual_tol=np.inf)
+    lyap = lyapunov_spectrum(TMS, t_star=12.0, dt=0.01)
     lam = subsystem_exponent_algebraic(SubsystemSpec.first_modes(1, 2), lyap).lambda_a
     states = {
         "|0,0>": "fock:0,0",
         "|1,0>": "fock:1,0",
         "(|0,0>+|2,0>)/sqrt2": "superfock:0,0;2,0",
     }
-    reports = {name: run_scenario(_oracle_config(state), write_outputs=False)
+    reports = {name: run_scenario(_oracle_config(state))
                for name, state in states.items()}
     slopes = {name: rep.sections["oracle"]["slope"] for name, rep in reports.items()}
     elapsed = time.monotonic() - t0
@@ -127,7 +127,7 @@ def test_criterion_04_geometric_renyi():
 def test_criterion_05_subsystem_exponent_algorithm():
     devs = {}
     for name in ("inverted_pair", "coupled_chain", "parametric_drive"):
-        rep = run_scenario(default_scenario(name), write_outputs=False)
+        rep = run_scenario(default_scenario(name))
         exp = rep.sections["exponent"]
         devs[name] = abs(exp["lambda_alg"] - exp["lambda_vol"]) / abs(exp["lambda_alg"])
     method_ok = all(d <= 0.02 for d in devs.values())
@@ -135,7 +135,7 @@ def test_criterion_05_subsystem_exponent_algorithm():
     ham = QuadraticHamiltonian.constant(
         __import__("entgrowth.scenarios", fromlist=["inverted_pair_form"]).inverted_pair_form())
     from entgrowth.lyapunov import qr_spectrum
-    lyap = qr_spectrum(ham, 120.0, 0.01, residual_tol=np.inf)
+    lyap = qr_spectrum(ham, 120.0, 0.01)
     rng = np.random.default_rng(505)
     first = SubsystemSpec.first_modes(1, 2).selector
     agree = 0
@@ -159,7 +159,7 @@ def test_criterion_06_polar_factor_spectra():
         top = float(np.max(np.linalg.eigvals(standard_omega(2) @ h).real))
         t_star = min(14.0 / top, 40.0)
         series = propagate(ham, t_star, 0.01, store_every=25)
-        comp = polar_factor_exponents(series, residual_tol=np.inf)  # raises beyond tolerance
+        comp = polar_factor_exponents(series)  # raises beyond tolerance
         worst = max(worst, comp.worst_ratio)
     _report(6, worst <= 1.0, f"lambda(T)=lambda(M) and lambda(sqrt T)=lambda(M)/2 on 20 random "
                              f"unstable flows; worst dev/tol {worst:.3f}")
@@ -191,7 +191,7 @@ def test_criterion_08_metastable_and_classical():
                    for t, m in zip(series.times, series.matrices))
     flow_exact = flow_dev <= 1e-12 * (1.0 + 1000.0)
 
-    rep = run_scenario(default_scenario("metastable"), write_outputs=False)
+    rep = run_scenario(default_scenario("metastable"))
     bounds = rep.sections["bounds"]
     bound_values = [entry["value"] for entry in bounds]
     bounds_ok = ([entry["t"] for entry in bounds] == [1.0, 10.0, 100.0, 1000.0]

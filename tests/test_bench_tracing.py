@@ -48,7 +48,7 @@ def test_tracer_counts_every_counted_span():
     tracer.install()
     try:
         # through the module attribute, which the tracer replaces
-        reports = [scenarios.run_scenario(cfg, write_outputs=False) for cfg in configs]
+        reports = [scenarios.run_scenario(cfg) for cfg in configs]
     finally:
         tracer.uninstall()
     assert all(report.ok for report in reports)

@@ -159,7 +159,7 @@ def test_constant_hamiltonian_config():
 
 def test_warning_free_run_has_all_sections():
     cfg = default_scenario("inverted_pair")
-    rep = run_scenario(cfg, write_outputs=False)
+    rep = run_scenario(cfg)
     assert rep.ok and not rep.warnings
     assert {"propagation", "lyapunov", "exponent", "slopes"} <= set(rep.sections)
     assert len(rep.rows) > 0
@@ -472,7 +472,7 @@ def test_off_grid_bound_time_is_config_error(tmp_path):
     cfg.run.t_final = 10.0
     cfg.run.window = (2.0, 10.0)
     cfg.run.bound_times = (1.0, 2.5, 3.0)
-    rep = run_scenario(cfg, write_outputs=False)
+    rep = run_scenario(cfg)
     assert any("ConfigError: run.bound_times" in f for f in rep.failures), rep.failures
     assert "bounds" not in rep.sections
     cfg_path = tmp_path / "cfg.json"
@@ -553,7 +553,7 @@ def test_shipped_oracle_config_runs(monkeypatch):
     check_size = fock.check_size
     monkeypatch.setattr(fock, "check_size", lambda *args: sizes.append(args) or check_size(*args))
     cfg = parse_config(SHIPPED_ORACLE_CONFIG.read_text())
-    rep = run_scenario(cfg, write_outputs=False)
+    rep = run_scenario(cfg)
     assert rep.ok, (rep.failures, rep.warnings)
     assert rep.sections["oracle"]["rel_dev"] <= 0.1
     assert sizes == [(2, 20, 61), (2, 20, 61)]
@@ -569,7 +569,7 @@ def test_fock_config_through_pipeline(tmp_path):
         "tolerances": {"leak_ceiling": 3e-3, "slope_rel_tol": 0.1},
     }
     cfg = parse_config(json.dumps(doc))
-    report = run_scenario(cfg, write_outputs=False)
+    report = run_scenario(cfg)
     assert report.ok, (report.failures, report.warnings)
     assert report.sections["oracle"]["bounds_contain_entropy"]
     sources = {row.source for row in report.rows}
@@ -590,7 +590,7 @@ def _tms_doc(state, **extra):
 
 
 def _twin_reports(**extra):
-    return [run_scenario(parse_config(json.dumps(_tms_doc(state, **extra))), write_outputs=False)
+    return [run_scenario(parse_config(json.dumps(_tms_doc(state, **extra))))
             for state in ("fock:1,0", None)]
 
 

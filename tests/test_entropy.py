@@ -234,7 +234,7 @@ def pipeline_rows(g0, coupling):
     doc["hamiltonian"]["params"] = {"coupling": coupling}
     doc["initial_state"]["covariance"] = matrix_to_json(g0)
     doc["run"].update(t_final=6.0, store_every=100)
-    return run_scenario(parse_config(json.dumps(doc)), write_outputs=False).rows
+    return run_scenario(parse_config(json.dumps(doc))).rows
 
 
 def _exact_mode_entropy(nu):

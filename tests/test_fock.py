@@ -383,9 +383,8 @@ def test_vacuum_oracle_entropy_equals_the_gaussian_pipeline(name, cutoff, t_fina
             "tolerances": {"leak_ceiling": 1.0, "slope_rel_tol": 10.0}})
 
     fock_cfg = parse_config(doc({"type": "fock", "state": "fock:0,0", "cutoff": cutoff}))
-    oracle = run_scenario(fock_cfg, write_outputs=False)
-    gauss = run_scenario(parse_config(doc({"type": "gaussian", "covariance": "vacuum"})),
-                         write_outputs=False)
+    oracle = run_scenario(fock_cfg)
+    gauss = run_scenario(parse_config(doc({"type": "gaussian", "covariance": "vacuum"})))
     run = fock_cfg.run
     lost = _oracle(fock_cfg.initial_state, fock_cfg.hamiltonian, run.t_final, run.dt,
                    run.store_every).lost
@@ -652,7 +651,7 @@ def _oracle_report(state, cutoff, t_final):
         "initial_state": {"type": "fock", "state": state, "cutoff": cutoff},
         "run": {"t_final": t_final, "dt": 0.005, "store_every": 1, "window_fraction": 0.75},
         "tolerances": {"leak_ceiling": 3e-3, "slope_rel_tol": 0.10}}))
-    rep = run_scenario(cfg, write_outputs=False)
+    rep = run_scenario(cfg)
     assert rep.ok, rep.failures
     return rep.sections["oracle"]
 

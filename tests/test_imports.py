@@ -31,7 +31,7 @@ SCRIPT = textwrap.dedent("""
     from entgrowth.config import parse_config
 
     def run(text):
-        rep = sc.run_scenario(parse_config(text), write_outputs=False)
+        rep = sc.run_scenario(parse_config(text))
         assert rep.ok, rep.failures
 
     assert entgrowth.cli.main(["scenario", "run", "inverted_pair"]) == 0

@@ -144,9 +144,9 @@ def test_step_exponentials_are_computed_once_per_piece(expm_calls):
     assert np.allclose(series.matrices[2], m_tau @ m_tau, rtol=1e-12, atol=1e-12)
     # the Hamiltonian keeps them: another stage on it makes none
     calls.clear()
-    qr_spectrum(ham, 60 * PERIOD, PERIOD / 220.0, residual_tol=0.5)
+    assert qr_spectrum(ham, 60 * PERIOD, PERIOD / 220.0).residual <= 0.5
     assert calls == []
-    qr_spectrum(parametric_drive_hamiltonian(), 60 * PERIOD, PERIOD / 220.0, residual_tol=0.5)
+    assert qr_spectrum(parametric_drive_hamiltonian(), 60 * PERIOD, PERIOD / 220.0).residual <= 0.5
     assert len(calls) == 2
     # a callable keeps one fresh exponential per step, stacked per stored segment
     calls.clear()
@@ -162,12 +162,12 @@ def test_every_flow_stage_of_a_run_shares_the_piece_exponentials(expm_calls):
     # matrices; a second run of the same config makes none.  A constant flow
     # makes one for its stored steps; its spectrum is read off K
     drive = default_scenario("parametric_drive")
-    assert run_scenario(drive, write_outputs=False).ok
+    assert run_scenario(drive).ok
     assert len(expm_calls) == 2
     expm_calls.clear()
-    assert run_scenario(drive, write_outputs=False).ok
+    assert run_scenario(drive).ok
     assert expm_calls == []
-    assert run_scenario(default_scenario("coupled_chain"), write_outputs=False).ok
+    assert run_scenario(default_scenario("coupled_chain")).ok
     assert len(expm_calls) == 1
 
 

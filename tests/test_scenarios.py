@@ -52,7 +52,7 @@ def test_classical_counterexample_closed_form():
 
 
 def test_metastable_scenario_report():
-    rep = run_scenario(default_scenario("metastable"), write_outputs=False)
+    rep = run_scenario(default_scenario("metastable"))
     assert rep.ok, rep.failures
     meta = rep.sections["metastable"]
     assert abs(meta["log_slope"] - 1.0) < 0.01
@@ -68,7 +68,7 @@ def test_gaussian_rows_keep_the_entropy_order():
     # s(nu) put S_vn_A above S_as_A by up to 9.0e-10 (inverted_pair) and
     # 1.3e-10 (coupled_chain)
     for name in ("inverted_pair", "coupled_chain"):
-        rows = run_scenario(default_scenario(name), write_outputs=False).rows
+        rows = run_scenario(default_scenario(name)).rows
         assert len(rows) == 201
         assert np.all(rows.s2_a <= rows.s_vn_a), name
         assert np.max(rows.s_vn_a - rows.s_as_a) <= 1e-12, name
@@ -94,7 +94,7 @@ def test_gaussian_rows_lie_between_their_squashed_bounds():
     docs += [_workload_document(workload, index) for workload in ("chain", "drive")
              for index in range(-1, 4)]
     for doc in docs:
-        rows = run_scenario(parse_config(json.dumps(doc)), write_outputs=False).rows
+        rows = run_scenario(parse_config(json.dumps(doc))).rows
         assert np.all(rows.bound_lower - 1e-9 <= rows.s_vn_a), doc
         assert np.all(rows.s_vn_a <= rows.bound_upper + 1e-9), doc
 
@@ -114,7 +114,7 @@ def test_gaussian_entropy_matches_a_high_precision_reference(name):
     # its stored samples) and 1.4e-12 (parametric_drive, at most 2.7e-12 on
     # the drive workload's runs); the formed G_A read 4.2e-11 and 1.8e-6
     t, exact, rel_tol = S_VN_A_60_DIGITS[name]
-    rows = run_scenario(default_scenario(name), write_outputs=False).rows
+    rows = run_scenario(default_scenario(name)).rows
     assert rows.t[-1] == t
     assert abs(rows.s_vn_a[-1] - exact) <= rel_tol * exact
 
@@ -128,7 +128,7 @@ def test_constant_flow_exponents_are_the_real_parts_of_eig_k():
     assert abs(lam - 1.785831273800234195353297637287775020649) <= 1e-15 * lam
     assert rep.sections["lyapunov"]["pairing_violation"] <= 1e-15
     # two-mode squeezing at rate 1: lambda_A = 2
-    rep = run_scenario(parse_config(SHIPPED_ORACLE_CONFIG.read_text()), write_outputs=False)
+    rep = run_scenario(parse_config(SHIPPED_ORACLE_CONFIG.read_text()))
     assert rep.ok, rep.failures
     assert abs(rep.sections["oracle"]["exponent"]["lambda_alg"] - 2.0) <= 2 * np.spacing(2.0)
 
@@ -138,7 +138,7 @@ def test_exponent_stage_fails_when_the_two_routes_disagree():
     cfg = default_scenario("inverted_pair")
     cfg.run.t_final = 2.0
     cfg.run.store_every = 10
-    for rep in (run_view(cfg, "exponent"), run_scenario(cfg, write_outputs=False)):
+    for rep in (run_view(cfg, "exponent"), run_scenario(cfg)):
         assert any("vs volumetric" in f and "disagree" in f for f in rep.failures), rep.failures
 
 
@@ -156,7 +156,7 @@ def test_inverted_pair_exponents_closed_form():
 
 
 def test_parametric_floquet_cross_checks():
-    rep = run_scenario(default_scenario("parametric_drive"), write_outputs=False)
+    rep = run_scenario(default_scenario("parametric_drive"))
     assert rep.ok, rep.failures
     floq = rep.sections["floquet"]
     exp = rep.sections["exponent"]
@@ -188,7 +188,7 @@ def test_parametric_drive_spectrum_is_exact_from_one_period_map(monkeypatch):
 
     monkeypatch.setattr(scenarios, "propagate", spy)
     monkeypatch.setattr(lyapunov, "qr_spectrum", no_qr)
-    rep = run_scenario(default_scenario("parametric_drive"), write_outputs=False)
+    rep = run_scenario(default_scenario("parametric_drive"))
     assert rep.ok, rep.failures
     assert calls == [17.6, 2.2]
     lyap = rep.sections["lyapunov"]
@@ -216,7 +216,7 @@ def test_defective_period_map_keeps_the_qr_spectrum():
     rep = run_view(cfg, "lyapunov")
     assert rep.ok, rep.failures
     section = rep.sections["lyapunov"]
-    qr = lyapunov.qr_spectrum(cfg.hamiltonian, 1000.0, 0.25, residual_tol=np.inf)
+    qr = lyapunov.qr_spectrum(cfg.hamiltonian, 1000.0, 0.25)
     assert section["method"] == "qr" and section["horizon"] == 1000.0
     assert np.array_equal(section["exponents"], qr.exponents)
     assert np.array_equal(section["basis"], qr.basis)
@@ -241,8 +241,7 @@ def test_half_turn_floquet_section_for_both_state_types():
     sections = []
     for state in ({"type": "gaussian", "covariance": "vacuum"},
                   {"type": "fock", "state": "fock:0,0", "cutoff": 8}):
-        rep = run_scenario(parse_config(json.dumps(_half_turn_document(state, 10))),
-                           write_outputs=False)
+        rep = run_scenario(parse_config(json.dumps(_half_turn_document(state, 10))))
         assert any(w.startswith(warning[0]) and warning[1] in w for w in rep.warnings), \
             rep.warnings
         sections.append(rep.to_json_dict()["sections"]["floquet"])
@@ -251,14 +250,14 @@ def test_half_turn_floquet_section_for_both_state_types():
     # five stored samples leave three in the exponent window; the Floquet
     # section is settled before that fit
     doc = _half_turn_document({"type": "gaussian", "covariance": "vacuum"}, 100)
-    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    rep = run_scenario(parse_config(json.dumps(doc)))
     assert rep.failures == [f"WindowTooShort: exponent stage, window [{2 * math.pi:.6g}, "
                             f"{4 * math.pi:.6g}]: need at least 4 samples, got 3"], rep.failures
     assert rep.to_json_dict()["sections"]["floquet"] == sections[0]
 
 
 def test_metastable_scenario_flags():
-    rep = run_scenario(default_scenario("metastable"), write_outputs=False)
+    rep = run_scenario(default_scenario("metastable"))
     assert rep.ok, rep.failures
     meta = rep.sections["metastable"]
     assert abs(meta["log_slope"] - 1.0) < 0.05
@@ -302,7 +301,7 @@ def test_custom_constant_config_runs():
                 "lyapunov_t_star": 150.0, "lyapunov_dt": 0.01},
         "tolerances": {"slope_rel_tol": 0.05},
     }
-    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    rep = run_scenario(parse_config(json.dumps(doc)))
     assert rep.ok, rep.failures
     # single unstable mode coupled to a stable one: Lambda_A = lambda_1
     lam = rep.sections["lyapunov"]["exponents"]
@@ -325,7 +324,7 @@ def test_overlong_horizon_fails_structurally():
         "run": {"t_final": 40.0, "dt": 0.002, "store_every": 200,
                 "lyapunov_t_star": 150.0, "lyapunov_dt": 0.01},
     }
-    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    rep = run_scenario(parse_config(json.dumps(doc)))
     assert not rep.ok
     assert rep.failures
     assert "propagation" in rep.sections   # partial results preserved
@@ -340,7 +339,7 @@ def test_failure_names_stage_and_earliest_sample_time():
     doc = scenario_document("inverted_pair")
     doc["run"]["t_final"] = 120.0
     cfg = parse_config(json.dumps(doc))
-    rep = run_scenario(cfg, write_outputs=False)
+    rep = run_scenario(cfg)
     prefix = "SingularM: squashed-bound stage, flow matrix at t="
     assert len(rep.failures) == 1 and rep.failures[0].startswith(prefix)
     t_text, detail = rep.failures[0][len(prefix):].split(": ", 1)
@@ -374,7 +373,7 @@ def test_each_a_block_is_factored_once(name, monkeypatch):
         return qr(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", counted)
-    assert run_scenario(cfg, write_outputs=False).ok
+    assert run_scenario(cfg).ok
     monkeypatch.undo()
     series = propagate(cfg.hamiltonian, cfg.run.t_final, cfg.run.dt,
                        store_every=cfg.run.store_every)
@@ -384,7 +383,7 @@ def test_each_a_block_is_factored_once(name, monkeypatch):
 
 
 def _only_failure(name):
-    rep = run_scenario(default_scenario(name), write_outputs=False)
+    rep = run_scenario(default_scenario(name))
     assert len(rep.failures) == 1, rep.failures
     return rep.failures[0]
 
@@ -428,7 +427,7 @@ def test_overflowed_propagation_names_its_stage_and_time():
            "run": {"t_final": 10.0, "dt": 0.5}}
     with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn"):
         warnings.simplefilter("error")
-        rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+        rep = run_scenario(parse_config(json.dumps(doc)))
     assert rep.failures == ["SingularM: propagation stage at t=1: M(t) overflowed, so its "
                             "symplectic defect is not finite; shorten t_final"], rep.failures
     assert list(rep.sections) == []
@@ -454,7 +453,7 @@ def test_floquet_failure_names_its_stage_and_time(monkeypatch):
         "initial_state": {"type": "gaussian", "covariance": "vacuum"},
         "run": {"t_final": 0.05, "dt": 0.01, "lyapunov_t_star": 20.0, "lyapunov_dt": 0.01}}))
     monkeypatch.setattr(scenarios, "propagate", strict_floquet)
-    rep = run_scenario(cfg, write_outputs=False)
+    rep = run_scenario(cfg)
     assert len(rep.failures) == 1, rep.failures
     assert rep.failures[0].startswith("StepTooLarge: floquet stage at t=6: symplectic defect "), \
         rep.failures
@@ -485,7 +484,7 @@ def test_classical_fit_failure_names_its_stage_and_window():
     # at t_final 100 the fit window [100/eps, t_final/eps] holds one grid point
     doc = scenario_document("classical_counterexample")
     doc["run"]["t_final"] = 100.0
-    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    rep = run_scenario(parse_config(json.dumps(doc)))
     assert rep.failures == ["WindowTooShort: classical_counterexample stage, window [2000, 2000]: "
                             "need at least 4 samples, got 1"], rep.failures
 
@@ -494,20 +493,20 @@ def test_gaussian_fit_failures_name_their_stage_and_window():
     # samples at t = 0, 6, ..., 24 leave 3 in the fit window [12, 24]
     doc = scenario_document("inverted_pair")
     doc["run"]["store_every"] = 3000
-    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    rep = run_scenario(parse_config(json.dumps(doc)))
     assert rep.failures == ["WindowTooShort: exponent stage, window [12, 24]: "
                             "need at least 4 samples, got 3"], rep.failures
     assert list(rep.sections) == ["propagation", "lyapunov"]
     # a run.window with one stored sample fails the entropy-slope fit
     doc = scenario_document("inverted_pair")
     doc["run"]["window"] = [23.9, 24.0]
-    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    rep = run_scenario(parse_config(json.dumps(doc)))
     assert rep.failures == ["WindowTooShort: slopes stage, window [23.9, 24]: "
                             "need at least 4 samples, got 1"], rep.failures
     # the metastable log-growth fit reads [10, t_final]: samples 10 and 11
     doc = scenario_document("metastable")
     doc["run"].update(t_final=11.0, window=[5.0, 11.0], bound_times=[], lyapunov_t_star=11.0)
-    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    rep = run_scenario(parse_config(json.dumps(doc)))
     assert rep.failures == ["WindowTooShort: metastable stage, window [10, 11]: "
                             "need at least 4 samples, got 2"], rep.failures
 
@@ -519,7 +518,7 @@ def test_oracle_fit_failure_names_its_stage_and_window():
            "initial_state": {"type": "fock", "state": "fock:0,0", "cutoff": 6},
            "run": {"t_final": 1.5, "dt": 0.005, "store_every": 5},
            "tolerances": {"leak_ceiling": 1e-6}}
-    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    rep = run_scenario(parse_config(json.dumps(doc)))
     assert rep.failures == ["WindowTooShort: oracle stage, window [0.13125, 0.175]: "
                             "need at least 4 samples, got 2"], rep.failures
     # what was settled before the fit stays in the report
@@ -550,7 +549,7 @@ def test_bound_minimizer_failure_names_its_stage_and_time(monkeypatch):
 
 
 def test_coupled_chain_uses_two_unstable_rates():
-    rep = run_scenario(default_scenario("coupled_chain"), write_outputs=False)
+    rep = run_scenario(default_scenario("coupled_chain"))
     assert rep.ok, rep.failures
     lam = np.array(rep.sections["lyapunov"]["exponents"])
     assert lam[0] > 0.9 and lam[1] > 0.7   # two real unstable pairs
@@ -560,7 +559,7 @@ def test_coupled_chain_uses_two_unstable_rates():
     assert np.max(np.abs(lam - np.sort(np.linalg.eigvals(k).real)[::-1])) < 1e-11
 
 def _metastable_gate(doc):
-    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    rep = run_scenario(parse_config(json.dumps(doc)))
     return rep, rep.sections.get("metastable")
 
 
@@ -586,7 +585,7 @@ def test_closed_form_follows_the_hamiltonian_not_the_tag():
     doc = scenario_document("inverted_pair")
     doc["scenario"] = "classical_counterexample"
     cfg = parse_config(json.dumps(doc))
-    rep = run_scenario(cfg, write_outputs=False)
+    rep = run_scenario(cfg)
     assert rep.ok, rep.failures
     assert "propagation" in rep.sections and "classical_counterexample" not in rep.sections
     assert run_view(cfg, "lyapunov").ok
@@ -594,7 +593,7 @@ def test_closed_form_follows_the_hamiltonian_not_the_tag():
     doc = scenario_document("classical_counterexample")
     doc["scenario"] = "custom"
     cfg = parse_config(json.dumps(doc))
-    rep = run_scenario(cfg, write_outputs=False)
+    rep = run_scenario(cfg)
     assert rep.ok, rep.failures
     assert "classical_counterexample" in rep.sections and "propagation" not in rep.sections
     with pytest.raises(ConfigError) as err:
@@ -626,7 +625,7 @@ def test_stages_run_on_the_parsed_objects(monkeypatch, initial_state):
         monkeypatch.setattr(fock.FockState, kind, _refuse(f"a {kind} state"))
     # a refused build raises past the report; each run reaches its last section
     gaussian = initial_state["type"] == "gaussian"
-    assert ("slopes" if gaussian else "oracle") in run_scenario(cfg, write_outputs=False).sections
+    assert ("slopes" if gaussian else "oracle") in run_scenario(cfg).sections
     # a fock state's pipeline has no exponent stage, so it has no exponent view
     for view in ("lyapunov", "exponent", "bounds") if gaussian else ("lyapunov", "bounds"):
         assert view in run_view(cfg, view).sections
@@ -658,7 +657,7 @@ def test_sixteen_site_lattice_keeps_its_exponent_section_at_the_wall():
            "hamiltonian": {"type": "constant", "h": matrix_to_json(h)},
            "initial_state": {"type": "gaussian", "covariance": "vacuum"},
            "run": {"t_final": 48.0, "dt": 0.01, "store_every": 10}}
-    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    rep = run_scenario(parse_config(json.dumps(doc)))
     assert list(rep.sections) == ["propagation", "lyapunov", "exponent"]
     assert abs(rep.sections["exponent"]["lambda_alg"] - 1.73441) < 5e-6
     assert rep.failures == [
@@ -678,7 +677,7 @@ def test_thirty_two_site_lattice_names_its_earliest_failing_sample():
            "initial_state": {"type": "gaussian", "covariance": "vacuum"},
            "run": {"t_final": 20.0, "dt": 0.01, "store_every": 10}}
     cfg = parse_config(json.dumps(doc))
-    rep = run_scenario(cfg, write_outputs=False)
+    rep = run_scenario(cfg)
     assert list(rep.sections) == ["propagation", "lyapunov", "exponent"]
     assert rep.failures == [
         "algebraic 3.84899 vs volumetric 3.66496 disagree",
@@ -698,7 +697,7 @@ def test_lattice_chain_run_reports_no_uncertainty_violation():
            "hamiltonian": {"type": "constant", "h": matrix_to_json(LATTICE_H)},
            "initial_state": {"type": "gaussian", "covariance": "vacuum"},
            "run": {"t_final": 20.0, "dt": 0.01, "store_every": 10}}
-    rep = run_scenario(parse_config(json.dumps(doc)), write_outputs=False)
+    rep = run_scenario(parse_config(json.dumps(doc)))
     assert not any("UncertaintyViolated" in f for f in rep.failures), rep.failures
     assert rep.ok, rep.failures
     exponent = rep.sections["exponent"]

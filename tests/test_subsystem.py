@@ -24,7 +24,7 @@ PAIR_HAM = QuadraticHamiltonian.constant(inverted_pair_form())
 
 @pytest.fixture(scope="module")
 def pair_spectrum():
-    return qr_spectrum(PAIR_HAM, 120.0, 0.01, residual_tol=np.inf)
+    return qr_spectrum(PAIR_HAM, 120.0, 0.01)
 
 
 def test_darboux_rows_first_and_second_mode():
@@ -197,7 +197,7 @@ def test_exponent_bounds_on_random_subsystems(pair_spectrum):
 
 def test_chain_volumetric_vs_algebraic():
     ham = QuadraticHamiltonian.constant(coupled_chain_form())
-    lyap = qr_spectrum(ham, 120.0, 0.01, residual_tol=np.inf)
+    lyap = qr_spectrum(ham, 120.0, 0.01)
     sub = SubsystemSpec.first_modes(1, 4)
     alg = subsystem_exponent_algebraic(sub, lyap)
     vol = subsystem_exponent_volumetric(sub, propagate(ham, 24.0, 0.002, store_every=60))
