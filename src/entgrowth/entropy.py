@@ -1,7 +1,8 @@
 """Entropy functionals on Gaussian covariance data.
 
 All entropies are in nats.  The von Neumann entropy is a sum of
-single-eigenvalue terms over the symplectic spectrum; the Renyi-2 entropy
+single-eigenvalue terms s(nu) over the symplectic spectrum, each in one
+form with no cancellation (:func:`mode_entropy`); the Renyi-2 entropy
 is half the log-determinant of the covariance matrix, sum ln diag L of its
 checked Cholesky factor L; the asymptotic entropy ``0.5 ln det(e G / 2)``
 is defined on the whole positive-definite cone (it does not require the
@@ -29,30 +30,20 @@ from .phase_space import (
 
 LN_E_OVER_2 = 1.0 - math.log(2.0)
 
-_SERIES_CUT = 1e-6   # below this, nu - 1 is evaluated by series
-_LOG1P_CUT = 1.5     # from here up, the log1p form; below it, the direct form
-
 
 def mode_entropy(nu):
     """Entropy contribution s(nu) of each symplectic eigenvalue: a float for a float.
 
-    s(nu) = ((nu+1)/2) ln((nu+1)/2) - e ln e with e = (nu-1)/2, continued by
-    its limit s(1) = 0; values slightly below 1 (roundoff) are clamped.  The
-    direct form cancels at large nu, losing about nu machine epsilons, so
-    from ``_LOG1P_CUT`` up s is ln e + ((nu+1)/2) log1p(1/e), which does not
-    cancel; below it the direct form is the more accurate one, and below
-    nu - 1 = ``_SERIES_CUT`` its series.  An array is evaluated in every
-    form at once, and each element keeps its own.
+    s(nu) = ((nu+1)/2) ln((nu+1)/2) - e ln e with e = (nu-1)/2, evaluated as
+    log1p(e) + e log1p(1/e): both terms are positive for e > 0, so nothing
+    cancels at any nu.  The limit s(1) = 0 continues it, and values
+    slightly below 1 (roundoff) are clamped.
     """
     nu = np.asarray(nu, dtype=float)
-    eps, hi = 0.5 * (nu - 1.0), 0.5 * (nu + 1.0)
+    eps = 0.5 * (nu - 1.0)
+    # at nu = 1, 1/e divides by zero; below it log1p(1/e) is undefined
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_eps = np.log(eps)
-        # (1+e) ln(1+e) - e ln e  ~  e (1 - ln e) + e^2/2
-        series = eps * (1.0 - log_eps) + 0.5 * eps * eps
-        direct = hi * np.log(hi) - eps * log_eps
-        log1p_form = log_eps + hi * np.log1p(1.0 / eps)
-    s = np.where(nu >= _LOG1P_CUT, log1p_form, np.where(nu - 1.0 < _SERIES_CUT, series, direct))
+        s = np.log1p(eps) + eps * np.log1p(1.0 / eps)
     return _float_or_stack(np.where(nu <= 1.0, 0.0, s))
 
 

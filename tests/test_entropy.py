@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from entgrowth.config import matrix_to_json, parse_config
@@ -143,9 +145,11 @@ def test_symplectic_invariance_of_entropy():
 
 
 def test_mode_entropy_branches_agree():
-    # the series, direct and log1p forms join at nu = 1 + 1e-6 and nu = 1.5:
-    # on either side of each edge the two forms that meet there agree to
-    # roundoff (absolute, or relative where s > 1), and so does s(nu)
+    # a cross-check by three other forms of s(nu): its series, accurate near
+    # nu = 1, the direct form, and ln e + ((nu+1)/2) log1p(1/e), accurate at
+    # large nu.  Around nu = 1 + 1e-6 and nu = 1.5, where each pair is
+    # accurate, the two agree to roundoff (absolute, or relative where
+    # s > 1), and so does s(nu)
     def series(nu):
         eps = 0.5 * (nu - 1.0)
         return eps * (1.0 - math.log(eps)) + 0.5 * eps * eps
@@ -194,6 +198,20 @@ def test_mode_entropy_matches_high_precision_values():
     singles = [mode_entropy(nu) for nu in nus.tolist()]
     assert mode_entropy(nus).tolist() == singles
     assert mode_entropy(nus.reshape(2, 4)).ravel().tolist() == singles
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-16.0, 15.0), st.floats(-16.0, 15.0))
+def test_mode_entropy_stays_in_its_corridor_and_grows(u1, u2):
+    # ln nu <= s(nu) <= ln nu + ln(e/2) per mode (the Renyi-2 and asymptotic
+    # entropies of one mode), and s grows with nu, for nu = 1 + 10^u from
+    # just above the vacuum to 1e15; slack 4 eps, relative where s > 1
+    nu1, nu2 = sorted(1.0 + 10.0 ** u for u in (u1, u2))
+    s1, s2 = mode_entropy(nu1), mode_entropy(nu2)
+    for nu, s in ((nu1, s1), (nu2, s2)):
+        slack = 4.0 * np.finfo(float).eps * max(1.0, s)
+        assert math.log(nu) - slack <= s <= math.log(nu) + LN_E_OVER_2 + slack, nu
+    assert s1 <= s2 + 4.0 * np.finfo(float).eps * max(1.0, s2), (nu1, nu2)
 
 
 def test_von_neumann_matches_trace_formula():
