@@ -270,7 +270,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     body = _run_classical if _is_builtin(cfg, "classical_shear") else _run_flow
     report = _guarded(cfg, body)
-    _write_outputs(cfg, report)
+    _write_files(cfg, report)
     return report
 
 
@@ -313,7 +313,7 @@ def run_view(cfg: ScenarioConfig, view: str) -> RunReport:
     return _guarded(cfg, _VIEWS[view])
 
 
-def _write_outputs(cfg, report):
+def _write_files(cfg, report):
     if cfg.output.csv:
         write_csv(cfg.output.csv, report.rows)
     if cfg.output.report:
