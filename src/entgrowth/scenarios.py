@@ -219,9 +219,11 @@ def _lyapunov_section(report, cfg, period_map):
     report.add("lyapunov", {
         "exponents": lyap.exponents, "raw_exponents": lyap.raw_exponents, "basis": lyap.basis,
         "residual": lyap.residual, "horizon": lyap.horizon, "method": lyap.method,
-        "regular": reg.is_regular, "pairing_violation": reg.max_violation})
+        "regular": reg.is_regular, "pairing_violation": reg.max_violation,
+        "regularity_tol": reg.tol})
     if not reg.is_regular:
-        report.warn(f"spectrum not regular at tolerance: pairing violation {reg.max_violation:.3g}")
+        report.warn(f"spectrum not regular at tolerance {reg.tol:.3g}: "
+                    f"pairing violation {reg.max_violation:.3g}")
     return lyap
 
 
@@ -510,12 +512,15 @@ def bound_matrices(series, times):
 
 
 def _bounds_section(report, series, split, times):
-    entries = []
+    """One bound minimization per time, in the order given, each started
+    from the previous time's minimizer when that descent converged."""
+    entries, start = [], None
     for t, m in zip(times, bound_matrices(series, times)):
         try:
-            rep = gss_rhs_minimize(m, split)
+            rep = gss_rhs_minimize(m, split, start)
         except EntgrowthError as exc:
             raise type(exc)(f"bounds stage at t={t:.6g}: {exc}") from exc
+        start = rep.factor if rep.converged else None
         entries.append({"t": float(t), "value": rep.value, "residual": rep.residual,
                         "iterations": rep.iterations, "converged": rep.converged,
                         "diverged": rep.diverged})

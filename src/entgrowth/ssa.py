@@ -8,9 +8,11 @@ whose value lower-bounds the sum of mutual informations of any state and
 its image under the symplectic transformation M.  It is geodesically convex
 on the positive definite cone under the affine-invariant metric, so every
 stationary point is a global minimum.  The minimizer is a damped Newton
-descent from G = I in whitened coordinates G = R e^X R^T, in numpy alone;
-two stacked QR factorizations of row blocks of R and M R give its value,
-gradient and Hessian, so neither G nor M G M^T is formed.  The gradient
+descent in whitened coordinates G = R e^X R^T, in numpy alone, from G = I
+or from a given start such as the minimizer at an earlier time of the
+same flow, with a restart from G = I should that descent not converge;
+one stacked QR factorization of R and M R gives its value, gradient and
+Hessian, so neither G nor M G M^T is formed.  The gradient
 there, (1/2) sum_i P_i - I, is R^T (G^{-1} - sum_i p_i F_i^T (F_i G
 F_i^T)^{-1} F_i) R, the stationarity equation of the whole problem, so the
 minimizer certifies its own last iterate.  When M is
@@ -77,20 +79,27 @@ def _rhs_terms(m, k, r):
 
     Over the selectors F_i (rows of A and of B, of G and of M G M^T) it is
     sum_i h(F_i R) - 2 ln|det R|, with h(W) = (1/2) ln det(W W^T) read off
-    the diagonal of the QR factor of W^T: one stacked QR for the two A-type
-    blocks, one for the two B-type blocks.  Returns the value, its roundoff
-    and the (4, d, d) stack of projectors onto the row spaces of the F_i R.
+    the diagonal of the QR factor of W^T.  One stacked QR of R^T, (M R)^T
+    and the two with their B columns moved first serves every block: the
+    leading k columns of the first two are the A rows, the leading d - k of
+    the last two the B rows.  ln|det R| comes from ``slogdet``: read off
+    the same QR diagonal instead, it leaves the descent's line search
+    short of the stop rule near the conditioning wall (``inverted_pair``
+    from t = 13.68 on).  Returns the value, its roundoff and the (4, d, d)
+    stack of projectors onto the row spaces of the F_i R, A rows of R and
+    M R first.
     """
-    mr = m @ r
-    logs, proj = [], []
-    for rows in (slice(None, k), slice(k, None)):
-        q, u = np.linalg.qr(np.stack((r[rows].T, mr[rows].T)))
-        logs.append(np.log(np.abs(np.diagonal(u, axis1=1, axis2=2))))
-        proj.append(q @ _mT(q))
+    d = r.shape[-1]
+    pair = np.stack((r.T, (m @ r).T))
+    b_first = np.concatenate((pair[..., k:], pair[..., :k]), axis=-1)
+    q, u = np.linalg.qr(np.concatenate((pair, b_first)))
+    logs = np.log(np.abs(np.diagonal(u, axis1=1, axis2=2)))
+    blocks = logs[:2, :k], logs[2:, :d - k]
+    qa, qb = q[:2, :, :k], q[2:, :, :d - k]
     ln_det_r = np.linalg.slogdet(r)[1]
-    magnitude = sum(np.abs(block).sum() for block in logs) + 2.0 * abs(ln_det_r)
-    value = sum(block.sum() for block in logs) - 2.0 * ln_det_r
-    return float(value), ROUNDOFF * float(magnitude), np.concatenate(proj)
+    magnitude = sum(np.abs(block).sum() for block in blocks) + 2.0 * abs(ln_det_r)
+    value = sum(block.sum() for block in blocks) - 2.0 * ln_det_r
+    return float(value), ROUNDOFF * float(magnitude), np.concatenate((qa @ _mT(qa), qb @ _mT(qb)))
 
 
 def _newton_step(proj):
@@ -171,16 +180,22 @@ def minimize(m, k, r) -> BoundReport:
                        nfev=nfev, converged=converged, stop_reason=reason, factor=r)
 
 
-def gss_rhs_minimize(m, split: ModeCount) -> BoundReport:
+def gss_rhs_minimize(m, split: ModeCount, start=None) -> BoundReport:
     """Minimize I_as(A;B)(G) + I_as(A;B)(M G M^T) over positive definite G.
 
     The objective is geodesically convex (Sra and Hosseini, SIAM J. Optim.
-    25, 713, 2015), so one Newton descent from G = I (``minimize``) finds the
-    global minimum.  ``converged`` means its stop rule was met within BUDGET
-    iterations at a G that is numerically positive definite.  ``diverged``
-    means the last iterate is still a Newton step longer than DIVERGENCE_STEP
-    (largest |eigenvalue| of X, an affine-invariant length) from the minimum
-    of its quadratic model.  Toward an attained minimum Newton converges
+    25, 713, 2015), so one Newton descent (``minimize``) from any positive
+    definite G finds the global minimum.  It starts from G = R R^T with R
+    the factor ``start``, or from G = I when ``start`` is None; a descent
+    from ``start`` that ends unconverged is run again from G = I, and that
+    run is reported.  A caller minimizing along a flow passes the previous
+    time's ``factor``: toward a cone-boundary infimum that start is already
+    far along the geodesic, and a few steps finish the descent.
+    ``converged`` means the stop rule was met within BUDGET iterations at a
+    G that is numerically positive definite.  ``diverged`` means the last
+    iterate is still a Newton step longer than DIVERGENCE_STEP (largest
+    |eigenvalue| of X, an affine-invariant length) from the minimum of its
+    quadratic model.  Toward an attained minimum Newton converges
     quadratically and the last step is tiny; toward a cone-boundary infimum
     the objective decays exponentially along a geodesic and every step has
     the same length (1/2 on ``metastable``).
@@ -189,7 +204,15 @@ def gss_rhs_minimize(m, split: ModeCount) -> BoundReport:
     dim = 2 * split.n_total
     if m.shape != (dim, dim):
         raise DimensionMismatch(f"transformation shape {m.shape} vs split {split}")
-    return minimize(m, 2 * split.n_a, np.eye(dim))
+    k = 2 * split.n_a
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (dim, dim):
+            raise DimensionMismatch(f"start factor shape {start.shape} vs split {split}")
+        warm = minimize(m, k, start)
+        if warm.converged:
+            return warm
+    return minimize(m, k, np.eye(dim))
 
 
 def op_norm(g) -> float:

@@ -1,5 +1,6 @@
 """Built-in scenario demos and cross-checks between pipeline sections."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from entgrowth import dynamics, fock, lyapunov, scenarios
+from entgrowth import dynamics, fock, lyapunov, scenarios, ssa
 from entgrowth.config import matrix_to_json, parse_config
 from entgrowth.dynamics import QuadraticHamiltonian, evolve_covariance, generator, propagate
 from entgrowth.entropy import LN_E_OVER_2
@@ -31,7 +32,7 @@ from entgrowth.scenarios import (
     run_view,
     scenario_document,
 )
-from entgrowth.ssa import squashed_bounds
+from entgrowth.ssa import gss_rhs_minimize, squashed_bounds
 from reference import SHIPPED_ORACLE_CONFIG, default_scenario, inverted_pair_exponents
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -460,6 +461,18 @@ def test_floquet_failure_names_its_stage_and_time(monkeypatch):
     assert list(rep.sections) == ["propagation"]
 
 
+def test_lyapunov_section_reports_its_regularity_tolerance(monkeypatch):
+    # the tolerance regularity_check works out from the residual, and the
+    # warning of a spectrum that misses it names it
+    section = run_view(default_scenario("metastable"), "lyapunov").sections["lyapunov"]
+    assert section["regularity_tol"] == max(0.05, 4.0 * section["residual"])
+    monkeypatch.setattr(scenarios, "regularity_check",
+                        lambda data: lyapunov.RegularityReport(False, 0.25, 0.125))
+    rep = run_view(default_scenario("metastable"), "lyapunov")
+    assert rep.warnings == ["spectrum not regular at tolerance 0.125: pairing violation 0.25"]
+    assert rep.sections["lyapunov"]["regularity_tol"] == 0.125
+
+
 def test_lyapunov_failure_names_its_stage_and_horizon(monkeypatch):
     # the nilpotent metastable flow has a defective map, so it keeps the QR
     # estimate and its residual, 0.0055
@@ -537,8 +550,62 @@ def test_metastable_bounds_meet_the_stop_rule():
     assert all("diverged toward the cone boundary" in w for w in rep.warnings), rep.warnings
 
 
+def _bounds_config(name):
+    # inverted_pair also at times where its minimum is attained, out to the
+    # conditioning wall (cond G about 3e12 at t=16.08)
+    doc = scenario_document(name)
+    if name == "inverted_pair":
+        doc["run"]["bound_times"] = [1.2, 3.96, 8.04, 12.0, 16.08]
+    return parse_config(json.dumps(doc))
+
+
+def _cold_bounds(cfg):
+    """The bound descents from G = I at the config's bound times, on the stage's stored M."""
+    series = propagate(cfg.hamiltonian, cfg.run.t_final, cfg.run.dt,
+                       store_every=cfg.run.store_every)
+    return [gss_rhs_minimize(m, cfg.modes)
+            for m in scenarios.bound_matrices(series, cfg.run.bound_times)]
+
+
+@pytest.mark.parametrize("name", ["metastable", "inverted_pair"])
+def test_warm_started_bounds_match_the_cold_descents(name):
+    # each descent starts from the previous time's minimizer; the objective
+    # is geodesically convex, so the value does not depend on the start
+    cfg = _bounds_config(name)
+    rep = run_view(cfg, "bounds")
+    assert rep.ok, rep.failures
+    entries, cold = rep.sections["bounds"], _cold_bounds(cfg)
+    for entry, ref in zip(entries, cold, strict=True):
+        assert abs(entry["value"] - ref.value) <= 1e-8, (entry, ref)
+        assert (entry["converged"], entry["diverged"]) == (ref.converged, ref.diverged), entry
+    if name == "metastable":
+        # boundary infima: 26-30 steps from G = I, a few from the last minimizer
+        assert sum(e["iterations"] for e in entries) <= 0.5 * sum(r.iterations for r in cold)
+    else:
+        assert all(e["converged"] and not e["diverged"] and e["residual"] <= 1e-6
+                   for e in entries), entries
+        assert rep.warnings == []
+
+
+def test_bounds_stage_reports_the_cold_descent_when_the_warm_one_fails(monkeypatch):
+    cfg = _bounds_config("metastable")
+    cold = _cold_bounds(cfg)
+    descend = ssa.minimize
+
+    def warm_fails(m, k, r):
+        rep = descend(m, k, r)
+        if np.array_equal(r, np.eye(len(r))):
+            return rep
+        return dataclasses.replace(rep, converged=False, stop_reason="stand-in stop")
+
+    monkeypatch.setattr(ssa, "minimize", warm_fails)
+    entries = run_view(cfg, "bounds").sections["bounds"]
+    assert [(e["value"], e["residual"], e["iterations"], e["converged"]) for e in entries] \
+        == [(r.value, r.residual, r.iterations, r.converged) for r in cold]
+
+
 def test_bound_minimizer_failure_names_its_stage_and_time(monkeypatch):
-    def singular(m, split):
+    def singular(m, split, start=None):
         raise NotPositiveDefinite("stand-in failure")
 
     monkeypatch.setattr(scenarios, "gss_rhs_minimize", singular)

@@ -374,6 +374,15 @@ def test_minimum_does_not_depend_on_the_start(n_total, seed):
         start = np.linalg.cholesky(random_covariance(n_total, rng, scale=1.0))
         other = minimize(m, 2 * split.n_a, start)
         assert other.converged and abs(other.value - reference.value) <= 1e-8
+        other = gss_rhs_minimize(m, split, start)
+        assert other.converged and abs(other.value - reference.value) <= 1e-8
+
+
+def test_minimizer_rejects_a_transformation_or_start_of_the_wrong_size():
+    with pytest.raises(DimensionMismatch, match="transformation shape"):
+        gss_rhs_minimize(np.eye(6), SPLIT)
+    with pytest.raises(DimensionMismatch, match="start factor shape"):
+        gss_rhs_minimize(np.eye(4), SPLIT, np.eye(6))
 
 
 def test_minimize_inverted_pair_long_horizons():
